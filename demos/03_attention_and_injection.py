@@ -35,9 +35,10 @@ print("zeroed injections are bit-identical to baseline:", np.array_equal(out, ba
 # the latent column.
 p = tf.attention_params(StoryVAE.create(cfg, seed=8).params, "dec.0")
 x = Tensor(np.random.default_rng(1).standard_normal((4, 32)).astype(np.float32))
-z_slice = Tensor(np.random.default_rng(2).standard_normal(32).astype(np.float32))
-out, weights = tf.pseudo_self_attention(x, z_slice, p, n_heads=4, return_weights=True)
-print("PSA: output rows =", out.shape[0], "| key rows =", weights[0].shape[1], "(1 + tokens)")
+z_slice = Tensor(np.random.default_rng(2).standard_normal((1, 32)).astype(np.float32))
+out, weights = tf.multi_head_attention(x, p, n_heads=4, causal=True, z_slice=z_slice, return_weights=True)
+print("PSA: output rows =", out.shape[0], "| weight matrices =", len(weights),
+      "(one per head) | key columns =", weights[0].shape[1], "(1 + tokens)")
 print("latent column weights, head 0:", np.round(weights[0][:, 0], 3))
 
 # The pooling block squeezes any-length sequences into one vector.

@@ -66,9 +66,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -211,24 +208,28 @@ def mul_scalar(a: Tensor, s: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product of vectors and matrices, or of two equal-size stacks of matrices."""
     an, bn = a.data.ndim, b.data.ndim
-    if an not in (1, 2) or bn not in (1, 2) or (an == 1 and bn == 1):
+    batched = an == bn == 3
+    if not batched and (an not in (1, 2) or bn not in (1, 2) or (an == 1 and bn == 1)):
         raise ShapeError(f"matmul: unsupported ranks for shapes {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[0]:
+    if batched and a.shape[0] != b.shape[0]:
+        raise ShapeError(f"matmul: batch sizes differ for shapes {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2 if bn > 1 else 0]:
         raise ShapeError(f"matmul: inner extents differ for shapes {a.shape} and {b.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         data = a.data @ b.data
 
     def backward(g):
         if a.requires_grad:
-            if bn == 2:
-                ga = g @ b.data.T if an == 2 else b.data @ g
+            if bn > 1:
+                ga = g @ np.swapaxes(b.data, -1, -2) if an > 1 else b.data @ g
             else:  # b is a vector, a is 2-D
                 ga = np.outer(g, b.data)
             a.accumulate_grad(ga)
         if b.requires_grad:
-            if an == 2:
-                gb = a.data.T @ g
+            if an > 1:
+                gb = np.swapaxes(a.data, -1, -2) @ g
             else:  # a is a vector, b is 2-D
                 gb = np.outer(a.data, g)
             b.accumulate_grad(gb)
@@ -236,15 +237,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, "matmul", (a, b), backward)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: expected a matrix, got shape {a.shape}")
+def transpose(a: Tensor, axes=None) -> Tensor:
+    """Permute axes; with no ``axes`` a matrix is transposed."""
+    if axes is None:
+        if a.data.ndim != 2:
+            raise ShapeError(f"transpose: expected a matrix, got shape {a.shape}")
+        axes = (1, 0)
+    axes = tuple(axes)
+    if sorted(axes) != list(range(a.data.ndim)):
+        raise ShapeError(f"transpose: {axes} is not a permutation of the axes of shape {a.shape}")
+    inverse = tuple(np.argsort(axes))
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(np.ascontiguousarray(g.T))
+            a.accumulate_grad(np.ascontiguousarray(g.transpose(inverse)))
 
-    return _make(np.ascontiguousarray(a.data.T), "transpose", (a,), backward)
+    return _make(np.ascontiguousarray(a.data.transpose(axes)), "transpose", (a,), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -272,21 +280,6 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
                 p.accumulate_grad(g[lo:hi])
 
     return _make(data, "concat_rows", tuple(parts), backward)
-
-
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    if axis not in (0, 1) or axis >= a.data.ndim:
-        raise ShapeError(f"narrow: bad axis {axis} for shape {a.shape}")
-    idx = (slice(start, start + length),) if axis == 0 else (slice(None), slice(start, start + length))
-    data = np.ascontiguousarray(a.data[idx])
-
-    def backward(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[idx] = g
-            a.accumulate_grad(full)
-
-    return _make(data, "narrow", (a,), backward)
 
 
 def take_rows(a: Tensor, indices: np.ndarray) -> Tensor:
@@ -357,15 +350,17 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """Softmax over the last axis, computed with max subtraction.
 
-    ``mask`` is a boolean array of the same shape; False entries are
-    excluded from the distribution and receive exactly zero probability.
-    Masking happens inside the op so no -inf score is ever materialized.
+    ``mask`` is a boolean array that broadcasts to the input's shape; False
+    entries are excluded from the distribution and receive exactly zero
+    probability.  Masking happens inside the op so no -inf score is ever
+    materialized.
     """
     x = a.data
     if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != x.shape:
-            raise ShapeError(f"softmax: mask shape {mask.shape} does not match {x.shape}")
+        try:
+            mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
+        except ValueError:
+            raise ShapeError(f"softmax: mask shape {np.shape(mask)} does not broadcast to {x.shape}") from None
         if not mask.any(axis=-1).all():
             raise ShapeError("softmax: a row has no unmasked entries")
         shifted = np.where(mask, x, -np.inf)

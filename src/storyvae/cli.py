@@ -255,18 +255,14 @@ def _write_stories(path: Path, records: list[dict]) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def cmd_generate(resolved: dict) -> int:
-    _require(resolved, "corpus", "vocab")
-    out = _prepare_out(resolved)
-    model = _load_model(resolved)
-    vocab, examples = _load_vocab_corpus(resolved, model.config.max_seq_len)
+def _story_records(resolved: dict, model: StoryVAE, vocab: cp.Vocabulary, examples) -> list[dict]:
+    """One sampled story per example, as the records stories.jsonl holds."""
     sampler = sampler_from(resolved)
-    use_mean = resolved["sampler.latent-mean"]
     records = []
     for i, ex in enumerate(examples):
         story, latent = sp.generate_for_prompt(
             model, ex.prior_input, vocab.separator_id, sampler,
-            example_index=i, use_mean_latent=use_mean,
+            example_index=i, use_mean_latent=resolved["sampler.latent-mean"],
         )
         records.append({
             "prompt": ex.pair.prompt_text,
@@ -274,6 +270,15 @@ def cmd_generate(resolved: dict) -> int:
             "latent_source": latent.source.value,
             "seed": sampler.seed,
         })
+    return records
+
+
+def cmd_generate(resolved: dict) -> int:
+    _require(resolved, "corpus", "vocab")
+    out = _prepare_out(resolved)
+    model = _load_model(resolved)
+    vocab, examples = _load_vocab_corpus(resolved, model.config.max_seq_len)
+    records = _story_records(resolved, model, vocab, examples)
     _write_stories(out / "stories.jsonl", records)
     print(f"{len(records)} stories written to {out / 'stories.jsonl'}")
     return EXIT_OK
@@ -320,24 +325,8 @@ def cmd_eval(resolved: dict) -> int:
     out = _prepare_out(resolved)
     model = _load_model(resolved)
     vocab, examples = _load_vocab_corpus(resolved, model.config.max_seq_len)
-    sampler = sampler_from(resolved)
-    use_mean = resolved["sampler.latent-mean"]
-    stories = []
-    records = []
-    for i, ex in enumerate(examples):
-        tokens, latent = sp.generate_for_prompt(
-            model, ex.prior_input, vocab.separator_id, sampler,
-            example_index=i, use_mean_latent=use_mean,
-        )
-        text = vocab.decode(tokens)
-        stories.append(text)
-        records.append({
-            "prompt": ex.pair.prompt_text,
-            "story": text,
-            "latent_source": latent.source.value,
-            "seed": sampler.seed,
-        })
-    report = ev.evaluate(model, examples, stories)
+    records = _story_records(resolved, model, vocab, examples)
+    report = ev.evaluate(model, examples, [r["story"] for r in records])
     _write_stories(out / "stories.jsonl", records)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     print(

@@ -12,6 +12,7 @@ bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -210,7 +211,10 @@ class StoryVAE:
     @classmethod
     def load(cls, directory) -> tuple["StoryVAE", dict]:
         directory = Path(directory)
-        manifest = json.loads((directory / MANIFEST_FILE).read_text(encoding="utf-8"))
+        try:
+            manifest = json.loads((directory / MANIFEST_FILE).read_text(encoding="utf-8"))
+        except ValueError as e:  # undecodable bytes or malformed JSON
+            raise ContractError(f"{directory / MANIFEST_FILE} is not a valid manifest: {e}") from e
         config = ModelConfig.from_dict(manifest["model"])
         arrays = read_tensor_file(directory / manifest["payload"])
         if [n for n, _ in arrays] != manifest["tensors"]:
@@ -235,20 +239,30 @@ def write_tensor_file(path, named_arrays) -> None:
 
 
 def read_tensor_file(path) -> list[tuple[str, np.ndarray]]:
+    """Parse the records ``write_tensor_file`` writes.
+
+    A blob that ends inside a record, including stray trailing bytes,
+    or a name that is not UTF-8 raises ``ContractError``.
+    """
     out = []
-    blob = Path(path).read_bytes()
+    blob = memoryview(Path(path).read_bytes())
     offset = 0
+
+    def take(n: int) -> memoryview:
+        nonlocal offset
+        if n > len(blob) - offset:
+            raise ContractError(f"{path}: record at byte {offset} needs {n} bytes, {len(blob) - offset} left")
+        offset += n
+        return blob[offset - n:offset]
+
     while offset < len(blob):
-        (name_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        name = blob[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        shape = struct.unpack_from(f"<{rank}I", blob, offset)
-        offset += 4 * rank
-        count = int(np.prod(shape)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(shape)
-        offset += 4 * count
+        (name_len,) = struct.unpack("<I", take(4))
+        try:
+            name = bytes(take(name_len)).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ContractError(f"{path}: tensor name before byte {offset} is not UTF-8") from e
+        (rank,) = struct.unpack("<I", take(4))
+        shape = struct.unpack(f"<{rank}I", take(4 * rank))
+        arr = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
         out.append((name, arr.astype(np.float32)))
     return out

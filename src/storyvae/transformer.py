@@ -235,38 +235,23 @@ def pooling_params(params: ParameterSet) -> PoolingParams:
     )
 
 
-def _concat_cols(parts: list[Tensor]) -> Tensor:
-    stacked = ag.concat_rows([ag.transpose(p) for p in parts])
-    return ag.transpose(stacked)
+def _attend(q, k, v, n_heads, mask, return_weights):
+    """All heads at once: (T, d) rows become (H, T, d/H) stacks for one batched product.
 
-
-def _heads_attention(q, k, v, n_heads, causal, n_prefix, suppress_latent, return_weights):
-    l = q.shape[0]
-    total = k.shape[0]
-    dh = q.shape[1] // n_heads
-    scale = 1.0 / math.sqrt(dh)
-
-    mask = None
-    if causal or (n_prefix and suppress_latent):
-        allowed = np.ones((l, total), dtype=bool)
-        if causal:
-            cols = np.arange(total - n_prefix)
-            allowed[:, n_prefix:] = cols[None, :] <= np.arange(l)[:, None]
-        if suppress_latent and n_prefix:
-            allowed[:, :n_prefix] = False
-        mask = allowed
-
-    outs, weights = [], []
-    for h in range(n_heads):
-        qh = ag.narrow(q, 1, h * dh, dh)
-        kh = ag.narrow(k, 1, h * dh, dh)
-        vh = ag.narrow(v, 1, h * dh, dh)
-        scores = ag.mul_scalar(ag.matmul(qh, ag.transpose(kh)), scale)
-        attn = ag.softmax(scores, mask=mask)
-        outs.append(ag.matmul(attn, vh))
-        if return_weights:
-            weights.append(attn.data.copy())
-    return _concat_cols(outs), weights
+    ``mask`` broadcasts to the (H, queries, keys) scores.  Returns the
+    (queries, d) output with heads back side by side, and one weight
+    matrix per head when asked.
+    """
+    lq, d = q.shape
+    lk = k.shape[0]
+    dh = d // n_heads
+    qh = ag.transpose(ag.reshape(q, (lq, n_heads, dh)), axes=(1, 0, 2))
+    kt = ag.transpose(ag.reshape(k, (lk, n_heads, dh)), axes=(1, 2, 0))
+    vh = ag.transpose(ag.reshape(v, (lk, n_heads, dh)), axes=(1, 0, 2))
+    scores = ag.mul_scalar(ag.matmul(qh, kt), 1.0 / math.sqrt(dh))
+    attn = ag.softmax(scores, mask=mask)
+    out = ag.reshape(ag.transpose(ag.matmul(attn, vh), axes=(1, 0, 2)), (lq, d))
+    return out, list(attn.data.copy()) if return_weights else []
 
 
 def multi_head_attention(
@@ -281,12 +266,14 @@ def multi_head_attention(
 ):
     """Scaled dot-product attention over a full sequence, per-head scale 1/sqrt(d/H).
 
-    When ``z_slice`` is given (and nonzero), one projected latent row is
-    prefixed to the key and value matrices; the causal mask never blocks
-    that row.  ``suppress_latent`` is the test hook that forces the latent
-    row's attention score to -inf, recovering plain attention.
+    ``z_slice`` is one (1, d) per-layer latent row for pseudo
+    self-attention: when given (and nonzero), its key and value
+    projections are prefixed to the key and value matrices, queries stay
+    token-only, and the causal mask never blocks that row.
+    ``suppress_latent`` is the test hook that forces the latent row's
+    attention score to -inf, recovering plain attention.
     """
-    l = x.shape[0]
+    l, d = x.shape
     if l < 1:
         raise ContractError("attention needs at least one position")
     if max_seq_len is not None and l > max_seq_len:
@@ -296,42 +283,30 @@ def multi_head_attention(
     v = ag.add(ag.matmul(x, p.wv), p.bv)
 
     n_prefix = 0
+    if z_slice is not None and z_slice.shape != (1, d):
+        raise ag.ShapeError(f"latent slice shape {z_slice.shape} does not match one row of model width {d}")
     # An exactly-zero slice injects nothing; zeroed projections then leave
     # the latent-free path bit-identical.
     if z_slice is not None and bool(np.any(z_slice.data != 0.0)):
         if not p.has_psa:
             raise ContractError("latent slice given but this layer has no latent key/value projections")
-        zk = ag.reshape(ag.add(ag.matmul(z_slice, p.psa_wk), p.psa_bk), (1, x.shape[1]))
-        zv = ag.reshape(ag.add(ag.matmul(z_slice, p.psa_wv), p.psa_bv), (1, x.shape[1]))
-        k = ag.concat_rows([zk, k])
-        v = ag.concat_rows([zv, v])
+        k = ag.concat_rows([ag.add(ag.matmul(z_slice, p.psa_wk), p.psa_bk), k])
+        v = ag.concat_rows([ag.add(ag.matmul(z_slice, p.psa_wv), p.psa_bv), v])
         n_prefix = 1
 
-    out, weights = _heads_attention(q, k, v, n_heads, causal, n_prefix, suppress_latent, return_weights)
+    mask = None
+    if causal or (n_prefix and suppress_latent):
+        mask = np.ones((l, l + n_prefix), dtype=bool)
+        if causal:
+            mask[:, n_prefix:] = np.tri(l, dtype=bool)
+        if suppress_latent:
+            mask[:, :n_prefix] = False
+
+    out, weights = _attend(q, k, v, n_heads, mask, return_weights)
     out = ag.add(ag.matmul(out, p.wo), p.bo)
     if return_weights:
         return out, weights
     return out
-
-
-def pseudo_self_attention(
-    x: Tensor,
-    z_slice: Tensor,
-    p: AttentionParams,
-    n_heads: int,
-    causal: bool = True,
-    suppress_latent: bool = False,
-    return_weights: bool = False,
-):
-    """Attention with the per-layer latent absorbed as an extra key/value row."""
-    if not p.has_psa:
-        raise ContractError("pseudo self-attention requires latent key/value projections")
-    if z_slice.shape != (x.shape[1],):
-        raise ag.ShapeError(f"latent slice width {z_slice.shape} does not match model width {x.shape[1]}")
-    return multi_head_attention(
-        x, p, n_heads, causal,
-        z_slice=z_slice, suppress_latent=suppress_latent, return_weights=return_weights,
-    )
 
 
 def attention_average(
@@ -351,31 +326,14 @@ def attention_average(
         raise ContractError("cannot pool an empty sequence")
     k = ag.matmul(hseq, p.wk)
     v = ag.add(ag.matmul(hseq, p.wv), p.bv)
-    q = ag.reshape(p.q, (1, d))
-
-    dh = d // n_heads
-    scale = 1.0 / math.sqrt(dh)
-    mask = None
     if valid is not None:
         valid = np.asarray(valid, dtype=bool)
         if valid.shape != (l,):
             raise ag.ShapeError(f"valid mask shape {valid.shape} does not match sequence length {l}")
         if not valid.any():
             raise ContractError("cannot pool a fully masked sequence")
-        mask = valid[None, :]
-
-    outs, weights = [], []
-    for h in range(n_heads):
-        qh = ag.narrow(q, 1, h * dh, dh)
-        kh = ag.narrow(k, 1, h * dh, dh)
-        vh = ag.narrow(v, 1, h * dh, dh)
-        scores = ag.mul_scalar(ag.matmul(qh, ag.transpose(kh)), scale)
-        attn = ag.softmax(scores, mask=mask)
-        outs.append(ag.matmul(attn, vh))
-        if return_weights:
-            weights.append(attn.data.copy())
-    pooled = ag.add(ag.matmul(_concat_cols(outs), p.wo), p.bo)
-    pooled = ag.reshape(pooled, (d,))
+    out, weights = _attend(ag.reshape(p.q, (1, d)), k, v, n_heads, valid, return_weights)
+    pooled = ag.reshape(ag.add(ag.matmul(out, p.wo), p.bo), (d,))
     if return_weights:
         return pooled, weights
     return pooled
@@ -448,8 +406,8 @@ def stack_forward(
         if "input" in modes:
             x = ag.add(x, ag.matmul(latent.z, params["inject.input.w"]))
         if "psa" in modes:
-            flat = ag.matmul(latent.z, params["inject.psa.w"])
-            z_slices = [ag.narrow(flat, 0, i * cfg.d, cfg.d) for i in range(cfg.layers)]
+            rows = ag.reshape(ag.matmul(latent.z, params["inject.psa.w"]), (cfg.layers, cfg.d))
+            z_slices = [ag.take_rows(rows, [i]) for i in range(cfg.layers)]
 
     n_layers = cfg.layers if is_decoder else cfg.encoder_layers
     stack = "dec" if is_decoder else "enc"

@@ -82,6 +82,20 @@ class TestMatmul:
         assert np.allclose(ag.matmul(Tensor(v), Tensor(m)).data, v @ m, atol=1e-6)
         assert np.allclose(ag.matmul(Tensor(m.T), Tensor(v)).data, m.T @ v, atol=1e-6)
 
+    def test_batches_against_oracle(self):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((3, 2, 4))
+        b = rng.standard_normal((3, 4, 5))
+        got = ag.matmul(Tensor(a), Tensor(b)).data
+        for i in range(3):
+            assert np.allclose(got[i], matmul_oracle(a[i], b[i]), atol=1e-5)
+
+    def test_batch_size_mismatch_raises(self):
+        with pytest.raises(ag.ShapeError, match=r"batch sizes differ.*\(2, 3, 4\).*\(3, 4, 5\)"):
+            ag.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+        with pytest.raises(ag.ShapeError):
+            ag.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 5))))
+
 
 class TestSoftmax:
     def test_uniform(self):
@@ -119,6 +133,17 @@ class TestSoftmax:
     def test_fully_masked_row_raises(self):
         with pytest.raises(ag.ShapeError):
             ag.softmax(Tensor(np.zeros((1, 3))), mask=np.array([[False, False, False]]))
+
+    def test_mask_broadcasts_over_leading_axes(self):
+        x = np.random.default_rng(8).standard_normal((2, 3, 4))
+        mask = np.tri(3, 4, dtype=bool)
+        out = ag.softmax(Tensor(x), mask=mask).data
+        for i in range(2):
+            assert np.array_equal(out[i], ag.softmax(Tensor(x[i]), mask=mask).data)
+
+    def test_mask_that_does_not_broadcast_raises(self):
+        with pytest.raises(ag.ShapeError, match="does not broadcast"):
+            ag.softmax(Tensor(np.zeros((2, 3, 4))), mask=np.ones((3, 3), dtype=bool))
 
 
 class TestLayerNorm:
@@ -280,14 +305,15 @@ OP_CASES = {
     "log_softmax": lambda t, u: ag.log_softmax(t),
     "clamp": lambda t, u: ag.clamp(t, -0.9, 0.9),
     "reshape": lambda t, u: ag.reshape(t, (t.data.size,)),
-    "narrow_rows": lambda t, u: ag.narrow(t, 0, 1, 3),
-    "narrow_cols": lambda t, u: ag.narrow(t, 1, 2, 4),
+    "matmul_batched": lambda t, u: ag.matmul(ag.reshape(t, (2, 3, 8)), ag.reshape(u, (2, 8, 3))),
     "concat": lambda t, u: ag.concat_rows([t, u]),
     "transpose": lambda t, u: ag.transpose(t),
+    "transpose_axes": lambda t, u: ag.transpose(ag.reshape(t, (2, 3, 8)), axes=(2, 0, 1)),
+    "softmax_broadcast_mask": lambda t, u: ag.softmax(ag.reshape(t, (2, 3, 8)), mask=np.tri(3, 8, 4, dtype=bool)),
     "layer_norm": lambda t, u: ag.layer_norm(
         t,
-        ag.reshape(ag.narrow(u, 0, 0, 1), (t.shape[1],)),
-        ag.reshape(ag.narrow(u, 0, 1, 1), (t.shape[1],)),
+        ag.reshape(ag.take_rows(u, [0]), (t.shape[1],)),
+        ag.reshape(ag.take_rows(u, [1]), (t.shape[1],)),
     ),
 }
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -172,6 +173,24 @@ class TestExitCodes:
              "--checkpoint", str(tmp_path / "missing"), "--out", str(tmp_path / "o")]
         )
         assert code == cli.EXIT_DATA
+
+    @pytest.mark.parametrize("corruption", ["params_truncated", "params_trailing_bytes", "manifest_truncated"])
+    def test_data_error_on_corrupt_checkpoint(self, workspace, tmp_path, capsys, corruption):
+        checkpoint = tmp_path / "checkpoint"
+        shutil.copytree(workspace["checkpoint"], checkpoint)
+        params, manifest = checkpoint / "params.bin", checkpoint / "manifest.json"
+        if corruption == "params_truncated":
+            params.write_bytes(params.read_bytes()[:-10])
+        elif corruption == "params_trailing_bytes":
+            params.write_bytes(params.read_bytes() + b"\x00\x00")
+        else:
+            manifest.write_bytes(manifest.read_bytes()[:-20])
+        code = cli.main(
+            ["eval", "--corpus", workspace["corpus"], "--vocab", workspace["vocab"],
+             "--checkpoint", str(checkpoint), "--out", str(tmp_path / "o")] + FAST_SAMPLER
+        )
+        assert code == cli.EXIT_DATA
+        assert "data error" in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         assert cli.main(["--help"]) == 0

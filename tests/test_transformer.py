@@ -93,17 +93,27 @@ class TestMultiHeadAttention:
 
 
 class TestPseudoSelfAttention:
+    """Decoder self-attention with the per-layer latent row (``z_slice``) prefixed to keys and values."""
+
     def test_requires_psa_projections(self):
         p = identity_attention_params(4, with_psa=False)
         with pytest.raises(ContractError):
-            tf.pseudo_self_attention(Tensor(np.zeros((2, 4))), Tensor(np.ones(4)), p, n_heads=2)
+            tf.multi_head_attention(Tensor(np.zeros((2, 4))), p, n_heads=2, causal=True,
+                                    z_slice=Tensor(np.ones((1, 4))))
+
+    def test_wrong_width_slice_rejected(self):
+        p = identity_attention_params(4, with_psa=True)
+        for shape in ((4,), (1, 3), (2, 4)):
+            with pytest.raises(ag.ShapeError):
+                tf.multi_head_attention(Tensor(np.zeros((2, 4))), p, n_heads=2, causal=True,
+                                        z_slice=Tensor(np.ones(shape)))
 
     def test_augmented_row_counts(self):
         # key/value matrices gain exactly one latent row; output keeps l rows
         p = identity_attention_params(4, with_psa=True)
         x = Tensor(np.random.default_rng(3).standard_normal((5, 4)))
-        out, weights = tf.pseudo_self_attention(
-            x, Tensor(np.ones(4)), p, n_heads=2, return_weights=True
+        out, weights = tf.multi_head_attention(
+            x, p, n_heads=2, causal=True, z_slice=Tensor(np.ones((1, 4))), return_weights=True
         )
         assert out.shape == (5, 4)
         for w in weights:
@@ -113,10 +123,11 @@ class TestPseudoSelfAttention:
         d = 2
         p = identity_attention_params(d, with_psa=True)
         row = np.array([0.4, -0.9])
-        x = Tensor(np.stack([row, row, row]))
         out_plain = tf.multi_head_attention(Tensor(np.stack([row, row, row])), p, 1, causal=False).data
         # latent projects to the same value row as every token
-        out_psa = tf.pseudo_self_attention(Tensor(np.stack([row, row, row])), Tensor(row), p, 1, causal=False).data
+        out_psa = tf.multi_head_attention(
+            Tensor(np.stack([row, row, row])), p, 1, causal=False, z_slice=Tensor(row[None, :])
+        ).data
         assert np.allclose(out_psa, out_plain, atol=1e-6)
 
     def test_two_way_mean_with_equal_scores(self):
@@ -125,7 +136,7 @@ class TestPseudoSelfAttention:
         p.wq = Tensor(np.zeros((d, d)))  # zero queries -> all scores equal
         token = np.array([1.0, 1.0])
         z = np.array([3.0, -1.0])
-        out = tf.pseudo_self_attention(Tensor(token[None, :]), Tensor(z), p, 1, causal=True).data
+        out = tf.multi_head_attention(Tensor(token[None, :]), p, 1, causal=True, z_slice=Tensor(z[None, :])).data
         w_lat, w_tok = two_way_softmax(0.0, 0.0)
         assert np.allclose(out[0], w_lat * z + w_tok * token, atol=1e-7)
 
@@ -135,10 +146,10 @@ class TestPseudoSelfAttention:
         p = tf.attention_params(params, "dec.1")
         rng = np.random.default_rng(5)
         x = rng.standard_normal((4, cfg.d)).astype(np.float32)
-        z = rng.standard_normal(cfg.d).astype(np.float32)
+        z = rng.standard_normal((1, cfg.d)).astype(np.float32)
         plain = tf.multi_head_attention(Tensor(x), p, cfg.heads, causal=True).data
-        masked, weights = tf.pseudo_self_attention(
-            Tensor(x), Tensor(z), p, cfg.heads, causal=True,
+        masked, weights = tf.multi_head_attention(
+            Tensor(x), p, cfg.heads, causal=True, z_slice=Tensor(z),
             suppress_latent=True, return_weights=True,
         )
         assert np.array_equal(masked.data, plain)
@@ -150,9 +161,9 @@ class TestPseudoSelfAttention:
         params = make_params(cfg, seed=6)
         p = tf.attention_params(params, "dec.0")
         x = np.random.default_rng(7).standard_normal((3, cfg.d)).astype(np.float32)
-        _, weights = tf.pseudo_self_attention(
-            Tensor(x), Tensor(np.ones(cfg.d, dtype=np.float32)), p, cfg.heads,
-            causal=True, return_weights=True,
+        _, weights = tf.multi_head_attention(
+            Tensor(x), p, cfg.heads, causal=True,
+            z_slice=Tensor(np.ones((1, cfg.d), dtype=np.float32)), return_weights=True,
         )
         for w in weights:
             assert np.all(w[:, 0] > 0.0)
@@ -164,9 +175,102 @@ class TestPseudoSelfAttention:
         x = np.random.default_rng(9).standard_normal((4, cfg.d)).astype(np.float32)
         plain = tf.multi_head_attention(Tensor(x), p, cfg.heads, causal=True).data
         gated = tf.multi_head_attention(
-            Tensor(x), p, cfg.heads, causal=True, z_slice=Tensor(np.zeros(cfg.d, dtype=np.float32))
+            Tensor(x), p, cfg.heads, causal=True, z_slice=Tensor(np.zeros((1, cfg.d), dtype=np.float32))
         ).data
         assert np.array_equal(plain, gated)
+
+
+def softmax_oracle(x, mask):
+    if mask is None:
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+    else:
+        shifted = np.where(mask, x, -np.inf)
+        e = np.where(mask, np.exp(shifted - shifted.max(axis=-1, keepdims=True)), 0.0)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def heads_oracle(q, k, v, n_heads, mask):
+    """One head at a time: slice its columns, attend, then put the columns back side by side."""
+    dh = q.shape[1] // n_heads
+    outs, weights = [], []
+    for h in range(n_heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        qh, kh, vh = (np.ascontiguousarray(m[:, cols]) for m in (q, k, v))
+        scores = (qh @ np.ascontiguousarray(kh.T)) * (1.0 / np.sqrt(dh))
+        attn = softmax_oracle(scores, mask)
+        outs.append(attn @ vh)
+        weights.append(attn)
+    return np.concatenate(outs, axis=1), weights
+
+
+def attention_oracle(x, p, n_heads, causal, z=None, suppress_latent=False):
+    q = x @ p.wq.data + p.bq.data
+    k = x @ p.wk.data
+    v = x @ p.wv.data + p.bv.data
+    n_prefix = 0
+    if z is not None:
+        k = np.concatenate([z @ p.psa_wk.data + p.psa_bk.data, k])
+        v = np.concatenate([z @ p.psa_wv.data + p.psa_bv.data, v])
+        n_prefix = 1
+    l = x.shape[0]
+    mask = None
+    if causal or (n_prefix and suppress_latent):
+        mask = np.ones((l, l + n_prefix), dtype=bool)
+        if causal:
+            mask[:, n_prefix:] = np.arange(l)[None, :] <= np.arange(l)[:, None]
+        if suppress_latent:
+            mask[:, :n_prefix] = False
+    out, weights = heads_oracle(q, k, v, n_heads, mask)
+    return out @ p.wo.data + p.bo.data, weights
+
+
+def pool_oracle(hseq, p, n_heads, valid=None):
+    k = hseq @ p.wk.data
+    v = hseq @ p.wv.data + p.bv.data
+    mask = None if valid is None else valid[None, :]
+    out, weights = heads_oracle(p.q.data[None, :], k, v, n_heads, mask)
+    return (out @ p.wo.data + p.bo.data).reshape(-1), weights
+
+
+class TestFusedHeadsMatchPerHeadLoop:
+    """All heads run as one (H, T, d/H) product; every bit must match the one-head-at-a-time loop."""
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize("causal", [True, False])
+    @pytest.mark.parametrize("latent", ["none", "row", "suppressed"])
+    def test_multi_head_attention(self, n_heads, causal, latent):
+        cfg = small_config(heads=n_heads)
+        params = make_params(cfg, seed=30, dtype=np.float64)
+        ag.rescale_for_grad_check(params, np.random.default_rng(31))
+        p = tf.attention_params(params, "dec.0")
+        rng = np.random.default_rng(32)
+        x = rng.standard_normal((5, cfg.d))
+        z = None if latent == "none" else rng.standard_normal((1, cfg.d))
+        suppress = latent == "suppressed"
+        out, weights = tf.multi_head_attention(
+            Tensor(x), p, n_heads, causal, z_slice=None if z is None else Tensor(z),
+            suppress_latent=suppress, return_weights=True,
+        )
+        want, want_weights = attention_oracle(x, p, n_heads, causal, z, suppress)
+        assert np.array_equal(out.data, want)
+        assert len(weights) == n_heads
+        for got_w, want_w in zip(weights, want_weights):
+            assert np.array_equal(got_w, want_w)
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_attention_average(self, n_heads, masked):
+        cfg = small_config(heads=n_heads)
+        params = make_params(cfg, seed=33, dtype=np.float64)
+        ag.rescale_for_grad_check(params, np.random.default_rng(34))
+        pool = tf.pooling_params(params)
+        hseq = np.random.default_rng(35).standard_normal((6, cfg.d))
+        valid = np.array([True, False, True, True, False, True]) if masked else None
+        out, weights = tf.attention_average(Tensor(hseq), pool, n_heads, valid=valid, return_weights=True)
+        want, want_weights = pool_oracle(hseq, pool, n_heads, valid)
+        assert np.array_equal(out.data, want)
+        for got_w, want_w in zip(weights, want_weights):
+            assert np.array_equal(got_w, want_w)
 
 
 class TestAttentionAverage:
