@@ -1,12 +1,16 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-A tape is recorded dynamically: every operation returns a new ``Tensor``
-holding its inputs and a backward closure, and ``backward`` replays the
-tape in reverse topological order.  Arrays are row-major ``float32`` by
-default; ``float64`` exists solely so finite-difference gradient checks
-are not drowned by rounding.  Every forward operation verifies its output
-is finite and raises ``NumericsError`` otherwise instead of letting NaN
-or Inf propagate silently.
+A tape is recorded dynamically: an operation on at least one tensor with
+``requires_grad`` returns a new ``Tensor`` holding its inputs and a
+backward closure, and ``backward`` replays the tape in reverse
+topological order.  An operation whose inputs all lack ``requires_grad``
+records nothing, so ``requires_grad`` is the one switch for what trains:
+parameters start without it, and only a train step or a gradient check
+sets it.  Arrays are row-major ``float32`` by default; ``float64``
+exists solely so finite-difference gradient checks are not drowned by
+rounding.  Every forward operation verifies its output is finite and
+raises ``NumericsError`` otherwise instead of letting NaN or Inf
+propagate silently.
 """
 
 from __future__ import annotations
@@ -62,12 +66,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def item(self) -> float:
-        return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -507,16 +505,18 @@ def backward(loss: Tensor) -> None:
 
 
 class ParameterSet:
-    """Named trainable tensors plus the set of currently frozen names."""
+    """Named trainable tensors.
+
+    ``add`` leaves ``requires_grad`` as the tensor has it; whoever calls
+    ``backward`` marks the parameters it wants gradients for.
+    """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self.frozen: set[str] = set()
 
     def add(self, name: str, tensor: Tensor) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name}")
-        tensor.requires_grad = True
         self._params[name] = tensor
         return tensor
 
@@ -539,15 +539,6 @@ class ParameterSet:
         for p in self._params.values():
             p.grad = None
 
-    def freeze(self, names) -> None:
-        for name in names:
-            if name not in self._params:
-                raise KeyError(f"unknown parameter: {name}")
-            self.frozen.add(name)
-
-    def unfreeze_all(self) -> None:
-        self.frozen.clear()
-
     def size(self) -> int:
         return sum(p.data.size for p in self._params.values())
 
@@ -555,7 +546,6 @@ class ParameterSet:
         out = ParameterSet()
         for name, p in self._params.items():
             out.add(name, Tensor(p.data.astype(dtype)))
-        out.frozen = set(self.frozen)
         return out
 
 
@@ -600,7 +590,8 @@ def grad_check(fn, params, eps: float = 1e-5, tolerance: float = 1e-4) -> GradCh
     ``fn`` takes no arguments, reads the tensors in ``params`` and returns
     a scalar ``Tensor``; it must be deterministic (two forward passes are
     compared bit-for-bit and any disagreement fails the check).  All
-    parameters must be float64.  The relative error per element is
+    parameters must be float64; each gets ``requires_grad`` set.  The
+    relative error per element is
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
     """
     if not 1e-6 <= eps <= 1e-3:
@@ -623,6 +614,7 @@ def grad_check(fn, params, eps: float = 1e-5, tolerance: float = 1e-4) -> GradCh
         )
 
     for _, p in items:
+        p.requires_grad = True
         p.grad = None
     out = fn()
     backward(out)

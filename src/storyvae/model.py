@@ -5,8 +5,8 @@ prompt ++ separator ++ story sequence for the posterior; both share the
 encoder trunk and pooling block and differ only in their linear heads.
 The unconditional variant keeps a fixed standard-normal prior and scores
 every text position.  Checkpoints are a directory holding a JSON manifest
-plus a raw little-endian float32 tensor payload; save/load round-trips
-bit-exactly.
+plus a raw little-endian float32 or float64 tensor payload, as the
+manifest's ``dtype`` records; save/load round-trips bit-exactly.
 """
 
 from __future__ import annotations
@@ -105,14 +105,13 @@ class StoryVAE:
         decoder_input,
         latent: lt.LatentCode | None,
         modes: tuple[str, ...] | None = None,
-        suppress_latent: bool = False,
         drop_rng: np.random.Generator | None = None,
     ) -> Tensor:
         if modes is None:
             modes = self.config.injection_modes if latent is not None else ()
         _, logits = tf.stack_forward(
             decoder_input, self.params, self.config, role="decoder",
-            latent=latent, modes=modes, suppress_latent=suppress_latent, drop_rng=drop_rng,
+            latent=latent, modes=modes, drop_rng=drop_rng,
         )
         return logits
 
@@ -187,8 +186,10 @@ class StoryVAE:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         names = self.params.names()
-        write_tensor_file(directory / PARAMS_FILE, [(n, self.params[n].data) for n in names])
+        dtype = self.dtype.newbyteorder("<").str
+        write_tensor_file(directory / PARAMS_FILE, [(n, self.params[n].data) for n in names], dtype)
         manifest = {
+            "dtype": dtype,
             "model": self.config.to_dict(),
             "mode": self.mode,
             "vocabulary": vocabulary,
@@ -198,7 +199,7 @@ class StoryVAE:
             "optimizer": None,
         }
         if optimizer_payload is not None:
-            write_tensor_file(directory / OPTIM_FILE, optimizer_payload["tensors"])
+            write_tensor_file(directory / OPTIM_FILE, optimizer_payload["tensors"], dtype)
             manifest["optimizer"] = {
                 "payload": OPTIM_FILE,
                 "tensors": [n for n, _ in optimizer_payload["tensors"]],
@@ -216,7 +217,7 @@ class StoryVAE:
         except ValueError as e:  # undecodable bytes or malformed JSON
             raise ContractError(f"{directory / MANIFEST_FILE} is not a valid manifest: {e}") from e
         config = ModelConfig.from_dict(manifest["model"])
-        arrays = read_tensor_file(directory / manifest["payload"])
+        arrays = read_tensor_file(directory / manifest["payload"], manifest.get("dtype", "<f4"))
         if [n for n, _ in arrays] != manifest["tensors"]:
             raise ContractError("checkpoint payload does not match its manifest")
         params = ParameterSet()
@@ -225,11 +226,14 @@ class StoryVAE:
         return cls(config, params, mode=manifest["mode"]), manifest
 
 
-def write_tensor_file(path, named_arrays) -> None:
-    """Write (name, array) records: u32 name length, name bytes, u32 rank, u32 extents, f32 data."""
+def write_tensor_file(path, named_arrays, dtype: str = "<f4") -> None:
+    """Write (name, array) records: u32 name length, name bytes, u32 rank, u32 extents, data.
+
+    ``dtype`` is the data's wire format, ``<f4`` or ``<f8``.
+    """
     with open(path, "wb") as fh:
         for name, arr in named_arrays:
-            data = np.ascontiguousarray(arr, dtype="<f4")
+            data = np.ascontiguousarray(arr, dtype=dtype)
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<I", len(encoded)))
             fh.write(encoded)
@@ -238,12 +242,16 @@ def write_tensor_file(path, named_arrays) -> None:
             fh.write(data.tobytes(order="C"))
 
 
-def read_tensor_file(path) -> list[tuple[str, np.ndarray]]:
-    """Parse the records ``write_tensor_file`` writes.
+def read_tensor_file(path, dtype: str = "<f4") -> list[tuple[str, np.ndarray]]:
+    """Parse the records ``write_tensor_file`` writes with the same ``dtype``.
 
-    A blob that ends inside a record, including stray trailing bytes,
-    or a name that is not UTF-8 raises ``ContractError``.
+    A ``dtype`` other than ``<f4`` or ``<f8``, a blob that ends inside a
+    record, including stray trailing bytes, or a name that is not UTF-8
+    raises ``ContractError``.
     """
+    if dtype not in ("<f4", "<f8"):
+        raise ContractError(f"{path}: tensor dtype must be '<f4' or '<f8', got {dtype!r}")
+    dtype = np.dtype(dtype)
     out = []
     blob = memoryview(Path(path).read_bytes())
     offset = 0
@@ -263,6 +271,6 @@ def read_tensor_file(path) -> list[tuple[str, np.ndarray]]:
             raise ContractError(f"{path}: tensor name before byte {offset} is not UTF-8") from e
         (rank,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
-        arr = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
-        out.append((name, arr.astype(np.float32)))
+        arr = np.frombuffer(take(dtype.itemsize * math.prod(shape)), dtype=dtype).reshape(shape)
+        out.append((name, arr.astype(dtype.type)))
     return out

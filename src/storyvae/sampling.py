@@ -117,13 +117,12 @@ def generate(
         raise ContractError(
             f"prompt of {prompt_tokens.size} tokens leaves no room under max_seq_len {max_len}"
         )
-    modes = model.config.injection_modes if latent is not None else ()
     context = list(prompt_tokens) + [separator_id]
     story: list[int] = []
     for _ in range(config.max_new_tokens):
         if len(context) >= max_len:
             break
-        logits = model.decode_logits(np.asarray(context, dtype=np.int64), latent, modes=modes)
+        logits = model.decode_logits(np.asarray(context, dtype=np.int64), latent)
         probs = filter_logits(logits.data[-1], config)
         token = sample_token(probs, rng)
         if token == separator_id:

@@ -2,9 +2,10 @@
 
 The KL weight follows a cyclic schedule: zero (or a configured floor) for
 the first half of each cycle, a linear ramp to one over the next quarter,
-and one for the final quarter.  Parameters matching the freeze predicate
-receive no updates until the freeze horizon passes.  Given a seed, corpus
-and config, training is bit-reproducible on a single thread.
+and one for the final quarter.  Each train step sets ``requires_grad``
+on exactly the parameters it updates, so frozen parameters get no
+gradient, and no update, until the freeze horizon passes.  Given a
+seed, corpus and config, training is bit-reproducible on a single thread.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ class Adam:
 
     def step(self) -> None:
         for name, p in self.params.items():
-            if name in self.params.frozen or p.grad is None:
+            if p.grad is None:
                 continue
             g = p.grad
             self.t[name] += 1
@@ -140,22 +141,22 @@ def reference_adam_scalar(grads, lr, beta1=0.9, beta2=0.999, eps=1e-8, x0=0.0):
     return x
 
 
-def global_grad_norm(params: ParameterSet, names) -> float:
+def global_grad_norm(params: ParameterSet) -> float:
     total = 0.0
-    for name in names:
-        g = params[name].grad
+    for _, p in params.items():
+        g = p.grad
         if g is not None:
             total += float((g.astype(np.float64) ** 2).sum())
     return math.sqrt(total)
 
 
-def clip_gradients(params: ParameterSet, names, max_norm: float) -> float:
+def clip_gradients(params: ParameterSet, max_norm: float) -> float:
     """Scale gradients to the given global norm; returns the pre-clip norm."""
-    norm = global_grad_norm(params, names)
+    norm = global_grad_norm(params)
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
-        for name in names:
-            g = params[name].grad
+        for _, p in params.items():
+            g = p.grad
             if g is not None:
                 g *= scale
     return norm
@@ -184,7 +185,7 @@ class Trainer:
         self._noise_rng = np.random.default_rng([schedule.seed, 2])
         self._drop_rng = np.random.default_rng([schedule.seed, 3])
         self._freeze_until = 0
-        self._freeze_names: list[str] = []
+        self._freeze_names: set[str] = set()
         if schedule.freeze_steps > 0:
             self.set_frozen(self.default_freeze_names(), schedule.freeze_steps)
 
@@ -199,20 +200,17 @@ class Trainer:
         ]
 
     def set_frozen(self, names, until_step: int) -> None:
-        if callable(names):
-            names = [n for n in self.model.params.names() if names(n)]
         names = list(names)
         for n in names:
             if n not in self.model.params:
                 raise KeyError(f"unknown parameter: {n}")
-        self._freeze_names = names
+        self._freeze_names = set(names)
         self._freeze_until = int(until_step)
-        self._apply_freeze()
 
     def _apply_freeze(self) -> None:
-        self.model.params.unfreeze_all()
-        if self.step_count < self._freeze_until:
-            self.model.params.freeze(self._freeze_names)
+        frozen = self._freeze_names if self.step_count < self._freeze_until else set()
+        for name, p in self.model.params.items():
+            p.requires_grad = name not in frozen
 
     def _example_loss(self, example, beta: float, drop_rng):
         noise = self._noise_rng.standard_normal(self.model.config.latent_dim).astype(self.model.dtype)
@@ -245,8 +243,7 @@ class Trainer:
         total = ag.mul_scalar(total, 1.0 / len(losses))
         ag.backward(total)
 
-        updated = [n for n in params.names() if n not in params.frozen]
-        grad_norm = clip_gradients(params, updated, self.schedule.grad_clip)
+        grad_norm = clip_gradients(params, self.schedule.grad_clip)
         self.optimizer.step()
 
         record = {
@@ -307,7 +304,7 @@ class Trainer:
         info = manifest.get("optimizer")
         if not info:
             return
-        arrays = dict(read_tensor_file(Path(directory) / info["payload"]))
+        arrays = dict(read_tensor_file(Path(directory) / info["payload"], manifest.get("dtype", "<f4")))
         for name in self.model.params.names():
             self.optimizer.m[name] = arrays[f"adam.m.{name}"].astype(self.model.dtype)
             self.optimizer.v[name] = arrays[f"adam.v.{name}"].astype(self.model.dtype)

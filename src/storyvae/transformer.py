@@ -70,10 +70,6 @@ class ModelConfig:
         if self.injection_gain <= 0 or self.latent_head_gain <= 0:
             raise ContractError("init gains must be positive")
 
-    @property
-    def head_dim(self) -> int:
-        return self.d // self.heads
-
     def to_dict(self) -> dict:
         return {
             "d": self.d,
@@ -339,13 +335,10 @@ def attention_average(
     return pooled
 
 
-def _block(x, params, prefix, cfg, causal, z_slice, suppress_latent, drop_rng):
+def _block(x, params, prefix, cfg, causal, z_slice, drop_rng):
     p = attention_params(params, prefix)
     h = ag.layer_norm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"], LN_EPS)
-    attn_out = multi_head_attention(
-        h, p, cfg.heads, causal, max_seq_len=cfg.max_seq_len,
-        z_slice=z_slice, suppress_latent=suppress_latent,
-    )
+    attn_out = multi_head_attention(h, p, cfg.heads, causal, max_seq_len=cfg.max_seq_len, z_slice=z_slice)
     if drop_rng is not None:
         attn_out = ag.dropout(attn_out, cfg.dropout, drop_rng)
     x = ag.add(x, attn_out)
@@ -376,7 +369,6 @@ def stack_forward(
     role: str,
     latent=None,
     modes: tuple[str, ...] = (),
-    suppress_latent: bool = False,
     drop_rng: np.random.Generator | None = None,
 ):
     """Run the encoder or decoder stack.
@@ -415,8 +407,7 @@ def stack_forward(
     for i in range(n_layers):
         x = _block(
             x, params, f"{stack}.{i}", cfg,
-            causal=is_decoder, z_slice=z_slices[i] if is_decoder else None,
-            suppress_latent=suppress_latent, drop_rng=drop,
+            causal=is_decoder, z_slice=z_slices[i] if is_decoder else None, drop_rng=drop,
         )
     x = ag.layer_norm(x, params[f"{stack}.final_norm.g"], params[f"{stack}.final_norm.b"], LN_EPS)
     if not is_decoder:

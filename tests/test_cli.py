@@ -174,7 +174,9 @@ class TestExitCodes:
         )
         assert code == cli.EXIT_DATA
 
-    @pytest.mark.parametrize("corruption", ["params_truncated", "params_trailing_bytes", "manifest_truncated"])
+    @pytest.mark.parametrize(
+        "corruption", ["params_truncated", "params_trailing_bytes", "manifest_truncated", "manifest_dtype_float16"]
+    )
     def test_data_error_on_corrupt_checkpoint(self, workspace, tmp_path, capsys, corruption):
         checkpoint = tmp_path / "checkpoint"
         shutil.copytree(workspace["checkpoint"], checkpoint)
@@ -183,6 +185,8 @@ class TestExitCodes:
             params.write_bytes(params.read_bytes()[:-10])
         elif corruption == "params_trailing_bytes":
             params.write_bytes(params.read_bytes() + b"\x00\x00")
+        elif corruption == "manifest_dtype_float16":
+            manifest.write_text(json.dumps(dict(json.loads(manifest.read_text()), dtype="float16")))
         else:
             manifest.write_bytes(manifest.read_bytes()[:-20])
         code = cli.main(

@@ -218,6 +218,26 @@ class TestCheckpoint:
             b = loaded.decode_logits(tokens, z).data
             assert np.array_equal(a, b)
 
+    def test_float64_round_trips_bit_exactly(self, tmp_path):
+        model = StoryVAE.create(toy_config(), seed=14, dtype=np.float64)
+        model.save(tmp_path / "ckpt")
+        loaded, manifest = StoryVAE.load(tmp_path / "ckpt")
+        assert manifest["dtype"] == "<f8"
+        assert loaded.dtype == np.float64
+        for name, p in model.params.items():
+            assert np.array_equal(p.data, loaded.params[name].data), name
+        z = lt.LatentCode.external(np.random.default_rng(15).standard_normal(8))
+        tokens = np.array([1, 2, 15, 3, 9])
+        assert np.array_equal(model.decode_logits(tokens, z).data, loaded.decode_logits(tokens, z).data)
+
+    def test_truncated_float64_record_rejected(self, tmp_path):
+        path = tmp_path / "t.bin"
+        write_tensor_file(path, [("a", np.arange(6.0).reshape(2, 3))], "<f8")
+        assert read_tensor_file(path, "<f8")[0][1].dtype == np.float64
+        path.write_bytes(path.read_bytes()[:-4])
+        with pytest.raises(ContractError):
+            read_tensor_file(path, "<f8")
+
     def test_manifest_payload_consistency_checked(self, tmp_path):
         model = StoryVAE.create(toy_config(), seed=13)
         model.save(tmp_path / "ckpt")

@@ -210,6 +210,23 @@ class TestGenerate:
         assert story == []
 
 
+class TestInferenceRecordsNoTape:
+    @pytest.mark.parametrize("source", ["created", "loaded"])
+    def test_no_tensor_requires_grad(self, tmp_path, source):
+        model = tiny_model(injection_modes=("input", "psa", "softmax"))
+        if source == "loaded":
+            model.save(tmp_path / "ckpt")
+            model, _ = StoryVAE.load(tmp_path / "ckpt")
+        rng = np.random.default_rng(0)
+        latent = sp.draw_latent(model, [1, 2], rng)
+        assert not latent.z.requires_grad
+        assert not model.encode_prior(np.array([1, 2])).mu.requires_grad
+        assert not model.decode_logits(np.array([1, 2, SEP, 3]), latent).requires_grad
+        sp.generate_for_prompt(model, [1, 2], SEP, SamplerConfig(max_new_tokens=4, seed=3))
+        for name, p in model.params.items():
+            assert p.grad is None, name
+
+
 class TestControlGenerate:
     def test_same_prompts_same_seed_identical(self):
         model = tiny_model(seed=11)

@@ -116,9 +116,7 @@ class TestAdam:
         params = ag.ParameterSet()
         a = params.add("a", ag.Tensor(np.array([1.0])))
         b = params.add("b", ag.Tensor(np.array([1.0])))
-        params.freeze(["a"])
         opt = Adam(params, lr=0.1)
-        a.grad = np.array([1.0], dtype=np.float32)
         b.grad = np.array([1.0], dtype=np.float32)
         opt.step()
         assert a.data[0] == 1.0
@@ -131,7 +129,22 @@ class TestFreezing:
         trainer = toy_setup()
         trainer.set_frozen(trainer.default_freeze_names(), until_step=0)
         trainer.train_step(trainer.draw_batch())
-        assert not trainer.model.params.frozen
+        for _, p in trainer.model.params.items():
+            assert p.requires_grad and p.grad is not None
+
+    def test_frozen_parameters_get_no_backward_work(self):
+        trainer = toy_setup()
+        names = set(trainer.default_freeze_names())
+        trainer.set_frozen(names, until_step=1)
+        trainer.train_step([0, 1, 2])
+        for n, p in trainer.model.params.items():
+            if n in names:
+                assert not p.requires_grad and p.grad is None, n
+            else:
+                assert p.requires_grad and p.grad is not None, n
+        trainer.train_step([0, 1, 2])
+        for n, p in trainer.model.params.items():
+            assert p.requires_grad and p.grad is not None, n
 
     def test_frozen_values_identical_after_step(self):
         trainer = toy_setup()
