@@ -6,9 +6,9 @@ backward closure, and ``backward`` replays the tape in reverse
 topological order.  An operation whose inputs all lack ``requires_grad``
 records nothing, so ``requires_grad`` is the one switch for what trains:
 parameters start without it, and only a train step or a gradient check
-sets it.  Arrays are row-major ``float32`` by default; ``float64``
-exists solely so finite-difference gradient checks are not drowned by
-rounding.  Every forward operation verifies its output is finite and
+sets it, for its own backward only.  Arrays are row-major ``float32``
+by default; ``float64`` exists solely so finite-difference gradient
+checks are not drowned by rounding.  Every forward operation verifies its output is finite and
 raises ``NumericsError`` otherwise instead of letting NaN or Inf
 propagate silently.
 """
@@ -539,9 +539,6 @@ class ParameterSet:
         for p in self._params.values():
             p.grad = None
 
-    def size(self) -> int:
-        return sum(p.data.size for p in self._params.values())
-
     def astype(self, dtype) -> "ParameterSet":
         out = ParameterSet()
         for name, p in self._params.items():
@@ -590,8 +587,9 @@ def grad_check(fn, params, eps: float = 1e-5, tolerance: float = 1e-4) -> GradCh
     ``fn`` takes no arguments, reads the tensors in ``params`` and returns
     a scalar ``Tensor``; it must be deterministic (two forward passes are
     compared bit-for-bit and any disagreement fails the check).  All
-    parameters must be float64; each gets ``requires_grad`` set.  The
-    relative error per element is
+    parameters must be float64; each gets ``requires_grad`` set for the
+    one backward and cleared after it, so the difference passes record
+    no tape.  The relative error per element is
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
     """
     if not 1e-6 <= eps <= 1e-3:
@@ -616,8 +614,11 @@ def grad_check(fn, params, eps: float = 1e-5, tolerance: float = 1e-4) -> GradCh
     for _, p in items:
         p.requires_grad = True
         p.grad = None
-    out = fn()
-    backward(out)
+    try:
+        backward(fn())
+    finally:
+        for _, p in items:
+            p.requires_grad = False
     analytic = {name: p.grad_or_zeros().copy() for name, p in items}
 
     per_parameter: dict[str, float] = {}

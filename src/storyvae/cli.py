@@ -96,7 +96,11 @@ def parse_config_file_text(text: str, origin: str = "<config>") -> dict:
 
 
 def parse_config_file(path: Path) -> dict:
-    return parse_config_file_text(path.read_text(encoding="utf-8"), origin=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise UsageError(f"{path}: not UTF-8 ({e.reason} at byte {e.start})") from e
+    return parse_config_file_text(text, origin=str(path))
 
 
 def _coerce(key: str, raw: str):
@@ -210,6 +214,13 @@ def _load_model(resolved: dict) -> StoryVAE:
     return model
 
 
+def _check_vocab(vocab: cp.Vocabulary, model: StoryVAE) -> None:
+    if vocab.size != model.config.vocab_size:
+        raise ContractError(
+            f"the vocabulary has {vocab.size} tokens but the checkpoint's model has {model.config.vocab_size}"
+        )
+
+
 def cmd_vocab(resolved: dict) -> int:
     _require(resolved, "corpus")
     out = _prepare_out(resolved)
@@ -231,6 +242,7 @@ def cmd_train(resolved: dict, resume: str | None) -> int:
     schedule = schedule_from(resolved)
     if resume:
         model, manifest = StoryVAE.load(resume)
+        _check_vocab(vocab, model)
         trainer = Trainer(model, examples, schedule, separator_id=vocab.separator_id)
         trainer.load_optimizer_state(resume, manifest)
     else:
@@ -278,6 +290,7 @@ def cmd_generate(resolved: dict) -> int:
     out = _prepare_out(resolved)
     model = _load_model(resolved)
     vocab, examples = _load_vocab_corpus(resolved, model.config.max_seq_len)
+    _check_vocab(vocab, model)
     records = _story_records(resolved, model, vocab, examples)
     _write_stories(out / "stories.jsonl", records)
     print(f"{len(records)} stories written to {out / 'stories.jsonl'}")
@@ -291,6 +304,7 @@ def cmd_control(resolved: dict, prompt_a: str, prompt_b: str) -> int:
     out = _prepare_out(resolved)
     model = _load_model(resolved)
     vocab = cp.Vocabulary.load(resolved["vocab"])
+    _check_vocab(vocab, model)
     sampler = sampler_from(resolved)
     tokens_a = vocab.encode(prompt_a)
     tokens_b = vocab.encode(prompt_b)
@@ -314,7 +328,8 @@ def cmd_encode(resolved: dict) -> int:
     _require(resolved, "corpus", "vocab")
     out = _prepare_out(resolved)
     model = _load_model(resolved)
-    _, examples = _load_vocab_corpus(resolved, model.config.max_seq_len)
+    vocab, examples = _load_vocab_corpus(resolved, model.config.max_seq_len)
+    _check_vocab(vocab, model)
     n = ev.export_latents(model, examples, resolved["encode.which"], out / "latents.tsv")
     print(f"{n} latent rows written to {out / 'latents.tsv'}")
     return EXIT_OK
@@ -325,6 +340,7 @@ def cmd_eval(resolved: dict) -> int:
     out = _prepare_out(resolved)
     model = _load_model(resolved)
     vocab, examples = _load_vocab_corpus(resolved, model.config.max_seq_len)
+    _check_vocab(vocab, model)
     records = _story_records(resolved, model, vocab, examples)
     report = ev.evaluate(model, examples, [r["story"] for r in records])
     _write_stories(out / "stories.jsonl", records)

@@ -12,6 +12,7 @@ plus an optional "label" used only by the latent export.
 
 from __future__ import annotations
 
+import io
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -62,7 +63,7 @@ class Vocabulary:
         self.size = self.separator_id + 1
         self._bytes_of: list[bytes] = [bytes([i]) for i in range(N_BYTE_TOKENS)]
         for a, b in self.merges:
-            if a >= len(self._bytes_of) or b >= len(self._bytes_of):
+            if not (0 <= a < len(self._bytes_of) and 0 <= b < len(self._bytes_of)):
                 raise CorpusError(f"merge ({a}, {b}) references an undefined token")
             self._bytes_of.append(self._bytes_of[a] + self._bytes_of[b])
 
@@ -96,11 +97,26 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="ascii").splitlines()
+        """Read what ``save`` writes; any malformed file raises ``CorpusError``."""
+        try:
+            lines = Path(path).read_text(encoding="ascii").splitlines()
+        except UnicodeDecodeError as e:
+            raise CorpusError(f"{path}: vocabulary file is not ASCII ({e.reason} at byte {e.start})") from e
         if not lines:
             raise CorpusError(f"empty vocabulary file: {path}")
-        declared = int(lines[0])
-        merges = [tuple(int(x) for x in line.split()) for line in lines[1:] if line.strip()]
+
+        def ints(lineno: int, count: int, what: str) -> list[int]:
+            line = lines[lineno - 1]
+            try:
+                values = [int(x) for x in line.split()]
+            except ValueError:
+                values = []
+            if len(values) != count:
+                raise CorpusError(f"{path}:{lineno}: expected {what}, got {line!r}")
+            return values
+
+        (declared,) = ints(1, 1, "the token count")
+        merges = [ints(n, 2, "two token ids") for n in range(2, len(lines) + 1) if lines[n - 1].strip()]
         vocab = cls(merges)
         if vocab.size != declared:
             raise CorpusError(f"vocabulary header says {declared} tokens but merges imply {vocab.size}")
@@ -175,25 +191,30 @@ def load_corpus(path) -> list[PromptStoryPair]:
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"corpus file not found: {path}")
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        lineno = data.count(b"\n", 0, e.start) + 1
+        raise CorpusError(f"{path}:{lineno}: not UTF-8 ({e.reason})") from e
     pairs = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusError(f"{path}:{lineno}: invalid JSON ({e})") from e
-            if not isinstance(record, dict) or "prompt" not in record or "story" not in record:
-                raise CorpusError(f"{path}:{lineno}: record needs string fields 'prompt' and 'story'")
-            pairs.append(
-                PromptStoryPair(
-                    prompt_text=str(record["prompt"]),
-                    story_text=str(record["story"]),
-                    label=str(record.get("label", "")),
-                )
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except (ValueError, RecursionError) as e:
+            raise CorpusError(f"{path}:{lineno}: invalid JSON ({e})") from e
+        if not isinstance(record, dict) or "prompt" not in record or "story" not in record:
+            raise CorpusError(f"{path}:{lineno}: record needs string fields 'prompt' and 'story'")
+        pairs.append(
+            PromptStoryPair(
+                prompt_text=str(record["prompt"]),
+                story_text=str(record["story"]),
+                label=str(record.get("label", "")),
             )
+        )
     if not pairs:
         raise CorpusError(f"corpus file has no records: {path}")
     return pairs

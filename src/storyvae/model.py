@@ -115,29 +115,26 @@ class StoryVAE:
         )
         return logits
 
-    def _require_modes(self, modes) -> tuple[str, ...]:
-        modes = tuple(self.config.injection_modes if modes is None else modes)
-        if not modes:
+    def _require_modes(self) -> None:
+        if not self.config.injection_modes:
             raise ContractError("a latent-variable objective needs at least one injection mode")
-        return modes
 
     def cvae_loss(
         self,
         example: EncodedExample,
         noise: np.ndarray,
         beta: float,
-        modes: tuple[str, ...] | None = None,
         drop_rng: np.random.Generator | None = None,
     ) -> tuple[Tensor, LossBreakdown]:
         """Single-sample conditional objective: masked story NLL + beta * KL."""
         if self.mode != "cvae":
             raise ContractError("cvae_loss requires a model in cvae mode")
-        modes = self._require_modes(modes)
+        self._require_modes()
         sep = int(example.decoder_input[len(example.prior_input)])
         posterior = self.encode_posterior(example.prior_input, example.decoder_input[len(example.prior_input) + 1:], sep)
         prior = self.encode_prior(example.prior_input)
         z = lt.reparameterize(posterior, noise, lt.LatentSource.POSTERIOR_SAMPLE)
-        logits = self.decode_logits(example.decoder_input, z, modes=modes, drop_rng=drop_rng)
+        logits = self.decode_logits(example.decoder_input, z, drop_rng=drop_rng)
         recon, _ = ag.cross_entropy(logits, example.targets, example.loss_mask)
         kl = lt.kl_divergence(posterior, prior)
         loss = ag.add(recon, ag.mul_scalar(kl, beta))
@@ -155,21 +152,20 @@ class StoryVAE:
         separator_id: int,
         noise: np.ndarray,
         beta: float,
-        modes: tuple[str, ...] | None = None,
         drop_rng: np.random.Generator | None = None,
     ) -> tuple[Tensor, LossBreakdown]:
         """Unconditional objective against a fixed N(0, I) prior, all positions scored."""
         text_tokens = np.asarray(text_tokens, dtype=np.int64)
         if text_tokens.size < 1:
             raise ContractError("vae_loss needs a nonempty text")
-        modes = self._require_modes(modes)
+        self._require_modes()
         posterior = self.encode_text_posterior(text_tokens)
         prior = lt.DiagonalGaussian.standard(self.config.latent_dim, dtype=self.dtype)
         z = lt.reparameterize(posterior, noise, lt.LatentSource.POSTERIOR_SAMPLE)
         decoder_input = np.concatenate([[separator_id], text_tokens])
         targets = np.concatenate([text_tokens, [separator_id]])
         mask = np.ones(decoder_input.size, dtype=bool)
-        logits = self.decode_logits(decoder_input, z, modes=modes, drop_rng=drop_rng)
+        logits = self.decode_logits(decoder_input, z, drop_rng=drop_rng)
         recon, _ = ag.cross_entropy(logits, targets, mask)
         kl = lt.kl_divergence(posterior, prior)
         loss = ag.add(recon, ag.mul_scalar(kl, beta))
@@ -216,10 +212,15 @@ class StoryVAE:
             manifest = json.loads((directory / MANIFEST_FILE).read_text(encoding="utf-8"))
         except ValueError as e:  # undecodable bytes or malformed JSON
             raise ContractError(f"{directory / MANIFEST_FILE} is not a valid manifest: {e}") from e
+        if not isinstance(manifest, dict):
+            raise ContractError(f"{directory / MANIFEST_FILE} is not a JSON object")
         config = ModelConfig.from_dict(manifest["model"])
         arrays = read_tensor_file(directory / manifest["payload"], manifest.get("dtype", "<f4"))
         if [n for n, _ in arrays] != manifest["tensors"]:
             raise ContractError("checkpoint payload does not match its manifest")
+        expected = tf.init_parameters(config, np.random.default_rng(0))
+        if {n: a.shape for n, a in arrays} != {n: p.shape for n, p in expected.items()}:
+            raise ContractError("checkpoint tensors do not have the names and shapes its model config implies")
         params = ParameterSet()
         for name, arr in arrays:
             params.add(name, Tensor(arr))

@@ -37,15 +37,6 @@ class SamplerConfig:
         if self.max_new_tokens < 0:
             raise ContractError("max_new_tokens must be nonnegative")
 
-    def to_dict(self) -> dict:
-        return {
-            "top_k": self.top_k,
-            "top_p": self.top_p,
-            "temperature": self.temperature,
-            "max_new_tokens": self.max_new_tokens,
-            "seed": self.seed,
-        }
-
 
 def filter_logits(logits: np.ndarray, config: SamplerConfig) -> np.ndarray:
     """Turn one logit vector into the filtered sampling distribution.

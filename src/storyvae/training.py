@@ -4,7 +4,8 @@ The KL weight follows a cyclic schedule: zero (or a configured floor) for
 the first half of each cycle, a linear ramp to one over the next quarter,
 and one for the final quarter.  Each train step sets ``requires_grad``
 on exactly the parameters it updates, so frozen parameters get no
-gradient, and no update, until the freeze horizon passes.  Given a
+gradient, and no update, until the freeze horizon passes, and clears
+it again before it returns.  Given a
 seed, corpus and config, training is bit-reproducible on a single thread.
 """
 
@@ -43,9 +44,6 @@ class TrainingSchedule:
     cycle_length: int | None = None
     freeze_steps: int = 0
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 8
     seed: int = 0
     beta_floor: float = 0.0
@@ -68,22 +66,6 @@ class TrainingSchedule:
             raise ContractError("beta_floor must lie in [0, 1)")
         if self.batch_size < 1:
             raise ContractError("batch_size must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "total_steps": self.total_steps,
-            "cycle_length": self.cycle_length,
-            "freeze_steps": self.freeze_steps,
-            "learning_rate": self.learning_rate,
-            "adam_beta1": self.adam_beta1,
-            "adam_beta2": self.adam_beta2,
-            "adam_eps": self.adam_eps,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "beta_floor": self.beta_floor,
-            "grad_clip": self.grad_clip,
-            "checkpoint_every": self.checkpoint_every,
-        }
 
 
 def beta_at(step: int, schedule: TrainingSchedule) -> float:
@@ -175,10 +157,7 @@ class Trainer:
         self.examples = list(examples)
         self.schedule = schedule
         self.separator_id = separator_id
-        self.optimizer = Adam(
-            model.params, schedule.learning_rate,
-            schedule.adam_beta1, schedule.adam_beta2, schedule.adam_eps,
-        )
+        self.optimizer = Adam(model.params, schedule.learning_rate)
         self.step_count = 0
         self.metrics: list[dict] = []
         self._batch_rng = np.random.default_rng([schedule.seed, 1])
@@ -220,28 +199,35 @@ class Trainer:
         return self.model.vae_loss(story, self.separator_id, noise, beta, drop_rng=drop_rng)
 
     def train_step(self, batch_indices) -> dict:
-        """One forward/backward/update over a batch of example indices."""
+        """One forward/backward/update over a batch of example indices.
+
+        The ``requires_grad`` marks the step sets are cleared before it
+        returns or raises, so no tape outlives it; gradients stay.
+        """
         beta = beta_at(self.step_count, self.schedule)
         self._apply_freeze()
         params = self.model.params
-        params.zero_grads()
+        try:
+            params.zero_grads()
+            drop_rng = self._drop_rng if self.model.config.dropout > 0 else None
+            losses, recon_sum, kl_sum = [], 0.0, 0.0
+            for slot, idx in enumerate(batch_indices):
+                try:
+                    loss, breakdown = self._example_loss(self.examples[idx], beta, drop_rng)
+                except ag.NumericsError as e:
+                    raise TrainingAbort(self.step_count, slot, int(idx), str(e)) from e
+                losses.append(loss)
+                recon_sum += breakdown.reconstruction_nats
+                kl_sum += breakdown.kl_nats
 
-        drop_rng = self._drop_rng if self.model.config.dropout > 0 else None
-        losses, recon_sum, kl_sum = [], 0.0, 0.0
-        for slot, idx in enumerate(batch_indices):
-            try:
-                loss, breakdown = self._example_loss(self.examples[idx], beta, drop_rng)
-            except ag.NumericsError as e:
-                raise TrainingAbort(self.step_count, slot, int(idx), str(e)) from e
-            losses.append(loss)
-            recon_sum += breakdown.reconstruction_nats
-            kl_sum += breakdown.kl_nats
-
-        total = losses[0]
-        for extra in losses[1:]:
-            total = ag.add(total, extra)
-        total = ag.mul_scalar(total, 1.0 / len(losses))
-        ag.backward(total)
+            total = losses[0]
+            for extra in losses[1:]:
+                total = ag.add(total, extra)
+            total = ag.mul_scalar(total, 1.0 / len(losses))
+            ag.backward(total)
+        finally:
+            for _, p in params.items():
+                p.requires_grad = False
 
         grad_norm = clip_gradients(params, self.schedule.grad_clip)
         self.optimizer.step()

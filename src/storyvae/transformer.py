@@ -19,7 +19,7 @@ injection projections leave the latent-free forward bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -86,10 +86,24 @@ class ModelConfig:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["injection_modes"] = tuple(d.get("injection_modes", ()))
-        return cls(**d)
+    def from_dict(cls, d) -> "ModelConfig":
+        """Inverse of ``to_dict``; anything but exactly its keys and JSON types raises ``ContractError``."""
+        if not isinstance(d, dict):
+            raise ContractError(f"model config must be an object, got {type(d).__name__}")
+        kinds = {f.name: type(f.default) for f in fields(cls)}
+        if d.keys() != kinds.keys():
+            raise ContractError(
+                f"model config keys: missing {sorted(kinds.keys() - d.keys())}, unknown {sorted(d.keys() - kinds.keys())}"
+            )
+        for key, value in d.items():
+            kind = kinds[key]
+            if kind is tuple:
+                ok = isinstance(value, list) and all(isinstance(m, str) for m in value)
+            else:
+                ok = isinstance(value, (int, float) if kind is float else int) and not isinstance(value, bool)
+            if not ok:
+                raise ContractError(f"model config {key} has the wrong JSON type: {value!r}")
+        return cls(**{**d, "injection_modes": tuple(d["injection_modes"])})
 
 
 @dataclass

@@ -23,6 +23,7 @@ from storyvae import latent as lt
 from storyvae import sampling as sp
 from storyvae import transformer as tf
 from storyvae.model import StoryVAE
+from storyvae.selfcheck import brute_force_filter, brute_force_rouge, greedy_oracle
 from storyvae.training import TrainingSchedule, Trainer, beta_at
 from storyvae.transformer import ModelConfig
 
@@ -230,28 +231,13 @@ def test_criterion_06_controllability_z_swap(overfit_run):
 def test_criterion_07_sampling_oracle():
     rng = np.random.default_rng(2)
 
-    def brute_force(logits, k, p, temperature):
-        probs = np.asarray(logits, np.float64) / temperature
-        probs = np.exp(probs - probs.max())
-        probs /= probs.sum()
-        order = sorted(range(len(probs)), key=lambda i: (-probs[i], i))[:k]
-        kept, cum = [], 0.0
-        for idx in order:
-            kept.append(idx)
-            cum += probs[idx]
-            if cum >= p:
-                break
-        out = np.zeros_like(probs)
-        out[kept] = probs[kept]
-        return out / out.sum()
-
     cases = 0
     for _ in range(10):
         logits = rng.standard_normal(10) * rng.uniform(0.5, 3.0)
         for k in (1, 3, 10):
             for p in (0.2, 0.5, 0.9, 1.0):
                 got = sp.filter_logits(logits, sv.SamplerConfig(top_k=k, top_p=p, temperature=1.0))
-                want = brute_force(logits, k, p, 1.0)
+                want = brute_force_filter(logits, k, p, 1.0)
                 assert np.array_equal(got > 0, want > 0), f"support mismatch k={k} p={p}"
                 assert np.allclose(got, want, atol=1e-9)
                 cases += 1
@@ -274,14 +260,7 @@ def test_criterion_07_sampling_oracle():
         latent = sp.draw_latent(model, ex.prior_input, sp.generation_rng(0, i), use_mean=True)
         story = sp.generate(model, ex.prior_input, vocab.separator_id, greedy_cfg,
                             latent, sp.generation_rng(0, i))
-        context, oracle = list(ex.prior_input) + [vocab.separator_id], []
-        for _ in range(12):
-            logits = model.decode_logits(np.array(context), latent).data[-1]
-            token = int(np.argmax(logits))
-            if token == vocab.separator_id:
-                break
-            oracle.append(token)
-            context.append(token)
+        oracle = greedy_oracle(model, ex.prior_input, vocab.separator_id, latent, 12)
         assert story == oracle, f"greedy mismatch on example {i}: {story} vs {oracle}"
         compared += len(story)
     assert compared > 0
@@ -290,43 +269,15 @@ def test_criterion_07_sampling_oracle():
 
 
 def test_criterion_08_rouge_oracle():
-    from collections import Counter
-    from functools import lru_cache
-
     rng = np.random.default_rng(11)
     words = ["sun", "moon", "star", "sky", "sea", "rock"]
-
-    def brute_n(cand, ref, n):
-        ct, rt = cand.split(), ref.split()
-        cg = Counter(tuple(ct[i:i + n]) for i in range(len(ct) - n + 1))
-        rg = Counter(tuple(rt[i:i + n]) for i in range(len(rt) - n + 1))
-        if not cg or not rg:
-            return (0.0, 0.0, 0.0)
-        overlap = sum(min(c, rg[g]) for g, c in cg.items())
-        p, r = overlap / sum(cg.values()), overlap / sum(rg.values())
-        return (p, r, 2 * p * r / (p + r) if p + r else 0.0)
-
-    def brute_l(cand, ref):
-        ct, rt = tuple(cand.split()), tuple(ref.split())
-
-        @lru_cache(maxsize=None)
-        def rec(i, j):
-            if i == 0 or j == 0:
-                return 0
-            if ct[i - 1] == rt[j - 1]:
-                return rec(i - 1, j - 1) + 1
-            return max(rec(i - 1, j), rec(i, j - 1))
-
-        n = rec(len(ct), len(rt))
-        p, r = n / len(ct), n / len(rt)
-        return (p, r, 2 * p * r / (p + r) if p + r else 0.0)
 
     for _ in range(50):
         cand = " ".join(rng.choice(words, size=rng.integers(1, 10)))
         ref = " ".join(rng.choice(words, size=rng.integers(1, 10)))
         for variant in (1, 2, "L"):
             mine = ev.rouge_scores(cand, ref, variant).as_tuple()
-            want = brute_l(cand, ref) if variant == "L" else brute_n(cand, ref, variant)
+            want = brute_force_rouge(cand, ref, variant)
             for a, b in zip(mine, want):
                 assert abs(a - b) < 1e-9
 

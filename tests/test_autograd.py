@@ -5,15 +5,7 @@ import pytest
 
 from storyvae import autograd as ag
 from storyvae.autograd import ParameterSet, Tensor
-
-
-def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            for k in range(a.shape[1]):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
+from storyvae.selfcheck import matmul_oracle
 
 
 def finite_difference(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -260,6 +252,13 @@ class TestGradCheck:
         report = ag.grad_check(lambda: ag.sum_all(ag.mul(params["x"], params["x"])), params, eps=1e-5)
         assert report.passed
         assert report.max_rel_error < 1e-6
+
+    def test_clears_requires_grad_and_keeps_gradients(self):
+        params = ParameterSet()
+        params.add("x", Tensor(np.array([1.0, -2.0]), dtype=np.float64))
+        ag.grad_check(lambda: ag.sum_all(ag.mul(params["x"], params["x"])), params)
+        assert not params["x"].requires_grad
+        assert np.allclose(params["x"].grad, [2.0, -4.0])
 
     def test_linear_is_nearly_exact(self):
         params = ParameterSet()

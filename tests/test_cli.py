@@ -175,18 +175,29 @@ class TestExitCodes:
         assert code == cli.EXIT_DATA
 
     @pytest.mark.parametrize(
-        "corruption", ["params_truncated", "params_trailing_bytes", "manifest_truncated", "manifest_dtype_float16"]
+        "corruption", ["params_truncated", "params_trailing_bytes", "manifest_truncated", "manifest_dtype_float16",
+                       "manifest_not_object", "manifest_unknown_model_key", "manifest_mistyped_width",
+                       "manifest_latent_dim_changed"]
     )
     def test_data_error_on_corrupt_checkpoint(self, workspace, tmp_path, capsys, corruption):
         checkpoint = tmp_path / "checkpoint"
         shutil.copytree(workspace["checkpoint"], checkpoint)
         params, manifest = checkpoint / "params.bin", checkpoint / "manifest.json"
+        fields = json.loads(manifest.read_text())
         if corruption == "params_truncated":
             params.write_bytes(params.read_bytes()[:-10])
         elif corruption == "params_trailing_bytes":
             params.write_bytes(params.read_bytes() + b"\x00\x00")
         elif corruption == "manifest_dtype_float16":
-            manifest.write_text(json.dumps(dict(json.loads(manifest.read_text()), dtype="float16")))
+            manifest.write_text(json.dumps(dict(fields, dtype="float16")))
+        elif corruption == "manifest_not_object":
+            manifest.write_text(json.dumps([fields]))
+        elif corruption == "manifest_unknown_model_key":
+            manifest.write_text(json.dumps(dict(fields, model=dict(fields["model"], foo=1))))
+        elif corruption == "manifest_mistyped_width":
+            manifest.write_text(json.dumps(dict(fields, model=dict(fields["model"], d="16"))))
+        elif corruption == "manifest_latent_dim_changed":
+            manifest.write_text(json.dumps(dict(fields, model=dict(fields["model"], latent_dim=4))))
         else:
             manifest.write_bytes(manifest.read_bytes()[:-20])
         code = cli.main(
@@ -195,6 +206,34 @@ class TestExitCodes:
         )
         assert code == cli.EXIT_DATA
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "case", ["vocab_header_not_int", "vocab_merge_one_id", "vocab_negative_ids", "vocab_not_ascii",
+                 "vocab_size_mismatch", "vocab_size_mismatch_resume", "corpus_not_utf8", "config_not_utf8"]
+    )
+    def test_bad_input_file(self, workspace, tmp_path, capsys, case):
+        expected = cli.EXIT_USAGE if case.startswith("config") else cli.EXIT_DATA
+        vocab, corpus, bad = workspace["vocab"], workspace["corpus"], tmp_path / "bad"
+        if case.startswith("vocab"):
+            vocab = str(bad)
+        elif case.startswith("corpus"):
+            corpus = str(bad)
+        bad.write_bytes({
+            "vocab_header_not_int": b"abc\n", "vocab_merge_one_id": b"258\n1\n",
+            "vocab_negative_ids": b"258\n-1 -2\n", "vocab_not_ascii": b"257\n\xff\n",
+            # Merge 44 ("ta", as in "tale") takes id 300, one past the checkpoint's vocabulary.
+            "vocab_size_mismatch": b"302\n" + b"0 0\n" * 44 + b"116 97\n", "vocab_size_mismatch_resume": b"257\n",
+            "corpus_not_utf8": b'{"prompt": "a", "story": "b"}\n\xff\n', "config_not_utf8": b"model.d = 8\n\xff\n",
+        }[case])
+        args = ["--corpus", corpus, "--vocab", vocab, "--out", str(tmp_path / "o")]
+        if case.endswith("resume"):
+            args = ["train", "--resume", workspace["checkpoint"]] + args + FAST_MODEL + FAST_TRAIN
+        else:
+            args = ["generate", "--checkpoint", workspace["checkpoint"]] + args + FAST_SAMPLER
+        if case.startswith("config"):
+            args += ["--config", str(bad)]
+        assert cli.main(args) == expected
+        assert ("usage error" if expected == cli.EXIT_USAGE else "data error") in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         assert cli.main(["--help"]) == 0

@@ -115,9 +115,10 @@ class TestVocabularyFile:
 
     def test_header_mismatch_detected(self, tmp_path):
         path = tmp_path / "vocab.txt"
-        path.write_text("400\n97 98\n")
-        with pytest.raises(cp.CorpusError):
-            cp.Vocabulary.load(path)
+        for content in (b"400\n97 98\n", b"abc\n", b"258\n1\n", b"258\n-1 -2\n", b"257\n\xff\n"):
+            path.write_bytes(content)
+            with pytest.raises(cp.CorpusError):
+                cp.Vocabulary.load(path)
 
 
 class TestBuildExample:

@@ -119,9 +119,9 @@ class TestCvaeLoss:
             LossBreakdown(reconstruction_nats=1.0, kl_nats=0.0, beta=1.5, token_count=1)
 
     def test_requires_injection_mode(self):
-        model = StoryVAE.create(toy_config(), seed=3)
+        model = StoryVAE.create(toy_config(injection_modes=()), seed=3)
         with pytest.raises(ContractError):
-            model.cvae_loss(self.example, self.noise, beta=0.5, modes=())
+            model.cvae_loss(self.example, self.noise, beta=0.5)
 
     def test_wrong_mode_rejected(self):
         model = StoryVAE.create(toy_config(), seed=0, mode="vae")

@@ -3,26 +3,12 @@ import pytest
 
 from storyvae import latent as lt
 from storyvae import sampling as sp
+from storyvae.corpus import EncodedExample
 from storyvae.model import StoryVAE
 from storyvae.sampling import SamplerConfig, filter_logits
+from storyvae.selfcheck import brute_force_filter, greedy_oracle
+from storyvae.training import TrainingSchedule, Trainer
 from storyvae.transformer import ContractError, ModelConfig
-
-
-def brute_force_filter(logits, k, p, temperature):
-    """Independent oracle: enumerate the descending-probability prefix directly."""
-    probs = np.asarray(logits, dtype=np.float64) / temperature
-    probs = np.exp(probs - probs.max())
-    probs = probs / probs.sum()
-    order = sorted(range(len(probs)), key=lambda i: (-probs[i], i))[:k]
-    kept, cum = [], 0.0
-    for idx in order:
-        kept.append(idx)
-        cum += probs[idx]
-        if cum >= p:
-            break
-    out = np.zeros_like(probs)
-    out[kept] = probs[kept]
-    return out / out.sum()
 
 
 def tiny_model(seed=0, **overrides):
@@ -184,18 +170,7 @@ class TestGenerate:
         latent = sp.draw_latent(model, [1, 2], rng, use_mean=True)
         cfg = SamplerConfig(top_k=1, top_p=0.9, temperature=0.9, max_new_tokens=10, seed=0)
         story = sp.generate(model, [1, 2], SEP, cfg, latent, sp.generation_rng(0, 0))
-
-        # independent greedy loop: repeated argmax over raw logits
-        context = [1, 2, SEP]
-        oracle = []
-        for _ in range(10):
-            logits = model.decode_logits(np.array(context), latent).data[-1]
-            token = int(np.argmax(logits))
-            if token == SEP:
-                break
-            oracle.append(token)
-            context.append(token)
-        assert story == oracle
+        assert story == greedy_oracle(model, [1, 2], SEP, latent, 10)
 
     def test_stops_on_separator(self):
         model = tiny_model(seed=10)
@@ -211,12 +186,19 @@ class TestGenerate:
 
 
 class TestInferenceRecordsNoTape:
-    @pytest.mark.parametrize("source", ["created", "loaded"])
+    @pytest.mark.parametrize("source", ["created", "loaded", "trained"])
     def test_no_tensor_requires_grad(self, tmp_path, source):
         model = tiny_model(injection_modes=("input", "psa", "softmax"))
         if source == "loaded":
             model.save(tmp_path / "ckpt")
             model, _ = StoryVAE.load(tmp_path / "ckpt")
+        if source == "trained":
+            example = EncodedExample(
+                prior_input=np.array([1, 2]), posterior_input=np.array([1, 2, SEP, 3]),
+                decoder_input=np.array([1, 2, SEP, 3]), targets=np.array([2, SEP, 3, SEP]),
+                loss_mask=np.array([False, True, True, True]),
+            )
+            Trainer(model, [example], TrainingSchedule(total_steps=2, batch_size=1)).train()
         rng = np.random.default_rng(0)
         latent = sp.draw_latent(model, [1, 2], rng)
         assert not latent.z.requires_grad
@@ -224,7 +206,10 @@ class TestInferenceRecordsNoTape:
         assert not model.decode_logits(np.array([1, 2, SEP, 3]), latent).requires_grad
         sp.generate_for_prompt(model, [1, 2], SEP, SamplerConfig(max_new_tokens=4, seed=3))
         for name, p in model.params.items():
-            assert p.grad is None, name
+            if source == "trained":  # training leaves its gradients
+                assert not p.requires_grad, name
+            else:
+                assert p.grad is None, name
 
 
 class TestControlGenerate:

