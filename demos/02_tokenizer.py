@@ -15,11 +15,12 @@ print(f"encode ->: {ids}")
 print("round trip ok:", vocab.decode(ids) == sample)
 print("lossless on anything:", vocab.decode(vocab.encode("ünïcødé 🙂")) == "ünïcødé 🙂")
 
-# One training example: the posterior sees prompt ++ SEP ++ story, the loss
-# mask covers exactly the story targets plus the terminal separator.
+# One training example: the decoder and the posterior see prompt ++ SEP ++
+# story, the loss mask covers exactly the story targets plus the terminal
+# separator.
 example = cp.build_example(pairs[0], vocab, max_len=64)
 print("prior input:     ", example.prior_input)
-print("posterior input: ", example.posterior_input)
+print("decoder input:   ", example.decoder_input)
 print("targets:         ", example.targets)
 print("loss mask:       ", example.loss_mask.astype(int))
 print("masked targets == story tokens + 1:", example.loss_mask.sum() == len(pairs[0].story_tokens) + 1)

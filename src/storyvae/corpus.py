@@ -173,14 +173,14 @@ class PromptStoryPair:
 class EncodedExample:
     """Model-ready views of one pair.
 
-    ``decoder_input`` is prompt ++ [SEP] ++ story; position i predicts the
-    next token, and the final position predicts a terminal separator.
+    ``decoder_input`` is prompt ++ [SEP] ++ story, which is also what the
+    posterior encodes; position i predicts the next token, and the final
+    position predicts a terminal separator.
     ``loss_mask`` is True exactly where the prediction target is a story
     token or that terminal separator, so it sums to len(story) + 1.
     """
 
     prior_input: np.ndarray
-    posterior_input: np.ndarray
     decoder_input: np.ndarray
     targets: np.ndarray
     loss_mask: np.ndarray
@@ -251,7 +251,6 @@ def build_example(pair: PromptStoryPair, vocab: Vocabulary, max_len: int) -> Enc
     loss_mask[len(x):] = True
     return EncodedExample(
         prior_input=np.array(x, dtype=np.int64),
-        posterior_input=decoder_input.copy(),
         decoder_input=decoder_input,
         targets=targets,
         loss_mask=loss_mask,

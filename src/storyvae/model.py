@@ -100,18 +100,32 @@ class StoryVAE:
         """Posterior over a bare text sequence (unconditional mode)."""
         return self._head(self._pooled(text_tokens), "post")
 
+    def _modes(self, latent, modes):
+        if modes is None:
+            return self.config.injection_modes if latent is not None else ()
+        return modes
+
+    def decoder_cache(self, latent: lt.LatentCode | None, modes: tuple[str, ...] | None = None) -> tf.DecoderCache:
+        """State for decoding one story incrementally; pass it to every ``decode_logits`` call of that story."""
+        return tf.DecoderCache(self.params, self.config, latent, self._modes(latent, modes))
+
     def decode_logits(
         self,
         decoder_input,
         latent: lt.LatentCode | None,
         modes: tuple[str, ...] | None = None,
         drop_rng: np.random.Generator | None = None,
+        cache: tf.DecoderCache | None = None,
     ) -> Tensor:
-        if modes is None:
-            modes = self.config.injection_modes if latent is not None else ()
+        """Logits for every position of ``decoder_input``.
+
+        With a ``cache`` from ``decoder_cache(latent, modes)``,
+        ``decoder_input`` holds only the tokens that follow those already
+        fed through it, and the logits cover those tokens only.
+        """
         _, logits = tf.stack_forward(
             decoder_input, self.params, self.config, role="decoder",
-            latent=latent, modes=modes, drop_rng=drop_rng,
+            latent=latent, modes=self._modes(latent, modes), drop_rng=drop_rng, cache=cache,
         )
         return logits
 
@@ -214,6 +228,7 @@ class StoryVAE:
             raise ContractError(f"{directory / MANIFEST_FILE} is not a valid manifest: {e}") from e
         if not isinstance(manifest, dict):
             raise ContractError(f"{directory / MANIFEST_FILE} is not a JSON object")
+        _check_manifest(manifest, directory)
         config = ModelConfig.from_dict(manifest["model"])
         arrays = read_tensor_file(directory / manifest["payload"], manifest.get("dtype", "<f4"))
         if [n for n, _ in arrays] != manifest["tensors"]:
@@ -225,6 +240,41 @@ class StoryVAE:
         for name, arr in arrays:
             params.add(name, Tensor(arr))
         return cls(config, params, mode=manifest["mode"]), manifest
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _check_manifest(manifest: dict, directory: Path) -> None:
+    """Raise ``ContractError`` unless the fields besides ``model`` and ``dtype`` have their saved types."""
+
+    def check_payload(payload, what: str) -> None:
+        if not (isinstance(payload, str) and payload and Path(payload).name == payload
+                and (directory / payload).is_file()):
+            raise ContractError(f"{what} {payload!r} does not name a file in {directory}")
+
+    check_payload(manifest.get("payload"), "manifest payload")
+    if manifest.get("mode") not in ("vae", "cvae"):
+        raise ContractError(f"manifest mode must be 'vae' or 'cvae', got {manifest.get('mode')!r}")
+    if not _is_count(manifest.get("step")):
+        raise ContractError(f"manifest step must be an integer >= 0, got {manifest.get('step')!r}")
+    if not _is_str_list(manifest.get("tensors")):
+        raise ContractError("manifest tensors must be a list of names")
+    optimizer = manifest.get("optimizer")
+    if optimizer is None:
+        return
+    if not isinstance(optimizer, dict):
+        raise ContractError(f"manifest optimizer must be null or an object, got {optimizer!r}")
+    check_payload(optimizer.get("payload"), "manifest optimizer payload")
+    counts = optimizer.get("update_counts")
+    if not (_is_str_list(optimizer.get("tensors")) and isinstance(counts, dict)
+            and all(_is_count(c) for c in counts.values())):
+        raise ContractError("manifest optimizer needs a list of tensor names and integer update counts")
 
 
 def write_tensor_file(path, named_arrays, dtype: str = "<f4") -> None:

@@ -3,9 +3,12 @@
 Filtering order: divide logits by the temperature, softmax, keep the top-k
 tokens, then keep the smallest descending-probability prefix of those
 whose cumulative mass reaches p, and renormalize over the kept set.
-Probability ties break toward the lower token id.  Generation initializes
-the context with prompt ++ separator and stops when the separator is
-emitted or the token budget runs out.
+Probability ties break toward the lower token id.  Generation decodes
+incrementally under one decoder cache per story: it prefills the cache
+with prompt ++ separator, then feeds one sampled token per step, so each
+step runs the decoder over a single new row.  It stops when the
+separator is emitted, the token budget runs out or the context reaches
+``max_seq_len``.
 """
 
 from __future__ import annotations
@@ -108,18 +111,19 @@ def generate(
         raise ContractError(
             f"prompt of {prompt_tokens.size} tokens leaves no room under max_seq_len {max_len}"
         )
-    context = list(prompt_tokens) + [separator_id]
+    cache = model.decoder_cache(latent)
+    pending = np.append(prompt_tokens, separator_id)
     story: list[int] = []
     for _ in range(config.max_new_tokens):
-        if len(context) >= max_len:
+        if cache.length + pending.size >= max_len:
             break
-        logits = model.decode_logits(np.asarray(context, dtype=np.int64), latent)
+        logits = model.decode_logits(pending, latent, cache=cache)
         probs = filter_logits(logits.data[-1], config)
         token = sample_token(probs, rng)
         if token == separator_id:
             break
         story.append(token)
-        context.append(token)
+        pending = np.array([token], dtype=np.int64)
     return story
 
 

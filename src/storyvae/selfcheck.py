@@ -3,10 +3,10 @@
 Runs the gradient checks and independent oracles that the test suite
 also exercises, without needing pytest: finite differences against the
 tape, closed-form and Monte Carlo KL, brute-force sampling filters,
-brute-force ROUGE, greedy decoding, the annealing shape, and tokenizer
-round-trips.  The brute-force oracles (``brute_force_filter``,
-``brute_force_rouge``, ``greedy_oracle``, ``matmul_oracle``) live here
-once; the test suite imports them.
+brute-force ROUGE, greedy decoding, cached against full-prefix decoding,
+the annealing shape, and tokenizer round-trips.  The brute-force oracles
+(``brute_force_filter``, ``brute_force_rouge``, ``greedy_oracle``,
+``matmul_oracle``) live here once; the test suite imports them.
 """
 
 from __future__ import annotations
@@ -203,6 +203,25 @@ def _check_greedy(report) -> bool:
     return ok
 
 
+def _check_cached_decoding(report) -> bool:
+    cfg = ModelConfig(d=8, layers=2, encoder_layers=1, heads=2, latent_dim=4, vocab_size=12,
+                      max_seq_len=24, injection_modes=("input", "psa", "softmax"))
+    model = StoryVAE.create(cfg, seed=5, dtype=np.float64)
+    ag.rescale_for_grad_check(model.params, np.random.default_rng(5))
+    latent = lt.LatentCode.external(np.random.default_rng(6).standard_normal(cfg.latent_dim))
+    tokens = np.random.default_rng(7).integers(0, cfg.vocab_size, size=cfg.max_seq_len)
+    cache = model.decoder_cache(latent)
+    worst = 0.0
+    for t in range(tokens.size):
+        step = model.decode_logits(tokens[t:t + 1], latent, cache=cache).data[-1]
+        full = model.decode_logits(tokens[:t + 1], latent).data[-1]
+        worst = max(worst, float(np.abs(step - full).max() / np.abs(full).max()))
+    # Not bit-identical: BLAS sums one-row and many-row products in different orders.
+    ok = worst <= 1e-12
+    report(f"{'ok' if ok else 'FAIL'} cached decoding against full-prefix logits (max rel err {worst:.1e})")
+    return ok
+
+
 def _check_roundtrip(report) -> bool:
     rng = np.random.default_rng(13)
     texts = ["hello world", "ααβ", "emoji 🙂 test", "", "aaaa bbbb aaaa"]
@@ -224,7 +243,6 @@ def _check_model_gradients(report) -> bool:
     ag.rescale_for_grad_check(model.params, np.random.default_rng(21))
     example = cp.EncodedExample(
         prior_input=np.array([1, 2]),
-        posterior_input=np.array([1, 2, 7, 3]),
         decoder_input=np.array([1, 2, 7, 3]),
         targets=np.array([2, 7, 3, 7]),
         loss_mask=np.array([False, False, True, True]),
@@ -249,6 +267,7 @@ def run_all(report=print) -> int:
         _check_sampler,
         _check_rouge,
         _check_greedy,
+        _check_cached_decoding,
         _check_roundtrip,
         _check_model_gradients,
     ]

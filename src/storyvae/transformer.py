@@ -14,6 +14,11 @@ Three latent injection routes exist for the decoder:
            added to the pre-softmax logits at every position.
 An exactly-all-zero per-layer latent slice injects nothing, so zeroed
 injection projections leave the latent-free forward bit-identical.
+
+The decoder forward runs over a ``DecoderCache``: the latent's injection
+rows, computed once, and each layer's keys and values so far.  A
+full-prefix call builds a fresh cache and feeds every token; incremental
+decoding keeps one cache per story and feeds only the new tokens.
 """
 
 from __future__ import annotations
@@ -264,6 +269,43 @@ def _attend(q, k, v, n_heads, mask, return_weights):
     return out, list(attn.data.copy()) if return_weights else []
 
 
+@dataclass
+class KVRows:
+    """The key and value rows one attention layer reads before those of its new rows.
+
+    The first ``latent`` rows (0 or 1) are the pseudo-self-attention
+    latent row; the rest belong to earlier positions of the sequence.
+    """
+
+    keys: Tensor | None = None
+    values: Tensor | None = None
+    latent: int = 0
+
+    @property
+    def rows(self) -> int:
+        return 0 if self.keys is None else self.keys.shape[0]
+
+
+def latent_kv(z_slice: Tensor, p: AttentionParams) -> KVRows:
+    """The pseudo self-attention key/value row of one (1, d) per-layer latent slice.
+
+    An exactly-zero slice injects nothing and gives no row; zeroed
+    projections then leave the latent-free path bit-identical.
+    """
+    d = p.wq.shape[0]
+    if z_slice.shape != (1, d):
+        raise ag.ShapeError(f"latent slice shape {z_slice.shape} does not match one row of model width {d}")
+    if not np.any(z_slice.data != 0.0):
+        return KVRows()
+    if not p.has_psa:
+        raise ContractError("latent slice given but this layer has no latent key/value projections")
+    return KVRows(
+        keys=ag.add(ag.matmul(z_slice, p.psa_wk), p.psa_bk),
+        values=ag.add(ag.matmul(z_slice, p.psa_wv), p.psa_bv),
+        latent=1,
+    )
+
+
 def multi_head_attention(
     x: Tensor,
     p: AttentionParams,
@@ -273,44 +315,46 @@ def multi_head_attention(
     z_slice: Tensor | None = None,
     suppress_latent: bool = False,
     return_weights: bool = False,
+    past: KVRows | None = None,
 ):
-    """Scaled dot-product attention over a full sequence, per-head scale 1/sqrt(d/H).
+    """Scaled dot-product attention of the rows of ``x``, per-head scale 1/sqrt(d/H).
 
-    ``z_slice`` is one (1, d) per-layer latent row for pseudo
-    self-attention: when given (and nonzero), its key and value
-    projections are prefixed to the key and value matrices, queries stay
-    token-only, and the causal mask never blocks that row.
+    Keys and values are ``past``'s rows followed by those of ``x``, and
+    ``past`` keeps the joined rows, so the next call attends over them
+    too.  Queries come from ``x`` only; the causal mask orders the rows
+    of ``x`` among themselves and never blocks a ``past`` row, so a
+    single new row needs no mask.  ``z_slice`` is one (1, d) per-layer
+    latent row for pseudo self-attention, given instead of ``past``: its
+    key and value projections (``latent_kv``) become the first rows.
     ``suppress_latent`` is the test hook that forces the latent row's
     attention score to -inf, recovering plain attention.
     """
     l, d = x.shape
     if l < 1:
         raise ContractError("attention needs at least one position")
-    if max_seq_len is not None and l > max_seq_len:
-        raise ContractError(f"sequence of {l} positions exceeds the maximum {max_seq_len}")
+    if past is None:
+        past = KVRows() if z_slice is None else latent_kv(z_slice, p)
+    elif z_slice is not None:
+        raise ContractError("give the latent slice or the past key/value rows, not both")
+    n_past = past.rows
+    positions = n_past - past.latent + l
+    if max_seq_len is not None and positions > max_seq_len:
+        raise ContractError(f"sequence of {positions} positions exceeds the maximum {max_seq_len}")
     q = ag.add(ag.matmul(x, p.wq), p.bq)
     k = ag.matmul(x, p.wk)
     v = ag.add(ag.matmul(x, p.wv), p.bv)
-
-    n_prefix = 0
-    if z_slice is not None and z_slice.shape != (1, d):
-        raise ag.ShapeError(f"latent slice shape {z_slice.shape} does not match one row of model width {d}")
-    # An exactly-zero slice injects nothing; zeroed projections then leave
-    # the latent-free path bit-identical.
-    if z_slice is not None and bool(np.any(z_slice.data != 0.0)):
-        if not p.has_psa:
-            raise ContractError("latent slice given but this layer has no latent key/value projections")
-        k = ag.concat_rows([ag.add(ag.matmul(z_slice, p.psa_wk), p.psa_bk), k])
-        v = ag.concat_rows([ag.add(ag.matmul(z_slice, p.psa_wv), p.psa_bv), v])
-        n_prefix = 1
+    if n_past:
+        k = ag.concat_rows([past.keys, k])
+        v = ag.concat_rows([past.values, v])
+    past.keys, past.values = k, v
 
     mask = None
-    if causal or (n_prefix and suppress_latent):
-        mask = np.ones((l, l + n_prefix), dtype=bool)
+    if (causal and l > 1) or (suppress_latent and past.latent):
+        mask = np.ones((l, n_past + l), dtype=bool)
         if causal:
-            mask[:, n_prefix:] = np.tri(l, dtype=bool)
+            mask[:, n_past:] = np.tri(l, dtype=bool)
         if suppress_latent:
-            mask[:, :n_prefix] = False
+            mask[:, :past.latent] = False
 
     out, weights = _attend(q, k, v, n_heads, mask, return_weights)
     out = ag.add(ag.matmul(out, p.wo), p.bo)
@@ -349,10 +393,10 @@ def attention_average(
     return pooled
 
 
-def _block(x, params, prefix, cfg, causal, z_slice, drop_rng):
+def _block(x, params, prefix, cfg, causal, past, drop_rng):
     p = attention_params(params, prefix)
     h = ag.layer_norm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"], LN_EPS)
-    attn_out = multi_head_attention(h, p, cfg.heads, causal, max_seq_len=cfg.max_seq_len, z_slice=z_slice)
+    attn_out = multi_head_attention(h, p, cfg.heads, causal, max_seq_len=cfg.max_seq_len, past=past)
     if drop_rng is not None:
         attn_out = ag.dropout(attn_out, cfg.dropout, drop_rng)
     x = ag.add(x, attn_out)
@@ -365,12 +409,54 @@ def _block(x, params, prefix, cfg, causal, z_slice, drop_rng):
     return ag.add(x, h)
 
 
-def _validate_tokens(tokens: np.ndarray, cfg: ModelConfig) -> np.ndarray:
+def _check_modes(modes) -> tuple[str, ...]:
+    modes = tuple(modes)
+    for m in modes:
+        if m not in INJECTION_MODES:
+            raise ContractError(f"unknown injection mode: {m}")
+    return modes
+
+
+class DecoderCache:
+    """A decoder forward's state for one latent: its injection rows, and each layer's keys and values so far.
+
+    The ``input`` row, the per-layer pseudo-self-attention key/value rows
+    and the ``softmax`` bias are computed from the latent here, once.  The
+    latent rows are each layer's first ``KVRows`` rows; ``stack_forward``
+    appends the rows of the tokens it is fed and advances ``length``, the
+    number of token positions consumed.  A cache is bound to the parameter
+    values it was built from, and a call that raises leaves it unusable.
+    """
+
+    def __init__(self, params: ParameterSet, cfg: ModelConfig, latent=None, modes: tuple[str, ...] = ()):
+        modes = _check_modes(modes)
+        if modes and latent is None:
+            raise ContractError("decoder with injection modes enabled needs a latent code")
+        self.latent, self.modes, self.length = latent, modes, 0
+        self.input_row = self.softmax_bias = None
+        z_slices: list[Tensor | None] = [None] * cfg.layers
+        if modes:
+            if latent.width != cfg.latent_dim:
+                raise ContractError(f"latent width {latent.width} does not match configured {cfg.latent_dim}")
+            if "input" in modes:
+                self.input_row = ag.matmul(latent.z, params["inject.input.w"])
+            if "psa" in modes:
+                rows = ag.reshape(ag.matmul(latent.z, params["inject.psa.w"]), (cfg.layers, cfg.d))
+                z_slices = [ag.take_rows(rows, [i]) for i in range(cfg.layers)]
+            if "softmax" in modes:
+                self.softmax_bias = ag.matmul(latent.z, params["inject.softmax.w"])
+        self.layers = [
+            KVRows() if z is None else latent_kv(z, attention_params(params, f"dec.{i}"))
+            for i, z in enumerate(z_slices)
+        ]
+
+
+def _validate_tokens(tokens: np.ndarray, cfg: ModelConfig, start: int = 0) -> np.ndarray:
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim != 1 or tokens.size < 1:
         raise ContractError(f"tokens must be a nonempty 1-D sequence, got shape {tokens.shape}")
-    if tokens.size > cfg.max_seq_len:
-        raise ContractError(f"sequence of {tokens.size} tokens exceeds max_seq_len {cfg.max_seq_len}")
+    if start + tokens.size > cfg.max_seq_len:
+        raise ContractError(f"sequence of {start + tokens.size} tokens exceeds max_seq_len {cfg.max_seq_len}")
     if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
         raise IndexError(f"token id out of range for vocabulary size {cfg.vocab_size}")
     return tokens
@@ -384,36 +470,37 @@ def stack_forward(
     latent=None,
     modes: tuple[str, ...] = (),
     drop_rng: np.random.Generator | None = None,
+    cache: DecoderCache | None = None,
 ):
     """Run the encoder or decoder stack.
 
     Returns the final hidden states for the encoder, and (hidden, logits)
     for the decoder.  ``modes`` selects which injection routes consume the
     latent; the decoder requires a latent whenever any mode is active.
+    A decoder ``cache`` built for the same latent and modes makes
+    ``tokens`` the continuation of the tokens it has consumed: they sit
+    at positions ``cache.length`` onward, and hidden states and logits
+    cover them alone.  Without one the tokens start at position 0.
     """
     if role not in ("encoder", "decoder"):
         raise ContractError(f"unknown stack role: {role}")
-    modes = tuple(modes)
-    for m in modes:
-        if m not in INJECTION_MODES:
-            raise ContractError(f"unknown injection mode: {m}")
-    tokens = _validate_tokens(tokens, cfg)
+    modes = _check_modes(modes)
     is_decoder = role == "decoder"
-    if is_decoder and modes and latent is None:
-        raise ContractError("decoder with injection modes enabled needs a latent code")
+    if not is_decoder:
+        if cache is not None:
+            raise ContractError("only the decoder stack takes a cache")
+    elif cache is None:
+        cache = DecoderCache(params, cfg, latent, modes)
+    elif cache.latent is not latent or cache.modes != modes:
+        raise ContractError("the decoder cache was built for another latent or other injection modes")
+    start = cache.length if is_decoder else 0
+    tokens = _validate_tokens(tokens, cfg, start)
 
     word = params["embed.word"]
-    x = ag.add(ag.take_rows(word, tokens), ag.take_rows(params["embed.pos"], np.arange(tokens.size)))
-
-    z_slices: list[Tensor | None] = [None] * cfg.layers
-    if is_decoder and modes:
-        if latent.width != cfg.latent_dim:
-            raise ContractError(f"latent width {latent.width} does not match configured {cfg.latent_dim}")
-        if "input" in modes:
-            x = ag.add(x, ag.matmul(latent.z, params["inject.input.w"]))
-        if "psa" in modes:
-            rows = ag.reshape(ag.matmul(latent.z, params["inject.psa.w"]), (cfg.layers, cfg.d))
-            z_slices = [ag.take_rows(rows, [i]) for i in range(cfg.layers)]
+    positions = np.arange(start, start + tokens.size)
+    x = ag.add(ag.take_rows(word, tokens), ag.take_rows(params["embed.pos"], positions))
+    if is_decoder and cache.input_row is not None:
+        x = ag.add(x, cache.input_row)
 
     n_layers = cfg.layers if is_decoder else cfg.encoder_layers
     stack = "dec" if is_decoder else "enc"
@@ -421,13 +508,14 @@ def stack_forward(
     for i in range(n_layers):
         x = _block(
             x, params, f"{stack}.{i}", cfg,
-            causal=is_decoder, z_slice=z_slices[i] if is_decoder else None, drop_rng=drop,
+            causal=is_decoder, past=cache.layers[i] if is_decoder else None, drop_rng=drop,
         )
     x = ag.layer_norm(x, params[f"{stack}.final_norm.g"], params[f"{stack}.final_norm.b"], LN_EPS)
     if not is_decoder:
         return x
 
+    cache.length = start + tokens.size
     logits = ag.matmul(x, ag.transpose(word))
-    if modes and "softmax" in modes:
-        logits = ag.add(logits, ag.matmul(latent.z, params["inject.softmax.w"]))
+    if cache.softmax_bias is not None:
+        logits = ag.add(logits, cache.softmax_bias)
     return x, logits

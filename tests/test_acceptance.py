@@ -35,7 +35,6 @@ def report(criterion: int, detail: str) -> None:
 def grad_check_example():
     return cp.EncodedExample(
         prior_input=np.array([1, 2, 5]),
-        posterior_input=np.array([1, 2, 5, 15, 3, 9, 4]),
         decoder_input=np.array([1, 2, 5, 15, 3, 9, 4]),
         targets=np.array([2, 5, 15, 3, 9, 4, 15]),
         loss_mask=np.array([False, False, False, True, True, True, True]),
@@ -301,7 +300,6 @@ def test_criterion_09_perplexity_identities():
     pair = cp.PromptStoryPair("p", "two words", prompt_tokens=[1, 2], story_tokens=[3, 4, 5])
     example = cp.EncodedExample(
         prior_input=np.array([1, 2]),
-        posterior_input=np.array([1, 2, 15, 3, 4, 5]),
         decoder_input=np.array([1, 2, 15, 3, 4, 5]),
         targets=np.array([2, 15, 3, 4, 5, 15]),
         loss_mask=np.array([False, False, True, True, True, True]),

@@ -174,10 +174,25 @@ class TestExitCodes:
         )
         assert code == cli.EXIT_DATA
 
+    # Manifest fields replaced by a wrong value, as a function of the saved fields.
+    MANIFEST_FIELD_CORRUPTIONS = {
+        "manifest_payload_not_string": lambda f: {"payload": 5},
+        "manifest_payload_empty": lambda f: {"payload": ""},
+        "manifest_payload_outside": lambda f: {"payload": "../checkpoint/params.bin"},
+        "manifest_mode_unknown": lambda f: {"mode": 5},
+        "manifest_step_negative": lambda f: {"step": -1},
+        "manifest_step_bool": lambda f: {"step": True},
+        "manifest_tensors_not_list": lambda f: {"tensors": "embed.word"},
+        "manifest_optimizer_not_object": lambda f: {"optimizer": 5},
+        "manifest_optimizer_payload_not_string": lambda f: {"optimizer": dict(f["optimizer"], payload=None)},
+        "manifest_optimizer_tensors_not_names": lambda f: {"optimizer": dict(f["optimizer"], tensors=[1])},
+        "manifest_optimizer_counts_not_int": lambda f: {"optimizer": dict(f["optimizer"], update_counts={"a": "1"})},
+    }
+
     @pytest.mark.parametrize(
         "corruption", ["params_truncated", "params_trailing_bytes", "manifest_truncated", "manifest_dtype_float16",
                        "manifest_not_object", "manifest_unknown_model_key", "manifest_mistyped_width",
-                       "manifest_latent_dim_changed"]
+                       "manifest_latent_dim_changed", *MANIFEST_FIELD_CORRUPTIONS]
     )
     def test_data_error_on_corrupt_checkpoint(self, workspace, tmp_path, capsys, corruption):
         checkpoint = tmp_path / "checkpoint"
@@ -198,6 +213,8 @@ class TestExitCodes:
             manifest.write_text(json.dumps(dict(fields, model=dict(fields["model"], d="16"))))
         elif corruption == "manifest_latent_dim_changed":
             manifest.write_text(json.dumps(dict(fields, model=dict(fields["model"], latent_dim=4))))
+        elif corruption in self.MANIFEST_FIELD_CORRUPTIONS:
+            manifest.write_text(json.dumps(dict(fields, **self.MANIFEST_FIELD_CORRUPTIONS[corruption](fields))))
         else:
             manifest.write_bytes(manifest.read_bytes()[:-20])
         code = cli.main(

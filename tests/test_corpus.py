@@ -132,7 +132,6 @@ class TestBuildExample:
         pair.prompt_tokens = [5]
         pair.story_tokens = [7]
         ex = cp.build_example(pair, vocab, max_len=16)
-        assert list(ex.posterior_input) == [5, 256, 7]
         assert list(ex.decoder_input) == [5, 256, 7]
         assert list(ex.targets) == [256, 7, 256]
         assert list(ex.loss_mask) == [False, True, True]
@@ -154,7 +153,7 @@ class TestBuildExample:
     def test_posterior_is_prior_plus_sep_plus_story(self, vocab):
         ex = cp.build_example(cp.PromptStoryPair("ab", "cd cd"), vocab, max_len=32)
         rebuilt = list(ex.prior_input) + [vocab.separator_id] + list(ex.pair.story_tokens)
-        assert list(ex.posterior_input) == rebuilt
+        assert list(ex.decoder_input) == rebuilt
 
     def test_story_tail_truncated_to_fit(self, vocab):
         pair = cp.PromptStoryPair("ab", "c" * 100)

@@ -91,7 +91,6 @@ def example_from_tokens(x, y, sep=15, story_text=None):
     pair = cp.PromptStoryPair("p", story_text, prompt_tokens=list(x), story_tokens=list(y))
     return cp.EncodedExample(
         prior_input=np.array(x),
-        posterior_input=np.array(list(x) + [sep] + list(y)),
         decoder_input=np.array(list(x) + [sep] + list(y)),
         targets=np.array(list(x[1:]) + [sep] + list(y) + [sep]),
         loss_mask=np.array([False] * len(x) + [True] * (len(y) + 1)),

@@ -19,7 +19,6 @@ def toy_config(**overrides):
 def toy_example(sep=15):
     return cp.EncodedExample(
         prior_input=np.array([1, 2]),
-        posterior_input=np.array([1, 2, sep, 3, 9]),
         decoder_input=np.array([1, 2, sep, 3, 9]),
         targets=np.array([2, sep, 3, 9, sep]),
         loss_mask=np.array([False, False, True, True, True]),
@@ -179,7 +178,6 @@ def test_full_graph_gradient_check_small():
     ag.rescale_for_grad_check(model.params, np.random.default_rng(8))
     example = cp.EncodedExample(
         prior_input=np.array([1, 2]),
-        posterior_input=np.array([1, 2, 7, 3]),
         decoder_input=np.array([1, 2, 7, 3]),
         targets=np.array([2, 7, 3, 7]),
         loss_mask=np.array([False, False, True, True]),

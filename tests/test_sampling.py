@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from storyvae import autograd as ag
 from storyvae import latent as lt
 from storyvae import sampling as sp
 from storyvae.corpus import EncodedExample
@@ -165,11 +166,16 @@ class TestGenerate:
         assert len(story) <= 8 - 4  # prompt + separator occupy 4 slots
 
     def test_greedy_matches_independent_oracle(self):
+        # Cached incremental decoding against the full-prefix oracle.  At the
+        # 0.02 init the separator wins the first greedy step and both
+        # stories are empty; unit-scale weights make them run on.
         model = tiny_model(seed=9)
+        ag.rescale_for_grad_check(model.params, np.random.default_rng(3))
         rng = sp.generation_rng(0, 0)
         latent = sp.draw_latent(model, [1, 2], rng, use_mean=True)
         cfg = SamplerConfig(top_k=1, top_p=0.9, temperature=0.9, max_new_tokens=10, seed=0)
         story = sp.generate(model, [1, 2], SEP, cfg, latent, sp.generation_rng(0, 0))
+        assert len(story) > 0
         assert story == greedy_oracle(model, [1, 2], SEP, latent, 10)
 
     def test_stops_on_separator(self):
@@ -194,7 +200,7 @@ class TestInferenceRecordsNoTape:
             model, _ = StoryVAE.load(tmp_path / "ckpt")
         if source == "trained":
             example = EncodedExample(
-                prior_input=np.array([1, 2]), posterior_input=np.array([1, 2, SEP, 3]),
+                prior_input=np.array([1, 2]),
                 decoder_input=np.array([1, 2, SEP, 3]), targets=np.array([2, SEP, 3, SEP]),
                 loss_mask=np.array([False, True, True, True]),
             )

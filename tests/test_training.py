@@ -29,7 +29,6 @@ def toy_setup(seed=0, steps=10, **schedule_overrides):
         pair = cp.PromptStoryPair("p", "s", prompt_tokens=x, story_tokens=y)
         examples.append(cp.EncodedExample(
             prior_input=np.array(x),
-            posterior_input=np.array(x + [vocab_sep] + y),
             decoder_input=np.array(x + [vocab_sep] + y),
             targets=np.array(x[1:] + [vocab_sep] + y + [vocab_sep]),
             loss_mask=np.array([False] * (len(x)) + [True] * (len(y) + 1)),

@@ -5,6 +5,7 @@ from storyvae import autograd as ag
 from storyvae import latent as lt
 from storyvae import transformer as tf
 from storyvae.autograd import Tensor
+from storyvae.model import StoryVAE
 from storyvae.transformer import ContractError, ModelConfig
 
 
@@ -443,6 +444,90 @@ class TestStackForward:
         cfg2 = small_config(injection_modes=("psa",))
         params2 = make_params(cfg2)
         assert "dec.0.psa.wk" in params2
+
+
+class TestCachedDecoding:
+    """Incremental decoding through a ``DecoderCache`` against the full-prefix forward.
+
+    A prompt of 5 tokens is prefilled, then 135 more go in one at a time;
+    each cached step's last logit row must match the same row of one
+    full-prefix ``decode_logits`` over all 140 tokens, within 1e-12 x
+    max|logit| in float64 and 1e-4 x max|logit| in float32.  The two are
+    not bit-identical: BLAS sums a one-row product and a many-row product
+    in different orders.  Weights are redrawn at unit scale so every
+    layer, latent route and position matters to the logits.
+    """
+
+    RTOL = {np.float32: 1e-4, np.float64: 1e-12}
+    PROMPT, LENGTH = 5, 140
+
+    def model(self, modes, dtype):
+        cfg = ModelConfig(d=16, layers=2, encoder_layers=1, heads=2, latent_dim=8,
+                          vocab_size=40, max_seq_len=self.LENGTH, injection_modes=modes)
+        model = StoryVAE.create(cfg, seed=40, dtype=dtype)
+        ag.rescale_for_grad_check(model.params, np.random.default_rng(41))
+        return model
+
+    def check(self, model, latent, dtype, chunk=1):
+        tokens = np.random.default_rng(42).integers(0, model.config.vocab_size, size=self.LENGTH)
+        full = model.decode_logits(tokens, latent).data
+        cache = model.decoder_cache(latent)
+        rows = [model.decode_logits(tokens[:self.PROMPT], latent, cache=cache).data]
+        for i in range(self.PROMPT, self.LENGTH, chunk):
+            step = model.decode_logits(tokens[i:i + chunk], latent, cache=cache).data
+            assert step.shape == (min(chunk, self.LENGTH - i), model.config.vocab_size)
+            rows.append(step)
+        assert cache.length == self.LENGTH
+        cached = np.concatenate(rows)
+        assert cached.dtype == dtype
+        scale = np.abs(full).max()
+        assert np.abs(cached - full).max() <= self.RTOL[dtype] * scale
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("modes", [("input",), ("psa",), ("softmax",), tf.INJECTION_MODES])
+    def test_matches_full_prefix(self, modes, dtype):
+        model = self.model(modes, dtype)
+        z = np.random.default_rng(43).standard_normal(model.config.latent_dim).astype(dtype)
+        self.check(model, lt.LatentCode.external(z), dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_latent_and_no_latent(self, dtype):
+        model = self.model(tf.INJECTION_MODES, dtype)
+        self.check(model, lt.LatentCode.external(np.zeros(model.config.latent_dim, dtype=dtype)), dtype)
+        self.check(model, None, dtype)
+
+    def test_several_new_tokens_per_call(self):
+        # Rows fed together after a prefix see the whole cache and, causally, each other.
+        model = self.model(tf.INJECTION_MODES, np.float64)
+        z = np.random.default_rng(43).standard_normal(model.config.latent_dim)
+        self.check(model, lt.LatentCode.external(z), np.float64, chunk=3)
+
+    def test_latent_rows_are_the_first_cached_rows(self):
+        model = self.model(tf.INJECTION_MODES, np.float64)
+        z = lt.LatentCode.external(np.ones(model.config.latent_dim))
+        cache = model.decoder_cache(z)
+        assert [(kv.rows, kv.latent) for kv in cache.layers] == [(1, 1), (1, 1)]
+        model.decode_logits([1, 2, 3], z, cache=cache)
+        model.decode_logits([4], z, cache=cache)
+        assert cache.length == 4
+        assert [kv.rows for kv in cache.layers] == [5, 5]
+        assert [kv.rows for kv in model.decoder_cache(None).layers] == [0, 0]
+
+    def test_contract(self):
+        model = self.model(tf.INJECTION_MODES, np.float64)
+        z = lt.LatentCode.external(np.ones(model.config.latent_dim))
+        cache = model.decoder_cache(z)
+        model.decode_logits(np.zeros(self.LENGTH - 1, dtype=int), z, cache=cache)
+        with pytest.raises(ContractError):  # past max_seq_len
+            model.decode_logits([1, 2], z, cache=cache)
+        with pytest.raises(ContractError):  # another latent
+            model.decode_logits([1], lt.LatentCode.external(np.ones(model.config.latent_dim)), cache=cache)
+        with pytest.raises(ContractError):  # other modes
+            model.decode_logits([1], z, modes=("psa",), cache=cache)
+        with pytest.raises(ContractError):
+            tf.stack_forward([1], model.params, model.config, role="encoder", cache=cache)
+        model.decode_logits([1], z, cache=cache)
+        assert cache.length == self.LENGTH
 
 
 @pytest.mark.slow
