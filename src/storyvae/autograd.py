@@ -321,7 +321,7 @@ def exp(a: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh approximation (GPT-2 flavour)."""
     x = a.data
-    inner = GELU_TANH_COEFF * (x + GELU_CUBIC_COEFF * x**3)
+    inner = GELU_TANH_COEFF * (x + GELU_CUBIC_COEFF * (x * x * x))
     t = np.tanh(inner)
     data = 0.5 * x * (1.0 + t)
 
