@@ -425,7 +425,8 @@ class DecoderCache:
     latent rows are each layer's first ``KVRows`` rows; ``stack_forward``
     appends the rows of the tokens it is fed and advances ``length``, the
     number of token positions consumed.  A cache is bound to the parameter
-    values it was built from, and a call that raises leaves it unusable.
+    values it was built from; after a call through it raises, its layers
+    are out of step and it refuses further calls.
     """
 
     def __init__(self, params: ParameterSet, cfg: ModelConfig, latent=None, modes: tuple[str, ...] = ()):
@@ -493,6 +494,8 @@ def stack_forward(
         cache = DecoderCache(params, cfg, latent, modes)
     elif cache.latent is not latent or cache.modes != modes:
         raise ContractError("the decoder cache was built for another latent or other injection modes")
+    elif any(kv.rows != kv.latent + cache.length for kv in cache.layers):
+        raise ContractError("the decoder cache is out of step: an earlier call through it raised")
     start = cache.length if is_decoder else 0
     tokens = _validate_tokens(tokens, cfg, start)
 

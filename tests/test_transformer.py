@@ -529,6 +529,20 @@ class TestCachedDecoding:
         model.decode_logits([1], z, cache=cache)
         assert cache.length == self.LENGTH
 
+    def test_refuses_calls_after_a_failed_one(self):
+        model = self.model(tf.INJECTION_MODES, np.float64)
+        z = lt.LatentCode.external(np.ones(model.config.latent_dim))
+        cache = model.decoder_cache(z)
+        model.decode_logits([1, 2], z, cache=cache)
+        wq = model.params["dec.1.attn.wq"].data
+        keep = wq[0, 0]
+        wq[0, 0] = np.nan  # layer 0 appends its rows, then layer 1 raises
+        with pytest.raises(ag.NumericsError):
+            model.decode_logits([3], z, cache=cache)
+        wq[0, 0] = keep
+        with pytest.raises(ContractError):
+            model.decode_logits([3], z, cache=cache)
+
 
 @pytest.mark.slow
 def test_stack_gradients_match_finite_differences():
