@@ -6,11 +6,17 @@ backward closure, and ``backward`` replays the tape in reverse
 topological order.  An operation whose inputs all lack ``requires_grad``
 records nothing, so ``requires_grad`` is the one switch for what trains:
 parameters start without it, and only a train step or a gradient check
-sets it, for its own backward only.  Arrays are row-major ``float32``
-by default; ``float64`` exists solely so finite-difference gradient
-checks are not drowned by rounding.  Every forward operation verifies its output is finite and
-raises ``NumericsError`` otherwise instead of letting NaN or Inf
-propagate silently.
+sets it, for its own backward only.  Arrays are ``float32`` by default
+(``transpose`` hands back a view, every other op a row-major array);
+``float64`` exists solely so finite-difference gradient checks are not
+drowned by rounding.  Every forward operation verifies its output is
+finite and raises ``NumericsError`` otherwise instead of letting NaN or
+Inf propagate silently.
+
+Per-op Python overhead, not arithmetic, bounds small models, so the
+transformer's hot paths use two fused ops: ``linear`` (a product plus
+bias) and ``attention`` (every head's scaled scores, masked softmax and
+weighted sum, reading per-head key/value stacks without copying them).
 """
 
 from __future__ import annotations
@@ -235,8 +241,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, "matmul", (a, b), backward)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w + b`` as one node: a (d,) vector or (n, d) rows through a (d, m) weight and optional (m,) bias."""
+    if x.data.ndim not in (1, 2) or w.data.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear: cannot apply a {w.shape} weight to shape {x.shape}")
+    if b is not None and b.shape != (w.shape[1],):
+        raise ShapeError(f"linear: bias shape {b.shape} does not match weight {w.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = x.data @ w.data if b is None else x.data @ w.data + b.data
+    rows = x.data.ndim == 2
+
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate_grad(g @ w.data.T if rows else w.data @ g)
+        if w.requires_grad:
+            w.accumulate_grad(x.data.T @ g if rows else np.outer(x.data, g))
+        if b is not None and b.requires_grad:
+            b.accumulate_grad(g.sum(axis=0) if rows else g)
+
+    return _make(data, "linear", (x, w) if b is None else (x, w, b), backward)
+
+
 def transpose(a: Tensor, axes=None) -> Tensor:
-    """Permute axes; with no ``axes`` a matrix is transposed."""
+    """Permute axes, as a view of ``a``'s data; with no ``axes`` a matrix is transposed."""
     if axes is None:
         if a.data.ndim != 2:
             raise ShapeError(f"transpose: expected a matrix, got shape {a.shape}")
@@ -250,7 +277,7 @@ def transpose(a: Tensor, axes=None) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(np.ascontiguousarray(g.transpose(inverse)))
 
-    return _make(np.ascontiguousarray(a.data.transpose(axes)), "transpose", (a,), backward)
+    return _make(a.data.transpose(axes), "transpose", (a,), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -261,23 +288,6 @@ def reshape(a: Tensor, shape) -> Tensor:
             a.accumulate_grad(g.reshape(a.shape))
 
     return _make(np.ascontiguousarray(a.data.reshape(shape)), "reshape", (a,), backward)
-
-
-def concat_rows(parts: list[Tensor]) -> Tensor:
-    if not parts:
-        raise ShapeError("concat_rows: no operands")
-    widths = {p.shape[1] for p in parts if p.data.ndim == 2}
-    if any(p.data.ndim != 2 for p in parts) or len(widths) != 1:
-        raise ShapeError(f"concat_rows: operands must be matrices of equal width, got {[p.shape for p in parts]}")
-    data = np.concatenate([p.data for p in parts], axis=0)
-    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
-
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                p.accumulate_grad(g[lo:hi])
-
-    return _make(data, "concat_rows", tuple(parts), backward)
 
 
 def take_rows(a: Tensor, indices: np.ndarray) -> Tensor:
@@ -374,6 +384,66 @@ def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
             a.accumulate_grad(data * (g - dot))
 
     return _make(data, "softmax", (a,), backward)
+
+
+def attention(q: Tensor, keys_t: np.ndarray, values: np.ndarray, segments, mask=None, return_weights: bool = False):
+    """Multi-head scaled dot-product attention as one node.
+
+    ``q`` holds (Lq, d) query rows, or one (d,) query.  The n key and
+    value rows come as per-head stacks: ``keys_t`` is (H, d/H, n), each
+    head's keys already transposed, and ``values`` is (H, n, d/H).  They
+    are typically views of a preallocated cache, so no earlier row is
+    copied or re-transposed.  Each ``(lo, hi, k, v)`` of ``segments``
+    names the (hi - lo, d) key and value tensors whose rows sit at
+    ``lo:hi``; they are the op's tape parents besides ``q``, and backward
+    splits the key and value gradients across them.  Rows in no segment
+    are constants.  Scores are scaled by 1/sqrt(d/H); ``mask`` broadcasts
+    to the (Lq, n) scores and its False entries get exactly zero weight.
+    Head outputs come back side by side, shaped like ``q``.  With
+    ``return_weights`` the (H, Lq, n) probabilities follow the output.
+    """
+    h, dh, n = keys_t.shape
+    vector = q.data.ndim == 1
+    lq, d = (1, q.shape[0]) if vector else q.shape
+    if h * dh != d or values.shape != (h, n, dh):
+        raise ShapeError(f"attention: queries {q.shape} do not fit keys {keys_t.shape} and values {values.shape}")
+    qh = q.data.reshape(lq, h, dh).transpose(1, 0, 2)
+    scale = 1.0 / math.sqrt(dh)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = (qh @ keys_t) * scale
+        _check_finite(scores, "attention")
+        if mask is None:
+            e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        else:
+            try:
+                mask = np.broadcast_to(np.asarray(mask, dtype=bool), scores.shape)
+            except ValueError:
+                raise ShapeError(f"attention: mask shape {np.shape(mask)} does not broadcast to {(lq, n)}") from None
+            if not mask.any(axis=-1).all():
+                raise ShapeError("attention: a query has no unmasked key")
+            shifted = np.where(mask, scores, -np.inf)
+            shifted = shifted - shifted.max(axis=-1, keepdims=True)
+            e = np.where(mask, np.exp(shifted), 0.0)
+        probs = e / e.sum(axis=-1, keepdims=True)
+        data = (probs @ values).transpose(1, 0, 2).reshape(q.shape)
+
+    def backward(g):
+        gh = g.reshape(lq, h, dh).transpose(1, 0, 2)
+        gp = gh @ values.transpose(0, 2, 1)
+        gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * scale
+        if q.requires_grad:
+            q.accumulate_grad((gs @ keys_t.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(q.shape))
+        gk_t = qh.transpose(0, 2, 1) @ gs
+        gv = probs.transpose(0, 2, 1) @ gh
+        for lo, hi, k, v in segments:
+            if k.requires_grad:
+                k.accumulate_grad(gk_t[:, :, lo:hi].transpose(2, 0, 1).reshape(hi - lo, d))
+            if v.requires_grad:
+                v.accumulate_grad(gv[:, lo:hi].transpose(1, 0, 2).reshape(hi - lo, d))
+
+    parents = (q,) + tuple(t for seg in segments for t in seg[2:])
+    out = _make(data, "attention", parents, backward)
+    return (out, probs.copy()) if return_weights else out
 
 
 def log_softmax(a: Tensor) -> Tensor:

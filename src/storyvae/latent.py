@@ -76,8 +76,8 @@ def gaussian_head(pooled: Tensor, mu_w: Tensor, mu_b: Tensor, ls_w: Tensor, ls_b
     log-sigma is clamped to [-20, 2] after the head so an unlucky init or a
     large pooled activation cannot blow up the KL term early in training.
     """
-    mu = ag.add(ag.matmul(pooled, mu_w), mu_b)
-    log_sigma = ag.clamp(ag.add(ag.matmul(pooled, ls_w), ls_b), LOG_SIGMA_MIN, LOG_SIGMA_MAX)
+    mu = ag.linear(pooled, mu_w, mu_b)
+    log_sigma = ag.clamp(ag.linear(pooled, ls_w, ls_b), LOG_SIGMA_MIN, LOG_SIGMA_MAX)
     return DiagonalGaussian(mu, log_sigma)
 
 
@@ -108,21 +108,3 @@ def kl_divergence(q: DiagonalGaussian, p: DiagonalGaussian) -> Tensor:
     quad = ag.mul(ag.add(var_q, ag.mul(diff, diff)), inv_var_p)
     per_coord = ag.add_scalar(ag.add(ag.mul_scalar(log_ratio, 2.0), quad), -1.0)
     return ag.mul_scalar(ag.sum_all(per_coord), 0.5)
-
-
-def kl_monte_carlo(q_mu, q_log_sigma, p_mu, p_log_sigma, n_samples: int, rng: np.random.Generator):
-    """Monte Carlo estimate of KL(q || p) with its standard error.
-
-    Independent of the analytic path: draws z ~ q and averages
-    log q(z) - log p(z) directly from the Gaussian densities.
-    """
-    q_mu = np.asarray(q_mu, dtype=np.float64)
-    q_ls = np.asarray(q_log_sigma, dtype=np.float64)
-    p_mu = np.asarray(p_mu, dtype=np.float64)
-    p_ls = np.asarray(p_log_sigma, dtype=np.float64)
-    eps = rng.standard_normal((n_samples, q_mu.shape[0]))
-    z = q_mu + np.exp(q_ls) * eps
-    log_q = -0.5 * (((z - q_mu) * np.exp(-q_ls)) ** 2).sum(axis=1) - q_ls.sum()
-    log_p = -0.5 * (((z - p_mu) * np.exp(-p_ls)) ** 2).sum(axis=1) - p_ls.sum()
-    diffs = log_q - log_p
-    return float(diffs.mean()), float(diffs.std(ddof=1) / np.sqrt(n_samples))

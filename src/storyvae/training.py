@@ -113,16 +113,6 @@ class Adam:
             p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)
 
 
-def reference_adam_scalar(grads, lr, beta1=0.9, beta2=0.999, eps=1e-8, x0=0.0):
-    """Plain-math Adam on one scalar; the oracle the optimizer is checked against."""
-    x, m, v = x0, 0.0, 0.0
-    for t, g in enumerate(grads, start=1):
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * g * g
-        x -= lr * (m / (1 - beta1**t)) / (math.sqrt(v / (1 - beta2**t)) + eps)
-    return x
-
-
 def global_grad_norm(params: ParameterSet) -> float:
     total = 0.0
     for _, p in params.items():

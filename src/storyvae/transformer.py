@@ -15,15 +15,18 @@ Three latent injection routes exist for the decoder:
 An exactly-all-zero per-layer latent slice injects nothing, so zeroed
 injection projections leave the latent-free forward bit-identical.
 
+Projections are ``ag.linear`` nodes, and every attention, pooling
+included, is one ``ag.attention`` node over ``KVRows``: per-head key and
+value stacks, preallocated, that each call appends its new rows to.
 The decoder forward runs over a ``DecoderCache``: the latent's injection
-rows, computed once, and each layer's keys and values so far.  A
-full-prefix call builds a fresh cache and feeds every token; incremental
-decoding keeps one cache per story and feeds only the new tokens.
+rows, computed once, and each layer's ``KVRows`` so far.  A full-prefix
+call builds a fresh cache and feeds every token; incremental decoding
+keeps one cache per story and feeds only the new tokens, which attend
+over views of the stacks without copying an earlier row.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -250,60 +253,62 @@ def pooling_params(params: ParameterSet) -> PoolingParams:
     )
 
 
-def _attend(q, k, v, n_heads, mask, return_weights):
-    """All heads at once: (T, d) rows become (H, T, d/H) stacks for one batched product.
-
-    ``mask`` broadcasts to the (H, queries, keys) scores.  Returns the
-    (queries, d) output with heads back side by side, and one weight
-    matrix per head when asked.
-    """
-    lq, d = q.shape
-    lk = k.shape[0]
-    dh = d // n_heads
-    qh = ag.transpose(ag.reshape(q, (lq, n_heads, dh)), axes=(1, 0, 2))
-    kt = ag.transpose(ag.reshape(k, (lk, n_heads, dh)), axes=(1, 2, 0))
-    vh = ag.transpose(ag.reshape(v, (lk, n_heads, dh)), axes=(1, 0, 2))
-    scores = ag.mul_scalar(ag.matmul(qh, kt), 1.0 / math.sqrt(dh))
-    attn = ag.softmax(scores, mask=mask)
-    out = ag.reshape(ag.transpose(ag.matmul(attn, vh), axes=(1, 0, 2)), (lq, d))
-    return out, list(attn.data.copy()) if return_weights else []
-
-
-@dataclass
 class KVRows:
-    """The key and value rows one attention layer reads before those of its new rows.
+    """One attention layer's key and value rows, in per-head stacks preallocated to ``capacity`` rows.
 
-    The first ``latent`` rows (0 or 1) are the pseudo-self-attention
-    latent row; the rest belong to earlier positions of the sequence.
+    Keys sit transposed in ``keys_t`` (H, d/H, capacity) and values in
+    ``values`` (H, capacity, d/H); the first ``rows`` are filled.  The
+    first ``latent`` rows (0 or 1) are the pseudo-self-attention latent
+    row; the rest belong to positions of the sequence.  ``append`` writes
+    new rows after them, so attending over a view of the first ``rows``
+    never copies an earlier row.  ``segments`` lists each appended block
+    that is on the tape, for the attention op's backward.
     """
 
-    keys: Tensor | None = None
-    values: Tensor | None = None
-    latent: int = 0
+    def __init__(self, n_heads: int, capacity: int, latent: tuple[Tensor, Tensor] | None = None):
+        self.n_heads, self.capacity = n_heads, capacity
+        self.keys_t = self.values = None
+        self.rows = self.latent = 0
+        self.segments: list[tuple[int, int, Tensor, Tensor]] = []
+        if latent is not None:
+            self.append(*latent)
+            self.latent = 1
 
-    @property
-    def rows(self) -> int:
-        return 0 if self.keys is None else self.keys.shape[0]
+    def append(self, k: Tensor, v: Tensor) -> None:
+        """Write the (l, d) key and value rows ``k`` and ``v`` after the filled ones."""
+        (l, d), lo = k.shape, self.rows
+        if lo + l > self.capacity:
+            raise ContractError(f"{lo + l} key/value rows exceed the preallocated {self.capacity}")
+        h = self.n_heads
+        if self.keys_t is None:
+            self.keys_t = np.empty((h, d // h, self.capacity), dtype=k.dtype)
+            self.values = np.empty((h, self.capacity, d // h), dtype=v.dtype)
+        self.keys_t[:, :, lo:lo + l] = k.data.reshape(l, h, d // h).transpose(1, 2, 0)
+        self.values[:, lo:lo + l] = v.data.reshape(l, h, d // h).transpose(1, 0, 2)
+        self.rows = lo + l
+        if k.requires_grad or v.requires_grad:
+            self.segments.append((lo, lo + l, k, v))
+
+    def attend(self, q: Tensor, mask=None, return_weights: bool = False):
+        """``ag.attention`` of ``q`` over the filled rows."""
+        n = self.rows
+        return ag.attention(q, self.keys_t[:, :, :n], self.values[:, :n], tuple(self.segments), mask, return_weights)
 
 
-def latent_kv(z_slice: Tensor, p: AttentionParams) -> KVRows:
-    """The pseudo self-attention key/value row of one (1, d) per-layer latent slice.
+def latent_kv(z_slice: Tensor, p: AttentionParams) -> tuple[Tensor, Tensor] | None:
+    """The pseudo self-attention key and value rows of one (1, d) per-layer latent slice.
 
-    An exactly-zero slice injects nothing and gives no row; zeroed
+    An exactly-zero slice injects nothing and gives no rows; zeroed
     projections then leave the latent-free path bit-identical.
     """
     d = p.wq.shape[0]
     if z_slice.shape != (1, d):
         raise ag.ShapeError(f"latent slice shape {z_slice.shape} does not match one row of model width {d}")
     if not np.any(z_slice.data != 0.0):
-        return KVRows()
+        return None
     if not p.has_psa:
         raise ContractError("latent slice given but this layer has no latent key/value projections")
-    return KVRows(
-        keys=ag.add(ag.matmul(z_slice, p.psa_wk), p.psa_bk),
-        values=ag.add(ag.matmul(z_slice, p.psa_wv), p.psa_bv),
-        latent=1,
-    )
+    return ag.linear(z_slice, p.psa_wk, p.psa_bk), ag.linear(z_slice, p.psa_wv, p.psa_bv)
 
 
 def multi_head_attention(
@@ -313,54 +318,44 @@ def multi_head_attention(
     causal: bool,
     max_seq_len: int | None = None,
     z_slice: Tensor | None = None,
-    suppress_latent: bool = False,
     return_weights: bool = False,
     past: KVRows | None = None,
 ):
     """Scaled dot-product attention of the rows of ``x``, per-head scale 1/sqrt(d/H).
 
-    Keys and values are ``past``'s rows followed by those of ``x``, and
-    ``past`` keeps the joined rows, so the next call attends over them
-    too.  Queries come from ``x`` only; the causal mask orders the rows
-    of ``x`` among themselves and never blocks a ``past`` row, so a
-    single new row needs no mask.  ``z_slice`` is one (1, d) per-layer
-    latent row for pseudo self-attention, given instead of ``past``: its
-    key and value projections (``latent_kv``) become the first rows.
-    ``suppress_latent`` is the test hook that forces the latent row's
-    attention score to -inf, recovering plain attention.
+    Keys and values are ``past``'s rows followed by those of ``x``, which
+    are appended to ``past``, so the next call attends over them too.
+    Queries come from ``x`` only; the causal mask orders the rows of
+    ``x`` among themselves and never blocks a ``past`` row, so a single
+    new row needs no mask.  ``z_slice`` is one (1, d) per-layer latent
+    row for pseudo self-attention, given instead of ``past``: its key
+    and value projections (``latent_kv``) become the first rows.  With
+    ``return_weights`` the per-head (queries, keys) weight matrices
+    follow the output.
     """
     l, d = x.shape
     if l < 1:
         raise ContractError("attention needs at least one position")
     if past is None:
-        past = KVRows() if z_slice is None else latent_kv(z_slice, p)
+        latent = None if z_slice is None else latent_kv(z_slice, p)
+        past = KVRows(n_heads, l + (latent is not None), latent)
     elif z_slice is not None:
         raise ContractError("give the latent slice or the past key/value rows, not both")
     n_past = past.rows
     positions = n_past - past.latent + l
     if max_seq_len is not None and positions > max_seq_len:
         raise ContractError(f"sequence of {positions} positions exceeds the maximum {max_seq_len}")
-    q = ag.add(ag.matmul(x, p.wq), p.bq)
-    k = ag.matmul(x, p.wk)
-    v = ag.add(ag.matmul(x, p.wv), p.bv)
-    if n_past:
-        k = ag.concat_rows([past.keys, k])
-        v = ag.concat_rows([past.values, v])
-    past.keys, past.values = k, v
+    q = ag.linear(x, p.wq, p.bq)
+    past.append(ag.linear(x, p.wk), ag.linear(x, p.wv, p.bv))
 
     mask = None
-    if (causal and l > 1) or (suppress_latent and past.latent):
+    if causal and l > 1:
         mask = np.ones((l, n_past + l), dtype=bool)
-        if causal:
-            mask[:, n_past:] = np.tri(l, dtype=bool)
-        if suppress_latent:
-            mask[:, :past.latent] = False
-
-    out, weights = _attend(q, k, v, n_heads, mask, return_weights)
-    out = ag.add(ag.matmul(out, p.wo), p.bo)
+        mask[:, n_past:] = np.tri(l, dtype=bool)
     if return_weights:
-        return out, weights
-    return out
+        out, weights = past.attend(q, mask, return_weights=True)
+        return ag.linear(out, p.wo, p.bo), list(weights)
+    return ag.linear(past.attend(q, mask), p.wo, p.bo)
 
 
 def attention_average(
@@ -378,19 +373,18 @@ def attention_average(
     l, d = hseq.shape
     if l < 1:
         raise ContractError("cannot pool an empty sequence")
-    k = ag.matmul(hseq, p.wk)
-    v = ag.add(ag.matmul(hseq, p.wv), p.bv)
     if valid is not None:
         valid = np.asarray(valid, dtype=bool)
         if valid.shape != (l,):
             raise ag.ShapeError(f"valid mask shape {valid.shape} does not match sequence length {l}")
         if not valid.any():
             raise ContractError("cannot pool a fully masked sequence")
-    out, weights = _attend(ag.reshape(p.q, (1, d)), k, v, n_heads, valid, return_weights)
-    pooled = ag.reshape(ag.add(ag.matmul(out, p.wo), p.bo), (d,))
+    kv = KVRows(n_heads, l)
+    kv.append(ag.linear(hseq, p.wk), ag.linear(hseq, p.wv, p.bv))
     if return_weights:
-        return pooled, weights
-    return pooled
+        out, weights = kv.attend(p.q, valid, return_weights=True)
+        return ag.linear(out, p.wo, p.bo), list(weights)
+    return ag.linear(kv.attend(p.q, valid), p.wo, p.bo)
 
 
 def _block(x, params, prefix, cfg, causal, past, drop_rng):
@@ -401,9 +395,8 @@ def _block(x, params, prefix, cfg, causal, past, drop_rng):
         attn_out = ag.dropout(attn_out, cfg.dropout, drop_rng)
     x = ag.add(x, attn_out)
     h = ag.layer_norm(x, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"], LN_EPS)
-    h = ag.add(ag.matmul(h, params[f"{prefix}.mlp.w1"]), params[f"{prefix}.mlp.b1"])
-    h = ag.gelu(h)
-    h = ag.add(ag.matmul(h, params[f"{prefix}.mlp.w2"]), params[f"{prefix}.mlp.b2"])
+    h = ag.gelu(ag.linear(h, params[f"{prefix}.mlp.w1"], params[f"{prefix}.mlp.b1"]))
+    h = ag.linear(h, params[f"{prefix}.mlp.w2"], params[f"{prefix}.mlp.b2"])
     if drop_rng is not None:
         h = ag.dropout(h, cfg.dropout, drop_rng)
     return ag.add(x, h)
@@ -421,12 +414,13 @@ class DecoderCache:
     """A decoder forward's state for one latent: its injection rows, and each layer's keys and values so far.
 
     The ``input`` row, the per-layer pseudo-self-attention key/value rows
-    and the ``softmax`` bias are computed from the latent here, once.  The
-    latent rows are each layer's first ``KVRows`` rows; ``stack_forward``
-    appends the rows of the tokens it is fed and advances ``length``, the
-    number of token positions consumed.  A cache is bound to the parameter
-    values it was built from; after a call through it raises, its layers
-    are out of step and it refuses further calls.
+    and the ``softmax`` bias are computed from the latent here, once.  Each
+    layer's ``KVRows`` is preallocated to the latent row plus
+    ``max_seq_len`` positions, and the latent rows are its first rows;
+    ``stack_forward`` appends the rows of the tokens it is fed and advances
+    ``length``, the number of token positions consumed.  A cache is bound
+    to the parameter values it was built from; after a call through it
+    raises, its layers are out of step and it refuses further calls.
     """
 
     def __init__(self, params: ParameterSet, cfg: ModelConfig, latent=None, modes: tuple[str, ...] = ()):
@@ -440,14 +434,15 @@ class DecoderCache:
             if latent.width != cfg.latent_dim:
                 raise ContractError(f"latent width {latent.width} does not match configured {cfg.latent_dim}")
             if "input" in modes:
-                self.input_row = ag.matmul(latent.z, params["inject.input.w"])
+                self.input_row = ag.linear(latent.z, params["inject.input.w"])
             if "psa" in modes:
-                rows = ag.reshape(ag.matmul(latent.z, params["inject.psa.w"]), (cfg.layers, cfg.d))
+                rows = ag.reshape(ag.linear(latent.z, params["inject.psa.w"]), (cfg.layers, cfg.d))
                 z_slices = [ag.take_rows(rows, [i]) for i in range(cfg.layers)]
             if "softmax" in modes:
-                self.softmax_bias = ag.matmul(latent.z, params["inject.softmax.w"])
+                self.softmax_bias = ag.linear(latent.z, params["inject.softmax.w"])
         self.layers = [
-            KVRows() if z is None else latent_kv(z, attention_params(params, f"dec.{i}"))
+            KVRows(cfg.heads, 1 + cfg.max_seq_len,
+                   None if z is None else latent_kv(z, attention_params(params, f"dec.{i}")))
             for i, z in enumerate(z_slices)
         ]
 
@@ -518,7 +513,7 @@ def stack_forward(
         return x
 
     cache.length = start + tokens.size
-    logits = ag.matmul(x, ag.transpose(word))
+    logits = ag.linear(x, ag.transpose(word))
     if cache.softmax_bias is not None:
         logits = ag.add(logits, cache.softmax_bias)
     return x, logits

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from storyvae import autograd as ag
+from storyvae import transformer as tf
 from storyvae.autograd import ParameterSet, Tensor
 from storyvae.selfcheck import matmul_oracle
 
@@ -244,6 +245,23 @@ class TestNumericsPolicy:
         with pytest.raises(ag.NumericsError):
             ag.exp(Tensor(np.array([1000.0])))
 
+    def test_linear_overflow_raises(self):
+        big = Tensor(np.full((2, 3), 1e30, dtype=np.float32))
+        with pytest.raises(ag.NumericsError):
+            ag.linear(big, big.T)
+        # The bias alone overflows a finite product.
+        huge = np.finfo(np.float32).max
+        with pytest.raises(ag.NumericsError):
+            ag.linear(Tensor(np.full(3, huge / 2, dtype=np.float32)), Tensor(np.eye(3, 2, dtype=np.float32)),
+                      Tensor(np.full(2, huge, dtype=np.float32)))
+
+    def test_attention_overflow_raises(self):
+        kv = tf.KVRows(2, 3)
+        rows = Tensor(np.full((3, 4), 1e20, dtype=np.float32))
+        kv.append(rows, rows)
+        with pytest.raises(ag.NumericsError):  # each score is 2e40 / sqrt(2)
+            kv.attend(Tensor(np.full((2, 4), 1e20, dtype=np.float32)))
+
 
 class TestGradCheck:
     def test_square_function(self):
@@ -307,7 +325,6 @@ OP_CASES = {
     "clamp": lambda t, u: ag.clamp(t, -0.9, 0.9),
     "reshape": lambda t, u: ag.reshape(t, (t.data.size,)),
     "matmul_batched": lambda t, u: ag.matmul(ag.reshape(t, (2, 3, 8)), ag.reshape(u, (2, 8, 3))),
-    "concat": lambda t, u: ag.concat_rows([t, u]),
     "transpose": lambda t, u: ag.transpose(t),
     "transpose_axes": lambda t, u: ag.transpose(ag.reshape(t, (2, 3, 8)), axes=(2, 0, 1)),
     "softmax_broadcast_mask": lambda t, u: ag.softmax(ag.reshape(t, (2, 3, 8)), mask=np.tri(3, 8, 4, dtype=bool)),
@@ -316,7 +333,40 @@ OP_CASES = {
         ag.reshape(ag.take_rows(u, [0]), (t.shape[1],)),
         ag.reshape(ag.take_rows(u, [1]), (t.shape[1],)),
     ),
+    "linear": lambda t, u: ag.linear(t, ag.transpose(u)),
+    "linear_bias": lambda t, u: ag.linear(t, ag.transpose(u), _row(ag.transpose(t), 0)),
+    "linear_vector": lambda t, u: ag.linear(_row(t, 1), ag.transpose(u)),
+    "linear_vector_bias": lambda t, u: ag.linear(_row(t, 1), ag.transpose(u), _row(ag.transpose(u), 2)),
+    "attention_latent_row": lambda t, u: _attention(t, u, latent=True),
+    "attention_causal": lambda t, u: _attention(t, u, mask=np.tri(6, dtype=bool)),
+    "attention_valid": lambda t, u: _attention(
+        t, u, query=_row(t, 0), mask=np.array([True, False, True, True, False, True])),
+    "attention_cached": lambda t, u: _two_cached_calls(t, u),
 }
+
+
+def _row(a, i):
+    """Row ``i`` of a matrix as a vector."""
+    return ag.reshape(ag.take_rows(a, [i]), (a.shape[1],))
+
+
+def _attention(t, u, query=None, latent=False, mask=None):
+    """Two heads over keys ``u`` and values ``t * u``, after an optional latent row from row 0 of each."""
+    kv = tf.KVRows(2, 7, (ag.take_rows(u, [0]), ag.take_rows(t, [0])) if latent else None)
+    kv.append(u, ag.mul(t, u))
+    if mask is not None and latent:
+        mask = np.hstack([np.ones((mask.shape[0], 1), dtype=bool), mask])
+    return kv.attend(t if query is None else query, mask)
+
+
+def _two_cached_calls(t, u):
+    """Rows 0-2 attend causally over themselves, then rows 3-5 over all six: the first call's keys and values feed both."""
+    kv = tf.KVRows(2, 6)
+    kv.append(ag.take_rows(u, [0, 1, 2]), ag.take_rows(t, [0, 1, 2]))
+    first = kv.attend(ag.take_rows(t, [3, 4, 5]), np.tri(3, dtype=bool))
+    kv.append(ag.take_rows(u, [3, 4, 5]), ag.mul(ag.take_rows(t, [3, 4, 5]), ag.take_rows(u, [3, 4, 5])))
+    second = kv.attend(ag.take_rows(u, [0, 2, 4]), np.hstack([np.ones((3, 3), dtype=bool), np.tri(3, dtype=bool)]))
+    return ag.add(first, second)
 
 
 @pytest.mark.parametrize("name", sorted(OP_CASES))

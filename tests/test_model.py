@@ -4,8 +4,10 @@ import pytest
 from storyvae import autograd as ag
 from storyvae import corpus as cp
 from storyvae import latent as lt
+from storyvae import sampling as sp
 from storyvae import transformer as tf
 from storyvae.model import LossBreakdown, StoryVAE, read_tensor_file, write_tensor_file
+from storyvae.training import Trainer, TrainingSchedule
 from storyvae.transformer import ContractError, ModelConfig
 
 
@@ -186,6 +188,47 @@ def test_full_graph_gradient_check_small():
     noise = np.random.default_rng(9).standard_normal(4)
     report = ag.grad_check(lambda: model.cvae_loss(example, noise, beta=0.6)[0], model.params, eps=1e-4)
     assert report.passed, f"max rel {report.max_rel_error:.2e} at {report.worst_parameter}"
+
+
+class TestTapeSize:
+    """Forward ops per unit of work, counted at ``_make``.
+
+    Every op builds its output there once, and the counts repeat exactly,
+    so a bound here catches a fused op split back into a chain.
+    """
+
+    @staticmethod
+    def ops(monkeypatch, fn) -> int:
+        made, make = [], ag._make
+
+        def counting(data, op, parents, backward):
+            made.append(op)
+            return make(data, op, parents, backward)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ag, "_make", counting)
+            fn()
+        return len(made)
+
+    def test_cached_token_at_the_cli_default_config(self, monkeypatch):
+        model = StoryVAE.create(ModelConfig(), seed=0)
+        latent = sp.draw_latent(model, [1, 2, 3], sp.generation_rng(0, 0))
+        cache = model.decoder_cache(latent)
+        model.decode_logits([1, 2, 3, 4], latent, cache=cache)
+        counts = [self.ops(monkeypatch, lambda t=t: model.decode_logits([t], latent, cache=cache)) for t in (5, 6)]
+        assert counts[0] == counts[1] <= 60
+
+    def test_train_step_at_the_acceptance_overfit_config(self, monkeypatch):
+        pairs = cp.load_corpus(cp.toy_corpus_path())
+        vocab = cp.fit_vocabulary([p.prompt_text for p in pairs] + [p.story_text for p in pairs], 512)
+        cfg = ModelConfig(d=64, layers=2, encoder_layers=1, heads=2, latent_dim=16,
+                          vocab_size=vocab.size, max_seq_len=64,
+                          injection_modes=("input",), injection_gain=8.0, latent_head_gain=50.0)
+        schedule = TrainingSchedule(total_steps=5000, cycle_length=1250, learning_rate=1e-3, batch_size=4, seed=0)
+        trainer = Trainer(StoryVAE.create(cfg, seed=0), cp.prepare_corpus(pairs, vocab, 64), schedule,
+                          separator_id=vocab.separator_id)
+        counts = [self.ops(monkeypatch, lambda: trainer.train_step(trainer.draw_batch())) for _ in range(2)]
+        assert counts[0] == counts[1] < 600
 
 
 class TestCheckpoint:

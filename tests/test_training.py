@@ -4,6 +4,7 @@ import pytest
 from storyvae import autograd as ag
 from storyvae import corpus as cp
 from storyvae.model import StoryVAE
+from storyvae.selfcheck import reference_adam_scalar
 from storyvae.training import (
     Adam,
     METRICS_HEADER,
@@ -11,7 +12,6 @@ from storyvae.training import (
     TrainingAbort,
     TrainingSchedule,
     beta_at,
-    reference_adam_scalar,
 )
 from storyvae.transformer import ContractError, ModelConfig
 

@@ -141,22 +141,6 @@ class TestPseudoSelfAttention:
         w_lat, w_tok = two_way_softmax(0.0, 0.0)
         assert np.allclose(out[0], w_lat * z + w_tok * token, atol=1e-7)
 
-    def test_suppressed_latent_recovers_plain_attention(self):
-        cfg = small_config()
-        params = make_params(cfg, seed=4)
-        p = tf.attention_params(params, "dec.1")
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((4, cfg.d)).astype(np.float32)
-        z = rng.standard_normal((1, cfg.d)).astype(np.float32)
-        plain = tf.multi_head_attention(Tensor(x), p, cfg.heads, causal=True).data
-        masked, weights = tf.multi_head_attention(
-            Tensor(x), p, cfg.heads, causal=True, z_slice=Tensor(z),
-            suppress_latent=True, return_weights=True,
-        )
-        assert np.array_equal(masked.data, plain)
-        for w in weights:
-            assert np.all(w[:, 0] == 0.0)
-
     def test_causal_mask_never_blocks_latent_row(self):
         cfg = small_config()
         params = make_params(cfg, seed=6)
@@ -204,7 +188,7 @@ def heads_oracle(q, k, v, n_heads, mask):
     return np.concatenate(outs, axis=1), weights
 
 
-def attention_oracle(x, p, n_heads, causal, z=None, suppress_latent=False):
+def attention_oracle(x, p, n_heads, causal, z=None):
     q = x @ p.wq.data + p.bq.data
     k = x @ p.wk.data
     v = x @ p.wv.data + p.bv.data
@@ -215,12 +199,9 @@ def attention_oracle(x, p, n_heads, causal, z=None, suppress_latent=False):
         n_prefix = 1
     l = x.shape[0]
     mask = None
-    if causal or (n_prefix and suppress_latent):
+    if causal:
         mask = np.ones((l, l + n_prefix), dtype=bool)
-        if causal:
-            mask[:, n_prefix:] = np.arange(l)[None, :] <= np.arange(l)[:, None]
-        if suppress_latent:
-            mask[:, :n_prefix] = False
+        mask[:, n_prefix:] = np.arange(l)[None, :] <= np.arange(l)[:, None]
     out, weights = heads_oracle(q, k, v, n_heads, mask)
     return out @ p.wo.data + p.bo.data, weights
 
@@ -238,7 +219,7 @@ class TestFusedHeadsMatchPerHeadLoop:
 
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
     @pytest.mark.parametrize("causal", [True, False])
-    @pytest.mark.parametrize("latent", ["none", "row", "suppressed"])
+    @pytest.mark.parametrize("latent", ["none", "row"])
     def test_multi_head_attention(self, n_heads, causal, latent):
         cfg = small_config(heads=n_heads)
         params = make_params(cfg, seed=30, dtype=np.float64)
@@ -247,12 +228,10 @@ class TestFusedHeadsMatchPerHeadLoop:
         rng = np.random.default_rng(32)
         x = rng.standard_normal((5, cfg.d))
         z = None if latent == "none" else rng.standard_normal((1, cfg.d))
-        suppress = latent == "suppressed"
         out, weights = tf.multi_head_attention(
-            Tensor(x), p, n_heads, causal, z_slice=None if z is None else Tensor(z),
-            suppress_latent=suppress, return_weights=True,
+            Tensor(x), p, n_heads, causal, z_slice=None if z is None else Tensor(z), return_weights=True,
         )
-        want, want_weights = attention_oracle(x, p, n_heads, causal, z, suppress)
+        want, want_weights = attention_oracle(x, p, n_heads, causal, z)
         assert np.array_equal(out.data, want)
         assert len(weights) == n_heads
         for got_w, want_w in zip(weights, want_weights):
