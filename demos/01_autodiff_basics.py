@@ -12,14 +12,14 @@ loss = ag.sum_all(ag.mul(x, x))
 ag.backward(loss)
 print("d/dx sum(x*x) at [1,2,3]:", x.grad)  # [2, 4, 6]
 
-# Matrix product with the worked 2x2 example.
+# A matrix product through `linear`, with the worked 2x2 example.
 a = Tensor([[1.0, 2.0], [3.0, 4.0]])
 b = Tensor([[1.0], [1.0]])
-print("[[1,2],[3,4]] @ [[1],[1]] =", ag.matmul(a, b).data.ravel())  # [3, 7]
+print("[[1,2],[3,4]] @ [[1],[1]] =", ag.linear(a, b).data.ravel())  # [3, 7]
 
-# Softmax is shift invariant and sums to one.
+# Softmax, as exp(log_softmax), is shift invariant and sums to one.
 row = Tensor(np.array([0.0, np.log(2.0)]))
-print("softmax([0, ln 2]) =", ag.softmax(row).data)  # [1/3, 2/3]
+print("softmax([0, ln 2]) =", ag.exp(ag.log_softmax(row)).data)  # [1/3, 2/3]
 
 # Non-finite forward values raise instead of propagating.
 try:
@@ -33,7 +33,7 @@ params.add("w", Tensor(np.random.default_rng(0).standard_normal((4, 4)), dtype=n
 params.add("v", Tensor(np.random.default_rng(1).standard_normal(4), dtype=np.float64))
 
 def fn():
-    h = ag.gelu(ag.matmul(params["v"], params["w"]))
+    h = ag.gelu(ag.linear(params["v"], params["w"]))
     return ag.sum_all(ag.mul(h, h))
 
 report = ag.grad_check(fn, params, eps=1e-5)

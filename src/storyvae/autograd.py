@@ -17,6 +17,9 @@ Per-op Python overhead, not arithmetic, bounds small models, so the
 transformer's hot paths use two fused ops: ``linear`` (a product plus
 bias) and ``attention`` (every head's scaled scores, masked softmax and
 weighted sum, reading per-head key/value stacks without copying them).
+Each job has one op: every product goes through ``linear``, the only
+masked softmax is the one inside ``attention``, and ``transpose`` only
+views a matrix transposed.
 """
 
 from __future__ import annotations
@@ -79,33 +82,8 @@ class Tensor:
         else:
             self.grad += g
 
-    def grad_or_zeros(self) -> np.ndarray:
-        if self.grad is None:
-            return np.zeros_like(self.data)
-        return self.grad
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
-
-    # Operator sugar; all real work lives in the module-level ops.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -211,36 +189,6 @@ def mul_scalar(a: Tensor, s: float) -> Tensor:
     return _make(a.data * s, "mul_scalar", (a,), backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of vectors and matrices, or of two equal-size stacks of matrices."""
-    an, bn = a.data.ndim, b.data.ndim
-    batched = an == bn == 3
-    if not batched and (an not in (1, 2) or bn not in (1, 2) or (an == 1 and bn == 1)):
-        raise ShapeError(f"matmul: unsupported ranks for shapes {a.shape} and {b.shape}")
-    if batched and a.shape[0] != b.shape[0]:
-        raise ShapeError(f"matmul: batch sizes differ for shapes {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2 if bn > 1 else 0]:
-        raise ShapeError(f"matmul: inner extents differ for shapes {a.shape} and {b.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        data = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            if bn > 1:
-                ga = g @ np.swapaxes(b.data, -1, -2) if an > 1 else b.data @ g
-            else:  # b is a vector, a is 2-D
-                ga = np.outer(g, b.data)
-            a.accumulate_grad(ga)
-        if b.requires_grad:
-            if an > 1:
-                gb = np.swapaxes(a.data, -1, -2) @ g
-            else:  # a is a vector, b is 2-D
-                gb = np.outer(a.data, g)
-            b.accumulate_grad(gb)
-
-    return _make(data, "matmul", (a, b), backward)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """``x @ w + b`` as one node: a (d,) vector or (n, d) rows through a (d, m) weight and optional (m,) bias."""
     if x.data.ndim not in (1, 2) or w.data.ndim != 2 or x.shape[-1] != w.shape[0]:
@@ -262,22 +210,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _make(data, "linear", (x, w) if b is None else (x, w, b), backward)
 
 
-def transpose(a: Tensor, axes=None) -> Tensor:
-    """Permute axes, as a view of ``a``'s data; with no ``axes`` a matrix is transposed."""
-    if axes is None:
-        if a.data.ndim != 2:
-            raise ShapeError(f"transpose: expected a matrix, got shape {a.shape}")
-        axes = (1, 0)
-    axes = tuple(axes)
-    if sorted(axes) != list(range(a.data.ndim)):
-        raise ShapeError(f"transpose: {axes} is not a permutation of the axes of shape {a.shape}")
-    inverse = tuple(np.argsort(axes))
+def transpose(a: Tensor) -> Tensor:
+    """A matrix transposed, as a view of ``a``'s data."""
+    if a.data.ndim != 2:
+        raise ShapeError(f"transpose: expected a matrix, got shape {a.shape}")
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(np.ascontiguousarray(g.transpose(inverse)))
+            a.accumulate_grad(np.ascontiguousarray(g.T))
 
-    return _make(a.data.transpose(axes), "transpose", (a,), backward)
+    return _make(a.data.T, "transpose", (a,), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -353,37 +295,6 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
             a.accumulate_grad(g * inside)
 
     return _make(data, "clamp", (a,), backward)
-
-
-def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Softmax over the last axis, computed with max subtraction.
-
-    ``mask`` is a boolean array that broadcasts to the input's shape; False
-    entries are excluded from the distribution and receive exactly zero
-    probability.  Masking happens inside the op so no -inf score is ever
-    materialized.
-    """
-    x = a.data
-    if mask is not None:
-        try:
-            mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-        except ValueError:
-            raise ShapeError(f"softmax: mask shape {np.shape(mask)} does not broadcast to {x.shape}") from None
-        if not mask.any(axis=-1).all():
-            raise ShapeError("softmax: a row has no unmasked entries")
-        shifted = np.where(mask, x, -np.inf)
-        shifted = shifted - shifted.max(axis=-1, keepdims=True)
-        e = np.where(mask, np.exp(shifted), 0.0)
-    else:
-        e = np.exp(x - x.max(axis=-1, keepdims=True))
-    data = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        if a.requires_grad:
-            dot = (g * data).sum(axis=-1, keepdims=True)
-            a.accumulate_grad(data * (g - dot))
-
-    return _make(data, "softmax", (a,), backward)
 
 
 def attention(q: Tensor, keys_t: np.ndarray, values: np.ndarray, segments, mask=None, return_weights: bool = False):
@@ -486,9 +397,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if eps <= 0:
         raise ValueError("layer_norm: eps must be positive")
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = x.data.mean(axis=-1, keepdims=True)
+        mu = x.data.sum(axis=-1, keepdims=True) / d
         centered = x.data - mu
-        var = (centered**2).mean(axis=-1, keepdims=True)
+        var = (centered**2).sum(axis=-1, keepdims=True) / d
         inv = 1.0 / np.sqrt(var + eps)
         xhat = centered * inv
         data = gain.data * xhat + bias.data
@@ -501,8 +412,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             bias.accumulate_grad(g.reshape(-1, d).sum(axis=0))
         if x.requires_grad:
             gx_hat = g * gain.data
-            m1 = gx_hat.mean(axis=-1, keepdims=True)
-            m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
+            m1 = gx_hat.sum(axis=-1, keepdims=True) / d
+            m2 = (gx_hat * xhat).sum(axis=-1, keepdims=True) / d
             x.accumulate_grad(inv * (gx_hat - m1 - xhat * m2))
 
     return _make(data, "layer_norm", (x, gain, bias), backward)
@@ -689,7 +600,7 @@ def grad_check(fn, params, eps: float = 1e-5, tolerance: float = 1e-4) -> GradCh
     finally:
         for _, p in items:
             p.requires_grad = False
-    analytic = {name: p.grad_or_zeros().copy() for name, p in items}
+    analytic = {name: np.zeros_like(p.data) if p.grad is None else p.grad.copy() for name, p in items}
 
     per_parameter: dict[str, float] = {}
     worst = ("", 0.0)

@@ -29,6 +29,8 @@ from .transformer import ContractError, ModelConfig
 PARAMS_FILE = "params.bin"
 OPTIM_FILE = "optim.bin"
 MANIFEST_FILE = "manifest.json"
+# The trainer's random streams, whose generator states a checkpoint keeps.
+RNG_STREAMS = ("batch", "noise", "dropout")
 
 
 @dataclass
@@ -147,18 +149,8 @@ class StoryVAE:
         sep = int(example.decoder_input[len(example.prior_input)])
         posterior = self.encode_posterior(example.prior_input, example.decoder_input[len(example.prior_input) + 1:], sep)
         prior = self.encode_prior(example.prior_input)
-        z = lt.reparameterize(posterior, noise, lt.LatentSource.POSTERIOR_SAMPLE)
-        logits = self.decode_logits(example.decoder_input, z, drop_rng=drop_rng)
-        recon, _ = ag.cross_entropy(logits, example.targets, example.loss_mask)
-        kl = lt.kl_divergence(posterior, prior)
-        loss = ag.add(recon, ag.mul_scalar(kl, beta))
-        breakdown = LossBreakdown(
-            reconstruction_nats=float(recon.data),
-            kl_nats=float(kl.data),
-            beta=float(beta),
-            token_count=int(example.loss_mask.sum()),
-        )
-        return loss, breakdown
+        return self._objective(posterior, prior, noise, beta, example.decoder_input, example.targets,
+                               example.loss_mask, drop_rng)
 
     def vae_loss(
         self,
@@ -175,10 +167,14 @@ class StoryVAE:
         self._require_modes()
         posterior = self.encode_text_posterior(text_tokens)
         prior = lt.DiagonalGaussian.standard(self.config.latent_dim, dtype=self.dtype)
-        z = lt.reparameterize(posterior, noise, lt.LatentSource.POSTERIOR_SAMPLE)
         decoder_input = np.concatenate([[separator_id], text_tokens])
         targets = np.concatenate([text_tokens, [separator_id]])
-        mask = np.ones(decoder_input.size, dtype=bool)
+        return self._objective(posterior, prior, noise, beta, decoder_input, targets,
+                               np.ones(decoder_input.size, dtype=bool), drop_rng)
+
+    def _objective(self, posterior, prior, noise, beta, decoder_input, targets, mask, drop_rng):
+        """Decode a posterior sample and score it: masked NLL + beta * KL(posterior || prior)."""
+        z = lt.reparameterize(posterior, noise, lt.LatentSource.POSTERIOR_SAMPLE)
         logits = self.decode_logits(decoder_input, z, drop_rng=drop_rng)
         recon, _ = ag.cross_entropy(logits, targets, mask)
         kl = lt.kl_divergence(posterior, prior)
@@ -214,6 +210,7 @@ class StoryVAE:
                 "payload": OPTIM_FILE,
                 "tensors": [n for n, _ in optimizer_payload["tensors"]],
                 "update_counts": optimizer_payload["update_counts"],
+                "rng_states": optimizer_payload["rng_states"],
             }
         (directory / MANIFEST_FILE).write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -250,6 +247,16 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+def _is_rng_state(value) -> bool:
+    """Whether ``value`` is a ``PCG64`` ``bit_generator.state`` as JSON gives it back."""
+    if not (isinstance(value, dict) and set(value) == {"bit_generator", "state", "has_uint32", "uinteger"}
+            and value["bit_generator"] == "PCG64" and isinstance(value["state"], dict)
+            and set(value["state"]) == {"state", "inc"}):
+        return False
+    words = [value["state"]["state"], value["state"]["inc"], value["has_uint32"], value["uinteger"]]
+    return all(_is_count(w) for w in words) and max(words[:2]) < 2**128 and words[2] <= 1 and words[3] < 2**32
+
+
 def _check_manifest(manifest: dict, directory: Path) -> None:
     """Raise ``ContractError`` unless the fields besides ``model`` and ``dtype`` have their saved types."""
 
@@ -275,6 +282,10 @@ def _check_manifest(manifest: dict, directory: Path) -> None:
     if not (_is_str_list(optimizer.get("tensors")) and isinstance(counts, dict)
             and all(_is_count(c) for c in counts.values())):
         raise ContractError("manifest optimizer needs a list of tensor names and integer update counts")
+    states = optimizer.get("rng_states")
+    if states is not None and not (isinstance(states, dict) and set(states) == set(RNG_STREAMS)
+                                   and all(_is_rng_state(v) for v in states.values())):
+        raise ContractError(f"manifest optimizer rng_states must hold a PCG64 state for each of {RNG_STREAMS}")
 
 
 def write_tensor_file(path, named_arrays, dtype: str = "<f4") -> None:

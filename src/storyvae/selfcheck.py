@@ -24,9 +24,17 @@ from . import evaluation as ev
 from . import latent as lt
 from . import sampling as sp
 from . import training as tr
+from . import transformer as tf
 from .autograd import ParameterSet, Tensor
 from .model import StoryVAE
 from .transformer import ModelConfig
+
+
+def _causal_self_attention(t: Tensor) -> Tensor:
+    """One head of causal attention whose queries, keys and values are all the rows of ``t``."""
+    kv = tf.KVRows(1, t.shape[0])
+    kv.append(t, t)
+    return kv.attend(t, np.tri(t.shape[0], dtype=bool))
 
 
 def _check_unary_ops(report) -> bool:
@@ -34,7 +42,7 @@ def _check_unary_ops(report) -> bool:
     builders = {
         "gelu": ag.gelu,
         "exp": lambda t: ag.exp(ag.mul_scalar(t, 0.3)),
-        "softmax": lambda t: ag.softmax(t),
+        "attention": _causal_self_attention,
         "log_softmax": lambda t: ag.log_softmax(t),
         "transpose": ag.transpose,
     }
@@ -144,12 +152,12 @@ def greedy_oracle(model: StoryVAE, prompt_tokens, separator_id: int, latent, max
     return story
 
 
-def _check_matmul(report) -> bool:
+def _check_linear(report) -> bool:
     a = Tensor([[1.0, 2.0], [3.0, 4.0]])
     b = Tensor([[1.0], [1.0]])
-    got = ag.matmul(a, b).data
+    got = ag.linear(a, b).data
     ok = np.allclose(got, matmul_oracle(a.data, b.data)) and np.allclose(got, [[3.0], [7.0]])
-    report(f"{'ok' if ok else 'FAIL'} matmul against triple-loop oracle")
+    report(f"{'ok' if ok else 'FAIL'} linear against triple-loop oracle")
     return ok
 
 
@@ -289,7 +297,7 @@ def _check_model_gradients(report) -> bool:
 def run_all(report=print) -> int:
     """Run every check; returns the number of failures."""
     checks = [
-        _check_matmul,
+        _check_linear,
         _check_unary_ops,
         _check_kl,
         _check_schedule,

@@ -19,10 +19,13 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import ParameterSet
-from .model import StoryVAE
+from .model import RNG_STREAMS, StoryVAE
 from .transformer import ContractError
 
 METRICS_HEADER = "step,loss,recon,kl,beta,grad_norm"
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class TrainingAbort(RuntimeError):
@@ -84,13 +87,9 @@ def beta_at(step: int, schedule: TrainingSchedule) -> float:
 class Adam:
     """Adam with per-parameter update counts so frozen spans stay unbiased."""
 
-    def __init__(self, params: ParameterSet, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: ParameterSet, lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = {n: np.zeros_like(p.data) for n, p in params.items()}
         self.v = {n: np.zeros_like(p.data) for n, p in params.items()}
         self.t = {n: 0 for n in params.names()}
@@ -104,13 +103,13 @@ class Adam:
             t = self.t[name]
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1**t)
-            v_hat = v / (1.0 - self.beta2**t)
-            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            m_hat = m / (1.0 - ADAM_BETA1**t)
+            v_hat = v / (1.0 - ADAM_BETA2**t)
+            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.data.dtype)
 
 
 def global_grad_norm(params: ParameterSet) -> float:
@@ -234,6 +233,10 @@ class Trainer:
         self.step_count += 1
         return record
 
+    def _rngs(self) -> tuple[np.random.Generator, ...]:
+        """The batch, noise and dropout streams, in ``RNG_STREAMS`` order."""
+        return self._batch_rng, self._noise_rng, self._drop_rng
+
     def draw_batch(self) -> np.ndarray:
         return self._batch_rng.integers(0, len(self.examples), size=self.schedule.batch_size)
 
@@ -270,6 +273,7 @@ class Trainer:
         payload = {
             "tensors": tensors,
             "update_counts": {n: opt.t[n] for n in sorted(opt.t)},
+            "rng_states": {name: rng.bit_generator.state for name, rng in zip(RNG_STREAMS, self._rngs())},
         }
         self.model.save(directory, vocabulary=vocabulary_ref, step=self.step_count,
                         optimizer_payload=payload)
@@ -285,4 +289,8 @@ class Trainer:
             self.optimizer.m[name] = arrays[f"adam.m.{name}"].astype(self.model.dtype)
             self.optimizer.v[name] = arrays[f"adam.v.{name}"].astype(self.model.dtype)
         self.optimizer.t.update({n: int(c) for n, c in info["update_counts"].items()})
+        states = info.get("rng_states")
+        if states:  # a checkpoint written before the streams were saved restarts them from the seed
+            for name, rng in zip(RNG_STREAMS, self._rngs()):
+                rng.bit_generator.state = states[name]
         self.step_count = int(manifest.get("step", 0))

@@ -1,4 +1,7 @@
+import ast
+import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,22 +27,22 @@ def finite_difference(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     return grad
 
 
-class TestMatmul:
+class TestLinear:
     def test_identity(self):
         rng = np.random.default_rng(0)
         a = Tensor(rng.standard_normal((3, 4)).astype(np.float32))
         identity = Tensor(np.eye(4, dtype=np.float32))
-        assert np.allclose(ag.matmul(a, identity).data, a.data)
+        assert np.allclose(ag.linear(a, identity).data, a.data)
 
     def test_zero_absorbs(self):
         zeros = Tensor(np.zeros((2, 3), dtype=np.float32))
         b = Tensor(np.random.default_rng(1).standard_normal((3, 5)).astype(np.float32))
-        assert np.array_equal(ag.matmul(zeros, b).data, np.zeros((2, 5), dtype=np.float32))
+        assert np.array_equal(ag.linear(zeros, b).data, np.zeros((2, 5), dtype=np.float32))
 
     def test_worked_example(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
         b = Tensor([[1.0], [1.0]])
-        got = ag.matmul(a, b).data
+        got = ag.linear(a, b).data
         assert np.array_equal(got, np.array([[3.0], [7.0]], dtype=np.float32))
         assert np.allclose(got, matmul_oracle(a.data, b.data))
 
@@ -49,13 +52,13 @@ class TestMatmul:
             m, k, n = rng.integers(1, 6, size=3)
             a = rng.standard_normal((m, k))
             b = rng.standard_normal((k, n))
-            assert np.allclose(ag.matmul(Tensor(a), Tensor(b)).data, matmul_oracle(a, b), atol=1e-5)
+            assert np.allclose(ag.linear(Tensor(a), Tensor(b)).data, matmul_oracle(a, b), atol=1e-5)
 
     def test_shape_error_names_both_shapes(self):
         a = Tensor(np.zeros((2, 3)))
         b = Tensor(np.zeros((4, 5)))
-        with pytest.raises(ag.ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
-            ag.matmul(a, b)
+        with pytest.raises(ag.ShapeError, match=r"\(4, 5\).*\(2, 3\)"):
+            ag.linear(a, b)
 
     def test_associativity_float32(self):
         rng = np.random.default_rng(3)
@@ -63,8 +66,8 @@ class TestMatmul:
             a = Tensor(rng.standard_normal((4, 5)).astype(np.float32))
             b = Tensor(rng.standard_normal((5, 3)).astype(np.float32))
             c = Tensor(rng.standard_normal((3, 6)).astype(np.float32))
-            left = ag.matmul(ag.matmul(a, b), c).data
-            right = ag.matmul(a, ag.matmul(b, c)).data
+            left = ag.linear(ag.linear(a, b), c).data
+            right = ag.linear(a, ag.linear(b, c)).data
             denom = np.maximum(np.abs(left), 1.0)
             assert (np.abs(left - right) / denom).max() < 1e-4
 
@@ -72,71 +75,76 @@ class TestMatmul:
         rng = np.random.default_rng(4)
         v = rng.standard_normal(3)
         m = rng.standard_normal((3, 4))
-        assert np.allclose(ag.matmul(Tensor(v), Tensor(m)).data, v @ m, atol=1e-6)
-        assert np.allclose(ag.matmul(Tensor(m.T), Tensor(v)).data, m.T @ v, atol=1e-6)
-
-    def test_batches_against_oracle(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((3, 2, 4))
-        b = rng.standard_normal((3, 4, 5))
-        got = ag.matmul(Tensor(a), Tensor(b)).data
-        for i in range(3):
-            assert np.allclose(got[i], matmul_oracle(a[i], b[i]), atol=1e-5)
-
-    def test_batch_size_mismatch_raises(self):
-        with pytest.raises(ag.ShapeError, match=r"batch sizes differ.*\(2, 3, 4\).*\(3, 4, 5\)"):
-            ag.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
-        with pytest.raises(ag.ShapeError):
-            ag.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 5))))
+        assert np.allclose(ag.linear(Tensor(v), Tensor(m)).data, v @ m, atol=1e-6)
 
 
-class TestSoftmax:
+def _attention_weights(scores, mask=None):
+    """The weights one head of ``ag.attention`` gives (Lq, n) ``scores``.
+
+    The n keys are the identity rows, so query row i scaled by sqrt(n)
+    scores key j at ``scores[i, j]`` once the op divides by sqrt(d/H).
+    """
+    scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    n = scores.shape[1]
+    kv = tf.KVRows(1, n)
+    identity = Tensor(np.eye(n))
+    kv.append(identity, identity)
+    _, weights = kv.attend(Tensor(scores * math.sqrt(n)), mask, return_weights=True)
+    return weights[0]
+
+
+class TestAttention:
+    """The masked softmax inside ``ag.attention``, read through ``return_weights``."""
+
     def test_uniform(self):
-        out = ag.softmax(Tensor([0.0, 0.0, 0.0])).data
-        assert np.allclose(out, [1 / 3] * 3, atol=1e-7)
+        assert np.allclose(_attention_weights([0.0, 0.0, 0.0]), [[1 / 3] * 3], atol=1e-7)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             x = rng.standard_normal(7)
             c = float(rng.standard_normal())
-            a = ag.softmax(Tensor(x)).data
-            b = ag.softmax(Tensor(x + c)).data
-            assert np.allclose(a, b, atol=1e-6)
+            assert np.allclose(_attention_weights(x), _attention_weights(x + c), atol=1e-6)
 
     def test_derived_example(self):
-        out = ag.softmax(Tensor([0.0, math.log(2.0)])).data
-        assert np.allclose(out, [1 / 3, 2 / 3], atol=1e-7)
+        assert np.allclose(_attention_weights([0.0, math.log(2.0)]), [[1 / 3, 2 / 3]], atol=1e-7)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
-            x = rng.standard_normal((3, 9)) * 5
-            out = ag.softmax(Tensor(x)).data
+            out = _attention_weights(rng.standard_normal((3, 9)) * 5)
             assert np.all(out >= 0)
             assert np.allclose(out.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_mask_zeroes_excluded_entries(self):
-        x = Tensor(np.array([[1.0, 2.0, 3.0]]))
-        mask = np.array([[True, False, True]])
-        out = ag.softmax(x, mask=mask).data
+        out = _attention_weights([[1.0, 2.0, 3.0]], mask=np.array([[True, False, True]]))
         assert out[0, 1] == 0.0
         assert np.isclose(out.sum(), 1.0)
 
     def test_fully_masked_row_raises(self):
-        with pytest.raises(ag.ShapeError):
-            ag.softmax(Tensor(np.zeros((1, 3))), mask=np.array([[False, False, False]]))
+        mask = np.array([[True, False, True], [False, False, False]])
+        with pytest.raises(ag.ShapeError, match="no unmasked key"):
+            _attention_weights(np.zeros((2, 3)), mask=mask)
 
     def test_mask_broadcasts_over_leading_axes(self):
-        x = np.random.default_rng(8).standard_normal((2, 3, 4))
-        mask = np.tri(3, 4, dtype=bool)
-        out = ag.softmax(Tensor(x), mask=mask).data
-        for i in range(2):
-            assert np.array_equal(out[i], ag.softmax(Tensor(x[i]), mask=mask).data)
+        """One (Lq, n) mask serves every head: each head matches a one-head run on its slice."""
+        rng = np.random.default_rng(8)
+        q, k, v = (Tensor(rng.standard_normal((3, 4))) for _ in range(3))
+        mask = np.tri(3, dtype=bool)
+        both = tf.KVRows(2, 3)
+        both.append(k, v)
+        out, weights = both.attend(q, mask, return_weights=True)
+        for h in range(2):
+            cols = slice(2 * h, 2 * h + 2)
+            one = tf.KVRows(1, 3)
+            one.append(Tensor(k.data[:, cols]), Tensor(v.data[:, cols]))
+            head_out, head_weights = one.attend(Tensor(q.data[:, cols]), mask, return_weights=True)
+            assert np.allclose(weights[h], head_weights[0], rtol=0, atol=1e-15)
+            assert np.allclose(out.data[:, cols], head_out.data, rtol=0, atol=1e-15)
 
     def test_mask_that_does_not_broadcast_raises(self):
         with pytest.raises(ag.ShapeError, match="does not broadcast"):
-            ag.softmax(Tensor(np.zeros((2, 3, 4))), mask=np.ones((3, 3), dtype=bool))
+            _attention_weights(np.zeros((2, 4)), mask=np.ones((3, 3), dtype=bool))
 
 
 class TestLayerNorm:
@@ -212,7 +220,6 @@ class TestBackward:
         ag.backward(ag.sum_all(ag.mul(x, x)))
         assert np.array_equal(x.grad, np.array([2.0, 4.0], dtype=np.float32))
         assert w.grad is None
-        assert np.array_equal(w.grad_or_zeros(), np.zeros(1, dtype=np.float32))
 
     def test_square_gradient(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
@@ -248,7 +255,7 @@ class TestNumericsPolicy:
     def test_linear_overflow_raises(self):
         big = Tensor(np.full((2, 3), 1e30, dtype=np.float32))
         with pytest.raises(ag.NumericsError):
-            ag.linear(big, big.T)
+            ag.linear(big, ag.transpose(big))
         # The bias alone overflows a finite product.
         huge = np.finfo(np.float32).max
         with pytest.raises(ag.NumericsError):
@@ -316,18 +323,13 @@ OP_CASES = {
     "add": lambda t, u: ag.add(t, u),
     "sub": lambda t, u: ag.sub(t, u),
     "mul": lambda t, u: ag.mul(t, u),
-    "matmul": lambda t, u: ag.matmul(t, ag.transpose(u)),
     "neg": lambda t, u: ag.neg(t),
     "exp": lambda t, u: ag.exp(ag.mul_scalar(t, 0.5)),
     "gelu": lambda t, u: ag.gelu(t),
-    "softmax": lambda t, u: ag.softmax(t),
     "log_softmax": lambda t, u: ag.log_softmax(t),
     "clamp": lambda t, u: ag.clamp(t, -0.9, 0.9),
     "reshape": lambda t, u: ag.reshape(t, (t.data.size,)),
-    "matmul_batched": lambda t, u: ag.matmul(ag.reshape(t, (2, 3, 8)), ag.reshape(u, (2, 8, 3))),
     "transpose": lambda t, u: ag.transpose(t),
-    "transpose_axes": lambda t, u: ag.transpose(ag.reshape(t, (2, 3, 8)), axes=(2, 0, 1)),
-    "softmax_broadcast_mask": lambda t, u: ag.softmax(ag.reshape(t, (2, 3, 8)), mask=np.tri(3, 8, 4, dtype=bool)),
     "layer_norm": lambda t, u: ag.layer_norm(
         t,
         ag.reshape(ag.take_rows(u, [0]), (t.shape[1],)),
@@ -418,3 +420,30 @@ def test_parameter_set_contracts():
     params.add("a", Tensor(np.zeros(3)))
     with pytest.raises(ValueError, match="duplicate"):
         params.add("a", Tensor(np.zeros(2)))
+
+
+def test_every_public_op_has_a_program_caller():
+    """Each public autograd function is reached from program code, not only from tests and selfcheck.
+
+    Program code is every module of the package but ``selfcheck``.  Inside
+    ``autograd`` a call from one module-level function to another counts;
+    a function calling itself, or a class calling it, does not.
+    """
+    referenced = set()
+    for path in Path(ag.__file__).parent.glob("*.py"):
+        if path.name == "selfcheck.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in ("ag", "autograd"):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "autograd":
+                referenced.update(alias.name for alias in node.names)
+        if path.name == "autograd.py":
+            for top in tree.body:
+                if isinstance(top, ast.FunctionDef):
+                    referenced.update(node.func.id for node in ast.walk(top) if isinstance(node, ast.Call)
+                                      and isinstance(node.func, ast.Name) and node.func.id != top.name)
+    public = {name for name, obj in vars(ag).items()
+              if inspect.isfunction(obj) and obj.__module__ == ag.__name__ and not name.startswith("_")}
+    assert sorted(public - {"grad_check", "rescale_for_grad_check"} - referenced) == []

@@ -187,6 +187,8 @@ class TestExitCodes:
         "manifest_optimizer_payload_not_string": lambda f: {"optimizer": dict(f["optimizer"], payload=None)},
         "manifest_optimizer_tensors_not_names": lambda f: {"optimizer": dict(f["optimizer"], tensors=[1])},
         "manifest_optimizer_counts_not_int": lambda f: {"optimizer": dict(f["optimizer"], update_counts={"a": "1"})},
+        "manifest_optimizer_rng_state_malformed": lambda f: {"optimizer": dict(f["optimizer"], rng_states=dict(
+            f["optimizer"]["rng_states"], noise={"bit_generator": "PCG64", "state": -1}))},
     }
 
     @pytest.mark.parametrize(
@@ -288,6 +290,18 @@ class TestVaeMode:
         ) == 0
         manifest = json.loads((second / "checkpoint" / "manifest.json").read_text())
         assert manifest["step"] == 24
+
+    def test_resume_matches_an_uninterrupted_run(self, workspace, tmp_path):
+        """12 steps, then 12 more with --resume, give the bytes of 24 steps in one run."""
+        train = ["train", "--corpus", workspace["corpus"], "--vocab", workspace["vocab"]] + FAST_MODEL + FAST_TRAIN[2:]
+        straight, first, second = tmp_path / "straight", tmp_path / "first", tmp_path / "second"
+        assert cli.main(train + ["--train.steps", "24", "--out", str(straight)]) == 0
+        assert cli.main(train + ["--train.steps", "12", "--out", str(first)]) == 0
+        assert cli.main(train + ["--train.steps", "12", "--out", str(second), "--resume", str(first / "checkpoint")]) == 0
+        for name in ("params.bin", "optim.bin"):
+            assert sha(second / "checkpoint" / name) == sha(straight / "checkpoint" / name), name
+        resumed_rows = (second / "metrics.csv").read_text().split("\n", 1)[1]
+        assert (first / "metrics.csv").read_text() + resumed_rows == (straight / "metrics.csv").read_text()
 
 
 def test_generate_latent_mean_flag(workspace, tmp_path):

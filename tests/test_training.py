@@ -263,15 +263,25 @@ class TestCheckpointResume:
 
         resumed_model, manifest = StoryVAE.load(tmp_path / "ckpt")
         resumed = Trainer(resumed_model, front.examples, front.schedule, separator_id=15)
-        resumed.load_optimizer_state(tmp_path / "ckpt", manifest)
-        # continue the RNG streams from the same position
-        resumed._batch_rng = front._batch_rng
-        resumed._noise_rng = front._noise_rng
+        resumed.load_optimizer_state(tmp_path / "ckpt", manifest)  # also continues the RNG streams
         for _ in range(4):
             resumed.train_step(resumed.draw_batch())
 
         for name in straight.model.params.names():
             assert np.array_equal(straight.model.params[name].data, resumed.model.params[name].data), name
+
+    def test_checkpoint_without_rng_states_restarts_the_streams(self, tmp_path):
+        front = toy_setup(seed=7, steps=8)
+        for _ in range(4):
+            front.train_step(front.draw_batch())
+        front.save_checkpoint(tmp_path / "ckpt", vocabulary_ref="v")
+        resumed_model, manifest = StoryVAE.load(tmp_path / "ckpt")
+        del manifest["optimizer"]["rng_states"]
+        resumed = Trainer(resumed_model, front.examples, front.schedule, separator_id=15)
+        resumed.load_optimizer_state(tmp_path / "ckpt", manifest)
+        fresh = toy_setup(seed=7, steps=8)
+        assert resumed.step_count == 4
+        assert [r.bit_generator.state for r in resumed._rngs()] == [r.bit_generator.state for r in fresh._rngs()]
 
 
 def test_schedule_validation():
