@@ -13,6 +13,11 @@ drowned by rounding.  Every forward operation verifies its output is
 finite and raises ``NumericsError`` otherwise instead of letting NaN or
 Inf propagate silently.
 
+Ops that work on rows (``add``, ``linear``, ``layer_norm``, ``gelu``,
+``attention``, ``log_softmax``, ``pick``, ``take_rows``) also take
+leading batch axes: a batch of equal-length sequences runs as one node
+per op, and each batch entry is computed exactly as it would be alone.
+
 Per-op Python overhead, not arithmetic, bounds small models, so the
 transformer's hot paths use two fused ops: ``linear`` (a product plus
 bias) and ``attention`` (every head's scaled scores, masked softmax and
@@ -107,20 +112,25 @@ def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...], backward) -> T
     return out
 
 
-def _reduce_row_broadcast(g: np.ndarray, target_shape: tuple[int, ...]) -> np.ndarray:
-    if g.shape == target_shape:
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum ``g`` over the axes along which an operand of ``shape`` was broadcast to ``g``'s shape."""
+    if g.shape == shape:
         return g
-    # b was a 1-D row broadcast over the leading axis of a 2-D a.
-    return g.sum(axis=0)
+    g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+    kept = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return g.sum(axis=kept, keepdims=True) if kept else g
 
 
 def _binary_shapes_ok(a: Tensor, b: Tensor) -> bool:
+    """Whether ``b`` broadcasts to ``a``'s shape, which the result keeps."""
     if a.shape == b.shape:
         return True
-    return a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]
+    lead = a.data.ndim - b.data.ndim
+    return lead >= 0 and all(n in (1, m) for n, m in zip(b.shape, a.shape[lead:]))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    """``a + b``, where ``b`` may broadcast to ``a``'s shape (a row, or one row per batch entry)."""
     if not _binary_shapes_ok(a, b):
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
     data = a.data + b.data
@@ -129,7 +139,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(g)
         if b.requires_grad:
-            b.accumulate_grad(_reduce_row_broadcast(g, b.shape))
+            b.accumulate_grad(_unbroadcast(g, b.shape))
 
     return _make(data, "add", (a, b), backward)
 
@@ -158,7 +168,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(g * b.data)
         if b.requires_grad:
-            b.accumulate_grad(_reduce_row_broadcast(g * a.data, b.shape))
+            b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
 
     return _make(data, "mul", (a, b), backward)
 
@@ -190,22 +200,28 @@ def mul_scalar(a: Tensor, s: float) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """``x @ w + b`` as one node: a (d,) vector or (n, d) rows through a (d, m) weight and optional (m,) bias."""
-    if x.data.ndim not in (1, 2) or w.data.ndim != 2 or x.shape[-1] != w.shape[0]:
-        raise ShapeError(f"linear: cannot apply a {w.shape} weight to shape {x.shape}")
-    if b is not None and b.shape != (w.shape[1],):
-        raise ShapeError(f"linear: bias shape {b.shape} does not match weight {w.shape}")
+    """``x @ w + b`` as one node, through a (d, m) weight and optional (m,) bias.
+
+    ``x`` is a (d,) vector, (n, d) rows, or rows under leading batch axes,
+    (..., n, d): each batch entry is its own (n, d) product, so a row gets
+    the same bits whichever batch it sits in.
+    """
+    xd, wd = x.data, w.data
+    if wd.ndim != 2 or xd.shape[-1:] != wd.shape[:1]:
+        raise ShapeError(f"linear: cannot apply a {wd.shape} weight to shape {xd.shape}")
+    if b is not None and b.data.shape != wd.shape[1:]:
+        raise ShapeError(f"linear: bias shape {b.shape} does not match weight {wd.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        data = x.data @ w.data if b is None else x.data @ w.data + b.data
-    rows = x.data.ndim == 2
+        data = xd @ wd if b is None else xd @ wd + b.data
+    vector = xd.ndim == 1
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate_grad(g @ w.data.T if rows else w.data @ g)
+            x.accumulate_grad(wd @ g if vector else g @ wd.T)
         if w.requires_grad:
-            w.accumulate_grad(x.data.T @ g if rows else np.outer(x.data, g))
+            w.accumulate_grad(np.outer(xd, g) if vector else xd.reshape(-1, wd.shape[0]).T @ g.reshape(-1, wd.shape[1]))
         if b is not None and b.requires_grad:
-            b.accumulate_grad(g.sum(axis=0) if rows else g)
+            b.accumulate_grad(g if vector else g.reshape(-1, wd.shape[1]).sum(axis=0))
 
     return _make(data, "linear", (x, w) if b is None else (x, w, b), backward)
 
@@ -233,17 +249,19 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def take_rows(a: Tensor, indices: np.ndarray) -> Tensor:
+    """Rows of the matrix ``a``, or of each matrix of a (..., n, d) batch, at ``indices`` of any shape."""
     indices = np.asarray(indices, dtype=np.int64)
-    if a.data.ndim != 2:
+    if a.data.ndim < 2:
         raise ShapeError(f"take_rows: expected a matrix, got shape {a.shape}")
-    if indices.size and (indices.min() < 0 or indices.max() >= a.shape[0]):
-        raise IndexError(f"take_rows: index out of range for {a.shape[0]} rows")
-    data = a.data[indices]
+    if indices.size and (indices.min() < 0 or indices.max() >= a.shape[-2]):
+        raise IndexError(f"take_rows: index out of range for {a.shape[-2]} rows")
+    where = (Ellipsis, indices, slice(None))
+    data = a.data[where]
 
     def backward(g):
         if a.requires_grad:
             full = np.zeros_like(a.data)
-            np.add.at(full, indices, g)
+            np.add.at(full, where, g)
             a.accumulate_grad(full)
 
     return _make(data, "take_rows", (a,), backward)
@@ -300,28 +318,34 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 def attention(q: Tensor, keys_t: np.ndarray, values: np.ndarray, segments, mask=None, return_weights: bool = False):
     """Multi-head scaled dot-product attention as one node.
 
-    ``q`` holds (Lq, d) query rows, or one (d,) query.  The n key and
-    value rows come as per-head stacks: ``keys_t`` is (H, d/H, n), each
-    head's keys already transposed, and ``values`` is (H, n, d/H).  They
-    are typically views of a preallocated cache, so no earlier row is
-    copied or re-transposed.  Each ``(lo, hi, k, v)`` of ``segments``
-    names the (hi - lo, d) key and value tensors whose rows sit at
-    ``lo:hi``; they are the op's tape parents besides ``q``, and backward
-    splits the key and value gradients across them.  Rows in no segment
-    are constants.  Scores are scaled by 1/sqrt(d/H); ``mask`` broadcasts
-    to the (Lq, n) scores and its False entries get exactly zero weight.
-    Head outputs come back side by side, shaped like ``q``.  With
-    ``return_weights`` the (H, Lq, n) probabilities follow the output.
+    The n key and value rows come as per-head stacks: ``keys_t`` is
+    (..., H, d/H, n), each head's keys already transposed, and ``values``
+    is (..., H, n, d/H), where the optional leading axes are a batch of
+    independent sequences.  They are typically views of a preallocated
+    cache, so no earlier row is copied or re-transposed.  ``q`` holds
+    (..., Lq, d) query rows, one (d,) query, or (Lq, d) rows that every
+    batch entry shares.  Each ``(lo, hi, k, v)`` of ``segments`` names the
+    (..., hi - lo, d) key and value tensors whose rows sit at ``lo:hi``;
+    they are the op's tape parents besides ``q``, and backward splits the
+    key and value gradients across them.  Rows in no segment are
+    constants.  Scores are scaled by 1/sqrt(d/H); ``mask`` broadcasts to
+    the (Lq, n) scores of every batch entry and head, and its False
+    entries get exactly zero weight.  Head outputs come back side by side,
+    shaped (..., Lq, d), or (..., d) for one (d,) query.  With
+    ``return_weights`` the (..., H, Lq, n) probabilities follow the output.
     """
-    h, dh, n = keys_t.shape
+    h, dh, n = keys_t.shape[-3:]
     vector = q.data.ndim == 1
-    lq, d = (1, q.shape[0]) if vector else q.shape
-    if h * dh != d or values.shape != (h, n, dh):
+    lq, d = (1, q.shape[0]) if vector else q.shape[-2:]
+    if h * dh != d or values.shape[-3:] != (h, n, dh):
         raise ShapeError(f"attention: queries {q.shape} do not fit keys {keys_t.shape} and values {values.shape}")
-    qh = q.data.reshape(lq, h, dh).transpose(1, 0, 2)
+    qh = q.data.reshape(q.shape[:-1] + (h, dh) if not vector else (1, h, dh)).swapaxes(-3, -2)
     scale = 1.0 / math.sqrt(dh)
     with np.errstate(over="ignore", invalid="ignore"):
-        scores = (qh @ keys_t) * scale
+        try:
+            scores = (qh @ keys_t) * scale
+        except ValueError:
+            raise ShapeError(f"attention: query batch {q.shape} does not broadcast to keys {keys_t.shape}") from None
         _check_finite(scores, "attention")
         if mask is None:
             e = np.exp(scores - scores.max(axis=-1, keepdims=True))
@@ -336,21 +360,28 @@ def attention(q: Tensor, keys_t: np.ndarray, values: np.ndarray, segments, mask=
             shifted = shifted - shifted.max(axis=-1, keepdims=True)
             e = np.where(mask, np.exp(shifted), 0.0)
         probs = e / e.sum(axis=-1, keepdims=True)
-        data = (probs @ values).transpose(1, 0, 2).reshape(q.shape)
+        batch = probs.shape[:-3]
+        out_shape = batch + ((d,) if vector else (lq, d))
+        data = (probs @ values).swapaxes(-3, -2).reshape(out_shape)
 
     def backward(g):
-        gh = g.reshape(lq, h, dh).transpose(1, 0, 2)
-        gp = gh @ values.transpose(0, 2, 1)
+        gh = g.reshape(batch + (lq, h, dh)).swapaxes(-3, -2)
+        gp = gh @ values.swapaxes(-1, -2)
         gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * scale
         if q.requires_grad:
-            q.accumulate_grad((gs @ keys_t.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(q.shape))
-        gk_t = qh.transpose(0, 2, 1) @ gs
-        gv = probs.transpose(0, 2, 1) @ gh
+            gq = (gs @ keys_t.swapaxes(-1, -2)).swapaxes(-3, -2).reshape(out_shape)
+            q.accumulate_grad(_unbroadcast(gq, q.shape))
+        gk_t = qh.swapaxes(-1, -2) @ gs
+        gv = probs.swapaxes(-1, -2) @ gh
+        nb = len(batch)
+        rows_first = (*range(nb), nb + 2, nb, nb + 1)  # (..., H, d/H, l) -> (..., l, H, d/H)
         for lo, hi, k, v in segments:
             if k.requires_grad:
-                k.accumulate_grad(gk_t[:, :, lo:hi].transpose(2, 0, 1).reshape(hi - lo, d))
+                gk = gk_t[..., lo:hi].transpose(rows_first).reshape(batch + (hi - lo, d))
+                k.accumulate_grad(_unbroadcast(gk, k.shape))
             if v.requires_grad:
-                v.accumulate_grad(gv[:, lo:hi].transpose(1, 0, 2).reshape(hi - lo, d))
+                gv_rows = gv[..., lo:hi, :].swapaxes(-3, -2).reshape(batch + (hi - lo, d))
+                v.accumulate_grad(_unbroadcast(gv_rows, v.shape))
 
     parents = (q,) + tuple(t for seg in segments for t in seg[2:])
     out = _make(data, "attention", parents, backward)
@@ -371,19 +402,19 @@ def log_softmax(a: Tensor) -> Tensor:
 
 
 def pick(a: Tensor, column_ids: np.ndarray) -> Tensor:
-    """Select a[i, column_ids[i]] for each row i."""
+    """Select a[..., i, column_ids[..., i]] for each row i of the matrix ``a`` or of each matrix of a batch."""
     ids = np.asarray(column_ids, dtype=np.int64)
-    if a.data.ndim != 2 or ids.ndim != 1 or ids.shape[0] != a.shape[0]:
+    if a.data.ndim < 2 or ids.shape != a.shape[:-1]:
         raise ShapeError(f"pick: need one column id per row, got {a.shape} and {ids.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= a.shape[1]):
-        raise IndexError(f"pick: column id out of range for width {a.shape[1]}")
-    rows = np.arange(a.shape[0])
-    data = a.data[rows, ids]
+    if ids.size and (ids.min() < 0 or ids.max() >= a.shape[-1]):
+        raise IndexError(f"pick: column id out of range for width {a.shape[-1]}")
+    ids = ids[..., None]
+    data = np.take_along_axis(a.data, ids, axis=-1)[..., 0]
 
     def backward(g):
         if a.requires_grad:
             full = np.zeros_like(a.data)
-            full[rows, ids] = g
+            np.put_along_axis(full, ids, g[..., None], axis=-1)
             a.accumulate_grad(full)
 
     return _make(data, "pick", (a,), backward)

@@ -234,6 +234,12 @@ def cmd_vocab(resolved: dict) -> int:
 
 def cmd_train(resolved: dict, resume: str | None) -> int:
     _require(resolved, "corpus", "vocab")
+    if resume:
+        model, manifest = StoryVAE.load(resume)
+        # Without --train.cycle-length a resumed run keeps the annealing cycle it was saved with.
+        saved_cycle = (manifest["optimizer"] or {}).get("cycle_length")
+        if not resolved["train.cycle-length"] and saved_cycle:
+            resolved = {**resolved, "train.cycle-length": saved_cycle}
     out = _prepare_out(resolved)
     cfg = model_config_from(resolved)
     vocab, examples = _load_vocab_corpus(resolved, cfg.max_seq_len)
@@ -241,7 +247,6 @@ def cmd_train(resolved: dict, resume: str | None) -> int:
         cfg = ModelConfig.from_dict({**cfg.to_dict(), "vocab_size": vocab.size})
     schedule = schedule_from(resolved)
     if resume:
-        model, manifest = StoryVAE.load(resume)
         _check_vocab(vocab, model)
         trainer = Trainer(model, examples, schedule, separator_id=vocab.separator_id)
         trainer.load_optimizer_state(resume, manifest)
@@ -270,19 +275,15 @@ def _write_stories(path: Path, records: list[dict]) -> None:
 def _story_records(resolved: dict, model: StoryVAE, vocab: cp.Vocabulary, examples) -> list[dict]:
     """One sampled story per example, as the records stories.jsonl holds."""
     sampler = sampler_from(resolved)
-    records = []
-    for i, ex in enumerate(examples):
-        story, latent = sp.generate_for_prompt(
-            model, ex.prior_input, vocab.separator_id, sampler,
-            example_index=i, use_mean_latent=resolved["sampler.latent-mean"],
-        )
-        records.append({
-            "prompt": ex.pair.prompt_text,
-            "story": vocab.decode(story),
-            "latent_source": latent.source.value,
-            "seed": sampler.seed,
-        })
-    return records
+    stories, latent = sp.generate_for_prompts(
+        model, [ex.prior_input for ex in examples], vocab.separator_id, sampler,
+        use_mean_latent=resolved["sampler.latent-mean"],
+    )
+    return [
+        {"prompt": ex.pair.prompt_text, "story": vocab.decode(story),
+         "latent_source": latent.source.value, "seed": sampler.seed}
+        for ex, story in zip(examples, stories)
+    ]
 
 
 def cmd_generate(resolved: dict) -> int:
@@ -376,7 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
             else:
                 p.add_argument(f"--{key}", dest=key, type=kind, default=None)
         if command == "train":
-            p.add_argument("--resume", default=None, help="checkpoint directory to resume from")
+            p.add_argument(
+                "--resume", default=None,
+                help="checkpoint directory to resume from; --train.steps then counts the additional steps, "
+                     "and the annealing cycle is the checkpoint's unless --train.cycle-length is given",
+            )
         if command == "control":
             p.add_argument("--prompt-a", dest="prompt_a", default=None)
             p.add_argument("--prompt-b", dest="prompt_b", default=None)

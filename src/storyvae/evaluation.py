@@ -5,6 +5,13 @@ to the prior mean, then the summed NLL is normalized either by the number
 of scored subword targets or by the whitespace word count of the story
 texts.  ROUGE lowercases and whitespace-tokenizes both sides; ROUGE-n uses
 clipped n-gram counts and ROUGE-L the longest common subsequence.
+
+Scoring and latent export run the corpus in equal-length groups
+(``transformer.length_groups``): prior means per group of prompt length,
+teacher-forced NLL per group of decoder-input length, posterior means per
+group of joint length.  A batch entry is computed exactly as alone, so
+every per-example number has the bits a one-example forward gives, and
+corpus sums add them in corpus order.
 """
 
 from __future__ import annotations
@@ -19,7 +26,9 @@ import numpy as np
 
 from . import autograd as ag
 from . import latent as lt
-from .corpus import EncodedExample, word_tokens
+from . import transformer as tf
+from .autograd import Tensor
+from .corpus import word_tokens
 from .model import StoryVAE
 from .transformer import ContractError
 
@@ -116,25 +125,37 @@ def rouge_scores(candidate_text: str, reference_text: str, variant) -> RougeScor
     return RougeScore(p, r, _f1(p, r))
 
 
-def story_nll(model: StoryVAE, example: EncodedExample) -> float:
-    """Teacher-forced masked NLL of one example with the prior-mean latent."""
-    latent = lt.mean_code(model.encode_prior(example.prior_input), lt.LatentSource.PRIOR_MEAN)
-    logits = model.decode_logits(example.decoder_input, latent)
-    total, _ = ag.cross_entropy(logits, example.targets, example.loss_mask)
-    return float(total.data)
+def _grouped_means(encode, sequences, width: int, dtype) -> np.ndarray:
+    """The (N, width) Gaussian means ``encode`` gives ``sequences``, one forward per equal-length group."""
+    means = np.empty((len(sequences), width), dtype=dtype)
+    for group in tf.length_groups(sequences):
+        means[group] = encode(np.stack([sequences[i] for i in group])).mu.data
+    return means
 
 
 def corpus_nll(model: StoryVAE, examples) -> tuple[float, int, int]:
-    """Total masked NLL plus the subword and word normalizer counts."""
+    """Total masked NLL plus the subword and word normalizer counts.
+
+    Each example is teacher-forced with its prior-mean latent; the
+    per-example NLLs are summed in corpus order.
+    """
     if not examples:
         raise ContractError("perplexity needs a nonempty corpus")
+    means = _grouped_means(model.encode_prior, [ex.prior_input for ex in examples],
+                           model.config.latent_dim, model.dtype)
+    nlls = np.empty(len(examples))
+    for group in tf.length_groups([ex.decoder_input for ex in examples]):
+        batch = [examples[i] for i in group]
+        latent = lt.LatentCode(Tensor(means[group]), lt.LatentSource.PRIOR_MEAN)
+        logits = model.decode_logits(np.stack([ex.decoder_input for ex in batch]), latent)
+        per_position = ag.neg(ag.pick(ag.log_softmax(logits), np.stack([ex.targets for ex in batch])))
+        mask = np.stack([ex.loss_mask for ex in batch]).astype(model.dtype)
+        nlls[group] = (per_position.data * mask).sum(axis=-1)
     total = 0.0
-    subwords = 0
-    words = 0
-    for ex in examples:
-        total += story_nll(model, ex)
-        subwords += int(ex.loss_mask.sum())
-        words += len(word_tokens(ex.pair.story_text))
+    for nll in nlls:
+        total += float(nll)
+    subwords = sum(int(ex.loss_mask.sum()) for ex in examples)
+    words = sum(len(word_tokens(ex.pair.story_text)) for ex in examples)
     return total, subwords, words
 
 
@@ -152,20 +173,23 @@ def perplexity(model: StoryVAE, examples, granularity: str) -> float:
 
 
 def export_latents(model: StoryVAE, examples, which: str, path) -> int:
-    """Write one TSV row per example: index, label, then the d' mean coordinates."""
+    """Write one TSV row per example: index, label, then the d' mean coordinates.
+
+    Prior means encode the prompt; posterior means encode the joint
+    prompt ++ separator ++ story sequence, which is the decoder input.
+    """
     if which not in ("prior-mean", "posterior-mean"):
         raise ContractError(f"which must be 'prior-mean' or 'posterior-mean', got {which!r}")
+    if which == "prior-mean":
+        means = _grouped_means(model.encode_prior, [ex.prior_input for ex in examples],
+                               model.config.latent_dim, model.dtype)
+    else:
+        means = _grouped_means(model.encode_text_posterior, [ex.decoder_input for ex in examples],
+                               model.config.latent_dim, model.dtype)
     lines = []
-    for i, ex in enumerate(examples):
-        if which == "prior-mean":
-            gaussian = model.encode_prior(ex.prior_input)
-        else:
-            sep = int(ex.decoder_input[len(ex.prior_input)])
-            story = ex.decoder_input[len(ex.prior_input) + 1:]
-            gaussian = model.encode_posterior(ex.prior_input, story, sep)
+    for i, (ex, mu) in enumerate(zip(examples, means)):
         label = ex.pair.label if ex.pair is not None else ""
-        cells = [str(i), label] + [repr(float(v)) for v in gaussian.mu.data]
-        lines.append("\t".join(cells))
+        lines.append("\t".join([str(i), label] + [repr(float(v)) for v in mu]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return len(lines)
 

@@ -3,7 +3,9 @@
 The prior and posterior are isotropic Gaussians N(mu, sigma^2 I) whose
 mean and log-sigma come from separate linear heads over the shared
 pooled encoder vector.  KL between two diagonal Gaussians is analytic
-and stays on the tape, so it can be trained directly.
+and stays on the tape, so it can be trained directly.  Gaussians and
+latent codes hold one (d',) vector, or a (B, d') batch with one row per
+sequence of an equal-length batch.
 """
 
 from __future__ import annotations
@@ -30,40 +32,43 @@ class LatentSource(str, Enum):
 
 @dataclass
 class DiagonalGaussian:
-    """Mean and log-sigma vectors, both of width d', both on the tape."""
+    """Mean and log-sigma of width d', one (d',) vector each or a (B, d') batch, both on the tape."""
 
     mu: Tensor
     log_sigma: Tensor
 
     def __post_init__(self):
-        if self.mu.shape != self.log_sigma.shape or self.mu.data.ndim != 1:
+        if self.mu.shape != self.log_sigma.shape or self.mu.data.ndim not in (1, 2):
             raise ag.ShapeError(
                 f"gaussian needs matching vectors, got {self.mu.shape} and {self.log_sigma.shape}"
             )
 
     @property
     def width(self) -> int:
-        return self.mu.shape[0]
+        return self.mu.shape[-1]
 
     @classmethod
-    def standard(cls, width: int, dtype=np.float32) -> "DiagonalGaussian":
-        return cls(Tensor(np.zeros(width, dtype=dtype)), Tensor(np.zeros(width, dtype=dtype)))
+    def standard(cls, shape, dtype=np.float32) -> "DiagonalGaussian":
+        """N(0, I) of width ``shape``, or of a (B, width) ``shape`` batch."""
+        return cls(Tensor(np.zeros(shape, dtype=dtype)), Tensor(np.zeros(shape, dtype=dtype)))
 
 
 @dataclass
 class LatentCode:
-    """A single latent vector plus where it came from."""
+    """A (d',) latent vector, or a (B, d') batch, plus where it came from."""
 
     z: Tensor
     source: LatentSource
 
     def __post_init__(self):
+        if self.z.data.ndim not in (1, 2):
+            raise ag.ShapeError(f"latent code must be a vector or a batch of rows, got shape {self.z.shape}")
         if not np.isfinite(self.z.data).all():
             raise ag.NumericsError("latent code has non-finite entries")
 
     @property
     def width(self) -> int:
-        return self.z.shape[0]
+        return self.z.shape[-1]
 
     @classmethod
     def external(cls, values, dtype=np.float32) -> "LatentCode":
@@ -73,11 +78,16 @@ class LatentCode:
 def gaussian_head(pooled: Tensor, mu_w: Tensor, mu_b: Tensor, ls_w: Tensor, ls_b: Tensor) -> DiagonalGaussian:
     """Project a pooled encoder vector to a clamped diagonal Gaussian.
 
-    log-sigma is clamped to [-20, 2] after the head so an unlucky init or a
-    large pooled activation cannot blow up the KL term early in training.
+    ``pooled`` is one (d,) vector, or the (B, 1, d) rows a batch pools
+    to, which give a (B, d') Gaussian.  log-sigma is clamped to [-20, 2]
+    after the head so an unlucky init or a large pooled activation cannot
+    blow up the KL term early in training.
     """
     mu = ag.linear(pooled, mu_w, mu_b)
     log_sigma = ag.clamp(ag.linear(pooled, ls_w, ls_b), LOG_SIGMA_MIN, LOG_SIGMA_MAX)
+    if pooled.data.ndim == 3:
+        rows = (pooled.shape[0], mu_w.shape[1])
+        mu, log_sigma = ag.reshape(mu, rows), ag.reshape(log_sigma, rows)
     return DiagonalGaussian(mu, log_sigma)
 
 
@@ -85,7 +95,7 @@ def reparameterize(g: DiagonalGaussian, noise: np.ndarray, source: LatentSource)
     """z = mu + exp(log_sigma) * noise, keeping gradients to both head outputs."""
     noise = np.asarray(noise, dtype=g.mu.data.dtype)
     if noise.shape != g.mu.shape:
-        raise ag.ShapeError(f"noise shape {noise.shape} does not match latent width {g.mu.shape}")
+        raise ag.ShapeError(f"noise shape {noise.shape} does not match latent shape {g.mu.shape}")
     z = ag.add(g.mu, ag.mul(ag.exp(g.log_sigma), Tensor(noise)))
     return LatentCode(z, source)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -85,9 +86,13 @@ class StoryVAE:
         return lt.gaussian_head(pooled, p[f"{role}.mu.w"], p[f"{role}.mu.b"], p[f"{role}.ls.w"], p[f"{role}.ls.b"])
 
     def encode_prior(self, prompt_tokens) -> lt.DiagonalGaussian:
-        """Learnable prior from the prompt alone; fixed N(0, I) in VAE mode."""
+        """Learnable prior from the prompt alone; fixed N(0, I) in VAE mode.
+
+        A (B, P) batch of equal-length prompts gives a (B, d') Gaussian.
+        """
         if self.mode == "vae":
-            return lt.DiagonalGaussian.standard(self.config.latent_dim, dtype=self.dtype)
+            shape = np.shape(prompt_tokens)[:-1] + (self.config.latent_dim,)
+            return lt.DiagonalGaussian.standard(shape, dtype=self.dtype)
         return self._head(self._pooled(prompt_tokens), "prior")
 
     def encode_posterior(self, prompt_tokens, story_tokens, separator_id: int) -> lt.DiagonalGaussian:
@@ -95,11 +100,14 @@ class StoryVAE:
         story_tokens = np.asarray(story_tokens, dtype=np.int64)
         if prompt_tokens.size < 1 or story_tokens.size < 1:
             raise ContractError("the posterior needs a nonempty prompt and story")
-        joint = np.concatenate([prompt_tokens, [separator_id], story_tokens])
-        return self._head(self._pooled(joint), "post")
+        return self.encode_text_posterior(np.concatenate([prompt_tokens, [separator_id], story_tokens]))
 
     def encode_text_posterior(self, text_tokens) -> lt.DiagonalGaussian:
-        """Posterior over a bare text sequence (unconditional mode)."""
+        """Posterior over a whole token sequence, or a (B, T) batch of equal-length ones.
+
+        The sequence is the bare text in VAE mode, and prompt ++ separator
+        ++ story in CVAE mode, which is what ``encode_posterior`` builds.
+        """
         return self._head(self._pooled(text_tokens), "post")
 
     def _modes(self, latent, modes):
@@ -108,7 +116,10 @@ class StoryVAE:
         return modes
 
     def decoder_cache(self, latent: lt.LatentCode | None, modes: tuple[str, ...] | None = None) -> tf.DecoderCache:
-        """State for decoding one story incrementally; pass it to every ``decode_logits`` call of that story."""
+        """State for decoding one story, or a batch under a (B, d') latent, incrementally.
+
+        Pass it to every ``decode_logits`` call of that story or batch.
+        """
         return tf.DecoderCache(self.params, self.config, latent, self._modes(latent, modes))
 
     def decode_logits(
@@ -119,7 +130,7 @@ class StoryVAE:
         drop_rng: np.random.Generator | None = None,
         cache: tf.DecoderCache | None = None,
     ) -> Tensor:
-        """Logits for every position of ``decoder_input``.
+        """Logits for every position of ``decoder_input``: (T,) tokens, or a (B, T) batch under a (B, d') latent.
 
         With a ``cache`` from ``decoder_cache(latent, modes)``,
         ``decoder_input`` holds only the tokens that follow those already
@@ -189,11 +200,14 @@ class StoryVAE:
 
     def save(self, directory, vocabulary: str | None = None, step: int = 0,
              optimizer_payload: dict | None = None) -> None:
+        """Write the checkpoint files under temporary names, then move each over its old copy, the manifest last.
+
+        A save that raises part-way leaves the previous checkpoint as it was.
+        """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         names = self.params.names()
         dtype = self.dtype.newbyteorder("<").str
-        write_tensor_file(directory / PARAMS_FILE, [(n, self.params[n].data) for n in names], dtype)
         manifest = {
             "dtype": dtype,
             "model": self.config.to_dict(),
@@ -204,17 +218,29 @@ class StoryVAE:
             "payload": PARAMS_FILE,
             "optimizer": None,
         }
-        if optimizer_payload is not None:
-            write_tensor_file(directory / OPTIM_FILE, optimizer_payload["tensors"], dtype)
-            manifest["optimizer"] = {
-                "payload": OPTIM_FILE,
-                "tensors": [n for n, _ in optimizer_payload["tensors"]],
-                "update_counts": optimizer_payload["update_counts"],
-                "rng_states": optimizer_payload["rng_states"],
-            }
-        (directory / MANIFEST_FILE).write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        staged: list[str] = []
+
+        def stage(name: str) -> Path:
+            staged.append(name)
+            return directory / f"{name}.tmp"
+
+        try:
+            write_tensor_file(stage(PARAMS_FILE), [(n, self.params[n].data) for n in names], dtype)
+            if optimizer_payload is not None:
+                write_tensor_file(stage(OPTIM_FILE), optimizer_payload["tensors"], dtype)
+                manifest["optimizer"] = {
+                    "payload": OPTIM_FILE,
+                    "tensors": [n for n, _ in optimizer_payload["tensors"]],
+                    "update_counts": optimizer_payload["update_counts"],
+                    "rng_states": optimizer_payload["rng_states"],
+                    "cycle_length": optimizer_payload["cycle_length"],
+                }
+            stage(MANIFEST_FILE).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+            for name in staged:
+                os.replace(directory / f"{name}.tmp", directory / name)
+        finally:
+            for name in staged:
+                (directory / f"{name}.tmp").unlink(missing_ok=True)
 
     @classmethod
     def load(cls, directory) -> tuple["StoryVAE", dict]:
@@ -286,6 +312,9 @@ def _check_manifest(manifest: dict, directory: Path) -> None:
     if states is not None and not (isinstance(states, dict) and set(states) == set(RNG_STREAMS)
                                    and all(_is_rng_state(v) for v in states.values())):
         raise ContractError(f"manifest optimizer rng_states must hold a PCG64 state for each of {RNG_STREAMS}")
+    cycle = optimizer.get("cycle_length")
+    if cycle is not None and not (_is_count(cycle) and cycle >= 1):
+        raise ContractError(f"manifest optimizer cycle_length must be an integer >= 1, got {cycle!r}")
 
 
 def write_tensor_file(path, named_arrays, dtype: str = "<f4") -> None:

@@ -3,21 +3,32 @@
 Filtering order: divide logits by the temperature, softmax, keep the top-k
 tokens, then keep the smallest descending-probability prefix of those
 whose cumulative mass reaches p, and renormalize over the kept set.
-Probability ties break toward the lower token id.  Generation decodes
-incrementally under one decoder cache per story: it prefills the cache
-with prompt ++ separator, then feeds one sampled token per step, so each
-step runs the decoder over a single new row.  It stops when the
-separator is emitted, the token budget runs out or the context reaches
-``max_seq_len``.
+Probability ties break toward the lower token id.
+
+Generation decodes a batch of equal-length prompts in lockstep under one
+decoder cache (``generate_batch``): it prefills the cache with each
+prompt ++ separator, then feeds one token per story per step, so each
+step runs the decoder once over one new row per story.  Every story
+samples from its own generator, and only while it runs: a story stops
+when it emits the separator, and the batch stops when the token budget
+runs out, the context reaches ``max_seq_len`` or every story has
+stopped.  A stopped story's row keeps being fed the separator, whose
+logits are never read, so each story gets the same tokens and the same
+bits as when it is decoded alone.  ``generate`` runs the same loop for
+one prompt without a batch axis.
+``generate_for_prompts`` groups a corpus's prompts by length and decodes
+each group in lockstep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import latent as lt
+from . import transformer as tf
+from .autograd import Tensor
 from .model import StoryVAE
 from .transformer import ContractError
 
@@ -83,15 +94,74 @@ def generation_rng(base_seed: int, example_index: int = 0) -> np.random.Generato
 def draw_latent(
     model: StoryVAE,
     prompt_tokens,
-    rng: np.random.Generator,
+    rng,
     use_mean: bool = False,
 ) -> lt.LatentCode:
-    """Latent for generation: a prior sample by default, the prior mean on request."""
-    gaussian = model.encode_prior(np.asarray(prompt_tokens, dtype=np.int64))
+    """Latent for generation: a prior sample by default, the prior mean on request.
+
+    ``prompt_tokens`` is one (P,) prompt with ``rng`` its generator, or a
+    (B, P) batch of equal-length prompts with ``rng`` a sequence of B
+    generators, each drawing its own row's noise; a batch gives a (B, d')
+    latent.
+    """
+    prompt_tokens = np.asarray(prompt_tokens, dtype=np.int64)
+    gaussian = model.encode_prior(prompt_tokens)
     if use_mean:
         return lt.mean_code(gaussian, lt.LatentSource.PRIOR_MEAN)
-    noise = rng.standard_normal(model.config.latent_dim).astype(model.dtype)
+    d = model.config.latent_dim
+    if prompt_tokens.ndim == 1:
+        noise = rng.standard_normal(d).astype(model.dtype)
+    else:
+        noise = np.stack([r.standard_normal(d).astype(model.dtype) for r in rng])
     return lt.reparameterize(gaussian, noise, lt.LatentSource.PRIOR_SAMPLE)
+
+
+def generate_batch(
+    model: StoryVAE,
+    prompts,
+    separator_id: int,
+    config: SamplerConfig,
+    latent: lt.LatentCode | None,
+    rngs,
+) -> list[list[int]]:
+    """Decode a (B, P) batch of equal-length prompts in lockstep, one story per row.
+
+    ``latent`` is the (B, d') batch of the rows' latents, and row b
+    samples from ``rngs[b]``.  One (P,) prompt with a (d',) latent and
+    one generator runs the same loop without a batch axis.  Returns each
+    row's story tokens (no prompt, no separator).  The cache holds only
+    the rows a story can reach: prompt, separator and budget, capped by
+    ``max_seq_len``.
+    """
+    prompts = np.asarray(prompts, dtype=np.int64)
+    if prompts.ndim not in (1, 2) or prompts.shape[-1] < 1:
+        raise ContractError(f"generation needs a nonempty prompt or (B, P) batch of them, got shape {prompts.shape}")
+    lead, p = prompts.shape[:-1], prompts.shape[-1]
+    n = lead[0] if lead else 1
+    if len(rngs) != n:
+        raise ContractError(f"{n} prompts need {n} generators, got {len(rngs)}")
+    max_len = model.config.max_seq_len
+    if p + 1 > max_len:
+        raise ContractError(f"prompt of {p} tokens leaves no room under max_seq_len {max_len}")
+    reach = replace(model.config, max_seq_len=min(max_len, p + 1 + config.max_new_tokens))
+    cache = tf.DecoderCache(model.params, reach, latent, model.config.injection_modes if latent is not None else ())
+    pending = np.concatenate([prompts, np.full(lead + (1,), separator_id)], axis=-1)
+    stories: list[list[int]] = [[] for _ in range(n)]
+    running = list(range(n))
+    for _ in range(config.max_new_tokens):
+        if not running or cache.length + pending.shape[-1] >= max_len:
+            break
+        logits = model.decode_logits(pending, latent, cache=cache).data[..., -1, :].reshape(n, -1)
+        pending = np.full(lead + (1,), separator_id)
+        fed = pending.reshape(n)
+        for b in list(running):
+            token = sample_token(filter_logits(logits[b], config), rngs[b])
+            if token == separator_id:
+                running.remove(b)
+            else:
+                stories[b].append(token)
+                fed[b] = token
+    return stories
 
 
 def generate(
@@ -102,29 +172,14 @@ def generate(
     latent: lt.LatentCode | None,
     rng: np.random.Generator,
 ) -> list[int]:
-    """Decode one story; returns story tokens only (no prompt, no separator)."""
+    """Decode one story under a (d',) latent through ``generate_batch``.
+
+    Returns story tokens only (no prompt, no separator).
+    """
     prompt_tokens = np.asarray(prompt_tokens, dtype=np.int64)
-    if prompt_tokens.size < 1:
+    if prompt_tokens.ndim != 1 or prompt_tokens.size < 1:
         raise ContractError("generation needs a nonempty prompt")
-    max_len = model.config.max_seq_len
-    if prompt_tokens.size + 1 > max_len:
-        raise ContractError(
-            f"prompt of {prompt_tokens.size} tokens leaves no room under max_seq_len {max_len}"
-        )
-    cache = model.decoder_cache(latent)
-    pending = np.append(prompt_tokens, separator_id)
-    story: list[int] = []
-    for _ in range(config.max_new_tokens):
-        if cache.length + pending.size >= max_len:
-            break
-        logits = model.decode_logits(pending, latent, cache=cache)
-        probs = filter_logits(logits.data[-1], config)
-        token = sample_token(probs, rng)
-        if token == separator_id:
-            break
-        story.append(token)
-        pending = np.array([token], dtype=np.int64)
-    return story
+    return generate_batch(model, prompt_tokens, separator_id, config, latent, [rng])[0]
 
 
 def generate_for_prompt(
@@ -136,10 +191,35 @@ def generate_for_prompt(
     use_mean_latent: bool = False,
 ) -> tuple[list[int], lt.LatentCode]:
     """Convenience wrapper: derive the stream, draw the latent, decode."""
-    rng = generation_rng(config.seed, example_index)
-    latent = draw_latent(model, prompt_tokens, rng, use_mean=use_mean_latent)
-    story = generate(model, prompt_tokens, separator_id, config, latent, rng)
-    return story, latent
+    return control_generate(model, prompt_tokens, prompt_tokens, separator_id, config, example_index, use_mean_latent)
+
+
+def generate_for_prompts(
+    model: StoryVAE,
+    prompts,
+    separator_id: int,
+    config: SamplerConfig,
+    use_mean_latent: bool = False,
+) -> tuple[list[list[int]], lt.LatentCode]:
+    """One story per prompt, the prompts grouped by length and each group decoded in lockstep.
+
+    Prompt i uses the stream ``generation_rng(config.seed, i)``, so story
+    i is the one ``generate_for_prompt`` gives with ``example_index=i``.
+    Returns the stories and the (N, d') latents, both in prompt order.
+    """
+    prompts = [np.asarray(t, dtype=np.int64) for t in prompts]
+    if not prompts:
+        raise ContractError("generation needs at least one prompt")
+    stories: list[list[int]] = [[] for _ in prompts]
+    z = np.empty((len(prompts), model.config.latent_dim), dtype=model.dtype)
+    for group in tf.length_groups(prompts):
+        batch = np.stack([prompts[i] for i in group])
+        rngs = [generation_rng(config.seed, int(i)) for i in group]
+        latent = draw_latent(model, batch, rngs, use_mean=use_mean_latent)
+        for i, story in zip(group, generate_batch(model, batch, separator_id, config, latent, rngs)):
+            stories[i] = story
+        z[group] = latent.z.data
+    return stories, lt.LatentCode(Tensor(z), latent.source)
 
 
 def control_generate(

@@ -59,10 +59,9 @@ class TrainingSchedule:
         if self.cycle_length is None:
             # Four annealing cycles by default.
             object.__setattr__(self, "cycle_length", max(1, self.total_steps // 4))
-        if not 0 < self.cycle_length <= self.total_steps:
-            raise ContractError(
-                f"cycle_length must lie in [1, total_steps], got {self.cycle_length}"
-            )
+        # A cycle may outlast the run: a resumed run continues its checkpoint's cycle.
+        if self.cycle_length < 1:
+            raise ContractError(f"cycle_length must be at least 1, got {self.cycle_length}")
         if self.freeze_steps < 0:
             raise ContractError("freeze_steps must be nonnegative")
         if not 0.0 <= self.beta_floor < 1.0:
@@ -274,6 +273,7 @@ class Trainer:
             "tensors": tensors,
             "update_counts": {n: opt.t[n] for n in sorted(opt.t)},
             "rng_states": {name: rng.bit_generator.state for name, rng in zip(RNG_STREAMS, self._rngs())},
+            "cycle_length": self.schedule.cycle_length,
         }
         self.model.save(directory, vocabulary=vocabulary_ref, step=self.step_count,
                         optimizer_payload=payload)

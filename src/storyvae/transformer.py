@@ -23,6 +23,12 @@ rows, computed once, and each layer's ``KVRows`` so far.  A full-prefix
 call builds a fresh cache and feeds every token; incremental decoding
 keeps one cache per story and feeds only the new tokens, which attend
 over views of the stacks without copying an earlier row.
+
+Inference runs a leading batch axis of equal-length sequences through
+the same forward: (B, T) tokens, a (B, d') latent batch, and stacks
+with a leading B axis.  There is no padding and no per-row length;
+``length_groups`` splits a corpus into such batches.  Batch entries are
+never folded into one product, so each gets the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ INJECTION_MODES = ("input", "psa", "softmax")
 INIT_STD = 0.02
 POS_INIT_STD = 0.01
 LN_EPS = 1e-5
+# The most sequences one batched forward carries; it bounds the (B, T, vocab) logits and the caches.
+GROUP_ROWS = 32
 
 
 class ContractError(ValueError):
@@ -256,13 +264,15 @@ def pooling_params(params: ParameterSet) -> PoolingParams:
 class KVRows:
     """One attention layer's key and value rows, in per-head stacks preallocated to ``capacity`` rows.
 
-    Keys sit transposed in ``keys_t`` (H, d/H, capacity) and values in
-    ``values`` (H, capacity, d/H); the first ``rows`` are filled.  The
-    first ``latent`` rows (0 or 1) are the pseudo-self-attention latent
-    row; the rest belong to positions of the sequence.  ``append`` writes
-    new rows after them, so attending over a view of the first ``rows``
-    never copies an earlier row.  ``segments`` lists each appended block
-    that is on the tape, for the attention op's backward.
+    Keys sit transposed in ``keys_t`` (..., H, d/H, capacity) and values in
+    ``values`` (..., H, capacity, d/H), where the leading axes, if any, are
+    the batch of sequences the first appended block brought; the first
+    ``rows`` are filled.  The first ``latent`` rows (0 or 1) are the
+    pseudo-self-attention latent row; the rest belong to positions of the
+    sequence.  ``append`` writes new rows after them, so attending over a
+    view of the first ``rows`` never copies an earlier row.  ``segments``
+    lists each appended block that is on the tape, for the attention op's
+    backward.
     """
 
     def __init__(self, n_heads: int, capacity: int, latent: tuple[Tensor, Tensor] | None = None):
@@ -275,16 +285,19 @@ class KVRows:
             self.latent = 1
 
     def append(self, k: Tensor, v: Tensor) -> None:
-        """Write the (l, d) key and value rows ``k`` and ``v`` after the filled ones."""
-        (l, d), lo = k.shape, self.rows
+        """Write the (..., l, d) key and value rows ``k`` and ``v`` after the filled ones."""
+        *batch, l, d = k.shape
+        lo, h = self.rows, self.n_heads
         if lo + l > self.capacity:
             raise ContractError(f"{lo + l} key/value rows exceed the preallocated {self.capacity}")
-        h = self.n_heads
         if self.keys_t is None:
-            self.keys_t = np.empty((h, d // h, self.capacity), dtype=k.dtype)
-            self.values = np.empty((h, self.capacity, d // h), dtype=v.dtype)
-        self.keys_t[:, :, lo:lo + l] = k.data.reshape(l, h, d // h).transpose(1, 2, 0)
-        self.values[:, lo:lo + l] = v.data.reshape(l, h, d // h).transpose(1, 0, 2)
+            self.keys_t = np.empty((*batch, h, d // h, self.capacity), dtype=k.dtype)
+            self.values = np.empty((*batch, h, self.capacity, d // h), dtype=v.dtype)
+        elif self.keys_t.shape[:-3] != tuple(batch):
+            raise ContractError(f"rows for a batch of {tuple(batch)} do not fit stacks for {self.keys_t.shape[:-3]}")
+        split, nb = (*batch, l, h, d // h), len(batch)
+        self.keys_t[..., lo:lo + l] = k.data.reshape(split).transpose(*range(nb), nb + 1, nb + 2, nb)
+        self.values[..., lo:lo + l, :] = v.data.reshape(split).swapaxes(-3, -2)
         self.rows = lo + l
         if k.requires_grad or v.requires_grad:
             self.segments.append((lo, lo + l, k, v))
@@ -292,20 +305,24 @@ class KVRows:
     def attend(self, q: Tensor, mask=None, return_weights: bool = False):
         """``ag.attention`` of ``q`` over the filled rows."""
         n = self.rows
-        return ag.attention(q, self.keys_t[:, :, :n], self.values[:, :n], tuple(self.segments), mask, return_weights)
+        return ag.attention(q, self.keys_t[..., :n], self.values[..., :n, :], tuple(self.segments), mask, return_weights)
 
 
 def latent_kv(z_slice: Tensor, p: AttentionParams) -> tuple[Tensor, Tensor] | None:
-    """The pseudo self-attention key and value rows of one (1, d) per-layer latent slice.
+    """The pseudo self-attention key and value rows of a (1, d) per-layer latent slice, or (B, 1, d) for B latents.
 
     An exactly-zero slice injects nothing and gives no rows; zeroed
-    projections then leave the latent-free path bit-identical.
+    projections then leave the latent-free path bit-identical.  A batch
+    must be all zero or all nonzero, since its rows share one cache.
     """
     d = p.wq.shape[0]
-    if z_slice.shape != (1, d):
+    if z_slice.shape[-2:] != (1, d) or z_slice.data.ndim > 3:
         raise ag.ShapeError(f"latent slice shape {z_slice.shape} does not match one row of model width {d}")
-    if not np.any(z_slice.data != 0.0):
+    nonzero = np.any(z_slice.data != 0.0, axis=(-2, -1))
+    if not nonzero.any():
         return None
+    if not nonzero.all():
+        raise ContractError("a batch of latent slices mixes exactly-zero and nonzero rows")
     if not p.has_psa:
         raise ContractError("latent slice given but this layer has no latent key/value projections")
     return ag.linear(z_slice, p.psa_wk, p.psa_bk), ag.linear(z_slice, p.psa_wv, p.psa_bv)
@@ -321,19 +338,20 @@ def multi_head_attention(
     return_weights: bool = False,
     past: KVRows | None = None,
 ):
-    """Scaled dot-product attention of the rows of ``x``, per-head scale 1/sqrt(d/H).
+    """Scaled dot-product attention of the (T, d) rows of ``x``, or of each sequence of a (B, T, d) batch.
 
-    Keys and values are ``past``'s rows followed by those of ``x``, which
-    are appended to ``past``, so the next call attends over them too.
-    Queries come from ``x`` only; the causal mask orders the rows of
-    ``x`` among themselves and never blocks a ``past`` row, so a single
-    new row needs no mask.  ``z_slice`` is one (1, d) per-layer latent
-    row for pseudo self-attention, given instead of ``past``: its key
+    The per-head scale is 1/sqrt(d/H).  Keys and values are ``past``'s
+    rows followed by those of ``x``, which are appended to ``past``, so
+    the next call attends over them too.  Queries come from ``x`` only;
+    the causal mask orders the rows of ``x`` among themselves and never
+    blocks a ``past`` row, so a single new row needs no mask.
+    ``z_slice`` is one (1, d) per-layer latent row, or (B, 1, d) for a
+    batch, for pseudo self-attention, given instead of ``past``: its key
     and value projections (``latent_kv``) become the first rows.  With
     ``return_weights`` the per-head (queries, keys) weight matrices
     follow the output.
     """
-    l, d = x.shape
+    l = x.shape[-2]
     if l < 1:
         raise ContractError("attention needs at least one position")
     if past is None:
@@ -367,10 +385,13 @@ def attention_average(
 ):
     """Pool a variable-length sequence into one vector with a learnable query.
 
-    ``valid`` optionally marks real rows; padding rows are masked out of the
-    softmax so they receive exactly zero attention.
+    ``hseq`` is one (T, d) sequence, pooled to a (d,) vector, or a
+    (B, T, d) batch of equal-length sequences, pooled to (B, 1, d): one
+    row per sequence, so each goes through its own output product.
+    ``valid`` optionally marks real rows; padding rows are masked out of
+    the softmax so they receive exactly zero attention.
     """
-    l, d = hseq.shape
+    l, d = hseq.shape[-2:]
     if l < 1:
         raise ContractError("cannot pool an empty sequence")
     if valid is not None:
@@ -381,10 +402,11 @@ def attention_average(
             raise ContractError("cannot pool a fully masked sequence")
     kv = KVRows(n_heads, l)
     kv.append(ag.linear(hseq, p.wk), ag.linear(hseq, p.wv, p.bv))
+    q = p.q if hseq.data.ndim == 2 else ag.reshape(p.q, (1, d))
     if return_weights:
-        out, weights = kv.attend(p.q, valid, return_weights=True)
+        out, weights = kv.attend(q, valid, return_weights=True)
         return ag.linear(out, p.wo, p.bo), list(weights)
-    return ag.linear(kv.attend(p.q, valid), p.wo, p.bo)
+    return ag.linear(kv.attend(q, valid), p.wo, p.bo)
 
 
 def _block(x, params, prefix, cfg, causal, past, drop_rng):
@@ -411,16 +433,20 @@ def _check_modes(modes) -> tuple[str, ...]:
 
 
 class DecoderCache:
-    """A decoder forward's state for one latent: its injection rows, and each layer's keys and values so far.
+    """A decoder forward's state for one latent or a batch of them: injection rows, and each layer's keys and values.
 
     The ``input`` row, the per-layer pseudo-self-attention key/value rows
-    and the ``softmax`` bias are computed from the latent here, once.  Each
-    layer's ``KVRows`` is preallocated to the latent row plus
-    ``max_seq_len`` positions, and the latent rows are its first rows;
-    ``stack_forward`` appends the rows of the tokens it is fed and advances
-    ``length``, the number of token positions consumed.  A cache is bound
-    to the parameter values it was built from; after a call through it
-    raises, its layers are out of step and it refuses further calls.
+    and the ``softmax`` bias are computed from the latent here, once.  A
+    (B, d') latent batch serves B sequences of equal length: its rows go
+    through the injection products as (B, 1, d') rows, each on its own.
+    Each layer's ``KVRows`` is preallocated to the latent row plus
+    ``cfg.max_seq_len`` positions, so a caller whose sequences stop sooner
+    passes a config whose ``max_seq_len`` is their reach; the latent rows
+    are its first rows.  ``stack_forward`` appends the rows of the tokens
+    it is fed and advances ``length``, the number of token positions
+    consumed.  A cache is bound to the parameter values it was built from;
+    after a call through it raises, its layers are out of step and it
+    refuses further calls.
     """
 
     def __init__(self, params: ParameterSet, cfg: ModelConfig, latent=None, modes: tuple[str, ...] = ()):
@@ -428,18 +454,20 @@ class DecoderCache:
         if modes and latent is None:
             raise ContractError("decoder with injection modes enabled needs a latent code")
         self.latent, self.modes, self.length = latent, modes, 0
+        self.batch = None if latent is None else latent.z.shape[:-1]
         self.input_row = self.softmax_bias = None
         z_slices: list[Tensor | None] = [None] * cfg.layers
         if modes:
             if latent.width != cfg.latent_dim:
                 raise ContractError(f"latent width {latent.width} does not match configured {cfg.latent_dim}")
+            z = latent.z if not self.batch else ag.reshape(latent.z, (*self.batch, 1, latent.width))
             if "input" in modes:
-                self.input_row = ag.linear(latent.z, params["inject.input.w"])
+                self.input_row = ag.linear(z, params["inject.input.w"])
             if "psa" in modes:
-                rows = ag.reshape(ag.linear(latent.z, params["inject.psa.w"]), (cfg.layers, cfg.d))
+                rows = ag.reshape(ag.linear(z, params["inject.psa.w"]), (*self.batch, cfg.layers, cfg.d))
                 z_slices = [ag.take_rows(rows, [i]) for i in range(cfg.layers)]
             if "softmax" in modes:
-                self.softmax_bias = ag.linear(latent.z, params["inject.softmax.w"])
+                self.softmax_bias = ag.linear(z, params["inject.softmax.w"])
         self.layers = [
             KVRows(cfg.heads, 1 + cfg.max_seq_len,
                    None if z is None else latent_kv(z, attention_params(params, f"dec.{i}")))
@@ -449,13 +477,26 @@ class DecoderCache:
 
 def _validate_tokens(tokens: np.ndarray, cfg: ModelConfig, start: int = 0) -> np.ndarray:
     tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.ndim != 1 or tokens.size < 1:
-        raise ContractError(f"tokens must be a nonempty 1-D sequence, got shape {tokens.shape}")
-    if start + tokens.size > cfg.max_seq_len:
-        raise ContractError(f"sequence of {start + tokens.size} tokens exceeds max_seq_len {cfg.max_seq_len}")
+    if tokens.ndim not in (1, 2) or tokens.shape[-1] < 1 or tokens.size < 1:
+        raise ContractError(f"tokens must be a nonempty (T,) sequence or (B, T) batch, got shape {tokens.shape}")
+    if start + tokens.shape[-1] > cfg.max_seq_len:
+        raise ContractError(f"sequence of {start + tokens.shape[-1]} tokens exceeds max_seq_len {cfg.max_seq_len}")
     if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
         raise IndexError(f"token id out of range for vocabulary size {cfg.vocab_size}")
     return tokens
+
+
+def length_groups(sequences) -> list[np.ndarray]:
+    """The indices of ``sequences`` split into batches of equal length, at most ``GROUP_ROWS`` each.
+
+    Groups come in the order their length first appears, and each keeps
+    its sequences in order, so a caller that scatters group results back
+    by index sees them in input order.
+    """
+    by_length: dict[int, list[int]] = {}
+    for i, seq in enumerate(sequences):
+        by_length.setdefault(len(seq), []).append(i)
+    return [np.array(ids[k:k + GROUP_ROWS]) for ids in by_length.values() for k in range(0, len(ids), GROUP_ROWS)]
 
 
 def stack_forward(
@@ -468,15 +509,17 @@ def stack_forward(
     drop_rng: np.random.Generator | None = None,
     cache: DecoderCache | None = None,
 ):
-    """Run the encoder or decoder stack.
+    """Run the encoder or decoder stack over (T,) tokens, or a (B, T) batch of equal-length sequences.
 
     Returns the final hidden states for the encoder, and (hidden, logits)
-    for the decoder.  ``modes`` selects which injection routes consume the
-    latent; the decoder requires a latent whenever any mode is active.
-    A decoder ``cache`` built for the same latent and modes makes
-    ``tokens`` the continuation of the tokens it has consumed: they sit
-    at positions ``cache.length`` onward, and hidden states and logits
-    cover them alone.  Without one the tokens start at position 0.
+    for the decoder, with a leading B axis for a batch.  ``modes``
+    selects which injection routes consume the latent; the decoder
+    requires a latent whenever any mode is active, and a batch takes a
+    (B, d') latent batch.  A decoder ``cache`` built for the same latent
+    and modes makes ``tokens`` the continuation of the tokens it has
+    consumed: they sit at positions ``cache.length`` onward, and hidden
+    states and logits cover them alone.  Without one the tokens start at
+    position 0.
     """
     if role not in ("encoder", "decoder"):
         raise ContractError(f"unknown stack role: {role}")
@@ -493,9 +536,14 @@ def stack_forward(
         raise ContractError("the decoder cache is out of step: an earlier call through it raised")
     start = cache.length if is_decoder else 0
     tokens = _validate_tokens(tokens, cfg, start)
+    if is_decoder:
+        if cache.batch is None:
+            cache.batch = tokens.shape[:-1]
+        elif cache.batch != tokens.shape[:-1]:
+            raise ContractError(f"tokens of shape {tokens.shape} do not match a cache for a batch of {cache.batch}")
 
     word = params["embed.word"]
-    positions = np.arange(start, start + tokens.size)
+    positions = np.arange(start, start + tokens.shape[-1])
     x = ag.add(ag.take_rows(word, tokens), ag.take_rows(params["embed.pos"], positions))
     if is_decoder and cache.input_row is not None:
         x = ag.add(x, cache.input_row)
@@ -512,7 +560,7 @@ def stack_forward(
     if not is_decoder:
         return x
 
-    cache.length = start + tokens.size
+    cache.length = start + tokens.shape[-1]
     logits = ag.linear(x, ag.transpose(word))
     if cache.softmax_bias is not None:
         logits = ag.add(logits, cache.softmax_bias)

@@ -344,12 +344,44 @@ OP_CASES = {
     "attention_valid": lambda t, u: _attention(
         t, u, query=_row(t, 0), mask=np.array([True, False, True, True, False, True])),
     "attention_cached": lambda t, u: _two_cached_calls(t, u),
+    # Rank 3: the (6, 8) inputs as a batch of two (3, 8) matrices.  ``transpose``
+    # only views a matrix transposed, so it has no batched case.
+    "add_rank3": lambda t, u: ag.add(ag.add(_rank3(t), ag.take_rows(u, [0, 1, 2])), ag.take_rows(_rank3(u), [1])),
+    "sub_rank3": lambda t, u: ag.sub(_rank3(t), _rank3(u)),
+    "mul_rank3": lambda t, u: ag.mul(_rank3(t), ag.take_rows(_rank3(u), [2])),
+    "neg_rank3": lambda t, u: ag.neg(_rank3(t)),
+    "exp_rank3": lambda t, u: ag.exp(ag.mul_scalar(_rank3(t), 0.5)),
+    "gelu_rank3": lambda t, u: ag.gelu(_rank3(t)),
+    "log_softmax_rank3": lambda t, u: ag.log_softmax(_rank3(t)),
+    "clamp_rank3": lambda t, u: ag.clamp(_rank3(t), -0.9, 0.9),
+    "reshape_rank3": lambda t, u: ag.reshape(_rank3(t), (3, 2, 8)),
+    "layer_norm_rank3": lambda t, u: ag.layer_norm(_rank3(t), _row(u, 0), _row(u, 1)),
+    "linear_rank3": lambda t, u: ag.linear(_rank3(t), ag.transpose(u)),
+    "linear_bias_rank3": lambda t, u: ag.linear(_rank3(t), ag.transpose(u), _row(ag.transpose(t), 0)),
+    "take_rows_rank3": lambda t, u: ag.add(ag.take_rows(_rank3(t), [2, 0]), ag.take_rows(u, [[0, 5], [3, 3]])),
+    "pick_rank3": lambda t, u: ag.pick(ag.log_softmax(_rank3(t)), np.array([[0, 7, 3], [3, 3, 1]])),
+    "attention_rank3": lambda t, u: _batched_attention(t, u),
+    "attention_shared_query_rank3": lambda t, u: _batched_attention(t, u, query=ag.take_rows(t, [5])),
 }
 
 
 def _row(a, i):
     """Row ``i`` of a matrix as a vector."""
     return ag.reshape(ag.take_rows(a, [i]), (a.shape[1],))
+
+
+def _rank3(a):
+    return ag.reshape(a, (2, 3, 8))
+
+
+def _batched_attention(t, u, query=None):
+    """Two sequences of three rows, each after its own latent row; causal unless one query row serves both."""
+    t3, u3 = _rank3(t), _rank3(u)
+    kv = tf.KVRows(2, 4, (ag.take_rows(u3, [0]), ag.take_rows(t3, [1])))
+    kv.append(u3, ag.mul(t3, u3))
+    if query is not None:
+        return kv.attend(query)
+    return kv.attend(t3, np.hstack([np.ones((3, 1), dtype=bool), np.tri(3, dtype=bool)]))
 
 
 def _attention(t, u, query=None, latent=False, mask=None):

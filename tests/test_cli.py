@@ -3,9 +3,12 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from storyvae import cli
+from storyvae import corpus as cp
+from storyvae import transformer as tf
 from storyvae.corpus import toy_corpus_path
 
 FAST_MODEL = [
@@ -189,6 +192,8 @@ class TestExitCodes:
         "manifest_optimizer_counts_not_int": lambda f: {"optimizer": dict(f["optimizer"], update_counts={"a": "1"})},
         "manifest_optimizer_rng_state_malformed": lambda f: {"optimizer": dict(f["optimizer"], rng_states=dict(
             f["optimizer"]["rng_states"], noise={"bit_generator": "PCG64", "state": -1}))},
+        "manifest_optimizer_cycle_length_zero": lambda f: {"optimizer": dict(f["optimizer"], cycle_length=0)},
+        "manifest_optimizer_cycle_length_not_int": lambda f: {"optimizer": dict(f["optimizer"], cycle_length="4")},
     }
 
     @pytest.mark.parametrize(
@@ -302,6 +307,44 @@ class TestVaeMode:
             assert sha(second / "checkpoint" / name) == sha(straight / "checkpoint" / name), name
         resumed_rows = (second / "metrics.csv").read_text().split("\n", 1)[1]
         assert (first / "metrics.csv").read_text() + resumed_rows == (straight / "metrics.csv").read_text()
+
+
+    def test_resume_without_a_cycle_flag_keeps_the_saved_cycle(self, workspace, tmp_path):
+        """A resumed run anneals on the checkpoint's cycle, not on a quarter of its own --train.steps."""
+        train = ["train", "--corpus", workspace["corpus"], "--vocab", workspace["vocab"]] + FAST_MODEL + FAST_TRAIN[4:]
+        straight, first, second = tmp_path / "straight", tmp_path / "first", tmp_path / "second"
+        cycle = ["--train.cycle-length", "6"]
+        assert cli.main(train + cycle + ["--train.steps", "24", "--out", str(straight)]) == 0
+        assert cli.main(train + cycle + ["--train.steps", "12", "--out", str(first)]) == 0
+        assert cli.main(train + ["--train.steps", "12", "--out", str(second), "--resume", str(first / "checkpoint")]) == 0
+        for name in ("params.bin", "optim.bin"):
+            assert sha(second / "checkpoint" / name) == sha(straight / "checkpoint" / name), name
+        resumed_rows = (second / "metrics.csv").read_text().split("\n", 1)[1]
+        assert (first / "metrics.csv").read_text() + resumed_rows == (straight / "metrics.csv").read_text()
+        assert "train.cycle-length = 6" in (second / "config.resolved").read_text()
+
+
+def test_eval_runs_one_forward_per_group_and_step(workspace, tmp_path, monkeypatch):
+    """Generation decodes each prompt-length group in lockstep, and scoring runs one forward per length group."""
+    shapes = []
+    forward = tf.stack_forward
+
+    def spy(tokens, *args, **kwargs):
+        shapes.append(np.shape(tokens))
+        return forward(tokens, *args, **kwargs)
+
+    monkeypatch.setattr(tf, "stack_forward", spy)
+    assert cli.main(
+        ["eval", "--corpus", workspace["corpus"], "--vocab", workspace["vocab"],
+         "--checkpoint", workspace["checkpoint"], "--out", str(tmp_path / "ev")] + FAST_SAMPLER
+    ) == 0
+    vocab = cp.Vocabulary.load(workspace["vocab"])
+    examples = cp.prepare_corpus(cp.load_corpus(workspace["corpus"]), vocab, 64)
+    prompt_groups = len(tf.length_groups([ex.prior_input for ex in examples]))
+    decoder_groups = len(tf.length_groups([ex.decoder_input for ex in examples]))
+    budget = int(FAST_SAMPLER[1])
+    assert prompt_groups > 1
+    assert len(shapes) <= prompt_groups * (budget + 1) + prompt_groups + decoder_groups
 
 
 def test_generate_latent_mean_flag(workspace, tmp_path):

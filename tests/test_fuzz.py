@@ -54,3 +54,17 @@ def test_arbitrary_bytes_parse_or_raise_documented_error(loader, blob):
             LOADERS[loader](path)
         except (cp.CorpusError, ContractError, cli.UsageError):
             pass
+
+
+# Fitted on the toy corpus plus text in other scripts, so merges span multi-byte characters too.
+FITTED = cp.fit_vocabulary(
+    [p.prompt_text + " " + p.story_text for p in cp.load_corpus(cp.toy_corpus_path())]
+    + ["naïve café déjà vu", "日本語の物語 物語", "сказка о море", "🙂🙂 emoji 🙂"] * 2,
+    320,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(text=st.text())
+def test_bpe_round_trips_arbitrary_unicode(text):
+    assert FITTED.decode(FITTED.encode(text)) == text

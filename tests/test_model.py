@@ -4,6 +4,7 @@ import pytest
 from storyvae import autograd as ag
 from storyvae import corpus as cp
 from storyvae import latent as lt
+from storyvae import model as md
 from storyvae import sampling as sp
 from storyvae import transformer as tf
 from storyvae.model import LossBreakdown, StoryVAE, read_tensor_file, write_tensor_file
@@ -218,6 +219,23 @@ class TestTapeSize:
         counts = [self.ops(monkeypatch, lambda t=t: model.decode_logits([t], latent, cache=cache)) for t in (5, 6)]
         assert counts[0] == counts[1] <= 60
 
+    def test_lockstep_step_costs_the_same_ops_at_any_batch(self, monkeypatch):
+        """One decode step of B stories in lockstep is one step of ops, however large B is."""
+        model = StoryVAE.create(ModelConfig(), seed=0)
+
+        def step_ops(b: int) -> int:
+            latent = sp.draw_latent(model, np.tile([1, 2, 3], (b, 1)), [sp.generation_rng(0, i) for i in range(b)])
+            cache = model.decoder_cache(latent)
+            model.decode_logits(np.tile([1, 2, 3, 4], (b, 1)), latent, cache=cache)
+            return self.ops(monkeypatch, lambda: model.decode_logits(np.full((b, 1), 5), latent, cache=cache))
+
+        single = StoryVAE.create(ModelConfig(), seed=0)
+        latent = sp.draw_latent(single, [1, 2, 3], sp.generation_rng(0, 0))
+        cache = single.decoder_cache(latent)
+        single.decode_logits([1, 2, 3, 4], latent, cache=cache)
+        alone = self.ops(monkeypatch, lambda: single.decode_logits([5], latent, cache=cache))
+        assert step_ops(8) == step_ops(1) == alone
+
     def test_train_step_at_the_acceptance_overfit_config(self, monkeypatch):
         pairs = cp.load_corpus(cp.toy_corpus_path())
         vocab = cp.fit_vocabulary([p.prompt_text for p in pairs] + [p.story_text for p in pairs], 512)
@@ -270,6 +288,34 @@ class TestCheckpoint:
         z = lt.LatentCode.external(np.random.default_rng(15).standard_normal(8))
         tokens = np.array([1, 2, 15, 3, 9])
         assert np.array_equal(model.decode_logits(tokens, z).data, loaded.decode_logits(tokens, z).data)
+
+    def test_failed_save_leaves_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        """A save that raises part-way, here writing optim.bin, changes no file of the checkpoint it replaces."""
+        trainer = Trainer(StoryVAE.create(toy_config(), seed=16), [toy_example()],
+                          TrainingSchedule(total_steps=4, batch_size=1))
+        trainer.train_step([0])
+        ckpt = tmp_path / "ckpt"
+        trainer.save_checkpoint(ckpt)
+        before = {p.name: p.read_bytes() for p in ckpt.iterdir()}
+        trainer.train_step([0])
+        calls, write = [], md.write_tensor_file
+
+        def failing_write(path, *args, **kwargs):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            write(path, *args, **kwargs)
+
+        monkeypatch.setattr(md, "write_tensor_file", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            trainer.save_checkpoint(ckpt)
+        assert {p.name: p.read_bytes() for p in ckpt.iterdir()} == before
+        loaded, manifest = StoryVAE.load(ckpt)
+        assert manifest["step"] == 1
+        monkeypatch.undo()
+        trainer.save_checkpoint(ckpt)
+        assert StoryVAE.load(ckpt)[1]["step"] == 2
+        assert sorted(p.name for p in ckpt.iterdir()) == sorted(before)
 
     def test_truncated_float64_record_rejected(self, tmp_path):
         path = tmp_path / "t.bin"

@@ -288,7 +288,9 @@ def test_schedule_validation():
     with pytest.raises(ContractError):
         TrainingSchedule(total_steps=0)
     with pytest.raises(ContractError):
-        TrainingSchedule(total_steps=10, cycle_length=20)
+        TrainingSchedule(total_steps=10, cycle_length=0)
+    # A cycle longer than the run is how a short resume continues its checkpoint's cycle.
+    assert TrainingSchedule(total_steps=10, cycle_length=20).cycle_length == 20
     with pytest.raises(ContractError):
         TrainingSchedule(total_steps=10, freeze_steps=-1)
     with pytest.raises(ContractError):
