@@ -30,13 +30,14 @@ zero = lt.LatentCode.external(np.zeros(16, dtype=np.float32))
 out = model.decode_logits(tokens, zero, modes=("input", "psa", "softmax")).data
 print("zeroed injections are bit-identical to baseline:", np.array_equal(out, base))
 
-# Pseudo self-attention exposes its augmented key/value geometry: one latent
-# row is prefixed, queries stay token-only, and the causal mask never blocks
-# the latent column.
+# Pseudo self-attention exposes its augmented key/value geometry: the latent
+# row's key and value are the first rows of the layer's KVRows, queries stay
+# token-only, and the causal mask never blocks the latent column.
 p = tf.attention_params(StoryVAE.create(cfg, seed=8).params, "dec.0")
 x = Tensor(np.random.default_rng(1).standard_normal((4, 32)).astype(np.float32))
-z_slice = Tensor(np.random.default_rng(2).standard_normal((1, 32)).astype(np.float32))
-out, weights = tf.multi_head_attention(x, p, n_heads=4, causal=True, z_slice=z_slice, return_weights=True)
+z_row = Tensor(np.random.default_rng(2).standard_normal((1, 32)).astype(np.float32))
+rows = tf.KVRows(4, 1 + x.shape[0], tf.latent_kv(z_row, p))
+out, weights = tf.multi_head_attention(x, p, n_heads=4, causal=True, past=rows, return_weights=True)
 print("PSA: output rows =", out.shape[0], "| weight matrices =", len(weights),
       "(one per head) | key columns =", weights[0].shape[1], "(1 + tokens)")
 print("latent column weights, head 0:", np.round(weights[0][:, 0], 3))

@@ -11,12 +11,14 @@ sets it, for its own backward only.  Arrays are ``float32`` by default
 ``float64`` exists solely so finite-difference gradient checks are not
 drowned by rounding.  Every forward operation verifies its output is
 finite and raises ``NumericsError`` otherwise instead of letting NaN or
-Inf propagate silently.
+Inf propagate silently.  That check, in ``_make``, is the one numerics
+gate: no op silences numpy's warnings, so an overflow may warn before it
+raises, and one whose output is finite (``gelu``'s cube) is no error.
 
 Ops that work on rows (``add``, ``linear``, ``layer_norm``, ``gelu``,
-``attention``, ``log_softmax``, ``pick``, ``take_rows``) also take
-leading batch axes: a batch of equal-length sequences runs as one node
-per op, and each batch entry is computed exactly as it would be alone.
+``attention``, ``log_softmax``, ``pick``, ``take_rows``, ``cross_entropy``)
+also take leading batch axes: a batch of equal-length sequences runs as one
+node per op, and each batch entry is computed exactly as it would be alone.
 
 Per-op Python overhead, not arithmetic, bounds small models, so the
 transformer's hot paths use two fused ops: ``linear`` (a product plus
@@ -161,8 +163,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if not _binary_shapes_ok(a, b):
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        data = a.data * b.data
+    data = a.data * b.data
 
     def backward(g):
         if a.requires_grad:
@@ -211,8 +212,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeError(f"linear: cannot apply a {wd.shape} weight to shape {xd.shape}")
     if b is not None and b.data.shape != wd.shape[1:]:
         raise ShapeError(f"linear: bias shape {b.shape} does not match weight {wd.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        data = xd @ wd if b is None else xd @ wd + b.data
+    data = xd @ wd if b is None else xd @ wd + b.data
     vector = xd.ndim == 1
 
     def backward(g):
@@ -278,8 +278,7 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        data = np.exp(a.data)
+    data = np.exp(a.data)
 
     def backward(g):
         if a.requires_grad:
@@ -341,28 +340,27 @@ def attention(q: Tensor, keys_t: np.ndarray, values: np.ndarray, segments, mask=
         raise ShapeError(f"attention: queries {q.shape} do not fit keys {keys_t.shape} and values {values.shape}")
     qh = q.data.reshape(q.shape[:-1] + (h, dh) if not vector else (1, h, dh)).swapaxes(-3, -2)
     scale = 1.0 / math.sqrt(dh)
-    with np.errstate(over="ignore", invalid="ignore"):
+    try:
+        scores = (qh @ keys_t) * scale
+    except ValueError:
+        raise ShapeError(f"attention: query batch {q.shape} does not broadcast to keys {keys_t.shape}") from None
+    _check_finite(scores, "attention")
+    if mask is None:
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    else:
         try:
-            scores = (qh @ keys_t) * scale
+            mask = np.broadcast_to(np.asarray(mask, dtype=bool), scores.shape)
         except ValueError:
-            raise ShapeError(f"attention: query batch {q.shape} does not broadcast to keys {keys_t.shape}") from None
-        _check_finite(scores, "attention")
-        if mask is None:
-            e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        else:
-            try:
-                mask = np.broadcast_to(np.asarray(mask, dtype=bool), scores.shape)
-            except ValueError:
-                raise ShapeError(f"attention: mask shape {np.shape(mask)} does not broadcast to {(lq, n)}") from None
-            if not mask.any(axis=-1).all():
-                raise ShapeError("attention: a query has no unmasked key")
-            shifted = np.where(mask, scores, -np.inf)
-            shifted = shifted - shifted.max(axis=-1, keepdims=True)
-            e = np.where(mask, np.exp(shifted), 0.0)
-        probs = e / e.sum(axis=-1, keepdims=True)
-        batch = probs.shape[:-3]
-        out_shape = batch + ((d,) if vector else (lq, d))
-        data = (probs @ values).swapaxes(-3, -2).reshape(out_shape)
+            raise ShapeError(f"attention: mask shape {np.shape(mask)} does not broadcast to {(lq, n)}") from None
+        if not mask.any(axis=-1).all():
+            raise ShapeError("attention: a query has no unmasked key")
+        shifted = np.where(mask, scores, -np.inf)
+        shifted = shifted - shifted.max(axis=-1, keepdims=True)
+        e = np.where(mask, np.exp(shifted), 0.0)
+    probs = e / e.sum(axis=-1, keepdims=True)
+    batch = probs.shape[:-3]
+    out_shape = batch + ((d,) if vector else (lq, d))
+    data = (probs @ values).swapaxes(-3, -2).reshape(out_shape)
 
     def backward(g):
         gh = g.reshape(batch + (lq, h, dh)).swapaxes(-3, -2)
@@ -427,13 +425,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(f"layer_norm: gain/bias must have shape ({d},)")
     if eps <= 0:
         raise ValueError("layer_norm: eps must be positive")
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu = x.data.sum(axis=-1, keepdims=True) / d
-        centered = x.data - mu
-        var = (centered**2).sum(axis=-1, keepdims=True) / d
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat = centered * inv
-        data = gain.data * xhat + bias.data
+    mu = x.data.sum(axis=-1, keepdims=True) / d
+    centered = x.data - mu
+    var = (centered**2).sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    data = gain.data * xhat + bias.data
 
     def backward(g):
         if gain.requires_grad:
@@ -467,19 +464,20 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> tuple[Tensor, np.ndarray]:
-    """Summed negative log-likelihood in nats over unmasked positions.
+    """Summed negative log-likelihood in nats over unmasked positions of (..., T, V) logits.
 
     Returns the scalar loss (on the tape) together with a detached copy of
-    the per-position losses. Raises if every position is masked or any
-    target id falls outside the vocabulary.
+    the (..., T) per-position losses, each with the bits its row alone
+    gives. Raises if every position is masked or any target id falls
+    outside the vocabulary.
     """
     targets = np.asarray(targets, dtype=np.int64)
     mask = np.asarray(mask, dtype=bool)
-    if logits.data.ndim != 2:
+    if logits.data.ndim < 2:
         raise ShapeError(f"cross_entropy: logits must be positions x vocabulary, got {logits.shape}")
-    t, v = logits.shape
-    if targets.shape != (t,) or mask.shape != (t,):
-        raise ShapeError(f"cross_entropy: targets/mask must have shape ({t},)")
+    v = logits.shape[-1]
+    if targets.shape != logits.shape[:-1] or mask.shape != logits.shape[:-1]:
+        raise ShapeError(f"cross_entropy: targets/mask must have shape {logits.shape[:-1]}")
     if targets.size and (targets.min() < 0 or targets.max() >= v):
         raise IndexError(f"cross_entropy: target id out of range for vocabulary size {v}")
     if not mask.any():

@@ -8,8 +8,15 @@ recorded seeds makes every run reproducible bit-for-bit.  The
 STORYVAE_OUT environment variable, when set, overrides the output
 directory.
 
+Commands that read a checkpoint (generate, eval, encode, control and
+train --resume) share one loader.  A resumed run takes its model config
+and mode from the checkpoint; a ``model.*`` key or ``mode`` given that
+contradicts it is a usage error (``model.vocab-size`` aside: the
+vocabulary sets it).
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical abort
-or failed self-check.
+or failed self-check.  Commands run with numpy's overflow and invalid
+warnings off: every op's own finiteness check raises instead.
 """
 
 from __future__ import annotations
@@ -117,24 +124,29 @@ def _coerce(key: str, raw: str):
         raise UsageError(f"bad value for {key}: {raw!r}") from e
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
-    """Defaults, then config file, then flags; flags win."""
-    resolved = {key: default for key, (_, default) in CONFIG_SCHEMA.items()}
+def _given_config(args: argparse.Namespace) -> dict:
+    """The keys the config file, the flags and STORYVAE_OUT set; flags win over the file."""
+    given = {}
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.exists():
             raise UsageError(f"config file not found: {path}")
         for key, raw in parse_config_file(path).items():
-            resolved[key] = _coerce(key, raw)
+            given[key] = _coerce(key, raw)
     ns = vars(args)
     for key in CONFIG_SCHEMA:
         value = ns.get(key)
         if value is not None and value is not False:
-            resolved[key] = value
+            given[key] = value
     env_out = os.environ.get("STORYVAE_OUT")
     if env_out:
-        resolved["out"] = env_out
-    return resolved
+        given["out"] = env_out
+    return given
+
+
+def resolve_config(args: argparse.Namespace) -> dict:
+    """Defaults, then config file, then flags; flags win."""
+    return {**{key: default for key, (_, default) in CONFIG_SCHEMA.items()}, **_given_config(args)}
 
 
 def config_snapshot(resolved: dict) -> str:
@@ -202,23 +214,36 @@ def _prepare_out(resolved: dict) -> Path:
     return out
 
 
-def _load_vocab_corpus(resolved: dict, max_len: int):
+def _load_run(resolved: dict, checkpoint: str, corpus: bool = True):
+    """``checkpoint``'s model and manifest, the vocabulary of its size, and the examples at its max_seq_len (or None)."""
+    model, manifest = StoryVAE.load(checkpoint)
     vocab = cp.Vocabulary.load(resolved["vocab"])
-    pairs = cp.load_corpus(resolved["corpus"])
-    return vocab, cp.prepare_corpus(pairs, vocab, max_len)
-
-
-def _load_model(resolved: dict) -> StoryVAE:
-    _require(resolved, "checkpoint")
-    model, _ = StoryVAE.load(resolved["checkpoint"])
-    return model
-
-
-def _check_vocab(vocab: cp.Vocabulary, model: StoryVAE) -> None:
     if vocab.size != model.config.vocab_size:
         raise ContractError(
             f"the vocabulary has {vocab.size} tokens but the checkpoint's model has {model.config.vocab_size}"
         )
+    examples = cp.prepare_corpus(cp.load_corpus(resolved["corpus"]), vocab, model.config.max_seq_len) if corpus else None
+    return model, manifest, vocab, examples
+
+
+def _resumed_config(resolved: dict, given: dict, model: StoryVAE, manifest: dict) -> dict:
+    """``resolved`` with the checkpoint's ``mode`` and ``model.*`` keys, and its cycle unless one is given.
+
+    A given key that contradicts the checkpoint raises ``UsageError``;
+    ``model.vocab-size`` is exempt, since the vocabulary decides it.
+    """
+    saved = {f"model.{k.replace('_', '-')}": v for k, v in model.config.to_dict().items()}
+    saved = {"mode": model.mode, "model.inject": ",".join(saved.pop("model.injection-modes")), **saved}
+    for key, value in given.items():
+        if key == "model.inject":
+            value = ",".join(m for m in value.split(",") if m)
+        if key in saved and key != "model.vocab-size" and value != saved[key]:
+            raise UsageError(f"--{key} {value} contradicts the checkpoint's {saved[key]}; a resumed run keeps its model")
+    # Without --train.cycle-length a resumed run keeps the annealing cycle it was saved with.
+    saved_cycle = (manifest["optimizer"] or {}).get("cycle_length")
+    if not resolved["train.cycle-length"] and saved_cycle:
+        saved["train.cycle-length"] = saved_cycle
+    return {**resolved, **saved}
 
 
 def cmd_vocab(resolved: dict) -> int:
@@ -232,27 +257,20 @@ def cmd_vocab(resolved: dict) -> int:
     return EXIT_OK
 
 
-def cmd_train(resolved: dict, resume: str | None) -> int:
+def cmd_train(resolved: dict, resume: str | None, given: dict) -> int:
     _require(resolved, "corpus", "vocab")
     if resume:
-        model, manifest = StoryVAE.load(resume)
-        # Without --train.cycle-length a resumed run keeps the annealing cycle it was saved with.
-        saved_cycle = (manifest["optimizer"] or {}).get("cycle_length")
-        if not resolved["train.cycle-length"] and saved_cycle:
-            resolved = {**resolved, "train.cycle-length": saved_cycle}
-    out = _prepare_out(resolved)
-    cfg = model_config_from(resolved)
-    vocab, examples = _load_vocab_corpus(resolved, cfg.max_seq_len)
-    if vocab.size != cfg.vocab_size:
-        cfg = ModelConfig.from_dict({**cfg.to_dict(), "vocab_size": vocab.size})
-    schedule = schedule_from(resolved)
-    if resume:
-        _check_vocab(vocab, model)
-        trainer = Trainer(model, examples, schedule, separator_id=vocab.separator_id)
-        trainer.load_optimizer_state(resume, manifest)
+        model, manifest, vocab, examples = _load_run(resolved, resume)
+        resolved = _resumed_config(resolved, given, model, manifest)
     else:
-        model = StoryVAE.create(cfg, seed=schedule.seed, mode=resolved["mode"])
-        trainer = Trainer(model, examples, schedule, separator_id=vocab.separator_id)
+        vocab = cp.Vocabulary.load(resolved["vocab"])
+        examples = cp.prepare_corpus(cp.load_corpus(resolved["corpus"]), vocab, resolved["model.max-seq-len"])
+        cfg = model_config_from({**resolved, "model.vocab-size": vocab.size})
+        model = StoryVAE.create(cfg, seed=resolved["train.seed"], mode=resolved["mode"])
+    out = _prepare_out(resolved)
+    trainer = Trainer(model, examples, schedule_from(resolved), separator_id=vocab.separator_id)
+    if resume:
+        trainer.load_optimizer_state(resume, manifest)
     checkpoint_dir = out / "checkpoint"
     # Stored relative to the checkpoint so identical runs produce identical bytes.
     vocab_ref = os.path.relpath(resolved["vocab"], checkpoint_dir)
@@ -287,11 +305,9 @@ def _story_records(resolved: dict, model: StoryVAE, vocab: cp.Vocabulary, exampl
 
 
 def cmd_generate(resolved: dict) -> int:
-    _require(resolved, "corpus", "vocab")
+    _require(resolved, "corpus", "vocab", "checkpoint")
     out = _prepare_out(resolved)
-    model = _load_model(resolved)
-    vocab, examples = _load_vocab_corpus(resolved, model.config.max_seq_len)
-    _check_vocab(vocab, model)
+    model, _, vocab, examples = _load_run(resolved, resolved["checkpoint"])
     records = _story_records(resolved, model, vocab, examples)
     _write_stories(out / "stories.jsonl", records)
     print(f"{len(records)} stories written to {out / 'stories.jsonl'}")
@@ -299,13 +315,11 @@ def cmd_generate(resolved: dict) -> int:
 
 
 def cmd_control(resolved: dict, prompt_a: str, prompt_b: str) -> int:
-    _require(resolved, "vocab")
+    _require(resolved, "vocab", "checkpoint")
     if not prompt_a or not prompt_b:
         raise UsageError("control needs --prompt-a and --prompt-b")
     out = _prepare_out(resolved)
-    model = _load_model(resolved)
-    vocab = cp.Vocabulary.load(resolved["vocab"])
-    _check_vocab(vocab, model)
+    model, _, vocab, _ = _load_run(resolved, resolved["checkpoint"], corpus=False)
     sampler = sampler_from(resolved)
     tokens_a = vocab.encode(prompt_a)
     tokens_b = vocab.encode(prompt_b)
@@ -326,22 +340,18 @@ def cmd_control(resolved: dict, prompt_a: str, prompt_b: str) -> int:
 
 
 def cmd_encode(resolved: dict) -> int:
-    _require(resolved, "corpus", "vocab")
+    _require(resolved, "corpus", "vocab", "checkpoint")
     out = _prepare_out(resolved)
-    model = _load_model(resolved)
-    vocab, examples = _load_vocab_corpus(resolved, model.config.max_seq_len)
-    _check_vocab(vocab, model)
+    model, _, vocab, examples = _load_run(resolved, resolved["checkpoint"])
     n = ev.export_latents(model, examples, resolved["encode.which"], out / "latents.tsv")
     print(f"{n} latent rows written to {out / 'latents.tsv'}")
     return EXIT_OK
 
 
 def cmd_eval(resolved: dict) -> int:
-    _require(resolved, "corpus", "vocab")
+    _require(resolved, "corpus", "vocab", "checkpoint")
     out = _prepare_out(resolved)
-    model = _load_model(resolved)
-    vocab, examples = _load_vocab_corpus(resolved, model.config.max_seq_len)
-    _check_vocab(vocab, model)
+    model, _, vocab, examples = _load_run(resolved, resolved["checkpoint"])
     records = _story_records(resolved, model, vocab, examples)
     report = ev.evaluate(model, examples, [r["story"] for r in records])
     _write_stories(out / "stories.jsonl", records)
@@ -379,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
         if command == "train":
             p.add_argument(
                 "--resume", default=None,
-                help="checkpoint directory to resume from; --train.steps then counts the additional steps, "
+                help="checkpoint directory to resume from; the model and mode are the checkpoint's, "
+                     "--train.steps then counts the additional steps, "
                      "and the annealing cycle is the checkpoint's unless --train.cycle-length is given",
             )
         if command == "control":
@@ -396,20 +407,21 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if e.code == 0 else EXIT_USAGE
     try:
         resolved = resolve_config(args)
-        if args.command == "selftest":
-            return cmd_selftest()
-        if args.command == "vocab":
-            return cmd_vocab(resolved)
-        if args.command == "train":
-            return cmd_train(resolved, getattr(args, "resume", None))
-        if args.command == "generate":
-            return cmd_generate(resolved)
-        if args.command == "control":
-            return cmd_control(resolved, getattr(args, "prompt_a", None), getattr(args, "prompt_b", None))
-        if args.command == "encode":
-            return cmd_encode(resolved)
-        if args.command == "eval":
-            return cmd_eval(resolved)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.command == "selftest":
+                return cmd_selftest()
+            if args.command == "vocab":
+                return cmd_vocab(resolved)
+            if args.command == "train":
+                return cmd_train(resolved, getattr(args, "resume", None), _given_config(args))
+            if args.command == "generate":
+                return cmd_generate(resolved)
+            if args.command == "control":
+                return cmd_control(resolved, getattr(args, "prompt_a", None), getattr(args, "prompt_b", None))
+            if args.command == "encode":
+                return cmd_encode(resolved)
+            if args.command == "eval":
+                return cmd_eval(resolved)
         raise UsageError(f"unknown command: {args.command}")
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

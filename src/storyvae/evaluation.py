@@ -148,9 +148,9 @@ def corpus_nll(model: StoryVAE, examples) -> tuple[float, int, int]:
         batch = [examples[i] for i in group]
         latent = lt.LatentCode(Tensor(means[group]), lt.LatentSource.PRIOR_MEAN)
         logits = model.decode_logits(np.stack([ex.decoder_input for ex in batch]), latent)
-        per_position = ag.neg(ag.pick(ag.log_softmax(logits), np.stack([ex.targets for ex in batch])))
-        mask = np.stack([ex.loss_mask for ex in batch]).astype(model.dtype)
-        nlls[group] = (per_position.data * mask).sum(axis=-1)
+        mask = np.stack([ex.loss_mask for ex in batch])
+        _, per_position = ag.cross_entropy(logits, np.stack([ex.targets for ex in batch]), mask)
+        nlls[group] = (per_position * mask.astype(model.dtype)).sum(axis=-1)
     total = 0.0
     for nll in nlls:
         total += float(nll)

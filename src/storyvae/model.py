@@ -337,8 +337,8 @@ def read_tensor_file(path, dtype: str = "<f4") -> list[tuple[str, np.ndarray]]:
     """Parse the records ``write_tensor_file`` writes with the same ``dtype``.
 
     A ``dtype`` other than ``<f4`` or ``<f8``, a blob that ends inside a
-    record, including stray trailing bytes, or a name that is not UTF-8
-    raises ``ContractError``.
+    record, including stray trailing bytes, a name that is not UTF-8, or a
+    NaN or Inf value raises ``ContractError``.
     """
     if dtype not in ("<f4", "<f8"):
         raise ContractError(f"{path}: tensor dtype must be '<f4' or '<f8', got {dtype!r}")
@@ -363,5 +363,7 @@ def read_tensor_file(path, dtype: str = "<f4") -> list[tuple[str, np.ndarray]]:
         (rank,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
         arr = np.frombuffer(take(dtype.itemsize * math.prod(shape)), dtype=dtype).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise ContractError(f"{path}: tensor {name!r} holds non-finite values")
         out.append((name, arr.astype(dtype.type)))
     return out

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import ParameterSet
-from .model import RNG_STREAMS, StoryVAE
+from .model import RNG_STREAMS, StoryVAE, read_tensor_file
 from .transformer import ContractError
 
 METRICS_HEADER = "step,loss,recon,kl,beta,grad_norm"
@@ -279,15 +279,18 @@ class Trainer:
                         optimizer_payload=payload)
 
     def load_optimizer_state(self, directory, manifest: dict) -> None:
-        from .model import read_tensor_file
-
         info = manifest.get("optimizer")
         if not info:
             return
-        arrays = dict(read_tensor_file(Path(directory) / info["payload"], manifest.get("dtype", "<f4")))
-        for name in self.model.params.names():
-            self.optimizer.m[name] = arrays[f"adam.m.{name}"].astype(self.model.dtype)
-            self.optimizer.v[name] = arrays[f"adam.v.{name}"].astype(self.model.dtype)
+        path = Path(directory) / info["payload"]
+        arrays = dict(read_tensor_file(path, manifest.get("dtype", "<f4")))
+        for name, param in self.model.params.items():
+            for moment in ("m", "v"):
+                saved = arrays[f"adam.{moment}.{name}"]
+                if saved.shape != param.shape:
+                    raise ContractError(f"{path}: tensor 'adam.{moment}.{name}' has shape {saved.shape}, "
+                                        f"its parameter {param.shape}")
+                getattr(self.optimizer, moment)[name] = saved.astype(self.model.dtype)
         self.optimizer.t.update({n: int(c) for n, c in info["update_counts"].items()})
         states = info.get("rng_states")
         if states:  # a checkpoint written before the streams were saved restarts them from the seed

@@ -12,12 +12,15 @@ Three latent injection routes exist for the decoder:
            key/value row inside each attention (queries stay token-only),
   softmax: a shared head projects the latent to a logit vector that is
            added to the pre-softmax logits at every position.
-An exactly-all-zero per-layer latent slice injects nothing, so zeroed
+An exactly-all-zero per-layer latent row injects nothing, so zeroed
 injection projections leave the latent-free forward bit-identical.
 
 Projections are ``ag.linear`` nodes, and every attention, pooling
 included, is one ``ag.attention`` node over ``KVRows``: per-head key and
 value stacks, preallocated, that each call appends its new rows to.
+``KVRows`` is the only way the latent row and the length limit reach an
+attention: the latent's key/value rows are its first rows, and its
+capacity refuses rows beyond the configured length.
 The decoder forward runs over a ``DecoderCache``: the latent's injection
 rows, computed once, and each layer's ``KVRows`` so far.  A full-prefix
 call builds a fresh cache and feeds every token; incremental decoding
@@ -308,24 +311,25 @@ class KVRows:
         return ag.attention(q, self.keys_t[..., :n], self.values[..., :n, :], tuple(self.segments), mask, return_weights)
 
 
-def latent_kv(z_slice: Tensor, p: AttentionParams) -> tuple[Tensor, Tensor] | None:
-    """The pseudo self-attention key and value rows of a (1, d) per-layer latent slice, or (B, 1, d) for B latents.
+def latent_kv(z: Tensor, p: AttentionParams) -> tuple[Tensor, Tensor] | None:
+    """The pseudo self-attention key and value rows of a (1, d) per-layer latent row, or (B, 1, d) for B latents.
 
-    An exactly-zero slice injects nothing and gives no rows; zeroed
-    projections then leave the latent-free path bit-identical.  A batch
-    must be all zero or all nonzero, since its rows share one cache.
+    They are the first rows of the layer's ``KVRows``.  An exactly-zero
+    row injects nothing and gives no rows; zeroed projections then leave
+    the latent-free path bit-identical.  A batch must be all zero or all
+    nonzero, since its rows share one cache.
     """
     d = p.wq.shape[0]
-    if z_slice.shape[-2:] != (1, d) or z_slice.data.ndim > 3:
-        raise ag.ShapeError(f"latent slice shape {z_slice.shape} does not match one row of model width {d}")
-    nonzero = np.any(z_slice.data != 0.0, axis=(-2, -1))
+    if z.shape[-2:] != (1, d) or z.data.ndim > 3:
+        raise ag.ShapeError(f"latent row shape {z.shape} does not match one row of model width {d}")
+    nonzero = np.any(z.data != 0.0, axis=(-2, -1))
     if not nonzero.any():
         return None
     if not nonzero.all():
-        raise ContractError("a batch of latent slices mixes exactly-zero and nonzero rows")
+        raise ContractError("a batch of latent rows mixes exactly-zero and nonzero rows")
     if not p.has_psa:
-        raise ContractError("latent slice given but this layer has no latent key/value projections")
-    return ag.linear(z_slice, p.psa_wk, p.psa_bk), ag.linear(z_slice, p.psa_wv, p.psa_bv)
+        raise ContractError("latent row given but this layer has no latent key/value projections")
+    return ag.linear(z, p.psa_wk, p.psa_bk), ag.linear(z, p.psa_wv, p.psa_bv)
 
 
 def multi_head_attention(
@@ -333,8 +337,6 @@ def multi_head_attention(
     p: AttentionParams,
     n_heads: int,
     causal: bool,
-    max_seq_len: int | None = None,
-    z_slice: Tensor | None = None,
     return_weights: bool = False,
     past: KVRows | None = None,
 ):
@@ -342,27 +344,20 @@ def multi_head_attention(
 
     The per-head scale is 1/sqrt(d/H).  Keys and values are ``past``'s
     rows followed by those of ``x``, which are appended to ``past``, so
-    the next call attends over them too.  Queries come from ``x`` only;
-    the causal mask orders the rows of ``x`` among themselves and never
-    blocks a ``past`` row, so a single new row needs no mask.
-    ``z_slice`` is one (1, d) per-layer latent row, or (B, 1, d) for a
-    batch, for pseudo self-attention, given instead of ``past``: its key
-    and value projections (``latent_kv``) become the first rows.  With
-    ``return_weights`` the per-head (queries, keys) weight matrices
-    follow the output.
+    the next call attends over them too.  ``past`` is the one way in for
+    the pseudo-self-attention latent row, ``KVRows(H, capacity,
+    latent_kv(z, p))``, and its capacity is the length limit.  Queries
+    come from ``x`` only; the causal mask orders the rows of ``x`` among
+    themselves and never blocks a ``past`` row, so a single new row needs
+    no mask.  With ``return_weights`` the per-head (queries, keys) weight
+    matrices follow the output.
     """
     l = x.shape[-2]
     if l < 1:
         raise ContractError("attention needs at least one position")
     if past is None:
-        latent = None if z_slice is None else latent_kv(z_slice, p)
-        past = KVRows(n_heads, l + (latent is not None), latent)
-    elif z_slice is not None:
-        raise ContractError("give the latent slice or the past key/value rows, not both")
+        past = KVRows(n_heads, l)
     n_past = past.rows
-    positions = n_past - past.latent + l
-    if max_seq_len is not None and positions > max_seq_len:
-        raise ContractError(f"sequence of {positions} positions exceeds the maximum {max_seq_len}")
     q = ag.linear(x, p.wq, p.bq)
     past.append(ag.linear(x, p.wk), ag.linear(x, p.wv, p.bv))
 
@@ -376,43 +371,30 @@ def multi_head_attention(
     return ag.linear(past.attend(q, mask), p.wo, p.bo)
 
 
-def attention_average(
-    hseq: Tensor,
-    p: PoolingParams,
-    n_heads: int,
-    valid: np.ndarray | None = None,
-    return_weights: bool = False,
-):
-    """Pool a variable-length sequence into one vector with a learnable query.
+def attention_average(hseq: Tensor, p: PoolingParams, n_heads: int, return_weights: bool = False):
+    """Pool a sequence into one vector with a learnable query.
 
     ``hseq`` is one (T, d) sequence, pooled to a (d,) vector, or a
     (B, T, d) batch of equal-length sequences, pooled to (B, 1, d): one
-    row per sequence, so each goes through its own output product.
-    ``valid`` optionally marks real rows; padding rows are masked out of
-    the softmax so they receive exactly zero attention.
+    row per sequence, so each goes through its own output product.  There
+    is no padding mask: a batch holds sequences of one length.
     """
     l, d = hseq.shape[-2:]
     if l < 1:
         raise ContractError("cannot pool an empty sequence")
-    if valid is not None:
-        valid = np.asarray(valid, dtype=bool)
-        if valid.shape != (l,):
-            raise ag.ShapeError(f"valid mask shape {valid.shape} does not match sequence length {l}")
-        if not valid.any():
-            raise ContractError("cannot pool a fully masked sequence")
     kv = KVRows(n_heads, l)
     kv.append(ag.linear(hseq, p.wk), ag.linear(hseq, p.wv, p.bv))
     q = p.q if hseq.data.ndim == 2 else ag.reshape(p.q, (1, d))
     if return_weights:
-        out, weights = kv.attend(q, valid, return_weights=True)
+        out, weights = kv.attend(q, return_weights=True)
         return ag.linear(out, p.wo, p.bo), list(weights)
-    return ag.linear(kv.attend(q, valid), p.wo, p.bo)
+    return ag.linear(kv.attend(q), p.wo, p.bo)
 
 
 def _block(x, params, prefix, cfg, causal, past, drop_rng):
     p = attention_params(params, prefix)
     h = ag.layer_norm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"], LN_EPS)
-    attn_out = multi_head_attention(h, p, cfg.heads, causal, max_seq_len=cfg.max_seq_len, past=past)
+    attn_out = multi_head_attention(h, p, cfg.heads, causal, past=past)
     if drop_rng is not None:
         attn_out = ag.dropout(attn_out, cfg.dropout, drop_rng)
     x = ag.add(x, attn_out)
@@ -456,7 +438,7 @@ class DecoderCache:
         self.latent, self.modes, self.length = latent, modes, 0
         self.batch = None if latent is None else latent.z.shape[:-1]
         self.input_row = self.softmax_bias = None
-        z_slices: list[Tensor | None] = [None] * cfg.layers
+        z_rows: list[Tensor | None] = [None] * cfg.layers
         if modes:
             if latent.width != cfg.latent_dim:
                 raise ContractError(f"latent width {latent.width} does not match configured {cfg.latent_dim}")
@@ -465,13 +447,13 @@ class DecoderCache:
                 self.input_row = ag.linear(z, params["inject.input.w"])
             if "psa" in modes:
                 rows = ag.reshape(ag.linear(z, params["inject.psa.w"]), (*self.batch, cfg.layers, cfg.d))
-                z_slices = [ag.take_rows(rows, [i]) for i in range(cfg.layers)]
+                z_rows = [ag.take_rows(rows, [i]) for i in range(cfg.layers)]
             if "softmax" in modes:
                 self.softmax_bias = ag.linear(z, params["inject.softmax.w"])
         self.layers = [
             KVRows(cfg.heads, 1 + cfg.max_seq_len,
                    None if z is None else latent_kv(z, attention_params(params, f"dec.{i}")))
-            for i, z in enumerate(z_slices)
+            for i, z in enumerate(z_rows)
         ]
 
 

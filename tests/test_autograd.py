@@ -205,6 +205,23 @@ class TestCrossEntropy:
         total, per = ag.cross_entropy(Tensor(logits), targets, mask)
         assert np.isclose(float(total.data), per[mask].sum(), atol=1e-6)
 
+    def test_batch_matches_rows(self):
+        """A (B, T, V) batch gives each row's per-position bits, and a total over every row."""
+        rng = np.random.default_rng(9)
+        logits = rng.standard_normal((3, 5, 7))
+        targets = rng.integers(0, 7, size=(3, 5))
+        mask = rng.random((3, 5)) < 0.6
+        mask[:, 0] = True
+        total, per = ag.cross_entropy(Tensor(logits), targets, mask)
+        rows = [ag.cross_entropy(Tensor(logits[b]), targets[b], mask[b]) for b in range(3)]
+        assert per.shape == (3, 5)
+        for b, (_, row_per) in enumerate(rows):
+            assert np.array_equal(per[b], row_per)
+        want = sum(float(row_total.data) for row_total, _ in rows)
+        assert abs(float(total.data) - want) <= 1e-12 * abs(want)
+        with pytest.raises(ag.ShapeError):
+            ag.cross_entropy(Tensor(logits), targets[0], mask[0])
+
 
 class TestBackward:
     def test_sum_gives_ones(self):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from storyvae import cli
 from storyvae import corpus as cp
 from storyvae import transformer as tf
 from storyvae.corpus import toy_corpus_path
+from storyvae.model import read_tensor_file, write_tensor_file
 
 FAST_MODEL = [
     "--model.d", "16", "--model.layers", "1", "--model.encoder-layers", "1",
@@ -22,6 +24,13 @@ FAST_SAMPLER = ["--sampler.max-new-tokens", "6", "--sampler.top-k", "5"]
 
 def sha(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def with_first(a: np.ndarray, value: float) -> np.ndarray:
+    """A copy of ``a`` whose first element is ``value``."""
+    out = a.copy()
+    out.flat[0] = value
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -196,17 +205,32 @@ class TestExitCodes:
         "manifest_optimizer_cycle_length_not_int": lambda f: {"optimizer": dict(f["optimizer"], cycle_length="4")},
     }
 
+    # Tensor files with one tensor replaced: (file, tensor, replacement as a function of the saved array).
+    TENSOR_CORRUPTIONS = {
+        "params_non_finite": ("params.bin", "dec.0.mlp.w1", lambda a: with_first(a, np.inf)),
+        "optim_non_finite": ("optim.bin", "adam.m.embed.word", lambda a: with_first(a, np.nan)),
+        "optim_shape_mismatch": ("optim.bin", "adam.m.embed.pos", lambda a: np.zeros((3, a.shape[1]), dtype=a.dtype)),
+    }
+
     @pytest.mark.parametrize(
         "corruption", ["params_truncated", "params_trailing_bytes", "manifest_truncated", "manifest_dtype_float16",
                        "manifest_not_object", "manifest_unknown_model_key", "manifest_mistyped_width",
-                       "manifest_latent_dim_changed", *MANIFEST_FIELD_CORRUPTIONS]
+                       "manifest_latent_dim_changed", *MANIFEST_FIELD_CORRUPTIONS, *TENSOR_CORRUPTIONS]
     )
     def test_data_error_on_corrupt_checkpoint(self, workspace, tmp_path, capsys, corruption):
         checkpoint = tmp_path / "checkpoint"
         shutil.copytree(workspace["checkpoint"], checkpoint)
         params, manifest = checkpoint / "params.bin", checkpoint / "manifest.json"
         fields = json.loads(manifest.read_text())
-        if corruption == "params_truncated":
+        command = ["eval", "--checkpoint", str(checkpoint)] + FAST_SAMPLER
+        if corruption in self.TENSOR_CORRUPTIONS:
+            name, tensor, replace = self.TENSOR_CORRUPTIONS[corruption]
+            tensors = dict(read_tensor_file(checkpoint / name))
+            tensors[tensor] = replace(tensors[tensor])
+            write_tensor_file(checkpoint / name, tensors.items())
+            if name == "optim.bin":  # read only on resume, which must refuse it before any step runs
+                command = ["train", "--resume", str(checkpoint), "--train.steps", "1"]
+        elif corruption == "params_truncated":
             params.write_bytes(params.read_bytes()[:-10])
         elif corruption == "params_trailing_bytes":
             params.write_bytes(params.read_bytes() + b"\x00\x00")
@@ -225,11 +249,11 @@ class TestExitCodes:
         else:
             manifest.write_bytes(manifest.read_bytes()[:-20])
         code = cli.main(
-            ["eval", "--corpus", workspace["corpus"], "--vocab", workspace["vocab"],
-             "--checkpoint", str(checkpoint), "--out", str(tmp_path / "o")] + FAST_SAMPLER
+            command + ["--corpus", workspace["corpus"], "--vocab", workspace["vocab"], "--out", str(tmp_path / "o")]
         )
         assert code == cli.EXIT_DATA
         assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "checkpoint").exists()
 
     @pytest.mark.parametrize(
         "case", ["vocab_header_not_int", "vocab_merge_one_id", "vocab_negative_ids", "vocab_not_ascii",
@@ -309,6 +333,39 @@ class TestVaeMode:
         assert (first / "metrics.csv").read_text() + resumed_rows == (straight / "metrics.csv").read_text()
 
 
+    def test_resume_takes_the_model_from_the_checkpoint(self, workspace, tmp_path):
+        """Without model flags a resume trains the checkpoint's model, on the corpus prepared at its max_seq_len."""
+        train = ["train", "--corpus", workspace["corpus"], "--vocab", workspace["vocab"]] + FAST_TRAIN
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert cli.main(train + FAST_MODEL + ["--model.max-seq-len", "20", "--mode", "vae", "--out", str(first)]) == 0
+        assert cli.main(train + ["--out", str(second), "--resume", str(first / "checkpoint")]) == 0
+        manifest = json.loads((second / "checkpoint" / "manifest.json").read_text())
+        assert (manifest["step"], manifest["mode"], manifest["model"]["max_seq_len"]) == (24, "vae", 20)
+        resolved = (second / "config.resolved").read_text()
+        for line in ("mode = vae", "model.d = 16", "model.max-seq-len = 20", "model.inject = input"):
+            assert line in resolved.splitlines()
+
+    @pytest.mark.parametrize("key, value, agrees", [
+        ("model.d", "64", False), ("mode", "vae", False), ("model.inject", "psa", False),
+        ("model.max-seq-len", "32", False), ("model.vocab-size", "512", True), ("model.inject", "input,", True),
+    ], ids=["model_d", "mode", "inject", "max_seq_len_from_config_file", "vocab_size_exempt", "same_modes"])
+    def test_resume_refuses_a_contradicting_model_key(self, workspace, tmp_path, capsys, key, value, agrees):
+        """A model key or mode given by flag or config file must match the checkpoint; the vocabulary sets the vocab size."""
+        given = [f"--{key}", value]
+        if key == "model.max-seq-len":
+            (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
+            given = ["--config", str(tmp_path / "run.cfg")]
+        code = cli.main(
+            ["train", "--corpus", workspace["corpus"], "--vocab", workspace["vocab"], "--out", str(tmp_path / "o"),
+             "--resume", workspace["checkpoint"], "--train.steps", "1"] + given
+        )
+        err = capsys.readouterr().err
+        if agrees:
+            assert code == cli.EXIT_OK, err
+        else:
+            assert code == cli.EXIT_USAGE
+            assert f"--{key}" in err and "contradicts the checkpoint" in err
+
     def test_resume_without_a_cycle_flag_keeps_the_saved_cycle(self, workspace, tmp_path):
         """A resumed run anneals on the checkpoint's cycle, not on a quarter of its own --train.steps."""
         train = ["train", "--corpus", workspace["corpus"], "--vocab", workspace["vocab"]] + FAST_MODEL + FAST_TRAIN[4:]
@@ -322,6 +379,36 @@ class TestVaeMode:
         resumed_rows = (second / "metrics.csv").read_text().split("\n", 1)[1]
         assert (first / "metrics.csv").read_text() + resumed_rows == (straight / "metrics.csv").read_text()
         assert "train.cycle-length = 6" in (second / "config.resolved").read_text()
+
+
+@pytest.mark.parametrize("case", ["finite_gelu_overflow", "non_finite_logits"])
+def test_numerics_through_the_cli(workspace, tmp_path, capsys, case):
+    """An overflow inside an op whose output is finite is no error and warns nothing; a non-finite output exits 3."""
+    checkpoint = tmp_path / "checkpoint"
+    shutil.copytree(workspace["checkpoint"], checkpoint)
+    tensors = dict(read_tensor_file(checkpoint / "params.bin"))
+    if case == "finite_gelu_overflow":
+        # Pre-activations of 1e13 cube past the float32 range; tanh saturates, so gelu returns them unchanged.
+        tensors["dec.0.mlp.b1"] = np.full_like(tensors["dec.0.mlp.b1"], 1e13)
+    else:
+        # A final-norm gain of 1e30 against words scaled by 1e10 overflows the logits.
+        tensors["dec.final_norm.g"] = tensors["dec.final_norm.g"] * np.float32(1e30)
+        tensors["embed.word"] = tensors["embed.word"] * np.float32(1e10)
+    write_tensor_file(checkpoint / "params.bin", tensors.items())
+    # pytest captures warnings itself, so record them around the command.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(
+            ["generate", "--corpus", workspace["corpus"], "--vocab", workspace["vocab"],
+             "--checkpoint", str(checkpoint), "--out", str(tmp_path / "g")] + FAST_SAMPLER
+        )
+    err = capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    if case == "finite_gelu_overflow":
+        assert code == cli.EXIT_OK, err
+    else:
+        assert code == cli.EXIT_NUMERIC
+        assert "numerical abort" in err and "Traceback" not in err
 
 
 def test_eval_runs_one_forward_per_group_and_step(workspace, tmp_path, monkeypatch):

@@ -88,33 +88,37 @@ class TestMultiHeadAttention:
         assert np.allclose(out[1], expected, atol=1e-7)
 
     def test_sequence_length_cap(self):
+        """The length limit reaches an attention only as the capacity of its ``KVRows``."""
         p = identity_attention_params(4)
         with pytest.raises(ContractError):
-            tf.multi_head_attention(Tensor(np.zeros((9, 4))), p, 2, causal=True, max_seq_len=8)
+            tf.multi_head_attention(Tensor(np.zeros((9, 4))), p, 2, causal=True, past=tf.KVRows(2, 8))
+
+
+def psa_rows(p, z, n_heads, rows):
+    """A layer's ``KVRows`` for ``rows`` token positions after the latent row of the (1, d) latent ``z``."""
+    return tf.KVRows(n_heads, 1 + rows, tf.latent_kv(Tensor(z), p))
 
 
 class TestPseudoSelfAttention:
-    """Decoder self-attention with the per-layer latent row (``z_slice``) prefixed to keys and values."""
+    """Decoder self-attention with the per-layer latent row prefixed to keys and values through ``KVRows``."""
 
     def test_requires_psa_projections(self):
         p = identity_attention_params(4, with_psa=False)
         with pytest.raises(ContractError):
-            tf.multi_head_attention(Tensor(np.zeros((2, 4))), p, n_heads=2, causal=True,
-                                    z_slice=Tensor(np.ones((1, 4))))
+            tf.latent_kv(Tensor(np.ones((1, 4))), p)
 
     def test_wrong_width_slice_rejected(self):
         p = identity_attention_params(4, with_psa=True)
         for shape in ((4,), (1, 3), (2, 4)):
             with pytest.raises(ag.ShapeError):
-                tf.multi_head_attention(Tensor(np.zeros((2, 4))), p, n_heads=2, causal=True,
-                                        z_slice=Tensor(np.ones(shape)))
+                tf.latent_kv(Tensor(np.ones(shape)), p)
 
     def test_augmented_row_counts(self):
         # key/value matrices gain exactly one latent row; output keeps l rows
         p = identity_attention_params(4, with_psa=True)
         x = Tensor(np.random.default_rng(3).standard_normal((5, 4)))
         out, weights = tf.multi_head_attention(
-            x, p, n_heads=2, causal=True, z_slice=Tensor(np.ones((1, 4))), return_weights=True
+            x, p, n_heads=2, causal=True, past=psa_rows(p, np.ones((1, 4)), 2, 5), return_weights=True
         )
         assert out.shape == (5, 4)
         for w in weights:
@@ -127,7 +131,7 @@ class TestPseudoSelfAttention:
         out_plain = tf.multi_head_attention(Tensor(np.stack([row, row, row])), p, 1, causal=False).data
         # latent projects to the same value row as every token
         out_psa = tf.multi_head_attention(
-            Tensor(np.stack([row, row, row])), p, 1, causal=False, z_slice=Tensor(row[None, :])
+            Tensor(np.stack([row, row, row])), p, 1, causal=False, past=psa_rows(p, row[None, :], 1, 3)
         ).data
         assert np.allclose(out_psa, out_plain, atol=1e-6)
 
@@ -137,7 +141,7 @@ class TestPseudoSelfAttention:
         p.wq = Tensor(np.zeros((d, d)))  # zero queries -> all scores equal
         token = np.array([1.0, 1.0])
         z = np.array([3.0, -1.0])
-        out = tf.multi_head_attention(Tensor(token[None, :]), p, 1, causal=True, z_slice=Tensor(z[None, :])).data
+        out = tf.multi_head_attention(Tensor(token[None, :]), p, 1, causal=True, past=psa_rows(p, z[None, :], 1, 1)).data
         w_lat, w_tok = two_way_softmax(0.0, 0.0)
         assert np.allclose(out[0], w_lat * z + w_tok * token, atol=1e-7)
 
@@ -148,7 +152,7 @@ class TestPseudoSelfAttention:
         x = np.random.default_rng(7).standard_normal((3, cfg.d)).astype(np.float32)
         _, weights = tf.multi_head_attention(
             Tensor(x), p, cfg.heads, causal=True,
-            z_slice=Tensor(np.ones((1, cfg.d), dtype=np.float32)), return_weights=True,
+            past=psa_rows(p, np.ones((1, cfg.d), dtype=np.float32), cfg.heads, 3), return_weights=True,
         )
         for w in weights:
             assert np.all(w[:, 0] > 0.0)
@@ -160,7 +164,7 @@ class TestPseudoSelfAttention:
         x = np.random.default_rng(9).standard_normal((4, cfg.d)).astype(np.float32)
         plain = tf.multi_head_attention(Tensor(x), p, cfg.heads, causal=True).data
         gated = tf.multi_head_attention(
-            Tensor(x), p, cfg.heads, causal=True, z_slice=Tensor(np.zeros((1, cfg.d), dtype=np.float32))
+            Tensor(x), p, cfg.heads, causal=True, past=psa_rows(p, np.zeros((1, cfg.d), dtype=np.float32), cfg.heads, 4)
         ).data
         assert np.array_equal(plain, gated)
 
@@ -206,11 +210,10 @@ def attention_oracle(x, p, n_heads, causal, z=None):
     return out @ p.wo.data + p.bo.data, weights
 
 
-def pool_oracle(hseq, p, n_heads, valid=None):
+def pool_oracle(hseq, p, n_heads):
     k = hseq @ p.wk.data
     v = hseq @ p.wv.data + p.bv.data
-    mask = None if valid is None else valid[None, :]
-    out, weights = heads_oracle(p.q.data[None, :], k, v, n_heads, mask)
+    out, weights = heads_oracle(p.q.data[None, :], k, v, n_heads, None)
     return (out @ p.wo.data + p.bo.data).reshape(-1), weights
 
 
@@ -228,9 +231,8 @@ class TestFusedHeadsMatchPerHeadLoop:
         rng = np.random.default_rng(32)
         x = rng.standard_normal((5, cfg.d))
         z = None if latent == "none" else rng.standard_normal((1, cfg.d))
-        out, weights = tf.multi_head_attention(
-            Tensor(x), p, n_heads, causal, z_slice=None if z is None else Tensor(z), return_weights=True,
-        )
+        past = None if z is None else psa_rows(p, z, n_heads, 5)
+        out, weights = tf.multi_head_attention(Tensor(x), p, n_heads, causal, past=past, return_weights=True)
         want, want_weights = attention_oracle(x, p, n_heads, causal, z)
         assert np.array_equal(out.data, want)
         assert len(weights) == n_heads
@@ -238,19 +240,23 @@ class TestFusedHeadsMatchPerHeadLoop:
             assert np.array_equal(got_w, want_w)
 
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_attention_average(self, n_heads, masked):
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_attention_average(self, n_heads, batched):
+        """A (T, d) sequence, or each sequence of a (B, T, d) batch, pools to the oracle's bits."""
         cfg = small_config(heads=n_heads)
         params = make_params(cfg, seed=33, dtype=np.float64)
         ag.rescale_for_grad_check(params, np.random.default_rng(34))
         pool = tf.pooling_params(params)
-        hseq = np.random.default_rng(35).standard_normal((6, cfg.d))
-        valid = np.array([True, False, True, True, False, True]) if masked else None
-        out, weights = tf.attention_average(Tensor(hseq), pool, n_heads, valid=valid, return_weights=True)
-        want, want_weights = pool_oracle(hseq, pool, n_heads, valid)
-        assert np.array_equal(out.data, want)
-        for got_w, want_w in zip(weights, want_weights):
-            assert np.array_equal(got_w, want_w)
+        hseq = np.random.default_rng(35).standard_normal((3, 6, cfg.d))
+        if not batched:
+            hseq = hseq[0]
+        out, weights = tf.attention_average(Tensor(hseq), pool, n_heads, return_weights=True)
+        for b, seq in enumerate(hseq if batched else [hseq]):
+            want, want_weights = pool_oracle(seq, pool, n_heads)
+            got, got_weights = (out.data[b, 0], weights[b]) if batched else (out.data, weights)
+            assert np.array_equal(got, want)
+            for got_w, want_w in zip(got_weights, want_weights, strict=True):
+                assert np.array_equal(got_w, want_w)
 
 
 class TestAttentionAverage:
@@ -288,18 +294,6 @@ class TestAttentionAverage:
         pool = self.make_pool(2)
         with pytest.raises((ContractError, ag.ShapeError, ValueError)):
             tf.attention_average(Tensor(np.zeros((0, 2))), pool, n_heads=1)
-
-    def test_masked_padding_matches_removal(self):
-        cfg = small_config()
-        params = make_params(cfg, seed=11)
-        pool = tf.pooling_params(params)
-        rng = np.random.default_rng(12)
-        real = rng.standard_normal((3, cfg.d)).astype(np.float32)
-        padded = np.vstack([real, rng.standard_normal((2, cfg.d)).astype(np.float32)])
-        valid = np.array([True, True, True, False, False])
-        a = tf.attention_average(Tensor(real), pool, cfg.heads).data
-        b = tf.attention_average(Tensor(padded), pool, cfg.heads, valid=valid).data
-        assert np.allclose(a, b, atol=1e-6)
 
 
 class TestStackForward:
