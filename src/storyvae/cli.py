@@ -3,16 +3,18 @@
 Commands: vocab, train, generate, control, encode, eval, selftest.
 Configuration comes from an optional flat key=value file plus flag
 overrides (flags win); the fully resolved configuration is written to
-the output directory before any work starts, which together with the
-recorded seeds makes every run reproducible bit-for-bit.  The
-STORYVAE_OUT environment variable, when set, overrides the output
-directory.
+the output directory before any training, generation or scoring
+starts, which together with the recorded seeds makes every run
+reproducible bit-for-bit.  The STORYVAE_OUT environment variable, when
+set, overrides the output directory.
 
 Commands that read a checkpoint (generate, eval, encode, control and
-train --resume) share one loader.  A resumed run takes its model config
-and mode from the checkpoint; a ``model.*`` key or ``mode`` given that
-contradicts it is a usage error (``model.vocab-size`` aside: the
-vocabulary sets it).
+train --resume) share one loader, and load it before they write
+``config.resolved``.  They take their model config and mode from the
+checkpoint and record them there; a ``model.*`` key or ``mode`` given
+that contradicts it is a usage error (``model.vocab-size`` aside: the
+vocabulary sets it).  ``train`` appends each ``metrics.csv`` row as its
+step ends, so a run that crashes keeps the rows of the steps it made.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical abort
 or failed self-check.  Commands run with numpy's overflow and invalid
@@ -35,7 +37,7 @@ from . import evaluation as ev
 from . import sampling as sp
 from . import selfcheck
 from .model import StoryVAE
-from .training import Trainer, TrainingAbort, TrainingSchedule
+from .training import METRICS_HEADER, Trainer, TrainingAbort, TrainingSchedule, metrics_row
 from .transformer import ContractError, ModelConfig
 
 EXIT_OK = 0
@@ -226,8 +228,8 @@ def _load_run(resolved: dict, checkpoint: str, corpus: bool = True):
     return model, manifest, vocab, examples
 
 
-def _resumed_config(resolved: dict, given: dict, model: StoryVAE, manifest: dict) -> dict:
-    """``resolved`` with the checkpoint's ``mode`` and ``model.*`` keys, and its cycle unless one is given.
+def _checkpoint_config(resolved: dict, given: dict, model: StoryVAE) -> dict:
+    """``resolved`` with the loaded checkpoint's ``mode`` and ``model.*`` keys.
 
     A given key that contradicts the checkpoint raises ``UsageError``;
     ``model.vocab-size`` is exempt, since the vocabulary decides it.
@@ -238,11 +240,7 @@ def _resumed_config(resolved: dict, given: dict, model: StoryVAE, manifest: dict
         if key == "model.inject":
             value = ",".join(m for m in value.split(",") if m)
         if key in saved and key != "model.vocab-size" and value != saved[key]:
-            raise UsageError(f"--{key} {value} contradicts the checkpoint's {saved[key]}; a resumed run keeps its model")
-    # Without --train.cycle-length a resumed run keeps the annealing cycle it was saved with.
-    saved_cycle = (manifest["optimizer"] or {}).get("cycle_length")
-    if not resolved["train.cycle-length"] and saved_cycle:
-        saved["train.cycle-length"] = saved_cycle
+            raise UsageError(f"--{key} {value} contradicts the checkpoint's {saved[key]}; a checkpoint keeps its model")
     return {**resolved, **saved}
 
 
@@ -261,7 +259,11 @@ def cmd_train(resolved: dict, resume: str | None, given: dict) -> int:
     _require(resolved, "corpus", "vocab")
     if resume:
         model, manifest, vocab, examples = _load_run(resolved, resume)
-        resolved = _resumed_config(resolved, given, model, manifest)
+        resolved = _checkpoint_config(resolved, given, model)
+        # Without --train.cycle-length a resumed run keeps the annealing cycle it was saved with.
+        saved_cycle = (manifest["optimizer"] or {}).get("cycle_length")
+        if not resolved["train.cycle-length"] and saved_cycle:
+            resolved["train.cycle-length"] = saved_cycle
     else:
         vocab = cp.Vocabulary.load(resolved["vocab"])
         examples = cp.prepare_corpus(cp.load_corpus(resolved["corpus"]), vocab, resolved["model.max-seq-len"])
@@ -274,8 +276,14 @@ def cmd_train(resolved: dict, resume: str | None, given: dict) -> int:
     checkpoint_dir = out / "checkpoint"
     # Stored relative to the checkpoint so identical runs produce identical bytes.
     vocab_ref = os.path.relpath(resolved["vocab"], checkpoint_dir)
-    trainer.train(checkpoint_dir=checkpoint_dir, vocabulary_ref=vocab_ref)
-    trainer.write_metrics(out / "metrics.csv")
+    with (out / "metrics.csv").open("w", encoding="ascii") as metrics:
+        metrics.write(METRICS_HEADER + "\n")
+
+        def append_row(record: dict) -> None:
+            metrics.write(metrics_row(record))
+            metrics.flush()
+
+        trainer.train(checkpoint_dir=checkpoint_dir, vocabulary_ref=vocab_ref, progress=append_row)
     last = trainer.metrics[-1]
     print(
         f"trained {trainer.step_count} steps; final loss {last['loss']:.4f} "
@@ -304,22 +312,22 @@ def _story_records(resolved: dict, model: StoryVAE, vocab: cp.Vocabulary, exampl
     ]
 
 
-def cmd_generate(resolved: dict) -> int:
-    _require(resolved, "corpus", "vocab", "checkpoint")
-    out = _prepare_out(resolved)
+def cmd_generate(resolved: dict, given: dict) -> int:
+    _require(resolved, "corpus", "vocab", "checkpoint", "out")
     model, _, vocab, examples = _load_run(resolved, resolved["checkpoint"])
+    out = _prepare_out(_checkpoint_config(resolved, given, model))
     records = _story_records(resolved, model, vocab, examples)
     _write_stories(out / "stories.jsonl", records)
     print(f"{len(records)} stories written to {out / 'stories.jsonl'}")
     return EXIT_OK
 
 
-def cmd_control(resolved: dict, prompt_a: str, prompt_b: str) -> int:
-    _require(resolved, "vocab", "checkpoint")
+def cmd_control(resolved: dict, given: dict, prompt_a: str, prompt_b: str) -> int:
+    _require(resolved, "vocab", "checkpoint", "out")
     if not prompt_a or not prompt_b:
         raise UsageError("control needs --prompt-a and --prompt-b")
-    out = _prepare_out(resolved)
     model, _, vocab, _ = _load_run(resolved, resolved["checkpoint"], corpus=False)
+    out = _prepare_out(_checkpoint_config(resolved, given, model))
     sampler = sampler_from(resolved)
     tokens_a = vocab.encode(prompt_a)
     tokens_b = vocab.encode(prompt_b)
@@ -339,19 +347,19 @@ def cmd_control(resolved: dict, prompt_a: str, prompt_b: str) -> int:
     return EXIT_OK
 
 
-def cmd_encode(resolved: dict) -> int:
-    _require(resolved, "corpus", "vocab", "checkpoint")
-    out = _prepare_out(resolved)
+def cmd_encode(resolved: dict, given: dict) -> int:
+    _require(resolved, "corpus", "vocab", "checkpoint", "out")
     model, _, vocab, examples = _load_run(resolved, resolved["checkpoint"])
+    out = _prepare_out(_checkpoint_config(resolved, given, model))
     n = ev.export_latents(model, examples, resolved["encode.which"], out / "latents.tsv")
     print(f"{n} latent rows written to {out / 'latents.tsv'}")
     return EXIT_OK
 
 
-def cmd_eval(resolved: dict) -> int:
-    _require(resolved, "corpus", "vocab", "checkpoint")
-    out = _prepare_out(resolved)
+def cmd_eval(resolved: dict, given: dict) -> int:
+    _require(resolved, "corpus", "vocab", "checkpoint", "out")
     model, _, vocab, examples = _load_run(resolved, resolved["checkpoint"])
+    out = _prepare_out(_checkpoint_config(resolved, given, model))
     records = _story_records(resolved, model, vocab, examples)
     report = ev.evaluate(model, examples, [r["story"] for r in records])
     _write_stories(out / "stories.jsonl", records)
@@ -406,22 +414,22 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return EXIT_OK if e.code == 0 else EXIT_USAGE
     try:
-        resolved = resolve_config(args)
+        resolved, given = resolve_config(args), _given_config(args)
         with np.errstate(over="ignore", invalid="ignore"):
             if args.command == "selftest":
                 return cmd_selftest()
             if args.command == "vocab":
                 return cmd_vocab(resolved)
             if args.command == "train":
-                return cmd_train(resolved, getattr(args, "resume", None), _given_config(args))
+                return cmd_train(resolved, getattr(args, "resume", None), given)
             if args.command == "generate":
-                return cmd_generate(resolved)
+                return cmd_generate(resolved, given)
             if args.command == "control":
-                return cmd_control(resolved, getattr(args, "prompt_a", None), getattr(args, "prompt_b", None))
+                return cmd_control(resolved, given, getattr(args, "prompt_a", None), getattr(args, "prompt_b", None))
             if args.command == "encode":
-                return cmd_encode(resolved)
+                return cmd_encode(resolved, given)
             if args.command == "eval":
-                return cmd_eval(resolved)
+                return cmd_eval(resolved, given)
         raise UsageError(f"unknown command: {args.command}")
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -4,7 +4,9 @@ The conditional model encodes the prompt alone for the prior and the
 prompt ++ separator ++ story sequence for the posterior; both share the
 encoder trunk and pooling block and differ only in their linear heads.
 The unconditional variant keeps a fixed standard-normal prior and scores
-every text position.  Checkpoints are a directory holding a JSON manifest
+every text position.  The training objectives take a batch of examples
+of any lengths and run it as one right-padded forward; a single example
+is a batch of one.  Checkpoints are a directory holding a JSON manifest
 plus a raw little-endian float32 or float64 tensor payload, as the
 manifest's ``dtype`` records; save/load round-trips bit-exactly.
 """
@@ -32,11 +34,13 @@ OPTIM_FILE = "optim.bin"
 MANIFEST_FILE = "manifest.json"
 # The trainer's random streams, whose generator states a checkpoint keeps.
 RNG_STREAMS = ("batch", "noise", "dropout")
+# The token id a training batch is right-padded with; no loss or gradient depends on it.
+PAD_ID = 0
 
 
 @dataclass
 class LossBreakdown:
-    """The two objective terms of one example, as plain floats."""
+    """The two objective terms as plain floats: per-example means over a batch, and its scored token count."""
 
     reconstruction_nats: float
     kl_nats: float
@@ -77,9 +81,9 @@ class StoryVAE:
     def dtype(self):
         return self.params["embed.word"].dtype
 
-    def _pooled(self, tokens) -> Tensor:
-        hidden = tf.stack_forward(tokens, self.params, self.config, role="encoder")
-        return tf.attention_average(hidden, tf.pooling_params(self.params), self.config.heads)
+    def _pooled(self, tokens, key_mask=None) -> Tensor:
+        hidden = tf.stack_forward(tokens, self.params, self.config, role="encoder", key_mask=key_mask)
+        return tf.attention_average(hidden, tf.pooling_params(self.params), self.config.heads, key_mask=key_mask)
 
     def _head(self, pooled: Tensor, role: str) -> lt.DiagonalGaussian:
         p = self.params
@@ -109,6 +113,11 @@ class StoryVAE:
         ++ story in CVAE mode, which is what ``encode_posterior`` builds.
         """
         return self._head(self._pooled(text_tokens), "post")
+
+    def _encode_padded(self, sequences, role: str) -> lt.DiagonalGaussian:
+        """The (B, d') ``role`` Gaussian of B sequences of any lengths, encoded as one right-padded batch."""
+        tokens, valid = tf.pad_rows(sequences, PAD_ID)
+        return self._head(self._pooled(tokens, valid[:, None, None, :]), role)
 
     def _modes(self, latent, modes):
         if modes is None:
@@ -148,51 +157,74 @@ class StoryVAE:
 
     def cvae_loss(
         self,
-        example: EncodedExample,
+        examples,
         noise: np.ndarray,
         beta: float,
         drop_rng: np.random.Generator | None = None,
     ) -> tuple[Tensor, LossBreakdown]:
-        """Single-sample conditional objective: masked story NLL + beta * KL."""
+        """Single-sample conditional objective of a batch: (sum of masked story NLLs + beta * sum of KLs) / B.
+
+        ``examples`` is a list of B ``EncodedExample``s of any lengths with
+        ``noise`` of shape (B, d'), or one example with a (d',) ``noise``,
+        a batch of one.  Prompts, posterior inputs and decoder inputs each
+        run as one right-padded batch; the loss is the batch mean of the
+        per-example objectives, and the breakdown holds the means of its
+        two terms.
+        """
         if self.mode != "cvae":
             raise ContractError("cvae_loss requires a model in cvae mode")
         self._require_modes()
-        sep = int(example.decoder_input[len(example.prior_input)])
-        posterior = self.encode_posterior(example.prior_input, example.decoder_input[len(example.prior_input) + 1:], sep)
-        prior = self.encode_prior(example.prior_input)
-        return self._objective(posterior, prior, noise, beta, example.decoder_input, example.targets,
-                               example.loss_mask, drop_rng)
+        if isinstance(examples, EncodedExample):
+            examples, noise = [examples], np.asarray(noise)[None]
+        # decoder_input is prompt ++ separator ++ story, the sequence the posterior encodes.
+        texts = [ex.decoder_input for ex in examples]
+        posterior = self._encode_padded(texts, "post")
+        prior = self._encode_padded([ex.prior_input for ex in examples], "prior")
+        return self._objective(posterior, prior, noise, beta, texts, [ex.targets for ex in examples],
+                               [ex.loss_mask for ex in examples], drop_rng)
 
     def vae_loss(
         self,
-        text_tokens,
+        texts,
         separator_id: int,
         noise: np.ndarray,
         beta: float,
         drop_rng: np.random.Generator | None = None,
     ) -> tuple[Tensor, LossBreakdown]:
-        """Unconditional objective against a fixed N(0, I) prior, all positions scored."""
-        text_tokens = np.asarray(text_tokens, dtype=np.int64)
-        if text_tokens.size < 1:
-            raise ContractError("vae_loss needs a nonempty text")
-        self._require_modes()
-        posterior = self.encode_text_posterior(text_tokens)
-        prior = lt.DiagonalGaussian.standard(self.config.latent_dim, dtype=self.dtype)
-        decoder_input = np.concatenate([[separator_id], text_tokens])
-        targets = np.concatenate([text_tokens, [separator_id]])
-        return self._objective(posterior, prior, noise, beta, decoder_input, targets,
-                               np.ones(decoder_input.size, dtype=bool), drop_rng)
+        """Unconditional objective of a batch against a fixed N(0, I) prior, every position scored.
 
-    def _objective(self, posterior, prior, noise, beta, decoder_input, targets, mask, drop_rng):
-        """Decode a posterior sample and score it: masked NLL + beta * KL(posterior || prior)."""
+        ``texts`` is a list of B token sequences of any lengths with
+        ``noise`` of shape (B, d'), or one sequence of token ids with a
+        (d',) ``noise``; the loss is the batch mean, as in ``cvae_loss``.
+        """
+        self._require_modes()
+        if len(texts) and np.ndim(texts[0]) == 0:
+            texts, noise = [texts], np.asarray(noise)[None]
+        texts = [np.asarray(t, dtype=np.int64) for t in texts]
+        posterior = self._encode_padded(texts, "post")
+        prior = lt.DiagonalGaussian.standard((len(texts), self.config.latent_dim), dtype=self.dtype)
+        decoder_inputs = [np.concatenate([[separator_id], t]) for t in texts]
+        targets = [np.concatenate([t, [separator_id]]) for t in texts]
+        return self._objective(posterior, prior, noise, beta, decoder_inputs, targets,
+                               [np.ones(t.size, dtype=bool) for t in decoder_inputs], drop_rng)
+
+    def _objective(self, posterior, prior, noise, beta, decoder_inputs, targets, masks, drop_rng):
+        """Decode posterior samples as one right-padded batch and score it: (masked NLL + beta * KL) / B.
+
+        The decoder needs no key mask, since it is causal and the padding
+        is on the right, and pad positions are masked out of the NLL, so
+        they get exactly zero gradient and no loss depends on ``PAD_ID``.
+        """
+        b = len(decoder_inputs)
         z = lt.reparameterize(posterior, noise, lt.LatentSource.POSTERIOR_SAMPLE)
-        logits = self.decode_logits(decoder_input, z, drop_rng=drop_rng)
-        recon, _ = ag.cross_entropy(logits, targets, mask)
+        logits = self.decode_logits(tf.pad_rows(decoder_inputs, PAD_ID)[0], z, drop_rng=drop_rng)
+        mask = tf.pad_rows(masks, False)[0]
+        recon, _ = ag.cross_entropy(logits, tf.pad_rows(targets, PAD_ID)[0], mask)
         kl = lt.kl_divergence(posterior, prior)
-        loss = ag.add(recon, ag.mul_scalar(kl, beta))
+        loss = ag.mul_scalar(ag.add(recon, ag.mul_scalar(kl, beta)), 1.0 / b)
         breakdown = LossBreakdown(
-            reconstruction_nats=float(recon.data),
-            kl_nats=float(kl.data),
+            reconstruction_nats=float(recon.data) / b,
+            kl_nats=float(kl.data) / b,
             beta=float(beta),
             token_count=int(mask.sum()),
         )
@@ -256,8 +288,7 @@ class StoryVAE:
         arrays = read_tensor_file(directory / manifest["payload"], manifest.get("dtype", "<f4"))
         if [n for n, _ in arrays] != manifest["tensors"]:
             raise ContractError("checkpoint payload does not match its manifest")
-        expected = tf.init_parameters(config, np.random.default_rng(0))
-        if {n: a.shape for n, a in arrays} != {n: p.shape for n, p in expected.items()}:
+        if {n: a.shape for n, a in arrays} != {n: shape for n, shape, _ in tf.parameter_specs(config)}:
             raise ContractError("checkpoint tensors do not have the names and shapes its model config implies")
         params = ParameterSet()
         for name, arr in arrays:

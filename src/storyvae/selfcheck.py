@@ -278,17 +278,27 @@ def _check_model_gradients(report) -> bool:
     )
     model = StoryVAE.create(cfg, seed=2, dtype=np.float64)
     ag.rescale_for_grad_check(model.params, np.random.default_rng(21))
-    example = cp.EncodedExample(
-        prior_input=np.array([1, 2]),
-        decoder_input=np.array([1, 2, 7, 3]),
-        targets=np.array([2, 7, 3, 7]),
-        loss_mask=np.array([False, False, True, True]),
-        pair=None,
-    )
-    noise = np.random.default_rng(4).standard_normal(cfg.latent_dim)
-    result = ag.grad_check(lambda: model.cvae_loss(example, noise, beta=0.7)[0], model.params, eps=1e-5)
+    # Two examples of unequal length, so the padded batch's key mask is checked too.
+    examples = [
+        cp.EncodedExample(
+            prior_input=np.array([1, 2]),
+            decoder_input=np.array([1, 2, 7, 3]),
+            targets=np.array([2, 7, 3, 7]),
+            loss_mask=np.array([False, False, True, True]),
+            pair=None,
+        ),
+        cp.EncodedExample(
+            prior_input=np.array([4, 5, 6]),
+            decoder_input=np.array([4, 5, 6, 7, 3, 1]),
+            targets=np.array([5, 6, 7, 3, 1, 7]),
+            loss_mask=np.array([False, False, False, True, True, True]),
+            pair=None,
+        ),
+    ]
+    noise = np.random.default_rng(4).standard_normal((2, cfg.latent_dim))
+    result = ag.grad_check(lambda: model.cvae_loss(examples, noise, beta=0.7)[0], model.params, eps=1e-5)
     report(
-        f"{'ok' if result.passed else 'FAIL'} full objective gradient check "
+        f"{'ok' if result.passed else 'FAIL'} full objective gradient check over a padded batch "
         f"(max rel err {result.max_rel_error:.2e} at {result.worst_parameter})"
     )
     return result.passed

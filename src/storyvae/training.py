@@ -2,11 +2,13 @@
 
 The KL weight follows a cyclic schedule: zero (or a configured floor) for
 the first half of each cycle, a linear ramp to one over the next quarter,
-and one for the final quarter.  Each train step sets ``requires_grad``
-on exactly the parameters it updates, so frozen parameters get no
-gradient, and no update, until the freeze horizon passes, and clears
-it again before it returns.  Given a
-seed, corpus and config, training is bit-reproducible on a single thread.
+and one for the final quarter.  A train step runs its whole batch as one
+right-padded (B, T) forward and one backward of the batch-mean
+objective, with the latent noise drawn as one (B, d') block.  Each train
+step sets ``requires_grad`` on exactly the parameters it updates, so
+frozen parameters get no gradient, and no update, until the freeze
+horizon passes, and clears it again before it returns.  Given a seed,
+corpus and config, training is bit-reproducible on a single thread.
 """
 
 from __future__ import annotations
@@ -29,13 +31,16 @@ ADAM_EPS = 1e-8
 
 
 class TrainingAbort(RuntimeError):
-    """Raised when a step produces non-finite numbers; carries the culprit."""
+    """Raised when a step produces non-finite numbers; carries the culprit.
 
-    def __init__(self, step: int, batch_index: int, example_index: int, reason: str):
-        super().__init__(
-            f"non-finite loss at step {step}, batch slot {batch_index} "
-            f"(example {example_index}): {reason}"
-        )
+    The culprit is the first batch slot whose example raises when scored
+    alone; ``batch_index`` and ``example_index`` are None when none does.
+    """
+
+    def __init__(self, step: int, batch_index: int | None, example_index: int | None, reason: str):
+        culprit = ("no batch slot raises alone" if batch_index is None
+                   else f"batch slot {batch_index} (example {example_index})")
+        super().__init__(f"non-finite loss at step {step}, {culprit}: {reason}")
         self.step = step
         self.batch_index = batch_index
         self.example_index = example_index
@@ -81,6 +86,11 @@ def beta_at(step: int, schedule: TrainingSchedule) -> float:
     if r < 0.75:
         return schedule.beta_floor + (1.0 - schedule.beta_floor) * 4.0 * (r - 0.5)
     return 1.0
+
+
+def metrics_row(r: dict) -> str:
+    """One ``metrics.csv`` line, newline included, for a ``train_step`` record."""
+    return f"{r['step']},{r['loss']!r},{r['recon']!r},{r['kl']!r},{r['beta']!r},{r['grad_norm']!r}\n"
 
 
 class Adam:
@@ -179,52 +189,59 @@ class Trainer:
         for name, p in self.model.params.items():
             p.requires_grad = name not in frozen
 
-    def _example_loss(self, example, beta: float, drop_rng):
-        noise = self._noise_rng.standard_normal(self.model.config.latent_dim).astype(self.model.dtype)
+    def _loss(self, batch: np.ndarray, noise: np.ndarray, beta: float, drop_rng):
+        examples = [self.examples[i] for i in batch]
         if self.model.mode == "cvae":
-            return self.model.cvae_loss(example, noise, beta, drop_rng=drop_rng)
-        story = np.asarray(example.pair.story_tokens, dtype=np.int64)
-        return self.model.vae_loss(story, self.separator_id, noise, beta, drop_rng=drop_rng)
+            return self.model.cvae_loss(examples, noise, beta, drop_rng=drop_rng)
+        stories = [ex.pair.story_tokens for ex in examples]
+        return self.model.vae_loss(stories, self.separator_id, noise, beta, drop_rng=drop_rng)
+
+    def _culprit(self, batch: np.ndarray, noise: np.ndarray, beta: float, error: ag.NumericsError) -> TrainingAbort:
+        """The abort naming the first slot whose example, scored alone and without a tape, raises too."""
+        for slot, idx in enumerate(batch):
+            try:
+                self._loss(batch[slot:slot + 1], noise[slot:slot + 1], beta, None)
+            except ag.NumericsError as e:
+                return TrainingAbort(self.step_count, slot, int(idx), str(e))
+        return TrainingAbort(self.step_count, None, None, str(error))
 
     def train_step(self, batch_indices) -> dict:
         """One forward/backward/update over a batch of example indices.
 
-        The ``requires_grad`` marks the step sets are cleared before it
-        returns or raises, so no tape outlives it; gradients stay.
+        The batch runs as one right-padded forward of the batch-mean
+        objective and one backward.  The ``requires_grad`` marks the step
+        sets are cleared before it returns or raises, so no tape outlives
+        it; gradients stay.  A forward that raises ``NumericsError``
+        aborts the step with the slot whose example raises alone.
         """
+        batch = np.asarray(batch_indices, dtype=np.int64)
         beta = beta_at(self.step_count, self.schedule)
+        # The same stream as one (d',) draw per slot in turn.
+        noise = self._noise_rng.standard_normal((batch.size, self.model.config.latent_dim)).astype(self.model.dtype)
+        drop_rng = self._drop_rng if self.model.config.dropout > 0 else None
         self._apply_freeze()
         params = self.model.params
+        failure = None
         try:
             params.zero_grads()
-            drop_rng = self._drop_rng if self.model.config.dropout > 0 else None
-            losses, recon_sum, kl_sum = [], 0.0, 0.0
-            for slot, idx in enumerate(batch_indices):
-                try:
-                    loss, breakdown = self._example_loss(self.examples[idx], beta, drop_rng)
-                except ag.NumericsError as e:
-                    raise TrainingAbort(self.step_count, slot, int(idx), str(e)) from e
-                losses.append(loss)
-                recon_sum += breakdown.reconstruction_nats
-                kl_sum += breakdown.kl_nats
-
-            total = losses[0]
-            for extra in losses[1:]:
-                total = ag.add(total, extra)
-            total = ag.mul_scalar(total, 1.0 / len(losses))
-            ag.backward(total)
+            loss, breakdown = self._loss(batch, noise, beta, drop_rng)
+            ag.backward(loss)
+        except ag.NumericsError as e:
+            failure = e
         finally:
             for _, p in params.items():
                 p.requires_grad = False
+        if failure is not None:
+            raise self._culprit(batch, noise, beta, failure) from failure
 
         grad_norm = clip_gradients(params, self.schedule.grad_clip)
         self.optimizer.step()
 
         record = {
             "step": self.step_count,
-            "loss": float(total.data),
-            "recon": recon_sum / len(losses),
-            "kl": kl_sum / len(losses),
+            "loss": float(loss.data),
+            "recon": breakdown.reconstruction_nats,
+            "kl": breakdown.kl_nats,
             "beta": beta,
             "grad_norm": grad_norm,
         }
@@ -253,15 +270,7 @@ class Trainer:
         return self.metrics
 
     def metrics_csv(self) -> str:
-        lines = [METRICS_HEADER]
-        for r in self.metrics:
-            lines.append(
-                f"{r['step']},{r['loss']!r},{r['recon']!r},{r['kl']!r},{r['beta']!r},{r['grad_norm']!r}"
-            )
-        return "\n".join(lines) + "\n"
-
-    def write_metrics(self, path) -> None:
-        Path(path).write_text(self.metrics_csv(), encoding="ascii")
+        return "".join([METRICS_HEADER + "\n"] + [metrics_row(r) for r in self.metrics])
 
     def save_checkpoint(self, directory, vocabulary_ref: str | None = None) -> None:
         opt = self.optimizer

@@ -27,11 +27,14 @@ call builds a fresh cache and feeds every token; incremental decoding
 keeps one cache per story and feeds only the new tokens, which attend
 over views of the stacks without copying an earlier row.
 
-Inference runs a leading batch axis of equal-length sequences through
-the same forward: (B, T) tokens, a (B, d') latent batch, and stacks
-with a leading B axis.  There is no padding and no per-row length;
-``length_groups`` splits a corpus into such batches.  Batch entries are
-never folded into one product, so each gets the bits it gets alone.
+A leading batch axis runs through the same forward: (B, T) tokens, a
+(B, d') latent batch, and stacks with a leading B axis.  Inference
+batches hold equal-length sequences, which ``length_groups`` splits a
+corpus into; batch entries are never folded into one product, so each
+gets the bits it gets alone.  Training batches are right-padded
+(``pad_rows``): the encoder's attentions and pooling take a per-row key
+mask, and the causal decoder needs none, since no real position comes
+after a pad one.
 """
 
 from __future__ import annotations
@@ -154,72 +157,40 @@ class PoolingParams:
     bo: Tensor
 
 
-def _normal(rng, shape, std, dtype):
-    return Tensor((rng.standard_normal(shape) * std).astype(dtype))
-
-
-def _zeros(shape, dtype):
-    return Tensor(np.zeros(shape, dtype=dtype))
-
-
-def _ones(shape, dtype):
-    return Tensor(np.ones(shape, dtype=dtype))
-
-
-def _add_block_params(params: ParameterSet, prefix: str, cfg: ModelConfig, rng, dtype, with_psa: bool):
-    d = cfg.d
-    params.add(f"{prefix}.ln1.g", _ones(d, dtype))
-    params.add(f"{prefix}.ln1.b", _zeros(d, dtype))
-    for name in ("wq", "wk", "wv", "wo"):
-        params.add(f"{prefix}.attn.{name}", _normal(rng, (d, d), INIT_STD, dtype))
+def _block_specs(prefix: str, d: int, with_psa: bool) -> list:
+    specs = [(f"{prefix}.ln1.g", (d,), "ones"), (f"{prefix}.ln1.b", (d,), "zeros")]
+    specs += [(f"{prefix}.attn.{name}", (d, d), INIT_STD) for name in ("wq", "wk", "wv", "wo")]
     # No key bias: a bias shared by every key cancels inside the softmax.
-    for name in ("bq", "bv", "bo"):
-        params.add(f"{prefix}.attn.{name}", _zeros(d, dtype))
+    specs += [(f"{prefix}.attn.{name}", (d,), "zeros") for name in ("bq", "bv", "bo")]
     if with_psa:
-        params.add(f"{prefix}.psa.wk", _normal(rng, (d, d), INIT_STD, dtype))
-        params.add(f"{prefix}.psa.bk", _zeros(d, dtype))
-        params.add(f"{prefix}.psa.wv", _normal(rng, (d, d), INIT_STD, dtype))
-        params.add(f"{prefix}.psa.bv", _zeros(d, dtype))
-    params.add(f"{prefix}.ln2.g", _ones(d, dtype))
-    params.add(f"{prefix}.ln2.b", _zeros(d, dtype))
-    params.add(f"{prefix}.mlp.w1", _normal(rng, (d, 4 * d), INIT_STD, dtype))
-    params.add(f"{prefix}.mlp.b1", _zeros(4 * d, dtype))
-    params.add(f"{prefix}.mlp.w2", _normal(rng, (4 * d, d), INIT_STD, dtype))
-    params.add(f"{prefix}.mlp.b2", _zeros(d, dtype))
+        specs += [(f"{prefix}.psa.wk", (d, d), INIT_STD), (f"{prefix}.psa.bk", (d,), "zeros"),
+                  (f"{prefix}.psa.wv", (d, d), INIT_STD), (f"{prefix}.psa.bv", (d,), "zeros")]
+    return specs + [
+        (f"{prefix}.ln2.g", (d,), "ones"), (f"{prefix}.ln2.b", (d,), "zeros"),
+        (f"{prefix}.mlp.w1", (d, 4 * d), INIT_STD), (f"{prefix}.mlp.b1", (4 * d,), "zeros"),
+        (f"{prefix}.mlp.w2", (4 * d, d), INIT_STD), (f"{prefix}.mlp.b2", (d,), "zeros"),
+    ]
 
 
-def init_parameters(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32) -> ParameterSet:
-    """Build all trainable tensors.
+def parameter_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], float | str]]:
+    """Every trainable tensor's (name, shape, init), in the order ``init_parameters`` creates them.
 
-    Encoder blocks start as value copies of the first encoder_layers
-    decoder blocks (copied, not shared, so they train apart afterwards).
-    Injection projections exist only for the configured modes.
+    ``init`` is ``"ones"``, ``"zeros"``, or the standard deviation of a
+    normal draw.  Injection projections exist only for the configured
+    modes.  A checkpoint's tensors are checked against this listing, so
+    loading one draws nothing.
     """
     d, dp = cfg.d, cfg.latent_dim
-    params = ParameterSet()
-    params.add("embed.word", _normal(rng, (cfg.vocab_size, d), INIT_STD, dtype))
-    params.add("embed.pos", _normal(rng, (cfg.max_seq_len, d), POS_INIT_STD, dtype))
-
     psa = "psa" in cfg.injection_modes
+    specs = [("embed.word", (cfg.vocab_size, d), INIT_STD), ("embed.pos", (cfg.max_seq_len, d), POS_INIT_STD)]
     for i in range(cfg.layers):
-        _add_block_params(params, f"dec.{i}", cfg, rng, dtype, with_psa=psa)
-    params.add("dec.final_norm.g", _ones(d, dtype))
-    params.add("dec.final_norm.b", _zeros(d, dtype))
-
+        specs += _block_specs(f"dec.{i}", d, with_psa=psa)
+    specs += [("dec.final_norm.g", (d,), "ones"), ("dec.final_norm.b", (d,), "zeros")]
     for i in range(cfg.encoder_layers):
-        _add_block_params(params, f"enc.{i}", cfg, rng, dtype, with_psa=False)
-        for suffix in ("ln1.g", "ln1.b", "attn.wq", "attn.bq", "attn.wk",
-                       "attn.wv", "attn.bv", "attn.wo", "attn.bo",
-                       "ln2.g", "ln2.b", "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2"):
-            params[f"enc.{i}.{suffix}"].data[...] = params[f"dec.{i}.{suffix}"].data
-    params.add("enc.final_norm.g", _ones(d, dtype))
-    params.add("enc.final_norm.b", _zeros(d, dtype))
-
-    params.add("pool.q", _normal(rng, (d,), INIT_STD, dtype))
-    for name in ("wk", "wv", "wo"):
-        params.add(f"pool.{name}", _normal(rng, (d, d), INIT_STD, dtype))
-    for name in ("bv", "bo"):
-        params.add(f"pool.{name}", _zeros(d, dtype))
+        specs += _block_specs(f"enc.{i}", d, with_psa=False)
+    specs += [("enc.final_norm.g", (d,), "ones"), ("enc.final_norm.b", (d,), "zeros")]
+    specs += [("pool.q", (d,), INIT_STD)] + [(f"pool.{name}", (d, d), INIT_STD) for name in ("wk", "wv", "wo")]
+    specs += [(f"pool.{name}", (d,), "zeros") for name in ("bv", "bo")]
 
     # Mean heads and injection projections can be initialized louder than the
     # 0.02 base: at desk scale the latent pathway must compete with literal
@@ -227,17 +198,32 @@ def init_parameters(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32
     head_std = INIT_STD * cfg.latent_head_gain
     inject_std = INIT_STD * cfg.injection_gain
     for role in ("prior", "post"):
-        params.add(f"{role}.mu.w", _normal(rng, (d, dp), head_std, dtype))
-        params.add(f"{role}.mu.b", _zeros(dp, dtype))
-        params.add(f"{role}.ls.w", _normal(rng, (d, dp), INIT_STD, dtype))
-        params.add(f"{role}.ls.b", _zeros(dp, dtype))
+        specs += [(f"{role}.mu.w", (d, dp), head_std), (f"{role}.mu.b", (dp,), "zeros"),
+                  (f"{role}.ls.w", (d, dp), INIT_STD), (f"{role}.ls.b", (dp,), "zeros")]
+    widths = {"input": d, "psa": cfg.layers * d, "softmax": cfg.vocab_size}
+    specs += [(f"inject.{mode}.w", (dp, widths[mode]), inject_std)
+              for mode in INJECTION_MODES if mode in cfg.injection_modes]
+    return specs
 
-    if "input" in cfg.injection_modes:
-        params.add("inject.input.w", _normal(rng, (dp, d), inject_std, dtype))
-    if psa:
-        params.add("inject.psa.w", _normal(rng, (dp, cfg.layers * d), inject_std, dtype))
-    if "softmax" in cfg.injection_modes:
-        params.add("inject.softmax.w", _normal(rng, (dp, cfg.vocab_size), inject_std, dtype))
+
+def init_parameters(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32) -> ParameterSet:
+    """Build all trainable tensors, drawing them in ``parameter_specs`` order.
+
+    Encoder blocks start as value copies of the first encoder_layers
+    decoder blocks (copied, not shared, so they train apart afterwards).
+    """
+    params = ParameterSet()
+    for name, shape, init in parameter_specs(cfg):
+        if init == "ones":
+            data = np.ones(shape, dtype=dtype)
+        elif init == "zeros":
+            data = np.zeros(shape, dtype=dtype)
+        else:
+            data = (rng.standard_normal(shape) * init).astype(dtype)
+        params.add(name, Tensor(data))
+    for name in params.names():
+        if name.startswith("enc.") and not name.startswith("enc.final_norm."):
+            params[name].data[...] = params["dec." + name[len("enc."):]].data
     return params
 
 
@@ -339,6 +325,7 @@ def multi_head_attention(
     causal: bool,
     return_weights: bool = False,
     past: KVRows | None = None,
+    key_mask: np.ndarray | None = None,
 ):
     """Scaled dot-product attention of the (T, d) rows of ``x``, or of each sequence of a (B, T, d) batch.
 
@@ -349,8 +336,10 @@ def multi_head_attention(
     latent_kv(z, p))``, and its capacity is the length limit.  Queries
     come from ``x`` only; the causal mask orders the rows of ``x`` among
     themselves and never blocks a ``past`` row, so a single new row needs
-    no mask.  With ``return_weights`` the per-head (queries, keys) weight
-    matrices follow the output.
+    no mask.  A non-causal attention over right-padded rows takes a
+    ``key_mask``, (B, 1, 1, keys) for a batch, that is False at the keys
+    of padding, which no query attends.  With ``return_weights`` the
+    per-head (queries, keys) weight matrices follow the output.
     """
     l = x.shape[-2]
     if l < 1:
@@ -361,7 +350,7 @@ def multi_head_attention(
     q = ag.linear(x, p.wq, p.bq)
     past.append(ag.linear(x, p.wk), ag.linear(x, p.wv, p.bv))
 
-    mask = None
+    mask = key_mask
     if causal and l > 1:
         mask = np.ones((l, n_past + l), dtype=bool)
         mask[:, n_past:] = np.tri(l, dtype=bool)
@@ -371,13 +360,15 @@ def multi_head_attention(
     return ag.linear(past.attend(q, mask), p.wo, p.bo)
 
 
-def attention_average(hseq: Tensor, p: PoolingParams, n_heads: int, return_weights: bool = False):
+def attention_average(hseq: Tensor, p: PoolingParams, n_heads: int, return_weights: bool = False,
+                      key_mask: np.ndarray | None = None):
     """Pool a sequence into one vector with a learnable query.
 
     ``hseq`` is one (T, d) sequence, pooled to a (d,) vector, or a
-    (B, T, d) batch of equal-length sequences, pooled to (B, 1, d): one
-    row per sequence, so each goes through its own output product.  There
-    is no padding mask: a batch holds sequences of one length.
+    (B, T, d) batch, pooled to (B, 1, d): one row per sequence, so each
+    goes through its own output product.  A batch of right-padded
+    sequences passes the (B, 1, 1, T) ``key_mask`` that is False at
+    padding, so each sequence pools over its own positions only.
     """
     l, d = hseq.shape[-2:]
     if l < 1:
@@ -386,15 +377,15 @@ def attention_average(hseq: Tensor, p: PoolingParams, n_heads: int, return_weigh
     kv.append(ag.linear(hseq, p.wk), ag.linear(hseq, p.wv, p.bv))
     q = p.q if hseq.data.ndim == 2 else ag.reshape(p.q, (1, d))
     if return_weights:
-        out, weights = kv.attend(q, return_weights=True)
+        out, weights = kv.attend(q, key_mask, return_weights=True)
         return ag.linear(out, p.wo, p.bo), list(weights)
-    return ag.linear(kv.attend(q), p.wo, p.bo)
+    return ag.linear(kv.attend(q, key_mask), p.wo, p.bo)
 
 
-def _block(x, params, prefix, cfg, causal, past, drop_rng):
+def _block(x, params, prefix, cfg, causal, past, drop_rng, key_mask):
     p = attention_params(params, prefix)
     h = ag.layer_norm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"], LN_EPS)
-    attn_out = multi_head_attention(h, p, cfg.heads, causal, past=past)
+    attn_out = multi_head_attention(h, p, cfg.heads, causal, past=past, key_mask=key_mask)
     if drop_rng is not None:
         attn_out = ag.dropout(attn_out, cfg.dropout, drop_rng)
     x = ag.add(x, attn_out)
@@ -468,6 +459,17 @@ def _validate_tokens(tokens: np.ndarray, cfg: ModelConfig, start: int = 0) -> np
     return tokens
 
 
+def pad_rows(sequences, fill) -> tuple[np.ndarray, np.ndarray]:
+    """Nonempty sequences right-padded with ``fill`` into one (B, T) array, and the (B, T) mask of their positions."""
+    lengths = np.array([len(seq) for seq in sequences])
+    if lengths.size < 1 or lengths.min() < 1:
+        raise ContractError("a padded batch needs at least one sequence, and no empty one")
+    valid = np.arange(lengths.max()) < lengths[:, None]
+    padded = np.full(valid.shape, fill, dtype=np.asarray(sequences[0]).dtype)
+    padded[valid] = np.concatenate(sequences)
+    return padded, valid
+
+
 def length_groups(sequences) -> list[np.ndarray]:
     """The indices of ``sequences`` split into batches of equal length, at most ``GROUP_ROWS`` each.
 
@@ -490,8 +492,9 @@ def stack_forward(
     modes: tuple[str, ...] = (),
     drop_rng: np.random.Generator | None = None,
     cache: DecoderCache | None = None,
+    key_mask: np.ndarray | None = None,
 ):
-    """Run the encoder or decoder stack over (T,) tokens, or a (B, T) batch of equal-length sequences.
+    """Run the encoder or decoder stack over (T,) tokens, or a (B, T) batch of sequences.
 
     Returns the final hidden states for the encoder, and (hidden, logits)
     for the decoder, with a leading B axis for a batch.  ``modes``
@@ -502,6 +505,13 @@ def stack_forward(
     consumed: they sit at positions ``cache.length`` onward, and hidden
     states and logits cover them alone.  Without one the tokens start at
     position 0.
+
+    A batch is of equal-length sequences, or right-padded ones.  The
+    encoder then takes the (B, 1, 1, T) ``key_mask`` that is False at
+    padding, so no position attends a pad key.  The decoder takes none:
+    it is causal, so no position before the padding sees it.  Pad
+    positions still compute values; a caller ignores them, and they get
+    exactly zero gradient from any loss that masks them out.
     """
     if role not in ("encoder", "decoder"):
         raise ContractError(f"unknown stack role: {role}")
@@ -510,6 +520,8 @@ def stack_forward(
     if not is_decoder:
         if cache is not None:
             raise ContractError("only the decoder stack takes a cache")
+    elif key_mask is not None:
+        raise ContractError("the decoder is causal: right padding needs no key mask")
     elif cache is None:
         cache = DecoderCache(params, cfg, latent, modes)
     elif cache.latent is not latent or cache.modes != modes:
@@ -536,7 +548,7 @@ def stack_forward(
     for i in range(n_layers):
         x = _block(
             x, params, f"{stack}.{i}", cfg,
-            causal=is_decoder, past=cache.layers[i] if is_decoder else None, drop_rng=drop,
+            causal=is_decoder, past=cache.layers[i] if is_decoder else None, drop_rng=drop, key_mask=key_mask,
         )
     x = ag.layer_norm(x, params[f"{stack}.final_norm.g"], params[f"{stack}.final_norm.b"], LN_EPS)
     if not is_decoder:

@@ -12,6 +12,7 @@ from storyvae import corpus as cp
 from storyvae import transformer as tf
 from storyvae.corpus import toy_corpus_path
 from storyvae.model import read_tensor_file, write_tensor_file
+from storyvae.training import METRICS_HEADER, Trainer, TrainingAbort
 
 FAST_MODEL = [
     "--model.d", "16", "--model.layers", "1", "--model.encoder-layers", "1",
@@ -444,3 +445,44 @@ def test_generate_latent_mean_flag(workspace, tmp_path):
     assert code == 0
     record = json.loads((out / "stories.jsonl").read_text().splitlines()[0])
     assert record["latent_source"] == "prior-mean"
+
+
+@pytest.mark.parametrize("command", ["generate", "eval", "encode", "control"])
+def test_checkpoint_commands_record_the_checkpoint_model(workspace, tmp_path, capsys, command):
+    """config.resolved holds the checkpoint's mode and model keys, and a model flag that contradicts them exits 1."""
+    args = [command, "--vocab", workspace["vocab"], "--checkpoint", workspace["checkpoint"]] + FAST_SAMPLER
+    args += ["--prompt-a", "ember tale", "--prompt-b", "tide tale"] if command == "control" else ["--corpus", workspace["corpus"]]
+    assert cli.main(args + ["--out", str(tmp_path / "ok")]) == cli.EXIT_OK
+    saved = json.loads((Path(workspace["checkpoint"]) / "manifest.json").read_text())["model"]
+    resolved = (tmp_path / "ok" / "config.resolved").read_text().splitlines()
+    for line in ("mode = cvae", "model.d = 16", "model.layers = 1", "model.max-seq-len = 64", "model.inject = input",
+                 f"model.vocab-size = {saved['vocab_size']}"):
+        assert line in resolved
+    capsys.readouterr()
+    assert cli.main(args + ["--out", str(tmp_path / "bad"), "--model.d", "64"]) == cli.EXIT_USAGE
+    assert "--model.d 64 contradicts the checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "bad" / "config.resolved").exists()
+
+
+def test_metrics_rows_stream_as_steps_end(workspace, tmp_path, monkeypatch):
+    """A run that aborts at step 5 keeps the header and its first 5 rows; a whole run writes what metrics_csv gives."""
+    train = ["train", "--corpus", workspace["corpus"], "--vocab", workspace["vocab"]] + FAST_MODEL + FAST_TRAIN
+    trainers, step, run = [], Trainer.train_step, Trainer.train
+
+    def aborting(self, batch):
+        if self.step_count == 5:
+            raise TrainingAbort(self.step_count, 0, int(batch[0]), "injected")
+        return step(self, batch)
+
+    def spied(self, *args, **kwargs):
+        trainers.append(self)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(Trainer, "train", spied)
+    assert cli.main(train + ["--out", str(tmp_path / "whole")]) == cli.EXIT_OK
+    assert (tmp_path / "whole" / "metrics.csv").read_text(encoding="ascii") == trainers[0].metrics_csv()
+    monkeypatch.setattr(Trainer, "train_step", aborting)
+    assert cli.main(train + ["--out", str(tmp_path / "crash")]) == cli.EXIT_NUMERIC
+    lines = (tmp_path / "crash" / "metrics.csv").read_text(encoding="ascii").splitlines()
+    assert lines[0] == METRICS_HEADER
+    assert [row.split(",")[0] for row in lines[1:]] == ["0", "1", "2", "3", "4"]

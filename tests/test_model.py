@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -179,15 +181,25 @@ def test_full_graph_gradient_check_small():
                       vocab_size=8, max_seq_len=8, injection_modes=("input", "psa", "softmax"))
     model = StoryVAE.create(cfg, seed=7, dtype=np.float64)
     ag.rescale_for_grad_check(model.params, np.random.default_rng(8))
-    example = cp.EncodedExample(
-        prior_input=np.array([1, 2]),
-        decoder_input=np.array([1, 2, 7, 3]),
-        targets=np.array([2, 7, 3, 7]),
-        loss_mask=np.array([False, False, True, True]),
-        pair=None,
-    )
-    noise = np.random.default_rng(9).standard_normal(4)
-    report = ag.grad_check(lambda: model.cvae_loss(example, noise, beta=0.6)[0], model.params, eps=1e-4)
+    # A padded batch: prompts and decoder inputs of unequal lengths, so the key mask is checked too.
+    examples = [
+        cp.EncodedExample(
+            prior_input=np.array([1, 2]),
+            decoder_input=np.array([1, 2, 7, 3]),
+            targets=np.array([2, 7, 3, 7]),
+            loss_mask=np.array([False, False, True, True]),
+            pair=None,
+        ),
+        cp.EncodedExample(
+            prior_input=np.array([5]),
+            decoder_input=np.array([5, 7, 4, 6, 1]),
+            targets=np.array([7, 4, 6, 1, 7]),
+            loss_mask=np.array([False, True, True, True, True]),
+            pair=None,
+        ),
+    ]
+    noise = np.random.default_rng(9).standard_normal((2, 4))
+    report = ag.grad_check(lambda: model.cvae_loss(examples, noise, beta=0.6)[0], model.params, eps=1e-4)
     assert report.passed, f"max rel {report.max_rel_error:.2e} at {report.worst_parameter}"
 
 
@@ -242,11 +254,26 @@ class TestTapeSize:
         cfg = ModelConfig(d=64, layers=2, encoder_layers=1, heads=2, latent_dim=16,
                           vocab_size=vocab.size, max_seq_len=64,
                           injection_modes=("input",), injection_gain=8.0, latent_head_gain=50.0)
-        schedule = TrainingSchedule(total_steps=5000, cycle_length=1250, learning_rate=1e-3, batch_size=4, seed=0)
-        trainer = Trainer(StoryVAE.create(cfg, seed=0), cp.prepare_corpus(pairs, vocab, 64), schedule,
-                          separator_id=vocab.separator_id)
-        counts = [self.ops(monkeypatch, lambda: trainer.train_step(trainer.draw_batch())) for _ in range(2)]
-        assert counts[0] == counts[1] < 600
+        examples = cp.prepare_corpus(pairs, vocab, 64)
+
+        def step_ops(batch_size: int) -> list[int]:
+            schedule = TrainingSchedule(total_steps=5000, cycle_length=1250, learning_rate=1e-3,
+                                        batch_size=batch_size, seed=0)
+            trainer = Trainer(StoryVAE.create(cfg, seed=0), examples, schedule, separator_id=vocab.separator_id)
+            return [self.ops(monkeypatch, lambda: trainer.train_step(trainer.draw_batch())) for _ in range(2)]
+
+        counts = step_ops(4)
+        # One padded forward and backward, whatever the batch size.
+        assert counts[0] == counts[1] == step_ops(1)[0] <= 137
+
+
+@pytest.mark.parametrize("modes", [m for r in range(4) for m in itertools.combinations(tf.INJECTION_MODES, r)],
+                         ids=lambda m: "+".join(m) or "none")
+def test_parameter_specs_list_what_init_parameters_draws(modes):
+    """The listing a checkpoint load checks against is the one the initializer follows."""
+    cfg = toy_config(injection_modes=modes, layers=3, encoder_layers=2)
+    drawn = tf.init_parameters(cfg, np.random.default_rng(0))
+    assert [(n, shape) for n, shape, _ in tf.parameter_specs(cfg)] == [(n, p.shape) for n, p in drawn.items()]
 
 
 class TestCheckpoint:

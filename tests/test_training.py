@@ -220,6 +220,18 @@ class TestTrainStep:
         with pytest.raises(TrainingAbort, match=r"step 0, batch slot 0"):
             trainer.train_step([4, 1])
 
+    def test_abort_names_the_one_slot_that_overflows(self):
+        """The batch raises as a whole; scoring its slots alone finds the one example that overflows."""
+        trainer = toy_setup()
+        batch = [5, 0, 3]
+        elsewhere = set(np.concatenate([trainer.examples[i].decoder_input for i in batch[:2]]).tolist())
+        token = next(t for t in trainer.examples[3].decoder_input.tolist() if t not in elsewhere)
+        trainer.model.params["embed.word"].data[token] = 1e38
+        with pytest.raises(TrainingAbort, match=r"step 0, batch slot 2 \(example 3\)") as caught:
+            trainer.train_step(batch)
+        assert (caught.value.batch_index, caught.value.example_index) == (2, 3)
+        assert not any(p.requires_grad for _, p in trainer.model.params.items())
+
     @pytest.mark.slow
     def test_loss_descends_on_fixed_batch(self):
         # fixed batch and fixed latent noise: the objective is deterministic
