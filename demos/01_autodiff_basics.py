@@ -17,9 +17,11 @@ a = Tensor([[1.0, 2.0], [3.0, 4.0]])
 b = Tensor([[1.0], [1.0]])
 print("[[1,2],[3,4]] @ [[1],[1]] =", ag.linear(a, b).data.ravel())  # [3, 7]
 
-# Softmax, as exp(log_softmax), is shift invariant and sums to one.
-row = Tensor(np.array([0.0, np.log(2.0)]))
-print("softmax([0, ln 2]) =", ag.exp(ag.log_softmax(row)).data)  # [1/3, 2/3]
+# Softmax, as exp(-per_position) of a cross_entropy that targets each column
+# of the same logit row in turn, is shift invariant and sums to one.
+rows = Tensor(np.tile([0.0, np.log(2.0)], (2, 1)))
+_, per_position = ag.cross_entropy(rows, np.array([0, 1]), np.ones(2, dtype=bool))
+print("softmax([0, ln 2]) =", np.exp(-per_position))  # [1/3, 2/3]
 
 # Non-finite forward values raise instead of propagating.
 try:
@@ -30,7 +32,7 @@ except ag.NumericsError as e:
 # Finite-difference verification of a composite function, float64.
 params = ParameterSet()
 params.add("w", Tensor(np.random.default_rng(0).standard_normal((4, 4)), dtype=np.float64))
-params.add("v", Tensor(np.random.default_rng(1).standard_normal(4), dtype=np.float64))
+params.add("v", Tensor(np.random.default_rng(1).standard_normal((1, 4)), dtype=np.float64))
 
 def fn():
     h = ag.gelu(ag.linear(params["v"], params["w"]))

@@ -16,17 +16,20 @@ gate: no op silences numpy's warnings, so an overflow may warn before it
 raises, and one whose output is finite (``gelu``'s cube) is no error.
 
 Ops that work on rows (``add``, ``linear``, ``layer_norm``, ``gelu``,
-``attention``, ``log_softmax``, ``pick``, ``take_rows``, ``cross_entropy``)
-also take leading batch axes: a batch of equal-length sequences runs as one
-node per op, and each batch entry is computed exactly as it would be alone.
+``attention``, ``take_rows``, ``cross_entropy``, ``gaussian_kl``) also take
+leading batch axes: a batch of equal-length sequences runs as one node per
+op, and each batch entry is computed exactly as it would be alone.  A
+single vector goes through ``linear`` and ``attention`` as one (1, d) row.
 
 Per-op Python overhead, not arithmetic, bounds small models, so the
 transformer's hot paths use two fused ops: ``linear`` (a product plus
 bias) and ``attention`` (every head's scaled scores, masked softmax and
 weighted sum, reading per-head key/value stacks without copying them).
-Each job has one op: every product goes through ``linear``, the only
-masked softmax is the one inside ``attention``, and ``transpose`` only
-views a matrix transposed.
+Each term of the objective is one node too: ``cross_entropy`` (log-softmax,
+target pick and masked sum) and ``gaussian_kl`` (the closed-form KL per
+coordinate).  Each job has one op: every product goes through ``linear``,
+the only masked softmax is the one inside ``attention``, and ``transpose``
+only views a matrix transposed.
 """
 
 from __future__ import annotations
@@ -146,20 +149,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, "add", (a, b), backward)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}")
-    data = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g)
-        if b.requires_grad:
-            b.accumulate_grad(-g)
-
-    return _make(data, "sub", (a, b), backward)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if not _binary_shapes_ok(a, b):
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
@@ -172,22 +161,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
 
     return _make(data, "mul", (a, b), backward)
-
-
-def neg(a: Tensor) -> Tensor:
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(-g)
-
-    return _make(-a.data, "neg", (a,), backward)
-
-
-def add_scalar(a: Tensor, s: float) -> Tensor:
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g)
-
-    return _make(a.data + float(s), "add_scalar", (a,), backward)
 
 
 def mul_scalar(a: Tensor, s: float) -> Tensor:
@@ -203,25 +176,24 @@ def mul_scalar(a: Tensor, s: float) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """``x @ w + b`` as one node, through a (d, m) weight and optional (m,) bias.
 
-    ``x`` is a (d,) vector, (n, d) rows, or rows under leading batch axes,
-    (..., n, d): each batch entry is its own (n, d) product, so a row gets
-    the same bits whichever batch it sits in.
+    ``x`` is (n, d) rows, or rows under leading batch axes, (..., n, d):
+    each batch entry is its own (n, d) product, so a row gets the same
+    bits whichever batch it sits in.  A single vector is one (1, d) row.
     """
     xd, wd = x.data, w.data
-    if wd.ndim != 2 or xd.shape[-1:] != wd.shape[:1]:
+    if wd.ndim != 2 or xd.ndim < 2 or xd.shape[-1] != wd.shape[0]:
         raise ShapeError(f"linear: cannot apply a {wd.shape} weight to shape {xd.shape}")
     if b is not None and b.data.shape != wd.shape[1:]:
         raise ShapeError(f"linear: bias shape {b.shape} does not match weight {wd.shape}")
     data = xd @ wd if b is None else xd @ wd + b.data
-    vector = xd.ndim == 1
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate_grad(wd @ g if vector else g @ wd.T)
+            x.accumulate_grad(g @ wd.T)
         if w.requires_grad:
-            w.accumulate_grad(np.outer(xd, g) if vector else xd.reshape(-1, wd.shape[0]).T @ g.reshape(-1, wd.shape[1]))
+            w.accumulate_grad(xd.reshape(-1, wd.shape[0]).T @ g.reshape(-1, wd.shape[1]))
         if b is not None and b.requires_grad:
-            b.accumulate_grad(g if vector else g.reshape(-1, wd.shape[1]).sum(axis=0))
+            b.accumulate_grad(g.reshape(-1, wd.shape[1]).sum(axis=0))
 
     return _make(data, "linear", (x, w) if b is None else (x, w, b), backward)
 
@@ -322,23 +294,22 @@ def attention(q: Tensor, keys_t: np.ndarray, values: np.ndarray, segments, mask=
     is (..., H, n, d/H), where the optional leading axes are a batch of
     independent sequences.  They are typically views of a preallocated
     cache, so no earlier row is copied or re-transposed.  ``q`` holds
-    (..., Lq, d) query rows, one (d,) query, or (Lq, d) rows that every
-    batch entry shares.  Each ``(lo, hi, k, v)`` of ``segments`` names the
+    (..., Lq, d) query rows, or (Lq, d) rows that every batch entry
+    shares.  Each ``(lo, hi, k, v)`` of ``segments`` names the
     (..., hi - lo, d) key and value tensors whose rows sit at ``lo:hi``;
     they are the op's tape parents besides ``q``, and backward splits the
     key and value gradients across them.  Rows in no segment are
     constants.  Scores are scaled by 1/sqrt(d/H); ``mask`` broadcasts to
     the (Lq, n) scores of every batch entry and head, and its False
     entries get exactly zero weight.  Head outputs come back side by side,
-    shaped (..., Lq, d), or (..., d) for one (d,) query.  With
-    ``return_weights`` the (..., H, Lq, n) probabilities follow the output.
+    shaped (..., Lq, d).  With ``return_weights`` the (..., H, Lq, n)
+    probabilities follow the output.
     """
     h, dh, n = keys_t.shape[-3:]
-    vector = q.data.ndim == 1
-    lq, d = (1, q.shape[0]) if vector else q.shape[-2:]
-    if h * dh != d or values.shape[-3:] != (h, n, dh):
+    if q.data.ndim < 2 or h * dh != q.shape[-1] or values.shape[-3:] != (h, n, dh):
         raise ShapeError(f"attention: queries {q.shape} do not fit keys {keys_t.shape} and values {values.shape}")
-    qh = q.data.reshape(q.shape[:-1] + (h, dh) if not vector else (1, h, dh)).swapaxes(-3, -2)
+    lq, d = q.shape[-2:]
+    qh = q.data.reshape(q.shape[:-1] + (h, dh)).swapaxes(-3, -2)
     scale = 1.0 / math.sqrt(dh)
     try:
         scores = (qh @ keys_t) * scale
@@ -359,7 +330,7 @@ def attention(q: Tensor, keys_t: np.ndarray, values: np.ndarray, segments, mask=
         e = np.where(mask, np.exp(shifted), 0.0)
     probs = e / e.sum(axis=-1, keepdims=True)
     batch = probs.shape[:-3]
-    out_shape = batch + ((d,) if vector else (lq, d))
+    out_shape = batch + (lq, d)
     data = (probs @ values).swapaxes(-3, -2).reshape(out_shape)
 
     def backward(g):
@@ -384,38 +355,6 @@ def attention(q: Tensor, keys_t: np.ndarray, values: np.ndarray, segments, mask=
     parents = (q,) + tuple(t for seg in segments for t in seg[2:])
     out = _make(data, "attention", parents, backward)
     return (out, probs.copy()) if return_weights else out
-
-
-def log_softmax(a: Tensor) -> Tensor:
-    x = a.data
-    shifted = x - x.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    data = shifted - lse
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g - np.exp(data) * g.sum(axis=-1, keepdims=True))
-
-    return _make(data, "log_softmax", (a,), backward)
-
-
-def pick(a: Tensor, column_ids: np.ndarray) -> Tensor:
-    """Select a[..., i, column_ids[..., i]] for each row i of the matrix ``a`` or of each matrix of a batch."""
-    ids = np.asarray(column_ids, dtype=np.int64)
-    if a.data.ndim < 2 or ids.shape != a.shape[:-1]:
-        raise ShapeError(f"pick: need one column id per row, got {a.shape} and {ids.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= a.shape[-1]):
-        raise IndexError(f"pick: column id out of range for width {a.shape[-1]}")
-    ids = ids[..., None]
-    data = np.take_along_axis(a.data, ids, axis=-1)[..., 0]
-
-    def backward(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            np.put_along_axis(full, ids, g[..., None], axis=-1)
-            a.accumulate_grad(full)
-
-    return _make(data, "pick", (a,), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -464,12 +403,14 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> tuple[Tensor, np.ndarray]:
-    """Summed negative log-likelihood in nats over unmasked positions of (..., T, V) logits.
+    """Summed negative log-likelihood in nats over unmasked positions of (..., T, V) logits, as one node.
 
-    Returns the scalar loss (on the tape) together with a detached copy of
+    Returns the scalar loss (on the tape) together with a plain array of
     the (..., T) per-position losses, each with the bits its row alone
     gives. Raises if every position is masked or any target id falls
-    outside the vocabulary.
+    outside the vocabulary.  The log-softmax is max-shifted, and backward
+    is its chain: ``-g * mask`` at each target, less the softmax times
+    that row's sum.
     """
     targets = np.asarray(targets, dtype=np.int64)
     mask = np.asarray(mask, dtype=bool)
@@ -482,9 +423,58 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> tupl
         raise IndexError(f"cross_entropy: target id out of range for vocabulary size {v}")
     if not mask.any():
         raise ValueError("cross_entropy: every position is masked, loss is empty")
-    per_position = neg(pick(log_softmax(logits), targets))
-    total = sum_all(mul(per_position, Tensor(mask.astype(logits.data.dtype))))
-    return total, per_position.data.copy()
+    x = logits.data
+    shifted = x - x.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    ids = targets[..., None]
+    per_position = -np.take_along_axis(log_probs, ids, axis=-1)[..., 0]
+    weights = mask.astype(x.dtype)
+    data = np.asarray((per_position * weights).sum(), dtype=x.dtype)
+
+    def backward(g):
+        if logits.requires_grad:
+            full = np.zeros_like(x)
+            np.put_along_axis(full, ids, -(np.full_like(per_position, g) * weights)[..., None], axis=-1)
+            logits.accumulate_grad(full - np.exp(log_probs) * full.sum(axis=-1, keepdims=True))
+
+    return _make(data, "cross_entropy", (logits,), backward), per_position
+
+
+def gaussian_kl(mu_q: Tensor, ls_q: Tensor, mu_p: Tensor, ls_p: Tensor) -> Tensor:
+    """Per-coordinate KL(q || p) of diagonal Gaussians given by means and log-sigmas, as one node.
+
+    All four are (..., d') of one shape, and so is the result:
+    (2(ls_p - ls_q) + (exp(2 ls_q) + (mu_q - mu_p)^2) exp(-2 ls_p) - 1) / 2
+    per coordinate.
+    Backward hands each log-sigma its log-ratio term and then its
+    variance term as two accumulations, not as their sum: a log-sigma
+    that also feeds the reparameterization then adds its three terms in
+    one fixed order, and summing two of them first would round otherwise.
+    """
+    if not mu_q.shape == ls_q.shape == mu_p.shape == ls_p.shape:
+        raise ShapeError(f"gaussian_kl: shapes differ: {[t.shape for t in (mu_q, ls_q, mu_p, ls_p)]}")
+    var_q = np.exp(ls_q.data * 2.0)
+    inv_var_p = np.exp(ls_p.data * -2.0)
+    diff = mu_q.data - mu_p.data
+    spread = var_q + diff * diff
+    data = ((ls_p.data - ls_q.data) * 2.0 + spread * inv_var_p - 1.0) * 0.5
+
+    def backward(g):
+        half = g * 0.5
+        g_spread = half * inv_var_p
+        g_diff = g_spread * diff * 2.0
+        if mu_q.requires_grad:
+            mu_q.accumulate_grad(g_diff)
+        if mu_p.requires_grad:
+            mu_p.accumulate_grad(-g_diff)
+        if ls_q.requires_grad:
+            ls_q.accumulate_grad(-g)
+            ls_q.accumulate_grad(g_spread * var_q * 2.0)
+        if ls_p.requires_grad:
+            ls_p.accumulate_grad(g)
+            ls_p.accumulate_grad(half * spread * inv_var_p * -2.0)
+
+    return _make(data, "gaussian_kl", (mu_q, ls_q, mu_p, ls_p), backward)
 
 
 def backward(loss: Tensor) -> None:

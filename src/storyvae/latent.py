@@ -76,18 +76,17 @@ class LatentCode:
 
 
 def gaussian_head(pooled: Tensor, mu_w: Tensor, mu_b: Tensor, ls_w: Tensor, ls_b: Tensor) -> DiagonalGaussian:
-    """Project a pooled encoder vector to a clamped diagonal Gaussian.
+    """Project a pooled encoder row to a clamped diagonal Gaussian.
 
-    ``pooled`` is one (d,) vector, or the (B, 1, d) rows a batch pools
-    to, which give a (B, d') Gaussian.  log-sigma is clamped to [-20, 2]
-    after the head so an unlucky init or a large pooled activation cannot
-    blow up the KL term early in training.
+    ``pooled`` is the (1, d) row one sequence pools to, which gives a
+    (d',) Gaussian, or the (B, 1, d) rows a batch pools to, which give a
+    (B, d') one.  log-sigma is clamped to [-20, 2] after the head so an
+    unlucky init or a large pooled activation cannot blow up the KL term
+    early in training.
     """
-    mu = ag.linear(pooled, mu_w, mu_b)
-    log_sigma = ag.clamp(ag.linear(pooled, ls_w, ls_b), LOG_SIGMA_MIN, LOG_SIGMA_MAX)
-    if pooled.data.ndim == 3:
-        rows = (pooled.shape[0], mu_w.shape[1])
-        mu, log_sigma = ag.reshape(mu, rows), ag.reshape(log_sigma, rows)
+    shape = pooled.shape[:-2] + mu_w.shape[1:]
+    mu = ag.reshape(ag.linear(pooled, mu_w, mu_b), shape)
+    log_sigma = ag.reshape(ag.clamp(ag.linear(pooled, ls_w, ls_b), LOG_SIGMA_MIN, LOG_SIGMA_MAX), shape)
     return DiagonalGaussian(mu, log_sigma)
 
 
@@ -105,16 +104,7 @@ def mean_code(g: DiagonalGaussian, source: LatentSource) -> LatentCode:
 
 
 def kl_divergence(q: DiagonalGaussian, p: DiagonalGaussian) -> Tensor:
-    """KL(q || p) in nats for diagonal Gaussians; scalar on the tape.
-
-    Per coordinate: (2(log sp - log sq) + (sq^2 + (mq - mp)^2) / sp^2 - 1) / 2.
-    """
+    """KL(q || p) in nats for diagonal Gaussians; scalar on the tape, the sum of ``ag.gaussian_kl``."""
     if q.width != p.width:
         raise ag.ShapeError(f"KL widths differ: {q.width} vs {p.width}")
-    log_ratio = ag.sub(p.log_sigma, q.log_sigma)
-    var_q = ag.exp(ag.mul_scalar(q.log_sigma, 2.0))
-    inv_var_p = ag.exp(ag.mul_scalar(p.log_sigma, -2.0))
-    diff = ag.sub(q.mu, p.mu)
-    quad = ag.mul(ag.add(var_q, ag.mul(diff, diff)), inv_var_p)
-    per_coord = ag.add_scalar(ag.add(ag.mul_scalar(log_ratio, 2.0), quad), -1.0)
-    return ag.mul_scalar(ag.sum_all(per_coord), 0.5)
+    return ag.sum_all(ag.gaussian_kl(q.mu, q.log_sigma, p.mu, p.log_sigma))

@@ -43,7 +43,11 @@ def _check_unary_ops(report) -> bool:
         "gelu": ag.gelu,
         "exp": lambda t: ag.exp(ag.mul_scalar(t, 0.3)),
         "attention": _causal_self_attention,
-        "log_softmax": lambda t: ag.log_softmax(t),
+        "cross_entropy": lambda t: ag.cross_entropy(
+            t, np.array([0, 6, 3, 3, 1]), np.array([True, True, False, True, True]))[0],
+        "gaussian_kl": lambda t: ag.gaussian_kl(
+            ag.take_rows(t, [0, 1]), ag.mul_scalar(ag.take_rows(t, [2, 3]), 0.5),
+            ag.take_rows(t, [4, 0]), ag.mul_scalar(ag.take_rows(t, [1, 2]), 0.5)),
         "transpose": ag.transpose,
     }
     ok = True

@@ -74,6 +74,10 @@ class ModelConfig:
     latent_head_gain: float = 1.0
 
     def __post_init__(self):
+        sizes = {"d": self.d, "layers": self.layers, "heads": self.heads, "latent_dim": self.latent_dim}
+        small = {name: n for name, n in sizes.items() if n < 1}
+        if small:
+            raise ContractError(f"model sizes must be at least 1, got {small}")
         if self.d % self.heads != 0:
             raise ContractError(f"model width {self.d} is not divisible by {self.heads} heads")
         if not 1 <= self.encoder_layers <= self.layers:
@@ -362,9 +366,9 @@ def multi_head_attention(
 
 def attention_average(hseq: Tensor, p: PoolingParams, n_heads: int, return_weights: bool = False,
                       key_mask: np.ndarray | None = None):
-    """Pool a sequence into one vector with a learnable query.
+    """Pool a sequence into one row with a learnable query.
 
-    ``hseq`` is one (T, d) sequence, pooled to a (d,) vector, or a
+    ``hseq`` is one (T, d) sequence, pooled to a (1, d) row, or a
     (B, T, d) batch, pooled to (B, 1, d): one row per sequence, so each
     goes through its own output product.  A batch of right-padded
     sequences passes the (B, 1, 1, T) ``key_mask`` that is False at
@@ -375,7 +379,7 @@ def attention_average(hseq: Tensor, p: PoolingParams, n_heads: int, return_weigh
         raise ContractError("cannot pool an empty sequence")
     kv = KVRows(n_heads, l)
     kv.append(ag.linear(hseq, p.wk), ag.linear(hseq, p.wv, p.bv))
-    q = p.q if hseq.data.ndim == 2 else ag.reshape(p.q, (1, d))
+    q = ag.reshape(p.q, (1, d))
     if return_weights:
         out, weights = kv.attend(q, key_mask, return_weights=True)
         return ag.linear(out, p.wo, p.bo), list(weights)
@@ -397,21 +401,15 @@ def _block(x, params, prefix, cfg, causal, past, drop_rng, key_mask):
     return ag.add(x, h)
 
 
-def _check_modes(modes) -> tuple[str, ...]:
-    modes = tuple(modes)
-    for m in modes:
-        if m not in INJECTION_MODES:
-            raise ContractError(f"unknown injection mode: {m}")
-    return modes
-
-
 class DecoderCache:
     """A decoder forward's state for one latent or a batch of them: injection rows, and each layer's keys and values.
 
     The ``input`` row, the per-layer pseudo-self-attention key/value rows
     and the ``softmax`` bias are computed from the latent here, once.  A
     (B, d') latent batch serves B sequences of equal length: its rows go
-    through the injection products as (B, 1, d') rows, each on its own.
+    through the injection products as (B, 1, d') rows, each on its own,
+    and a single latent as one (1, d') row.  ``modes`` must be among the
+    model's ``cfg.injection_modes``, the routes it has parameters for.
     Each layer's ``KVRows`` is preallocated to the latent row plus
     ``cfg.max_seq_len`` positions, so a caller whose sequences stop sooner
     passes a config whose ``max_seq_len`` is their reach; the latent rows
@@ -423,7 +421,9 @@ class DecoderCache:
     """
 
     def __init__(self, params: ParameterSet, cfg: ModelConfig, latent=None, modes: tuple[str, ...] = ()):
-        modes = _check_modes(modes)
+        modes = tuple(modes)
+        if not set(modes) <= set(cfg.injection_modes):
+            raise ContractError(f"injection modes {modes} are not all among the model's {cfg.injection_modes}")
         if modes and latent is None:
             raise ContractError("decoder with injection modes enabled needs a latent code")
         self.latent, self.modes, self.length = latent, modes, 0
@@ -433,7 +433,7 @@ class DecoderCache:
         if modes:
             if latent.width != cfg.latent_dim:
                 raise ContractError(f"latent width {latent.width} does not match configured {cfg.latent_dim}")
-            z = latent.z if not self.batch else ag.reshape(latent.z, (*self.batch, 1, latent.width))
+            z = ag.reshape(latent.z, (*self.batch, 1, latent.width))
             if "input" in modes:
                 self.input_row = ag.linear(z, params["inject.input.w"])
             if "psa" in modes:
@@ -515,7 +515,7 @@ def stack_forward(
     """
     if role not in ("encoder", "decoder"):
         raise ContractError(f"unknown stack role: {role}")
-    modes = _check_modes(modes)
+    modes = tuple(modes)
     is_decoder = role == "decoder"
     if not is_decoder:
         if cache is not None:

@@ -194,6 +194,7 @@ class TestExitCodes:
         "manifest_payload_outside": lambda f: {"payload": "../checkpoint/params.bin"},
         "manifest_mode_unknown": lambda f: {"mode": 5},
         "manifest_step_negative": lambda f: {"step": -1},
+        "manifest_model_heads_zero": lambda f: {"model": dict(f["model"], heads=0)},
         "manifest_step_bool": lambda f: {"step": True},
         "manifest_tensors_not_list": lambda f: {"tensors": "embed.word"},
         "manifest_optimizer_not_object": lambda f: {"optimizer": 5},
@@ -486,3 +487,13 @@ def test_metrics_rows_stream_as_steps_end(workspace, tmp_path, monkeypatch):
     lines = (tmp_path / "crash" / "metrics.csv").read_text(encoding="ascii").splitlines()
     assert lines[0] == METRICS_HEADER
     assert [row.split(",")[0] for row in lines[1:]] == ["0", "1", "2", "3", "4"]
+
+
+@pytest.mark.parametrize("flag, value", [("d", "0"), ("d", "-4"), ("heads", "0"), ("heads", "-2"), ("layers", "0"),
+                                         ("latent-dim", "0"), ("latent-dim", "-2")])
+def test_model_sizes_below_one_exit_2(workspace, tmp_path, capsys, flag, value):
+    """A model size below 1 is a data error naming the size, checked before any division by it."""
+    args = ["train", "--corpus", workspace["corpus"], "--vocab", workspace["vocab"], "--out", str(tmp_path / "o")]
+    assert cli.main(args + FAST_MODEL + FAST_TRAIN + [f"--model.{flag}", value]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "model sizes must be at least 1" in err and "Traceback" not in err

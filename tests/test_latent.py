@@ -22,7 +22,7 @@ class TestGaussianHead:
         self.ls_b = Tensor(np.zeros(4), requires_grad=True)
 
     def test_zero_input_zero_heads_is_standard_normal(self):
-        pooled = Tensor(np.zeros(6))
+        pooled = Tensor(np.zeros((1, 6)))
         zero = Tensor(np.zeros((6, 4)))
         zero_b = Tensor(np.zeros(4))
         g = lt.gaussian_head(pooled, zero, zero_b, zero, zero_b)
@@ -30,16 +30,18 @@ class TestGaussianHead:
         assert np.array_equal(g.log_sigma.data, np.zeros(4))
 
     def test_output_width(self):
-        g = lt.gaussian_head(Tensor(np.ones(6)), self.mu_w, self.mu_b, self.ls_w, self.ls_b)
-        assert g.mu.shape == (4,)
-        assert g.log_sigma.shape == (4,)
+        """One pooled (1, d) row gives a (d',) Gaussian, and a (B, 1, d) batch a (B, d') one."""
+        g = lt.gaussian_head(Tensor(np.ones((1, 6))), self.mu_w, self.mu_b, self.ls_w, self.ls_b)
+        assert g.mu.shape == g.log_sigma.shape == (4,)
+        g = lt.gaussian_head(Tensor(np.ones((3, 1, 6))), self.mu_w, self.mu_b, self.ls_w, self.ls_b)
+        assert g.mu.shape == g.log_sigma.shape == (3, 4)
 
     def test_log_sigma_clamped(self):
         big_b = Tensor(np.full(4, 10.0))
-        g = lt.gaussian_head(Tensor(np.zeros(6)), self.mu_w, self.mu_b, Tensor(np.zeros((6, 4))), big_b)
+        g = lt.gaussian_head(Tensor(np.zeros((1, 6))), self.mu_w, self.mu_b, Tensor(np.zeros((6, 4))), big_b)
         assert np.array_equal(g.log_sigma.data, np.full(4, 2.0))
         low_b = Tensor(np.full(4, -50.0))
-        g = lt.gaussian_head(Tensor(np.zeros(6)), self.mu_w, self.mu_b, Tensor(np.zeros((6, 4))), low_b)
+        g = lt.gaussian_head(Tensor(np.zeros((1, 6))), self.mu_w, self.mu_b, Tensor(np.zeros((6, 4))), low_b)
         assert np.array_equal(g.log_sigma.data, np.full(4, -20.0))
 
 

@@ -256,15 +256,18 @@ class TestTapeSize:
                           injection_modes=("input",), injection_gain=8.0, latent_head_gain=50.0)
         examples = cp.prepare_corpus(pairs, vocab, 64)
 
-        def step_ops(batch_size: int) -> list[int]:
+        def step_ops(batch_size: int, mode: str = "cvae") -> list[int]:
             schedule = TrainingSchedule(total_steps=5000, cycle_length=1250, learning_rate=1e-3,
                                         batch_size=batch_size, seed=0)
-            trainer = Trainer(StoryVAE.create(cfg, seed=0), examples, schedule, separator_id=vocab.separator_id)
+            trainer = Trainer(StoryVAE.create(cfg, seed=0, mode=mode), examples, schedule,
+                              separator_id=vocab.separator_id)
             return [self.ops(monkeypatch, lambda: trainer.train_step(trainer.draw_batch())) for _ in range(2)]
 
         counts = step_ops(4)
-        # One padded forward and backward, whatever the batch size.
-        assert counts[0] == counts[1] == step_ops(1)[0] <= 137
+        # One padded forward and backward, whatever the batch size, and one node per objective term.
+        assert counts[0] == counts[1] == step_ops(1)[0] <= 94
+        vae = step_ops(4, "vae")
+        assert vae[0] == vae[1] == step_ops(1, "vae")[0] <= 68
 
 
 @pytest.mark.parametrize("modes", [m for r in range(4) for m in itertools.combinations(tf.INJECTION_MODES, r)],

@@ -242,7 +242,7 @@ class TestFusedHeadsMatchPerHeadLoop:
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
     @pytest.mark.parametrize("batched", [False, True])
     def test_attention_average(self, n_heads, batched):
-        """A (T, d) sequence, or each sequence of a (B, T, d) batch, pools to the oracle's bits."""
+        """A (T, d) sequence, pooled to one (1, d) row, or each sequence of a (B, T, d) batch, pools to the oracle's bits."""
         cfg = small_config(heads=n_heads)
         params = make_params(cfg, seed=33, dtype=np.float64)
         ag.rescale_for_grad_check(params, np.random.default_rng(34))
@@ -253,7 +253,7 @@ class TestFusedHeadsMatchPerHeadLoop:
         out, weights = tf.attention_average(Tensor(hseq), pool, n_heads, return_weights=True)
         for b, seq in enumerate(hseq if batched else [hseq]):
             want, want_weights = pool_oracle(seq, pool, n_heads)
-            got, got_weights = (out.data[b, 0], weights[b]) if batched else (out.data, weights)
+            got, got_weights = (out.data[b, 0], weights[b]) if batched else (out.data[0], weights)
             assert np.array_equal(got, want)
             for got_w, want_w in zip(got_weights, want_weights, strict=True):
                 assert np.array_equal(got_w, want_w)
@@ -336,6 +336,19 @@ class TestStackForward:
         params = make_params(cfg)
         with pytest.raises(ContractError):
             tf.stack_forward(np.array([1]), params, cfg, role="decoder", latent=None, modes=("input",))
+
+    @pytest.mark.parametrize("route", tf.INJECTION_MODES)
+    def test_route_the_model_lacks_rejected(self, route):
+        """Decoding through a route the model was built without is a contract error, not a missing parameter."""
+        others = tuple(m for m in tf.INJECTION_MODES if m != route)
+        model = StoryVAE(small_config(injection_modes=others), make_params(small_config(injection_modes=others)))
+        z = lt.LatentCode.external(np.ones(model.config.latent_dim))
+        model.decode_logits([1, 2], z, modes=others)
+        for modes in [(route,), (others[0], route)]:
+            with pytest.raises(ContractError, match="not all among the model's"):
+                model.decode_logits([1, 2], z, modes=modes)
+            with pytest.raises(ContractError):
+                model.decoder_cache(z, modes)
 
     def test_causality_suffix_edits(self):
         cfg = small_config()
