@@ -23,4 +23,4 @@ print("prior input:     ", example.prior_input)
 print("decoder input:   ", example.decoder_input)
 print("targets:         ", example.targets)
 print("loss mask:       ", example.loss_mask.astype(int))
-print("masked targets == story tokens + 1:", example.loss_mask.sum() == len(pairs[0].story_tokens) + 1)
+print("masked targets == story tokens + 1:", example.loss_mask.sum() == len(example.pair.story_tokens) + 1)

@@ -1,6 +1,9 @@
 """Command-line entry point.
 
-Commands: vocab, train, generate, control, encode, eval, selftest.
+Commands: vocab, train, generate, control, encode, eval, selftest.  One
+parser takes the command as its first positional argument and every
+option, before or after it; ``--resume`` is train's and the prompts are
+control's, and given to another command they are a usage error.
 Configuration comes from an optional flat key=value file plus flag
 overrides (flags win); the fully resolved configuration is written to
 the output directory before any training, generation or scoring
@@ -81,6 +84,8 @@ CONFIG_SCHEMA: dict[str, tuple[type, object]] = {
     "encode.which": (str, "posterior-mean"),
 }
 
+DEFAULTS = {key: default for key, (_, default) in CONFIG_SCHEMA.items()}
+
 COMMANDS = ("vocab", "train", "generate", "control", "encode", "eval", "selftest")
 
 
@@ -148,7 +153,7 @@ def _given_config(args: argparse.Namespace) -> dict:
 
 def resolve_config(args: argparse.Namespace) -> dict:
     """Defaults, then config file, then flags; flags win."""
-    return {**{key: default for key, (_, default) in CONFIG_SCHEMA.items()}, **_given_config(args)}
+    return {**DEFAULTS, **_given_config(args)}
 
 
 def config_snapshot(resolved: dict) -> str:
@@ -216,8 +221,13 @@ def _prepare_out(resolved: dict) -> Path:
     return out
 
 
-def _load_run(resolved: dict, checkpoint: str, corpus: bool = True):
-    """``checkpoint``'s model and manifest, the vocabulary of its size, and the examples at its max_seq_len (or None)."""
+def _load_run(resolved: dict, given: dict, checkpoint: str, corpus: bool = True):
+    """``checkpoint``'s model and manifest, the vocabulary of its size, the examples at its max_seq_len (or
+    None), and ``resolved`` with the checkpoint's ``mode`` and ``model.*`` keys.
+
+    A given key that contradicts the checkpoint raises ``UsageError``;
+    ``model.vocab-size`` is exempt, since the vocabulary decides it.
+    """
     model, manifest = StoryVAE.load(checkpoint)
     vocab = cp.Vocabulary.load(resolved["vocab"])
     if vocab.size != model.config.vocab_size:
@@ -225,15 +235,6 @@ def _load_run(resolved: dict, checkpoint: str, corpus: bool = True):
             f"the vocabulary has {vocab.size} tokens but the checkpoint's model has {model.config.vocab_size}"
         )
     examples = cp.prepare_corpus(cp.load_corpus(resolved["corpus"]), vocab, model.config.max_seq_len) if corpus else None
-    return model, manifest, vocab, examples
-
-
-def _checkpoint_config(resolved: dict, given: dict, model: StoryVAE) -> dict:
-    """``resolved`` with the loaded checkpoint's ``mode`` and ``model.*`` keys.
-
-    A given key that contradicts the checkpoint raises ``UsageError``;
-    ``model.vocab-size`` is exempt, since the vocabulary decides it.
-    """
     saved = {f"model.{k.replace('_', '-')}": v for k, v in model.config.to_dict().items()}
     saved = {"mode": model.mode, "model.inject": ",".join(saved.pop("model.injection-modes")), **saved}
     for key, value in given.items():
@@ -241,7 +242,14 @@ def _checkpoint_config(resolved: dict, given: dict, model: StoryVAE) -> dict:
             value = ",".join(m for m in value.split(",") if m)
         if key in saved and key != "model.vocab-size" and value != saved[key]:
             raise UsageError(f"--{key} {value} contradicts the checkpoint's {saved[key]}; a checkpoint keeps its model")
-    return {**resolved, **saved}
+    return model, manifest, vocab, examples, {**resolved, **saved}
+
+
+def _open_checkpoint(resolved: dict, given: dict, corpus: bool = True):
+    """The ``--checkpoint`` run's model, vocabulary and examples, and the output directory its config is written to."""
+    _require(resolved, *(("corpus",) if corpus else ()), "vocab", "checkpoint", "out")
+    model, _, vocab, examples, resolved = _load_run(resolved, given, resolved["checkpoint"], corpus)
+    return model, vocab, examples, _prepare_out(resolved)
 
 
 def cmd_vocab(resolved: dict) -> int:
@@ -258,8 +266,7 @@ def cmd_vocab(resolved: dict) -> int:
 def cmd_train(resolved: dict, resume: str | None, given: dict) -> int:
     _require(resolved, "corpus", "vocab")
     if resume:
-        model, manifest, vocab, examples = _load_run(resolved, resume)
-        resolved = _checkpoint_config(resolved, given, model)
+        model, manifest, vocab, examples, resolved = _load_run(resolved, given, resume)
         # Without --train.cycle-length a resumed run keeps the annealing cycle it was saved with.
         saved_cycle = (manifest["optimizer"] or {}).get("cycle_length")
         if not resolved["train.cycle-length"] and saved_cycle:
@@ -313,9 +320,7 @@ def _story_records(resolved: dict, model: StoryVAE, vocab: cp.Vocabulary, exampl
 
 
 def cmd_generate(resolved: dict, given: dict) -> int:
-    _require(resolved, "corpus", "vocab", "checkpoint", "out")
-    model, _, vocab, examples = _load_run(resolved, resolved["checkpoint"])
-    out = _prepare_out(_checkpoint_config(resolved, given, model))
+    model, vocab, examples, out = _open_checkpoint(resolved, given)
     records = _story_records(resolved, model, vocab, examples)
     _write_stories(out / "stories.jsonl", records)
     print(f"{len(records)} stories written to {out / 'stories.jsonl'}")
@@ -323,11 +328,9 @@ def cmd_generate(resolved: dict, given: dict) -> int:
 
 
 def cmd_control(resolved: dict, given: dict, prompt_a: str, prompt_b: str) -> int:
-    _require(resolved, "vocab", "checkpoint", "out")
     if not prompt_a or not prompt_b:
         raise UsageError("control needs --prompt-a and --prompt-b")
-    model, _, vocab, _ = _load_run(resolved, resolved["checkpoint"], corpus=False)
-    out = _prepare_out(_checkpoint_config(resolved, given, model))
+    model, vocab, _, out = _open_checkpoint(resolved, given, corpus=False)
     sampler = sampler_from(resolved)
     tokens_a = vocab.encode(prompt_a)
     tokens_b = vocab.encode(prompt_b)
@@ -348,18 +351,14 @@ def cmd_control(resolved: dict, given: dict, prompt_a: str, prompt_b: str) -> in
 
 
 def cmd_encode(resolved: dict, given: dict) -> int:
-    _require(resolved, "corpus", "vocab", "checkpoint", "out")
-    model, _, vocab, examples = _load_run(resolved, resolved["checkpoint"])
-    out = _prepare_out(_checkpoint_config(resolved, given, model))
+    model, vocab, examples, out = _open_checkpoint(resolved, given)
     n = ev.export_latents(model, examples, resolved["encode.which"], out / "latents.tsv")
     print(f"{n} latent rows written to {out / 'latents.tsv'}")
     return EXIT_OK
 
 
 def cmd_eval(resolved: dict, given: dict) -> int:
-    _require(resolved, "corpus", "vocab", "checkpoint", "out")
-    model, _, vocab, examples = _load_run(resolved, resolved["checkpoint"])
-    out = _prepare_out(_checkpoint_config(resolved, given, model))
+    model, vocab, examples, out = _open_checkpoint(resolved, given)
     records = _story_records(resolved, model, vocab, examples)
     report = ev.evaluate(model, examples, [r["story"] for r in records])
     _write_stories(out / "stories.jsonl", records)
@@ -385,25 +384,21 @@ def build_parser() -> argparse.ArgumentParser:
         prog="storyvae",
         description="Prompt-conditioned story generation with a latent-variable transformer.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command in COMMANDS:
-        p = sub.add_parser(command)
-        p.add_argument("--config", help="flat key=value configuration file")
-        for key, (kind, _) in CONFIG_SCHEMA.items():
-            if kind is bool:
-                p.add_argument(f"--{key}", dest=key, action="store_true", default=False)
-            else:
-                p.add_argument(f"--{key}", dest=key, type=kind, default=None)
-        if command == "train":
-            p.add_argument(
-                "--resume", default=None,
-                help="checkpoint directory to resume from; the model and mode are the checkpoint's, "
-                     "--train.steps then counts the additional steps, "
-                     "and the annealing cycle is the checkpoint's unless --train.cycle-length is given",
-            )
-        if command == "control":
-            p.add_argument("--prompt-a", dest="prompt_a", default=None)
-            p.add_argument("--prompt-b", dest="prompt_b", default=None)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", help="flat key=value configuration file")
+    for key, (kind, _) in CONFIG_SCHEMA.items():
+        if kind is bool:
+            parser.add_argument(f"--{key}", dest=key, action="store_true", default=False)
+        else:
+            parser.add_argument(f"--{key}", dest=key, type=kind, default=None)
+    parser.add_argument(
+        "--resume", default=None,
+        help="train only: checkpoint directory to resume from; the model and mode are the checkpoint's, "
+             "--train.steps then counts the additional steps, "
+             "and the annealing cycle is the checkpoint's unless --train.cycle-length is given",
+    )
+    parser.add_argument("--prompt-a", dest="prompt_a", default=None, help="control only: the text prefix's prompt")
+    parser.add_argument("--prompt-b", dest="prompt_b", default=None, help="control only: the latent's prompt")
     return parser
 
 
@@ -414,23 +409,22 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return EXIT_OK if e.code == 0 else EXIT_USAGE
     try:
-        resolved, given = resolve_config(args), _given_config(args)
+        if args.resume is not None and args.command != "train":
+            raise UsageError(f"--resume belongs to train, not {args.command}")
+        if (args.prompt_a is not None or args.prompt_b is not None) and args.command != "control":
+            raise UsageError(f"--prompt-a and --prompt-b belong to control, not {args.command}")
+        given = _given_config(args)  # the one read of the config file
+        resolved = {**DEFAULTS, **given}
         with np.errstate(over="ignore", invalid="ignore"):
             if args.command == "selftest":
                 return cmd_selftest()
             if args.command == "vocab":
                 return cmd_vocab(resolved)
             if args.command == "train":
-                return cmd_train(resolved, getattr(args, "resume", None), given)
-            if args.command == "generate":
-                return cmd_generate(resolved, given)
+                return cmd_train(resolved, args.resume, given)
             if args.command == "control":
-                return cmd_control(resolved, given, getattr(args, "prompt_a", None), getattr(args, "prompt_b", None))
-            if args.command == "encode":
-                return cmd_encode(resolved, given)
-            if args.command == "eval":
-                return cmd_eval(resolved, given)
-        raise UsageError(f"unknown command: {args.command}")
+                return cmd_control(resolved, given, args.prompt_a, args.prompt_b)
+            return {"generate": cmd_generate, "encode": cmd_encode, "eval": cmd_eval}[args.command](resolved, given)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -15,7 +15,7 @@ from __future__ import annotations
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -160,7 +160,7 @@ def word_tokens(text: str) -> list[str]:
 
 @dataclass
 class PromptStoryPair:
-    """One corpus record; token fields are filled by ``encode_pair``."""
+    """One corpus record; ``encode_pair`` returns a copy with the token fields filled."""
 
     prompt_text: str
     story_text: str
@@ -221,7 +221,7 @@ def load_corpus(path) -> list[PromptStoryPair]:
 
 
 def encode_pair(pair: PromptStoryPair, vocab: Vocabulary, max_len: int) -> PromptStoryPair:
-    """Tokenize a pair, keeping the prompt whole and truncating the story tail.
+    """A copy of the pair with its tokens, keeping the prompt whole and truncating the story tail.
 
     Pairs whose prompt alone exceeds max_len / 2 are rejected, since the
     prompt is the conditioning signal and must survive intact.
@@ -232,12 +232,7 @@ def encode_pair(pair: PromptStoryPair, vocab: Vocabulary, max_len: int) -> Promp
         raise CorpusError("prompt and story must both be nonempty after encoding")
     if len(x) > max_len // 2:
         raise CorpusError(f"prompt of {len(x)} tokens exceeds half the sequence budget ({max_len // 2})")
-    room = max_len - len(x) - 1
-    if len(y) > room:
-        y = y[:room]
-    pair.prompt_tokens = x
-    pair.story_tokens = y
-    return pair
+    return replace(pair, prompt_tokens=x, story_tokens=y[:max_len - len(x) - 1])
 
 
 def build_example(pair: PromptStoryPair, vocab: Vocabulary, max_len: int) -> EncodedExample:

@@ -124,12 +124,14 @@ class StoryVAE:
             return self.config.injection_modes if latent is not None else ()
         return modes
 
-    def decoder_cache(self, latent: lt.LatentCode | None, modes: tuple[str, ...] | None = None) -> tf.DecoderCache:
+    def decoder_cache(self, latent: lt.LatentCode | None, modes: tuple[str, ...] | None = None,
+                      positions: int | None = None) -> tf.DecoderCache:
         """State for decoding one story, or a batch under a (B, d') latent, incrementally.
 
-        Pass it to every ``decode_logits`` call of that story or batch.
+        Pass it to every ``decode_logits`` call of that story or batch.  It
+        holds ``positions`` tokens, ``max_seq_len`` by default.
         """
-        return tf.DecoderCache(self.params, self.config, latent, self._modes(latent, modes))
+        return tf.DecoderCache(self.params, self.config, latent, self._modes(latent, modes), positions)
 
     def decode_logits(
         self,

@@ -22,7 +22,7 @@ each group in lockstep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -143,8 +143,7 @@ def generate_batch(
     max_len = model.config.max_seq_len
     if p + 1 > max_len:
         raise ContractError(f"prompt of {p} tokens leaves no room under max_seq_len {max_len}")
-    reach = replace(model.config, max_seq_len=min(max_len, p + 1 + config.max_new_tokens))
-    cache = tf.DecoderCache(model.params, reach, latent, model.config.injection_modes if latent is not None else ())
+    cache = model.decoder_cache(latent, positions=min(max_len, p + 1 + config.max_new_tokens))
     pending = np.concatenate([prompts, np.full(lead + (1,), separator_id)], axis=-1)
     stories: list[list[int]] = [[] for _ in range(n)]
     running = list(range(n))

@@ -21,10 +21,11 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import ParameterSet
-from .model import RNG_STREAMS, StoryVAE, read_tensor_file
+from .model import MANIFEST_FILE, RNG_STREAMS, StoryVAE, read_tensor_file
 from .transformer import ContractError
 
-METRICS_HEADER = "step,loss,recon,kl,beta,grad_norm"
+METRICS_COLUMNS = ("step", "loss", "recon", "kl", "beta", "grad_norm")
+METRICS_HEADER = ",".join(METRICS_COLUMNS)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -90,7 +91,7 @@ def beta_at(step: int, schedule: TrainingSchedule) -> float:
 
 def metrics_row(r: dict) -> str:
     """One ``metrics.csv`` line, newline included, for a ``train_step`` record."""
-    return f"{r['step']},{r['loss']!r},{r['recon']!r},{r['kl']!r},{r['beta']!r},{r['grad_norm']!r}\n"
+    return ",".join(repr(r[column]) for column in METRICS_COLUMNS) + "\n"
 
 
 class Adam:
@@ -291,6 +292,11 @@ class Trainer:
         info = manifest.get("optimizer")
         if not info:
             return
+        counts, names = info["update_counts"], self.model.params.names()
+        odd = sorted(set(counts) ^ set(names))
+        if odd:
+            raise ContractError(f"{Path(directory) / MANIFEST_FILE}: the optimizer's update counts must name exactly "
+                                f"the model's parameters; {len(odd)} differ, first {odd[0]!r}")
         path = Path(directory) / info["payload"]
         arrays = dict(read_tensor_file(path, manifest.get("dtype", "<f4")))
         for name, param in self.model.params.items():
@@ -300,7 +306,7 @@ class Trainer:
                     raise ContractError(f"{path}: tensor 'adam.{moment}.{name}' has shape {saved.shape}, "
                                         f"its parameter {param.shape}")
                 getattr(self.optimizer, moment)[name] = saved.astype(self.model.dtype)
-        self.optimizer.t.update({n: int(c) for n, c in info["update_counts"].items()})
+        self.optimizer.t = {n: int(counts[n]) for n in names}
         states = info.get("rng_states")
         if states:  # a checkpoint written before the streams were saved restarts them from the seed
             for name, rng in zip(RNG_STREAMS, self._rngs()):

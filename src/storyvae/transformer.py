@@ -23,9 +23,10 @@ attention: the latent's key/value rows are its first rows, and its
 capacity refuses rows beyond the configured length.
 The decoder forward runs over a ``DecoderCache``: the latent's injection
 rows, computed once, and each layer's ``KVRows`` so far.  A full-prefix
-call builds a fresh cache and feeds every token; incremental decoding
-keeps one cache per story and feeds only the new tokens, which attend
-over views of the stacks without copying an earlier row.
+call builds a fresh cache of its T rows and feeds every token;
+incremental decoding keeps one cache per story and feeds only the new
+tokens, which attend over views of the stacks without copying an
+earlier row.
 
 A leading batch axis runs through the same forward: (B, T) tokens, a
 (B, d') latent batch, and stacks with a leading B axis.  Inference
@@ -411,16 +412,16 @@ class DecoderCache:
     and a single latent as one (1, d') row.  ``modes`` must be among the
     model's ``cfg.injection_modes``, the routes it has parameters for.
     Each layer's ``KVRows`` is preallocated to the latent row plus
-    ``cfg.max_seq_len`` positions, so a caller whose sequences stop sooner
-    passes a config whose ``max_seq_len`` is their reach; the latent rows
-    are its first rows.  ``stack_forward`` appends the rows of the tokens
+    ``positions`` token rows (``cfg.max_seq_len`` by default); the latent
+    rows are its first rows.  ``stack_forward`` appends the rows of the tokens
     it is fed and advances ``length``, the number of token positions
     consumed.  A cache is bound to the parameter values it was built from;
     after a call through it raises, its layers are out of step and it
     refuses further calls.
     """
 
-    def __init__(self, params: ParameterSet, cfg: ModelConfig, latent=None, modes: tuple[str, ...] = ()):
+    def __init__(self, params: ParameterSet, cfg: ModelConfig, latent=None, modes: tuple[str, ...] = (),
+                 positions: int | None = None):
         modes = tuple(modes)
         if not set(modes) <= set(cfg.injection_modes):
             raise ContractError(f"injection modes {modes} are not all among the model's {cfg.injection_modes}")
@@ -442,7 +443,7 @@ class DecoderCache:
             if "softmax" in modes:
                 self.softmax_bias = ag.linear(z, params["inject.softmax.w"])
         self.layers = [
-            KVRows(cfg.heads, 1 + cfg.max_seq_len,
+            KVRows(cfg.heads, 1 + (cfg.max_seq_len if positions is None else positions),
                    None if z is None else latent_kv(z, attention_params(params, f"dec.{i}")))
             for i, z in enumerate(z_rows)
         ]
@@ -522,15 +523,16 @@ def stack_forward(
             raise ContractError("only the decoder stack takes a cache")
     elif key_mask is not None:
         raise ContractError("the decoder is causal: right padding needs no key mask")
-    elif cache is None:
-        cache = DecoderCache(params, cfg, latent, modes)
-    elif cache.latent is not latent or cache.modes != modes:
-        raise ContractError("the decoder cache was built for another latent or other injection modes")
-    elif any(kv.rows != kv.latent + cache.length for kv in cache.layers):
-        raise ContractError("the decoder cache is out of step: an earlier call through it raised")
-    start = cache.length if is_decoder else 0
+    elif cache is not None:
+        if cache.latent is not latent or cache.modes != modes:
+            raise ContractError("the decoder cache was built for another latent or other injection modes")
+        if any(kv.rows != kv.latent + cache.length for kv in cache.layers):
+            raise ContractError("the decoder cache is out of step: an earlier call through it raised")
+    start = cache.length if cache is not None else 0
     tokens = _validate_tokens(tokens, cfg, start)
     if is_decoder:
+        if cache is None:  # a full-prefix forward holds exactly its tokens
+            cache = DecoderCache(params, cfg, latent, modes, tokens.shape[-1])
         if cache.batch is None:
             cache.batch = tokens.shape[:-1]
         elif cache.batch != tokens.shape[:-1]:

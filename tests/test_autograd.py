@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -431,7 +432,7 @@ def _two_cached_calls(t, u):
 @pytest.mark.parametrize("name", sorted(OP_CASES))
 def test_every_op_matches_finite_differences(name):
     """Each primitive's reverse-mode gradient agrees with central differences."""
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))  # str hashes are salted per process
     params = ParameterSet()
     t = params.add("t", Tensor(rng.standard_normal((6, 8)) * 0.8, dtype=np.float64))
     u = params.add("u", Tensor(rng.standard_normal((6, 8)) * 0.8, dtype=np.float64))

@@ -207,6 +207,12 @@ class TestExitCodes:
         "manifest_optimizer_cycle_length_not_int": lambda f: {"optimizer": dict(f["optimizer"], cycle_length="4")},
     }
 
+    # Update counts replaced, as a function of the saved ones; read only on resume, like optim.bin.
+    UPDATE_COUNT_CORRUPTIONS = {
+        "optim_counts_missing": lambda counts: {},
+        "optim_counts_unknown": lambda counts: dict(counts, nope=3),
+    }
+
     # Tensor files with one tensor replaced: (file, tensor, replacement as a function of the saved array).
     TENSOR_CORRUPTIONS = {
         "params_non_finite": ("params.bin", "dec.0.mlp.w1", lambda a: with_first(a, np.inf)),
@@ -217,7 +223,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "corruption", ["params_truncated", "params_trailing_bytes", "manifest_truncated", "manifest_dtype_float16",
                        "manifest_not_object", "manifest_unknown_model_key", "manifest_mistyped_width",
-                       "manifest_latent_dim_changed", *MANIFEST_FIELD_CORRUPTIONS, *TENSOR_CORRUPTIONS]
+                       "manifest_latent_dim_changed", *MANIFEST_FIELD_CORRUPTIONS, *TENSOR_CORRUPTIONS,
+                       *UPDATE_COUNT_CORRUPTIONS]
     )
     def test_data_error_on_corrupt_checkpoint(self, workspace, tmp_path, capsys, corruption):
         checkpoint = tmp_path / "checkpoint"
@@ -232,6 +239,10 @@ class TestExitCodes:
             write_tensor_file(checkpoint / name, tensors.items())
             if name == "optim.bin":  # read only on resume, which must refuse it before any step runs
                 command = ["train", "--resume", str(checkpoint), "--train.steps", "1"]
+        elif corruption in self.UPDATE_COUNT_CORRUPTIONS:
+            counts = self.UPDATE_COUNT_CORRUPTIONS[corruption](fields["optimizer"]["update_counts"])
+            manifest.write_text(json.dumps(dict(fields, optimizer=dict(fields["optimizer"], update_counts=counts))))
+            command = ["train", "--resume", str(checkpoint), "--train.steps", "1"]
         elif corruption == "params_truncated":
             params.write_bytes(params.read_bytes()[:-10])
         elif corruption == "params_trailing_bytes":
@@ -287,6 +298,39 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert cli.main(["--help"]) == 0
+        assert cli.main(["train", "--help"]) == 0
+
+    @pytest.mark.parametrize("args", [["generate", "--resume", "x"], ["eval", "--prompt-a", "x"],
+                                      ["--prompt-b", "x", "train"], ["selftest", "--resume", ""]])
+    def test_option_of_another_command_is_a_usage_error(self, workspace, tmp_path, capsys, args):
+        """``--resume`` belongs to train and the prompts to control; elsewhere they exit 1 before anything runs."""
+        common = ["--corpus", workspace["corpus"], "--vocab", workspace["vocab"],
+                  "--checkpoint", workspace["checkpoint"], "--out", str(tmp_path / "o")]
+        assert cli.main(args + common) == cli.EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+def test_one_parser_takes_options_on_either_side_of_the_command():
+    parser = cli.build_parser()
+    assert parser._subparsers is None
+    before = vars(parser.parse_args(["--train.steps", "3", "train", "--model.d", "8"]))
+    assert before == vars(parser.parse_args(["train", "--train.steps", "3", "--model.d", "8"]))
+
+
+def test_config_file_is_read_once_per_call(tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"corpus = {toy_corpus_path()}\nout = {tmp_path / 'out'}\nmodel.vocab-size = 280\n")
+    reads, read_text = [], Path.read_text
+
+    def counted(path, *args, **kwargs):
+        if path == cfg:
+            reads.append(path)
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counted)
+    assert cli.main(["vocab", "--config", str(cfg)]) == cli.EXIT_OK
+    assert reads == [cfg]
 
 
 @pytest.mark.slow

@@ -140,7 +140,7 @@ class TestBuildExample:
         pair = cp.PromptStoryPair("ab ab", "cd")
         ex = cp.build_example(pair, vocab, max_len=32)
         assert vocab.separator_id not in ex.prior_input
-        assert list(ex.prior_input) == pair.prompt_tokens
+        assert list(ex.prior_input) == ex.pair.prompt_tokens
 
     def test_mask_counts_story_plus_terminal(self, vocab):
         rng = np.random.default_rng(2)
@@ -159,7 +159,22 @@ class TestBuildExample:
         pair = cp.PromptStoryPair("ab", "c" * 100)
         ex = cp.build_example(pair, vocab, max_len=16)
         assert len(ex.decoder_input) == 16
-        assert list(ex.prior_input) == pair.prompt_tokens  # prompt kept whole
+        assert list(ex.prior_input) == ex.pair.prompt_tokens  # prompt kept whole
+
+    def test_prepared_pairs_keep_no_tokens(self):
+        """Pairs prepared under one vocabulary prepare under another as fresh pairs do."""
+        texts = [p.prompt_text + " " + p.story_text for p in cp.load_corpus(cp.toy_corpus_path())]
+        wide, narrow = cp.fit_vocabulary(texts, 512), cp.fit_vocabulary(texts, 300)
+        pairs = cp.load_corpus(cp.toy_corpus_path())
+        cp.prepare_corpus(pairs, wide, 64)
+        assert all(p.prompt_tokens is None and p.story_tokens is None for p in pairs)
+        again = cp.prepare_corpus(pairs, narrow, 20)
+        fresh = cp.prepare_corpus(cp.load_corpus(cp.toy_corpus_path()), narrow, 20)
+        for a, b in zip(again, fresh, strict=True):
+            assert a.pair == b.pair
+            assert all(np.array_equal(x, y) for x, y in
+                       [(a.prior_input, b.prior_input), (a.decoder_input, b.decoder_input),
+                        (a.targets, b.targets), (a.loss_mask, b.loss_mask)])
 
     def test_oversized_prompt_rejected(self, vocab):
         with pytest.raises(cp.CorpusError, match="prompt"):

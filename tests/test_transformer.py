@@ -488,6 +488,39 @@ class TestCachedDecoding:
         z = np.random.default_rng(43).standard_normal(model.config.latent_dim)
         self.check(model, lt.LatentCode.external(z), np.float64, chunk=3)
 
+    @pytest.mark.parametrize("batch", [(), (4,)])
+    @pytest.mark.parametrize("modes", [("input",), ("psa",), tf.INJECTION_MODES])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_full_prefix_cache_holds_only_its_tokens(self, monkeypatch, dtype, modes, batch):
+        """A full-prefix forward preallocates the latent row plus its T tokens, and gives the bits of a max_seq_len cache.
+
+        Logits and every parameter gradient are compared, so the train
+        step's decode, which runs this way, is covered as well.
+        """
+        model = self.model(modes, dtype)
+        rng = np.random.default_rng(44)
+        tokens = rng.integers(0, model.config.vocab_size, size=batch + (37,))
+        latent = lt.LatentCode.external(rng.standard_normal(batch + (model.config.latent_dim,)), dtype)
+        targets = rng.integers(0, model.config.vocab_size, size=tokens.shape)
+        built, build = [], tf.DecoderCache
+        monkeypatch.setattr(tf, "DecoderCache", lambda *args: built.append(build(*args)) or built[-1])
+
+        def run(wide):
+            for _, p in model.params.items():
+                p.requires_grad = True
+            model.params.zero_grads()
+            logits = model.decode_logits(tokens, latent, cache=model.decoder_cache(latent) if wide else None)
+            ag.backward(ag.cross_entropy(logits, targets, np.ones(tokens.shape, dtype=bool))[0])
+            for _, p in model.params.items():
+                p.requires_grad = False
+            return [logits.data] + [p.grad for _, p in model.params.items()]
+
+        full = run(False)
+        assert [kv.capacity for kv in built[0].layers] == [1 + 37] * model.config.layers
+        wide = run(True)
+        assert [kv.capacity for kv in built[1].layers] == [1 + self.LENGTH] * model.config.layers
+        assert all(np.array_equal(a, b) for a, b in zip(full, wide, strict=True))
+
     def test_latent_rows_are_the_first_cached_rows(self):
         model = self.model(tf.INJECTION_MODES, np.float64)
         z = lt.LatentCode.external(np.ones(model.config.latent_dim))
