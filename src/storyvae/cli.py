@@ -271,13 +271,14 @@ def cmd_train(resolved: dict, resume: str | None, given: dict) -> int:
         saved_cycle = (manifest["optimizer"] or {}).get("cycle_length")
         if not resolved["train.cycle-length"] and saved_cycle:
             resolved["train.cycle-length"] = saved_cycle
-    else:
+    schedule = schedule_from(resolved)  # checked before the seed initializes a model
+    if not resume:
         vocab = cp.Vocabulary.load(resolved["vocab"])
         examples = cp.prepare_corpus(cp.load_corpus(resolved["corpus"]), vocab, resolved["model.max-seq-len"])
         cfg = model_config_from({**resolved, "model.vocab-size": vocab.size})
-        model = StoryVAE.create(cfg, seed=resolved["train.seed"], mode=resolved["mode"])
+        model = StoryVAE.create(cfg, seed=schedule.seed, mode=resolved["mode"])
     out = _prepare_out(resolved)
-    trainer = Trainer(model, examples, schedule_from(resolved), separator_id=vocab.separator_id)
+    trainer = Trainer(model, examples, schedule, separator_id=vocab.separator_id)
     if resume:
         trainer.load_optimizer_state(resume, manifest)
     checkpoint_dir = out / "checkpoint"

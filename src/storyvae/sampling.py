@@ -3,7 +3,9 @@
 Filtering order: divide logits by the temperature, softmax, keep the top-k
 tokens, then keep the smallest descending-probability prefix of those
 whose cumulative mass reaches p, and renormalize over the kept set.
-Probability ties break toward the lower token id.
+Probability ties break toward the lower token id.  ``filter_logits``
+filters one (V,) vector or each row of a (B, V) block, with the same bits
+per row either way.
 
 Generation decodes a batch of equal-length prompts in lockstep under one
 decoder cache (``generate_batch``): it prefills the cache with each
@@ -12,16 +14,19 @@ step runs the decoder once over one new row per story.  Every story
 samples from its own generator, and only while it runs: a story stops
 when it emits the separator, and the batch stops when the token budget
 runs out, the context reaches ``max_seq_len`` or every story has
-stopped.  A stopped story's row keeps being fed the separator, whose
-logits are never read, so each story gets the same tokens and the same
-bits as when it is decoded alone.  ``generate`` runs the same loop for
-one prompt without a batch axis.
+stopped.  Each step makes one filter call and one draw
+(``sample_tokens``) over the rows still running, so a stopped story
+consumes nothing from its generator.  A stopped story's row keeps being
+fed the separator, whose logits are never read, so each story gets the
+same tokens and the same bits as when it is decoded alone.  ``generate``
+runs the same loop for one prompt without a batch axis.
 ``generate_for_prompts`` groups a corpus's prompts by length and decodes
 each group in lockstep.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,44 +51,67 @@ class SamplerConfig:
             raise ContractError(f"top_k must be at least 1, got {self.top_k}")
         if not 0.0 < self.top_p <= 1.0:
             raise ContractError(f"top_p must lie in (0, 1], got {self.top_p}")
-        if self.temperature <= 0.0:
-            raise ContractError(f"temperature must be positive, got {self.temperature}")
+        if not (math.isfinite(self.temperature) and self.temperature > 0.0):
+            raise ContractError(f"temperature must be positive and finite, got {self.temperature}")
         if self.max_new_tokens < 0:
             raise ContractError("max_new_tokens must be nonnegative")
+        if self.seed < 0:
+            raise ContractError(f"seed must be nonnegative, got {self.seed}")
 
 
 def filter_logits(logits: np.ndarray, config: SamplerConfig) -> np.ndarray:
-    """Turn one logit vector into the filtered sampling distribution.
+    """Turn logits into filtered sampling distributions, one per row.
 
-    Returns a full-width probability vector: zero outside the kept set,
-    renormalized inside it.  Computed in float64 throughout so the kept
-    set is reproducible bit-for-bit.
+    ``logits`` is one (V,) vector or a (B, V) block whose rows are
+    filtered independently; each row gets exactly the bits it gets alone.
+    Returns full-width probabilities of the same shape: zero outside the
+    kept set, renormalized inside it.  Computed in float64 throughout so
+    the kept set is reproducible bit-for-bit.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1:
-        raise ContractError(f"filter_logits expects one logit vector, got shape {logits.shape}")
-    if not np.isfinite(logits).all():
-        raise ContractError("filter_logits expects finite logits")
-    scaled = logits / config.temperature
-    scaled -= scaled.max()
+    logits = np.asarray(logits)
+    if logits.ndim not in (1, 2) or logits.shape[-1] < 1:
+        raise ContractError(f"filter_logits expects a logit vector or a (B, V) block, got shape {logits.shape}")
+    v = logits.shape[-1]
+    scaled = np.divide(logits.reshape(-1, v), config.temperature, dtype=np.float64)
+    if not np.isfinite(scaled).all():
+        raise ContractError("filter_logits expects finite logits, and finite after the temperature")
+    # Ufunc reductions rather than .max/.sum/cumsum: the same bits without
+    # the Python wrappers, whose call cost dominates a one-row step.
+    scaled -= np.maximum.reduce(scaled, axis=-1, keepdims=True)
     probs = np.exp(scaled)
-    probs /= probs.sum()
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
 
-    # Descending probability, lower id first on ties.
-    order = np.lexsort((np.arange(probs.size), -probs))
-    kept = order[: min(config.top_k, probs.size)]
-    cumulative = np.cumsum(probs[kept])
-    cut = int(np.searchsorted(cumulative, config.top_p)) + 1
-    kept = kept[:cut]
+    # The kept set is the shortest prefix of the descending-probability
+    # order whose mass reaches p.  Only the top-k values are sorted: equal
+    # values add up the same whichever id comes first.
+    k = min(config.top_k, v)
+    top = np.sort(np.partition(probs, v - k, axis=-1)[:, v - k:], axis=-1)[:, ::-1]
+    cut = np.add.reduce(np.add.accumulate(top[:, :-1], axis=-1) < config.top_p, axis=-1)
+    last = top[np.arange(top.shape[0]), cut][:, None]
+    kept = probs >= last
+    # Ties at the last kept probability can overflow the prefix; then the
+    # lower ids stay.  Model logits almost never tie, so the id-order scan
+    # that trims them runs only when some row overflows.
+    excess = np.add.reduce(kept, axis=-1, keepdims=True) - 1 - cut[:, None]
+    if excess.any():
+        tied = probs == last
+        kept &= ~tied | (np.add.accumulate(tied, axis=-1) <= np.add.reduce(tied, axis=-1, keepdims=True) - excess)
+    out = np.where(kept, probs, 0.0)
+    out /= np.add.reduce(out, axis=-1, keepdims=True)
+    return out.reshape(logits.shape)
 
-    out = np.zeros_like(probs)
-    out[kept] = probs[kept]
-    out /= out.sum()
-    return out
 
+def sample_tokens(probs: np.ndarray, rngs) -> np.ndarray:
+    """Draw one token id per row of a (B, V) block of distributions.
 
-def sample_token(probs: np.ndarray, rng: np.random.Generator) -> int:
-    return int(rng.choice(probs.size, p=probs))
+    Row b spends one ``random()`` draw of ``rngs[b]`` on the inverse CDF,
+    as ``rngs[b].choice(V, p=probs[b])`` does: the same token, and the
+    same generator state afterwards.
+    """
+    u = np.array([[rng.random()] for rng in rngs])
+    cdf = np.add.accumulate(probs, axis=-1)
+    cdf /= cdf[:, -1:]
+    return np.add.reduce(cdf <= u, axis=-1)
 
 
 def generation_rng(base_seed: int, example_index: int = 0) -> np.random.Generator:
@@ -151,15 +179,14 @@ def generate_batch(
         if not running or cache.length + pending.shape[-1] >= max_len:
             break
         logits = model.decode_logits(pending, latent, cache=cache).data[..., -1, :].reshape(n, -1)
+        tokens = sample_tokens(filter_logits(logits[running], config), [rngs[b] for b in running]).tolist()
         pending = np.full(lead + (1,), separator_id)
         fed = pending.reshape(n)
-        for b in list(running):
-            token = sample_token(filter_logits(logits[b], config), rngs[b])
-            if token == separator_id:
-                running.remove(b)
-            else:
+        for b, token in zip(running, tokens):
+            if token != separator_id:
                 stories[b].append(token)
                 fed[b] = token
+        running = [b for b, token in zip(running, tokens) if token != separator_id]
     return stories
 
 

@@ -209,7 +209,26 @@ def _check_sampler(report) -> bool:
         want = brute_force_filter(logits, k, p, 1.0)
         ok &= np.array_equal(got > 0, want > 0) and np.allclose(got, want, atol=1e-9)
     report(f"{'ok' if ok else 'FAIL'} top-k/top-p filter against brute force")
-    return ok
+
+    # A (B, V) block: every row as brute force and as its own one-row call,
+    # with ties across the top-k boundary and an all-equal row.
+    block = np.round(rng.standard_normal((6, 10)) * 2.0) / 2.0
+    block[-1] = 0.0
+    cfg = sp.SamplerConfig(top_k=4, top_p=0.7, temperature=1.0, max_new_tokens=1)
+    probs = sp.filter_logits(block, cfg)
+    batch_ok = True
+    for row, got in zip(block, probs):
+        want = brute_force_filter(row, 4, 0.7, 1.0)
+        batch_ok &= np.array_equal(got > 0, want > 0) and np.allclose(got, want, atol=1e-9)
+        batch_ok &= np.array_equal(got, sp.filter_logits(row, cfg))
+    # The batched draw against rng.choice on twin generators.
+    mine = [np.random.default_rng([7, b]) for b in range(len(probs))]
+    twins = [np.random.default_rng([7, b]) for b in range(len(probs))]
+    tokens = sp.sample_tokens(probs, mine).tolist()
+    batch_ok &= tokens == [int(g.choice(probs.shape[-1], p=row)) for g, row in zip(twins, probs)]
+    batch_ok &= all(a.bit_generator.state == b.bit_generator.state for a, b in zip(mine, twins))
+    report(f"{'ok' if batch_ok else 'FAIL'} (B, V) filter and draw against per-row filter and rng.choice")
+    return ok and batch_ok
 
 
 def _check_rouge(report) -> bool:

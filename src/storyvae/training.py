@@ -74,6 +74,12 @@ class TrainingSchedule:
             raise ContractError("beta_floor must lie in [0, 1)")
         if self.batch_size < 1:
             raise ContractError("batch_size must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ContractError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if not (math.isfinite(self.grad_clip) and self.grad_clip >= 0.0):
+            raise ContractError(f"grad_clip must be nonnegative and finite (0 turns clipping off), got {self.grad_clip}")
+        if self.seed < 0:
+            raise ContractError(f"seed must be nonnegative, got {self.seed}")
 
 
 def beta_at(step: int, schedule: TrainingSchedule) -> float:

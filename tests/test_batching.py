@@ -6,6 +6,8 @@ one-example forward gives, so every comparison here is ``==`` or
 ``np.array_equal``, in float32 and float64.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,32 @@ class TestBatchedMatchesOneByOne:
                 g = model.encode_posterior(ex.prior_input, ex.decoder_input[len(ex.prior_input) + 1:], SEP)
             rows.append("\t".join([str(i), ex.pair.label] + [repr(float(v)) for v in g.mu.data]))
         assert (tmp_path / "latents.tsv").read_text(encoding="utf-8") == "\n".join(rows) + "\n"
+
+
+EDGE_SAMPLERS = {
+    "top_k=1": dataclasses.replace(SAMPLER, top_k=1, top_p=0.9),
+    "top_k>V": dataclasses.replace(SAMPLER, top_k=VOCAB.size + 7, top_p=0.8, temperature=0.7),
+    "top_p=1": dataclasses.replace(SAMPLER, top_k=12, top_p=1.0),
+    "tied_logits": dataclasses.replace(SAMPLER, top_k=5, top_p=0.5),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("edge", list(EDGE_SAMPLERS))
+def test_generation_at_the_filter_edges(edge, dtype):
+    """Lockstep generation stays byte-identical to one story at a time at each edge of the filter."""
+    sampler = EDGE_SAMPLERS[edge]
+    model = talkative_model(MODES["input" if edge == "tied_logits" else "all"], dtype)
+    if edge == "tied_logits":
+        model.params["embed.word"].data[...] = 0.0  # every logit of the tied head is exactly 0
+    prompts = [ex.prior_input for ex in EXAMPLES]
+    stories, _ = sp.generate_for_prompts(model, prompts, SEP, sampler)
+    assert stories == [sp.generate_for_prompt(model, p, SEP, sampler, example_index=i)[0]
+                       for i, p in enumerate(prompts)]
+    if edge == "tied_logits":
+        # All V tie; top-k keeps ids 0..4, whose mass never reaches p, so every story runs to the budget.
+        assert {t for s in stories for t in s} <= set(range(5))
+        assert all(len(s) == BUDGET for s in stories)
 
 
 def test_groups_split_at_the_row_cap(monkeypatch):

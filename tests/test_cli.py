@@ -541,3 +541,22 @@ def test_model_sizes_below_one_exit_2(workspace, tmp_path, capsys, flag, value):
     assert cli.main(args + FAST_MODEL + FAST_TRAIN + [f"--model.{flag}", value]) == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert "model sizes must be at least 1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag, value, field", [
+    ("generate", "sampler.temperature", "nan", "temperature"), ("generate", "sampler.temperature", "inf", "temperature"),
+    ("generate", "sampler.seed", "-1", "seed"), ("train", "train.seed", "-1", "seed"),
+    ("train", "train.lr", "-1", "learning_rate"), ("train", "train.lr", "nan", "learning_rate"),
+    ("train", "train.grad-clip", "nan", "grad_clip"), ("train", "train.grad-clip", "-1", "grad_clip"),
+])
+def test_malformed_sampler_and_training_values_exit_2(workspace, tmp_path, capsys, command, flag, value, field):
+    """A value that would crash, sample silently wrong, ascend the loss or drop clipping is a data error."""
+    args = [command, "--corpus", workspace["corpus"], "--vocab", workspace["vocab"], "--out", str(tmp_path / "o")]
+    if command == "generate":
+        args += ["--checkpoint", workspace["checkpoint"]] + FAST_SAMPLER
+    else:
+        args += FAST_MODEL + FAST_TRAIN
+    assert cli.main(args + [f"--{flag}", value]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"data error: {field} must be" in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "metrics.csv").exists()

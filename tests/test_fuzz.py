@@ -15,16 +15,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from storyvae import cli
 from storyvae import corpus as cp
 from storyvae.model import read_tensor_file
 from storyvae.transformer import ContractError
-
-# While collecting, the hypothesis pytest plugin caches constants it reads
-# from the source tree, database or not; keep that cache out of the checkout.
-set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "storyvae-hypothesis")
 
 LOADERS = {
     "vocab": cp.Vocabulary.load,

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from storyvae import autograd as ag
 from storyvae import latent as lt
@@ -120,10 +123,59 @@ class TestFilterLogits:
             SamplerConfig(top_p=0.0)
         with pytest.raises(ContractError):
             SamplerConfig(temperature=0.0)
+        for temperature in (np.nan, np.inf):
+            with pytest.raises(ContractError):
+                SamplerConfig(temperature=temperature)
+        with pytest.raises(ContractError):
+            SamplerConfig(seed=-1)
 
     def test_non_finite_logits_rejected(self):
         with pytest.raises(ContractError):
             filter_logits(np.array([np.inf, 0.0]), SamplerConfig())
+        with pytest.raises(ContractError):
+            filter_logits(np.array([[0.0, 1.0], [-np.inf, 0.0]]), SamplerConfig())
+        # Finite logits that a tiny temperature scales past the float range.
+        with np.errstate(over="ignore"), pytest.raises(ContractError):
+            filter_logits(np.array([1e300, 0.0]), SamplerConfig(temperature=1e-10))
+
+    def test_rejects_other_shapes(self):
+        for shape in ((), (0,), (2, 0), (2, 3, 4)):
+            with pytest.raises(ContractError):
+                filter_logits(np.zeros(shape), SamplerConfig())
+
+
+@st.composite
+def logit_blocks(draw):
+    """A (B, V) block in float32 or float64, with ties and all-equal rows, and a sampler for it."""
+    b, v = draw(st.integers(1, 6)), draw(st.integers(1, 24))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    # A few repeated levels force ties, including across the top-k boundary.
+    value = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), st.floats(-8.0, 8.0))
+    block = draw(hnp.arrays(dtype, (b, v), elements=value))
+    for row in draw(st.lists(st.integers(0, b - 1), max_size=2)):
+        block[row] = block[row, 0]
+    config = SamplerConfig(
+        top_k=draw(st.integers(1, v + 3)),
+        top_p=draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))),
+        temperature=draw(st.floats(0.1, 4.0)),
+    )
+    return block, config
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(case=logit_blocks(), seed=st.integers(0, 2**32))
+def test_block_filter_and_draw_match_the_one_row_path(case, seed):
+    """Each row of a (B, V) block gets the one-row filter's bits, and the batched draw is rng.choice's."""
+    block, config = case
+    probs = filter_logits(block, config)
+    rows = [filter_logits(row, config) for row in block]
+    assert np.array_equal(probs, np.stack(rows))
+    for row, got in zip(block, rows):
+        assert np.array_equal(got, brute_force_filter(row, config.top_k, config.top_p, config.temperature))
+    mine = [np.random.default_rng([seed, b]) for b in range(len(block))]
+    twins = [np.random.default_rng([seed, b]) for b in range(len(block))]
+    assert sp.sample_tokens(probs, mine).tolist() == [int(g.choice(len(p), p=p)) for g, p in zip(twins, rows)]
+    assert [g.bit_generator.state for g in mine] == [g.bit_generator.state for g in twins]
 
 
 class TestGenerate:
