@@ -6,8 +6,9 @@ option, before or after it; ``--resume`` is train's and the prompts are
 control's, and given to another command they are a usage error.
 Configuration comes from an optional flat key=value file plus flag
 overrides (flags win); the fully resolved configuration is written to
-the output directory before any training, generation or scoring
-starts, which together with the recorded seeds makes every run
+the output directory after every input check and before any training,
+generation or scoring starts, so a rejected input leaves no output
+directory, and together with the recorded seeds it makes every run
 reproducible bit-for-bit.  The STORYVAE_OUT environment variable, when
 set, overrides the output directory.
 
@@ -151,11 +152,6 @@ def _given_config(args: argparse.Namespace) -> dict:
     return given
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
-    """Defaults, then config file, then flags; flags win."""
-    return {**DEFAULTS, **_given_config(args)}
-
-
 def config_snapshot(resolved: dict) -> str:
     lines = []
     for key in sorted(resolved):
@@ -246,18 +242,18 @@ def _load_run(resolved: dict, given: dict, checkpoint: str, corpus: bool = True)
 
 
 def _open_checkpoint(resolved: dict, given: dict, corpus: bool = True):
-    """The ``--checkpoint`` run's model, vocabulary and examples, and the output directory its config is written to."""
+    """The ``--checkpoint`` run's model, vocabulary and examples, and ``resolved`` with its model keys."""
     _require(resolved, *(("corpus",) if corpus else ()), "vocab", "checkpoint", "out")
     model, _, vocab, examples, resolved = _load_run(resolved, given, resolved["checkpoint"], corpus)
-    return model, vocab, examples, _prepare_out(resolved)
+    return model, vocab, examples, resolved
 
 
 def cmd_vocab(resolved: dict) -> int:
-    _require(resolved, "corpus")
-    out = _prepare_out(resolved)
+    _require(resolved, "corpus", "out")
     pairs = cp.load_corpus(resolved["corpus"])
     texts = [p.prompt_text for p in pairs] + [p.story_text for p in pairs]
     vocab = cp.fit_vocabulary(texts, resolved["model.vocab-size"])
+    out = _prepare_out(resolved)
     vocab.save(out / "vocab.txt")
     print(f"vocabulary of {vocab.size} tokens written to {out / 'vocab.txt'}")
     return EXIT_OK
@@ -267,10 +263,13 @@ def cmd_train(resolved: dict, resume: str | None, given: dict) -> int:
     _require(resolved, "corpus", "vocab")
     if resume:
         model, manifest, vocab, examples, resolved = _load_run(resolved, given, resume)
-        # Without --train.cycle-length a resumed run keeps the annealing cycle it was saved with.
-        saved_cycle = (manifest["optimizer"] or {}).get("cycle_length")
-        if not resolved["train.cycle-length"] and saved_cycle:
-            resolved["train.cycle-length"] = saved_cycle
+        # A resumed run keeps the annealing cycle, freeze horizon and beta floor it was saved with, unless a
+        # flag or the config file gives them; a cycle length of 0 asks for the saved cycle too.
+        saved = manifest["optimizer"] or {}
+        for field in ("cycle_length", "freeze_steps", "beta_floor"):
+            key = "train." + field.replace("_", "-")
+            if saved.get(field) is not None and (key not in given or (field == "cycle_length" and not given[key])):
+                resolved[key] = saved[field]
     schedule = schedule_from(resolved)  # checked before the seed initializes a model
     if not resume:
         vocab = cp.Vocabulary.load(resolved["vocab"])
@@ -306,23 +305,25 @@ def _write_stories(path: Path, records: list[dict]) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _story_records(resolved: dict, model: StoryVAE, vocab: cp.Vocabulary, examples) -> list[dict]:
-    """One sampled story per example, as the records stories.jsonl holds."""
+def _sampled_stories(resolved: dict, given: dict):
+    """The checkpoint's model and examples, the output directory, and one sampled story record per example."""
+    model, vocab, examples, resolved = _open_checkpoint(resolved, given)
     sampler = sampler_from(resolved)
+    out = _prepare_out(resolved)
     stories, latent = sp.generate_for_prompts(
         model, [ex.prior_input for ex in examples], vocab.separator_id, sampler,
         use_mean_latent=resolved["sampler.latent-mean"],
     )
-    return [
+    records = [
         {"prompt": ex.pair.prompt_text, "story": vocab.decode(story),
          "latent_source": latent.source.value, "seed": sampler.seed}
         for ex, story in zip(examples, stories)
     ]
+    return model, examples, out, records
 
 
 def cmd_generate(resolved: dict, given: dict) -> int:
-    model, vocab, examples, out = _open_checkpoint(resolved, given)
-    records = _story_records(resolved, model, vocab, examples)
+    _, _, out, records = _sampled_stories(resolved, given)
     _write_stories(out / "stories.jsonl", records)
     print(f"{len(records)} stories written to {out / 'stories.jsonl'}")
     return EXIT_OK
@@ -331,10 +332,15 @@ def cmd_generate(resolved: dict, given: dict) -> int:
 def cmd_control(resolved: dict, given: dict, prompt_a: str, prompt_b: str) -> int:
     if not prompt_a or not prompt_b:
         raise UsageError("control needs --prompt-a and --prompt-b")
-    model, vocab, _, out = _open_checkpoint(resolved, given, corpus=False)
+    model, vocab, _, resolved = _open_checkpoint(resolved, given, corpus=False)
     sampler = sampler_from(resolved)
-    tokens_a = vocab.encode(prompt_a)
-    tokens_b = vocab.encode(prompt_b)
+    tokens_a, tokens_b = vocab.encode(prompt_a), vocab.encode(prompt_b)
+    max_len = model.config.max_seq_len
+    # The text prefix needs room for the separator; the latent's prompt is encoded whole.
+    for flag, tokens, limit in (("--prompt-a", tokens_a, max_len - 1), ("--prompt-b", tokens_b, max_len)):
+        if len(tokens) > limit:
+            raise ContractError(f"{flag} encodes to {len(tokens)} tokens; max_seq_len {max_len} allows {limit}")
+    out = _prepare_out(resolved)
     story, latent = sp.control_generate(
         model, tokens_a, tokens_b, vocab.separator_id, sampler,
         use_mean_latent=resolved["sampler.latent-mean"],
@@ -352,15 +358,16 @@ def cmd_control(resolved: dict, given: dict, prompt_a: str, prompt_b: str) -> in
 
 
 def cmd_encode(resolved: dict, given: dict) -> int:
-    model, vocab, examples, out = _open_checkpoint(resolved, given)
+    model, vocab, examples, resolved = _open_checkpoint(resolved, given)
+    ev.check_latent_kind(resolved["encode.which"])
+    out = _prepare_out(resolved)
     n = ev.export_latents(model, examples, resolved["encode.which"], out / "latents.tsv")
     print(f"{n} latent rows written to {out / 'latents.tsv'}")
     return EXIT_OK
 
 
 def cmd_eval(resolved: dict, given: dict) -> int:
-    model, vocab, examples, out = _open_checkpoint(resolved, given)
-    records = _story_records(resolved, model, vocab, examples)
+    model, examples, out, records = _sampled_stories(resolved, given)
     report = ev.evaluate(model, examples, [r["story"] for r in records])
     _write_stories(out / "stories.jsonl", records)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
@@ -396,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume", default=None,
         help="train only: checkpoint directory to resume from; the model and mode are the checkpoint's, "
              "--train.steps then counts the additional steps, "
-             "and the annealing cycle is the checkpoint's unless --train.cycle-length is given",
+             "and the annealing cycle, freeze horizon and beta floor are the checkpoint's unless given",
     )
     parser.add_argument("--prompt-a", dest="prompt_a", default=None, help="control only: the text prefix's prompt")
     parser.add_argument("--prompt-b", dest="prompt_b", default=None, help="control only: the latent's prompt")

@@ -172,20 +172,26 @@ def perplexity(model: StoryVAE, examples, granularity: str) -> float:
     return ppl_from_totals(total, subwords if granularity == "subword" else words)
 
 
+def check_latent_kind(which: str) -> None:
+    if which not in ("prior-mean", "posterior-mean"):
+        raise ContractError(f"which must be 'prior-mean' or 'posterior-mean', got {which!r}")
+
+
 def export_latents(model: StoryVAE, examples, which: str, path) -> int:
     """Write one TSV row per example: index, label, then the d' mean coordinates.
 
-    Prior means encode the prompt; posterior means encode the joint
-    prompt ++ separator ++ story sequence, which is the decoder input.
+    Prior means encode the prompt.  Posterior means encode what the
+    posterior trains on: in cvae mode the joint prompt ++ separator ++
+    story sequence, which is the decoder input; in vae mode the bare story.
     """
-    if which not in ("prior-mean", "posterior-mean"):
-        raise ContractError(f"which must be 'prior-mean' or 'posterior-mean', got {which!r}")
+    check_latent_kind(which)
     if which == "prior-mean":
-        means = _grouped_means(model.encode_prior, [ex.prior_input for ex in examples],
-                               model.config.latent_dim, model.dtype)
+        sequences, encode = [ex.prior_input for ex in examples], model.encode_prior
     else:
-        means = _grouped_means(model.encode_text_posterior, [ex.decoder_input for ex in examples],
-                               model.config.latent_dim, model.dtype)
+        encode = model.encode_text_posterior
+        sequences = [ex.decoder_input if model.mode == "cvae" else ex.decoder_input[len(ex.prior_input) + 1:]
+                     for ex in examples]
+    means = _grouped_means(encode, sequences, model.config.latent_dim, model.dtype)
     lines = []
     for i, (ex, mu) in enumerate(zip(examples, means)):
         label = ex.pair.label if ex.pair is not None else ""

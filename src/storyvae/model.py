@@ -53,14 +53,6 @@ class LossBreakdown:
         if not 0.0 <= self.beta <= 1.0:
             raise ContractError(f"beta must lie in [0, 1], got {self.beta}")
 
-    @property
-    def elbo_estimate(self) -> float:
-        return -(self.reconstruction_nats + self.beta * self.kl_nats)
-
-    @property
-    def training_loss(self) -> float:
-        return self.reconstruction_nats + self.beta * self.kl_nats
-
 
 class StoryVAE:
     """Encoder, latent heads and decoder bundled behind one parameter set."""
@@ -236,7 +228,9 @@ class StoryVAE:
              optimizer_payload: dict | None = None) -> None:
         """Write the checkpoint files under temporary names, then move each over its old copy, the manifest last.
 
-        A save that raises part-way leaves the previous checkpoint as it was.
+        ``optimizer_payload``'s ``tensors`` go to ``optim.bin`` and its other
+        keys to the manifest's ``optimizer`` block.  A save that raises
+        part-way leaves the previous checkpoint as it was.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -262,13 +256,8 @@ class StoryVAE:
             write_tensor_file(stage(PARAMS_FILE), [(n, self.params[n].data) for n in names], dtype)
             if optimizer_payload is not None:
                 write_tensor_file(stage(OPTIM_FILE), optimizer_payload["tensors"], dtype)
-                manifest["optimizer"] = {
-                    "payload": OPTIM_FILE,
-                    "tensors": [n for n, _ in optimizer_payload["tensors"]],
-                    "update_counts": optimizer_payload["update_counts"],
-                    "rng_states": optimizer_payload["rng_states"],
-                    "cycle_length": optimizer_payload["cycle_length"],
-                }
+                manifest["optimizer"] = {"payload": OPTIM_FILE,
+                                         **{k: v for k, v in optimizer_payload.items() if k != "tensors"}}
             stage(MANIFEST_FILE).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
             for name in staged:
                 os.replace(directory / f"{name}.tmp", directory / name)
@@ -338,9 +327,8 @@ def _check_manifest(manifest: dict, directory: Path) -> None:
         raise ContractError(f"manifest optimizer must be null or an object, got {optimizer!r}")
     check_payload(optimizer.get("payload"), "manifest optimizer payload")
     counts = optimizer.get("update_counts")
-    if not (_is_str_list(optimizer.get("tensors")) and isinstance(counts, dict)
-            and all(_is_count(c) for c in counts.values())):
-        raise ContractError("manifest optimizer needs a list of tensor names and integer update counts")
+    if not (isinstance(counts, dict) and all(_is_count(c) for c in counts.values())):
+        raise ContractError("manifest optimizer needs integer update counts")
     states = optimizer.get("rng_states")
     if states is not None and not (isinstance(states, dict) and set(states) == set(RNG_STREAMS)
                                    and all(_is_rng_state(v) for v in states.values())):
@@ -348,6 +336,12 @@ def _check_manifest(manifest: dict, directory: Path) -> None:
     cycle = optimizer.get("cycle_length")
     if cycle is not None and not (_is_count(cycle) and cycle >= 1):
         raise ContractError(f"manifest optimizer cycle_length must be an integer >= 1, got {cycle!r}")
+    freeze = optimizer.get("freeze_steps")
+    if freeze is not None and not _is_count(freeze):
+        raise ContractError(f"manifest optimizer freeze_steps must be an integer >= 0, got {freeze!r}")
+    floor = optimizer.get("beta_floor")
+    if floor is not None and not (isinstance(floor, (int, float)) and not isinstance(floor, bool) and 0 <= floor < 1):
+        raise ContractError(f"manifest optimizer beta_floor must be a number in [0, 1), got {floor!r}")
 
 
 def write_tensor_file(path, named_arrays, dtype: str = "<f4") -> None:

@@ -4,11 +4,14 @@ The KL weight follows a cyclic schedule: zero (or a configured floor) for
 the first half of each cycle, a linear ramp to one over the next quarter,
 and one for the final quarter.  A train step runs its whole batch as one
 right-padded (B, T) forward and one backward of the batch-mean
-objective, with the latent noise drawn as one (B, d') block.  Each train
-step sets ``requires_grad`` on exactly the parameters it updates, so
-frozen parameters get no gradient, and no update, until the freeze
-horizon passes, and clears it again before it returns.  Given a seed,
-corpus and config, training is bit-reproducible on a single thread.
+objective, with the latent noise drawn as one (B, d') block.  The
+schedule alone decides what trains: for its first ``freeze_steps`` steps
+the pretrained analogues (``is_pretrained_analogue``) get no gradient
+and no update.  Each train step sets ``requires_grad`` on exactly the
+parameters it updates and clears it again before it returns.
+Checkpoints keep the cycle length, freeze horizon and beta floor, so a
+resumed run continues the same schedule.  Given a seed, corpus and
+config, training is bit-reproducible on a single thread.
 """
 
 from __future__ import annotations
@@ -100,6 +103,15 @@ def metrics_row(r: dict) -> str:
     return ",".join(repr(r[column]) for column in METRICS_COLUMNS) + "\n"
 
 
+def is_pretrained_analogue(name: str) -> bool:
+    """Whether a parameter stands in for pre-trained GPT-2: both stacks and the embeddings.
+
+    These are what ``freeze_steps`` freezes.  The per-layer latent
+    key/value projections (``.psa.``) are new, never frozen.
+    """
+    return name.startswith(("embed.", "enc.", "dec.")) and ".psa." not in name
+
+
 class Adam:
     """Adam with per-parameter update counts so frozen spans stay unbiased."""
 
@@ -168,33 +180,12 @@ class Trainer:
         self._batch_rng = np.random.default_rng([schedule.seed, 1])
         self._noise_rng = np.random.default_rng([schedule.seed, 2])
         self._drop_rng = np.random.default_rng([schedule.seed, 3])
-        self._freeze_until = 0
-        self._freeze_names: set[str] = set()
-        if schedule.freeze_steps > 0:
-            self.set_frozen(self.default_freeze_names(), schedule.freeze_steps)
-
-    def default_freeze_names(self) -> list[str]:
-        """The pretrained-analogue parameters: both stacks and the embeddings.
-
-        Per-layer latent key/value projections are new, never frozen.
-        """
-        return [
-            n for n in self.model.params.names()
-            if n.startswith(("embed.", "enc.", "dec.")) and ".psa." not in n
-        ]
-
-    def set_frozen(self, names, until_step: int) -> None:
-        names = list(names)
-        for n in names:
-            if n not in self.model.params:
-                raise KeyError(f"unknown parameter: {n}")
-        self._freeze_names = set(names)
-        self._freeze_until = int(until_step)
 
     def _apply_freeze(self) -> None:
-        frozen = self._freeze_names if self.step_count < self._freeze_until else set()
+        """Mark every parameter trainable but the pretrained analogues inside the freeze horizon."""
+        freezing = self.step_count < self.schedule.freeze_steps
         for name, p in self.model.params.items():
-            p.requires_grad = name not in frozen
+            p.requires_grad = not (freezing and is_pretrained_analogue(name))
 
     def _loss(self, batch: np.ndarray, noise: np.ndarray, beta: float, drop_rng):
         examples = [self.examples[i] for i in batch]
@@ -276,9 +267,6 @@ class Trainer:
             self.save_checkpoint(checkpoint_dir, vocabulary_ref)
         return self.metrics
 
-    def metrics_csv(self) -> str:
-        return "".join([METRICS_HEADER + "\n"] + [metrics_row(r) for r in self.metrics])
-
     def save_checkpoint(self, directory, vocabulary_ref: str | None = None) -> None:
         opt = self.optimizer
         tensors = []
@@ -290,6 +278,8 @@ class Trainer:
             "update_counts": {n: opt.t[n] for n in sorted(opt.t)},
             "rng_states": {name: rng.bit_generator.state for name, rng in zip(RNG_STREAMS, self._rngs())},
             "cycle_length": self.schedule.cycle_length,
+            "freeze_steps": self.schedule.freeze_steps,
+            "beta_floor": self.schedule.beta_floor,
         }
         self.model.save(directory, vocabulary=vocabulary_ref, step=self.step_count,
                         optimizer_payload=payload)

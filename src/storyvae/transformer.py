@@ -98,19 +98,8 @@ class ModelConfig:
             raise ContractError("init gains must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "layers": self.layers,
-            "encoder_layers": self.encoder_layers,
-            "heads": self.heads,
-            "latent_dim": self.latent_dim,
-            "vocab_size": self.vocab_size,
-            "max_seq_len": self.max_seq_len,
-            "injection_modes": list(self.injection_modes),
-            "dropout": self.dropout,
-            "injection_gain": self.injection_gain,
-            "latent_head_gain": self.latent_head_gain,
-        }
+        """The fields by name, ``injection_modes`` as a list: the manifest's ``model`` object."""
+        return {**{f.name: getattr(self, f.name) for f in fields(self)}, "injection_modes": list(self.injection_modes)}
 
     @classmethod
     def from_dict(cls, d) -> "ModelConfig":

@@ -83,10 +83,13 @@ class TestBatchedMatchesOneByOne:
         ev.export_latents(model, EXAMPLES, which, tmp_path / "latents.tsv")
         rows = []
         for i, ex in enumerate(EXAMPLES):
+            story = ex.decoder_input[len(ex.prior_input) + 1:]
             if which == "prior-mean":
                 g = model.encode_prior(ex.prior_input)
+            elif mode == "vae":  # a vae posterior encodes the bare story, as it trains
+                g = model.encode_text_posterior(story)
             else:
-                g = model.encode_posterior(ex.prior_input, ex.decoder_input[len(ex.prior_input) + 1:], SEP)
+                g = model.encode_posterior(ex.prior_input, story, SEP)
             rows.append("\t".join([str(i), ex.pair.label] + [repr(float(v)) for v in g.mu.data]))
         assert (tmp_path / "latents.tsv").read_text(encoding="utf-8") == "\n".join(rows) + "\n"
 

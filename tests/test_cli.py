@@ -12,7 +12,7 @@ from storyvae import corpus as cp
 from storyvae import transformer as tf
 from storyvae.corpus import toy_corpus_path
 from storyvae.model import read_tensor_file, write_tensor_file
-from storyvae.training import METRICS_HEADER, Trainer, TrainingAbort
+from storyvae.training import METRICS_HEADER, Trainer, TrainingAbort, metrics_row
 
 FAST_MODEL = [
     "--model.d", "16", "--model.layers", "1", "--model.encoder-layers", "1",
@@ -124,28 +124,27 @@ class TestPipeline:
 class TestConfigResolution:
     def test_file_then_flag_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("model.d = 32\ntrain.steps = 9\n# comment\n")
-        parser = cli.build_parser()
-        args = parser.parse_args(["train", "--config", str(cfg), "--train.steps", "4"])
-        resolved = cli.resolve_config(args)
-        assert resolved["model.d"] == 32       # from file
-        assert resolved["train.steps"] == 4    # flag wins
-        assert resolved["train.lr"] == 1e-3    # default
+        cfg.write_text(f"corpus = {toy_corpus_path()}\nmodel.d = 32\nmodel.vocab-size = 300\n# comment\n")
+        assert cli.main(["vocab", "--config", str(cfg), "--model.vocab-size", "280", "--out", str(tmp_path / "o")]) == 0
+        resolved = (tmp_path / "o" / "config.resolved").read_text().splitlines()
+        assert "model.d = 32" in resolved            # from file
+        assert "model.vocab-size = 280" in resolved  # flag wins
+        assert "train.lr = 0.001" in resolved        # default
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("model.width = 32\n")
-        parser = cli.build_parser()
-        args = parser.parse_args(["train", "--config", str(cfg)])
-        with pytest.raises(cli.UsageError):
-            cli.resolve_config(args)
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
+        assert "unknown configuration key 'model.width'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_env_var_overrides_out(self, tmp_path, monkeypatch):
         monkeypatch.setenv("STORYVAE_OUT", str(tmp_path / "env-out"))
-        parser = cli.build_parser()
-        args = parser.parse_args(["vocab", "--out", str(tmp_path / "flag-out")])
-        resolved = cli.resolve_config(args)
-        assert resolved["out"] == str(tmp_path / "env-out")
+        args = ["vocab", "--corpus", str(toy_corpus_path()), "--model.vocab-size", "280"]
+        assert cli.main(args + ["--out", str(tmp_path / "flag-out")]) == 0
+        assert (tmp_path / "env-out" / "vocab.txt").exists()
+        assert f"out = {tmp_path / 'env-out'}" in (tmp_path / "env-out" / "config.resolved").read_text().splitlines()
+        assert not (tmp_path / "flag-out").exists()
 
     def test_config_file_through_main(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -160,13 +159,12 @@ class TestConfigResolution:
         assert "model.vocab-size = 280" in snapshot
         assert "train.seed = 0" in snapshot
 
-    def test_snapshot_round_trips(self, tmp_path):
-        parser = cli.build_parser()
-        args = parser.parse_args(["train", "--model.d", "48"])
-        resolved = cli.resolve_config(args)
-        text = cli.config_snapshot(resolved)
+    def test_snapshot_round_trips(self):
+        text = cli.config_snapshot({**cli.DEFAULTS, "model.d": 48, "sampler.latent-mean": True})
         reparsed = cli.parse_config_file_text(text)
         assert reparsed["model.d"] == "48"
+        assert {key: cli._coerce(key, raw) for key, raw in reparsed.items()} == {
+            **cli.DEFAULTS, "model.d": 48, "sampler.latent-mean": True}
 
 
 class TestExitCodes:
@@ -199,12 +197,16 @@ class TestExitCodes:
         "manifest_tensors_not_list": lambda f: {"tensors": "embed.word"},
         "manifest_optimizer_not_object": lambda f: {"optimizer": 5},
         "manifest_optimizer_payload_not_string": lambda f: {"optimizer": dict(f["optimizer"], payload=None)},
-        "manifest_optimizer_tensors_not_names": lambda f: {"optimizer": dict(f["optimizer"], tensors=[1])},
         "manifest_optimizer_counts_not_int": lambda f: {"optimizer": dict(f["optimizer"], update_counts={"a": "1"})},
         "manifest_optimizer_rng_state_malformed": lambda f: {"optimizer": dict(f["optimizer"], rng_states=dict(
             f["optimizer"]["rng_states"], noise={"bit_generator": "PCG64", "state": -1}))},
         "manifest_optimizer_cycle_length_zero": lambda f: {"optimizer": dict(f["optimizer"], cycle_length=0)},
         "manifest_optimizer_cycle_length_not_int": lambda f: {"optimizer": dict(f["optimizer"], cycle_length="4")},
+        "manifest_optimizer_freeze_steps_negative": lambda f: {"optimizer": dict(f["optimizer"], freeze_steps=-1)},
+        "manifest_optimizer_freeze_steps_not_int": lambda f: {"optimizer": dict(f["optimizer"], freeze_steps=2.5)},
+        "manifest_optimizer_beta_floor_one": lambda f: {"optimizer": dict(f["optimizer"], beta_floor=1.0)},
+        "manifest_optimizer_beta_floor_not_number": lambda f: {"optimizer": dict(f["optimizer"], beta_floor="0.3")},
+        "manifest_optimizer_beta_floor_bool": lambda f: {"optimizer": dict(f["optimizer"], beta_floor=False)},
     }
 
     # Update counts replaced, as a function of the saved ones; read only on resume, like optim.bin.
@@ -426,6 +428,38 @@ class TestVaeMode:
         assert (first / "metrics.csv").read_text() + resumed_rows == (straight / "metrics.csv").read_text()
         assert "train.cycle-length = 6" in (second / "config.resolved").read_text()
 
+    @pytest.mark.parametrize("key, value, override",
+                             [("train.freeze-steps", "6", "0"), ("train.beta-floor", "0.3", "0.1")])
+    def test_resume_without_a_schedule_flag_keeps_the_saved_value(self, workspace, tmp_path, key, value, override):
+        """A resumed run keeps the checkpoint's freeze horizon and beta floor; a flag on the resume overrides them."""
+        train = ["train", "--corpus", workspace["corpus"], "--vocab", workspace["vocab"]] + FAST_MODEL + FAST_TRAIN[2:]
+        straight, first, second, third = (tmp_path / name for name in ("straight", "first", "second", "third"))
+        setting = [f"--{key}", value]
+        assert cli.main(train + setting + ["--train.steps", "8", "--out", str(straight)]) == 0
+        assert cli.main(train + setting + ["--train.steps", "4", "--out", str(first)]) == 0
+        resume = ["--train.steps", "4", "--resume", str(first / "checkpoint")]
+        assert cli.main(train + resume + ["--out", str(second)]) == 0
+        for name in ("params.bin", "optim.bin"):
+            assert sha(second / "checkpoint" / name) == sha(straight / "checkpoint" / name), name
+        resumed_rows = (second / "metrics.csv").read_text().split("\n", 1)[1]
+        assert (first / "metrics.csv").read_text() + resumed_rows == (straight / "metrics.csv").read_text()
+        assert f"{key} = {value}" in (second / "config.resolved").read_text().splitlines()
+        assert cli.main(train + resume + [f"--{key}", override, "--out", str(third)]) == 0
+        assert f"{key} = {override}" in (third / "config.resolved").read_text().splitlines()
+        assert sha(third / "checkpoint" / "params.bin") != sha(straight / "checkpoint" / "params.bin")
+
+    def test_resume_of_a_checkpoint_without_schedule_fields(self, workspace, tmp_path):
+        """A checkpoint saved before the schedule fields existed resumes on the given or default schedule."""
+        checkpoint = tmp_path / "checkpoint"
+        shutil.copytree(workspace["checkpoint"], checkpoint)
+        fields = json.loads((checkpoint / "manifest.json").read_text())
+        old = {k: v for k, v in fields["optimizer"].items() if k not in ("cycle_length", "freeze_steps", "beta_floor")}
+        (checkpoint / "manifest.json").write_text(json.dumps(dict(fields, optimizer=old)))
+        assert cli.main(["train", "--corpus", workspace["corpus"], "--vocab", workspace["vocab"], "--out",
+                         str(tmp_path / "o"), "--resume", str(checkpoint), "--train.steps", "8"]) == cli.EXIT_OK
+        resolved = (tmp_path / "o" / "config.resolved").read_text().splitlines()
+        assert {"train.cycle-length = 0", "train.freeze-steps = 0", "train.beta-floor = 0.0"} <= set(resolved)
+
 
 @pytest.mark.parametrize("case", ["finite_gelu_overflow", "non_finite_logits"])
 def test_numerics_through_the_cli(workspace, tmp_path, capsys, case):
@@ -510,7 +544,7 @@ def test_checkpoint_commands_record_the_checkpoint_model(workspace, tmp_path, ca
 
 
 def test_metrics_rows_stream_as_steps_end(workspace, tmp_path, monkeypatch):
-    """A run that aborts at step 5 keeps the header and its first 5 rows; a whole run writes what metrics_csv gives."""
+    """A run that aborts at step 5 keeps the header and its first 5 rows; a whole run writes a row per step record."""
     train = ["train", "--corpus", workspace["corpus"], "--vocab", workspace["vocab"]] + FAST_MODEL + FAST_TRAIN
     trainers, step, run = [], Trainer.train_step, Trainer.train
 
@@ -525,12 +559,33 @@ def test_metrics_rows_stream_as_steps_end(workspace, tmp_path, monkeypatch):
 
     monkeypatch.setattr(Trainer, "train", spied)
     assert cli.main(train + ["--out", str(tmp_path / "whole")]) == cli.EXIT_OK
-    assert (tmp_path / "whole" / "metrics.csv").read_text(encoding="ascii") == trainers[0].metrics_csv()
+    rows = [METRICS_HEADER + "\n"] + [metrics_row(r) for r in trainers[0].metrics]
+    assert (tmp_path / "whole" / "metrics.csv").read_text(encoding="ascii") == "".join(rows)
     monkeypatch.setattr(Trainer, "train_step", aborting)
     assert cli.main(train + ["--out", str(tmp_path / "crash")]) == cli.EXIT_NUMERIC
     lines = (tmp_path / "crash" / "metrics.csv").read_text(encoding="ascii").splitlines()
     assert lines[0] == METRICS_HEADER
     assert [row.split(",")[0] for row in lines[1:]] == ["0", "1", "2", "3", "4"]
+
+
+@pytest.mark.parametrize("case", ["vocab_size_too_small", "vocab_corpus_missing", "generate_negative_seed",
+                                  "eval_zero_temperature", "encode_unknown_kind", "control_prompt_too_long"])
+def test_rejected_input_leaves_no_output_directory(workspace, tmp_path, capsys, case):
+    """Each command checks what it can before it writes config.resolved, so a data error leaves no --out behind."""
+    common = ["--corpus", workspace["corpus"], "--vocab", workspace["vocab"], "--checkpoint", workspace["checkpoint"]]
+    args = {
+        "vocab_size_too_small": ["vocab", "--corpus", workspace["corpus"], "--model.vocab-size", "100"],
+        "vocab_corpus_missing": ["vocab", "--corpus", str(tmp_path / "missing.jsonl")],
+        "generate_negative_seed": ["generate", "--sampler.seed", "-1"] + common,
+        "eval_zero_temperature": ["eval", "--sampler.temperature", "0"] + common,
+        "encode_unknown_kind": ["encode", "--encode.which", "bogus"] + common,
+        "control_prompt_too_long": ["control", "--vocab", workspace["vocab"], "--checkpoint", workspace["checkpoint"],
+                                    "--prompt-a", " ".join(["ember"] * 400), "--prompt-b", "tide tale"],
+    }[case]
+    assert cli.main(args + ["--out", str(tmp_path / "o")]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error:" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("flag, value", [("d", "0"), ("d", "-4"), ("heads", "0"), ("heads", "-2"), ("layers", "0"),

@@ -161,6 +161,16 @@ class TestExportLatents:
         want = self.model.encode_posterior(ex.prior_input, np.array([3, 4]), 15).mu.data
         assert np.array_equal(got, want.astype(np.float64))
 
+    def test_vae_posterior_mean_encodes_the_bare_story(self, tmp_path):
+        """A vae posterior trains on the story alone, so its exported mean is the story's alone."""
+        model = StoryVAE(self.model.config, self.model.params, mode="vae")
+        ev.export_latents(model, self.examples, "posterior-mean", tmp_path / "latents.tsv")
+        rows = [line.split("\t")[2:] for line in (tmp_path / "latents.tsv").read_text().splitlines()]
+        assert len(rows) == len(self.examples)
+        for row, ex in zip(rows, self.examples):
+            want = model.encode_text_posterior(np.array(ex.pair.story_tokens)).mu.data
+            assert np.array_equal(np.array([float(v) for v in row]), want.astype(np.float64))
+
     def test_label_column(self, tmp_path):
         path = tmp_path / "latents.tsv"
         ev.export_latents(self.model, self.examples, "prior-mean", path)

@@ -113,11 +113,11 @@ class TestCvaeLoss:
         assert np.isclose(bd.kl_nats, float(kl.data), atol=1e-6)
 
     def test_breakdown_identities(self):
-        _, bd = self.model.cvae_loss(self.example, self.noise, beta=1.0)
+        loss, bd = self.model.cvae_loss(self.example, self.noise, beta=0.5)
         assert bd.reconstruction_nats >= 0
         assert bd.kl_nats >= 0
-        assert bd.elbo_estimate == -(bd.reconstruction_nats + bd.kl_nats)
-        assert bd.training_loss >= bd.reconstruction_nats  # beta term only ever adds
+        assert bd.beta == 0.5
+        assert np.isclose(float(loss.data), bd.reconstruction_nats + 0.5 * bd.kl_nats)
         assert bd.token_count == 3
         with pytest.raises(ContractError):
             LossBreakdown(reconstruction_nats=1.0, kl_nats=0.0, beta=1.5, token_count=1)

@@ -12,6 +12,8 @@ from storyvae.training import (
     TrainingAbort,
     TrainingSchedule,
     beta_at,
+    is_pretrained_analogue,
+    metrics_row,
 )
 from storyvae.transformer import ContractError, ModelConfig
 
@@ -124,20 +126,17 @@ class TestAdam:
 
 
 class TestFreezing:
-    def test_until_zero_freezes_nothing(self):
-        trainer = toy_setup()
-        trainer.set_frozen(trainer.default_freeze_names(), until_step=0)
+    def test_no_freeze_steps_freezes_nothing(self):
+        trainer = toy_setup(freeze_steps=0)
         trainer.train_step(trainer.draw_batch())
         for _, p in trainer.model.params.items():
             assert not p.requires_grad and p.grad is not None
 
     def test_frozen_parameters_get_no_backward_work(self):
-        trainer = toy_setup()
-        names = set(trainer.default_freeze_names())
-        trainer.set_frozen(names, until_step=1)
+        trainer = toy_setup(freeze_steps=1)
         trainer.train_step([0, 1, 2])
         for n, p in trainer.model.params.items():
-            if n in names:
+            if is_pretrained_analogue(n):
                 assert not p.requires_grad and p.grad is None, n
             else:
                 assert not p.requires_grad and p.grad is not None, n
@@ -146,61 +145,34 @@ class TestFreezing:
             assert not p.requires_grad and p.grad is not None, n
 
     def test_frozen_values_identical_after_step(self):
-        trainer = toy_setup()
-        names = trainer.default_freeze_names()
-        trainer.set_frozen(names, until_step=100)
+        trainer = toy_setup(freeze_steps=100)
+        names = [n for n in trainer.model.params.names() if is_pretrained_analogue(n)]
         before = {n: trainer.model.params[n].data.copy() for n in names}
         trainer.train_step(trainer.draw_batch())
         for n in names:
             assert np.array_equal(before[n], trainer.model.params[n].data)
 
-    def test_freeze_all_keeps_model_constant(self):
-        trainer = pin_noise(toy_setup())
-        all_names = trainer.model.params.names()
-        trainer.set_frozen(all_names, until_step=5)
-        snapshot = {n: trainer.model.params[n].data.copy() for n in all_names}
-        batch = [0, 1, 2]
-        first = trainer.train_step(batch)
-        second = trainer.train_step(batch)
-        for n in all_names:
-            assert np.array_equal(snapshot[n], trainer.model.params[n].data)
-        assert first["loss"] == second["loss"]  # beta constant inside the floor phase
-
-    def test_freeze_decoder_only(self):
-        trainer = toy_setup()
-        decoder = [n for n in trainer.model.params.names() if n.startswith("dec.")]
-        trainer.set_frozen(decoder, until_step=10)
-        before = {n: trainer.model.params[n].data.copy() for n in trainer.model.params.names()}
-        trainer.train_step([0, 1, 2])
-        for n in decoder:
-            assert np.array_equal(before[n], trainer.model.params[n].data)
-        encoder_moved = any(
-            not np.array_equal(before[n], trainer.model.params[n].data)
-            for n in trainer.model.params.names() if n.startswith("enc.")
-        )
-        assert encoder_moved
-
     def test_unfreezes_after_horizon(self):
-        trainer = toy_setup(steps=6)
-        names = trainer.default_freeze_names()
-        trainer.set_frozen(names, until_step=2)
+        trainer = toy_setup(steps=6, freeze_steps=2)
+        names = [n for n in trainer.model.params.names() if is_pretrained_analogue(n)]
         before = {n: trainer.model.params[n].data.copy() for n in names}
-        for _ in range(4):
+        for _ in range(2):
+            trainer.train_step([0, 1, 2])
+        assert all(np.array_equal(before[n], trainer.model.params[n].data) for n in names)
+        for _ in range(2):
             trainer.train_step([0, 1, 2])
         moved = any(not np.array_equal(before[n], trainer.model.params[n].data) for n in names)
         assert moved
 
-    def test_unknown_name_rejected(self):
-        trainer = toy_setup()
-        with pytest.raises(KeyError):
-            trainer.set_frozen(["nope"], until_step=5)
-
-    def test_default_names_exclude_new_parameters(self):
-        trainer = toy_setup()
-        names = set(trainer.default_freeze_names())
-        assert "embed.word" in names
-        assert "dec.0.attn.wq" in names
-        assert not any(n.startswith(("pool.", "prior.", "post.", "inject.")) for n in names)
+    def test_pretrained_analogues_are_the_stacks_and_embeddings(self):
+        cfg = ModelConfig(d=8, layers=2, encoder_layers=1, heads=2, latent_dim=8, vocab_size=16,
+                          max_seq_len=12, injection_modes=("input", "psa", "softmax"))
+        names = set(StoryVAE.create(cfg).params.names())
+        frozen = {n for n in names if is_pretrained_analogue(n)}
+        assert {"embed.word", "embed.pos", "enc.0.attn.wq", "dec.0.attn.wq", "dec.final_norm.g"} <= frozen
+        # New parameters: pooling, the latent heads, the injections and the per-layer psa projections.
+        new = {n for n in names if n.startswith(("pool.", "prior.", "post.", "inject.")) or ".psa." in n}
+        assert "dec.0.psa.wk" in new and names - frozen == new
 
 
 class TestTrainStep:
@@ -243,11 +215,15 @@ class TestTrainStep:
         assert losses[-1] < losses[0]
 
 
+def metrics_csv(trainer) -> str:
+    return "".join([METRICS_HEADER + "\n"] + [metrics_row(r) for r in trainer.metrics])
+
+
 class TestMetricsLog:
     def test_csv_format(self):
         trainer = toy_setup(steps=3)
         trainer.train()
-        csv = trainer.metrics_csv()
+        csv = metrics_csv(trainer)
         lines = csv.strip().split("\n")
         assert lines[0] == METRICS_HEADER == "step,loss,recon,kl,beta,grad_norm"
         assert len(lines) == 4
@@ -260,7 +236,7 @@ class TestMetricsLog:
         b = toy_setup(seed=5, steps=5)
         a.train()
         b.train()
-        assert a.metrics_csv() == b.metrics_csv()
+        assert metrics_csv(a) == metrics_csv(b)
 
 
 class TestCheckpointResume:
