@@ -4,6 +4,11 @@ Commands: vocab, train, generate, control, encode, eval, selftest.  One
 parser takes the command as its first positional argument and every
 option, before or after it; ``--resume`` is train's and the prompts are
 control's, and given to another command they are a usage error.
+The settings are the fields of ``ModelConfig`` (``model.*``),
+``TrainingSchedule`` (``train.*``) and ``SamplerConfig`` (``sampler.*``):
+each key is its field's name, dashed, and takes the field's type and
+default, so the dataclasses alone declare them.  A few keys configure no
+dataclass (``mode``, the paths and ``encode.which``).
 Configuration comes from an optional flat key=value file plus flag
 overrides (flags win); the fully resolved configuration is written to
 the output directory after every input check and before any training,
@@ -31,6 +36,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -49,43 +55,25 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-# key -> (type, default); booleans are flag-style in both file and argv.
-CONFIG_SCHEMA: dict[str, tuple[type, object]] = {
-    "mode": (str, "cvae"),
-    "corpus": (str, ""),
-    "vocab": (str, ""),
-    "checkpoint": (str, ""),
-    "out": (str, ""),
-    "model.d": (int, 64),
-    "model.layers": (int, 4),
-    "model.encoder-layers": (int, 2),
-    "model.heads": (int, 4),
-    "model.latent-dim": (int, 64),
-    "model.vocab-size": (int, 512),
-    "model.max-seq-len": (int, 256),
-    "model.inject": (str, "psa"),
-    "model.dropout": (float, 0.0),
-    "model.injection-gain": (float, 1.0),
-    "model.latent-head-gain": (float, 1.0),
-    "train.steps": (int, 2000),
-    "train.cycle-length": (int, 0),
-    "train.freeze-steps": (int, 0),
-    "train.lr": (float, 1e-3),
-    "train.batch-size": (int, 8),
-    "train.seed": (int, 0),
-    "train.beta-floor": (float, 0.0),
-    "train.grad-clip": (float, 1.0),
-    "train.checkpoint-every": (int, 0),
-    "sampler.top-k": (int, 100),
-    "sampler.top-p": (float, 0.9),
-    "sampler.temperature": (float, 0.9),
-    "sampler.max-new-tokens": (int, 128),
-    "sampler.seed": (int, 0),
-    "sampler.latent-mean": (bool, False),
-    "encode.which": (str, "posterior-mean"),
-}
+# The dataclasses whose fields are the settings, by key prefix.
+_SECTIONS = {"model": ModelConfig, "train": TrainingSchedule, "sampler": sp.SamplerConfig}
+# Fields whose key is a short name rather than the dashed field name.
+_SHORT_NAMES = {"injection_modes": "inject", "total_steps": "steps", "learning_rate": "lr"}
 
-DEFAULTS = {key: default for key, (_, default) in CONFIG_SCHEMA.items()}
+
+def config_key(prefix: str, field_name: str) -> str:
+    """The configuration key of a field: ``<prefix>.<field name, dashed>``."""
+    return f"{prefix}.{_SHORT_NAMES.get(field_name, field_name).replace('_', '-')}"
+
+
+# Each key's default, whose type is the key's type; booleans are flag-style in both file and argv.  The fields
+# give theirs, apart from three whose CLI form differs: injection modes are comma-separated, the schedule has
+# no default length, and a cycle length of 0 asks for the schedule's default cycle.
+DEFAULTS = {
+    "mode": "cvae", "corpus": "", "vocab": "", "checkpoint": "", "out": "",
+    **{config_key(prefix, f.name): f.default for prefix, cls in _SECTIONS.items() for f in fields(cls)},
+    "encode.which": "posterior-mean",
+} | {"model.inject": "psa", "train.steps": 2000, "train.cycle-length": 0}
 
 COMMANDS = ("vocab", "train", "generate", "control", "encode", "eval", "selftest")
 
@@ -104,7 +92,7 @@ def parse_config_file_text(text: str, origin: str = "<config>") -> dict:
             raise UsageError(f"{origin}:{lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in CONFIG_SCHEMA:
+        if key not in DEFAULTS:
             raise UsageError(f"{origin}:{lineno}: unknown configuration key {key!r}")
         values[key] = value
     return values
@@ -119,7 +107,7 @@ def parse_config_file(path: Path) -> dict:
 
 
 def _coerce(key: str, raw: str):
-    kind, _ = CONFIG_SCHEMA[key]
+    kind = type(DEFAULTS[key])
     try:
         if kind is bool:
             if raw.lower() in ("true", "1", "yes"):
@@ -142,7 +130,7 @@ def _given_config(args: argparse.Namespace) -> dict:
         for key, raw in parse_config_file(path).items():
             given[key] = _coerce(key, raw)
     ns = vars(args)
-    for key in CONFIG_SCHEMA:
+    for key in DEFAULTS:
         value = ns.get(key)
         if value is not None and value is not False:
             given[key] = value
@@ -162,45 +150,14 @@ def config_snapshot(resolved: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def model_config_from(resolved: dict) -> ModelConfig:
-    inject = tuple(m for m in resolved["model.inject"].split(",") if m)
-    return ModelConfig(
-        d=resolved["model.d"],
-        layers=resolved["model.layers"],
-        encoder_layers=resolved["model.encoder-layers"],
-        heads=resolved["model.heads"],
-        latent_dim=resolved["model.latent-dim"],
-        vocab_size=resolved["model.vocab-size"],
-        max_seq_len=resolved["model.max-seq-len"],
-        injection_modes=inject,
-        dropout=resolved["model.dropout"],
-        injection_gain=resolved["model.injection-gain"],
-        latent_head_gain=resolved["model.latent-head-gain"],
-    )
-
-
-def schedule_from(resolved: dict) -> TrainingSchedule:
-    return TrainingSchedule(
-        total_steps=resolved["train.steps"],
-        cycle_length=resolved["train.cycle-length"] or None,
-        freeze_steps=resolved["train.freeze-steps"],
-        learning_rate=resolved["train.lr"],
-        batch_size=resolved["train.batch-size"],
-        seed=resolved["train.seed"],
-        beta_floor=resolved["train.beta-floor"],
-        grad_clip=resolved["train.grad-clip"],
-        checkpoint_every=resolved["train.checkpoint-every"],
-    )
-
-
-def sampler_from(resolved: dict) -> sp.SamplerConfig:
-    return sp.SamplerConfig(
-        top_k=resolved["sampler.top-k"],
-        top_p=resolved["sampler.top-p"],
-        temperature=resolved["sampler.temperature"],
-        max_new_tokens=resolved["sampler.max-new-tokens"],
-        seed=resolved["sampler.seed"],
-    )
+def configured(prefix: str, resolved: dict):
+    """The ``prefix`` section's dataclass, built from the resolved keys of its fields."""
+    kwargs = {f.name: resolved[config_key(prefix, f.name)] for f in fields(_SECTIONS[prefix])}
+    if prefix == "model":
+        kwargs["injection_modes"] = tuple(m for m in kwargs["injection_modes"].split(",") if m)
+    if prefix == "train":
+        kwargs["cycle_length"] = kwargs["cycle_length"] or None
+    return _SECTIONS[prefix](**kwargs)
 
 
 def _require(resolved: dict, *keys: str) -> None:
@@ -231,8 +188,8 @@ def _load_run(resolved: dict, given: dict, checkpoint: str, corpus: bool = True)
             f"the vocabulary has {vocab.size} tokens but the checkpoint's model has {model.config.vocab_size}"
         )
     examples = cp.prepare_corpus(cp.load_corpus(resolved["corpus"]), vocab, model.config.max_seq_len) if corpus else None
-    saved = {f"model.{k.replace('_', '-')}": v for k, v in model.config.to_dict().items()}
-    saved = {"mode": model.mode, "model.inject": ",".join(saved.pop("model.injection-modes")), **saved}
+    saved = {config_key("model", k): v for k, v in model.config.to_dict().items()}
+    saved = {"mode": model.mode, **saved, "model.inject": ",".join(saved["model.inject"])}
     for key, value in given.items():
         if key == "model.inject":
             value = ",".join(m for m in value.split(",") if m)
@@ -267,14 +224,14 @@ def cmd_train(resolved: dict, resume: str | None, given: dict) -> int:
         # flag or the config file gives them; a cycle length of 0 asks for the saved cycle too.
         saved = manifest["optimizer"] or {}
         for field in ("cycle_length", "freeze_steps", "beta_floor"):
-            key = "train." + field.replace("_", "-")
+            key = config_key("train", field)
             if saved.get(field) is not None and (key not in given or (field == "cycle_length" and not given[key])):
                 resolved[key] = saved[field]
-    schedule = schedule_from(resolved)  # checked before the seed initializes a model
+    schedule = configured("train", resolved)  # checked before the seed initializes a model
     if not resume:
         vocab = cp.Vocabulary.load(resolved["vocab"])
         examples = cp.prepare_corpus(cp.load_corpus(resolved["corpus"]), vocab, resolved["model.max-seq-len"])
-        cfg = model_config_from({**resolved, "model.vocab-size": vocab.size})
+        cfg = configured("model", {**resolved, "model.vocab-size": vocab.size})
         model = StoryVAE.create(cfg, seed=schedule.seed, mode=resolved["mode"])
     out = _prepare_out(resolved)
     trainer = Trainer(model, examples, schedule, separator_id=vocab.separator_id)
@@ -308,12 +265,9 @@ def _write_stories(path: Path, records: list[dict]) -> None:
 def _sampled_stories(resolved: dict, given: dict):
     """The checkpoint's model and examples, the output directory, and one sampled story record per example."""
     model, vocab, examples, resolved = _open_checkpoint(resolved, given)
-    sampler = sampler_from(resolved)
+    sampler = configured("sampler", resolved)
     out = _prepare_out(resolved)
-    stories, latent = sp.generate_for_prompts(
-        model, [ex.prior_input for ex in examples], vocab.separator_id, sampler,
-        use_mean_latent=resolved["sampler.latent-mean"],
-    )
+    stories, latent = sp.generate_for_prompts(model, [ex.prior_input for ex in examples], vocab.separator_id, sampler)
     records = [
         {"prompt": ex.pair.prompt_text, "story": vocab.decode(story),
          "latent_source": latent.source.value, "seed": sampler.seed}
@@ -333,7 +287,7 @@ def cmd_control(resolved: dict, given: dict, prompt_a: str, prompt_b: str) -> in
     if not prompt_a or not prompt_b:
         raise UsageError("control needs --prompt-a and --prompt-b")
     model, vocab, _, resolved = _open_checkpoint(resolved, given, corpus=False)
-    sampler = sampler_from(resolved)
+    sampler = configured("sampler", resolved)
     tokens_a, tokens_b = vocab.encode(prompt_a), vocab.encode(prompt_b)
     max_len = model.config.max_seq_len
     # The text prefix needs room for the separator; the latent's prompt is encoded whole.
@@ -341,10 +295,7 @@ def cmd_control(resolved: dict, given: dict, prompt_a: str, prompt_b: str) -> in
         if len(tokens) > limit:
             raise ContractError(f"{flag} encodes to {len(tokens)} tokens; max_seq_len {max_len} allows {limit}")
     out = _prepare_out(resolved)
-    story, latent = sp.control_generate(
-        model, tokens_a, tokens_b, vocab.separator_id, sampler,
-        use_mean_latent=resolved["sampler.latent-mean"],
-    )
+    story, latent = sp.control_generate(model, tokens_a, tokens_b, vocab.separator_id, sampler)
     record = {
         "prompt": prompt_a,
         "latent_prompt": prompt_b,
@@ -394,11 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="flat key=value configuration file")
-    for key, (kind, _) in CONFIG_SCHEMA.items():
-        if kind is bool:
+    for key, default in DEFAULTS.items():
+        if isinstance(default, bool):
             parser.add_argument(f"--{key}", dest=key, action="store_true", default=False)
         else:
-            parser.add_argument(f"--{key}", dest=key, type=kind, default=None)
+            parser.add_argument(f"--{key}", dest=key, type=type(default), default=None)
     parser.add_argument(
         "--resume", default=None,
         help="train only: checkpoint directory to resume from; the model and mode are the checkpoint's, "

@@ -206,15 +206,12 @@ def load_corpus(path) -> list[PromptStoryPair]:
             record = json.loads(line)
         except (ValueError, RecursionError) as e:
             raise CorpusError(f"{path}:{lineno}: invalid JSON ({e})") from e
-        if not isinstance(record, dict) or "prompt" not in record or "story" not in record:
-            raise CorpusError(f"{path}:{lineno}: record needs string fields 'prompt' and 'story'")
-        pairs.append(
-            PromptStoryPair(
-                prompt_text=str(record["prompt"]),
-                story_text=str(record["story"]),
-                label=str(record.get("label", "")),
+        if not (isinstance(record, dict) and "prompt" in record and "story" in record
+                and all(isinstance(record.get(k, ""), str) for k in ("prompt", "story", "label"))):
+            raise CorpusError(
+                f"{path}:{lineno}: record needs string fields 'prompt' and 'story' ('label' too, if given)"
             )
-        )
+        pairs.append(PromptStoryPair(record["prompt"], record["story"], label=record.get("label", "")))
     if not pairs:
         raise CorpusError(f"corpus file has no records: {path}")
     return pairs

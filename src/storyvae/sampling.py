@@ -21,7 +21,8 @@ fed the separator, whose logits are never read, so each story gets the
 same tokens and the same bits as when it is decoded alone.  ``generate``
 runs the same loop for one prompt without a batch axis.
 ``generate_for_prompts`` groups a corpus's prompts by length and decodes
-each group in lockstep.
+each group in lockstep.  Each story's latent is a sample of its prompt's
+prior, or the prior mean when ``SamplerConfig.latent_mean`` is set.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ class SamplerConfig:
     temperature: float = 0.9
     max_new_tokens: int = 128
     seed: int = 0
+    latent_mean: bool = False
 
     def __post_init__(self):
         if self.top_k < 1:
@@ -214,10 +216,9 @@ def generate_for_prompt(
     separator_id: int,
     config: SamplerConfig,
     example_index: int = 0,
-    use_mean_latent: bool = False,
 ) -> tuple[list[int], lt.LatentCode]:
     """Convenience wrapper: derive the stream, draw the latent, decode."""
-    return control_generate(model, prompt_tokens, prompt_tokens, separator_id, config, example_index, use_mean_latent)
+    return control_generate(model, prompt_tokens, prompt_tokens, separator_id, config, example_index)
 
 
 def generate_for_prompts(
@@ -225,7 +226,6 @@ def generate_for_prompts(
     prompts,
     separator_id: int,
     config: SamplerConfig,
-    use_mean_latent: bool = False,
 ) -> tuple[list[list[int]], lt.LatentCode]:
     """One story per prompt, the prompts grouped by length and each group decoded in lockstep.
 
@@ -241,7 +241,7 @@ def generate_for_prompts(
     for group in tf.length_groups(prompts):
         batch = np.stack([prompts[i] for i in group])
         rngs = [generation_rng(config.seed, int(i)) for i in group]
-        latent = draw_latent(model, batch, rngs, use_mean=use_mean_latent)
+        latent = draw_latent(model, batch, rngs, use_mean=config.latent_mean)
         for i, story in zip(group, generate_batch(model, batch, separator_id, config, latent, rngs)):
             stories[i] = story
         z[group] = latent.z.data
@@ -255,7 +255,6 @@ def control_generate(
     separator_id: int,
     config: SamplerConfig,
     example_index: int = 0,
-    use_mean_latent: bool = False,
 ) -> tuple[list[int], lt.LatentCode]:
     """Decode with one prompt as the text prefix and another prompt's latent.
 
@@ -264,6 +263,6 @@ def control_generate(
     latent semantics.
     """
     rng = generation_rng(config.seed, example_index)
-    latent = draw_latent(model, latent_prompt_tokens, rng, use_mean=use_mean_latent)
+    latent = draw_latent(model, latent_prompt_tokens, rng, use_mean=config.latent_mean)
     story = generate(model, prefix_prompt_tokens, separator_id, config, latent, rng)
     return story, latent

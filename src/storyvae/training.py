@@ -67,7 +67,7 @@ class TrainingSchedule:
             raise ContractError("total_steps must be positive")
         if self.cycle_length is None:
             # Four annealing cycles by default.
-            object.__setattr__(self, "cycle_length", max(1, self.total_steps // 4))
+            self.cycle_length = max(1, self.total_steps // 4)
         # A cycle may outlast the run: a resumed run continues its checkpoint's cycle.
         if self.cycle_length < 1:
             raise ContractError(f"cycle_length must be at least 1, got {self.cycle_length}")
@@ -83,6 +83,8 @@ class TrainingSchedule:
             raise ContractError(f"grad_clip must be nonnegative and finite (0 turns clipping off), got {self.grad_clip}")
         if self.seed < 0:
             raise ContractError(f"seed must be nonnegative, got {self.seed}")
+        if self.checkpoint_every < 0:
+            raise ContractError(f"checkpoint_every must be nonnegative, got {self.checkpoint_every}")
 
 
 def beta_at(step: int, schedule: TrainingSchedule) -> float:

@@ -40,6 +40,7 @@ after a pad one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -94,8 +95,10 @@ class ModelConfig:
             raise ContractError("vocab_size and max_seq_len must be at least 2")
         if not 0.0 <= self.dropout < 1.0:
             raise ContractError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.injection_gain <= 0 or self.latent_head_gain <= 0:
-            raise ContractError("init gains must be positive")
+        for name in ("injection_gain", "latent_head_gain"):
+            gain = getattr(self, name)
+            if not (math.isfinite(gain) and gain > 0.0):
+                raise ContractError(f"{name} must be positive and finite, got {gain}")
 
     def to_dict(self) -> dict:
         """The fields by name, ``injection_modes`` as a list: the manifest's ``model`` object."""

@@ -60,9 +60,9 @@ class TestBatchedMatchesOneByOne:
     @pytest.mark.parametrize("use_mean", [False, True])
     def test_generation(self, modes, dtype, mode, use_mean):
         model = talkative_model(MODES[modes], dtype, mode)
-        stories, latent = sp.generate_for_prompts(model, [ex.prior_input for ex in EXAMPLES], SEP, SAMPLER,
-                                                  use_mean_latent=use_mean)
-        alone = [sp.generate_for_prompt(model, ex.prior_input, SEP, SAMPLER, example_index=i, use_mean_latent=use_mean)
+        sampler = dataclasses.replace(SAMPLER, latent_mean=use_mean)
+        stories, latent = sp.generate_for_prompts(model, [ex.prior_input for ex in EXAMPLES], SEP, sampler)
+        alone = [sp.generate_for_prompt(model, ex.prior_input, SEP, sampler, example_index=i)
                  for i, ex in enumerate(EXAMPLES)]
         assert stories == [story for story, _ in alone]
         assert np.array_equal(latent.z.data, np.stack([code.z.data for _, code in alone]))

@@ -193,6 +193,7 @@ class TestExitCodes:
         "manifest_mode_unknown": lambda f: {"mode": 5},
         "manifest_step_negative": lambda f: {"step": -1},
         "manifest_model_heads_zero": lambda f: {"model": dict(f["model"], heads=0)},
+        "manifest_model_gain_nan": lambda f: {"model": dict(f["model"], injection_gain=float("nan"))},
         "manifest_step_bool": lambda f: {"step": True},
         "manifest_tensors_not_list": lambda f: {"tensors": "embed.word"},
         "manifest_optimizer_not_object": lambda f: {"optimizer": 5},
@@ -272,7 +273,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "case", ["vocab_header_not_int", "vocab_merge_one_id", "vocab_negative_ids", "vocab_not_ascii",
-                 "vocab_size_mismatch", "vocab_size_mismatch_resume", "corpus_not_utf8", "config_not_utf8"]
+                 "vocab_size_mismatch", "vocab_size_mismatch_resume", "corpus_not_utf8", "corpus_prompt_null",
+                 "corpus_story_numeric", "corpus_label_null", "config_not_utf8"]
     )
     def test_bad_input_file(self, workspace, tmp_path, capsys, case):
         expected = cli.EXIT_USAGE if case.startswith("config") else cli.EXIT_DATA
@@ -287,6 +289,10 @@ class TestExitCodes:
             # Merge 44 ("ta", as in "tale") takes id 300, one past the checkpoint's vocabulary.
             "vocab_size_mismatch": b"302\n" + b"0 0\n" * 44 + b"116 97\n", "vocab_size_mismatch_resume": b"257\n",
             "corpus_not_utf8": b'{"prompt": "a", "story": "b"}\n\xff\n', "config_not_utf8": b"model.d = 8\n\xff\n",
+            # A non-string field is refused, not trained on as its str() ("None", "5").
+            "corpus_prompt_null": b'{"prompt": "a", "story": "b"}\n{"prompt": null, "story": "b"}\n',
+            "corpus_story_numeric": b'{"prompt": "a", "story": "b"}\n{"prompt": "a", "story": 5}\n',
+            "corpus_label_null": b'{"prompt": "a", "story": "b"}\n{"prompt": "a", "story": "b", "label": null}\n',
         }[case])
         args = ["--corpus", corpus, "--vocab", vocab, "--out", str(tmp_path / "o")]
         if case.endswith("resume"):
@@ -296,7 +302,10 @@ class TestExitCodes:
         if case.startswith("config"):
             args += ["--config", str(bad)]
         assert cli.main(args) == expected
-        assert ("usage error" if expected == cli.EXIT_USAGE else "data error") in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert ("usage error" if expected == cli.EXIT_USAGE else "data error") in err
+        if case.startswith("corpus"):
+            assert f"{bad}:2:" in err
 
     def test_help_exits_zero(self):
         assert cli.main(["--help"]) == 0
@@ -311,6 +320,26 @@ class TestExitCodes:
         assert cli.main(args + common) == cli.EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+# Every setting's key and type, in order.  The keys of the model, train and sampler settings come from
+# dataclass fields, so this pins the flags against a renamed or reordered field.
+SETTINGS = [
+    ("mode", str), ("corpus", str), ("vocab", str), ("checkpoint", str), ("out", str),
+    ("model.d", int), ("model.layers", int), ("model.encoder-layers", int), ("model.heads", int),
+    ("model.latent-dim", int), ("model.vocab-size", int), ("model.max-seq-len", int), ("model.inject", str),
+    ("model.dropout", float), ("model.injection-gain", float), ("model.latent-head-gain", float),
+    ("train.steps", int), ("train.cycle-length", int), ("train.freeze-steps", int), ("train.lr", float),
+    ("train.batch-size", int), ("train.seed", int), ("train.beta-floor", float), ("train.grad-clip", float),
+    ("train.checkpoint-every", int),
+    ("sampler.top-k", int), ("sampler.top-p", float), ("sampler.temperature", float), ("sampler.max-new-tokens", int),
+    ("sampler.seed", int), ("sampler.latent-mean", bool),
+    ("encode.which", str),
+]
+
+
+def test_settings_keep_their_keys_order_and_types():
+    assert [(key, type(default)) for key, default in cli.DEFAULTS.items()] == SETTINGS
 
 
 def test_one_parser_takes_options_on_either_side_of_the_command():
@@ -603,9 +632,15 @@ def test_model_sizes_below_one_exit_2(workspace, tmp_path, capsys, flag, value):
     ("generate", "sampler.seed", "-1", "seed"), ("train", "train.seed", "-1", "seed"),
     ("train", "train.lr", "-1", "learning_rate"), ("train", "train.lr", "nan", "learning_rate"),
     ("train", "train.grad-clip", "nan", "grad_clip"), ("train", "train.grad-clip", "-1", "grad_clip"),
+    ("train", "train.checkpoint-every", "-1", "checkpoint_every"),
+    ("train", "model.injection-gain", "nan", "injection_gain"),
+    ("train", "model.injection-gain", "inf", "injection_gain"),
+    ("train", "model.latent-head-gain", "nan", "latent_head_gain"),
+    ("train", "model.latent-head-gain", "inf", "latent_head_gain"),
 ])
 def test_malformed_sampler_and_training_values_exit_2(workspace, tmp_path, capsys, command, flag, value, field):
-    """A value that would crash, sample silently wrong, ascend the loss or drop clipping is a data error."""
+    """A value that would crash, sample silently wrong, ascend the loss, drop clipping, save every step or
+    abort mid-run on a non-finite init is a data error, and leaves no output directory."""
     args = [command, "--corpus", workspace["corpus"], "--vocab", workspace["vocab"], "--out", str(tmp_path / "o")]
     if command == "generate":
         args += ["--checkpoint", workspace["checkpoint"]] + FAST_SAMPLER
@@ -614,4 +649,4 @@ def test_malformed_sampler_and_training_values_exit_2(workspace, tmp_path, capsy
     assert cli.main(args + [f"--{flag}", value]) == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert f"data error: {field} must be" in err and "Traceback" not in err
-    assert not (tmp_path / "o" / "metrics.csv").exists()
+    assert not (tmp_path / "o").exists()

@@ -291,7 +291,7 @@ class TestControlGenerate:
         cfg = SamplerConfig(max_new_tokens=2)
         _, latent = sp.control_generate(model, [1], [2], SEP, cfg)
         assert latent.source is lt.LatentSource.PRIOR_SAMPLE
-        _, latent = sp.control_generate(model, [1], [2], SEP, cfg, use_mean_latent=True)
+        _, latent = sp.control_generate(model, [1], [2], SEP, SamplerConfig(max_new_tokens=2, latent_mean=True))
         assert latent.source is lt.LatentSource.PRIOR_MEAN
 
     def test_external_latents_change_output(self):
