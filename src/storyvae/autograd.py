@@ -35,7 +35,7 @@ only views a matrix transposed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -386,22 +386,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make(data, "layer_norm", (x, gain, bias), backward)
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout with an explicit generator so forwards stay pure."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return a
-    keep = (rng.random(a.shape) >= rate) / (1.0 - rate)
-    keep = keep.astype(a.data.dtype)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * keep)
-
-    return _make(a.data * keep, "dropout", (a,), backward)
-
-
 def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """Summed negative log-likelihood in nats over unmasked positions of (..., T, V) logits, as one node.
 
@@ -526,9 +510,6 @@ class ParameterSet:
     def __contains__(self, name: str) -> bool:
         return name in self._params
 
-    def __len__(self) -> int:
-        return len(self._params)
-
     def names(self) -> list[str]:
         return list(self._params)
 
@@ -570,11 +551,9 @@ class GradCheckReport:
 
     max_rel_error: float
     worst_parameter: str
-    per_parameter: dict[str, float]
     deterministic: bool
     tolerance: float
     checked_elements: int = 0
-    notes: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -605,10 +584,8 @@ def grad_check(fn, params, eps: float = 1e-5, tolerance: float = 1e-4) -> GradCh
         return GradCheckReport(
             max_rel_error=np.inf,
             worst_parameter="<non-deterministic>",
-            per_parameter={},
             deterministic=False,
             tolerance=tolerance,
-            notes=["two forward passes disagreed"],
         )
 
     for _, p in items:
@@ -621,7 +598,6 @@ def grad_check(fn, params, eps: float = 1e-5, tolerance: float = 1e-4) -> GradCh
             p.requires_grad = False
     analytic = {name: np.zeros_like(p.data) if p.grad is None else p.grad.copy() for name, p in items}
 
-    per_parameter: dict[str, float] = {}
     worst = ("", 0.0)
     checked = 0
     for name, p in items:
@@ -641,14 +617,12 @@ def grad_check(fn, params, eps: float = 1e-5, tolerance: float = 1e-4) -> GradCh
             if rel > worst_here:
                 worst_here = rel
             checked += 1
-        per_parameter[name] = worst_here
         if worst_here > worst[1]:
             worst = (name, worst_here)
 
     return GradCheckReport(
         max_rel_error=worst[1],
         worst_parameter=worst[0],
-        per_parameter=per_parameter,
         deterministic=True,
         tolerance=tolerance,
         checked_elements=checked,

@@ -217,7 +217,7 @@ def cmd_vocab(resolved: dict) -> int:
 
 
 def cmd_train(resolved: dict, resume: str | None, given: dict) -> int:
-    _require(resolved, "corpus", "vocab")
+    _require(resolved, "corpus", "vocab", "out")
     if resume:
         model, manifest, vocab, examples, resolved = _load_run(resolved, given, resume)
         # A resumed run keeps the annealing cycle, freeze horizon and beta floor it was saved with, unless a
@@ -233,10 +233,10 @@ def cmd_train(resolved: dict, resume: str | None, given: dict) -> int:
         examples = cp.prepare_corpus(cp.load_corpus(resolved["corpus"]), vocab, resolved["model.max-seq-len"])
         cfg = configured("model", {**resolved, "model.vocab-size": vocab.size})
         model = StoryVAE.create(cfg, seed=schedule.seed, mode=resolved["mode"])
-    out = _prepare_out(resolved)
     trainer = Trainer(model, examples, schedule, separator_id=vocab.separator_id)
     if resume:
         trainer.load_optimizer_state(resume, manifest)
+    out = _prepare_out(resolved)
     checkpoint_dir = out / "checkpoint"
     # Stored relative to the checkpoint so identical runs produce identical bytes.
     vocab_ref = os.path.relpath(resolved["vocab"], checkpoint_dir)

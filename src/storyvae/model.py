@@ -9,6 +9,8 @@ of any lengths and run it as one right-padded forward; a single example
 is a batch of one.  Checkpoints are a directory holding a JSON manifest
 plus a raw little-endian float32 or float64 tensor payload, as the
 manifest's ``dtype`` records; save/load round-trips bit-exactly.
+Checkpoints from before dropout was retired record a dropout rate and a
+dropout RNG state; they load with both ignored if the rate is 0.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ PARAMS_FILE = "params.bin"
 OPTIM_FILE = "optim.bin"
 MANIFEST_FILE = "manifest.json"
 # The trainer's random streams, whose generator states a checkpoint keeps.
-RNG_STREAMS = ("batch", "noise", "dropout")
+RNG_STREAMS = ("batch", "noise")
 # The token id a training batch is right-padded with; no loss or gradient depends on it.
 PAD_ID = 0
 
@@ -130,7 +132,6 @@ class StoryVAE:
         decoder_input,
         latent: lt.LatentCode | None,
         modes: tuple[str, ...] | None = None,
-        drop_rng: np.random.Generator | None = None,
         cache: tf.DecoderCache | None = None,
     ) -> Tensor:
         """Logits for every position of ``decoder_input``: (T,) tokens, or a (B, T) batch under a (B, d') latent.
@@ -141,7 +142,7 @@ class StoryVAE:
         """
         _, logits = tf.stack_forward(
             decoder_input, self.params, self.config, role="decoder",
-            latent=latent, modes=self._modes(latent, modes), drop_rng=drop_rng, cache=cache,
+            latent=latent, modes=self._modes(latent, modes), cache=cache,
         )
         return logits
 
@@ -149,13 +150,7 @@ class StoryVAE:
         if not self.config.injection_modes:
             raise ContractError("a latent-variable objective needs at least one injection mode")
 
-    def cvae_loss(
-        self,
-        examples,
-        noise: np.ndarray,
-        beta: float,
-        drop_rng: np.random.Generator | None = None,
-    ) -> tuple[Tensor, LossBreakdown]:
+    def cvae_loss(self, examples, noise: np.ndarray, beta: float) -> tuple[Tensor, LossBreakdown]:
         """Single-sample conditional objective of a batch: (sum of masked story NLLs + beta * sum of KLs) / B.
 
         ``examples`` is a list of B ``EncodedExample``s of any lengths with
@@ -175,16 +170,9 @@ class StoryVAE:
         posterior = self._encode_padded(texts, "post")
         prior = self._encode_padded([ex.prior_input for ex in examples], "prior")
         return self._objective(posterior, prior, noise, beta, texts, [ex.targets for ex in examples],
-                               [ex.loss_mask for ex in examples], drop_rng)
+                               [ex.loss_mask for ex in examples])
 
-    def vae_loss(
-        self,
-        texts,
-        separator_id: int,
-        noise: np.ndarray,
-        beta: float,
-        drop_rng: np.random.Generator | None = None,
-    ) -> tuple[Tensor, LossBreakdown]:
+    def vae_loss(self, texts, separator_id: int, noise: np.ndarray, beta: float) -> tuple[Tensor, LossBreakdown]:
         """Unconditional objective of a batch against a fixed N(0, I) prior, every position scored.
 
         ``texts`` is a list of B token sequences of any lengths with
@@ -200,9 +188,9 @@ class StoryVAE:
         decoder_inputs = [np.concatenate([[separator_id], t]) for t in texts]
         targets = [np.concatenate([t, [separator_id]]) for t in texts]
         return self._objective(posterior, prior, noise, beta, decoder_inputs, targets,
-                               [np.ones(t.size, dtype=bool) for t in decoder_inputs], drop_rng)
+                               [np.ones(t.size, dtype=bool) for t in decoder_inputs])
 
-    def _objective(self, posterior, prior, noise, beta, decoder_inputs, targets, masks, drop_rng):
+    def _objective(self, posterior, prior, noise, beta, decoder_inputs, targets, masks):
         """Decode posterior samples as one right-padded batch and score it: (masked NLL + beta * KL) / B.
 
         The decoder needs no key mask, since it is causal and the padding
@@ -211,7 +199,7 @@ class StoryVAE:
         """
         b = len(decoder_inputs)
         z = lt.reparameterize(posterior, noise, lt.LatentSource.POSTERIOR_SAMPLE)
-        logits = self.decode_logits(tf.pad_rows(decoder_inputs, PAD_ID)[0], z, drop_rng=drop_rng)
+        logits = self.decode_logits(tf.pad_rows(decoder_inputs, PAD_ID)[0], z)
         mask = tf.pad_rows(masks, False)[0]
         recon, _ = ag.cross_entropy(logits, tf.pad_rows(targets, PAD_ID)[0], mask)
         kl = lt.kl_divergence(posterior, prior)
@@ -274,6 +262,7 @@ class StoryVAE:
             raise ContractError(f"{directory / MANIFEST_FILE} is not a valid manifest: {e}") from e
         if not isinstance(manifest, dict):
             raise ContractError(f"{directory / MANIFEST_FILE} is not a JSON object")
+        _drop_legacy_dropout(manifest)
         _check_manifest(manifest, directory)
         config = ModelConfig.from_dict(manifest["model"])
         arrays = read_tensor_file(directory / manifest["payload"], manifest.get("dtype", "<f4"))
@@ -303,6 +292,22 @@ def _is_rng_state(value) -> bool:
         return False
     words = [value["state"]["state"], value["state"]["inc"], value["has_uint32"], value["uinteger"]]
     return all(_is_count(w) for w in words) and max(words[:2]) < 2**128 and words[2] <= 1 and words[3] < 2**32
+
+
+def _drop_legacy_dropout(manifest: dict) -> None:
+    """Remove what checkpoints from before dropout was retired keep of it: the model's rate and its RNG state.
+
+    A rate of 0 describes the model that loads; any other rate cannot be
+    honoured and raises ``ContractError``.
+    """
+    model = manifest.get("model")
+    if isinstance(model, dict) and "dropout" in model:
+        rate = model.pop("dropout")
+        if type(rate) not in (int, float) or rate != 0:
+            raise ContractError(f"the checkpoint's model has dropout {rate!r}; dropout is retired, so only 0 loads")
+    optimizer = manifest.get("optimizer")
+    if isinstance(optimizer, dict) and isinstance(optimizer.get("rng_states"), dict):
+        optimizer["rng_states"].pop("dropout", None)
 
 
 def _check_manifest(manifest: dict, directory: Path) -> None:

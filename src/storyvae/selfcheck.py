@@ -4,7 +4,8 @@ Runs the gradient checks and independent oracles that the test suite
 also exercises, without needing pytest: finite differences against the
 tape, closed-form and Monte Carlo KL, brute-force sampling filters,
 brute-force ROUGE, greedy decoding, cached against full-prefix decoding,
-the annealing shape, and tokenizer round-trips.  The brute-force oracles
+Adam against plain-math scalar Adam, the annealing shape, and tokenizer
+round-trips.  The brute-force oracles
 (``brute_force_filter``, ``brute_force_rouge``, ``greedy_oracle``,
 ``matmul_oracle``, ``reference_adam_scalar``, ``kl_monte_carlo``) live
 here once; the test suite imports them.
@@ -197,6 +198,25 @@ def _check_schedule(report) -> bool:
     return ok
 
 
+def _check_adam(report) -> bool:
+    params = ParameterSet()
+    x = params.add("x", Tensor([0.5], dtype=np.float64))
+    optimizer = tr.Adam(params, lr=0.05)
+    grads = [0.3, -1.2, 0.7, 2.5, -0.1, 0.0, 1.0, -0.4]
+    for g in grads:
+        x.grad = np.array([g])
+        optimizer.step()
+    want = reference_adam_scalar(grads, 0.05, tr.ADAM_BETA1, tr.ADAM_BETA2, tr.ADAM_EPS, x0=0.5)
+    ok = abs(float(x.data[0]) - want) <= 1e-12
+    # A step in which the parameter has no gradient leaves its value and its update count alone.
+    before = x.data.copy()
+    x.grad = None
+    optimizer.step()
+    ok &= np.array_equal(x.data, before) and optimizer.t["x"] == len(grads)
+    report(f"{'ok' if ok else 'FAIL'} Adam against the scalar oracle, and no update without a gradient")
+    return ok
+
+
 def _check_sampler(report) -> bool:
     rng = np.random.default_rng(7)
     ok = True
@@ -334,6 +354,7 @@ def run_all(report=print) -> int:
         _check_unary_ops,
         _check_kl,
         _check_schedule,
+        _check_adam,
         _check_sampler,
         _check_rouge,
         _check_greedy,

@@ -172,6 +172,8 @@ class Trainer:
             raise ContractError("cannot train on an empty example list")
         if model.mode == "vae" and separator_id is None:
             raise ContractError("vae mode needs the separator id for decoder framing")
+        if not model.config.injection_modes:
+            raise ContractError("cannot train a model with no injection mode: its latent would reach nothing")
         self.model = model
         self.examples = list(examples)
         self.schedule = schedule
@@ -181,7 +183,6 @@ class Trainer:
         self.metrics: list[dict] = []
         self._batch_rng = np.random.default_rng([schedule.seed, 1])
         self._noise_rng = np.random.default_rng([schedule.seed, 2])
-        self._drop_rng = np.random.default_rng([schedule.seed, 3])
 
     def _apply_freeze(self) -> None:
         """Mark every parameter trainable but the pretrained analogues inside the freeze horizon."""
@@ -189,18 +190,18 @@ class Trainer:
         for name, p in self.model.params.items():
             p.requires_grad = not (freezing and is_pretrained_analogue(name))
 
-    def _loss(self, batch: np.ndarray, noise: np.ndarray, beta: float, drop_rng):
+    def _loss(self, batch: np.ndarray, noise: np.ndarray, beta: float):
         examples = [self.examples[i] for i in batch]
         if self.model.mode == "cvae":
-            return self.model.cvae_loss(examples, noise, beta, drop_rng=drop_rng)
+            return self.model.cvae_loss(examples, noise, beta)
         stories = [ex.pair.story_tokens for ex in examples]
-        return self.model.vae_loss(stories, self.separator_id, noise, beta, drop_rng=drop_rng)
+        return self.model.vae_loss(stories, self.separator_id, noise, beta)
 
     def _culprit(self, batch: np.ndarray, noise: np.ndarray, beta: float, error: ag.NumericsError) -> TrainingAbort:
         """The abort naming the first slot whose example, scored alone and without a tape, raises too."""
         for slot, idx in enumerate(batch):
             try:
-                self._loss(batch[slot:slot + 1], noise[slot:slot + 1], beta, None)
+                self._loss(batch[slot:slot + 1], noise[slot:slot + 1], beta)
             except ag.NumericsError as e:
                 return TrainingAbort(self.step_count, slot, int(idx), str(e))
         return TrainingAbort(self.step_count, None, None, str(error))
@@ -218,13 +219,12 @@ class Trainer:
         beta = beta_at(self.step_count, self.schedule)
         # The same stream as one (d',) draw per slot in turn.
         noise = self._noise_rng.standard_normal((batch.size, self.model.config.latent_dim)).astype(self.model.dtype)
-        drop_rng = self._drop_rng if self.model.config.dropout > 0 else None
         self._apply_freeze()
         params = self.model.params
         failure = None
         try:
             params.zero_grads()
-            loss, breakdown = self._loss(batch, noise, beta, drop_rng)
+            loss, breakdown = self._loss(batch, noise, beta)
             ag.backward(loss)
         except ag.NumericsError as e:
             failure = e
@@ -250,8 +250,8 @@ class Trainer:
         return record
 
     def _rngs(self) -> tuple[np.random.Generator, ...]:
-        """The batch, noise and dropout streams, in ``RNG_STREAMS`` order."""
-        return self._batch_rng, self._noise_rng, self._drop_rng
+        """The batch and noise streams, in ``RNG_STREAMS`` order."""
+        return self._batch_rng, self._noise_rng
 
     def draw_batch(self) -> np.ndarray:
         return self._batch_rng.integers(0, len(self.examples), size=self.schedule.batch_size)

@@ -71,7 +71,6 @@ class ModelConfig:
     vocab_size: int = 512
     max_seq_len: int = 256
     injection_modes: tuple[str, ...] = ("psa",)
-    dropout: float = 0.0
     injection_gain: float = 1.0
     latent_head_gain: float = 1.0
 
@@ -93,8 +92,6 @@ class ModelConfig:
             raise ContractError("duplicate injection modes")
         if self.vocab_size < 2 or self.max_seq_len < 2:
             raise ContractError("vocab_size and max_seq_len must be at least 2")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ContractError(f"dropout must lie in [0, 1), got {self.dropout}")
         for name in ("injection_gain", "latent_head_gain"):
             gain = getattr(self, name)
             if not (math.isfinite(gain) and gain > 0.0):
@@ -379,19 +376,13 @@ def attention_average(hseq: Tensor, p: PoolingParams, n_heads: int, return_weigh
     return ag.linear(kv.attend(q, key_mask), p.wo, p.bo)
 
 
-def _block(x, params, prefix, cfg, causal, past, drop_rng, key_mask):
+def _block(x, params, prefix, cfg, causal, past, key_mask):
     p = attention_params(params, prefix)
     h = ag.layer_norm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"], LN_EPS)
-    attn_out = multi_head_attention(h, p, cfg.heads, causal, past=past, key_mask=key_mask)
-    if drop_rng is not None:
-        attn_out = ag.dropout(attn_out, cfg.dropout, drop_rng)
-    x = ag.add(x, attn_out)
+    x = ag.add(x, multi_head_attention(h, p, cfg.heads, causal, past=past, key_mask=key_mask))
     h = ag.layer_norm(x, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"], LN_EPS)
     h = ag.gelu(ag.linear(h, params[f"{prefix}.mlp.w1"], params[f"{prefix}.mlp.b1"]))
-    h = ag.linear(h, params[f"{prefix}.mlp.w2"], params[f"{prefix}.mlp.b2"])
-    if drop_rng is not None:
-        h = ag.dropout(h, cfg.dropout, drop_rng)
-    return ag.add(x, h)
+    return ag.add(x, ag.linear(h, params[f"{prefix}.mlp.w2"], params[f"{prefix}.mlp.b2"]))
 
 
 class DecoderCache:
@@ -483,7 +474,6 @@ def stack_forward(
     role: str,
     latent=None,
     modes: tuple[str, ...] = (),
-    drop_rng: np.random.Generator | None = None,
     cache: DecoderCache | None = None,
     key_mask: np.ndarray | None = None,
 ):
@@ -538,11 +528,10 @@ def stack_forward(
 
     n_layers = cfg.layers if is_decoder else cfg.encoder_layers
     stack = "dec" if is_decoder else "enc"
-    drop = drop_rng if cfg.dropout > 0.0 else None
     for i in range(n_layers):
         x = _block(
             x, params, f"{stack}.{i}", cfg,
-            causal=is_decoder, past=cache.layers[i] if is_decoder else None, drop_rng=drop, key_mask=key_mask,
+            causal=is_decoder, past=cache.layers[i] if is_decoder else None, key_mask=key_mask,
         )
     x = ag.layer_norm(x, params[f"{stack}.final_norm.g"], params[f"{stack}.final_norm.b"], LN_EPS)
     if not is_decoder:

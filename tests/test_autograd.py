@@ -462,17 +462,6 @@ def test_take_rows_gradients():
     assert report.passed, report.max_rel_error
 
 
-def test_dropout_scales_and_masks():
-    rng = np.random.default_rng(10)
-    x = Tensor(np.ones((200, 4)), requires_grad=True)
-    out = ag.dropout(x, 0.25, rng)
-    kept = out.data != 0
-    assert np.allclose(out.data[kept], 1 / 0.75)
-    assert 0.6 < kept.mean() < 0.9
-    ag.backward(ag.sum_all(out))
-    assert np.array_equal(x.grad != 0, kept)
-
-
 def test_parameter_set_contracts():
     params = ParameterSet()
     params.add("a", Tensor(np.zeros(3)))

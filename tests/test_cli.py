@@ -131,11 +131,15 @@ class TestConfigResolution:
         assert "model.vocab-size = 280" in resolved  # flag wins
         assert "train.lr = 0.001" in resolved        # default
 
-    def test_unknown_key_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key", ["model.width", "model.dropout"])
+    def test_unknown_key_rejected(self, tmp_path, capsys, key):
+        """A key no setting declares, including the retired ``model.dropout``, is a usage error in file and flag."""
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("model.width = 32\n")
+        cfg.write_text(f"{key} = 0\n")
         assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
-        assert "unknown configuration key 'model.width'" in capsys.readouterr().err
+        assert f"unknown configuration key '{key}'" in capsys.readouterr().err
+        assert cli.main(["train", f"--{key}", "0", "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
+        assert f"--{key}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_env_var_overrides_out(self, tmp_path, monkeypatch):
@@ -194,6 +198,8 @@ class TestExitCodes:
         "manifest_step_negative": lambda f: {"step": -1},
         "manifest_model_heads_zero": lambda f: {"model": dict(f["model"], heads=0)},
         "manifest_model_gain_nan": lambda f: {"model": dict(f["model"], injection_gain=float("nan"))},
+        # Dropout is retired: a checkpoint trained with it cannot be honoured.
+        "manifest_model_dropout_nonzero": lambda f: {"model": dict(f["model"], dropout=0.2)},
         "manifest_step_bool": lambda f: {"step": True},
         "manifest_tensors_not_list": lambda f: {"tensors": "embed.word"},
         "manifest_optimizer_not_object": lambda f: {"optimizer": 5},
@@ -269,7 +275,7 @@ class TestExitCodes:
         )
         assert code == cli.EXIT_DATA
         assert "data error" in capsys.readouterr().err
-        assert not (tmp_path / "o" / "checkpoint").exists()
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "case", ["vocab_header_not_int", "vocab_merge_one_id", "vocab_negative_ids", "vocab_not_ascii",
@@ -328,7 +334,7 @@ SETTINGS = [
     ("mode", str), ("corpus", str), ("vocab", str), ("checkpoint", str), ("out", str),
     ("model.d", int), ("model.layers", int), ("model.encoder-layers", int), ("model.heads", int),
     ("model.latent-dim", int), ("model.vocab-size", int), ("model.max-seq-len", int), ("model.inject", str),
-    ("model.dropout", float), ("model.injection-gain", float), ("model.latent-head-gain", float),
+    ("model.injection-gain", float), ("model.latent-head-gain", float),
     ("train.steps", int), ("train.cycle-length", int), ("train.freeze-steps", int), ("train.lr", float),
     ("train.batch-size", int), ("train.seed", int), ("train.beta-floor", float), ("train.grad-clip", float),
     ("train.checkpoint-every", int),
@@ -572,6 +578,36 @@ def test_checkpoint_commands_record_the_checkpoint_model(workspace, tmp_path, ca
     assert not (tmp_path / "bad" / "config.resolved").exists()
 
 
+def test_a_checkpoint_with_zero_dropout_runs_as_one_without(workspace, tmp_path):
+    """A manifest written while the model had a dropout setting, with a rate of 0 and a ``dropout`` RNG state
+    (at its seed, as a run at rate 0 left it), loads: every command gives the bytes it gives on the same checkpoint
+    without them, and a resume saves a checkpoint without them."""
+    plain, legacy = tmp_path / "plain", tmp_path / "legacy"
+    shutil.copytree(workspace["checkpoint"], plain)
+    shutil.copytree(workspace["checkpoint"], legacy)
+    fields = json.loads((legacy / "manifest.json").read_text())
+    fields["model"]["dropout"] = 0.0
+    fields["optimizer"]["rng_states"]["dropout"] = np.random.default_rng([0, 3]).bit_generator.state
+    (legacy / "manifest.json").write_text(json.dumps(fields, indent=2, sort_keys=True) + "\n")
+    common = ["--corpus", workspace["corpus"], "--vocab", workspace["vocab"]]
+    commands = {  # by output directory, with the file each writes
+        "eval": (["eval"] + common + FAST_SAMPLER, "report.json"),
+        "encode": (["encode"] + common, "latents.tsv"),
+        "control": (["control", "--vocab", workspace["vocab"], "--prompt-a", "ember tale", "--prompt-b", "tide tale"]
+                    + FAST_SAMPLER, "stories.jsonl"),
+        "resume": (["train", "--train.steps", "4"] + common, "metrics.csv"),
+    }
+    for name, (args, written) in commands.items():
+        flag = "--resume" if name == "resume" else "--checkpoint"
+        for checkpoint in (plain, legacy):
+            out = tmp_path / f"out-{checkpoint.name}" / name
+            assert cli.main(args + [flag, str(checkpoint), "--out", str(out)]) == cli.EXIT_OK, name
+        assert sha(tmp_path / "out-legacy" / name / written) == sha(tmp_path / "out-plain" / name / written), name
+    for name in ("params.bin", "optim.bin", "manifest.json"):
+        resumed = [tmp_path / side / "resume" / "checkpoint" / name for side in ("out-plain", "out-legacy")]
+        assert sha(resumed[0]) == sha(resumed[1]), name
+
+
 def test_metrics_rows_stream_as_steps_end(workspace, tmp_path, monkeypatch):
     """A run that aborts at step 5 keeps the header and its first 5 rows; a whole run writes a row per step record."""
     train = ["train", "--corpus", workspace["corpus"], "--vocab", workspace["vocab"]] + FAST_MODEL + FAST_TRAIN
@@ -598,10 +634,12 @@ def test_metrics_rows_stream_as_steps_end(workspace, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["vocab_size_too_small", "vocab_corpus_missing", "generate_negative_seed",
-                                  "eval_zero_temperature", "encode_unknown_kind", "control_prompt_too_long"])
+                                  "eval_zero_temperature", "encode_unknown_kind", "control_prompt_too_long",
+                                  "train_no_injection_mode", "train_vae_no_injection_mode"])
 def test_rejected_input_leaves_no_output_directory(workspace, tmp_path, capsys, case):
     """Each command checks what it can before it writes config.resolved, so a data error leaves no --out behind."""
     common = ["--corpus", workspace["corpus"], "--vocab", workspace["vocab"], "--checkpoint", workspace["checkpoint"]]
+    train = ["train", "--corpus", workspace["corpus"], "--vocab", workspace["vocab"]] + FAST_MODEL + FAST_TRAIN
     args = {
         "vocab_size_too_small": ["vocab", "--corpus", workspace["corpus"], "--model.vocab-size", "100"],
         "vocab_corpus_missing": ["vocab", "--corpus", str(tmp_path / "missing.jsonl")],
@@ -610,6 +648,8 @@ def test_rejected_input_leaves_no_output_directory(workspace, tmp_path, capsys, 
         "encode_unknown_kind": ["encode", "--encode.which", "bogus"] + common,
         "control_prompt_too_long": ["control", "--vocab", workspace["vocab"], "--checkpoint", workspace["checkpoint"],
                                     "--prompt-a", " ".join(["ember"] * 400), "--prompt-b", "tide tale"],
+        "train_no_injection_mode": train + ["--model.inject", ""],
+        "train_vae_no_injection_mode": train + ["--mode", "vae", "--model.inject", ",,"],
     }[case]
     assert cli.main(args + ["--out", str(tmp_path / "o")]) == cli.EXIT_DATA
     err = capsys.readouterr().err
