@@ -6,12 +6,16 @@ backward closure, and ``backward`` replays the tape in reverse
 topological order.  An operation whose inputs all lack ``requires_grad``
 records nothing, so ``requires_grad`` is the one switch for what trains:
 parameters start without it, and only a train step or a gradient check
-sets it, for its own backward only.  Arrays are ``float32`` by default
-(``transpose`` hands back a view, every other op a row-major array);
-``float64`` exists solely so finite-difference gradient checks are not
-drowned by rounding.  Every forward operation verifies its output is
-finite and raises ``NumericsError`` otherwise instead of letting NaN or
-Inf propagate silently.  That check, in ``_make``, is the one numerics
+sets it, for its own backward only.  A ``ParameterSet`` lays its
+parameters out over one flat buffer; once an optimizer tracks its
+gradients, ``backward`` writes each parameter's gradient into its view
+of a flat gradient buffer, which lets the optimizer work on whole
+slices.  Arrays are ``float32`` by default (``transpose`` hands back a
+view, every other op a row-major array); ``float64`` exists solely so
+finite-difference gradient checks are not drowned by rounding.  Every
+forward operation verifies its output is finite and raises
+``NumericsError`` otherwise instead of letting NaN or Inf propagate
+silently.  That check, in ``_make``, is the one numerics
 gate: no op silences numpy's warnings, so an overflow may warn before it
 raises, and one whose output is finite (``gelu``'s cube) is no error.
 
@@ -35,6 +39,7 @@ only views a matrix transposed.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +48,22 @@ GELU_TANH_COEFF = math.sqrt(2.0 / math.pi)  # 0.7978845608028654
 GELU_CUBIC_COEFF = 0.044715
 
 _FLOAT_DTYPES = (np.float32, np.float64)
+
+
+def flat_buffer(size: int, dtype) -> np.ndarray:
+    """A zero-filled 1-D array in an anonymous memory map of its own.
+
+    Parameter, gradient and moment buffers live apart from the heap that
+    every op's temporaries churn: a large heap block cannot reuse the
+    small chunks those temporaries free, and on the train_overfit
+    workload heap-allocated buffers measured 2-3 MB more peak memory.
+    A page costs memory once written, and goes back to the system with
+    the array.
+    """
+    dtype = np.dtype(dtype)
+    if size == 0:
+        return np.zeros(0, dtype)
+    return np.frombuffer(mmap.mmap(-1, size * dtype.itemsize), dtype)
 
 
 class ShapeError(ValueError):
@@ -69,7 +90,7 @@ def _as_array(data, dtype=None) -> np.ndarray:
 class Tensor:
     """A numpy array plus the tape bookkeeping needed for backprop."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_grad_view")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = _as_array(data, dtype)
@@ -77,6 +98,8 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
+        # A parameter's slot in its set's gradient buffer; the first gradient lands there.
+        self._grad_view: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -87,10 +110,13 @@ class Tensor:
         return self.data.dtype
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
+        if self.grad is not None:
+            self.grad += g
+        elif self._grad_view is None:
             self.grad = np.array(g, dtype=self.data.dtype, copy=True)
         else:
-            self.grad += g
+            self._grad_view[...] = g
+            self.grad = self._grad_view
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
@@ -106,6 +132,7 @@ def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...], backward) -> T
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
+    out._grad_view = None
     needs = any(p.requires_grad for p in parents)
     out.requires_grad = needs
     if needs:
@@ -489,20 +516,117 @@ def backward(loss: Tensor) -> None:
 
 
 class ParameterSet:
-    """Named trainable tensors.
+    """Named trainable tensors of one float dtype, laid out in order over flat buffers.
 
-    ``add`` leaves ``requires_grad`` as the tensor has it; whoever calls
-    ``backward`` marks the parameters it wants gradients for.
+    Every parameter's ``data`` is a view of ``data_buffer`` (a
+    ``flat_buffer``); ``span`` gives its offsets, so consecutive
+    parameters are one slice.  The constructor lays out a whole listing
+    of (name, array) at once; ``add`` lays the set out afresh with one
+    tensor more, which suits small hand-built sets.  ``add`` leaves
+    ``requires_grad`` as the tensor has it; whoever calls ``backward``
+    marks the parameters it wants gradients for.
+
+    A set that trains gets, from ``track_gradients`` (the optimizer calls
+    it), a ``grad_buffer`` at the same offsets, and from then on
+    ``backward`` writes each parameter's first gradient of a step into
+    its view of it; a set that only runs inference holds none.  A
+    ``grad`` of None still means "no gradient this step", whatever the
+    buffer holds.  With the gradient buffer come two ``scratch`` rows of
+    ``run_elements``, for whoever works through ``live_runs`` one run at a
+    time: the optimizer's temporaries, or the gradient norm's float64
+    squares in the same bytes.
     """
 
-    def __init__(self):
-        self._params: dict[str, Tensor] = {}
+    # A run of ``live_runs`` spans at most this many elements, or the largest tensor if that is longer.
+    RUN_ELEMENTS = 32768
+
+    def __init__(self, named_arrays=(), dtype=None):
+        self._pack([(name, None, np.asarray(values)) for name, values in named_arrays], dtype)
+
+    def _pack(self, entries, dtype=None) -> None:
+        """Lay out ``(name, tensor or None, values)`` in order over a fresh data buffer; None makes a new tensor.
+
+        A ``dtype`` of None keeps the one dtype all the values share.
+        """
+        if dtype is None:
+            dtypes = {values.dtype for _, _, values in entries} or {np.dtype(np.float32)}
+            if len(dtypes) > 1:
+                raise ValueError(f"parameters must share one dtype, got {sorted(d.name for d in dtypes)}")
+            (dtype,) = dtypes
+        dtype = np.dtype(dtype)
+        if dtype not in _FLOAT_DTYPES:
+            raise ValueError(f"parameters must be float32 or float64, got {dtype}")
+        sizes = [values.size for _, _, values in entries]
+        data = flat_buffer(sum(sizes), dtype)
+        params: dict[str, Tensor] = {}
+        spans: dict[str, tuple[int, int]] = {}
+        lo = 0
+        for (name, tensor, values), size in zip(entries, sizes):
+            if name in params:
+                raise ValueError(f"duplicate parameter name: {name}")
+            view = data[lo:lo + size].reshape(values.shape)
+            view[...] = values
+            if tensor is None:
+                tensor = Tensor(view)
+            else:
+                tensor.data = view
+            tensor._grad_view = None
+            params[name], spans[name] = tensor, (lo, lo + size)
+            lo += size
+        self._params, self._spans = params, spans
+        self.data_buffer = data
+        self.grad_buffer = self.scratch = None
+        self.run_elements = max([self.RUN_ELEMENTS, *sizes])
+
+    def track_gradients(self) -> None:
+        """Give the set its gradient buffer and scratch rows, once; from then on backward writes into the buffer."""
+        if self.grad_buffer is not None:
+            return
+        self.grad_buffer = flat_buffer(self.data_buffer.size, self.data_buffer.dtype)
+        self.scratch = flat_buffer(2 * self.run_elements, self.data_buffer.dtype).reshape(2, -1)
+        for name, p in self._params.items():
+            lo, hi = self._spans[name]
+            p._grad_view = self.grad_buffer[lo:hi].reshape(p.shape)
 
     def add(self, name: str, tensor: Tensor) -> Tensor:
+        """Append ``tensor`` under ``name``; its ``data`` becomes a view of the new buffer, as every other's does."""
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name}")
-        self._params[name] = tensor
+        self._pack([(n, p, p.data) for n, p in self._params.items()] + [(name, tensor, tensor.data)])
         return tensor
+
+    def span(self, name: str) -> tuple[int, int]:
+        """The [lo, hi) offsets of a parameter in ``data_buffer`` and ``grad_buffer``."""
+        return self._spans[name]
+
+    def live_runs(self, key=None) -> list[list[tuple[str, int, int]]]:
+        """The parameters with a gradient, as runs of consecutive ``(name, lo, hi)`` in layout order.
+
+        A gradient that is not the parameter's view of ``grad_buffer`` (one
+        from before the set tracked gradients, or one assigned by hand) is
+        first copied in, in the parameter's dtype, and ``grad`` becomes the
+        view; so each run's gradients are one slice of the buffer.  A run ends at a parameter without a gradient, where
+        ``key(name)`` changes, and before it would outgrow ``run_elements``,
+        which bounds the scratch a caller needs per run.
+        """
+        self.track_gradients()
+        runs: list[list[tuple[str, int, int]]] = []
+        run, last = None, None
+        for name, p in self._params.items():
+            if p.grad is None:
+                run = None
+                continue
+            if p.grad is not p._grad_view:
+                p._grad_view[...] = p.grad
+                p.grad = p._grad_view
+            lo, hi = self._spans[name]
+            k = None if key is None else key(name)
+            if run is None or k != last or hi - run[0][1] > self.run_elements:
+                run = []
+                runs.append(run)
+            run.append((name, lo, hi))
+            last = k
+        return runs
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -521,10 +645,8 @@ class ParameterSet:
             p.grad = None
 
     def astype(self, dtype) -> "ParameterSet":
-        out = ParameterSet()
-        for name, p in self._params.items():
-            out.add(name, Tensor(p.data.astype(dtype)))
-        return out
+        """A copy in ``dtype``, laid out as this set is."""
+        return ParameterSet(((name, p.data) for name, p in self._params.items()), dtype=dtype)
 
 
 def rescale_for_grad_check(params: "ParameterSet", rng: np.random.Generator, scale: float = 0.4) -> None:

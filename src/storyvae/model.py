@@ -270,10 +270,7 @@ class StoryVAE:
             raise ContractError("checkpoint payload does not match its manifest")
         if {n: a.shape for n, a in arrays} != {n: shape for n, shape, _ in tf.parameter_specs(config)}:
             raise ContractError("checkpoint tensors do not have the names and shapes its model config implies")
-        params = ParameterSet()
-        for name, arr in arrays:
-            params.add(name, Tensor(arr))
-        return cls(config, params, mode=manifest["mode"]), manifest
+        return cls(config, ParameterSet(arrays), mode=manifest["mode"]), manifest
 
 
 def _is_str_list(value) -> bool:

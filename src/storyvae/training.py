@@ -8,7 +8,9 @@ objective, with the latent noise drawn as one (B, d') block.  The
 schedule alone decides what trains: for its first ``freeze_steps`` steps
 the pretrained analogues (``is_pretrained_analogue``) get no gradient
 and no update.  Each train step sets ``requires_grad`` on exactly the
-parameters it updates and clears it again before it returns.
+parameters it updates and clears it again before it returns.  Clipping
+and Adam work on the parameter set's flat gradient buffer and the flat
+moment buffers, one run of consecutive parameters at a time.
 Checkpoints keep the cycle length, freeze horizon and beta floor, so a
 resumed run continues the same schedule.  Given a seed, corpus and
 config, training is bit-reproducible on a single thread.
@@ -115,51 +117,79 @@ def is_pretrained_analogue(name: str) -> bool:
 
 
 class Adam:
-    """Adam with per-parameter update counts so frozen spans stay unbiased."""
+    """Adam over the parameter set's flat buffers, with per-parameter update counts so frozen spans stay unbiased.
+
+    ``m`` and ``v`` are flat moment buffers laid out as the parameters
+    are, and ``moments`` gives one parameter's views of them.  A step
+    updates each run of consecutive parameters that have a gradient and
+    share an update count (``ParameterSet.live_runs``) with a dozen
+    whole-slice numpy calls into two scratch rows of at most
+    ``run_elements``; per element it is the same arithmetic, in the
+    same order, as updating each parameter on its own.
+    """
 
     def __init__(self, params: ParameterSet, lr: float):
         self.params = params
         self.lr = lr
-        self.m = {n: np.zeros_like(p.data) for n, p in params.items()}
-        self.v = {n: np.zeros_like(p.data) for n, p in params.items()}
+        params.track_gradients()
+        self.m = ag.flat_buffer(params.data_buffer.size, params.data_buffer.dtype)
+        self.v = ag.flat_buffer(params.data_buffer.size, params.data_buffer.dtype)
         self.t = {n: 0 for n in params.names()}
 
+    def moments(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """One parameter's first and second moments, as views of ``m`` and ``v``."""
+        lo, hi = self.params.span(name)
+        shape = self.params[name].shape
+        return self.m[lo:hi].reshape(shape), self.v[lo:hi].reshape(shape)
+
     def step(self) -> None:
-        for name, p in self.params.items():
-            if p.grad is None:
-                continue
-            g = p.grad
-            self.t[name] += 1
-            t = self.t[name]
-            m = self.m[name]
-            v = self.v[name]
+        params, counts = self.params, self.t
+        for run in params.live_runs(key=counts.__getitem__):
+            for name, _, _ in run:
+                counts[name] += 1
+            t = counts[run[0][0]]
+            lo, hi = run[0][1], run[-1][2]
+            g, m, v = params.grad_buffer[lo:hi], self.m[lo:hi], self.v[lo:hi]
+            update, denom = params.scratch[0, :hi - lo], params.scratch[1, :hi - lo]
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=update)
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            m_hat = m / (1.0 - ADAM_BETA1**t)
-            v_hat = v / (1.0 - ADAM_BETA2**t)
-            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.data.dtype)
+            np.multiply(g, 1.0 - ADAM_BETA2, out=update)
+            v += np.multiply(update, g, out=update)
+            np.divide(m, 1.0 - ADAM_BETA1**t, out=update)  # m_hat
+            update *= self.lr
+            np.divide(v, 1.0 - ADAM_BETA2**t, out=denom)  # v_hat
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            params.data_buffer[lo:hi] -= np.divide(update, denom, out=update)
 
 
-def global_grad_norm(params: ParameterSet) -> float:
+def global_grad_norm(params: ParameterSet, runs=None) -> float:
+    """The norm of every gradient: float64 per-tensor sums of squares, added in layout order.
+
+    ``runs`` are ``params.live_runs()``, taken afresh when not given.
+    """
+    runs = params.live_runs() if runs is None else runs
+    squares = params.scratch.reshape(-1).view(np.float64)  # two rows of float32 hold one of float64
     total = 0.0
-    for _, p in params.items():
-        g = p.grad
-        if g is not None:
-            total += float((g.astype(np.float64) ** 2).sum())
+    for run in runs:
+        lo, hi = run[0][1], run[-1][2]
+        sq = squares[:hi - lo]
+        np.copyto(sq, params.grad_buffer[lo:hi])  # exact, so the square has the bits of g.astype(np.float64) ** 2
+        np.multiply(sq, sq, out=sq)
+        for _, a, b in run:
+            total += float(sq[a - lo:b - lo].sum())
     return math.sqrt(total)
 
 
 def clip_gradients(params: ParameterSet, max_norm: float) -> float:
     """Scale gradients to the given global norm; returns the pre-clip norm."""
-    norm = global_grad_norm(params)
+    runs = params.live_runs()
+    norm = global_grad_norm(params, runs)
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
-        for _, p in params.items():
-            g = p.grad
-            if g is not None:
-                g *= scale
+        for run in runs:
+            params.grad_buffer[run[0][1]:run[-1][2]] *= scale
     return norm
 
 
@@ -273,8 +303,8 @@ class Trainer:
         opt = self.optimizer
         tensors = []
         for name in self.model.params.names():
-            tensors.append((f"adam.m.{name}", opt.m[name]))
-            tensors.append((f"adam.v.{name}", opt.v[name]))
+            m, v = opt.moments(name)
+            tensors += [(f"adam.m.{name}", m), (f"adam.v.{name}", v)]
         payload = {
             "tensors": tensors,
             "update_counts": {n: opt.t[n] for n in sorted(opt.t)},
@@ -297,13 +327,22 @@ class Trainer:
                                 f"the model's parameters; {len(odd)} differ, first {odd[0]!r}")
         path = Path(directory) / info["payload"]
         arrays = dict(read_tensor_file(path, manifest.get("dtype", "<f4")))
+        moments = []
         for name, param in self.model.params.items():
-            for moment in ("m", "v"):
-                saved = arrays[f"adam.{moment}.{name}"]
+            for key, view in zip((f"adam.m.{name}", f"adam.v.{name}"), self.optimizer.moments(name)):
+                saved = arrays.pop(key, None)
+                if saved is None:
+                    raise ContractError(f"{path}: tensor {key!r} is missing")
                 if saved.shape != param.shape:
-                    raise ContractError(f"{path}: tensor 'adam.{moment}.{name}' has shape {saved.shape}, "
-                                        f"its parameter {param.shape}")
-                getattr(self.optimizer, moment)[name] = saved.astype(self.model.dtype)
+                    raise ContractError(f"{path}: tensor {key!r} has shape {saved.shape}, its parameter {param.shape}")
+                if key.startswith("adam.v.") and (saved < 0).any():
+                    raise ContractError(f"{path}: tensor {key!r} holds a negative second moment")
+                moments.append((view, saved))
+        if arrays:
+            raise ContractError(f"{path}: every tensor must be a moment of a model parameter; "
+                                f"{len(arrays)} are not, first {next(iter(arrays))!r}")
+        for view, saved in moments:
+            view[...] = saved
         self.optimizer.t = {n: int(counts[n]) for n in names}
         states = info.get("rng_states")
         if states:  # a checkpoint written before the streams were saved restarts them from the seed

@@ -201,12 +201,12 @@ def parameter_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], float 
 
 
 def init_parameters(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32) -> ParameterSet:
-    """Build all trainable tensors, drawing them in ``parameter_specs`` order.
+    """Build all trainable tensors, laid out and drawn in ``parameter_specs`` order.
 
     Encoder blocks start as value copies of the first encoder_layers
     decoder blocks (copied, not shared, so they train apart afterwards).
     """
-    params = ParameterSet()
+    arrays = []
     for name, shape, init in parameter_specs(cfg):
         if init == "ones":
             data = np.ones(shape, dtype=dtype)
@@ -214,7 +214,8 @@ def init_parameters(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32
             data = np.zeros(shape, dtype=dtype)
         else:
             data = (rng.standard_normal(shape) * init).astype(dtype)
-        params.add(name, Tensor(data))
+        arrays.append((name, data))
+    params = ParameterSet(arrays, dtype=dtype)
     for name in params.names():
         if name.startswith("enc.") and not name.startswith("enc.final_norm."):
             params[name].data[...] = params["dec." + name[len("enc."):]].data

@@ -467,6 +467,44 @@ def test_parameter_set_contracts():
     params.add("a", Tensor(np.zeros(3)))
     with pytest.raises(ValueError, match="duplicate"):
         params.add("a", Tensor(np.zeros(2)))
+    with pytest.raises(ValueError, match="one dtype"):
+        params.add("b", Tensor(np.zeros(2, dtype=np.float32)))
+    assert params.names() == ["a"] and params.data_buffer.dtype == np.float64
+    with pytest.raises(ValueError, match="one dtype"):
+        ParameterSet([("a", np.zeros(2)), ("b", np.zeros(2, dtype=np.float32))])
+
+
+def test_flat_buffer_is_zero_filled_and_writable():
+    buf = ag.flat_buffer(5, np.float32)
+    assert buf.dtype == np.float32 and np.array_equal(buf, np.zeros(5))
+    buf[2:4] = 7.0
+    assert buf.reshape(5)[3] == 7.0
+    assert ag.flat_buffer(0, np.float64).shape == (0,)
+
+
+def test_parameter_set_add_lays_every_tensor_out_afresh():
+    params = ParameterSet()
+    a = params.add("a", Tensor(np.array([1.0, 2.0])))
+    b = params.add("b", Tensor(np.arange(6.0).reshape(2, 3)))
+    assert a.data.base is b.data.base is params.data_buffer
+    assert np.array_equal(params.data_buffer, [1.0, 2.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+    assert (params.span("a"), params.span("b")) == ((0, 2), (2, 8))
+    assert params.grad_buffer is None  # until the set tracks gradients
+    params.track_gradients()
+    b.requires_grad = True
+    ag.backward(ag.sum_all(ag.mul(b, b)))
+    assert b.grad.base is params.grad_buffer and np.array_equal(b.grad, 2.0 * b.data)
+
+
+def test_live_runs_group_consecutive_gradients_and_copy_hand_assigned_ones():
+    params = ParameterSet([(name, np.zeros(2)) for name in "abcde"])
+    for name, g in {"a": [1.0, 2.0], "b": [3.0, 4.0], "d": [5.0, 6.0], "e": [7.0, 8.0]}.items():
+        params[name].grad = np.array(g)
+    runs = params.live_runs(key=lambda name: name == "e")
+    assert runs == [[("a", 0, 2), ("b", 2, 4)], [("d", 6, 8)], [("e", 8, 10)]]
+    assert params["a"].grad.base is params.grad_buffer
+    assert np.array_equal(params.grad_buffer[[0, 1, 2, 3, 6, 7, 8, 9]], np.arange(1.0, 9.0))
+    assert params["c"].grad is None
 
 
 def test_every_public_op_has_a_program_caller():

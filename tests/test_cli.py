@@ -222,11 +222,16 @@ class TestExitCodes:
         "optim_counts_unknown": lambda counts: dict(counts, nope=3),
     }
 
-    # Tensor files with one tensor replaced: (file, tensor, replacement as a function of the saved array).
+    # Tensor files with one tensor replaced: (file, tensor, replacement as a function of the saved array,
+    # or of None where the file lacks it).  A replacement of None drops the tensor.
     TENSOR_CORRUPTIONS = {
         "params_non_finite": ("params.bin", "dec.0.mlp.w1", lambda a: with_first(a, np.inf)),
         "optim_non_finite": ("optim.bin", "adam.m.embed.word", lambda a: with_first(a, np.nan)),
         "optim_shape_mismatch": ("optim.bin", "adam.m.embed.pos", lambda a: np.zeros((3, a.shape[1]), dtype=a.dtype)),
+        # A negative second moment would take the square root of a negative number on the first step.
+        "optim_second_moment_negative": ("optim.bin", "adam.v.embed.word", lambda a: -np.abs(a) - 1.0),
+        "optim_moment_missing": ("optim.bin", "adam.v.embed.pos", lambda a: None),
+        "optim_moment_of_no_parameter": ("optim.bin", "adam.m.embed.extra", lambda a: np.zeros(3, np.float32)),
     }
 
     @pytest.mark.parametrize(
@@ -244,8 +249,8 @@ class TestExitCodes:
         if corruption in self.TENSOR_CORRUPTIONS:
             name, tensor, replace = self.TENSOR_CORRUPTIONS[corruption]
             tensors = dict(read_tensor_file(checkpoint / name))
-            tensors[tensor] = replace(tensors[tensor])
-            write_tensor_file(checkpoint / name, tensors.items())
+            tensors[tensor] = replace(tensors.get(tensor))
+            write_tensor_file(checkpoint / name, [(n, a) for n, a in tensors.items() if a is not None])
             if name == "optim.bin":  # read only on resume, which must refuse it before any step runs
                 command = ["train", "--resume", str(checkpoint), "--train.steps", "1"]
         elif corruption in self.UPDATE_COUNT_CORRUPTIONS:
@@ -274,7 +279,10 @@ class TestExitCodes:
             command + ["--corpus", workspace["corpus"], "--vocab", workspace["vocab"], "--out", str(tmp_path / "o")]
         )
         assert code == cli.EXIT_DATA
-        assert "data error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "data error" in err
+        if self.TENSOR_CORRUPTIONS.get(corruption, ("",))[0] == "optim.bin":
+            assert str(checkpoint / "optim.bin") in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(

@@ -1,11 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
 from storyvae import autograd as ag
+from storyvae import cli
 from storyvae import corpus as cp
+from storyvae import training
+from storyvae import transformer as tf
 from storyvae.model import StoryVAE
 from storyvae.selfcheck import reference_adam_scalar
 from storyvae.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     Adam,
     METRICS_HEADER,
     Trainer,
@@ -18,10 +26,10 @@ from storyvae.training import (
 from storyvae.transformer import ContractError, ModelConfig
 
 
-def toy_setup(seed=0, steps=10, **schedule_overrides):
+def toy_setup(seed=0, steps=10, mode="cvae", dtype=np.float32, modes=("input",), **schedule_overrides):
     cfg = ModelConfig(d=8, layers=2, encoder_layers=1, heads=2, latent_dim=8,
-                      vocab_size=16, max_seq_len=12, injection_modes=("input",))
-    model = StoryVAE.create(cfg, seed=seed)
+                      vocab_size=16, max_seq_len=12, injection_modes=modes)
+    model = StoryVAE.create(cfg, seed=seed, mode=mode, dtype=dtype)
     vocab_sep = 15
     rng = np.random.default_rng(seed)
     examples = []
@@ -123,6 +131,154 @@ class TestAdam:
         assert a.data[0] == 1.0
         assert b.data[0] != 1.0
         assert opt.t["a"] == 0 and opt.t["b"] == 1
+
+
+class ReferenceAdam:
+    """Adam one parameter at a time, with per-parameter moments: the oracle for the flat optimizer's bits."""
+
+    def __init__(self, params, lr):
+        self.params = params
+        self.lr = lr
+        self.m = {n: np.zeros_like(p.data) for n, p in params.items()}
+        self.v = {n: np.zeros_like(p.data) for n, p in params.items()}
+        self.t = {n: 0 for n in params.names()}
+
+    def step(self):
+        for name, p in self.params.items():
+            if p.grad is None:
+                continue
+            g = p.grad
+            self.t[name] += 1
+            t = self.t[name]
+            m = self.m[name]
+            v = self.v[name]
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            m_hat = m / (1.0 - ADAM_BETA1**t)
+            v_hat = v / (1.0 - ADAM_BETA2**t)
+            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.data.dtype)
+
+
+def reference_clip_gradients(params, max_norm):
+    """Per-parameter clipping to a global norm, summed per tensor in float64; returns the pre-clip norm."""
+    total = 0.0
+    for _, p in params.items():
+        if p.grad is not None:
+            total += float((p.grad.astype(np.float64) ** 2).sum())
+    norm = math.sqrt(total)
+    if max_norm > 0 and norm > max_norm:
+        scale = max_norm / norm
+        for _, p in params.items():
+            if p.grad is not None:
+                p.grad *= scale
+    return norm
+
+
+def assert_flat_layout(params, optimizer=None):
+    """Each parameter's data, gradient and moments are views of the set's and optimizer's buffers, in spec order.
+
+    Only a set with an optimizer holds a gradient buffer.
+    """
+    assert (params.grad_buffer is None) == (optimizer is None)
+    offset = 0
+    for name, p in params.items():
+        assert params.span(name) == (offset, offset + p.data.size), name
+        assert p.data.base is params.data_buffer, name
+        if optimizer is not None:
+            assert p.grad is None or p.grad.base is params.grad_buffer, name
+            m, v = optimizer.moments(name)
+            assert m.base is optimizer.m and v.base is optimizer.v, name
+            assert m.shape == v.shape == p.shape, name
+        offset += p.data.size
+    assert params.data_buffer.size == offset
+    assert optimizer is None or params.grad_buffer.size == offset
+
+
+class TestFlatOptimizer:
+    """The flat-buffer ``clip_gradients`` and ``Adam.step`` against per-parameter ones, bit for bit."""
+
+    @pytest.mark.parametrize("grad_clip", [1.0, 0.0])
+    @pytest.mark.parametrize("modes", [("input",), tf.INJECTION_MODES], ids=["input", "all-routes"])
+    @pytest.mark.parametrize("mode", ["cvae", "vae"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_matches_per_parameter_reference(self, monkeypatch, dtype, mode, modes, grad_clip):
+        setup = dict(seed=3, steps=24, mode=mode, dtype=dtype, modes=modes, freeze_steps=5, grad_clip=grad_clip)
+        flat = toy_setup(**setup)
+        flat.train()
+        with monkeypatch.context() as patch:
+            patch.setattr(ag.ParameterSet, "RUN_ELEMENTS", 16)  # runs of one or a few tensors each
+            short_runs = toy_setup(**setup)
+            short_runs.train()
+        assert short_runs.model.params.run_elements < flat.model.params.data_buffer.size
+        reference = toy_setup(**setup)
+        reference.optimizer = ReferenceAdam(reference.model.params, reference.schedule.learning_rate)
+        monkeypatch.setattr(training, "clip_gradients", reference_clip_gradients)
+        reference.train()
+
+        counts = set(reference.optimizer.t.values())
+        assert {19, 24} <= counts and (mode == "cvae" or 0 in counts)  # frozen spans, and vae's idle prior
+        norms = [r["grad_norm"] for r in reference.metrics]
+        assert grad_clip == 0.0 or max(norms) > grad_clip  # clipping acts
+        for trainer in (flat, short_runs):
+            assert trainer.metrics == reference.metrics
+            assert trainer.optimizer.t == reference.optimizer.t
+            for name, p in trainer.model.params.items():
+                m, v = trainer.optimizer.moments(name)
+                assert np.array_equal(p.data, reference.model.params[name].data), name
+                assert np.array_equal(m, reference.optimizer.m[name]), name
+                assert np.array_equal(v, reference.optimizer.v[name]), name
+
+    def test_one_clip_and_one_adam_step_per_train_step(self, monkeypatch):
+        """The benchmark spans the optimizer through these two module attributes; inlining either would hide it."""
+        calls = {"clip": 0, "adam": 0}
+        clip, step = training.clip_gradients, training.Adam.step
+
+        def counted_clip(*args):
+            calls["clip"] += 1
+            return clip(*args)
+
+        def counted_step(self):
+            calls["adam"] += 1
+            step(self)
+
+        monkeypatch.setattr(training, "clip_gradients", counted_clip)
+        monkeypatch.setattr(training.Adam, "step", counted_step)
+        trainer = toy_setup(steps=3)
+        trainer.train()
+        assert calls == {"clip": 3, "adam": 3}
+
+    def test_create_astype_and_load_lay_out_the_buffers(self, tmp_path):
+        trainer = toy_setup(steps=2)
+        params = trainer.model.params
+        assert params.names() == [name for name, _, _ in tf.parameter_specs(trainer.model.config)]
+        assert_flat_layout(params, trainer.optimizer)
+        trainer.train()
+        assert all(p.grad is not None for _, p in params.items())
+        assert_flat_layout(params, trainer.optimizer)
+        assert_flat_layout(params.astype(np.float64))
+        trainer.save_checkpoint(tmp_path / "ckpt")
+        loaded, manifest = StoryVAE.load(tmp_path / "ckpt")
+        assert_flat_layout(loaded.params)
+        resumed = Trainer(loaded, trainer.examples, trainer.schedule, separator_id=15)
+        resumed.load_optimizer_state(tmp_path / "ckpt", manifest)
+        assert_flat_layout(loaded.params, resumed.optimizer)
+
+    def test_train_resume_trains_in_the_buffers(self, tmp_path, monkeypatch):
+        corpus = str(cp.toy_corpus_path())
+        assert cli.main(["vocab", "--corpus", corpus, "--model.vocab-size", "300", "--out", str(tmp_path / "v")]) == 0
+        train = ["train", "--corpus", corpus, "--vocab", str(tmp_path / "v" / "vocab.txt"), "--model.d", "16",
+                 "--model.layers", "1", "--model.encoder-layers", "1", "--model.heads", "2",
+                 "--model.latent-dim", "4", "--train.steps", "2", "--train.batch-size", "2"]
+        assert cli.main(train + ["--out", str(tmp_path / "a")]) == 0
+        trainers = []
+        original = Trainer.train
+        monkeypatch.setattr(Trainer, "train", lambda self, *a, **k: trainers.append(self) or original(self, *a, **k))
+        assert cli.main(train + ["--out", str(tmp_path / "b"), "--resume", str(tmp_path / "a" / "checkpoint")]) == 0
+        (trainer,) = trainers
+        assert trainer.step_count == 4
+        assert_flat_layout(trainer.model.params, trainer.optimizer)
 
 
 class TestFreezing:

@@ -513,7 +513,7 @@ class TestCachedDecoding:
             ag.backward(ag.cross_entropy(logits, targets, np.ones(tokens.shape, dtype=bool))[0])
             for _, p in model.params.items():
                 p.requires_grad = False
-            return [logits.data] + [p.grad for _, p in model.params.items()]
+            return [logits.data] + [None if p.grad is None else p.grad.copy() for _, p in model.params.items()]
 
         full = run(False)
         assert [kv.capacity for kv in built[0].layers] == [1 + 37] * model.config.layers
