@@ -6,6 +6,11 @@ the final id is reserved for the separator that splits prompt from story
 (and doubles as the end-of-story target).  Because every merge bottoms
 out in bytes, decode(encode(s)) == s for any text.
 
+Encoding and fitting work on a ``str`` of one character per token id
+(the UTF-8 bytes read as latin-1), where merge k is one ``str.replace``
+of its pair's two characters by ``chr(256 + k)``: leftmost,
+non-overlapping matches, as in the classic list scan, but in C.
+
 Corpus files are JSON Lines with string fields "prompt" and "story"
 plus an optional "label" used only by the latent export.
 """
@@ -16,37 +21,18 @@ import io
 import json
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 N_BYTE_TOKENS = 256
 MIN_VOCAB_SIZE = N_BYTE_TOKENS + 1  # bytes plus the separator
+MAX_MERGES = 0x10FFFF - N_BYTE_TOKENS + 1  # merge k is the character chr(256 + k), and chr stops at 0x10FFFF
 
 
 class CorpusError(ValueError):
     """A corpus file or record violates the expected structure."""
-
-
-def _pair_counts(sequences: list[list[int]]) -> Counter:
-    counts: Counter = Counter()
-    for seq in sequences:
-        counts.update(zip(seq, seq[1:]))
-    return counts
-
-
-def _merge_sequence(seq: list[int], pair: tuple[int, int], new_id: int) -> list[int]:
-    out = []
-    i = 0
-    n = len(seq)
-    while i < n:
-        if i + 1 < n and seq[i] == pair[0] and seq[i + 1] == pair[1]:
-            out.append(new_id)
-            i += 2
-        else:
-            out.append(seq[i])
-            i += 1
-    return out
 
 
 class Vocabulary:
@@ -58,6 +44,8 @@ class Vocabulary:
     """
 
     def __init__(self, merges: list[tuple[int, int]]):
+        if len(merges) > MAX_MERGES:
+            raise CorpusError(f"{len(merges)} merges exceed the maximum of {MAX_MERGES}")
         self.merges = [(int(a), int(b)) for a, b in merges]
         self.separator_id = N_BYTE_TOKENS + len(self.merges)
         self.size = self.separator_id + 1
@@ -66,16 +54,15 @@ class Vocabulary:
             if not (0 <= a < len(self._bytes_of) and 0 <= b < len(self._bytes_of)):
                 raise CorpusError(f"merge ({a}, {b}) references an undefined token")
             self._bytes_of.append(self._bytes_of[a] + self._bytes_of[b])
+        self._replacements = [(chr(a) + chr(b), chr(N_BYTE_TOKENS + k)) for k, (a, b) in enumerate(self.merges)]
 
     def encode(self, text: str) -> list[int]:
-        ids = list(text.encode("utf-8"))
-        for rank, pair in enumerate(self.merges):
-            if len(ids) < 2:
+        s = text.encode("utf-8").decode("latin-1")
+        for pair, merged in self._replacements:
+            if len(s) < 2:
                 break
-            new_id = N_BYTE_TOKENS + rank
-            if pair[0] in ids:
-                ids = _merge_sequence(ids, pair, new_id)
-        return ids
+            s = s.replace(pair, merged)
+        return [ord(c) for c in s]
 
     def decode(self, ids) -> str:
         """Inverse of encode on encoded text; free-running generations may
@@ -133,23 +120,21 @@ def fit_vocabulary(texts, target_size: int) -> Vocabulary:
     """
     if target_size < MIN_VOCAB_SIZE:
         raise CorpusError(f"target size {target_size} is below the minimum {MIN_VOCAB_SIZE}")
-    sequences = [list(t.encode("utf-8")) for t in texts]
-    if not sequences:
+    strings = [t.encode("utf-8").decode("latin-1") for t in texts]
+    if not strings:
         raise CorpusError("cannot fit a vocabulary on an empty corpus")
 
     merges: list[tuple[int, int]] = []
-    n_merges = target_size - MIN_VOCAB_SIZE
-    for rank in range(n_merges):
-        counts = _pair_counts(sequences)
-        if not counts:
-            break
-        best_count = max(counts.values())
+    for rank in range(target_size - MIN_VOCAB_SIZE):
+        counts = Counter(chain.from_iterable(zip(s, s[1:]) for s in strings))
+        best_count = max(counts.values(), default=0)
         if best_count < 2:
             break
-        pair = min(p for p, c in counts.items() if c == best_count)
-        new_id = N_BYTE_TOKENS + rank
-        sequences = [_merge_sequence(s, pair, new_id) if len(s) > 1 else s for s in sequences]
-        merges.append(pair)
+        # One-character strings compare by code point, so this is the smallest (left_id, right_id).
+        a, b = min(p for p, c in counts.items() if c == best_count)
+        pair, merged = a + b, chr(N_BYTE_TOKENS + rank)
+        strings = [s.replace(pair, merged) for s in strings]
+        merges.append((ord(a), ord(b)))
     return Vocabulary(merges)
 
 

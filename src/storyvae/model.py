@@ -365,9 +365,10 @@ def write_tensor_file(path, named_arrays, dtype: str = "<f4") -> None:
 def read_tensor_file(path, dtype: str = "<f4") -> list[tuple[str, np.ndarray]]:
     """Parse the records ``write_tensor_file`` writes with the same ``dtype``.
 
-    A ``dtype`` other than ``<f4`` or ``<f8``, a blob that ends inside a
-    record, including stray trailing bytes, a name that is not UTF-8, or a
-    NaN or Inf value raises ``ContractError``.
+    On little-endian machines the arrays are read-only views of the file's
+    bytes.  A ``dtype`` other than ``<f4`` or ``<f8``, a blob that ends
+    inside a record, including stray trailing bytes, a name that is not
+    UTF-8, or a NaN or Inf value raises ``ContractError``.
     """
     if dtype not in ("<f4", "<f8"):
         raise ContractError(f"{path}: tensor dtype must be '<f4' or '<f8', got {dtype!r}")
@@ -394,5 +395,5 @@ def read_tensor_file(path, dtype: str = "<f4") -> list[tuple[str, np.ndarray]]:
         arr = np.frombuffer(take(dtype.itemsize * math.prod(shape)), dtype=dtype).reshape(shape)
         if not np.isfinite(arr).all():
             raise ContractError(f"{path}: tensor {name!r} holds non-finite values")
-        out.append((name, arr.astype(dtype.type)))
+        out.append((name, arr.astype(dtype.type, copy=False)))
     return out

@@ -5,10 +5,10 @@ also exercises, without needing pytest: finite differences against the
 tape, closed-form and Monte Carlo KL, brute-force sampling filters,
 brute-force ROUGE, greedy decoding, cached against full-prefix decoding,
 Adam against plain-math scalar Adam, the annealing shape, and tokenizer
-round-trips.  The brute-force oracles
+round-trips and ids.  The brute-force oracles
 (``brute_force_filter``, ``brute_force_rouge``, ``greedy_oracle``,
-``matmul_oracle``, ``reference_adam_scalar``, ``kl_monte_carlo``) live
-here once; the test suite imports them.
+``matmul_oracle``, ``reference_adam_scalar``, ``kl_monte_carlo``,
+``bpe_scan_oracle``) live here once; the test suite imports them.
 """
 
 from __future__ import annotations
@@ -143,6 +143,18 @@ def brute_force_rouge(candidate: str, reference: str, variant) -> tuple[float, f
         return (0.0, 0.0, 0.0)
     p, r = overlap / n_cand, overlap / n_ref
     return (p, r, 2 * p * r / (p + r) if p + r else 0.0)
+
+
+def bpe_scan_oracle(ids, merges, first_id: int = cp.N_BYTE_TOKENS) -> list[int]:
+    """``ids`` after each merge in order, merge k joining its pair into ``first_id + k``: leftmost, no overlaps."""
+    for new_id, pair in enumerate(merges, start=first_id):
+        out, i = [], 0
+        while i < len(ids):
+            hit = tuple(ids[i:i + 2]) == tuple(pair)
+            out.append(new_id if hit else ids[i])
+            i += 2 if hit else 1
+        ids = out
+    return list(ids)
 
 
 def greedy_oracle(model: StoryVAE, prompt_tokens, separator_id: int, latent, max_new_tokens: int) -> list[int]:
@@ -306,11 +318,10 @@ def _check_roundtrip(report) -> bool:
     rng = np.random.default_rng(13)
     texts = ["hello world", "ααβ", "emoji 🙂 test", "", "aaaa bbbb aaaa"]
     vocab = cp.fit_vocabulary([t for t in texts if t], 280)
-    ok = all(vocab.decode(vocab.encode(t)) == t for t in texts)
-    for _ in range(50):
-        s = "".join(chr(int(c)) for c in rng.integers(32, 1000, size=rng.integers(0, 30)))
-        ok &= vocab.decode(vocab.encode(s)) == s
-    report(f"{'ok' if ok else 'FAIL'} tokenizer round-trips")
+    randoms = ["".join(chr(int(c)) for c in rng.integers(32, 1000, size=rng.integers(0, 30))) for _ in range(50)]
+    ok = all(vocab.encode(s) == bpe_scan_oracle(list(s.encode()), vocab.merges) and vocab.decode(vocab.encode(s)) == s
+             for s in texts + randoms)
+    report(f"{'ok' if ok else 'FAIL'} tokenizer round-trips, and ids against the list-scan oracle")
     return ok
 
 

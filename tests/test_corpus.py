@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -5,6 +6,26 @@ import numpy as np
 import pytest
 
 from storyvae import corpus as cp
+from storyvae.selfcheck import bpe_scan_oracle
+
+
+def toy_texts():
+    """The toy corpus's texts as the ``vocab`` command fits on them: every prompt, then every story."""
+    pairs = cp.load_corpus(cp.toy_corpus_path())
+    return [p.prompt_text for p in pairs] + [p.story_text for p in pairs]
+
+
+def fit_oracle(texts, target_size):
+    """The merges ``fit_vocabulary`` should learn, counted on byte lists that the list-scan oracle merges."""
+    seqs, merges = [list(t.encode("utf-8")) for t in texts], []
+    for rank in range(target_size - cp.MIN_VOCAB_SIZE):
+        counts = Counter(pair for seq in seqs for pair in zip(seq, seq[1:]))
+        best = max(counts.values(), default=0)
+        if best < 2:
+            break
+        merges.append(min(p for p, c in counts.items() if c == best))
+        seqs = [bpe_scan_oracle(seq, merges[-1:], cp.N_BYTE_TOKENS + rank) for seq in seqs]
+    return merges
 
 
 def random_texts(rng, n):
@@ -59,6 +80,23 @@ class TestFitVocabulary:
         with pytest.raises(cp.CorpusError):
             cp.fit_vocabulary([], 300)
 
+    @pytest.mark.parametrize("target", [258, 300, 512, 2000])
+    def test_merges_match_the_list_scan_fit_on_the_toy_corpus(self, target):
+        assert cp.fit_vocabulary(toy_texts(), target).merges == fit_oracle(toy_texts(), target)
+
+
+def test_toy_corpus_ids_and_vocab_file_are_pinned(tmp_path):
+    """Digests of the toy corpus's ids and vocab.txt at target 512: a tokenizer change that moves one id fails here."""
+    pairs = cp.load_corpus(cp.toy_corpus_path())
+    vocab = cp.fit_vocabulary(toy_texts(), 512)
+    vocab.save(tmp_path / "vocab.txt")
+    ids = json.dumps([ex.decoder_input.tolist() for ex in cp.prepare_corpus(pairs, vocab, 256)])
+    assert vocab.size == 441
+    assert (hashlib.sha256((tmp_path / "vocab.txt").read_bytes()).hexdigest()
+            == "6fa34b02cf66c601c77c462be947e7e51e3672b47bcbc8e02e6b039345473025")
+    assert (hashlib.sha256(ids.encode()).hexdigest()
+            == "ecd1a394acdbb62ed7372b973c646412367d5386dd633ffa2269783f853cb80b")
+
 
 class TestEncodeDecode:
     def test_empty_string(self):
@@ -112,6 +150,12 @@ class TestVocabularyFile:
         cp.fit_vocabulary(texts, 280).save(a)
         cp.fit_vocabulary(texts, 280).save(b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_merges_past_the_last_code_point_rejected(self):
+        # Merge k is the character chr(256 + k); the last allowed merge is the last code point.
+        assert chr(cp.N_BYTE_TOKENS + cp.MAX_MERGES - 1) == "\U0010ffff"
+        with pytest.raises(cp.CorpusError, match="exceed"):
+            cp.Vocabulary([(0, 0)] * (cp.MAX_MERGES + 1))
 
     def test_header_mismatch_detected(self, tmp_path):
         path = tmp_path / "vocab.txt"

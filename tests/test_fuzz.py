@@ -1,10 +1,11 @@
-"""Property tests: arbitrary file bytes either parse or raise a documented error.
+"""Property tests: arbitrary file bytes either parse or raise a documented error, and BPE matches its oracle.
 
 Each loader the CLI reads a user-supplied file with must map every
 malformed input to ``CorpusError``, ``ContractError`` or ``UsageError``
 (exit 2 or 1), never to another exception and a traceback.  Examples
 are derandomized and no example database is written, so the suite stays
-deterministic and leaves no ``.hypothesis/`` directory in the checkout.
+deterministic.  Hypothesis still caches Unicode tables and constants in
+``.hypothesis/``, which the checkout ignores.
 """
 
 import tempfile
@@ -13,12 +14,13 @@ from pathlib import Path
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from storyvae import cli
 from storyvae import corpus as cp
 from storyvae.model import read_tensor_file
+from storyvae.selfcheck import bpe_scan_oracle
 from storyvae.transformer import ContractError
 
 LOADERS = {
@@ -63,3 +65,33 @@ FITTED = cp.fit_vocabulary(
 @given(text=st.text())
 def test_bpe_round_trips_arbitrary_unicode(text):
     assert FITTED.decode(FITTED.encode(text)) == text
+
+
+@st.composite
+def text_and_merges(draw):
+    """A text and a valid merge list, most of whose merges join a pair the text has at that rank.
+
+    Each merge k joins two adjacent ids, or two equal adjacent ids, of the
+    text as the list scan leaves it after merges 0..k-1, or pairs any two
+    defined ids.  So the lists hold (a, a) pairs over runs, pairs that cut
+    a multi-byte character, and merges no later merge builds on.
+    """
+    # A few-letter alphabet gives runs and repeats, where leftmost matching matters.
+    text = draw(st.one_of(st.text(max_size=40), st.text(alphabet="aaαb🙂 ", min_size=8, max_size=40)))
+    ids, merges = list(text.encode("utf-8")), []
+    for k in range(draw(st.integers(1, 24))):
+        pairs = list(zip(ids, ids[1:]))
+        runs = [(a, b) for a, b in pairs if a == b]
+        any_id = st.integers(0, cp.N_BYTE_TOKENS + k - 1)
+        merges.append(draw(st.one_of([st.sampled_from(p) for p in (pairs, runs) if p] + [st.tuples(any_id, any_id)])))
+        ids = bpe_scan_oracle(ids, merges[-1:], cp.N_BYTE_TOKENS + k)
+    return text, merges
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(case=text_and_merges())
+# "αα" is CE B1 CE B1: (B1, CE) cuts across two characters, (CE, B1) joins one; "aaa" has overlapping (a, a).
+@example(case=("ααα aaa", [(0xB1, 0xCE), (0xCE, 0xB1), (97, 97), (258, 258), (256, 256), (32, 258)]))
+def test_bpe_encode_matches_the_list_scan(case):
+    text, merges = case
+    assert cp.Vocabulary(merges).encode(text) == bpe_scan_oracle(list(text.encode("utf-8")), merges)

@@ -291,6 +291,7 @@ class TestCheckpoint:
         for (_, orig), (_, loaded) in zip(arrays, back):
             assert orig.shape == loaded.shape
             assert np.array_equal(orig, loaded)
+            assert not loaded.flags.writeable  # a view of the file's bytes, not a copy
 
     def test_save_load_bit_identical_forward(self, tmp_path):
         model = StoryVAE.create(toy_config(), seed=11)
