@@ -11,17 +11,25 @@ Encoding and fitting work on a ``str`` of one character per token id
 of its pair's two characters by ``chr(256 + k)``: leftmost,
 non-overlapping matches, as in the classic list scan, but in C.
 
+Fitting counts the corpus's pairs once, keyed by their two-character
+strings, and then updates the counts per merge by re-counting only the
+texts that hold the merged pair.  A lazy max-heap picks each merge; on
+equal counts it yields the smallest (left_id, right_id), as a full
+recount per merge would.
+
 Corpus files are JSON Lines with string fields "prompt" and "story"
 plus an optional "label" used only by the latent export.
 """
 
 from __future__ import annotations
 
+import heapq
 import io
 import json
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import chain
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +118,11 @@ class Vocabulary:
         return vocab
 
 
+def _pairs(s: str):
+    """Every adjacent pair of ``s`` as its two-character string."""
+    return map(add, s, s[1:])
+
+
 def fit_vocabulary(texts, target_size: int) -> Vocabulary:
     """Learn a byte-level BPE vocabulary of at most ``target_size`` tokens.
 
@@ -117,24 +130,46 @@ def fit_vocabulary(texts, target_size: int) -> Vocabulary:
     on the smaller (left_id, right_id) tuple.  Fitting stops early once no
     pair occurs twice, so the result can be smaller than requested.  Pure
     function of the corpus bytes and the target size.
+
+    The pairs of the whole corpus are counted once.  Each merge then
+    re-counts only the texts that hold its pair: their old pairs are
+    subtracted, the pair is replaced, and their new pairs are added.  The
+    pair to merge comes off a lazy max-heap of ``(-count, pair)``
+    entries, skipping those whose count is stale; two-character strings
+    compare by code point, so on equal counts the smallest
+    (left_id, right_id) comes first.
     """
     if target_size < MIN_VOCAB_SIZE:
         raise CorpusError(f"target size {target_size} is below the minimum {MIN_VOCAB_SIZE}")
+    if target_size > MIN_VOCAB_SIZE + MAX_MERGES:
+        raise CorpusError(f"target size {target_size} is above the maximum {MIN_VOCAB_SIZE + MAX_MERGES}")
     strings = [t.encode("utf-8").decode("latin-1") for t in texts]
     if not strings:
         raise CorpusError("cannot fit a vocabulary on an empty corpus")
 
+    counts = Counter(chain.from_iterable(map(_pairs, strings)))
+    heap = [(-c, p) for p, c in counts.items()]
+    heapq.heapify(heap)
     merges: list[tuple[int, int]] = []
     for rank in range(target_size - MIN_VOCAB_SIZE):
-        counts = Counter(chain.from_iterable(zip(s, s[1:]) for s in strings))
-        best_count = max(counts.values(), default=0)
-        if best_count < 2:
+        while heap and counts.get(heap[0][1]) != -heap[0][0]:
+            heapq.heappop(heap)
+        if not heap or -heap[0][0] < 2:
             break
-        # One-character strings compare by code point, so this is the smallest (left_id, right_id).
-        a, b = min(p for p, c in counts.items() if c == best_count)
-        pair, merged = a + b, chr(N_BYTE_TOKENS + rank)
-        strings = [s.replace(pair, merged) for s in strings]
-        merges.append((ord(a), ord(b)))
+        _, pair = heapq.heappop(heap)
+        merged = chr(N_BYTE_TOKENS + rank)
+        touched = [i for i, s in enumerate(strings) if pair in s]
+        old = Counter(chain.from_iterable(_pairs(strings[i]) for i in touched))
+        for i in touched:
+            strings[i] = strings[i].replace(pair, merged)
+        new = Counter(chain.from_iterable(_pairs(strings[i]) for i in touched))
+        for p in {p for p, _ in old.items() ^ new.items()}:  # the pairs whose count changed
+            if c := counts[p] + new[p] - old[p]:
+                counts[p] = c
+                heapq.heappush(heap, (-c, p))
+            else:
+                del counts[p]
+        merges.append((ord(pair[0]), ord(pair[1])))
     return Vocabulary(merges)
 
 

@@ -4,11 +4,12 @@ Runs the gradient checks and independent oracles that the test suite
 also exercises, without needing pytest: finite differences against the
 tape, closed-form and Monte Carlo KL, brute-force sampling filters,
 brute-force ROUGE, greedy decoding, cached against full-prefix decoding,
-Adam against plain-math scalar Adam, the annealing shape, and tokenizer
-round-trips and ids.  The brute-force oracles
+Adam against plain-math scalar Adam, the annealing shape, and the
+tokenizer's fit, round-trips and ids.  The brute-force oracles
 (``brute_force_filter``, ``brute_force_rouge``, ``greedy_oracle``,
 ``matmul_oracle``, ``reference_adam_scalar``, ``kl_monte_carlo``,
-``bpe_scan_oracle``) live here once; the test suite imports them.
+``bpe_scan_oracle``, ``bpe_fit_oracle``) live here once; the test suite
+imports them.
 """
 
 from __future__ import annotations
@@ -155,6 +156,19 @@ def bpe_scan_oracle(ids, merges, first_id: int = cp.N_BYTE_TOKENS) -> list[int]:
             i += 2 if hit else 1
         ids = out
     return list(ids)
+
+
+def bpe_fit_oracle(texts, target_size: int) -> list[tuple[int, int]]:
+    """The merges ``corpus.fit_vocabulary`` should learn: every pair recounted per merge, on byte lists."""
+    seqs, merges = [list(t.encode("utf-8")) for t in texts], []
+    for rank in range(target_size - cp.MIN_VOCAB_SIZE):
+        counts = Counter(pair for seq in seqs for pair in zip(seq, seq[1:]))
+        best = max(counts.values(), default=0)
+        if best < 2:
+            break
+        merges.append(min(p for p, c in counts.items() if c == best))
+        seqs = [bpe_scan_oracle(seq, merges[-1:], cp.N_BYTE_TOKENS + rank) for seq in seqs]
+    return merges
 
 
 def greedy_oracle(model: StoryVAE, prompt_tokens, separator_id: int, latent, max_new_tokens: int) -> list[int]:
@@ -319,9 +333,11 @@ def _check_roundtrip(report) -> bool:
     texts = ["hello world", "ααβ", "emoji 🙂 test", "", "aaaa bbbb aaaa"]
     vocab = cp.fit_vocabulary([t for t in texts if t], 280)
     randoms = ["".join(chr(int(c)) for c in rng.integers(32, 1000, size=rng.integers(0, 30))) for _ in range(50)]
-    ok = all(vocab.encode(s) == bpe_scan_oracle(list(s.encode()), vocab.merges) and vocab.decode(vocab.encode(s)) == s
-             for s in texts + randoms)
-    report(f"{'ok' if ok else 'FAIL'} tokenizer round-trips, and ids against the list-scan oracle")
+    ok = vocab.merges == bpe_fit_oracle([t for t in texts if t], 280) and all(
+        vocab.encode(s) == bpe_scan_oracle(list(s.encode()), vocab.merges) and vocab.decode(vocab.encode(s)) == s
+        for s in texts + randoms
+    )
+    report(f"{'ok' if ok else 'FAIL'} tokenizer fit, round-trips, and ids against the recount and list-scan oracles")
     return ok
 
 

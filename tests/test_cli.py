@@ -641,7 +641,8 @@ def test_metrics_rows_stream_as_steps_end(workspace, tmp_path, monkeypatch):
     assert [row.split(",")[0] for row in lines[1:]] == ["0", "1", "2", "3", "4"]
 
 
-@pytest.mark.parametrize("case", ["vocab_size_too_small", "vocab_corpus_missing", "generate_negative_seed",
+@pytest.mark.parametrize("case", ["vocab_size_too_small", "vocab_size_past_the_last_code_point",
+                                  "vocab_corpus_missing", "generate_negative_seed",
                                   "eval_zero_temperature", "encode_unknown_kind", "control_prompt_too_long",
                                   "train_no_injection_mode", "train_vae_no_injection_mode"])
 def test_rejected_input_leaves_no_output_directory(workspace, tmp_path, capsys, case):
@@ -650,6 +651,9 @@ def test_rejected_input_leaves_no_output_directory(workspace, tmp_path, capsys, 
     train = ["train", "--corpus", workspace["corpus"], "--vocab", workspace["vocab"]] + FAST_MODEL + FAST_TRAIN
     args = {
         "vocab_size_too_small": ["vocab", "--corpus", workspace["corpus"], "--model.vocab-size", "100"],
+        # One token more than 256 bytes, the separator and a merge for every code point from U+0100 on.
+        "vocab_size_past_the_last_code_point": ["vocab", "--corpus", workspace["corpus"],
+                                                "--model.vocab-size", str(cp.MIN_VOCAB_SIZE + cp.MAX_MERGES + 1)],
         "vocab_corpus_missing": ["vocab", "--corpus", str(tmp_path / "missing.jsonl")],
         "generate_negative_seed": ["generate", "--sampler.seed", "-1"] + common,
         "eval_zero_temperature": ["eval", "--sampler.temperature", "0"] + common,

@@ -6,26 +6,13 @@ import numpy as np
 import pytest
 
 from storyvae import corpus as cp
-from storyvae.selfcheck import bpe_scan_oracle
+from storyvae.selfcheck import bpe_fit_oracle, bpe_scan_oracle
 
 
 def toy_texts():
     """The toy corpus's texts as the ``vocab`` command fits on them: every prompt, then every story."""
     pairs = cp.load_corpus(cp.toy_corpus_path())
     return [p.prompt_text for p in pairs] + [p.story_text for p in pairs]
-
-
-def fit_oracle(texts, target_size):
-    """The merges ``fit_vocabulary`` should learn, counted on byte lists that the list-scan oracle merges."""
-    seqs, merges = [list(t.encode("utf-8")) for t in texts], []
-    for rank in range(target_size - cp.MIN_VOCAB_SIZE):
-        counts = Counter(pair for seq in seqs for pair in zip(seq, seq[1:]))
-        best = max(counts.values(), default=0)
-        if best < 2:
-            break
-        merges.append(min(p for p, c in counts.items() if c == best))
-        seqs = [bpe_scan_oracle(seq, merges[-1:], cp.N_BYTE_TOKENS + rank) for seq in seqs]
-    return merges
 
 
 def random_texts(rng, n):
@@ -80,9 +67,16 @@ class TestFitVocabulary:
         with pytest.raises(cp.CorpusError):
             cp.fit_vocabulary([], 300)
 
+    def test_target_past_the_last_code_point_rejected(self):
+        # Merge k is the character chr(256 + k), so MAX_MERGES merges is the largest vocabulary.
+        largest = cp.MIN_VOCAB_SIZE + cp.MAX_MERGES
+        assert cp.fit_vocabulary(["abab"], largest).merges == [(ord("a"), ord("b"))]
+        with pytest.raises(cp.CorpusError, match="above the maximum"):
+            cp.fit_vocabulary(["abab"], largest + 1)
+
     @pytest.mark.parametrize("target", [258, 300, 512, 2000])
     def test_merges_match_the_list_scan_fit_on_the_toy_corpus(self, target):
-        assert cp.fit_vocabulary(toy_texts(), target).merges == fit_oracle(toy_texts(), target)
+        assert cp.fit_vocabulary(toy_texts(), target).merges == bpe_fit_oracle(toy_texts(), target)
 
 
 def test_toy_corpus_ids_and_vocab_file_are_pinned(tmp_path):

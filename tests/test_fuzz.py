@@ -1,4 +1,4 @@
-"""Property tests: arbitrary file bytes either parse or raise a documented error, and BPE matches its oracle.
+"""Property tests: arbitrary file bytes either parse or raise a documented error, and BPE matches its oracles.
 
 Each loader the CLI reads a user-supplied file with must map every
 malformed input to ``CorpusError``, ``ContractError`` or ``UsageError``
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from storyvae import cli
 from storyvae import corpus as cp
 from storyvae.model import read_tensor_file
-from storyvae.selfcheck import bpe_scan_oracle
+from storyvae.selfcheck import bpe_fit_oracle, bpe_scan_oracle
 from storyvae.transformer import ContractError
 
 LOADERS = {
@@ -95,3 +95,26 @@ def text_and_merges(draw):
 def test_bpe_encode_matches_the_list_scan(case):
     text, merges = case
     assert cp.Vocabulary(merges).encode(text) == bpe_scan_oracle(list(text.encode("utf-8")), merges)
+
+
+# Few letters give runs, repeats and ties; the multi-byte alphabets give pairs inside and across characters.
+FIT_ALPHABETS = ("ab", "ab ", "abc ", "aα🙂 ", "éß中 ")
+
+
+@st.composite
+def corpus_and_target(draw):
+    alphabet = draw(st.sampled_from(FIT_ALPHABETS))
+    texts = draw(st.lists(st.text(alphabet=alphabet, max_size=24), min_size=1, max_size=8))
+    return texts, draw(st.integers(cp.MIN_VOCAB_SIZE, 320))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(case=corpus_and_target())
+@example(case=(["aaaaa aaaa"], 300))  # overlapping runs of (a, a)
+# Merging "  " takes " a" from 3 to 2, where it ties "aa": the smaller " a" must win.
+@example(case=(["  a aa", "aa   a"], 260))
+@example(case=(["", "abab", "", "ab"], 270))  # empty texts among the others
+@example(case=(["abab cd"], 300))  # after "ab" no pair occurs twice, far below the target
+def test_bpe_fit_matches_the_recount_oracle(case):
+    texts, target = case
+    assert cp.fit_vocabulary(texts, target).merges == bpe_fit_oracle(texts, target)
