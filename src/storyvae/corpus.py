@@ -12,9 +12,9 @@ of its pair's two characters by ``chr(256 + k)``: leftmost,
 non-overlapping matches, as in the classic list scan, but in C.
 
 Fitting counts the corpus's pairs once, keyed by their two-character
-strings, and then updates the counts per merge by re-counting only the
-texts that hold the merged pair.  A lazy max-heap picks each merge; on
-equal counts it yields the smallest (left_id, right_id), as a full
+strings, and then updates only the counts around each merge's hits, in
+the texts that hold the merged pair.  A lazy max-heap picks each merge;
+on equal counts it yields the smallest (left_id, right_id), as a full
 recount per merge would.
 
 Corpus files are JSON Lines with string fields "prompt" and "story"
@@ -118,11 +118,6 @@ class Vocabulary:
         return vocab
 
 
-def _pairs(s: str):
-    """Every adjacent pair of ``s`` as its two-character string."""
-    return map(add, s, s[1:])
-
-
 def fit_vocabulary(texts, target_size: int) -> Vocabulary:
     """Learn a byte-level BPE vocabulary of at most ``target_size`` tokens.
 
@@ -131,13 +126,16 @@ def fit_vocabulary(texts, target_size: int) -> Vocabulary:
     pair occurs twice, so the result can be smaller than requested.  Pure
     function of the corpus bytes and the target size.
 
-    The pairs of the whole corpus are counted once.  Each merge then
-    re-counts only the texts that hold its pair: their old pairs are
-    subtracted, the pair is replaced, and their new pairs are added.  The
-    pair to merge comes off a lazy max-heap of ``(-count, pair)``
-    entries, skipping those whose count is stale; two-character strings
-    compare by code point, so on equal counts the smallest
-    (left_id, right_id) comes first.
+    The pairs of the whole corpus are counted once, each as its
+    two-character string.  A merge then changes only the counts around
+    its hits: each text that holds the pair is split at the hits that
+    ``str.replace`` takes, and at every hit the pair itself and its
+    neighbour pairs (left + a, b + right, or b + a between two adjacent
+    hits) are taken out and their merged forms put in.  The pair to
+    merge comes off a lazy max-heap of ``(-count, pair)`` entries,
+    skipping those whose count is stale; two-character strings compare
+    by code point, so on equal counts the smallest (left_id, right_id)
+    comes first.
     """
     if target_size < MIN_VOCAB_SIZE:
         raise CorpusError(f"target size {target_size} is below the minimum {MIN_VOCAB_SIZE}")
@@ -147,7 +145,7 @@ def fit_vocabulary(texts, target_size: int) -> Vocabulary:
     if not strings:
         raise CorpusError("cannot fit a vocabulary on an empty corpus")
 
-    counts = Counter(chain.from_iterable(map(_pairs, strings)))
+    counts = Counter(chain.from_iterable(map(add, s, s[1:]) for s in strings))  # pairs as 2-char strings
     heap = [(-c, p) for p, c in counts.items()]
     heapq.heapify(heap)
     merges: list[tuple[int, int]] = []
@@ -157,19 +155,37 @@ def fit_vocabulary(texts, target_size: int) -> Vocabulary:
         if not heap or -heap[0][0] < 2:
             break
         _, pair = heapq.heappop(heap)
-        merged = chr(N_BYTE_TOKENS + rank)
-        touched = [i for i, s in enumerate(strings) if pair in s]
-        old = Counter(chain.from_iterable(_pairs(strings[i]) for i in touched))
-        for i in touched:
-            strings[i] = strings[i].replace(pair, merged)
-        new = Counter(chain.from_iterable(_pairs(strings[i]) for i in touched))
-        for p in {p for p, _ in old.items() ^ new.items()}:  # the pairs whose count changed
-            if c := counts[p] + new[p] - old[p]:
-                counts[p] = c
-                heapq.heappush(heap, (-c, p))
-            else:
-                del counts[p]
-        merges.append((ord(pair[0]), ord(pair[1])))
+        (a, b), merged = pair, chr(N_BYTE_TOKENS + rank)
+        lost, gained = [], []
+        for i, s in enumerate(strings):
+            if pair not in s:
+                continue
+            # split takes the hits that replace would: leftmost, non-overlapping.
+            segments = s.split(pair)
+            hits = len(segments) - 1
+            lost += [pair] * hits
+            for k, g in enumerate(segments):
+                if g:
+                    if k:
+                        lost.append(b + g[0])
+                        gained.append(merged + g[0])
+                    if k < hits:
+                        lost.append(g[-1] + a)
+                        gained.append(g[-1] + merged)
+                elif 0 < k < hits:  # two adjacent hits
+                    lost.append(b + a)
+                    gained.append(merged + merged)
+            strings[i] = merged.join(segments)
+        change = Counter(gained)
+        change.subtract(lost)
+        for p, d in change.items():
+            if d:
+                if c := counts[p] + d:
+                    counts[p] = c
+                    heapq.heappush(heap, (-c, p))
+                else:
+                    del counts[p]
+        merges.append((ord(a), ord(b)))
     return Vocabulary(merges)
 
 
