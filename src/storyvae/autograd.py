@@ -27,8 +27,12 @@ single vector goes through ``linear`` and ``attention`` as one (1, d) row.
 
 Per-op Python overhead, not arithmetic, bounds small models, so the
 transformer's hot paths use two fused ops: ``linear`` (a product plus
-bias) and ``attention`` (every head's scaled scores, masked softmax and
-weighted sum, reading per-head key/value stacks without copying them).
+bias, and optionally a residual added after them, which carries a
+block's skip connection) and ``attention`` (every head's scaled scores,
+masked softmax and weighted sum, reading per-head key/value stacks
+without copying them).  For the same reason the per-op code calls ufunc
+reductions (``np.add.reduce`` and the like) rather than the array
+methods that wrap them: the same bits, without a Python-level wrapper.
 Each term of the objective is one node too: ``cross_entropy`` (log-softmax,
 target pick and masked sum) and ``gaussian_kl`` (the closed-form KL per
 coordinate).  Each job has one op: every product goes through ``linear``,
@@ -123,7 +127,7 @@ class Tensor:
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise NumericsError(f"{op} produced non-finite values")
 
 
@@ -133,7 +137,11 @@ def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...], backward) -> T
     out.data = data
     out.grad = None
     out._grad_view = None
-    needs = any(p.requires_grad for p in parents)
+    needs = False
+    for p in parents:
+        if p.requires_grad:
+            needs = True
+            break
     out.requires_grad = needs
     if needs:
         out._parents = parents
@@ -200,21 +208,31 @@ def mul_scalar(a: Tensor, s: float) -> Tensor:
     return _make(a.data * s, "mul_scalar", (a,), backward)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """``x @ w + b`` as one node, through a (d, m) weight and optional (m,) bias.
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None, residual: Tensor | None = None) -> Tensor:
+    """``residual + (x @ w + b)`` as one node, through a (d, m) weight, optional (m,) bias and optional residual.
 
     ``x`` is (n, d) rows, or rows under leading batch axes, (..., n, d):
     each batch entry is its own (n, d) product, so a row gets the same
     bits whichever batch it sits in.  A single vector is one (1, d) row.
+    A ``residual`` has the output's shape and is added last, as a
+    separate ``add`` of it would; backward hands it ``g`` first.
     """
     xd, wd = x.data, w.data
     if wd.ndim != 2 or xd.ndim < 2 or xd.shape[-1] != wd.shape[0]:
         raise ShapeError(f"linear: cannot apply a {wd.shape} weight to shape {xd.shape}")
     if b is not None and b.data.shape != wd.shape[1:]:
         raise ShapeError(f"linear: bias shape {b.shape} does not match weight {wd.shape}")
+    if residual is not None and residual.data.shape != xd.shape[:-1] + wd.shape[1:]:
+        raise ShapeError(f"linear: residual shape {residual.shape} does not match output {xd.shape[:-1] + wd.shape[1:]}")
     data = xd @ wd if b is None else xd @ wd + b.data
+    parents = (x, w) if b is None else (x, w, b)
+    if residual is not None:
+        data = residual.data + data
+        parents += (residual,)
 
     def backward(g):
+        if residual is not None and residual.requires_grad:
+            residual.accumulate_grad(g)
         if x.requires_grad:
             x.accumulate_grad(g @ wd.T)
         if w.requires_grad:
@@ -222,7 +240,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         if b is not None and b.requires_grad:
             b.accumulate_grad(g.reshape(-1, wd.shape[1]).sum(axis=0))
 
-    return _make(data, "linear", (x, w) if b is None else (x, w, b), backward)
+    return _make(data, "linear", parents, backward)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -344,7 +362,7 @@ def attention(q: Tensor, keys_t: np.ndarray, values: np.ndarray, segments, mask=
         raise ShapeError(f"attention: query batch {q.shape} does not broadcast to keys {keys_t.shape}") from None
     _check_finite(scores, "attention")
     if mask is None:
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
     else:
         try:
             mask = np.broadcast_to(np.asarray(mask, dtype=bool), scores.shape)
@@ -355,7 +373,7 @@ def attention(q: Tensor, keys_t: np.ndarray, values: np.ndarray, segments, mask=
         shifted = np.where(mask, scores, -np.inf)
         shifted = shifted - shifted.max(axis=-1, keepdims=True)
         e = np.where(mask, np.exp(shifted), 0.0)
-    probs = e / e.sum(axis=-1, keepdims=True)
+    probs = e / np.add.reduce(e, axis=-1, keepdims=True)
     batch = probs.shape[:-3]
     out_shape = batch + (lq, d)
     data = (probs @ values).swapaxes(-3, -2).reshape(out_shape)
@@ -391,9 +409,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(f"layer_norm: gain/bias must have shape ({d},)")
     if eps <= 0:
         raise ValueError("layer_norm: eps must be positive")
-    mu = x.data.sum(axis=-1, keepdims=True) / d
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
     centered = x.data - mu
-    var = (centered**2).sum(axis=-1, keepdims=True) / d
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     data = gain.data * xhat + bias.data

@@ -247,6 +247,11 @@ def load_corpus(path) -> list[PromptStoryPair]:
             raise CorpusError(
                 f"{path}:{lineno}: record needs string fields 'prompt' and 'story' ('label' too, if given)"
             )
+        for key in ("prompt", "story", "label"):
+            try:  # a JSON escape can spell a lone surrogate, which no UTF-8 text holds
+                record.get(key, "").encode("utf-8")
+            except UnicodeEncodeError as e:
+                raise CorpusError(f"{path}:{lineno}: field '{key}' is not valid Unicode text ({e.reason})") from e
         pairs.append(PromptStoryPair(record["prompt"], record["story"], label=record.get("label", "")))
     if not pairs:
         raise CorpusError(f"corpus file has no records: {path}")

@@ -188,7 +188,11 @@ def _check_linear(report) -> bool:
     b = Tensor([[1.0], [1.0]])
     got = ag.linear(a, b).data
     ok = np.allclose(got, matmul_oracle(a.data, b.data)) and np.allclose(got, [[3.0], [7.0]])
-    report(f"{'ok' if ok else 'FAIL'} linear against triple-loop oracle")
+    bias, residual = Tensor([0.5]), Tensor([[-1.0], [2.0]])
+    fused = ag.linear(a, b, bias, residual=residual).data
+    ok &= np.allclose(fused, residual.data + matmul_oracle(a.data, b.data) + bias.data)
+    ok &= np.allclose(fused, [[2.5], [9.5]])
+    report(f"{'ok' if ok else 'FAIL'} linear, with bias and residual, against triple-loop oracle")
     return ok
 
 

@@ -141,6 +141,21 @@ class AttentionParams:
         return self.psa_wk is not None
 
 
+@dataclass(frozen=True)
+class BlockParams:
+    """One block's tensors: its attention, both layer norms and the MLP."""
+
+    attn: AttentionParams
+    ln1_g: Tensor
+    ln1_b: Tensor
+    ln2_g: Tensor
+    ln2_b: Tensor
+    w1: Tensor
+    b1: Tensor
+    w2: Tensor
+    b2: Tensor
+
+
 @dataclass
 class PoolingParams:
     q: Tensor
@@ -236,6 +251,21 @@ def attention_params(params: ParameterSet, prefix: str) -> AttentionParams:
     )
 
 
+def _stack_blocks(params: ParameterSet, stack: str, n_layers: int) -> list[BlockParams]:
+    """The tensors of blocks ``<stack>.0`` to ``<stack>.<n_layers - 1>``, looked up once for a whole forward."""
+    blocks = []
+    for i in range(n_layers):
+        prefix = f"{stack}.{i}"
+        blocks.append(BlockParams(
+            attention_params(params, prefix),
+            params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"],
+            params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"],
+            params[f"{prefix}.mlp.w1"], params[f"{prefix}.mlp.b1"],
+            params[f"{prefix}.mlp.w2"], params[f"{prefix}.mlp.b2"],
+        ))
+    return blocks
+
+
 def pooling_params(params: ParameterSet) -> PoolingParams:
     return PoolingParams(
         q=params["pool.q"],
@@ -321,6 +351,7 @@ def multi_head_attention(
     return_weights: bool = False,
     past: KVRows | None = None,
     key_mask: np.ndarray | None = None,
+    residual: Tensor | None = None,
 ):
     """Scaled dot-product attention of the (T, d) rows of ``x``, or of each sequence of a (B, T, d) batch.
 
@@ -333,7 +364,8 @@ def multi_head_attention(
     themselves and never blocks a ``past`` row, so a single new row needs
     no mask.  A non-causal attention over right-padded rows takes a
     ``key_mask``, (B, 1, 1, keys) for a batch, that is False at the keys
-    of padding, which no query attends.  With ``return_weights`` the
+    of padding, which no query attends.  A ``residual`` is added to the
+    output inside its projection node.  With ``return_weights`` the
     per-head (queries, keys) weight matrices follow the output.
     """
     l = x.shape[-2]
@@ -351,8 +383,8 @@ def multi_head_attention(
         mask[:, n_past:] = np.tri(l, dtype=bool)
     if return_weights:
         out, weights = past.attend(q, mask, return_weights=True)
-        return ag.linear(out, p.wo, p.bo), list(weights)
-    return ag.linear(past.attend(q, mask), p.wo, p.bo)
+        return ag.linear(out, p.wo, p.bo, residual), list(weights)
+    return ag.linear(past.attend(q, mask), p.wo, p.bo, residual)
 
 
 def attention_average(hseq: Tensor, p: PoolingParams, n_heads: int, return_weights: bool = False,
@@ -377,13 +409,12 @@ def attention_average(hseq: Tensor, p: PoolingParams, n_heads: int, return_weigh
     return ag.linear(kv.attend(q, key_mask), p.wo, p.bo)
 
 
-def _block(x, params, prefix, cfg, causal, past, key_mask):
-    p = attention_params(params, prefix)
-    h = ag.layer_norm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"], LN_EPS)
-    x = ag.add(x, multi_head_attention(h, p, cfg.heads, causal, past=past, key_mask=key_mask))
-    h = ag.layer_norm(x, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"], LN_EPS)
-    h = ag.gelu(ag.linear(h, params[f"{prefix}.mlp.w1"], params[f"{prefix}.mlp.b1"]))
-    return ag.add(x, ag.linear(h, params[f"{prefix}.mlp.w2"], params[f"{prefix}.mlp.b2"]))
+def _block(x, p: BlockParams, cfg, causal, past, key_mask):
+    h = ag.layer_norm(x, p.ln1_g, p.ln1_b, LN_EPS)
+    x = multi_head_attention(h, p.attn, cfg.heads, causal, past=past, key_mask=key_mask, residual=x)
+    h = ag.layer_norm(x, p.ln2_g, p.ln2_b, LN_EPS)
+    h = ag.gelu(ag.linear(h, p.w1, p.b1))
+    return ag.linear(h, p.w2, p.b2, residual=x)
 
 
 class DecoderCache:
@@ -399,9 +430,10 @@ class DecoderCache:
     ``positions`` token rows (``cfg.max_seq_len`` by default); the latent
     rows are its first rows.  ``stack_forward`` appends the rows of the tokens
     it is fed and advances ``length``, the number of token positions
-    consumed.  A cache is bound to the parameter values it was built from;
-    after a call through it raises, its layers are out of step and it
-    refuses further calls.
+    consumed.  A cache is bound to the parameters it was built from: it
+    looks up every decoder block's tensors once, as ``blocks``, and each
+    step reads them from there.  After a call through it raises, its
+    layers are out of step and it refuses further calls.
     """
 
     def __init__(self, params: ParameterSet, cfg: ModelConfig, latent=None, modes: tuple[str, ...] = (),
@@ -411,7 +443,7 @@ class DecoderCache:
             raise ContractError(f"injection modes {modes} are not all among the model's {cfg.injection_modes}")
         if modes and latent is None:
             raise ContractError("decoder with injection modes enabled needs a latent code")
-        self.latent, self.modes, self.length = latent, modes, 0
+        self.params, self.latent, self.modes, self.length = params, latent, modes, 0
         self.batch = None if latent is None else latent.z.shape[:-1]
         self.input_row = self.softmax_bias = None
         z_rows: list[Tensor | None] = [None] * cfg.layers
@@ -426,10 +458,11 @@ class DecoderCache:
                 z_rows = [ag.take_rows(rows, [i]) for i in range(cfg.layers)]
             if "softmax" in modes:
                 self.softmax_bias = ag.linear(z, params["inject.softmax.w"])
+        self.blocks = _stack_blocks(params, "dec", cfg.layers)
         self.layers = [
             KVRows(cfg.heads, 1 + (cfg.max_seq_len if positions is None else positions),
-                   None if z is None else latent_kv(z, attention_params(params, f"dec.{i}")))
-            for i, z in enumerate(z_rows)
+                   None if z is None else latent_kv(z, block.attn))
+            for z, block in zip(z_rows, self.blocks)
         ]
 
 
@@ -507,8 +540,8 @@ def stack_forward(
     elif key_mask is not None:
         raise ContractError("the decoder is causal: right padding needs no key mask")
     elif cache is not None:
-        if cache.latent is not latent or cache.modes != modes:
-            raise ContractError("the decoder cache was built for another latent or other injection modes")
+        if cache.params is not params or cache.latent is not latent or cache.modes != modes:
+            raise ContractError("the decoder cache was built for other parameters, another latent or other modes")
         if any(kv.rows != kv.latent + cache.length for kv in cache.layers):
             raise ContractError("the decoder cache is out of step: an earlier call through it raised")
     start = cache.length if cache is not None else 0
@@ -527,13 +560,13 @@ def stack_forward(
     if is_decoder and cache.input_row is not None:
         x = ag.add(x, cache.input_row)
 
-    n_layers = cfg.layers if is_decoder else cfg.encoder_layers
     stack = "dec" if is_decoder else "enc"
-    for i in range(n_layers):
-        x = _block(
-            x, params, f"{stack}.{i}", cfg,
-            causal=is_decoder, past=cache.layers[i] if is_decoder else None, key_mask=key_mask,
-        )
+    if is_decoder:
+        for block, past in zip(cache.blocks, cache.layers):
+            x = _block(x, block, cfg, True, past, None)
+    else:
+        for block in _stack_blocks(params, stack, cfg.encoder_layers):
+            x = _block(x, block, cfg, False, None, key_mask)
     x = ag.layer_norm(x, params[f"{stack}.final_norm.g"], params[f"{stack}.final_norm.b"], LN_EPS)
     if not is_decoder:
         return x

@@ -72,6 +72,33 @@ class TestLinear:
             denom = np.maximum(np.abs(left), 1.0)
             assert (np.abs(left - right) / denom).max() < 1e-4
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["rank2", "rank3"])
+    @pytest.mark.parametrize("bias", [False, True], ids=["no_bias", "bias"])
+    def test_residual_matches_a_separate_add(self, dtype, lead, bias):
+        """``linear(x, w, b, residual=r)`` gives the bits of ``add(r, linear(x, w, b))``, forward and backward."""
+        rng = np.random.default_rng(11)
+
+        def run(fused: bool):
+            x, r = (Tensor(rng.standard_normal((*lead, 5, 4)), requires_grad=True, dtype=dtype) for _ in range(2))
+            w = Tensor(rng.standard_normal((4, 4)), requires_grad=True, dtype=dtype)
+            b = Tensor(rng.standard_normal(4), requires_grad=True, dtype=dtype) if bias else None
+            # ``r`` also feeds a second node, so its gradient is a sum whose order matters.
+            out = ag.linear(x, w, b, residual=r) if fused else ag.add(r, ag.linear(x, w, b))
+            ag.backward(ag.sum_all(ag.mul(ag.add(out, r), out)))
+            return [out.data] + [t.grad for t in (x, w, b, r) if t is not None]
+
+        rng_state = rng.bit_generator.state
+        fused = run(True)
+        rng.bit_generator.state = rng_state
+        assert all(np.array_equal(a, b) for a, b in zip(fused, run(False), strict=True))
+
+    def test_residual_of_another_shape_raises(self):
+        x, w = Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4)))
+        for shape in [(2, 3), (4,), (1, 4), (1, 2, 4)]:
+            with pytest.raises(ag.ShapeError, match="residual"):
+                ag.linear(x, w, residual=Tensor(np.zeros(shape)))
+
     def test_vector_cases(self):
         """A vector goes through as one (1, d) row; a bare (d,) vector is refused."""
         rng = np.random.default_rng(4)
@@ -358,6 +385,10 @@ OP_CASES = {
     # A single vector is one (1, d) row.
     "linear_vector": lambda t, u: ag.linear(ag.take_rows(t, [1]), ag.transpose(u)),
     "linear_vector_bias": lambda t, u: ag.linear(ag.take_rows(t, [1]), ag.transpose(u), _row(ag.transpose(u), 2)),
+    # ``t`` reaches the output both through the product and through the residual.
+    "linear_residual": lambda t, u: ag.linear(t, ag.transpose(u), residual=ag.take_rows(ag.transpose(t), range(6))),
+    "linear_vector_bias_residual": lambda t, u: ag.linear(
+        ag.take_rows(t, [1]), ag.transpose(u), _row(ag.transpose(u), 2), residual=ag.take_rows(ag.transpose(t), [3])),
     "attention_latent_row": lambda t, u: _attention(t, u, latent=True),
     "attention_causal": lambda t, u: _attention(t, u, mask=np.tri(6, dtype=bool)),
     "attention_valid": lambda t, u: _attention(
@@ -383,6 +414,9 @@ OP_CASES = {
     "layer_norm_rank3": lambda t, u: ag.layer_norm(_rank3(t), _row(u, 0), _row(u, 1)),
     "linear_rank3": lambda t, u: ag.linear(_rank3(t), ag.transpose(u)),
     "linear_bias_rank3": lambda t, u: ag.linear(_rank3(t), ag.transpose(u), _row(ag.transpose(t), 0)),
+    "linear_bias_residual_rank3": lambda t, u: ag.linear(
+        _rank3(t), ag.transpose(u), _row(ag.transpose(t), 0),
+        residual=ag.reshape(ag.take_rows(ag.transpose(u), range(6)), (2, 3, 6))),
     "take_rows_rank3": lambda t, u: ag.add(ag.take_rows(_rank3(t), [2, 0]), ag.take_rows(u, [[0, 5], [3, 3]])),
     "cross_entropy_rank3": lambda t, u: ag.cross_entropy(
         _rank3(t), np.array([[0, 7, 3], [3, 3, 1]]), np.array([[True, True, False], [True, True, True]]))[0],

@@ -642,19 +642,22 @@ def test_metrics_rows_stream_as_steps_end(workspace, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["vocab_size_too_small", "vocab_size_past_the_last_code_point",
-                                  "vocab_corpus_missing", "generate_negative_seed",
+                                  "vocab_corpus_missing", "vocab_corpus_lone_surrogate", "generate_negative_seed",
                                   "eval_zero_temperature", "encode_unknown_kind", "control_prompt_too_long",
                                   "train_no_injection_mode", "train_vae_no_injection_mode"])
 def test_rejected_input_leaves_no_output_directory(workspace, tmp_path, capsys, case):
     """Each command checks what it can before it writes config.resolved, so a data error leaves no --out behind."""
     common = ["--corpus", workspace["corpus"], "--vocab", workspace["vocab"], "--checkpoint", workspace["checkpoint"]]
     train = ["train", "--corpus", workspace["corpus"], "--vocab", workspace["vocab"]] + FAST_MODEL + FAST_TRAIN
+    surrogate = tmp_path / "surrogate.jsonl"
+    surrogate.write_text('{"prompt": "a\\ud800b", "story": "hello"}\n', encoding="ascii")
     args = {
         "vocab_size_too_small": ["vocab", "--corpus", workspace["corpus"], "--model.vocab-size", "100"],
         # One token more than 256 bytes, the separator and a merge for every code point from U+0100 on.
         "vocab_size_past_the_last_code_point": ["vocab", "--corpus", workspace["corpus"],
                                                 "--model.vocab-size", str(cp.MIN_VOCAB_SIZE + cp.MAX_MERGES + 1)],
         "vocab_corpus_missing": ["vocab", "--corpus", str(tmp_path / "missing.jsonl")],
+        "vocab_corpus_lone_surrogate": ["vocab", "--corpus", str(surrogate)],
         "generate_negative_seed": ["generate", "--sampler.seed", "-1"] + common,
         "eval_zero_temperature": ["eval", "--sampler.temperature", "0"] + common,
         "encode_unknown_kind": ["encode", "--encode.which", "bogus"] + common,

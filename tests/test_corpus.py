@@ -248,6 +248,15 @@ class TestCorpusFile:
         with pytest.raises(cp.CorpusError, match="invalid JSON"):
             cp.load_corpus(path)
 
+    @pytest.mark.parametrize("field", ["prompt", "story", "label"])
+    def test_lone_surrogate_rejected_with_its_line(self, tmp_path, field):
+        """A JSON escape can spell a lone surrogate; no UTF-8 text holds one, so the record is refused."""
+        path = tmp_path / "bad.jsonl"
+        record = {"prompt": "p", "story": "s", "label": "x", field: "a\ud800b"}
+        path.write_text(json.dumps({"prompt": "p", "story": "s"}) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(cp.CorpusError, match=rf"bad\.jsonl:2: field '{field}' is not valid Unicode text"):
+            cp.load_corpus(path)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(cp.CorpusError):
             cp.load_corpus(tmp_path / "nope.jsonl")

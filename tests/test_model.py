@@ -229,7 +229,9 @@ class TestTapeSize:
         cache = model.decoder_cache(latent)
         model.decode_logits([1, 2, 3, 4], latent, cache=cache)
         counts = [self.ops(monkeypatch, lambda t=t: model.decode_logits([t], latent, cache=cache)) for t in (5, 6)]
-        assert counts[0] == counts[1] <= 60
+        # Per layer: 2 layer norms, 6 products (both residual adds inside them), attention and gelu; then the
+        # embedding's 2 take_rows and add, the final norm, and the tied head's transpose and product.
+        assert counts[0] == counts[1] == 46
 
     def test_lockstep_step_costs_the_same_ops_at_any_batch(self, monkeypatch):
         """One decode step of B stories in lockstep is one step of ops, however large B is."""
@@ -265,9 +267,9 @@ class TestTapeSize:
 
         counts = step_ops(4)
         # One padded forward and backward, whatever the batch size, and one node per objective term.
-        assert counts[0] == counts[1] == step_ops(1)[0] <= 94
+        assert counts[0] == counts[1] == step_ops(1)[0] <= 86
         vae = step_ops(4, "vae")
-        assert vae[0] == vae[1] == step_ops(1, "vae")[0] <= 68
+        assert vae[0] == vae[1] == step_ops(1, "vae")[0] <= 62
 
 
 @pytest.mark.parametrize("modes", [m for r in range(4) for m in itertools.combinations(tf.INJECTION_MODES, r)],

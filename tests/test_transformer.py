@@ -543,10 +543,33 @@ class TestCachedDecoding:
             model.decode_logits([1], lt.LatentCode.external(np.ones(model.config.latent_dim)), cache=cache)
         with pytest.raises(ContractError):  # other modes
             model.decode_logits([1], z, modes=("psa",), cache=cache)
+        with pytest.raises(ContractError):  # other parameters, though of equal values
+            tf.stack_forward([1], model.params.astype(np.float64), model.config, "decoder", z, model.config.injection_modes,
+                             cache=cache)
         with pytest.raises(ContractError):
             tf.stack_forward([1], model.params, model.config, role="encoder", cache=cache)
         model.decode_logits([1], z, cache=cache)
         assert cache.length == self.LENGTH
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("modes", [("input",), ("psa",), tf.INJECTION_MODES], ids=lambda m: "+".join(m))
+    def test_decode_steps_look_up_no_block_tensors(self, monkeypatch, modes, dtype):
+        """A cache looks up each decoder block's tensors when it is built; a step through it looks up none."""
+        cfg = ModelConfig(injection_modes=modes)  # the CLI default config, but for the routes
+        params = make_params(cfg, dtype=dtype)
+        calls, lookup = [], tf.attention_params
+        monkeypatch.setattr(tf, "attention_params", lambda params, prefix: calls.append(prefix) or lookup(params, prefix))
+        rng = np.random.default_rng(45)
+        for batch in [(), (4,)]:
+            latent = lt.LatentCode.external(rng.standard_normal(batch + (cfg.latent_dim,)), dtype)
+            cache = tf.DecoderCache(params, cfg, latent, modes)
+            assert calls[-cfg.layers:] == [f"dec.{i}" for i in range(cfg.layers)]
+            built = len(calls)
+            for _ in range(10):
+                tokens = rng.integers(0, cfg.vocab_size, size=batch + (1,))
+                tf.stack_forward(tokens, params, cfg, "decoder", latent, modes, cache=cache)
+            assert cache.length == 10
+            assert len(calls) == built
 
     def test_refuses_calls_after_a_failed_one(self):
         model = self.model(tf.INJECTION_MODES, np.float64)
