@@ -309,6 +309,10 @@ class TestNumericsPolicy:
         with pytest.raises(ag.NumericsError):
             ag.linear(Tensor(np.full((1, 3), huge / 2, dtype=np.float32)), Tensor(np.eye(3, 2, dtype=np.float32)),
                       Tensor(np.full(2, huge, dtype=np.float32)))
+        # So does the residual, and the error names the op it happened in.
+        with pytest.raises(ag.NumericsError, match="^linear produced non-finite values$"):
+            ag.linear(Tensor(np.full((1, 3), huge / 2, dtype=np.float32)), Tensor(np.eye(3, 2, dtype=np.float32)),
+                      residual=Tensor(np.full((1, 2), huge, dtype=np.float32)))
 
     def test_attention_overflow_raises(self):
         kv = tf.KVRows(2, 3)
