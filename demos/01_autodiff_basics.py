@@ -6,9 +6,9 @@ import numpy as np
 from storyvae import autograd as ag
 from storyvae.autograd import ParameterSet, Tensor
 
-# Forward ops record a tape; backward replays it.
+# Forward ops record a tape; backward replays it.  sum(x*x) is a (1, 3) row times a (3, 1) column.
 x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
-loss = ag.sum_all(ag.mul(x, x))
+loss = ag.sum_all(ag.linear(ag.reshape(x, (1, 3)), ag.reshape(x, (3, 1))))
 ag.backward(loss)
 print("d/dx sum(x*x) at [1,2,3]:", x.grad)  # [2, 4, 6]
 
@@ -23,9 +23,10 @@ rows = Tensor(np.tile([0.0, np.log(2.0)], (2, 1)))
 _, per_position = ag.cross_entropy(rows, np.array([0, 1]), np.ones(2, dtype=bool))
 print("softmax([0, ln 2]) =", np.exp(-per_position))  # [1/3, 2/3]
 
-# Non-finite forward values raise instead of propagating.
+# Non-finite forward values raise instead of propagating: a latent draw mu + exp(log_sigma) * noise
+# whose sigma overflows.
 try:
-    ag.exp(Tensor(np.array([1000.0])))
+    ag.gaussian_sample(Tensor(np.zeros(1)), Tensor(np.array([1000.0])), np.ones(1))
 except ag.NumericsError as e:
     print("numerics policy:", e)
 
@@ -36,7 +37,7 @@ params.add("v", Tensor(np.random.default_rng(1).standard_normal((1, 4)), dtype=n
 
 def fn():
     h = ag.gelu(ag.linear(params["v"], params["w"]))
-    return ag.sum_all(ag.mul(h, h))
+    return ag.sum_all(ag.linear(h, ag.reshape(h, (4, 1))))
 
 report = ag.grad_check(fn, params, eps=1e-5)
 print(f"grad check: passed={report.passed}, max rel err={report.max_rel_error:.2e}")

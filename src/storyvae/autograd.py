@@ -20,10 +20,11 @@ gate: no op silences numpy's warnings, so an overflow may warn before it
 raises, and one whose output is finite (``gelu``'s cube) is no error.
 
 Ops that work on rows (``add``, ``linear``, ``layer_norm``, ``gelu``,
-``attention``, ``take_rows``, ``cross_entropy``, ``gaussian_kl``) also take
-leading batch axes: a batch of equal-length sequences runs as one node per
-op, and each batch entry is computed exactly as it would be alone.  A
-single vector goes through ``linear`` and ``attention`` as one (1, d) row.
+``attention``, ``take_rows``, ``cross_entropy``, ``gaussian_kl``,
+``gaussian_sample``) also take leading batch axes: a batch of
+equal-length sequences runs as one node per op, and each batch entry is
+computed exactly as it would be alone.  A single vector goes through
+``linear`` and ``attention`` as one (1, d) row.
 
 Per-op Python overhead, not arithmetic, bounds small models, so the
 transformer's hot paths use two fused ops: ``linear`` (a product plus
@@ -35,9 +36,10 @@ reductions (``np.add.reduce`` and the like) rather than the array
 methods that wrap them: the same bits, without a Python-level wrapper.
 Each term of the objective is one node too: ``cross_entropy`` (log-softmax,
 target pick and masked sum) and ``gaussian_kl`` (the closed-form KL per
-coordinate).  Each job has one op: every product goes through ``linear``,
-the only masked softmax is the one inside ``attention``, and ``transpose``
-only views a matrix transposed.
+coordinate), and so is the latent draw ``gaussian_sample`` (``mu +
+exp(log_sigma) * noise``).  Each job has one op: every product goes
+through ``linear``, the only masked softmax is the one inside
+``attention``, and ``transpose`` only views a matrix transposed.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ import numpy as np
 
 GELU_TANH_COEFF = math.sqrt(2.0 / math.pi)  # 0.7978845608028654
 GELU_CUBIC_COEFF = 0.044715
+LN_EPS = 1e-5  # added to each row's variance in ``layer_norm``
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
@@ -161,17 +164,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.sum(axis=kept, keepdims=True) if kept else g
 
 
-def _binary_shapes_ok(a: Tensor, b: Tensor) -> bool:
-    """Whether ``b`` broadcasts to ``a``'s shape, which the result keeps."""
-    if a.shape == b.shape:
-        return True
-    lead = a.data.ndim - b.data.ndim
-    return lead >= 0 and all(n in (1, m) for n, m in zip(b.shape, a.shape[lead:]))
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     """``a + b``, where ``b`` may broadcast to ``a``'s shape (a row, or one row per batch entry)."""
-    if not _binary_shapes_ok(a, b):
+    lead = a.data.ndim - b.data.ndim
+    if a.shape != b.shape and (lead < 0 or not all(n in (1, m) for n, m in zip(b.shape, a.shape[lead:]))):
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
     data = a.data + b.data
 
@@ -182,20 +178,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             b.accumulate_grad(_unbroadcast(g, b.shape))
 
     return _make(data, "add", (a, b), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if not _binary_shapes_ok(a, b):
-        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-    data = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * b.data)
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
-
-    return _make(data, "mul", (a, b), backward)
 
 
 def mul_scalar(a: Tensor, s: float) -> Tensor:
@@ -292,16 +274,6 @@ def sum_all(a: Tensor) -> Tensor:
             a.accumulate_grad(np.full_like(a.data, g))
 
     return _make(data, "sum_all", (a,), backward)
-
-
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * data)
-
-    return _make(data, "exp", (a,), backward)
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -402,17 +374,15 @@ def attention(q: Tensor, keys_t: np.ndarray, values: np.ndarray, segments, mask=
     return (out, probs.copy()) if return_weights else out
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Zero-mean unit-variance normalization over the last axis, then affine."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Zero-mean unit-variance normalization over the last axis (``LN_EPS`` added to the variance), then affine."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias must have shape ({d},)")
-    if eps <= 0:
-        raise ValueError("layer_norm: eps must be positive")
     mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
     centered = x.data - mu
     var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = centered * inv
     data = gain.data * xhat + bias.data
 
@@ -504,6 +474,28 @@ def gaussian_kl(mu_q: Tensor, ls_q: Tensor, mu_p: Tensor, ls_p: Tensor) -> Tenso
             ls_p.accumulate_grad(half * spread * inv_var_p * -2.0)
 
     return _make(data, "gaussian_kl", (mu_q, ls_q, mu_p, ls_p), backward)
+
+
+def gaussian_sample(mu: Tensor, log_sigma: Tensor, noise: np.ndarray) -> Tensor:
+    """The reparameterized draw ``mu + exp(log_sigma) * noise`` as one node; ``noise`` is a constant array.
+
+    All three have one shape, (..., d').  Forward is ``e = exp(log_sigma)``,
+    then ``e * noise``, then ``mu`` plus that; backward hands ``mu`` its
+    ``g`` first, then ``log_sigma`` its ``(g * noise) * e``.  A non-finite
+    ``e`` makes the output inf, or NaN where the noise is 0.
+    """
+    if not mu.shape == log_sigma.shape == noise.shape:
+        raise ShapeError(f"gaussian_sample: shapes differ: {mu.shape}, {log_sigma.shape} and {noise.shape}")
+    e = np.exp(log_sigma.data)
+    data = mu.data + e * noise
+
+    def backward(g):
+        if mu.requires_grad:
+            mu.accumulate_grad(g)
+        if log_sigma.requires_grad:
+            log_sigma.accumulate_grad(g * noise * e)
+
+    return _make(data, "gaussian_sample", (mu, log_sigma), backward)
 
 
 def backward(loss: Tensor) -> None:

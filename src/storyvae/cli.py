@@ -25,7 +25,8 @@ that contradicts it is a usage error (``model.vocab-size`` aside: the
 vocabulary sets it).  ``train`` appends each ``metrics.csv`` row as its
 step ends, so a run that crashes keeps the rows of the steps it made.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical abort
+Exit codes: 0 success, 1 usage error, 2 data error (a path that cannot
+be read or written as asked, but for ``--config``), 3 numerical abort
 or failed self-check.  Commands run with numpy's overflow and invalid
 warnings off: every op's own finiteness check raises instead.
 """
@@ -101,6 +102,8 @@ def parse_config_file_text(text: str, origin: str = "<config>") -> dict:
 def parse_config_file(path: Path) -> dict:
     try:
         text = path.read_text(encoding="utf-8")
+    except OSError as e:
+        raise UsageError(f"cannot read config file {path}: {e.strerror}") from None
     except UnicodeDecodeError as e:
         raise UsageError(f"{path}: not UTF-8 ({e.reason} at byte {e.start})") from e
     return parse_config_file_text(text, origin=str(path))
@@ -124,10 +127,7 @@ def _given_config(args: argparse.Namespace) -> dict:
     """The keys the config file, the flags and STORYVAE_OUT set; flags win over the file."""
     given = {}
     if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config file not found: {path}")
-        for key, raw in parse_config_file(path).items():
+        for key, raw in parse_config_file(Path(args.config)).items():
             given[key] = _coerce(key, raw)
     ns = vars(args)
     for key in DEFAULTS:
@@ -387,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (cp.CorpusError, FileNotFoundError, ContractError, KeyError) as e:
+    except (cp.CorpusError, OSError, ContractError, KeyError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingAbort, ag.NumericsError) as e:

@@ -3,7 +3,8 @@
 The prior and posterior are isotropic Gaussians N(mu, sigma^2 I) whose
 mean and log-sigma come from separate linear heads over the shared
 pooled encoder vector.  KL between two diagonal Gaussians is analytic
-and stays on the tape, so it can be trained directly.  Gaussians and
+and stays on the tape, so it can be trained directly; so does a sample,
+mu + sigma * eps, as one ``ag.gaussian_sample`` node.  Gaussians and
 latent codes hold one (d',) vector, or a (B, d') batch with one row per
 sequence of an equal-length batch.
 """
@@ -91,12 +92,8 @@ def gaussian_head(pooled: Tensor, mu_w: Tensor, mu_b: Tensor, ls_w: Tensor, ls_b
 
 
 def reparameterize(g: DiagonalGaussian, noise: np.ndarray, source: LatentSource) -> LatentCode:
-    """z = mu + exp(log_sigma) * noise, keeping gradients to both head outputs."""
-    noise = np.asarray(noise, dtype=g.mu.data.dtype)
-    if noise.shape != g.mu.shape:
-        raise ag.ShapeError(f"noise shape {noise.shape} does not match latent shape {g.mu.shape}")
-    z = ag.add(g.mu, ag.mul(ag.exp(g.log_sigma), Tensor(noise)))
-    return LatentCode(z, source)
+    """z = mu + exp(log_sigma) * noise as one ``ag.gaussian_sample`` node, keeping gradients to both head outputs."""
+    return LatentCode(ag.gaussian_sample(g.mu, g.log_sigma, np.asarray(noise, dtype=g.mu.data.dtype)), source)
 
 
 def mean_code(g: DiagonalGaussian, source: LatentSource) -> LatentCode:

@@ -8,8 +8,8 @@ Adam against plain-math scalar Adam, the annealing shape, and the
 tokenizer's fit, round-trips and ids.  The brute-force oracles
 (``brute_force_filter``, ``brute_force_rouge``, ``greedy_oracle``,
 ``matmul_oracle``, ``reference_adam_scalar``, ``kl_monte_carlo``,
-``bpe_scan_oracle``, ``bpe_fit_oracle``) live here once; the test suite
-imports them.
+``bpe_scan_oracle``, ``bpe_fit_oracle``) and ``inner``, the gradient
+checks' scalar loss, live here once; the test suite imports them.
 """
 
 from __future__ import annotations
@@ -39,11 +39,19 @@ def _causal_self_attention(t: Tensor) -> Tensor:
     return kv.attend(t, np.tri(t.shape[0], dtype=bool))
 
 
+def inner(a: Tensor, b: Tensor) -> Tensor:
+    """sum(a * b) over two tensors of one size, as ``linear`` of a (1, n) row of ``a`` and an (n, 1) column of ``b``."""
+    n = a.data.size
+    return ag.sum_all(ag.linear(ag.reshape(a, (1, n)), ag.reshape(b, (n, 1))))
+
+
 def _check_unary_ops(report) -> bool:
     rng = np.random.default_rng(11)
+    noise = np.random.default_rng(12).standard_normal((2, 7))
     builders = {
         "gelu": ag.gelu,
-        "exp": lambda t: ag.exp(ag.mul_scalar(t, 0.3)),
+        "gaussian_sample": lambda t: ag.gaussian_sample(
+            ag.take_rows(t, [0, 1]), ag.mul_scalar(ag.take_rows(t, [2, 3]), 0.5), noise),
         "attention": _causal_self_attention,
         "cross_entropy": lambda t: ag.cross_entropy(
             t, np.array([0, 6, 3, 3, 1]), np.array([True, True, False, True, True]))[0],
@@ -56,7 +64,7 @@ def _check_unary_ops(report) -> bool:
     for name, build in builders.items():
         params = ParameterSet()
         params.add("x", Tensor(rng.standard_normal((5, 7)), dtype=np.float64))
-        result = ag.grad_check(lambda p=params, b=build: ag.sum_all(ag.mul(b(p["x"]), b(p["x"]))), params)
+        result = ag.grad_check(lambda p=params, b=build: inner(b(p["x"]), b(p["x"])), params)
         ok &= result.passed
         report(f"{'ok' if result.passed else 'FAIL'} gradient {name} (max rel err {result.max_rel_error:.2e})")
     return ok

@@ -52,7 +52,6 @@ INJECTION_MODES = ("input", "psa", "softmax")
 
 INIT_STD = 0.02
 POS_INIT_STD = 0.01
-LN_EPS = 1e-5
 # The most sequences one batched forward carries; it bounds the (B, T, vocab) logits and the caches.
 GROUP_ROWS = 32
 
@@ -410,9 +409,9 @@ def attention_average(hseq: Tensor, p: PoolingParams, n_heads: int, return_weigh
 
 
 def _block(x, p: BlockParams, cfg, causal, past, key_mask):
-    h = ag.layer_norm(x, p.ln1_g, p.ln1_b, LN_EPS)
+    h = ag.layer_norm(x, p.ln1_g, p.ln1_b)
     x = multi_head_attention(h, p.attn, cfg.heads, causal, past=past, key_mask=key_mask, residual=x)
-    h = ag.layer_norm(x, p.ln2_g, p.ln2_b, LN_EPS)
+    h = ag.layer_norm(x, p.ln2_g, p.ln2_b)
     h = ag.gelu(ag.linear(h, p.w1, p.b1))
     return ag.linear(h, p.w2, p.b2, residual=x)
 
@@ -567,7 +566,7 @@ def stack_forward(
     else:
         for block in _stack_blocks(params, stack, cfg.encoder_layers):
             x = _block(x, block, cfg, False, None, key_mask)
-    x = ag.layer_norm(x, params[f"{stack}.final_norm.g"], params[f"{stack}.final_norm.b"], LN_EPS)
+    x = ag.layer_norm(x, params[f"{stack}.final_norm.g"], params[f"{stack}.final_norm.b"])
     if not is_decoder:
         return x
 

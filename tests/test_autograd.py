@@ -10,7 +10,7 @@ import pytest
 from storyvae import autograd as ag
 from storyvae import transformer as tf
 from storyvae.autograd import ParameterSet, Tensor
-from storyvae.selfcheck import matmul_oracle
+from storyvae.selfcheck import inner, matmul_oracle
 
 
 def finite_difference(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -85,7 +85,7 @@ class TestLinear:
             b = Tensor(rng.standard_normal(4), requires_grad=True, dtype=dtype) if bias else None
             # ``r`` also feeds a second node, so its gradient is a sum whose order matters.
             out = ag.linear(x, w, b, residual=r) if fused else ag.add(r, ag.linear(x, w, b))
-            ag.backward(ag.sum_all(ag.mul(ag.add(out, r), out)))
+            ag.backward(inner(ag.add(out, r), out))
             return [out.data] + [t.grad for t in (x, w, b, r) if t is not None]
 
         rng_state = rng.bit_generator.state
@@ -183,12 +183,12 @@ class TestLayerNorm:
         x = Tensor(np.full((2, 4), 3.5))
         gain = Tensor(np.ones(4))
         bias = Tensor(np.array([1.0, -2.0, 0.5, 0.0]))
-        out = ag.layer_norm(x, gain, bias, eps=1e-5).data
+        out = ag.layer_norm(x, gain, bias).data
         assert np.allclose(out, np.broadcast_to(bias.data, (2, 4)), atol=1e-6)
 
     def test_two_point_row(self):
         x = Tensor(np.array([[1.0, -1.0]]))
-        out = ag.layer_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-12).data
+        out = ag.layer_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2))).data
         assert np.allclose(out, [[1.0, -1.0]], atol=1e-5)
 
     def test_gain_linearity(self):
@@ -254,6 +254,29 @@ class TestCrossEntropy:
             ag.cross_entropy(Tensor(logits), targets[0], mask[0])
 
 
+class TestGaussianSample:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(8,), (3, 8)], ids=["vector", "batch"])
+    def test_matches_the_exp_mul_add_chain(self, dtype, shape):
+        """Output and both gradients have the bits of ``exp``, a product and an ``add``, in that order."""
+        rng = np.random.default_rng(13)
+        mu, ls, noise, g = (rng.standard_normal(shape).astype(dtype) for _ in range(4))
+        mu_t, ls_t = Tensor(mu, requires_grad=True), Tensor(ls, requires_grad=True)
+        z = ag.gaussian_sample(mu_t, ls_t, noise)
+        ag.backward(inner(z, Tensor(g)))  # hands z the gradient ``g`` exactly
+        e = np.exp(ls)
+        assert z.data.dtype == dtype and np.array_equal(z.data, mu + e * noise)
+        assert np.array_equal(mu_t.grad, g)
+        assert np.array_equal(ls_t.grad, (g * noise) * e)
+
+    def test_shapes_must_match(self):
+        v = Tensor(np.zeros(4))
+        for mu, ls, noise in [(v, v, np.zeros(3)), (v, Tensor(np.zeros((1, 4))), np.zeros(4)),
+                              (Tensor(np.zeros((2, 4))), v, np.zeros(4))]:
+            with pytest.raises(ag.ShapeError, match="gaussian_sample"):
+                ag.gaussian_sample(mu, ls, noise)
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
@@ -265,13 +288,13 @@ class TestBackward:
         x = params.add("x", Tensor([1.0, 2.0]))
         w = params.add("w", Tensor([5.0]))
         x.requires_grad = True
-        ag.backward(ag.sum_all(ag.mul(x, x)))
+        ag.backward(inner(x, x))
         assert np.array_equal(x.grad, np.array([2.0, 4.0], dtype=np.float32))
         assert w.grad is None
 
     def test_square_gradient(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        ag.backward(ag.sum_all(ag.mul(x, x)))
+        ag.backward(inner(x, x))
         assert np.allclose(x.grad, [2.0, 4.0])
         data = np.array([1.0, 2.0])
         holder = Tensor(data, requires_grad=False)
@@ -281,24 +304,21 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ag.GraphError):
-            ag.backward(ag.mul(x, x))
+            ag.backward(ag.add(x, x))
 
     def test_grad_accumulates_across_reuse(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
-        y = ag.add(ag.mul(x, x), ag.mul(x, x))
+        y = ag.add(inner(x, x), inner(x, x))
         ag.backward(ag.sum_all(y))
         assert np.allclose(x.grad, [8.0])
 
 
 class TestNumericsPolicy:
-    def test_overflow_raises(self):
-        big = Tensor(np.array([1e30], dtype=np.float32))
-        with pytest.raises(ag.NumericsError):
-            ag.mul(big, big)
-
-    def test_exp_overflow_raises(self):
-        with pytest.raises(ag.NumericsError):
-            ag.exp(Tensor(np.array([1000.0])))
+    @pytest.mark.parametrize("noise", [1.0, 0.0], ids=["inf", "nan"])
+    def test_gaussian_sample_overflow_raises(self, noise):
+        """exp(1000) overflows: times noise 1 the draw is inf, times noise 0 it is NaN."""
+        with pytest.raises(ag.NumericsError, match="^gaussian_sample produced non-finite values$"):
+            ag.gaussian_sample(Tensor(np.zeros(2)), Tensor(np.array([0.5, 1000.0])), np.full(2, noise))
 
     def test_linear_overflow_raises(self):
         big = Tensor(np.full((2, 3), 1e30, dtype=np.float32))
@@ -326,14 +346,14 @@ class TestGradCheck:
     def test_square_function(self):
         params = ParameterSet()
         params.add("x", Tensor(np.array([1.0]), dtype=np.float64))
-        report = ag.grad_check(lambda: ag.sum_all(ag.mul(params["x"], params["x"])), params, eps=1e-5)
+        report = ag.grad_check(lambda: inner(params["x"], params["x"]), params, eps=1e-5)
         assert report.passed
         assert report.max_rel_error < 1e-6
 
     def test_clears_requires_grad_and_keeps_gradients(self):
         params = ParameterSet()
         params.add("x", Tensor(np.array([1.0, -2.0]), dtype=np.float64))
-        ag.grad_check(lambda: ag.sum_all(ag.mul(params["x"], params["x"])), params)
+        ag.grad_check(lambda: inner(params["x"], params["x"]), params)
         assert not params["x"].requires_grad
         assert np.allclose(params["x"].grad, [2.0, -4.0])
 
@@ -341,7 +361,7 @@ class TestGradCheck:
         params = ParameterSet()
         params.add("x", Tensor(np.array([0.3, -1.2, 4.0]), dtype=np.float64))
         w = Tensor(np.array([2.0, -1.0, 0.5]), dtype=np.float64)
-        report = ag.grad_check(lambda: ag.sum_all(ag.mul(params["x"], w)), params)
+        report = ag.grad_check(lambda: inner(params["x"], w), params)
         assert report.passed
         assert report.max_rel_error < 1e-9
 
@@ -371,10 +391,10 @@ class TestGradCheck:
             ag.grad_check(lambda: ag.sum_all(params["x"]), params)
 
 
+NOISE = np.random.default_rng(21).standard_normal((3, 8))
+
 OP_CASES = {
     "add": lambda t, u: ag.add(t, u),
-    "mul": lambda t, u: ag.mul(t, u),
-    "exp": lambda t, u: ag.exp(ag.mul_scalar(t, 0.5)),
     "gelu": lambda t, u: ag.gelu(t),
     "clamp": lambda t, u: ag.clamp(t, -0.9, 0.9),
     "reshape": lambda t, u: ag.reshape(t, (t.data.size,)),
@@ -407,11 +427,13 @@ OP_CASES = {
     "gaussian_kl_batch": lambda t, u: ag.gaussian_kl(
         ag.take_rows(t, [0, 1, 2]), ag.mul_scalar(ag.take_rows(t, [3, 4, 5]), 0.5),
         ag.take_rows(u, [0, 1, 2]), ag.mul_scalar(ag.take_rows(u, [3, 4, 5]), 0.5)),
+    # A (d',) draw, and a (3, 8) batch whose mean and log-sigma rows overlap in ``t``.
+    "gaussian_sample": lambda t, u: ag.gaussian_sample(_row(t, 0), ag.mul_scalar(_row(u, 1), 0.5), NOISE[0]),
+    "gaussian_sample_batch": lambda t, u: ag.gaussian_sample(
+        ag.take_rows(t, [0, 1, 2]), ag.mul_scalar(ag.take_rows(t, [2, 3, 4]), 0.5), NOISE),
     # Rank 3: the (6, 8) inputs as a batch of two (3, 8) matrices.  ``transpose``
     # only views a matrix transposed, so it has no batched case.
     "add_rank3": lambda t, u: ag.add(ag.add(_rank3(t), ag.take_rows(u, [0, 1, 2])), ag.take_rows(_rank3(u), [1])),
-    "mul_rank3": lambda t, u: ag.mul(_rank3(t), ag.take_rows(_rank3(u), [2])),
-    "exp_rank3": lambda t, u: ag.exp(ag.mul_scalar(_rank3(t), 0.5)),
     "gelu_rank3": lambda t, u: ag.gelu(_rank3(t)),
     "clamp_rank3": lambda t, u: ag.clamp(_rank3(t), -0.9, 0.9),
     "reshape_rank3": lambda t, u: ag.reshape(_rank3(t), (3, 2, 8)),
@@ -442,16 +464,16 @@ def _batched_attention(t, u, query=None):
     """Two sequences of three rows, each after its own latent row; causal unless one query row serves both."""
     t3, u3 = _rank3(t), _rank3(u)
     kv = tf.KVRows(2, 4, (ag.take_rows(u3, [0]), ag.take_rows(t3, [1])))
-    kv.append(u3, ag.mul(t3, u3))
+    kv.append(u3, ag.add(t3, u3))
     if query is not None:
         return kv.attend(query)
     return kv.attend(t3, np.hstack([np.ones((3, 1), dtype=bool), np.tri(3, dtype=bool)]))
 
 
 def _attention(t, u, query=None, latent=False, mask=None):
-    """Two heads over keys ``u`` and values ``t * u``, after an optional latent row from row 0 of each."""
+    """Two heads over keys ``u`` and values ``t + u``, after an optional latent row from row 0 of each."""
     kv = tf.KVRows(2, 7, (ag.take_rows(u, [0]), ag.take_rows(t, [0])) if latent else None)
-    kv.append(u, ag.mul(t, u))
+    kv.append(u, ag.add(t, u))
     if mask is not None and latent:
         mask = np.hstack([np.ones((mask.shape[0], 1), dtype=bool), mask])
     return kv.attend(t if query is None else query, mask)
@@ -462,7 +484,7 @@ def _two_cached_calls(t, u):
     kv = tf.KVRows(2, 6)
     kv.append(ag.take_rows(u, [0, 1, 2]), ag.take_rows(t, [0, 1, 2]))
     first = kv.attend(ag.take_rows(t, [3, 4, 5]), np.tri(3, dtype=bool))
-    kv.append(ag.take_rows(u, [3, 4, 5]), ag.mul(ag.take_rows(t, [3, 4, 5]), ag.take_rows(u, [3, 4, 5])))
+    kv.append(ag.take_rows(u, [3, 4, 5]), ag.add(ag.take_rows(t, [3, 4, 5]), ag.take_rows(u, [3, 4, 5])))
     second = kv.attend(ag.take_rows(u, [0, 2, 4]), np.hstack([np.ones((3, 3), dtype=bool), np.tri(3, dtype=bool)]))
     return ag.add(first, second)
 
@@ -477,8 +499,7 @@ def test_every_op_matches_finite_differences(name):
     weight = Tensor(rng.standard_normal((OP_CASES[name](t, u).data.size,)), dtype=np.float64)
 
     def fn():
-        out = OP_CASES[name](params["t"], params["u"])
-        return ag.sum_all(ag.mul(ag.reshape(out, (out.data.size,)), weight))
+        return inner(OP_CASES[name](params["t"], params["u"]), weight)
 
     report = ag.grad_check(fn, params, eps=1e-5)
     assert report.passed, f"{name}: max rel err {report.max_rel_error:.2e} at {report.worst_parameter}"
@@ -494,7 +515,7 @@ def test_take_rows_gradients():
 
     def fn():
         rows = ag.take_rows(params["table"], idx)
-        return ag.sum_all(ag.mul(rows, rows))
+        return inner(rows, rows)
 
     report = ag.grad_check(fn, params, eps=1e-5)
     assert report.passed, report.max_rel_error
@@ -530,7 +551,7 @@ def test_parameter_set_add_lays_every_tensor_out_afresh():
     assert params.grad_buffer is None  # until the set tracks gradients
     params.track_gradients()
     b.requires_grad = True
-    ag.backward(ag.sum_all(ag.mul(b, b)))
+    ag.backward(inner(b, b))
     assert b.grad.base is params.grad_buffer and np.array_equal(b.grad, 2.0 * b.data)
 
 

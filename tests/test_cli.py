@@ -644,7 +644,8 @@ def test_metrics_rows_stream_as_steps_end(workspace, tmp_path, monkeypatch):
 @pytest.mark.parametrize("case", ["vocab_size_too_small", "vocab_size_past_the_last_code_point",
                                   "vocab_corpus_missing", "vocab_corpus_lone_surrogate", "generate_negative_seed",
                                   "eval_zero_temperature", "encode_unknown_kind", "control_prompt_too_long",
-                                  "train_no_injection_mode", "train_vae_no_injection_mode"])
+                                  "train_no_injection_mode", "train_vae_no_injection_mode", "vocab_corpus_is_a_directory",
+                                  "train_vocab_is_a_directory", "generate_checkpoint_is_a_file"])
 def test_rejected_input_leaves_no_output_directory(workspace, tmp_path, capsys, case):
     """Each command checks what it can before it writes config.resolved, so a data error leaves no --out behind."""
     common = ["--corpus", workspace["corpus"], "--vocab", workspace["vocab"], "--checkpoint", workspace["checkpoint"]]
@@ -665,10 +666,31 @@ def test_rejected_input_leaves_no_output_directory(workspace, tmp_path, capsys, 
                                     "--prompt-a", " ".join(["ember"] * 400), "--prompt-b", "tide tale"],
         "train_no_injection_mode": train + ["--model.inject", ""],
         "train_vae_no_injection_mode": train + ["--mode", "vae", "--model.inject", ",,"],
+        "vocab_corpus_is_a_directory": ["vocab", "--corpus", str(tmp_path)],
+        "train_vocab_is_a_directory": ["train", "--corpus", workspace["corpus"], "--vocab", str(tmp_path)]
+                                      + FAST_MODEL + FAST_TRAIN,
+        "generate_checkpoint_is_a_file": ["generate", "--corpus", workspace["corpus"], "--vocab", workspace["vocab"],
+                                          "--checkpoint", workspace["vocab"]],
     }[case]
     assert cli.main(args + ["--out", str(tmp_path / "o")]) == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert "data error:" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_file_as_out_exits_2_and_stays_unchanged(workspace, tmp_path, capsys):
+    out = tmp_path / "o"
+    out.write_text("keep me\n", encoding="utf-8")
+    assert cli.main(["vocab", "--corpus", workspace["corpus"], "--out", str(out)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error:" in err and "Traceback" not in err
+    assert out.read_text(encoding="utf-8") == "keep me\n"
+
+
+def test_directory_as_config_is_a_usage_error(tmp_path, capsys):
+    assert cli.main(["vocab", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 

@@ -207,7 +207,7 @@ class TestTapeSize:
     """Forward ops per unit of work, counted at ``_make``.
 
     Every op builds its output there once, and the counts repeat exactly,
-    so a bound here catches a fused op split back into a chain.
+    so an exact pin here catches a fused op split back into a chain.
     """
 
     @staticmethod
@@ -267,9 +267,14 @@ class TestTapeSize:
 
         counts = step_ops(4)
         # One padded forward and backward, whatever the batch size, and one node per objective term.
-        assert counts[0] == counts[1] == step_ops(1)[0] <= 86
+        assert counts[0] == counts[1] == step_ops(1)[0] == 84
         vae = step_ops(4, "vae")
-        assert vae[0] == vae[1] == step_ops(1, "vae")[0] <= 62
+        assert vae[0] == vae[1] == step_ops(1, "vae")[0] == 60
+
+    def test_latent_draw_at_the_cli_default_config(self, monkeypatch):
+        """A prior sample is the prior encoder's forward, the Gaussian head and one ``gaussian_sample`` node."""
+        model = StoryVAE.create(ModelConfig(), seed=0)
+        assert self.ops(monkeypatch, lambda: sp.draw_latent(model, [1, 2, 3], sp.generation_rng(0, 0))) == 35
 
 
 @pytest.mark.parametrize("modes", [m for r in range(4) for m in itertools.combinations(tf.INJECTION_MODES, r)],
