@@ -30,13 +30,17 @@ try:
 except ag.NumericsError as e:
     print("numerics policy:", e)
 
-# Finite-difference verification of a composite function, float64.
+# Finite-difference verification of a composite function, float64: a product, then a transformer
+# block's MLP sublayer (layer norm, product, GELU, product and the residual add, as one tape node).
 params = ParameterSet()
 params.add("w", Tensor(np.random.default_rng(0).standard_normal((4, 4)), dtype=np.float64))
 params.add("v", Tensor(np.random.default_rng(1).standard_normal((1, 4)), dtype=np.float64))
+rng = np.random.default_rng(2)
+mlp = [Tensor(a, dtype=np.float64) for a in (np.ones(4), np.zeros(4), rng.standard_normal((4, 16)) * 0.5,
+                                             np.zeros(16), rng.standard_normal((16, 4)) * 0.5, np.zeros(4))]
 
 def fn():
-    h = ag.gelu(ag.linear(params["v"], params["w"]))
+    h = ag.mlp_sublayer(ag.linear(params["v"], params["w"]), *mlp)
     return ag.sum_all(ag.linear(h, ag.reshape(h, (4, 1))))
 
 report = ag.grad_check(fn, params, eps=1e-5)

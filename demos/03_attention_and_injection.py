@@ -32,7 +32,9 @@ print("zeroed injections are bit-identical to baseline:", np.array_equal(out, ba
 
 # Pseudo self-attention exposes its augmented key/value geometry: the latent
 # row's key and value are the first rows of the layer's KVRows, queries stay
-# token-only, and the causal mask never blocks the latent column.
+# token-only, and the causal mask never blocks the latent column.  The call is
+# the block's whole attention sublayer (layer norm, products, attention and the
+# residual add) as one tape node.
 p = tf.attention_params(StoryVAE.create(cfg, seed=8).params, "dec.0")
 x = Tensor(np.random.default_rng(1).standard_normal((4, 32)).astype(np.float32))
 z_row = Tensor(np.random.default_rng(2).standard_normal((1, 32)).astype(np.float32))

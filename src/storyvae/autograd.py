@@ -17,29 +17,39 @@ forward operation verifies its output is finite and raises
 ``NumericsError`` otherwise instead of letting NaN or Inf propagate
 silently.  That check, in ``_make``, is the one numerics
 gate: no op silences numpy's warnings, so an overflow may warn before it
-raises, and one whose output is finite (``gelu``'s cube) is no error.
+raises, and one whose output is finite (the cube inside
+``mlp_sublayer``'s GELU) is no error.
 
-Ops that work on rows (``add``, ``linear``, ``layer_norm``, ``gelu``,
-``attention``, ``take_rows``, ``cross_entropy``, ``gaussian_kl``,
-``gaussian_sample``) also take leading batch axes: a batch of
-equal-length sequences runs as one node per op, and each batch entry is
-computed exactly as it would be alone.  A single vector goes through
-``linear`` and ``attention`` as one (1, d) row.
+Ops that work on rows (``add``, ``linear``, ``layer_norm``,
+``attention``, ``attention_sublayer``, ``mlp_sublayer``, ``take_rows``,
+``cross_entropy``, ``gaussian_kl``, ``gaussian_sample``) also take
+leading batch axes: a batch of equal-length sequences runs as one node
+per op, and each batch entry is computed exactly as it would be alone.
+A single vector goes through ``linear`` and ``attention`` as one (1, d)
+row.
 
-Per-op Python overhead, not arithmetic, bounds small models, so the
-transformer's hot paths use two fused ops: ``linear`` (a product plus
-bias, and optionally a residual added after them, which carries a
-block's skip connection) and ``attention`` (every head's scaled scores,
-masked softmax and weighted sum, reading per-head key/value stacks
-without copying them).  For the same reason the per-op code calls ufunc
-reductions (``np.add.reduce`` and the like) rather than the array
+Per-op Python overhead, not arithmetic, bounds small models, so a
+transformer block is two nodes.  ``attention_sublayer`` is the layer
+norm, the query, key and value products, the write of the new key and
+value rows into per-head stacks, every head's scaled scores, masked
+softmax and weighted sum, and the output product with the residual;
+``mlp_sublayer`` is the layer norm, two products with a GELU between
+them, and the residual.  Each runs the arithmetic of the chain of ops it
+replaced in the chain's order, forward and backward, so it gives the
+chain's bits, and a ``NumericsError`` names the fused op and the step of
+the chain that went non-finite.  Elsewhere ``linear`` (a product plus
+bias, and optionally a residual added after them) and ``attention``
+(reading per-head key/value stacks without copying them; the pooling
+block's) do the same jobs.  For the same reason the per-op code calls
+ufunc reductions (``np.add.reduce`` and the like) rather than the array
 methods that wrap them: the same bits, without a Python-level wrapper.
 Each term of the objective is one node too: ``cross_entropy`` (log-softmax,
 target pick and masked sum) and ``gaussian_kl`` (the closed-form KL per
 coordinate), and so is the latent draw ``gaussian_sample`` (``mu +
-exp(log_sigma) * noise``).  Each job has one op: every product goes
-through ``linear``, the only masked softmax is the one inside
-``attention``, and ``transpose`` only views a matrix transposed.
+exp(log_sigma) * noise``).  Each job has one implementation: every
+product outside the sublayers goes through ``linear``, ``attention`` and
+``attention_sublayer`` share one masked softmax, and ``transpose`` only
+views a matrix transposed.
 """
 
 from __future__ import annotations
@@ -129,13 +139,27 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
 
-def _check_finite(arr: np.ndarray, op: str) -> None:
+def _check_finite(arr: np.ndarray, op: str, stages=()) -> None:
+    """Raise ``NumericsError`` if ``arr`` holds NaN or Inf.
+
+    A fused op passes its ``stages``, the (sub-op, array) pairs of the chain
+    it replaces in the chain's order, where a non-finite value always
+    reaches ``arr``; the error then names the first stage that holds one.
+    """
     if not np.logical_and.reduce(np.isfinite(arr), axis=None):
+        for sub, part in stages:
+            if not np.logical_and.reduce(np.isfinite(part), axis=None):
+                raise NumericsError(f"{op}: {sub} produced non-finite values")
         raise NumericsError(f"{op} produced non-finite values")
 
 
-def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...], backward) -> Tensor:
-    _check_finite(data, op)
+def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...], backward, stages=()) -> Tensor:
+    _check_finite(data, op, stages)
+    return _node(data, parents, backward)
+
+
+def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
+    """A tensor on the tape if a parent requires grad, without ``_make``'s check: a fused op's own outputs."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -217,12 +241,18 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None, residual: Tensor | Non
             residual.accumulate_grad(g)
         if x.requires_grad:
             x.accumulate_grad(g @ wd.T)
-        if w.requires_grad:
-            w.accumulate_grad(xd.reshape(-1, wd.shape[0]).T @ g.reshape(-1, wd.shape[1]))
-        if b is not None and b.requires_grad:
-            b.accumulate_grad(g.reshape(-1, wd.shape[1]).sum(axis=0))
+        _product_grads(g, xd, w, b)
 
     return _make(data, "linear", parents, backward)
+
+
+def _product_grads(g: np.ndarray, xd: np.ndarray, w: Tensor, b: Tensor | None) -> None:
+    """The weight's and then the bias's gradient of ``xd @ w + b``, given the output's gradient ``g``."""
+    m, n = w.data.shape
+    if w.requires_grad:
+        w.accumulate_grad(xd.reshape(-1, m).T @ g.reshape(-1, n))
+    if b is not None and b.requires_grad:
+        b.accumulate_grad(g.reshape(-1, n).sum(axis=0))
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -276,22 +306,6 @@ def sum_all(a: Tensor) -> Tensor:
     return _make(data, "sum_all", (a,), backward)
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Gaussian error linear unit, tanh approximation (GPT-2 flavour)."""
-    x = a.data
-    inner = GELU_TANH_COEFF * (x + GELU_CUBIC_COEFF * (x * x * x))
-    t = np.tanh(inner)
-    data = 0.5 * x * (1.0 + t)
-
-    def backward(g):
-        if a.requires_grad:
-            dinner = GELU_TANH_COEFF * (1.0 + 3.0 * GELU_CUBIC_COEFF * x**2)
-            local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner
-            a.accumulate_grad(g * local)
-
-    return _make(data, "gelu", (a,), backward)
-
-
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     data = np.clip(a.data, lo, hi)
     inside = (a.data > lo) & (a.data < hi)
@@ -301,6 +315,66 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
             a.accumulate_grad(g * inside)
 
     return _make(data, "clamp", (a,), backward)
+
+
+def _scores(qd: np.ndarray, keys_t: np.ndarray, values: np.ndarray):
+    """Per-head queries (..., H, Lq, d/H), their scaled scores against ``keys_t``, and the scale."""
+    h, dh, n = keys_t.shape[-3:]
+    if qd.ndim < 2 or h * dh != qd.shape[-1] or values.shape[-3:] != (h, n, dh):
+        raise ShapeError(f"attention: queries {qd.shape} do not fit keys {keys_t.shape} and values {values.shape}")
+    qh = qd.reshape(qd.shape[:-1] + (h, dh)).swapaxes(-3, -2)
+    scale = 1.0 / math.sqrt(dh)
+    try:
+        scores = (qh @ keys_t) * scale
+    except ValueError:
+        raise ShapeError(f"attention: query batch {qd.shape} does not broadcast to keys {keys_t.shape}") from None
+    return qh, scores, scale
+
+
+def _mix(scores: np.ndarray, values: np.ndarray, mask, d: int):
+    """The masked softmax of the scores, and its weighted sum of the values with the heads side by side, (..., Lq, d)."""
+    lq, n = scores.shape[-2:]
+    if mask is None:
+        e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
+    else:
+        try:
+            mask = np.broadcast_to(np.asarray(mask, dtype=bool), scores.shape)
+        except ValueError:
+            raise ShapeError(f"attention: mask shape {np.shape(mask)} does not broadcast to {(lq, n)}") from None
+        if not mask.any(axis=-1).all():
+            raise ShapeError("attention: a query has no unmasked key")
+        shifted = np.where(mask, scores, -np.inf)
+        shifted = shifted - shifted.max(axis=-1, keepdims=True)
+        e = np.where(mask, np.exp(shifted), 0.0)
+    probs = e / np.add.reduce(e, axis=-1, keepdims=True)
+    return probs, (probs @ values).swapaxes(-3, -2).reshape(probs.shape[:-3] + (lq, d))
+
+
+def _mix_grads(g: np.ndarray, qh: np.ndarray, keys_t: np.ndarray, values: np.ndarray, probs: np.ndarray, scale: float,
+               want_q: bool):
+    """Backward of the scores and the mix: per-head output gradients, score gradients, and the queries' if ``want_q``."""
+    batch, (h, lq, dh) = probs.shape[:-3], qh.shape[-3:]
+    gh = g.reshape(batch + (lq, h, dh)).swapaxes(-3, -2)
+    gp = gh @ values.swapaxes(-1, -2)
+    gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * scale
+    gq = (gs @ keys_t.swapaxes(-1, -2)).swapaxes(-3, -2).reshape(batch + (lq, h * dh)) if want_q else None
+    return gh, gs, gq
+
+
+def _row_grads(gh: np.ndarray, gs: np.ndarray, qh: np.ndarray, probs: np.ndarray, segments) -> None:
+    """Hand each ``(lo, hi, k, v)`` segment's key and value tensors the gradients of their rows."""
+    batch, d = probs.shape[:-3], qh.shape[-3] * qh.shape[-1]
+    gk_t = qh.swapaxes(-1, -2) @ gs
+    gv = probs.swapaxes(-1, -2) @ gh
+    nb = len(batch)
+    rows_first = (*range(nb), nb + 2, nb, nb + 1)  # (..., H, d/H, l) -> (..., l, H, d/H)
+    for lo, hi, k, v in segments:
+        if k.requires_grad:
+            gk = gk_t[..., lo:hi].transpose(rows_first).reshape(batch + (hi - lo, d))
+            k.accumulate_grad(_unbroadcast(gk, k.shape))
+        if v.requires_grad:
+            gv_rows = gv[..., lo:hi, :].swapaxes(-3, -2).reshape(batch + (hi - lo, d))
+            v.accumulate_grad(_unbroadcast(gv_rows, v.shape))
 
 
 def attention(q: Tensor, keys_t: np.ndarray, values: np.ndarray, segments, mask=None, return_weights: bool = False):
@@ -322,56 +396,44 @@ def attention(q: Tensor, keys_t: np.ndarray, values: np.ndarray, segments, mask=
     shaped (..., Lq, d).  With ``return_weights`` the (..., H, Lq, n)
     probabilities follow the output.
     """
-    h, dh, n = keys_t.shape[-3:]
-    if q.data.ndim < 2 or h * dh != q.shape[-1] or values.shape[-3:] != (h, n, dh):
-        raise ShapeError(f"attention: queries {q.shape} do not fit keys {keys_t.shape} and values {values.shape}")
-    lq, d = q.shape[-2:]
-    qh = q.data.reshape(q.shape[:-1] + (h, dh)).swapaxes(-3, -2)
-    scale = 1.0 / math.sqrt(dh)
-    try:
-        scores = (qh @ keys_t) * scale
-    except ValueError:
-        raise ShapeError(f"attention: query batch {q.shape} does not broadcast to keys {keys_t.shape}") from None
+    qh, scores, scale = _scores(q.data, keys_t, values)
     _check_finite(scores, "attention")
-    if mask is None:
-        e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
-    else:
-        try:
-            mask = np.broadcast_to(np.asarray(mask, dtype=bool), scores.shape)
-        except ValueError:
-            raise ShapeError(f"attention: mask shape {np.shape(mask)} does not broadcast to {(lq, n)}") from None
-        if not mask.any(axis=-1).all():
-            raise ShapeError("attention: a query has no unmasked key")
-        shifted = np.where(mask, scores, -np.inf)
-        shifted = shifted - shifted.max(axis=-1, keepdims=True)
-        e = np.where(mask, np.exp(shifted), 0.0)
-    probs = e / np.add.reduce(e, axis=-1, keepdims=True)
-    batch = probs.shape[:-3]
-    out_shape = batch + (lq, d)
-    data = (probs @ values).swapaxes(-3, -2).reshape(out_shape)
+    probs, data = _mix(scores, values, mask, q.shape[-1])
 
     def backward(g):
-        gh = g.reshape(batch + (lq, h, dh)).swapaxes(-3, -2)
-        gp = gh @ values.swapaxes(-1, -2)
-        gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * scale
+        gh, gs, gq = _mix_grads(g, qh, keys_t, values, probs, scale, q.requires_grad)
         if q.requires_grad:
-            gq = (gs @ keys_t.swapaxes(-1, -2)).swapaxes(-3, -2).reshape(out_shape)
             q.accumulate_grad(_unbroadcast(gq, q.shape))
-        gk_t = qh.swapaxes(-1, -2) @ gs
-        gv = probs.swapaxes(-1, -2) @ gh
-        nb = len(batch)
-        rows_first = (*range(nb), nb + 2, nb, nb + 1)  # (..., H, d/H, l) -> (..., l, H, d/H)
-        for lo, hi, k, v in segments:
-            if k.requires_grad:
-                gk = gk_t[..., lo:hi].transpose(rows_first).reshape(batch + (hi - lo, d))
-                k.accumulate_grad(_unbroadcast(gk, k.shape))
-            if v.requires_grad:
-                gv_rows = gv[..., lo:hi, :].swapaxes(-3, -2).reshape(batch + (hi - lo, d))
-                v.accumulate_grad(_unbroadcast(gv_rows, v.shape))
+        _row_grads(gh, gs, qh, probs, segments)
 
     parents = (q,) + tuple(t for seg in segments for t in seg[2:])
     out = _make(data, "attention", parents, backward)
     return (out, probs.copy()) if return_weights else out
+
+
+def _norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """``layer_norm`` on arrays: the output, and the normalized rows and inverse deviations that backward reads."""
+    d = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / d
+    centered = x - mu
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = centered * inv
+    return gain * xhat + bias, xhat, inv
+
+
+def _norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, x: Tensor, gain: Tensor, bias: Tensor) -> None:
+    """``layer_norm``'s backward: the gain's gradient, then the bias's, then the input's."""
+    d = xhat.shape[-1]
+    if gain.requires_grad:
+        gain.accumulate_grad((g * xhat).reshape(-1, d).sum(axis=0))
+    if bias.requires_grad:
+        bias.accumulate_grad(g.reshape(-1, d).sum(axis=0))
+    if x.requires_grad:
+        gx_hat = g * gain.data
+        m1 = gx_hat.sum(axis=-1, keepdims=True) / d
+        m2 = (gx_hat * xhat).sum(axis=-1, keepdims=True) / d
+        x.accumulate_grad(inv * (gx_hat - m1 - xhat * m2))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -379,26 +441,164 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias must have shape ({d},)")
-    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
-    centered = x.data - mu
-    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = centered * inv
-    data = gain.data * xhat + bias.data
+    data, xhat, inv = _norm(x.data, gain.data, bias.data)
 
     def backward(g):
-        if gain.requires_grad:
-            gg = (g * xhat).reshape(-1, d).sum(axis=0)
-            gain.accumulate_grad(gg)
-        if bias.requires_grad:
-            bias.accumulate_grad(g.reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
-            gx_hat = g * gain.data
-            m1 = gx_hat.sum(axis=-1, keepdims=True) / d
-            m2 = (gx_hat * xhat).sum(axis=-1, keepdims=True) / d
-            x.accumulate_grad(inv * (gx_hat - m1 - xhat * m2))
+        _norm_grads(g, xhat, inv, x, gain, bias)
 
     return _make(data, "layer_norm", (x, gain, bias), backward)
+
+
+def mlp_sublayer(x: Tensor, ln_g: Tensor, ln_b: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """A block's MLP with its residual, ``x + gelu(layer_norm(x) @ w1 + b1) @ w2 + b2``, as one node.
+
+    ``x`` is (..., n, d) rows, ``w1`` (d, m) and ``w2`` (m, d).  GELU is
+    the tanh approximation (GPT-2 flavour).  Forward and backward run the
+    arithmetic of the chain ``layer_norm``, ``linear``, GELU, ``linear``
+    with the residual, in the chain's order, so they give its bits;
+    backward hands ``x`` its residual gradient first.  A non-finite value
+    at any step always reaches the output, so the output is the one
+    finiteness check, and the error names the first step that held one.
+    A cube that overflows inside a GELU whose output is finite is no
+    error.
+    """
+    xd = x.data
+    d, m = xd.shape[-1], w1.data.shape[-1]
+    if xd.ndim < 2 or ln_g.data.shape != (d,) or ln_b.data.shape != (d,) or w1.data.shape != (d, m) \
+            or b1.data.shape != (m,) or w2.data.shape != (m, d) or b2.data.shape != (d,):
+        raise ShapeError(f"mlp_sublayer: weights {w1.shape} and {w2.shape} and their gains and biases "
+                         f"do not fit rows of shape {xd.shape}")
+    h, xhat, inv = _norm(xd, ln_g.data, ln_b.data)
+    pre = h @ w1.data + b1.data
+    t = np.tanh(GELU_TANH_COEFF * (pre + GELU_CUBIC_COEFF * (pre * pre * pre)))
+    act = 0.5 * pre * (1.0 + t)
+    data = xd + (act @ w2.data + b2.data)
+
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate_grad(g)
+        h_grad = x.requires_grad or ln_g.requires_grad or ln_b.requires_grad
+        act_grad = h_grad or w1.requires_grad or b1.requires_grad
+        if act_grad:
+            g_act = g @ w2.data.T
+        _product_grads(g, act, w2, b2)
+        if not act_grad:
+            return
+        dinner = GELU_TANH_COEFF * (1.0 + 3.0 * GELU_CUBIC_COEFF * pre**2)
+        g_pre = g_act * (0.5 * (1.0 + t) + 0.5 * pre * (1.0 - t**2) * dinner)
+        if h_grad:
+            g_h = g_pre @ w1.data.T
+        _product_grads(g_pre, h, w1, b1)
+        if h_grad:
+            _norm_grads(g_h, xhat, inv, x, ln_g, ln_b)
+
+    stages = (("layer_norm", h), ("linear w1", pre), ("gelu", act), ("linear w2", data))
+    return _make(data, "mlp_sublayer", (ln_g, ln_b, w1, b1, w2, b2, x), backward, stages)
+
+
+def attention_sublayer(x: Tensor, ln_g: Tensor, ln_b: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor,
+                       bv: Tensor, wo: Tensor, bo: Tensor, keys_t: np.ndarray, values: np.ndarray, filled: int,
+                       segments: list, mask=None, return_weights: bool = False):
+    """A block's attention with its residual, ``x + attention(layer_norm(x)) @ wo + bo``, as one node.
+
+    With ``h = layer_norm(x)``, the queries are ``h @ wq + bq``, and the
+    rows ``h @ wk`` and ``h @ wv + bv`` are written into the per-head
+    stacks at rows ``filled`` onward: ``keys_t`` (..., H, d/H, capacity)
+    and ``values`` (..., H, capacity, d/H), laid out as ``attention``
+    reads them, with room for the (..., l, d) rows of ``x``.  The queries
+    then attend over the stacks' first ``filled + l`` rows, as
+    ``attention`` does under ``mask``.  ``segments`` is the stacks' list
+    of ``(lo, hi, k, v)`` key and value tensors on the tape: those of
+    earlier rows are the op's parents besides ``x`` and its weights, and
+    when this call's rows need gradients the op appends theirs once it has
+    succeeded.  The key tensor hangs off the value tensor and carries the
+    key product's backward; the value tensor carries the value product's
+    and then the layer norm's.  So they run only after every later call
+    through the same stacks has sent its rows their gradients, and in the
+    chain's order.  Forward and backward run the arithmetic of
+    the chain ``layer_norm``, three ``linear``, ``attention``, ``linear``
+    with the residual, in the chain's order, so they give its bits.
+
+    A non-finite layer norm, query or key reaches the scores, and a
+    non-finite value or attention output reaches the output; those two
+    are checked, and the error names the first step that held one.  A
+    key row overflows every score against it, masked or not.  With
+    ``return_weights`` the (..., H, l, filled + l) probabilities follow
+    the output.
+    """
+    xd = x.data
+    if xd.ndim < 2 or keys_t.shape[:-3] != xd.shape[:-2] or keys_t.shape[-3] * keys_t.shape[-2] != xd.shape[-1] \
+            or filled + xd.shape[-2] > keys_t.shape[-1]:
+        raise ShapeError(f"attention_sublayer: rows {xd.shape} do not fit after row {filled} of stacks {keys_t.shape}")
+    *batch, l, d = xd.shape
+    n_heads, hi = keys_t.shape[-3], filled + l
+    if ln_g.data.shape != (d,) or ln_b.data.shape != (d,) or wq.data.shape != (d, d) or bq.data.shape != (d,) \
+            or wk.data.shape != (d, d) or wv.data.shape != (d, d) or bv.data.shape != (d,) \
+            or wo.data.shape != (d, d) or bo.data.shape != (d,):
+        raise ShapeError(f"attention_sublayer: weights, gains and biases do not fit rows of width {d}")
+    h, xhat, inv = _norm(xd, ln_g.data, ln_b.data)
+    q = h @ wq.data + bq.data
+    k = h @ wk.data
+    v = h @ wv.data + bv.data
+    split, nb = (*batch, l, n_heads, d // n_heads), len(batch)
+    keys_t[..., filled:hi] = k.reshape(split).transpose(*range(nb), nb + 1, nb + 2, nb)
+    values[..., filled:hi, :] = v.reshape(split).swapaxes(-3, -2)
+    keys_t, values = keys_t[..., :hi], values[..., :hi, :]
+    qh, scores, scale = _scores(q, keys_t, values)
+    stages = (("layer_norm", h), ("linear wq", q), ("linear wk", k), ("linear wv", v))
+    _check_finite(scores, "attention_sublayer", stages + (("attention", scores),))
+    probs, a = _mix(scores, values, mask, d)
+    data = xd + (a @ wo.data + bo.data)
+
+    h_grad = x.requires_grad or ln_g.requires_grad or ln_b.requires_grad
+    q_grad = h_grad or wq.requires_grad or bq.requires_grad
+    own = ()
+    g_h = []  # h's gradient so far, handed from the output's backward to the key rows' and then the value rows'
+    if h_grad or wk.requires_grad or wv.requires_grad or bv.requires_grad:
+
+        def add_to_h(part):
+            if g_h:
+                g_h[0] += part
+            else:
+                g_h.append(part)
+
+        def keys_backward(g_k):
+            if h_grad:
+                add_to_h(g_k @ wk.data.T)
+            _product_grads(g_k, h, wk, None)
+
+        def values_backward(g_v):
+            if h_grad:
+                add_to_h(g_v @ wv.data.T)
+            _product_grads(g_v, h, wv, bv)
+            if h_grad:
+                _norm_grads(g_h.pop(), xhat, inv, x, ln_g, ln_b)
+
+        v_rows = _node(v, (x, ln_g, ln_b, wk, wv, bv), values_backward)
+        k_rows = _node(k, (v_rows,), keys_backward)
+        own = ((filled, hi, k_rows, v_rows),)
+    segments_here = (*segments, *own)
+
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate_grad(g)
+        a_grad = q_grad or bool(segments_here)
+        if a_grad:
+            g_a = g @ wo.data.T
+        _product_grads(g, a, wo, bo)
+        if not a_grad:
+            return
+        gh, gs, gq = _mix_grads(g_a, qh, keys_t, values, probs, scale, q_grad)
+        if q_grad:
+            if h_grad:
+                g_h.append(gq @ wq.data.T)
+            _product_grads(gq, h, wq, bq)
+        _row_grads(gh, gs, qh, probs, segments_here)
+
+    parents = (wq, bq) + tuple(t for seg in segments_here for t in seg[2:]) + (wo, bo, x)
+    out = _make(data, "attention_sublayer", parents, backward, stages + (("attention", a), ("linear wo", data)))
+    segments.extend(own)
+    return (out, probs.copy()) if return_weights else out
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> tuple[Tensor, np.ndarray]:

@@ -39,6 +39,25 @@ def _causal_self_attention(t: Tensor) -> Tensor:
     return kv.attend(t, np.tri(t.shape[0], dtype=bool))
 
 
+def _row(t: Tensor, i: int) -> Tensor:
+    return ag.reshape(ag.take_rows(t, [i]), (t.shape[1],))
+
+
+def _mlp_sublayer(t: Tensor) -> Tensor:
+    """The MLP sublayer of the rows of ``t``, whose gains, weights and biases are rows of ``t`` too."""
+    t_t = ag.transpose(t)
+    return ag.mlp_sublayer(t, _row(t, 0), _row(t, 1), t_t, _row(t_t, 0), t, _row(t, 2))
+
+
+def _attention_sublayer(t: Tensor) -> Tensor:
+    """One-head causal attention sublayer of the 5 rows of ``t``, whose tensors are rows of ``t`` too."""
+    square = lambda rows: ag.mul_scalar(ag.take_rows(t, rows), 0.5)
+    p = tf.AttentionParams(ln_g=_row(t, 0), ln_b=_row(t, 1), wq=square([0, 1, 2, 3, 4, 0, 1]), bq=_row(t, 2),
+                           wk=square([4, 3, 2, 1, 0, 4, 3]), wv=square([2, 3, 4, 0, 1, 2, 3]), bv=_row(t, 3),
+                           wo=square([1, 3, 0, 2, 4, 1, 3]), bo=_row(t, 4))
+    return tf.multi_head_attention(t, p, 1, causal=True)
+
+
 def inner(a: Tensor, b: Tensor) -> Tensor:
     """sum(a * b) over two tensors of one size, as ``linear`` of a (1, n) row of ``a`` and an (n, 1) column of ``b``."""
     n = a.data.size
@@ -49,7 +68,8 @@ def _check_unary_ops(report) -> bool:
     rng = np.random.default_rng(11)
     noise = np.random.default_rng(12).standard_normal((2, 7))
     builders = {
-        "gelu": ag.gelu,
+        "mlp_sublayer": _mlp_sublayer,
+        "attention_sublayer": _attention_sublayer,
         "gaussian_sample": lambda t: ag.gaussian_sample(
             ag.take_rows(t, [0, 1]), ag.mul_scalar(ag.take_rows(t, [2, 3]), 0.5), noise),
         "attention": _causal_self_attention,
@@ -64,7 +84,12 @@ def _check_unary_ops(report) -> bool:
     for name, build in builders.items():
         params = ParameterSet()
         params.add("x", Tensor(rng.standard_normal((5, 7)), dtype=np.float64))
-        result = ag.grad_check(lambda p=params, b=build: inner(b(p["x"]), b(p["x"])), params)
+
+        def loss(x=params["x"], b=build):
+            y = b(x)
+            return inner(y, y)
+
+        result = ag.grad_check(loss, params)
         ok &= result.passed
         report(f"{'ok' if result.passed else 'FAIL'} gradient {name} (max rel err {result.max_rel_error:.2e})")
     return ok

@@ -15,9 +15,13 @@ Three latent injection routes exist for the decoder:
 An exactly-all-zero per-layer latent row injects nothing, so zeroed
 injection projections leave the latent-free forward bit-identical.
 
-Projections are ``ag.linear`` nodes, and every attention, pooling
-included, is one ``ag.attention`` node over ``KVRows``: per-head key and
-value stacks, preallocated, that each call appends its new rows to.
+A block is two tape nodes, its attention sublayer
+(``ag.attention_sublayer``, through ``multi_head_attention``) and its
+MLP sublayer (``ag.mlp_sublayer``), each with its layer norm and
+residual.  The pooling block's attention is one ``ag.attention`` node,
+and the other projections are ``ag.linear`` nodes.  Every attention
+reads its keys and values from a ``KVRows``: per-head key and value
+stacks, preallocated, that each call appends its new rows to.
 ``KVRows`` is the only way the latent row and the length limit reach an
 attention: the latent's key/value rows are its first rows, and its
 capacity refuses rows beyond the configured length.
@@ -123,6 +127,10 @@ class ModelConfig:
 
 @dataclass
 class AttentionParams:
+    """One attention sublayer's tensors: the layer norm before it, its products and the optional latent projections."""
+
+    ln_g: Tensor
+    ln_b: Tensor
     wq: Tensor
     bq: Tensor
     wk: Tensor
@@ -142,17 +150,10 @@ class AttentionParams:
 
 @dataclass(frozen=True)
 class BlockParams:
-    """One block's tensors: its attention, both layer norms and the MLP."""
+    """One block's tensors: its attention sublayer, and its MLP sublayer's in ``ag.mlp_sublayer``'s order."""
 
     attn: AttentionParams
-    ln1_g: Tensor
-    ln1_b: Tensor
-    ln2_g: Tensor
-    ln2_b: Tensor
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
+    mlp: tuple[Tensor, ...]  # ln2 gain and bias, w1, b1, w2, b2
 
 
 @dataclass
@@ -239,6 +240,7 @@ def init_parameters(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32
 def attention_params(params: ParameterSet, prefix: str) -> AttentionParams:
     psa = f"{prefix}.psa.wk" in params
     return AttentionParams(
+        ln_g=params[f"{prefix}.ln1.g"], ln_b=params[f"{prefix}.ln1.b"],
         wq=params[f"{prefix}.attn.wq"], bq=params[f"{prefix}.attn.bq"],
         wk=params[f"{prefix}.attn.wk"],
         wv=params[f"{prefix}.attn.wv"], bv=params[f"{prefix}.attn.bv"],
@@ -252,16 +254,11 @@ def attention_params(params: ParameterSet, prefix: str) -> AttentionParams:
 
 def _stack_blocks(params: ParameterSet, stack: str, n_layers: int) -> list[BlockParams]:
     """The tensors of blocks ``<stack>.0`` to ``<stack>.<n_layers - 1>``, looked up once for a whole forward."""
+    mlp = ("ln2.g", "ln2.b", "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2")
     blocks = []
     for i in range(n_layers):
         prefix = f"{stack}.{i}"
-        blocks.append(BlockParams(
-            attention_params(params, prefix),
-            params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"],
-            params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"],
-            params[f"{prefix}.mlp.w1"], params[f"{prefix}.mlp.b1"],
-            params[f"{prefix}.mlp.w2"], params[f"{prefix}.mlp.b2"],
-        ))
+        blocks.append(BlockParams(attention_params(params, prefix), tuple(params[f"{prefix}.{name}"] for name in mlp)))
     return blocks
 
 
@@ -282,10 +279,11 @@ class KVRows:
     the batch of sequences the first appended block brought; the first
     ``rows`` are filled.  The first ``latent`` rows (0 or 1) are the
     pseudo-self-attention latent row; the rest belong to positions of the
-    sequence.  ``append`` writes new rows after them, so attending over a
-    view of the first ``rows`` never copies an earlier row.  ``segments``
-    lists each appended block that is on the tape, for the attention op's
-    backward.
+    sequence.  ``append`` writes new rows after them, and so does
+    ``ag.attention_sublayer`` in the room ``reserve`` makes, so attending
+    over a view of the first ``rows`` never copies an earlier row.
+    ``segments`` lists each block of rows that is on the tape, for the
+    backward of the attention ops that read them.
     """
 
     def __init__(self, n_heads: int, capacity: int, latent: tuple[Tensor, Tensor] | None = None):
@@ -297,17 +295,27 @@ class KVRows:
             self.append(*latent)
             self.latent = 1
 
-    def append(self, k: Tensor, v: Tensor) -> None:
-        """Write the (..., l, d) key and value rows ``k`` and ``v`` after the filled ones."""
-        *batch, l, d = k.shape
+    def reserve(self, shape: tuple[int, ...], dtype) -> int:
+        """Make room for (..., l, d) rows of ``shape`` after the filled ones, and return the first free row.
+
+        The first call allocates the stacks for its batch and ``dtype``.
+        """
+        *batch, l, d = shape
         lo, h = self.rows, self.n_heads
         if lo + l > self.capacity:
             raise ContractError(f"{lo + l} key/value rows exceed the preallocated {self.capacity}")
         if self.keys_t is None:
-            self.keys_t = np.empty((*batch, h, d // h, self.capacity), dtype=k.dtype)
-            self.values = np.empty((*batch, h, self.capacity, d // h), dtype=v.dtype)
+            self.keys_t = np.empty((*batch, h, d // h, self.capacity), dtype=dtype)
+            self.values = np.empty((*batch, h, self.capacity, d // h), dtype=dtype)
         elif self.keys_t.shape[:-3] != tuple(batch):
             raise ContractError(f"rows for a batch of {tuple(batch)} do not fit stacks for {self.keys_t.shape[:-3]}")
+        return lo
+
+    def append(self, k: Tensor, v: Tensor) -> None:
+        """Write the (..., l, d) key and value rows ``k`` and ``v`` after the filled ones."""
+        lo = self.reserve(k.shape, k.dtype)
+        *batch, l, d = k.shape
+        h = self.n_heads
         split, nb = (*batch, l, h, d // h), len(batch)
         self.keys_t[..., lo:lo + l] = k.data.reshape(split).transpose(*range(nb), nb + 1, nb + 2, nb)
         self.values[..., lo:lo + l, :] = v.data.reshape(split).swapaxes(-3, -2)
@@ -350,11 +358,12 @@ def multi_head_attention(
     return_weights: bool = False,
     past: KVRows | None = None,
     key_mask: np.ndarray | None = None,
-    residual: Tensor | None = None,
 ):
-    """Scaled dot-product attention of the (T, d) rows of ``x``, or of each sequence of a (B, T, d) batch.
+    """A block's attention sublayer over the (T, d) rows of ``x``, or each sequence of a (B, T, d) batch, as one node.
 
-    The per-head scale is 1/sqrt(d/H).  Keys and values are ``past``'s
+    This is ``x`` plus the output projection of the scaled dot-product
+    attention of ``layer_norm(x)``'s rows (``ag.attention_sublayer``);
+    the per-head scale is 1/sqrt(d/H).  Keys and values are ``past``'s
     rows followed by those of ``x``, which are appended to ``past``, so
     the next call attends over them too.  ``past`` is the one way in for
     the pseudo-self-attention latent row, ``KVRows(H, capacity,
@@ -363,27 +372,27 @@ def multi_head_attention(
     themselves and never blocks a ``past`` row, so a single new row needs
     no mask.  A non-causal attention over right-padded rows takes a
     ``key_mask``, (B, 1, 1, keys) for a batch, that is False at the keys
-    of padding, which no query attends.  A ``residual`` is added to the
-    output inside its projection node.  With ``return_weights`` the
-    per-head (queries, keys) weight matrices follow the output.
+    of padding, which no query attends.  With ``return_weights`` the
+    per-head (queries, keys) weight matrices follow the output.  ``past``
+    counts the new rows only once the call has succeeded.
     """
     l = x.shape[-2]
     if l < 1:
         raise ContractError("attention needs at least one position")
     if past is None:
         past = KVRows(n_heads, l)
-    n_past = past.rows
-    q = ag.linear(x, p.wq, p.bq)
-    past.append(ag.linear(x, p.wk), ag.linear(x, p.wv, p.bv))
-
+    n_past = past.reserve(x.shape, x.dtype)
     mask = key_mask
     if causal and l > 1:
         mask = np.ones((l, n_past + l), dtype=bool)
         mask[:, n_past:] = np.tri(l, dtype=bool)
+    out = ag.attention_sublayer(x, p.ln_g, p.ln_b, p.wq, p.bq, p.wk, p.wv, p.bv, p.wo, p.bo,
+                                past.keys_t, past.values, n_past, past.segments, mask, return_weights)
+    past.rows = n_past + l
     if return_weights:
-        out, weights = past.attend(q, mask, return_weights=True)
-        return ag.linear(out, p.wo, p.bo, residual), list(weights)
-    return ag.linear(past.attend(q, mask), p.wo, p.bo, residual)
+        out, weights = out
+        return out, list(weights)
+    return out
 
 
 def attention_average(hseq: Tensor, p: PoolingParams, n_heads: int, return_weights: bool = False,
@@ -409,11 +418,8 @@ def attention_average(hseq: Tensor, p: PoolingParams, n_heads: int, return_weigh
 
 
 def _block(x, p: BlockParams, cfg, causal, past, key_mask):
-    h = ag.layer_norm(x, p.ln1_g, p.ln1_b)
-    x = multi_head_attention(h, p.attn, cfg.heads, causal, past=past, key_mask=key_mask, residual=x)
-    h = ag.layer_norm(x, p.ln2_g, p.ln2_b)
-    h = ag.gelu(ag.linear(h, p.w1, p.b1))
-    return ag.linear(h, p.w2, p.b2, residual=x)
+    x = multi_head_attention(x, p.attn, cfg.heads, causal, past=past, key_mask=key_mask)
+    return ag.mlp_sublayer(x, *p.mlp)
 
 
 class DecoderCache:
@@ -431,8 +437,9 @@ class DecoderCache:
     it is fed and advances ``length``, the number of token positions
     consumed.  A cache is bound to the parameters it was built from: it
     looks up every decoder block's tensors once, as ``blocks``, and each
-    step reads them from there.  After a call through it raises, its
-    layers are out of step and it refuses further calls.
+    step reads them from there.  A layer whose sublayer raises keeps its
+    rows as they were; once a call has raised after a layer took its
+    rows, the layers are out of step and the cache refuses further calls.
     """
 
     def __init__(self, params: ParameterSet, cfg: ModelConfig, latent=None, modes: tuple[str, ...] = (),

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+import re
 import zlib
 from pathlib import Path
 
@@ -395,7 +396,9 @@ NOISE = np.random.default_rng(21).standard_normal((3, 8))
 
 OP_CASES = {
     "add": lambda t, u: ag.add(t, u),
-    "gelu": lambda t, u: ag.gelu(t),
+    # ``t`` reaches the output through the residual, the layer norm and the second product's weight.
+    "mlp_sublayer": lambda t, u: ag.mlp_sublayer(t, _row(u, 0), _row(u, 1), ag.transpose(u), _row(ag.transpose(t), 0),
+                                                 u, _row(t, 2)),
     "clamp": lambda t, u: ag.clamp(t, -0.9, 0.9),
     "reshape": lambda t, u: ag.reshape(t, (t.data.size,)),
     "transpose": lambda t, u: ag.transpose(t),
@@ -418,6 +421,11 @@ OP_CASES = {
     "attention_valid": lambda t, u: _attention(
         t, u, query=ag.take_rows(t, [0]), mask=np.array([True, False, True, True, False, True])),
     "attention_cached": lambda t, u: _two_cached_calls(t, u),
+    "attention_sublayer_causal": lambda t, u: tf.multi_head_attention(t, _sublayer_params(t, u), 2, causal=True),
+    "attention_sublayer_latent_row_key_mask": lambda t, u: tf.multi_head_attention(
+        ag.take_rows(t, [0, 1, 2, 3, 4]), _sublayer_params(t, u), 2, causal=False, key_mask=np.arange(6) != 3,
+        past=tf.KVRows(2, 6, (ag.take_rows(u, [5]), ag.take_rows(t, [5])))),
+    "attention_sublayer_cached": lambda t, u: _two_cached_sublayer_calls(t, u),
     # Target 3 repeats, and two positions are masked out.
     "cross_entropy": lambda t, u: ag.cross_entropy(
         ag.add(t, u), np.array([0, 7, 3, 3, 5, 1]), np.array([True, False, True, True, True, False]))[0],
@@ -434,7 +442,8 @@ OP_CASES = {
     # Rank 3: the (6, 8) inputs as a batch of two (3, 8) matrices.  ``transpose``
     # only views a matrix transposed, so it has no batched case.
     "add_rank3": lambda t, u: ag.add(ag.add(_rank3(t), ag.take_rows(u, [0, 1, 2])), ag.take_rows(_rank3(u), [1])),
-    "gelu_rank3": lambda t, u: ag.gelu(_rank3(t)),
+    "mlp_sublayer_rank3": lambda t, u: ag.mlp_sublayer(
+        _rank3(t), _row(u, 0), _row(u, 1), ag.transpose(u), _row(ag.transpose(t), 0), u, _row(t, 2)),
     "clamp_rank3": lambda t, u: ag.clamp(_rank3(t), -0.9, 0.9),
     "reshape_rank3": lambda t, u: ag.reshape(_rank3(t), (3, 2, 8)),
     "layer_norm_rank3": lambda t, u: ag.layer_norm(_rank3(t), _row(u, 0), _row(u, 1)),
@@ -448,6 +457,9 @@ OP_CASES = {
         _rank3(t), np.array([[0, 7, 3], [3, 3, 1]]), np.array([[True, True, False], [True, True, True]]))[0],
     "attention_rank3": lambda t, u: _batched_attention(t, u),
     "attention_shared_query_rank3": lambda t, u: _batched_attention(t, u, query=ag.take_rows(t, [5])),
+    # The second sequence's last row is padding that no query attends.
+    "attention_sublayer_key_mask_rank3": lambda t, u: tf.multi_head_attention(
+        _rank3(t), _sublayer_params(t, u), 2, causal=False, key_mask=np.array([[[[True] * 3]], [[[True, True, False]]]])),
 }
 
 
@@ -477,6 +489,22 @@ def _attention(t, u, query=None, latent=False, mask=None):
     if mask is not None and latent:
         mask = np.hstack([np.ones((mask.shape[0], 1), dtype=bool), mask])
     return kv.attend(t if query is None else query, mask)
+
+
+def _sublayer_params(t, u):
+    """An attention sublayer's tensors, each built from rows of ``t`` and ``u`` at half scale."""
+    square = lambda a, rows: ag.mul_scalar(ag.take_rows(a, rows), 0.5)
+    return tf.AttentionParams(
+        ln_g=_row(u, 0), ln_b=_row(u, 1), wq=square(t, [0, 1, 2, 3, 4, 5, 0, 1]), bq=_row(u, 2),
+        wk=square(u, [5, 4, 3, 2, 1, 0, 5, 4]), wv=square(t, [2, 3, 4, 5, 0, 1, 2, 3]), bv=_row(u, 3),
+        wo=square(u, [1, 3, 5, 0, 2, 4, 1, 3]), bo=_row(t, 4))
+
+
+def _two_cached_sublayer_calls(t, u):
+    """Rows 0-2 of ``t`` go through the sublayer causally, then rows 3-5, which also attend over the first call's rows."""
+    p, kv = _sublayer_params(t, u), tf.KVRows(2, 6)
+    first = tf.multi_head_attention(ag.take_rows(t, [0, 1, 2]), p, 2, causal=True, past=kv)
+    return ag.add(first, tf.multi_head_attention(ag.take_rows(t, [3, 4, 5]), p, 2, causal=True, past=kv))
 
 
 def _two_cached_calls(t, u):
@@ -591,3 +619,14 @@ def test_every_public_op_has_a_program_caller():
     public = {name for name, obj in vars(ag).items()
               if inspect.isfunction(obj) and obj.__module__ == ag.__name__ and not name.startswith("_")}
     assert sorted(public - {"grad_check", "rescale_for_grad_check"} - referenced) == []
+
+
+def test_readme_counts_the_public_tape_ops():
+    """README's count of public tape ops is the number of public autograd functions that record a node via ``_make``."""
+    tree = ast.parse(Path(ag.__file__).read_text(encoding="utf-8"))
+    ops = {top.name for top in tree.body if isinstance(top, ast.FunctionDef) and not top.name.startswith("_")
+           and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "_make"
+                   for n in ast.walk(top))}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    counts = [int(n) for n in re.findall(r"The\s+package\s+has\s+(\d+)\s+public\s+tape\s+ops", readme)]
+    assert counts == [len(ops)], sorted(ops)

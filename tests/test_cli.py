@@ -379,8 +379,10 @@ def test_config_file_is_read_once_per_call(tmp_path, monkeypatch):
 
 
 @pytest.mark.slow
-def test_selftest_passes():
+def test_selftest_passes(capsys):
     assert cli.main(["selftest"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert {"mlp_sublayer", "attention_sublayer"} <= {line.split()[2] for line in lines if line.startswith("ok gradient ")}
 
 
 class TestVaeMode:

@@ -21,14 +21,22 @@ def make_params(cfg, seed=0, dtype=np.float32):
 
 
 def identity_attention_params(d, with_psa=False, dtype=np.float64):
-    """Q/K/V/O projections set to the identity so attention is directly inspectable."""
+    """Q/K/V/O projections set to the identity and a plain layer norm, so attention over ``norm(x)`` is inspectable."""
     eye = lambda: Tensor(np.eye(d, dtype=dtype))
     zero = lambda: Tensor(np.zeros(d, dtype=dtype))
     kwargs = {}
     if with_psa:
         kwargs = dict(psa_wk=eye(), psa_bk=zero(), psa_wv=eye(), psa_bv=zero())
-    return tf.AttentionParams(wq=eye(), bq=zero(), wk=eye(), wv=eye(), bv=zero(),
-                              wo=eye(), bo=zero(), **kwargs)
+    return tf.AttentionParams(ln_g=Tensor(np.ones(d, dtype=dtype)), ln_b=zero(), wq=eye(), bq=zero(), wk=eye(),
+                              wv=eye(), bv=zero(), wo=eye(), bo=zero(), **kwargs)
+
+
+def norm(x, gain=1.0, bias=0.0):
+    """Layer norm of each row, in ``ag.layer_norm``'s arithmetic."""
+    d = x.shape[-1]
+    centered = x - x.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) / d + ag.LN_EPS)
+    return gain * (centered * inv) + bias
 
 
 def two_way_softmax(a, b):
@@ -55,7 +63,7 @@ class TestMultiHeadAttention:
         # changing only the query projection cannot matter for one position
         p.wq = Tensor(rng.standard_normal((d, d)))
         out2 = tf.multi_head_attention(Tensor(row), p, n_heads=2, causal=True).data
-        assert np.allclose(out1, row, atol=1e-6)  # identity V then identity O
+        assert np.allclose(out1, row + norm(row), atol=1e-6)  # the residual plus identity V then identity O
         assert np.allclose(out1, out2, atol=1e-6)
 
     def test_causal_row_zero_equals_length_one(self):
@@ -74,8 +82,8 @@ class TestMultiHeadAttention:
         row = np.array([0.3, -0.7, 1.1, 0.2])
         x = Tensor(np.stack([row, row]))
         out = tf.multi_head_attention(x, p, n_heads=1, causal=False).data
-        # equal keys -> 0.5/0.5 attention -> mean of the two (equal) value rows
-        assert np.allclose(out, np.stack([row, row]), atol=1e-6)
+        # equal keys -> 0.5/0.5 attention -> mean of the two (equal) value rows, after the residual
+        assert np.allclose(out, np.stack([row, row]) + norm(row), atol=1e-6)
 
     def test_two_distinct_values_equal_keys(self):
         d = 2
@@ -83,9 +91,9 @@ class TestMultiHeadAttention:
         p.wk = Tensor(np.zeros((d, d)))  # all keys project to zero -> equal scores
         v0, v1 = np.array([1.0, 0.0]), np.array([0.0, 2.0])
         out = tf.multi_head_attention(Tensor(np.stack([v0, v1])), p, n_heads=1, causal=False).data
-        expected = (v0 + v1) / 2
-        assert np.allclose(out[0], expected, atol=1e-7)
-        assert np.allclose(out[1], expected, atol=1e-7)
+        mean = (norm(v0) + norm(v1)) / 2
+        assert np.allclose(out[0], v0 + mean, atol=1e-7)
+        assert np.allclose(out[1], v1 + mean, atol=1e-7)
 
     def test_sequence_length_cap(self):
         """The length limit reaches an attention only as the capacity of its ``KVRows``."""
@@ -129,9 +137,9 @@ class TestPseudoSelfAttention:
         p = identity_attention_params(d, with_psa=True)
         row = np.array([0.4, -0.9])
         out_plain = tf.multi_head_attention(Tensor(np.stack([row, row, row])), p, 1, causal=False).data
-        # latent projects to the same value row as every token
+        # latent projects to the same key and value row as every token's normalized row
         out_psa = tf.multi_head_attention(
-            Tensor(np.stack([row, row, row])), p, 1, causal=False, past=psa_rows(p, row[None, :], 1, 3)
+            Tensor(np.stack([row, row, row])), p, 1, causal=False, past=psa_rows(p, norm(row)[None, :], 1, 3)
         ).data
         assert np.allclose(out_psa, out_plain, atol=1e-6)
 
@@ -139,11 +147,11 @@ class TestPseudoSelfAttention:
         d = 2
         p = identity_attention_params(d, with_psa=True)
         p.wq = Tensor(np.zeros((d, d)))  # zero queries -> all scores equal
-        token = np.array([1.0, 1.0])
+        token = np.array([1.0, -2.0])
         z = np.array([3.0, -1.0])
         out = tf.multi_head_attention(Tensor(token[None, :]), p, 1, causal=True, past=psa_rows(p, z[None, :], 1, 1)).data
         w_lat, w_tok = two_way_softmax(0.0, 0.0)
-        assert np.allclose(out[0], w_lat * z + w_tok * token, atol=1e-7)
+        assert np.allclose(out[0], token + w_lat * z + w_tok * norm(token), atol=1e-7)
 
     def test_causal_mask_never_blocks_latent_row(self):
         cfg = small_config()
@@ -193,9 +201,11 @@ def heads_oracle(q, k, v, n_heads, mask):
 
 
 def attention_oracle(x, p, n_heads, causal, z=None):
-    q = x @ p.wq.data + p.bq.data
-    k = x @ p.wk.data
-    v = x @ p.wv.data + p.bv.data
+    """The attention sublayer: ``x`` plus the output product of the per-head attention over ``norm(x)``."""
+    h = norm(x, p.ln_g.data, p.ln_b.data)
+    q = h @ p.wq.data + p.bq.data
+    k = h @ p.wk.data
+    v = h @ p.wv.data + p.bv.data
     n_prefix = 0
     if z is not None:
         k = np.concatenate([z @ p.psa_wk.data + p.psa_bk.data, k])
@@ -207,7 +217,7 @@ def attention_oracle(x, p, n_heads, causal, z=None):
         mask = np.ones((l, l + n_prefix), dtype=bool)
         mask[:, n_prefix:] = np.arange(l)[None, :] <= np.arange(l)[:, None]
     out, weights = heads_oracle(q, k, v, n_heads, mask)
-    return out @ p.wo.data + p.bo.data, weights
+    return x + (out @ p.wo.data + p.bo.data), weights
 
 
 def pool_oracle(hseq, p, n_heads):
@@ -520,6 +530,42 @@ class TestCachedDecoding:
         wide = run(True)
         assert [kv.capacity for kv in built[1].layers] == [1 + self.LENGTH] * model.config.layers
         assert all(np.array_equal(a, b) for a, b in zip(full, wide, strict=True))
+
+    @pytest.mark.parametrize("modes", [("input",), ("psa",), tf.INJECTION_MODES], ids=lambda m: "+".join(m))
+    def test_gradients_across_cached_calls_match_full_prefix(self, modes):
+        """A prompt, then one token per call, through one cache: the summed loss's parameter gradients match one forward's.
+
+        Each call's key and value rows also get gradients from every later
+        call that attends over them, so an earlier call's products must
+        wait for those before they run backward.
+        """
+        model = self.model(modes, np.float64)
+        rng = np.random.default_rng(46)
+        tokens = rng.integers(0, model.config.vocab_size, size=9)
+        targets = rng.integers(0, model.config.vocab_size, size=9)
+        latent = lt.LatentCode.external(rng.standard_normal(model.config.latent_dim))
+
+        def gradients(calls):
+            for _, p in model.params.items():
+                p.requires_grad = True
+            model.params.zero_grads()
+            cache = model.decoder_cache(latent) if len(calls) > 1 else None
+            loss = None
+            for lo, hi in calls:
+                logits = model.decode_logits(tokens[lo:hi], latent, cache=cache)
+                term = ag.cross_entropy(logits, targets[lo:hi], np.ones(hi - lo, dtype=bool))[0]
+                loss = term if loss is None else ag.add(loss, term)
+            ag.backward(loss)
+            for _, p in model.params.items():
+                p.requires_grad = False
+            return {name: p.grad.copy() for name, p in model.params.items() if p.grad is not None}
+
+        full = gradients([(0, 9)])
+        cached = gradients([(0, 5)] + [(i, i + 1) for i in range(5, 9)])
+        assert cached.keys() == full.keys()
+        assert any(name.startswith("dec.0.attn.wk") for name in full)
+        for name, want in full.items():
+            assert np.abs(cached[name] - want).max() <= 1e-10 * np.abs(want).max(), name
 
     def test_latent_rows_are_the_first_cached_rows(self):
         model = self.model(tf.INJECTION_MODES, np.float64)
