@@ -459,7 +459,8 @@ OP_CASES = {
     "attention_shared_query_rank3": lambda t, u: _batched_attention(t, u, query=ag.take_rows(t, [5])),
     # The second sequence's last row is padding that no query attends.
     "attention_sublayer_key_mask_rank3": lambda t, u: tf.multi_head_attention(
-        _rank3(t), _sublayer_params(t, u), 2, causal=False, key_mask=np.array([[[[True] * 3]], [[[True, True, False]]]])),
+        _rank3(t), _sublayer_params(t, u), 2, causal=False,
+        key_mask=np.array([[[[True, True, True]]], [[[True, True, False]]]])),
 }
 
 
@@ -501,7 +502,7 @@ def _sublayer_params(t, u):
 
 
 def _two_cached_sublayer_calls(t, u):
-    """Rows 0-2 of ``t`` go through the sublayer causally, then rows 3-5, which also attend over the first call's rows."""
+    """Rows 0-2 of ``t`` go through the sublayer causally, then rows 3-5, which also attend over rows 0-2."""
     p, kv = _sublayer_params(t, u), tf.KVRows(2, 6)
     first = tf.multi_head_attention(ag.take_rows(t, [0, 1, 2]), p, 2, causal=True, past=kv)
     return ag.add(first, tf.multi_head_attention(ag.take_rows(t, [3, 4, 5]), p, 2, causal=True, past=kv))

@@ -312,28 +312,31 @@ class TestMlpSublayerNumerics:
 class TestAttentionSublayerNumerics:
     """Two checks stand in for the chain's six: the scores (every key, masked or not) and the output."""
 
-    def run(self, op, x, p, key_mask, stage=None):
+    @staticmethod
+    def run(op, x, p, latent, key_mask, stage=None):
+        """The message of the ``NumericsError`` that ``op`` raises, causal unless there is a key mask, or None."""
         kwargs = {} if stage is None else {"stage": stage}
         try:
             with np.errstate(all="ignore"):
-                op(x, p, 2, key_mask is None, past=tf.KVRows(2, 1 + x.shape[-2], (self.lat_k, self.lat_v)),
-                   key_mask=key_mask, **kwargs)
+                op(x, p, 2, key_mask is None, past=tf.KVRows(2, 1 + x.shape[-2], latent), key_mask=key_mask, **kwargs)
         except ag.NumericsError as e:
             return str(e)
         return None
 
-    def case(self, rng):
+    @staticmethod
+    def case(rng):
+        """float32 tensors for two sequences of 4 rows (d=8) after a latent key/value row each."""
         d = 8
         names = ("ln_g", "ln_b", "wq", "bq", "wk", "wv", "bv", "wo", "bo")
         shapes = [(d,), (d,), (d, d), (d,), (d, d), (d, d), (d,), (d, d), (d,)]
         p = tf.AttentionParams(**{n: leaf(rng, s, np.float32, 0.5, grad=False) for n, s in zip(names, shapes)})
-        self.lat_k, self.lat_v = leaf(rng, (2, 1, d), np.float32, grad=False), leaf(rng, (2, 1, d), np.float32, grad=False)
-        return p, leaf(rng, (2, 4, d), np.float32, grad=False)
+        latent = tuple(leaf(rng, (2, 1, d), np.float32, grad=False) for _ in range(2))
+        return p, leaf(rng, (2, 4, d), np.float32, grad=False), latent
 
     @pytest.mark.parametrize("row", ["wk", "wv"])
     def test_an_overflowing_row_the_mask_hides_names_its_product(self, row):
         """Only the padding row of the second sequence overflows its key (or value) product, and no query attends it."""
-        p, x = self.case(np.random.default_rng(9))
+        p, x, latent = self.case(np.random.default_rng(9))
         x.data[...] = np.random.default_rng(10).standard_normal(x.shape)
         x.data[..., 0] = x.data[..., 1:].mean(axis=-1)  # column 0 normalizes to about 0 in every row ...
         x.data[1, 3] = np.eye(8)[0]  # ... but the padding row's, which normalizes to sqrt(7)
@@ -343,8 +346,8 @@ class TestAttentionSublayerNumerics:
         key_mask = np.ones((2, 1, 1, 5), dtype=bool)
         key_mask[1, ..., 4] = False
         stage = []
-        assert self.run(attention_chain, x, p, key_mask, stage) is not None and stage == [f"linear {row}"]
-        assert self.run(tf.multi_head_attention, x, p, key_mask) == \
+        assert self.run(attention_chain, x, p, latent, key_mask, stage) is not None and stage == [f"linear {row}"]
+        assert self.run(tf.multi_head_attention, x, p, latent, key_mask) == \
             f"attention_sublayer: linear {row} produced non-finite values"
 
     def test_a_failed_call_leaves_its_stacks_as_they_were(self):
@@ -366,9 +369,8 @@ class TestAttentionSublayerNumerics:
         raised = set()
         for seed in range(300):
             rng = np.random.default_rng(seed)
-            p, x = self.case(rng)
-            tensors = [x, self.lat_k, self.lat_v] + [getattr(p, n) for n in ("ln_g", "ln_b", "wq", "bq", "wk", "wv",
-                                                                              "bv", "wo", "bo")]
+            p, x, latent = self.case(rng)
+            tensors = [x, *latent] + [getattr(p, n) for n in ("ln_g", "ln_b", "wq", "bq", "wk", "wv", "bv", "wo", "bo")]
             for _ in range(rng.integers(1, 3)):
                 t = tensors[rng.integers(len(tensors))].data
                 t.flat[rng.integers(t.size)] = rng.choice([1e38, -1e38, 1e20, -3e19, 1e4, np.inf, -np.inf, np.nan])
@@ -377,8 +379,8 @@ class TestAttentionSublayerNumerics:
                 key_mask = np.ones((2, 1, 1, 5), dtype=bool)
                 key_mask[1, ..., 3:] = False
             stage = []
-            want = self.run(attention_chain, x, p, key_mask, stage)
-            got = self.run(tf.multi_head_attention, x, p, key_mask)
+            want = self.run(attention_chain, x, p, latent, key_mask, stage)
+            got = self.run(tf.multi_head_attention, x, p, latent, key_mask)
             assert (got is None) == (want is None), seed
             if want is not None:
                 assert got == f"attention_sublayer: {stage[0]} produced non-finite values", seed
