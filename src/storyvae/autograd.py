@@ -10,9 +10,9 @@ sets it, for its own backward only.  A ``ParameterSet`` lays its
 parameters out over one flat buffer; once an optimizer tracks its
 gradients, ``backward`` writes each parameter's gradient into its view
 of a flat gradient buffer, which lets the optimizer work on whole
-slices.  Arrays are ``float32`` by default (``transpose`` hands back a
-view, every other op a row-major array); ``float64`` exists solely so
-finite-difference gradient checks are not drowned by rounding.  Every
+slices.  Arrays are ``float32`` by default, and every op hands back a
+row-major array; ``float64`` exists solely so finite-difference gradient
+checks are not drowned by rounding.  Every
 forward operation verifies its output is finite and raises
 ``NumericsError`` otherwise instead of letting NaN or Inf propagate
 silently.  That check, in ``_make``, is the one numerics
@@ -22,22 +22,26 @@ raises, and one whose output is finite (the cube inside
 
 Ops that work on rows (``add``, ``linear``, ``layer_norm``,
 ``attention``, ``attention_sublayer``, ``mlp_sublayer``, ``take_rows``,
-``cross_entropy``, ``gaussian_kl``, ``gaussian_sample``) also take
+``embedding``, ``tied_head``, ``cross_entropy``, ``gaussian_kl``,
+``gaussian_sample``) also take
 leading batch axes: a batch of equal-length sequences runs as one node
 per op, and each batch entry is computed exactly as it would be alone.
 A single vector goes through ``linear`` and ``attention`` as one (1, d)
 row.
 
 Per-op Python overhead, not arithmetic, bounds small models, so a
-transformer block is two nodes.  ``attention_sublayer`` is the layer
-norm, the query, key and value products, the write of the new key and
-value rows into per-head stacks, every head's scaled scores, masked
-softmax and weighted sum, and the output product with the residual;
-``mlp_sublayer`` is the layer norm, two products with a GELU between
-them, and the residual.  Each runs the arithmetic of the chain of ops it
-replaced in the chain's order, forward and backward, so it gives the
-chain's bits, and a ``NumericsError`` names the fused op and the step of
-the chain that went non-finite.  Elsewhere ``linear`` (a product plus
+transformer block is two nodes, and a stack has one more at each end.
+``attention_sublayer`` is the layer norm, the query, key and value
+products, the write of the new key and value rows into per-head stacks,
+every head's scaled scores, masked softmax and weighted sum, and the
+output product with the residual; ``mlp_sublayer`` is the layer norm,
+two products with a GELU between them, and the residual.  ``embedding``
+is the word rows plus the position rows plus an injection row, and
+``tied_head`` the final layer norm, the product with the transposed word
+table and an injection bias.  Each runs the arithmetic of the chain of
+ops it replaced in the chain's order, forward and backward, so it gives
+the chain's bits, and a ``NumericsError`` names the fused op and the step
+of the chain that went non-finite.  Elsewhere ``linear`` (a product plus
 bias, and optionally a residual added after them) and ``attention``
 (reading per-head key/value stacks without copying them; the pooling
 block's) do the same jobs.  For the same reason the per-op code calls
@@ -47,9 +51,8 @@ Each term of the objective is one node too: ``cross_entropy`` (log-softmax,
 target pick and masked sum) and ``gaussian_kl`` (the closed-form KL per
 coordinate), and so is the latent draw ``gaussian_sample`` (``mu +
 exp(log_sigma) * noise``).  Each job has one implementation: every
-product outside the sublayers goes through ``linear``, ``attention`` and
-``attention_sublayer`` share one masked softmax, and ``transpose`` only
-views a matrix transposed.
+product outside the sublayers and the head goes through ``linear``, and
+``attention`` and ``attention_sublayer`` share one masked softmax.
 """
 
 from __future__ import annotations
@@ -255,18 +258,6 @@ def _product_grads(g: np.ndarray, xd: np.ndarray, w: Tensor, b: Tensor | None) -
         b.accumulate_grad(g.reshape(-1, n).sum(axis=0))
 
 
-def transpose(a: Tensor) -> Tensor:
-    """A matrix transposed, as a view of ``a``'s data."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: expected a matrix, got shape {a.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.ascontiguousarray(g.T))
-
-    return _make(a.data.T, "transpose", (a,), backward)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
 
@@ -294,6 +285,52 @@ def take_rows(a: Tensor, indices: np.ndarray) -> Tensor:
             a.accumulate_grad(full)
 
     return _make(data, "take_rows", (a,), backward)
+
+
+def embedding(word: Tensor, pos: Tensor, tokens, start: int, row: Tensor | None = None) -> Tensor:
+    """A stack's input rows, ``word[tokens] + pos[start:start + T]`` and then ``+ row``, as one node.
+
+    ``tokens`` is (..., T) ids into the (V, d) ``word`` table, and the T
+    positions are rows ``start`` onward of the (P, d) ``pos`` table, read
+    as a slice.  An optional ``row``, (1, d) or (..., 1, d), is added to
+    every position last.  Forward and backward run the arithmetic of the
+    chain ``take_rows``, ``take_rows``, ``add``, ``add`` in the chain's
+    order, so they give its bits: backward hands ``row`` its gradient,
+    then ``pos`` and then ``word``.  A non-finite value at any step
+    reaches the output, so the output is the one finiteness check, and
+    the error names the first step that held one.
+    """
+    tokens = np.asarray(tokens, dtype=np.int64)
+    wd, pd = word.data, pos.data
+    if wd.ndim != 2 or pd.ndim != 2 or pd.shape[1] != wd.shape[1] or tokens.ndim < 1:
+        raise ShapeError(f"embedding: tables {wd.shape} and {pd.shape} do not fit tokens of shape {tokens.shape}")
+    t, d = tokens.shape[-1], wd.shape[1]
+    if row is not None and row.data.shape not in ((1, d), tokens.shape[:-1] + (1, d)):
+        raise ShapeError(f"embedding: row shape {row.shape} does not fit tokens of shape {tokens.shape}")
+    if tokens.size and (tokens.min() < 0 or tokens.max() >= wd.shape[0]):
+        raise IndexError(f"embedding: token id out of range for {wd.shape[0]} rows")
+    if start < 0 or start + t > pd.shape[0]:
+        raise IndexError(f"embedding: positions {start} to {start + t - 1} out of range for {pd.shape[0]} rows")
+    words = wd[tokens]
+    positions = pd[start:start + t]
+    x = words + positions
+    data = x if row is None else x + row.data
+
+    def backward(g):
+        if row is not None and row.requires_grad:
+            row.accumulate_grad(_unbroadcast(g, row.shape))
+        if pos.requires_grad:
+            full = np.zeros_like(pd)
+            full[start:start + t] += _unbroadcast(g, positions.shape)
+            pos.accumulate_grad(full)
+        if word.requires_grad:
+            full = np.zeros_like(wd)
+            np.add.at(full, tokens, g)
+            word.accumulate_grad(full)
+
+    stages = (("take_rows word", words), ("take_rows pos", positions), ("add", x), ("add row", data))
+    parents = (word, pos) if row is None else (word, pos, row)
+    return _make(data, "embedding", parents, backward, stages)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -599,6 +636,58 @@ def attention_sublayer(x: Tensor, ln_g: Tensor, ln_b: Tensor, wq: Tensor, bq: Te
     out = _make(data, "attention_sublayer", parents, backward, stages + (("attention", a), ("linear wo", data)))
     segments.extend(own)
     return (out, probs.copy()) if return_weights else out
+
+
+def tied_head(x: Tensor, ln_g: Tensor, ln_b: Tensor, word: Tensor, bias: Tensor | None = None) -> Tensor:
+    """A stack's logits through its tied word table, ``layer_norm(x) @ word.T + bias``, as one node.
+
+    ``x`` is (..., T, d) rows and ``word`` the (V, d) table, which the
+    product reads through a transposed view; an optional ``bias``, (1, V)
+    or (..., 1, V), is added to every position last.  Forward and
+    backward run the arithmetic of the chain ``layer_norm``, a transpose
+    of ``word``, ``linear`` and ``add`` in the chain's order, so they give
+    its bits.  The transposed table is a tape node of its own, as the
+    chain's transpose was, so the table's gradient reaches ``word`` where
+    the chain's did, after the backward of every node below ``x``; summed
+    in by the head's own backward, it would round differently wherever
+    three or more nodes send ``word`` gradients, as across cached calls.
+    A non-finite value at any step reaches the output (a non-finite table
+    entry makes its token's logit non-finite in every row, since even
+    ``0 * inf`` is NaN), so the output is the one finiteness check, and
+    the error names the first step that held one.
+    """
+    xd, wd = x.data, word.data
+    d = xd.shape[-1]
+    if xd.ndim < 2 or ln_g.data.shape != (d,) or ln_b.data.shape != (d,) or wd.ndim != 2 or wd.shape[1] != d:
+        raise ShapeError(f"tied_head: table {wd.shape} and gain and bias do not fit rows of shape {xd.shape}")
+    v = wd.shape[0]
+    if bias is not None and bias.data.shape not in ((1, v), xd.shape[:-2] + (1, v)):
+        raise ShapeError(f"tied_head: bias shape {bias.shape} does not fit logits of shape {xd.shape[:-1] + (v,)}")
+    h, xhat, inv = _norm(xd, ln_g.data, ln_b.data)
+    logits = h @ wd.T
+    data = logits if bias is None else logits + bias.data
+    h_grad = x.requires_grad or ln_g.requires_grad or ln_b.requires_grad
+    table = None
+    if word.requires_grad:
+
+        def table_backward(g):
+            word.accumulate_grad(np.ascontiguousarray(g.T))
+
+        table = _node(wd.T, (word,), table_backward)
+
+    def backward(g):
+        if bias is not None and bias.requires_grad:
+            bias.accumulate_grad(_unbroadcast(g, bias.shape))
+        if h_grad:
+            g_h = g @ wd
+        if table is not None:
+            _product_grads(g, h, table, None)
+        if h_grad:
+            _norm_grads(g_h, xhat, inv, x, ln_g, ln_b)
+
+    # Backward's walk takes parents last to first: the bias's subgraph, then the table, then x's, as in the chain.
+    parents = (x, ln_g, ln_b) + (() if table is None else (table,)) + (() if bias is None else (bias,))
+    return _make(data, "tied_head", parents, backward, (("layer_norm", h), ("linear", logits), ("add", data)))
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> tuple[Tensor, np.ndarray]:

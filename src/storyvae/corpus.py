@@ -9,7 +9,10 @@ out in bytes, decode(encode(s)) == s for any text.
 Encoding and fitting work on a ``str`` of one character per token id
 (the UTF-8 bytes read as latin-1), where merge k is one ``str.replace``
 of its pair's two characters by ``chr(256 + k)``: leftmost,
-non-overlapping matches, as in the classic list scan, but in C.
+non-overlapping matches, as in the classic list scan, but in C.  A
+corpus is encoded as one such string, its texts joined by the
+separator's character, which no byte or merge produces and no merge
+pair holds, so no match spans two texts.
 
 Fitting counts the corpus's pairs once, keyed by their two-character
 strings, and then updates only the counts around each merge's hits, in
@@ -26,6 +29,7 @@ from __future__ import annotations
 import heapq
 import io
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import chain
@@ -65,12 +69,27 @@ class Vocabulary:
         self._replacements = [(chr(a) + chr(b), chr(N_BYTE_TOKENS + k)) for k, (a, b) in enumerate(self.merges)]
 
     def encode(self, text: str) -> list[int]:
-        s = text.encode("utf-8").decode("latin-1")
+        return self.encode_texts([text])[0]
+
+    def encode_texts(self, texts) -> list[list[int]]:
+        """Each text's ids, all texts encoded as one string joined by the separator's character.
+
+        Each merge is then one ``str.replace`` over the whole string.  A
+        vocabulary of ``MAX_MERGES`` merges gives every character a token,
+        so it encodes the texts one at a time.
+        """
+        strings = [text.encode("utf-8").decode("latin-1") for text in texts]
+        if self.separator_id > sys.maxunicode:
+            return [list(map(ord, self._merged(s))) for s in strings]
+        joiner = chr(self.separator_id)
+        return [list(map(ord, part)) for part in self._merged(joiner.join(strings)).split(joiner)] if strings else []
+
+    def _merged(self, s: str) -> str:
         for pair, merged in self._replacements:
             if len(s) < 2:
                 break
             s = s.replace(pair, merged)
-        return [ord(c) for c in s]
+        return s
 
     def decode(self, ids) -> str:
         """Inverse of encode on encoded text; free-running generations may
@@ -264,8 +283,11 @@ def encode_pair(pair: PromptStoryPair, vocab: Vocabulary, max_len: int) -> Promp
     Pairs whose prompt alone exceeds max_len / 2 are rejected, since the
     prompt is the conditioning signal and must survive intact.
     """
-    x = vocab.encode(pair.prompt_text)
-    y = vocab.encode(pair.story_text)
+    return _with_tokens(pair, vocab.encode(pair.prompt_text), vocab.encode(pair.story_text), max_len)
+
+
+def _with_tokens(pair: PromptStoryPair, x: list[int], y: list[int], max_len: int) -> PromptStoryPair:
+    """``encode_pair``'s copy, given the prompt's ids ``x`` and the story's ``y``."""
     if not x or not y:
         raise CorpusError("prompt and story must both be nonempty after encoding")
     if len(x) > max_len // 2:
@@ -292,6 +314,16 @@ def build_example(pair: PromptStoryPair, vocab: Vocabulary, max_len: int) -> Enc
 
 
 def prepare_corpus(pairs: list[PromptStoryPair], vocab: Vocabulary, max_len: int) -> list[EncodedExample]:
+    """Every pair's example, as ``build_example`` makes it.
+
+    The texts of the pairs without tokens are encoded in one
+    ``Vocabulary.encode_texts`` pass.
+    """
+    bare = [i for i, p in enumerate(pairs) if p.prompt_tokens is None or p.story_tokens is None]
+    ids = vocab.encode_texts([text for i in bare for text in (pairs[i].prompt_text, pairs[i].story_text)])
+    pairs = list(pairs)
+    for k, i in enumerate(bare):
+        pairs[i] = _with_tokens(pairs[i], ids[2 * k], ids[2 * k + 1], max_len)
     return [build_example(p, vocab, max_len) for p in pairs]
 
 

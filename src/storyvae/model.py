@@ -140,11 +140,10 @@ class StoryVAE:
         ``decoder_input`` holds only the tokens that follow those already
         fed through it, and the logits cover those tokens only.
         """
-        _, logits = tf.stack_forward(
+        return tf.stack_forward(
             decoder_input, self.params, self.config, role="decoder",
             latent=latent, modes=self._modes(latent, modes), cache=cache,
         )
-        return logits
 
     def _require_modes(self) -> None:
         if not self.config.injection_modes:

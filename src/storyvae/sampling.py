@@ -110,10 +110,10 @@ def sample_tokens(probs: np.ndarray, rngs) -> np.ndarray:
     as ``rngs[b].choice(V, p=probs[b])`` does: the same token, and the
     same generator state afterwards.
     """
-    u = np.array([[rng.random()] for rng in rngs])
+    u = np.array([rng.random() for rng in rngs])
     cdf = np.add.accumulate(probs, axis=-1)
     cdf /= cdf[:, -1:]
-    return np.add.reduce(cdf <= u, axis=-1)
+    return np.add.reduce(cdf <= u[:, None], axis=-1)
 
 
 def generation_rng(base_seed: int, example_index: int = 0) -> np.random.Generator:
@@ -181,7 +181,9 @@ def generate_batch(
         if not running or cache.length + pending.shape[-1] >= max_len:
             break
         logits = model.decode_logits(pending, latent, cache=cache).data[..., -1, :].reshape(n, -1)
-        tokens = sample_tokens(filter_logits(logits[running], config), [rngs[b] for b in running]).tolist()
+        if len(running) < n:  # a story has stopped: only the running rows are filtered and drawn
+            logits = logits[running]
+        tokens = sample_tokens(filter_logits(logits, config), [rngs[b] for b in running]).tolist()
         pending = np.full(lead + (1,), separator_id)
         fed = pending.reshape(n)
         for b, token in zip(running, tokens):

@@ -45,8 +45,8 @@ def _row(t: Tensor, i: int) -> Tensor:
 
 def _mlp_sublayer(t: Tensor) -> Tensor:
     """The MLP sublayer of the rows of ``t``, whose gains, weights and biases are rows of ``t`` too."""
-    t_t = ag.transpose(t)
-    return ag.mlp_sublayer(t, _row(t, 0), _row(t, 1), t_t, _row(t_t, 0), t, _row(t, 2))
+    w1 = ag.reshape(t, t.shape[::-1])
+    return ag.mlp_sublayer(t, _row(t, 0), _row(t, 1), w1, _row(w1, 0), t, _row(t, 2))
 
 
 def _attention_sublayer(t: Tensor) -> Tensor:
@@ -78,7 +78,10 @@ def _check_unary_ops(report) -> bool:
         "gaussian_kl": lambda t: ag.gaussian_kl(
             ag.take_rows(t, [0, 1]), ag.mul_scalar(ag.take_rows(t, [2, 3]), 0.5),
             ag.take_rows(t, [4, 0]), ag.mul_scalar(ag.take_rows(t, [1, 2]), 0.5)),
-        "transpose": ag.transpose,
+        # Token 4 repeats, the positions start at row 1, and the injection row is a row of ``t`` too.
+        "embedding": lambda t: ag.embedding(t, ag.mul_scalar(t, 0.5), np.array([4, 0, 4, 2]), 1, ag.take_rows(t, [3])),
+        "tied_head": lambda t: ag.tied_head(
+            t, _row(t, 0), _row(t, 1), ag.mul_scalar(t, 0.5), ag.take_rows(ag.reshape(t, t.shape[::-1]), [2])),
     }
     ok = True
     for name, build in builders.items():

@@ -18,10 +18,14 @@ injection projections leave the latent-free forward bit-identical.
 A block is two tape nodes, its attention sublayer
 (``ag.attention_sublayer``, through ``multi_head_attention``) and its
 MLP sublayer (``ag.mlp_sublayer``), each with its layer norm and
-residual.  The pooling block's attention is one ``ag.attention`` node,
-and the other projections are ``ag.linear`` nodes.  Every attention
-reads its keys and values from a ``KVRows``: per-head key and value
-stacks, preallocated, that each call appends its new rows to.
+residual.  A stack's input rows are one ``ag.embedding`` node, word plus
+position rows plus the ``input`` row, and the decoder's logits one
+``ag.tied_head`` node: the final layer norm, the product with the
+transposed word table and the ``softmax`` bias.  The pooling block's
+attention is one ``ag.attention`` node, and the other projections are
+``ag.linear`` nodes.  Every attention reads its keys and values from a
+``KVRows``: per-head key and value stacks, preallocated, that each call
+appends its new rows to.
 ``KVRows`` is the only way the latent row and the length limit reach an
 attention: the latent's key/value rows are its first rows, and its
 capacity refuses rows beyond the configured length.
@@ -417,11 +421,6 @@ def attention_average(hseq: Tensor, p: PoolingParams, n_heads: int, return_weigh
     return ag.linear(kv.attend(q, key_mask), p.wo, p.bo)
 
 
-def _block(x, p: BlockParams, cfg, causal, past, key_mask):
-    x = multi_head_attention(x, p.attn, cfg.heads, causal, past=past, key_mask=key_mask)
-    return ag.mlp_sublayer(x, *p.mlp)
-
-
 class DecoderCache:
     """A decoder forward's state for one latent or a batch of them: injection rows, and each layer's keys and values.
 
@@ -436,10 +435,12 @@ class DecoderCache:
     rows are its first rows.  ``stack_forward`` appends the rows of the tokens
     it is fed and advances ``length``, the number of token positions
     consumed.  A cache is bound to the parameters it was built from: it
-    looks up every decoder block's tensors once, as ``blocks``, and each
-    step reads them from there.  A layer whose sublayer raises keeps its
-    rows as they were; once a call has raised after a layer took its
-    rows, the layers are out of step and the cache refuses further calls.
+    looks up the word and position tables (``word``, ``pos``), every
+    decoder block's tensors (``blocks``) and the final norm's gain and
+    bias (``final_norm``) once, and each step reads them from there.  A
+    layer whose sublayer raises keeps its rows as they were; once a call
+    has raised after a layer took its rows, the layers are out of step
+    and the cache refuses further calls.
     """
 
     def __init__(self, params: ParameterSet, cfg: ModelConfig, latent=None, modes: tuple[str, ...] = (),
@@ -464,7 +465,9 @@ class DecoderCache:
                 z_rows = [ag.take_rows(rows, [i]) for i in range(cfg.layers)]
             if "softmax" in modes:
                 self.softmax_bias = ag.linear(z, params["inject.softmax.w"])
+        self.word, self.pos = params["embed.word"], params["embed.pos"]
         self.blocks = _stack_blocks(params, "dec", cfg.layers)
+        self.final_norm = (params["dec.final_norm.g"], params["dec.final_norm.b"])
         self.layers = [
             KVRows(cfg.heads, 1 + (cfg.max_seq_len if positions is None else positions),
                    None if z is None else latent_kv(z, block.attn))
@@ -519,15 +522,18 @@ def stack_forward(
 ):
     """Run the encoder or decoder stack over (T,) tokens, or a (B, T) batch of sequences.
 
-    Returns the final hidden states for the encoder, and (hidden, logits)
-    for the decoder, with a leading B axis for a batch.  ``modes``
-    selects which injection routes consume the latent; the decoder
-    requires a latent whenever any mode is active, and a batch takes a
-    (B, d') latent batch.  A decoder ``cache`` built for the same latent
-    and modes makes ``tokens`` the continuation of the tokens it has
-    consumed: they sit at positions ``cache.length`` onward, and hidden
-    states and logits cover them alone.  Without one the tokens start at
-    position 0.
+    Returns the final hidden states for the encoder, and the logits for
+    the decoder, with a leading B axis for a batch.  Each stack is one
+    ``ag.embedding`` node and two nodes per block; the encoder ends in
+    its final ``ag.layer_norm`` and the decoder in one ``ag.tied_head``
+    node, and the decoder reads every tensor from its cache.  ``modes`` selects
+    which injection routes consume the latent; the decoder requires a
+    latent whenever any mode is active, and a batch takes a (B, d')
+    latent batch.  A decoder ``cache`` built for the same latent and
+    modes makes ``tokens`` the continuation of the tokens it has
+    consumed: they sit at positions ``cache.length`` onward, and the
+    logits cover them alone.  Without one the tokens start at position
+    0.
 
     A batch is of equal-length sequences, or right-padded ones.  The
     encoder then takes the (B, 1, 1, T) ``key_mask`` that is False at
@@ -560,25 +566,16 @@ def stack_forward(
         elif cache.batch != tokens.shape[:-1]:
             raise ContractError(f"tokens of shape {tokens.shape} do not match a cache for a batch of {cache.batch}")
 
-    word = params["embed.word"]
-    positions = np.arange(start, start + tokens.shape[-1])
-    x = ag.add(ag.take_rows(word, tokens), ag.take_rows(params["embed.pos"], positions))
-    if is_decoder and cache.input_row is not None:
-        x = ag.add(x, cache.input_row)
-
-    stack = "dec" if is_decoder else "enc"
-    if is_decoder:
-        for block, past in zip(cache.blocks, cache.layers):
-            x = _block(x, block, cfg, True, past, None)
-    else:
-        for block in _stack_blocks(params, stack, cfg.encoder_layers):
-            x = _block(x, block, cfg, False, None, key_mask)
-    x = ag.layer_norm(x, params[f"{stack}.final_norm.g"], params[f"{stack}.final_norm.b"])
     if not is_decoder:
-        return x
+        x = ag.embedding(params["embed.word"], params["embed.pos"], tokens, start)
+        for block in _stack_blocks(params, "enc", cfg.encoder_layers):
+            x = multi_head_attention(x, block.attn, cfg.heads, False, key_mask=key_mask)
+            x = ag.mlp_sublayer(x, *block.mlp)
+        return ag.layer_norm(x, params["enc.final_norm.g"], params["enc.final_norm.b"])
 
+    x = ag.embedding(cache.word, cache.pos, tokens, start, cache.input_row)
+    for block, past in zip(cache.blocks, cache.layers):
+        x = multi_head_attention(x, block.attn, cfg.heads, True, past=past)
+        x = ag.mlp_sublayer(x, *block.mlp)
     cache.length = start + tokens.shape[-1]
-    logits = ag.linear(x, ag.transpose(word))
-    if cache.softmax_bias is not None:
-        logits = ag.add(logits, cache.softmax_bias)
-    return x, logits
+    return ag.tied_head(x, *cache.final_norm, cache.word, cache.softmax_bias)

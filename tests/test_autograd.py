@@ -324,7 +324,7 @@ class TestNumericsPolicy:
     def test_linear_overflow_raises(self):
         big = Tensor(np.full((2, 3), 1e30, dtype=np.float32))
         with pytest.raises(ag.NumericsError):
-            ag.linear(big, ag.transpose(big))
+            ag.linear(big, ag.reshape(big, (3, 2)))
         # The bias alone overflows a finite product.
         huge = np.finfo(np.float32).max
         with pytest.raises(ag.NumericsError):
@@ -397,25 +397,30 @@ NOISE = np.random.default_rng(21).standard_normal((3, 8))
 OP_CASES = {
     "add": lambda t, u: ag.add(t, u),
     # ``t`` reaches the output through the residual, the layer norm and the second product's weight.
-    "mlp_sublayer": lambda t, u: ag.mlp_sublayer(t, _row(u, 0), _row(u, 1), ag.transpose(u), _row(ag.transpose(t), 0),
+    "mlp_sublayer": lambda t, u: ag.mlp_sublayer(t, _row(u, 0), _row(u, 1), _flip(u), _row(_flip(t), 0),
                                                  u, _row(t, 2)),
     "clamp": lambda t, u: ag.clamp(t, -0.9, 0.9),
     "reshape": lambda t, u: ag.reshape(t, (t.data.size,)),
-    "transpose": lambda t, u: ag.transpose(t),
     "layer_norm": lambda t, u: ag.layer_norm(
         t,
         ag.reshape(ag.take_rows(u, [0]), (t.shape[1],)),
         ag.reshape(ag.take_rows(u, [1]), (t.shape[1],)),
     ),
-    "linear": lambda t, u: ag.linear(t, ag.transpose(u)),
-    "linear_bias": lambda t, u: ag.linear(t, ag.transpose(u), _row(ag.transpose(t), 0)),
+    "linear": lambda t, u: ag.linear(t, _flip(u)),
+    "linear_bias": lambda t, u: ag.linear(t, _flip(u), _row(_flip(t), 0)),
     # A single vector is one (1, d) row.
-    "linear_vector": lambda t, u: ag.linear(ag.take_rows(t, [1]), ag.transpose(u)),
-    "linear_vector_bias": lambda t, u: ag.linear(ag.take_rows(t, [1]), ag.transpose(u), _row(ag.transpose(u), 2)),
+    "linear_vector": lambda t, u: ag.linear(ag.take_rows(t, [1]), _flip(u)),
+    "linear_vector_bias": lambda t, u: ag.linear(ag.take_rows(t, [1]), _flip(u), _row(_flip(u), 2)),
     # ``t`` reaches the output both through the product and through the residual.
-    "linear_residual": lambda t, u: ag.linear(t, ag.transpose(u), residual=ag.take_rows(ag.transpose(t), range(6))),
+    "linear_residual": lambda t, u: ag.linear(t, _flip(u), residual=ag.take_rows(_flip(t), range(6))),
     "linear_vector_bias_residual": lambda t, u: ag.linear(
-        ag.take_rows(t, [1]), ag.transpose(u), _row(ag.transpose(u), 2), residual=ag.take_rows(ag.transpose(t), [3])),
+        ag.take_rows(t, [1]), _flip(u), _row(_flip(u), 2), residual=ag.take_rows(_flip(t), [3])),
+    # Word row 5 repeats, and the positions are rows 2 to 5.
+    "embedding": lambda t, u: ag.embedding(t, u, np.array([5, 0, 5, 2]), 2),
+    "embedding_row": lambda t, u: ag.embedding(t, u, np.array([5, 0, 5, 2]), 2, ag.take_rows(u, [0])),
+    # ``t`` reaches the logits through the layer norm and through the table.
+    "tied_head": lambda t, u: ag.tied_head(t, _row(u, 0), _row(u, 1), t),
+    "tied_head_bias": lambda t, u: ag.tied_head(t, _row(u, 0), _row(u, 1), u, ag.take_rows(_flip(t), [0])),
     "attention_latent_row": lambda t, u: _attention(t, u, latent=True),
     "attention_causal": lambda t, u: _attention(t, u, mask=np.tri(6, dtype=bool)),
     "attention_valid": lambda t, u: _attention(
@@ -439,19 +444,23 @@ OP_CASES = {
     "gaussian_sample": lambda t, u: ag.gaussian_sample(_row(t, 0), ag.mul_scalar(_row(u, 1), 0.5), NOISE[0]),
     "gaussian_sample_batch": lambda t, u: ag.gaussian_sample(
         ag.take_rows(t, [0, 1, 2]), ag.mul_scalar(ag.take_rows(t, [2, 3, 4]), 0.5), NOISE),
-    # Rank 3: the (6, 8) inputs as a batch of two (3, 8) matrices.  ``transpose``
-    # only views a matrix transposed, so it has no batched case.
+    # Rank 3: the (6, 8) inputs as a batch of two (3, 8) matrices.
     "add_rank3": lambda t, u: ag.add(ag.add(_rank3(t), ag.take_rows(u, [0, 1, 2])), ag.take_rows(_rank3(u), [1])),
     "mlp_sublayer_rank3": lambda t, u: ag.mlp_sublayer(
-        _rank3(t), _row(u, 0), _row(u, 1), ag.transpose(u), _row(ag.transpose(t), 0), u, _row(t, 2)),
+        _rank3(t), _row(u, 0), _row(u, 1), _flip(u), _row(_flip(t), 0), u, _row(t, 2)),
     "clamp_rank3": lambda t, u: ag.clamp(_rank3(t), -0.9, 0.9),
     "reshape_rank3": lambda t, u: ag.reshape(_rank3(t), (3, 2, 8)),
     "layer_norm_rank3": lambda t, u: ag.layer_norm(_rank3(t), _row(u, 0), _row(u, 1)),
-    "linear_rank3": lambda t, u: ag.linear(_rank3(t), ag.transpose(u)),
-    "linear_bias_rank3": lambda t, u: ag.linear(_rank3(t), ag.transpose(u), _row(ag.transpose(t), 0)),
+    "linear_rank3": lambda t, u: ag.linear(_rank3(t), _flip(u)),
+    "linear_bias_rank3": lambda t, u: ag.linear(_rank3(t), _flip(u), _row(_flip(t), 0)),
     "linear_bias_residual_rank3": lambda t, u: ag.linear(
-        _rank3(t), ag.transpose(u), _row(ag.transpose(t), 0),
-        residual=ag.reshape(ag.take_rows(ag.transpose(u), range(6)), (2, 3, 6))),
+        _rank3(t), _flip(u), _row(_flip(t), 0),
+        residual=ag.reshape(ag.take_rows(_flip(u), range(6)), (2, 3, 6))),
+    # Each sequence has its own injection row; positions are rows 3 to 5.
+    "embedding_row_rank3": lambda t, u: ag.embedding(
+        t, u, np.array([[1, 4, 1], [0, 0, 3]]), 3, ag.take_rows(_rank3(u), [2])),
+    "tied_head_bias_rank3": lambda t, u: ag.tied_head(
+        _rank3(t), _row(u, 0), _row(u, 1), u, ag.reshape(ag.take_rows(_flip(u), [1, 4]), (2, 1, 6))),
     "take_rows_rank3": lambda t, u: ag.add(ag.take_rows(_rank3(t), [2, 0]), ag.take_rows(u, [[0, 5], [3, 3]])),
     "cross_entropy_rank3": lambda t, u: ag.cross_entropy(
         _rank3(t), np.array([[0, 7, 3], [3, 3, 1]]), np.array([[True, True, False], [True, True, True]]))[0],
@@ -467,6 +476,11 @@ OP_CASES = {
 def _row(a, i):
     """Row ``i`` of a matrix as a vector."""
     return ag.reshape(ag.take_rows(a, [i]), (a.shape[1],))
+
+
+def _flip(a):
+    """A (6, 8) input as an (8, 6) matrix: a reshape, which serves wherever a case needs the other shape."""
+    return ag.reshape(a, a.shape[::-1])
 
 
 def _rank3(a):

@@ -382,7 +382,8 @@ def test_config_file_is_read_once_per_call(tmp_path, monkeypatch):
 def test_selftest_passes(capsys):
     assert cli.main(["selftest"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert {"mlp_sublayer", "attention_sublayer"} <= {line.split()[2] for line in lines if line.startswith("ok gradient ")}
+    checked = {line.split()[2] for line in lines if line.startswith("ok gradient ")}
+    assert {"embedding", "attention_sublayer", "mlp_sublayer", "tied_head"} <= checked
 
 
 class TestVaeMode:

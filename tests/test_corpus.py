@@ -114,6 +114,15 @@ class TestEncodeDecode:
         for text in random_texts(rng, 200) + ["sep", "<|endoftext|>"]:
             assert vocab.separator_id not in vocab.encode(text)
 
+    def test_a_vocabulary_with_no_free_character_encodes_texts_one_at_a_time(self):
+        """With ``MAX_MERGES`` merges every character is some token's, so none can join two texts."""
+        vocab = cp.fit_vocabulary(toy_texts(), 300)
+        texts = toy_texts()[:6] + ["", "ab"]
+        joined = vocab.encode_texts(texts)
+        assert joined == [vocab.encode(text) for text in texts] and vocab.encode_texts([]) == []
+        vocab.separator_id = cp.N_BYTE_TOKENS + cp.MAX_MERGES  # past the last character, as at MAX_MERGES merges
+        assert vocab.encode_texts(texts) == joined
+
     def test_decode_out_of_range_rejected(self):
         vocab = cp.fit_vocabulary(["abc"], 257)
         with pytest.raises(cp.CorpusError):

@@ -78,6 +78,11 @@ def text_and_merges(draw):
     """
     # A few-letter alphabet gives runs and repeats, where leftmost matching matters.
     text = draw(st.one_of(st.text(max_size=40), st.text(alphabet="aaαb🙂 ", min_size=8, max_size=40)))
+    return text, draw_merges(draw, text)
+
+
+def draw_merges(draw, text: str) -> list[tuple[int, int]]:
+    """``text_and_merges``'s merge list for ``text``."""
     ids, merges = list(text.encode("utf-8")), []
     for k in range(draw(st.integers(1, 24))):
         pairs = list(zip(ids, ids[1:]))
@@ -85,7 +90,7 @@ def text_and_merges(draw):
         any_id = st.integers(0, cp.N_BYTE_TOKENS + k - 1)
         merges.append(draw(st.one_of([st.sampled_from(p) for p in (pairs, runs) if p] + [st.tuples(any_id, any_id)])))
         ids = bpe_scan_oracle(ids, merges[-1:], cp.N_BYTE_TOKENS + k)
-    return text, merges
+    return merges
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=600)
@@ -95,6 +100,25 @@ def text_and_merges(draw):
 def test_bpe_encode_matches_the_list_scan(case):
     text, merges = case
     assert cp.Vocabulary(merges).encode(text) == bpe_scan_oracle(list(text.encode("utf-8")), merges)
+
+
+@st.composite
+def texts_and_merges(draw):
+    """Texts, empty ones among them, and a merge list drawn from their concatenation, so pairs across texts too."""
+    texts = draw(st.lists(st.one_of(st.just(""), st.text(max_size=12), st.text(alphabet="aaαb🙂 ", max_size=12)),
+                          max_size=6))
+    return texts, draw_merges(draw, "".join(texts))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(case=texts_and_merges())
+# (97, 98) and (0xB1, 0xCE) form only across the boundary of two texts, the second inside "αα"'s bytes CE B1 CE B1.
+@example(case=(["xa", "by", "", "ab"], [(97, 98), (256, 97)]))
+@example(case=(["α", "α", "", "αα"], [(0xB1, 0xCE), (0xCE, 0xB1)]))
+def test_bpe_encodes_a_corpus_as_each_text_alone(case):
+    texts, merges = case
+    want = [bpe_scan_oracle(list(text.encode("utf-8")), merges) for text in texts]
+    assert cp.Vocabulary(merges).encode_texts(texts) == want
 
 
 # Few letters give runs, repeats and ties; the multi-byte alphabets give pairs inside and across characters.

@@ -229,9 +229,8 @@ class TestTapeSize:
         cache = model.decoder_cache(latent)
         model.decode_logits([1, 2, 3, 4], latent, cache=cache)
         counts = [self.ops(monkeypatch, lambda t=t: model.decode_logits([t], latent, cache=cache)) for t in (5, 6)]
-        # Per layer: the attention sublayer and the MLP sublayer; then the embedding's 2 take_rows and add,
-        # the final norm, and the tied head's transpose and product.
-        assert counts[0] == counts[1] == 14
+        # Per layer: the attention sublayer and the MLP sublayer; then the embedding and the tied head.
+        assert counts[0] == counts[1] == 10
 
     def test_lockstep_step_costs_the_same_ops_at_any_batch(self, monkeypatch):
         """One decode step of B stories in lockstep is one step of ops, however large B is."""
@@ -267,14 +266,14 @@ class TestTapeSize:
 
         counts = step_ops(4)
         # One padded forward and backward, whatever the batch size, and one node per objective term.
-        assert counts[0] == counts[1] == step_ops(1)[0] == 52
+        assert counts[0] == counts[1] == step_ops(1)[0] == 43
         vae = step_ops(4, "vae")
-        assert vae[0] == vae[1] == step_ops(1, "vae")[0] == 36
+        assert vae[0] == vae[1] == step_ops(1, "vae")[0] == 29
 
     def test_latent_draw_at_the_cli_default_config(self, monkeypatch):
         """A prior sample is the prior encoder's forward, the Gaussian head and one ``gaussian_sample`` node."""
         model = StoryVAE.create(ModelConfig(), seed=0)
-        assert self.ops(monkeypatch, lambda: sp.draw_latent(model, [1, 2, 3], sp.generation_rng(0, 0))) == 19
+        assert self.ops(monkeypatch, lambda: sp.draw_latent(model, [1, 2, 3], sp.generation_rng(0, 0))) == 17
 
 
 @pytest.mark.parametrize("modes", [m for r in range(4) for m in itertools.combinations(tf.INJECTION_MODES, r)],

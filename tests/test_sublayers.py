@@ -1,10 +1,11 @@
-"""The fused sublayer ops against the chains of ops they replace.
+"""The fused ops of a stack against the chains of ops they replace.
 
-``ag.mlp_sublayer`` and ``ag.attention_sublayer`` (through
-``tf.multi_head_attention``) must give the chain's bits: the output, the
-attention weights and every gradient, and the same ``NumericsError`` in
-every case where the chain raised, naming the step that raised.  The
-chains live here, and only here, as the oracle.
+``ag.mlp_sublayer``, ``ag.attention_sublayer`` (through
+``tf.multi_head_attention``), ``ag.embedding`` and ``ag.tied_head`` must
+give the chain's bits: the output, the attention weights and every
+gradient, and a ``NumericsError`` in every case where the chain raised,
+naming the step that raised.  The chains live here, and only here, as
+the oracle.
 """
 
 import gc
@@ -36,6 +37,56 @@ def gelu_node(a: Tensor) -> Tensor:
     return ag._make(0.5 * x * (1.0 + t), "gelu", (a,), backward)
 
 
+def transpose_node(a: Tensor) -> Tensor:
+    """The chain's transpose node: a view of the matrix transposed."""
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate_grad(np.ascontiguousarray(g.T))
+
+    return ag._make(a.data.T, "transpose", (a,), backward)
+
+
+def namer(stage):
+    """A function that records, in the list ``stage`` if there is one, the step a chain is about to take."""
+
+    def name(step):
+        if stage is not None:
+            stage[:] = [step]
+
+    return name
+
+
+def embedding_chain(word, pos, tokens, start, row=None, stage=None):
+    """Word rows, position rows, their sum and the injection row: three or four nodes."""
+    name = namer(stage)
+    name("take_rows word")
+    words = ag.take_rows(word, tokens)
+    name("take_rows pos")
+    positions = ag.take_rows(pos, np.arange(start, start + np.shape(tokens)[-1]))
+    name("add")
+    x = ag.add(words, positions)
+    if row is None:
+        return x
+    name("add row")
+    return ag.add(x, row)
+
+
+def head_chain(x, ln_g, ln_b, word, bias=None, stage=None):
+    """Layer norm, the table's transpose, the product and the injection bias: three or four nodes."""
+    name = namer(stage)
+    name("layer_norm")
+    h = ag.layer_norm(x, ln_g, ln_b)
+    name("transpose")
+    table = transpose_node(word)
+    name("linear")
+    logits = ag.linear(h, table)
+    if bias is None:
+        return logits
+    name("add")
+    return ag.add(logits, bias)
+
+
 def mlp_chain(x, ln_g, ln_b, w1, b1, w2, b2, stage=None):
     """Layer norm, product, GELU, product with the residual: four nodes.  ``stage`` records the step that raises."""
     steps = [("layer_norm", lambda: ag.layer_norm(x, ln_g, ln_b)), ("linear w1", lambda: ag.linear(h, w1, b1)),
@@ -50,10 +101,7 @@ def mlp_chain(x, ln_g, ln_b, w1, b1, w2, b2, stage=None):
 def attention_chain(x, p, n_heads, causal, return_weights=False, past=None, key_mask=None, stage=None):
     """Layer norm, three products, the ``KVRows`` append, ``ag.attention`` and the output product with the residual."""
 
-    def name(step):
-        if stage is not None:
-            stage[:] = [step]
-
+    name = namer(stage)
     name("layer_norm")
     h = ag.layer_norm(x, p.ln_g, p.ln_b)
     l = x.shape[-2]
@@ -174,8 +222,64 @@ def test_attention_sublayer_with_frozen_tensors_gives_the_chains_bits(frozen):
     assert all(same(a, b) for a, b in zip(fused, chain, strict=True))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["unbatched", "batched"])
+@pytest.mark.parametrize("start", [0, 4])
+@pytest.mark.parametrize("row", [None, "shared", "own"])
+def test_embedding_gives_the_chains_bits(dtype, lead, start, row):
+    """Output and every gradient, with one injection row for every sequence, one per sequence, or none.
+
+    Word 2 sits at two positions of every sequence, so its row of the
+    table sums gradients.
+    """
+
+    def run(op):
+        rng = np.random.default_rng(11)
+        word, pos = leaf(rng, (7, 8), dtype), leaf(rng, (12, 8), dtype)
+        tokens = rng.integers(0, 7, size=lead + (5,))
+        tokens[..., [0, 3]] = 2
+        r = None if row is None else leaf(rng, (lead if row == "own" else ()) + (1, 8), dtype)
+        out = op(word, pos, tokens, start, r)
+        ag.backward(inner(out, Tensor(rng.standard_normal(out.data.size), dtype=dtype)))
+        return [out.data, word.grad, pos.grad, None if r is None else r.grad]
+
+    fused, chain = run(ag.embedding), run(embedding_chain)
+    assert all(same(a, b) for a, b in zip(fused, chain, strict=True))
+    assert sum(g is not None for g in fused[1:]) == (2 if row is None else 3)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["unbatched", "batched"])
+@pytest.mark.parametrize("bias", [None, "shared", "own"])
+@pytest.mark.parametrize("frozen", [(), ("word",), ("x", "ln_g", "ln_b")], ids=["all", "word_frozen", "only_word"])
+def test_tied_head_gives_the_chains_bits(dtype, lead, bias, frozen):
+    """Output and every gradient, with one injection bias for every sequence, one per sequence, or none."""
+
+    def run(op):
+        rng = np.random.default_rng(12)
+        x = leaf(rng, lead + (5, 8), dtype, grad="x" not in frozen)
+        ln_g, ln_b = (leaf(rng, (8,), dtype, 0.5, grad=n not in frozen) for n in ("ln_g", "ln_b"))
+        word = leaf(rng, (7, 8), dtype, grad="word" not in frozen)
+        b = None if bias is None else leaf(rng, (lead if bias == "own" else ()) + (1, 7), dtype)
+        out = op(x, ln_g, ln_b, word, b)
+        ag.backward(inner(out, Tensor(rng.standard_normal(out.data.size), dtype=dtype)))
+        return [out.data] + [None if t is None else t.grad for t in (x, ln_g, ln_b, word, b)]
+
+    fused, chain = run(ag.tied_head), run(head_chain)
+    assert all(same(a, b) for a, b in zip(fused, chain, strict=True))
+    assert sum(g is not None for g in fused[1:]) == 4 - len(frozen) + (bias is not None)
+
+
+def chains(patch) -> None:
+    """Make every fused op of the stacks its chain."""
+    patch.setattr(tf, "multi_head_attention", attention_chain)
+    patch.setattr(ag, "mlp_sublayer", mlp_chain)
+    patch.setattr(ag, "embedding", embedding_chain)
+    patch.setattr(ag, "tied_head", head_chain)
+
+
 class TestStacksGiveTheChainsBits:
-    """Whole forwards and backwards through the stacks, with every block fused or every block a chain."""
+    """Whole forwards and backwards through the stacks, with every fused op as it is or every one a chain."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("mode", ["cvae", "vae"])
@@ -196,8 +300,7 @@ class TestStacksGiveTheChainsBits:
 
         fused, fused_metrics = run()
         with monkeypatch.context() as patch:
-            patch.setattr(tf, "multi_head_attention", attention_chain)
-            patch.setattr(ag, "mlp_sublayer", mlp_chain)
+            chains(patch)
             chain, chain_metrics = run()
         assert all(np.array_equal(a, b) for a, b in zip(fused, chain, strict=True))
         assert fused_metrics == chain_metrics
@@ -230,8 +333,7 @@ class TestStacksGiveTheChainsBits:
 
         fused = run()
         with monkeypatch.context() as patch:
-            patch.setattr(tf, "multi_head_attention", attention_chain)
-            patch.setattr(ag, "mlp_sublayer", mlp_chain)
+            chains(patch)
             chain = run()
         assert all(same(a, b) for a, b in zip(fused, chain, strict=True))
         assert sum(g is not None for g in fused) > 20
@@ -255,7 +357,7 @@ def test_a_train_step_leaves_no_reference_cycle():
         gc.enable()
 
 
-def mlp_error(tensors, op):
+def error_of(tensors, op):
     """The message of the ``NumericsError`` that ``op`` raises on these tensors, or None."""
     try:
         with np.errstate(all="ignore"):
@@ -281,14 +383,14 @@ class TestMlpSublayerNumerics:
         tensors = self.tensors(np.random.default_rng(7))
         tensors[where].data.flat[0] = value
         stage = []
-        assert mlp_error(tensors, lambda *t: mlp_chain(*t, stage=stage)) is not None and stage == [step]
-        assert mlp_error(tensors, ag.mlp_sublayer) == f"mlp_sublayer: {step} produced non-finite values"
+        assert error_of(tensors, lambda *t: mlp_chain(*t, stage=stage)) is not None and stage == [step]
+        assert error_of(tensors, ag.mlp_sublayer) == f"mlp_sublayer: {step} produced non-finite values"
 
     def test_a_cube_overflow_inside_a_finite_gelu_is_no_error(self):
         tensors = self.tensors(np.random.default_rng(8))
         tensors[4].data[...] = 1e13  # pre-activations of 1e13 cube past the float32 range; tanh saturates
-        assert mlp_error(tensors, mlp_chain) is None
-        assert mlp_error(tensors, ag.mlp_sublayer) is None
+        assert error_of(tensors, mlp_chain) is None
+        assert error_of(tensors, ag.mlp_sublayer) is None
 
     def test_raises_exactly_where_the_chain_raises(self):
         """Extreme entries anywhere: the fused op raises whenever the chain does, naming the chain's step."""
@@ -300,8 +402,8 @@ class TestMlpSublayerNumerics:
                 t = tensors[rng.integers(len(tensors))].data
                 t.flat[rng.integers(t.size)] = rng.choice([1e38, -1e38, 1e20, -3e19, np.inf, -np.inf, np.nan])
             stage = []
-            want = mlp_error(tensors, lambda *t: mlp_chain(*t, stage=stage))
-            got = mlp_error(tensors, ag.mlp_sublayer)
+            want = error_of(tensors, lambda *t: mlp_chain(*t, stage=stage))
+            got = error_of(tensors, ag.mlp_sublayer)
             assert (got is None) == (want is None), seed
             if want is not None:
                 assert got == f"mlp_sublayer: {stage[0]} produced non-finite values", seed
@@ -386,3 +488,104 @@ class TestAttentionSublayerNumerics:
                 assert got == f"attention_sublayer: {stage[0]} produced non-finite values", seed
                 raised.add(stage[0])
         assert raised >= {"layer_norm", "linear wq", "linear wk", "linear wv", "attention", "linear wo"}
+
+
+class TestEmbeddingAndHeadNumerics:
+    """One check on the output stands in for each chain's three or four."""
+
+    @staticmethod
+    def embedding_args(rng):
+        """float32 word and position tables, four tokens from position 3, and an injection row."""
+        return [leaf(rng, (7, 8), np.float32, grad=False), leaf(rng, (12, 8), np.float32, grad=False),
+                np.array([2, 5, 2, 0]), 3, leaf(rng, (1, 8), np.float32, grad=False)]
+
+    @staticmethod
+    def head_args(rng):
+        """float32 rows, the final norm's gain and bias, a word table and an injection bias."""
+        return [leaf(rng, (5, 8), np.float32, grad=False)] + [
+            leaf(rng, shape, np.float32, 0.5, grad=False) for shape in [(8,), (8,), (7, 8), (1, 7)]]
+
+    @pytest.mark.parametrize("edits, step", [
+        ([(0, (2, 1), np.inf)], "take_rows word"),
+        ([(1, (4, 0), np.nan)], "take_rows pos"),
+        ([(0, (5, 3), 3e38), (1, (4, 3), 3e38)], "add"),  # token 5 sits at position 4
+        ([(4, (0, 2), -np.inf)], "add row"),
+        ([(0, (5, 3), 3e38), (1, (4, 3), 0.0), (4, (0, 3), 3e38)], "add row"),
+    ], ids=["word", "pos", "sum_overflow", "row", "row_overflow"])
+    def test_a_non_finite_embedding_step_is_named(self, edits, step):
+        args = self.embedding_args(np.random.default_rng(13))
+        for where, index, value in edits:
+            args[where].data[index] = value
+        stage = []
+        assert error_of(args, lambda *a: embedding_chain(*a, stage=stage)) is not None and stage == [step]
+        assert error_of(args, ag.embedding) == f"embedding: {step} produced non-finite values"
+
+    def test_a_non_finite_word_the_tokens_skip_is_no_error(self):
+        args = self.embedding_args(np.random.default_rng(13))
+        args[0].data[6] = np.nan
+        assert error_of(args, embedding_chain) is None and error_of(args, ag.embedding) is None
+
+    @pytest.mark.parametrize("edits, step, chain_step", [
+        ([(0, (1, 2), np.nan)], "layer_norm", "layer_norm"),
+        ([(2, (3,), np.inf)], "layer_norm", "layer_norm"),
+        # The chain's transpose checked the whole table; here a bad entry reaches every row's logit for its token.
+        ([(3, (4, 0), np.inf)], "linear", "transpose"),
+        ([(1, Ellipsis, 1e20), (3, (4, Ellipsis), 1e20)], "linear", "linear"),
+        ([(4, (0, 3), np.nan)], "add", "add"),
+    ], ids=["x", "ln_b", "word", "product_overflow", "bias"])
+    def test_a_non_finite_head_step_is_named(self, edits, step, chain_step):
+        args = self.head_args(np.random.default_rng(14))
+        for where, index, value in edits:
+            args[where].data[index] = value
+        stage = []
+        assert error_of(args, lambda *a: head_chain(*a, stage=stage)) is not None and stage == [chain_step]
+        assert error_of(args, ag.tied_head) == f"tied_head: {step} produced non-finite values"
+
+    @pytest.mark.parametrize("op", ["embedding", "tied_head"])
+    def test_raises_exactly_where_the_chain_raises(self, op):
+        """Extreme entries anywhere: the fused op raises whenever the chain does, naming the chain's step.
+
+        The head names a table entry at ``linear``, the chain's at its
+        transpose.
+        """
+        make, chain = {"embedding": (self.embedding_args, embedding_chain), "tied_head": (self.head_args, head_chain)}[op]
+        raised = set()
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            args = make(rng)
+            tensors = [a for a in args if isinstance(a, Tensor)]
+            for _ in range(rng.integers(1, 3)):
+                t = tensors[rng.integers(len(tensors))].data
+                t.flat[rng.integers(t.size)] = rng.choice([3e38, -3e38, 1e20, -3e19, np.inf, -np.inf, np.nan])
+            stage = []
+            want = error_of(args, lambda *a: chain(*a, stage=stage))
+            got = error_of(args, getattr(ag, op))
+            assert (got is None) == (want is None), seed
+            if want is not None:
+                named = "linear" if stage[0] == "transpose" else stage[0]
+                assert got == f"{op}: {named} produced non-finite values", seed
+                raised.add(stage[0])
+        assert raised >= {"embedding": {"take_rows word", "take_rows pos", "add row"},
+                          "tied_head": {"layer_norm", "transpose", "linear", "add"}}[op]
+
+    def test_an_out_of_range_token_raises_as_before(self):
+        """A token id outside the table is an ``IndexError``: from the op, and from a stack with its usual message."""
+        args = self.embedding_args(np.random.default_rng(15))
+        for tokens in ([7], [-1], [[0, 1], [2, 9]]):
+            with pytest.raises(IndexError, match="embedding: token id out of range for 7 rows"):
+                ag.embedding(args[0], args[1], np.array(tokens), 0)
+        with pytest.raises(IndexError, match="embedding: positions 10 to 13 out of range for 12 rows"):
+            ag.embedding(args[0], args[1], np.array([1, 2, 3, 4]), 10)
+        cfg = ModelConfig(d=8, layers=1, encoder_layers=1, heads=2, latent_dim=4, vocab_size=7, max_seq_len=12,
+                          injection_modes=("input",))
+        model = StoryVAE.create(cfg, seed=7)
+        latent = lt.LatentCode.external(np.ones(4, dtype=np.float32))
+        cache = model.decoder_cache(latent)
+        for tokens in ([1, 7], [-1]):
+            with pytest.raises(IndexError, match="^token id out of range for vocabulary size 7$"):
+                tf.stack_forward(np.array(tokens), model.params, cfg, role="encoder")
+            with pytest.raises(IndexError, match="^token id out of range for vocabulary size 7$"):
+                model.decode_logits(tokens, latent, cache=cache)
+        assert cache.length == 0
+        model.decode_logits([1, 2], latent, cache=cache)
+        assert cache.length == 2

@@ -318,8 +318,7 @@ class TestStackForward:
     def test_decoder_returns_logits(self):
         cfg = small_config()
         params = make_params(cfg)
-        hidden, logits = tf.stack_forward(np.array([1, 2, 3]), params, cfg, role="decoder")
-        assert hidden.shape == (3, cfg.d)
+        logits = tf.stack_forward(np.array([1, 2, 3]), params, cfg, role="decoder")
         assert logits.shape == (3, cfg.vocab_size)
 
     def test_token_range_checked(self):
@@ -365,11 +364,11 @@ class TestStackForward:
         params = make_params(cfg, seed=13)
         rng = np.random.default_rng(14)
         tokens = rng.integers(0, cfg.vocab_size, size=7)
-        _, logits = tf.stack_forward(tokens, params, cfg, role="decoder")
+        logits = tf.stack_forward(tokens, params, cfg, role="decoder")
         for t in (0, 3, 5):
             edited = tokens.copy()
             edited[t + 1:] = rng.integers(0, cfg.vocab_size, size=6 - t)
-            _, logits2 = tf.stack_forward(edited, params, cfg, role="decoder")
+            logits2 = tf.stack_forward(edited, params, cfg, role="decoder")
             assert np.array_equal(logits.data[: t + 1], logits2.data[: t + 1])
 
     def test_encoder_is_bidirectional(self):
@@ -392,23 +391,23 @@ class TestStackForward:
             if name.startswith("inject.") or ".psa." in name:
                 params[name].data[...] = 0.0
         tokens = np.array([1, 5, 9, 2])
-        _, base = tf.stack_forward(tokens, params, cfg, role="decoder")
+        base = tf.stack_forward(tokens, params, cfg, role="decoder")
         z = lt.LatentCode.external(np.zeros(cfg.latent_dim, dtype=np.float32))
         for mode in tf.INJECTION_MODES:
-            _, injected = tf.stack_forward(tokens, params, cfg, role="decoder", latent=z, modes=(mode,))
+            injected = tf.stack_forward(tokens, params, cfg, role="decoder", latent=z, modes=(mode,))
             assert np.array_equal(base.data, injected.data), mode
-        _, all_modes = tf.stack_forward(tokens, params, cfg, role="decoder", latent=z, modes=tf.INJECTION_MODES)
+        all_modes = tf.stack_forward(tokens, params, cfg, role="decoder", latent=z, modes=tf.INJECTION_MODES)
         assert np.array_equal(base.data, all_modes.data)
 
     def test_each_mode_changes_logits(self):
         cfg = small_config()
         params = make_params(cfg, seed=18)
         tokens = np.array([3, 1, 4])
-        _, base = tf.stack_forward(tokens, params, cfg, role="decoder")
+        base = tf.stack_forward(tokens, params, cfg, role="decoder")
         rng = np.random.default_rng(19)
         z = lt.LatentCode.external(rng.standard_normal(cfg.latent_dim).astype(np.float32))
         for mode in tf.INJECTION_MODES:
-            _, injected = tf.stack_forward(tokens, params, cfg, role="decoder", latent=z, modes=(mode,))
+            injected = tf.stack_forward(tokens, params, cfg, role="decoder", latent=z, modes=(mode,))
             assert np.abs(injected.data - base.data).max() > 1e-6, mode
 
     def test_embeddings_shared_between_stacks(self):
@@ -416,10 +415,10 @@ class TestStackForward:
         params = make_params(cfg, seed=20)
         tokens = np.array([2, 3])
         enc_before = tf.stack_forward(tokens, params, cfg, role="encoder").data.copy()
-        _, dec_before = tf.stack_forward(tokens, params, cfg, role="decoder")
+        dec_before = tf.stack_forward(tokens, params, cfg, role="decoder")
         params["embed.word"].data[2, 0] += 1.0  # one coordinate; a constant row shift is norm-invariant
         enc_after = tf.stack_forward(tokens, params, cfg, role="encoder").data
-        _, dec_after = tf.stack_forward(tokens, params, cfg, role="decoder")
+        dec_after = tf.stack_forward(tokens, params, cfg, role="decoder")
         assert not np.allclose(enc_before, enc_after)
         assert not np.allclose(dec_before.data, dec_after.data)
 
@@ -617,6 +616,23 @@ class TestCachedDecoding:
             assert cache.length == 10
             assert len(calls) == built
 
+    @pytest.mark.parametrize("modes", [(), ("input",), tf.INJECTION_MODES], ids=lambda m: "+".join(m) or "none")
+    def test_decode_steps_look_up_no_parameter_by_name(self, monkeypatch, modes):
+        """Every tensor a cached step reads, the tables and the final norm too, comes from the cache."""
+        cfg = ModelConfig(injection_modes=modes)
+        params = make_params(cfg)
+        latent = lt.LatentCode.external(np.random.default_rng(46).standard_normal(cfg.latent_dim)) if modes else None
+        cache = tf.DecoderCache(params, cfg, latent, modes)
+        tf.stack_forward([1, 2, 3], params, cfg, "decoder", latent, modes, cache=cache)
+
+        def refuse(self, name):
+            raise AssertionError(f"a cached step looked up {name}")
+
+        monkeypatch.setattr(ag.ParameterSet, "__getitem__", refuse)
+        for token in (4, 5):
+            tf.stack_forward([token], params, cfg, "decoder", latent, modes, cache=cache)
+        assert cache.length == 5
+
     def test_refuses_calls_after_a_failed_one(self):
         model = self.model(tf.INJECTION_MODES, np.float64)
         z = lt.LatentCode.external(np.ones(model.config.latent_dim))
@@ -642,7 +658,7 @@ def test_stack_gradients_match_finite_differences():
     z = lt.LatentCode.external(np.random.default_rng(24).standard_normal(cfg.latent_dim))
 
     def fn():
-        _, logits = tf.stack_forward(tokens, params, cfg, role="decoder", latent=z,
+        logits = tf.stack_forward(tokens, params, cfg, role="decoder", latent=z,
                                      modes=tf.INJECTION_MODES)
         total, _ = ag.cross_entropy(logits, np.array([5, 2, 7]), np.array([True, True, True]))
         return total
