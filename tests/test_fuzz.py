@@ -112,7 +112,7 @@ def texts_and_merges(draw):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(case=texts_and_merges())
-# (97, 98) and (0xB1, 0xCE) form only across the boundary of two texts, the second inside "αα"'s bytes CE B1 CE B1.
+# "ab" forms across "xa" + "by" and inside "ab"; B1 CE across "α" + "α" and inside "αα" (CE B1 CE B1).
 @example(case=(["xa", "by", "", "ab"], [(97, 98), (256, 97)]))
 @example(case=(["α", "α", "", "αα"], [(0xB1, 0xCE), (0xCE, 0xB1)]))
 def test_bpe_encodes_a_corpus_as_each_text_alone(case):

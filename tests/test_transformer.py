@@ -597,41 +597,31 @@ class TestCachedDecoding:
         assert cache.length == self.LENGTH
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("modes", [("input",), ("psa",), tf.INJECTION_MODES], ids=lambda m: "+".join(m))
+    @pytest.mark.parametrize("modes", [("input",), ("psa",), tf.INJECTION_MODES, ()], ids=lambda m: "+".join(m) or "none")
     def test_decode_steps_look_up_no_block_tensors(self, monkeypatch, modes, dtype):
-        """A cache looks up each decoder block's tensors when it is built; a step through it looks up none."""
+        """A cache looks up each decoder block's tensors when it is built; a step through it looks up no parameter.
+
+        The word and position tables and the final norm come from the cache too.
+        """
         cfg = ModelConfig(injection_modes=modes)  # the CLI default config, but for the routes
         params = make_params(cfg, dtype=dtype)
         calls, lookup = [], tf.attention_params
         monkeypatch.setattr(tf, "attention_params", lambda params, prefix: calls.append(prefix) or lookup(params, prefix))
+
+        def refuse(self, name):
+            raise AssertionError(f"a cached step looked up {name}")
+
         rng = np.random.default_rng(45)
         for batch in [(), (4,)]:
             latent = lt.LatentCode.external(rng.standard_normal(batch + (cfg.latent_dim,)), dtype)
             cache = tf.DecoderCache(params, cfg, latent, modes)
             assert calls[-cfg.layers:] == [f"dec.{i}" for i in range(cfg.layers)]
-            built = len(calls)
-            for _ in range(10):
-                tokens = rng.integers(0, cfg.vocab_size, size=batch + (1,))
-                tf.stack_forward(tokens, params, cfg, "decoder", latent, modes, cache=cache)
+            with monkeypatch.context() as patch:
+                patch.setattr(ag.ParameterSet, "__getitem__", refuse)
+                for _ in range(10):
+                    tokens = rng.integers(0, cfg.vocab_size, size=batch + (1,))
+                    tf.stack_forward(tokens, params, cfg, "decoder", latent, modes, cache=cache)
             assert cache.length == 10
-            assert len(calls) == built
-
-    @pytest.mark.parametrize("modes", [(), ("input",), tf.INJECTION_MODES], ids=lambda m: "+".join(m) or "none")
-    def test_decode_steps_look_up_no_parameter_by_name(self, monkeypatch, modes):
-        """Every tensor a cached step reads, the tables and the final norm too, comes from the cache."""
-        cfg = ModelConfig(injection_modes=modes)
-        params = make_params(cfg)
-        latent = lt.LatentCode.external(np.random.default_rng(46).standard_normal(cfg.latent_dim)) if modes else None
-        cache = tf.DecoderCache(params, cfg, latent, modes)
-        tf.stack_forward([1, 2, 3], params, cfg, "decoder", latent, modes, cache=cache)
-
-        def refuse(self, name):
-            raise AssertionError(f"a cached step looked up {name}")
-
-        monkeypatch.setattr(ag.ParameterSet, "__getitem__", refuse)
-        for token in (4, 5):
-            tf.stack_forward([token], params, cfg, "decoder", latent, modes, cache=cache)
-        assert cache.length == 5
 
     def test_refuses_calls_after_a_failed_one(self):
         model = self.model(tf.INJECTION_MODES, np.float64)
