@@ -32,11 +32,12 @@ row.
 Per-op Python overhead, not arithmetic, bounds small models, so a
 transformer block is two nodes, and a stack has one more at each end.
 ``attention_sublayer`` is the layer norm, the query, key and value
-products, the write of the new key and value rows into per-head stacks,
-every head's scaled scores, masked softmax and weighted sum, and the
-output product with the residual; ``mlp_sublayer`` is the layer norm,
-two products with a GELU between them, and the residual.  ``embedding``
-is the word rows plus the position rows plus an injection row, and
+products, the write of the new key and value rows into per-head stacks
+(plain arrays, so a tape through them spans one call), every head's
+scaled scores, masked softmax and weighted sum, and the output product
+with the residual; ``mlp_sublayer`` is the layer norm, two products
+with a GELU between them, and the residual.  ``embedding`` is the word
+rows plus the position rows plus an injection row, and
 ``tied_head`` the final layer norm, the product with the transposed word
 table and an injection bias.  Each runs the arithmetic of the chain of
 ops it replaced in the chain's order, forward and backward, so it gives
@@ -157,12 +158,8 @@ def _check_finite(arr: np.ndarray, op: str, stages=()) -> None:
 
 
 def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...], backward, stages=()) -> Tensor:
+    """An op's checked output, on the tape if a parent requires grad."""
     _check_finite(data, op, stages)
-    return _node(data, parents, backward)
-
-
-def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-    """A tensor on the tape if a parent requires grad, without ``_make``'s check: a fused op's own outputs."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -398,20 +395,28 @@ def _mix_grads(g: np.ndarray, qh: np.ndarray, keys_t: np.ndarray, values: np.nda
     return gh, gs, gq
 
 
-def _row_grads(gh: np.ndarray, gs: np.ndarray, qh: np.ndarray, probs: np.ndarray, segments) -> None:
-    """Hand each ``(lo, hi, k, v)`` segment's key and value tensors the gradients of their rows."""
+def _row_grads(gh: np.ndarray, gs: np.ndarray, qh: np.ndarray, probs: np.ndarray, segments):
+    """Hand each ``(lo, hi, k, v)`` segment's key and value tensors the gradients of their rows.
+
+    Returns the function of ``(lo, hi)`` that gives any rows' (..., hi - lo, d) key and value gradients.
+    """
     batch, d = probs.shape[:-3], qh.shape[-3] * qh.shape[-1]
     gk_t = qh.swapaxes(-1, -2) @ gs
     gv = probs.swapaxes(-1, -2) @ gh
     nb = len(batch)
     rows_first = (*range(nb), nb + 2, nb, nb + 1)  # (..., H, d/H, l) -> (..., l, H, d/H)
+
+    def rows(lo, hi):
+        return (gk_t[..., lo:hi].transpose(rows_first).reshape(batch + (hi - lo, d)),
+                gv[..., lo:hi, :].swapaxes(-3, -2).reshape(batch + (hi - lo, d)))
+
     for lo, hi, k, v in segments:
+        gk, gv_rows = rows(lo, hi)
         if k.requires_grad:
-            gk = gk_t[..., lo:hi].transpose(rows_first).reshape(batch + (hi - lo, d))
             k.accumulate_grad(_unbroadcast(gk, k.shape))
         if v.requires_grad:
-            gv_rows = gv[..., lo:hi, :].swapaxes(-3, -2).reshape(batch + (hi - lo, d))
             v.accumulate_grad(_unbroadcast(gv_rows, v.shape))
+    return rows
 
 
 def attention(q: Tensor, keys_t: np.ndarray, values: np.ndarray, segments, mask=None, return_weights: bool = False):
@@ -544,17 +549,15 @@ def attention_sublayer(x: Tensor, ln_g: Tensor, ln_b: Tensor, wq: Tensor, bq: Te
     and ``values`` (..., H, capacity, d/H), laid out as ``attention``
     reads them, with room for the (..., l, d) rows of ``x``.  The queries
     then attend over the stacks' first ``filled + l`` rows, as
-    ``attention`` does under ``mask``.  ``segments`` is the stacks' list
-    of ``(lo, hi, k, v)`` key and value tensors on the tape: those of
-    earlier rows are the op's parents besides ``x`` and its weights, and
-    when this call's rows need gradients the op appends theirs once it has
-    succeeded.  The key tensor hangs off the value tensor and carries the
-    key product's backward; the value tensor carries the value product's
-    and then the layer norm's.  So they run only after every later call
-    through the same stacks has sent its rows their gradients, and in the
-    chain's order.  Forward and backward run the arithmetic of
-    the chain ``layer_norm``, three ``linear``, ``attention``, ``linear``
-    with the residual, in the chain's order, so they give its bits.
+    ``attention`` does under ``mask``.  ``segments`` lists the ``(lo, hi,
+    k, v)`` key and value tensors of earlier rows that are on the tape
+    (a latent row's), as ``attention`` takes them; the op reads it and
+    leaves it as it is.  Any other earlier row is a constant, so a tape
+    through these stacks spans one call: the rows' own key and value
+    gradients come from this op's backward, after the queries' and before
+    the layer norm's.  Forward and backward run the arithmetic of the
+    chain ``layer_norm``, three ``linear``, ``attention``, ``linear`` with
+    the residual, in the chain's order, so they give its bits.
 
     A non-finite layer norm, query or key reaches the scores, and a
     non-finite value or attention output reaches the output; those two
@@ -589,37 +592,12 @@ def attention_sublayer(x: Tensor, ln_g: Tensor, ln_b: Tensor, wq: Tensor, bq: Te
 
     h_grad = x.requires_grad or ln_g.requires_grad or ln_b.requires_grad
     q_grad = h_grad or wq.requires_grad or bq.requires_grad
-    own = ()
-    g_h = []  # h's gradient so far, handed from the output's backward to the key rows' and then the value rows'
-    if h_grad or wk.requires_grad or wv.requires_grad or bv.requires_grad:
-
-        def add_to_h(part):
-            if g_h:
-                g_h[0] += part
-            else:
-                g_h.append(part)
-
-        def keys_backward(g_k):
-            if h_grad:
-                add_to_h(g_k @ wk.data.T)
-            _product_grads(g_k, h, wk, None)
-
-        def values_backward(g_v):
-            if h_grad:
-                add_to_h(g_v @ wv.data.T)
-            _product_grads(g_v, h, wv, bv)
-            if h_grad:
-                _norm_grads(g_h.pop(), xhat, inv, x, ln_g, ln_b)
-
-        v_rows = _node(v, (x, ln_g, ln_b, wk, wv, bv), values_backward)
-        k_rows = _node(k, (v_rows,), keys_backward)
-        own = ((filled, hi, k_rows, v_rows),)
-    segments_here = (*segments, *own)
+    kv_grad = h_grad or wk.requires_grad or wv.requires_grad or bv.requires_grad
 
     def backward(g):
         if x.requires_grad:
             x.accumulate_grad(g)
-        a_grad = q_grad or bool(segments_here)
+        a_grad = q_grad or kv_grad or bool(segments)
         if a_grad:
             g_a = g @ wo.data.T
         _product_grads(g, a, wo, bo)
@@ -628,13 +606,23 @@ def attention_sublayer(x: Tensor, ln_g: Tensor, ln_b: Tensor, wq: Tensor, bq: Te
         gh, gs, gq = _mix_grads(g_a, qh, keys_t, values, probs, scale, q_grad)
         if q_grad:
             if h_grad:
-                g_h.append(gq @ wq.data.T)
+                g_h = gq @ wq.data.T
             _product_grads(gq, h, wq, bq)
-        _row_grads(gh, gs, qh, probs, segments_here)
+        rows = _row_grads(gh, gs, qh, probs, segments)
+        if not kv_grad:
+            return
+        g_k, g_v = rows(filled, hi)
+        if h_grad:
+            g_h += g_k @ wk.data.T
+        _product_grads(g_k, h, wk, None)
+        if h_grad:
+            g_h += g_v @ wv.data.T
+        _product_grads(g_v, h, wv, bv)
+        if h_grad:
+            _norm_grads(g_h, xhat, inv, x, ln_g, ln_b)
 
-    parents = (wq, bq) + tuple(t for seg in segments_here for t in seg[2:]) + (wo, bo, x)
+    parents = (wq, bq) + tuple(t for seg in segments for t in seg[2:]) + (ln_g, ln_b, wk, wv, bv, wo, bo, x)
     out = _make(data, "attention_sublayer", parents, backward, stages + (("attention", a), ("linear wo", data)))
-    segments.extend(own)
     return (out, probs.copy()) if return_weights else out
 
 
@@ -645,16 +633,12 @@ def tied_head(x: Tensor, ln_g: Tensor, ln_b: Tensor, word: Tensor, bias: Tensor 
     product reads through a transposed view; an optional ``bias``, (1, V)
     or (..., 1, V), is added to every position last.  Forward and
     backward run the arithmetic of the chain ``layer_norm``, a transpose
-    of ``word``, ``linear`` and ``add`` in the chain's order, so they give
-    its bits.  The transposed table is a tape node of its own, as the
-    chain's transpose was, so the table's gradient reaches ``word`` where
-    the chain's did, after the backward of every node below ``x``; summed
-    in by the head's own backward, it would round differently wherever
-    three or more nodes send ``word`` gradients, as across cached calls.
-    A non-finite value at any step reaches the output (a non-finite table
-    entry makes its token's logit non-finite in every row, since even
-    ``0 * inf`` is NaN), so the output is the one finiteness check, and
-    the error names the first step that held one.
+    of ``word``, ``linear`` and ``add`` in the chain's order; backward
+    sums the table's gradient, the transpose of ``h.T @ g``, into ``word``
+    itself.  A non-finite value at any step reaches the output (a
+    non-finite table entry makes its token's logit non-finite in every
+    row, since even ``0 * inf`` is NaN), so the output is the one
+    finiteness check, and the error names the first step that held one.
     """
     xd, wd = x.data, word.data
     d = xd.shape[-1]
@@ -667,26 +651,18 @@ def tied_head(x: Tensor, ln_g: Tensor, ln_b: Tensor, word: Tensor, bias: Tensor 
     logits = h @ wd.T
     data = logits if bias is None else logits + bias.data
     h_grad = x.requires_grad or ln_g.requires_grad or ln_b.requires_grad
-    table = None
-    if word.requires_grad:
-
-        def table_backward(g):
-            word.accumulate_grad(np.ascontiguousarray(g.T))
-
-        table = _node(wd.T, (word,), table_backward)
 
     def backward(g):
         if bias is not None and bias.requires_grad:
             bias.accumulate_grad(_unbroadcast(g, bias.shape))
         if h_grad:
             g_h = g @ wd
-        if table is not None:
-            _product_grads(g, h, table, None)
+        if word.requires_grad:
+            word.accumulate_grad((h.reshape(-1, d).T @ g.reshape(-1, v)).T)
         if h_grad:
             _norm_grads(g_h, xhat, inv, x, ln_g, ln_b)
 
-    # Backward's walk takes parents last to first: the bias's subgraph, then the table, then x's, as in the chain.
-    parents = (x, ln_g, ln_b) + (() if table is None else (table,)) + (() if bias is None else (bias,))
+    parents = (x, ln_g, ln_b, word) + (() if bias is None else (bias,))
     return _make(data, "tied_head", parents, backward, (("layer_norm", h), ("linear", logits), ("add", data)))
 
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 import heapq
 import io
 import json
-import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import chain
@@ -40,7 +39,8 @@ import numpy as np
 
 N_BYTE_TOKENS = 256
 MIN_VOCAB_SIZE = N_BYTE_TOKENS + 1  # bytes plus the separator
-MAX_MERGES = 0x10FFFF - N_BYTE_TOKENS + 1  # merge k is the character chr(256 + k), and chr stops at 0x10FFFF
+# Merge k is the character chr(256 + k), and the separator's character follows the last merge's; chr stops at 0x10FFFF.
+MAX_MERGES = 0x10FFFF - N_BYTE_TOKENS
 
 
 class CorpusError(ValueError):
@@ -74,13 +74,9 @@ class Vocabulary:
     def encode_texts(self, texts) -> list[list[int]]:
         """Each text's ids, all texts encoded as one string joined by the separator's character.
 
-        Each merge is then one ``str.replace`` over the whole string.  A
-        vocabulary of ``MAX_MERGES`` merges gives every character a token,
-        so it encodes the texts one at a time.
+        Each merge is then one ``str.replace`` over the whole string.
         """
         strings = [text.encode("utf-8").decode("latin-1") for text in texts]
-        if self.separator_id > sys.maxunicode:
-            return [list(map(ord, self._merged(s))) for s in strings]
         joiner = chr(self.separator_id)
         return [list(map(ord, part)) for part in self._merged(joiner.join(strings)).split(joiner)] if strings else []
 

@@ -39,17 +39,25 @@ ADAM_EPS = 1e-8
 class TrainingAbort(RuntimeError):
     """Raised when a step produces non-finite numbers; carries the culprit.
 
-    The culprit is the first batch slot whose example raises when scored
-    alone; ``batch_index`` and ``example_index`` are None when none does.
+    A non-finite loss names the first batch slot whose example raises
+    when scored alone (``batch_index`` and ``example_index`` are None
+    when none does); a non-finite gradient norm names the ``parameter``
+    at which the running sum of squared gradients turns non-finite.
     """
 
-    def __init__(self, step: int, batch_index: int | None, example_index: int | None, reason: str):
-        culprit = ("no batch slot raises alone" if batch_index is None
-                   else f"batch slot {batch_index} (example {example_index})")
-        super().__init__(f"non-finite loss at step {step}, {culprit}: {reason}")
+    def __init__(self, step: int, batch_index: int | None, example_index: int | None, reason: str,
+                 parameter: str | None = None):
+        if parameter is not None:
+            message = f"non-finite gradient norm at step {step}, parameter {parameter!r}: {reason}"
+        else:
+            culprit = ("no batch slot raises alone" if batch_index is None
+                       else f"batch slot {batch_index} (example {example_index})")
+            message = f"non-finite loss at step {step}, {culprit}: {reason}"
+        super().__init__(message)
         self.step = step
         self.batch_index = batch_index
         self.example_index = example_index
+        self.parameter = parameter
 
 
 @dataclass
@@ -183,10 +191,10 @@ def global_grad_norm(params: ParameterSet, runs=None) -> float:
 
 
 def clip_gradients(params: ParameterSet, max_norm: float) -> float:
-    """Scale gradients to the given global norm; returns the pre-clip norm."""
+    """Scale gradients to the given global norm; returns the pre-clip norm.  A non-finite norm scales nothing."""
     runs = params.live_runs()
     norm = global_grad_norm(params, runs)
-    if max_norm > 0 and norm > max_norm:
+    if max_norm > 0 and max_norm < norm < math.inf:
         scale = max_norm / norm
         for run in runs:
             params.grad_buffer[run[0][1]:run[-1][2]] *= scale
@@ -236,6 +244,16 @@ class Trainer:
                 return TrainingAbort(self.step_count, slot, int(idx), str(e))
         return TrainingAbort(self.step_count, None, None, str(error))
 
+    def _gradient_culprit(self, grad_norm: float) -> TrainingAbort:
+        """The abort naming the parameter at which the running sum of squared gradients turns non-finite."""
+        total = 0.0
+        for name, p in self.model.params.items():
+            if p.grad is not None:
+                total += float(np.square(p.grad, dtype=np.float64).sum())
+                if not math.isfinite(total):
+                    break
+        return TrainingAbort(self.step_count, None, None, f"gradient norm {grad_norm}", parameter=name)
+
     def train_step(self, batch_indices) -> dict:
         """One forward/backward/update over a batch of example indices.
 
@@ -243,7 +261,8 @@ class Trainer:
         objective and one backward.  The ``requires_grad`` marks the step
         sets are cleared before it returns or raises, so no tape outlives
         it; gradients stay.  A forward that raises ``NumericsError``
-        aborts the step with the slot whose example raises alone.
+        aborts the step with the slot whose example raises alone, and a
+        non-finite gradient norm aborts it before Adam steps.
         """
         batch = np.asarray(batch_indices, dtype=np.int64)
         beta = beta_at(self.step_count, self.schedule)
@@ -265,6 +284,8 @@ class Trainer:
             raise self._culprit(batch, noise, beta, failure) from failure
 
         grad_norm = clip_gradients(params, self.schedule.grad_clip)
+        if not math.isfinite(grad_norm):
+            raise self._gradient_culprit(grad_norm)
         self.optimizer.step()
 
         record = {

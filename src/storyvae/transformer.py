@@ -34,7 +34,8 @@ rows, computed once, and each layer's ``KVRows`` so far.  A full-prefix
 call builds a fresh cache of its T rows and feeds every token;
 incremental decoding keeps one cache per story and feeds only the new
 tokens, which attend over views of the stacks without copying an
-earlier row.
+earlier row.  A tape spans one call through a cache (a train step
+decodes its whole prefix in one call): cached rows are constants.
 
 A leading batch axis runs through the same forward: (B, T) tokens, a
 (B, d') latent batch, and stacks with a leading B axis.  Inference
@@ -286,8 +287,9 @@ class KVRows:
     sequence.  ``append`` writes new rows after them, and so does
     ``ag.attention_sublayer`` in the room ``reserve`` makes, so attending
     over a view of the first ``rows`` never copies an earlier row.
-    ``segments`` lists each block of rows that is on the tape, for the
-    backward of the attention ops that read them.
+    ``segments`` lists each block of rows that ``append`` wrote from
+    tensors on the tape, for the backward of the attention ops that read
+    them; the rows ``ag.attention_sublayer`` writes are arrays only.
     """
 
     def __init__(self, n_heads: int, capacity: int, latent: tuple[Tensor, Tensor] | None = None):
@@ -378,7 +380,9 @@ def multi_head_attention(
     ``key_mask``, (B, 1, 1, keys) for a batch, that is False at the keys
     of padding, which no query attends.  With ``return_weights`` the
     per-head (queries, keys) weight matrices follow the output.  ``past``
-    counts the new rows only once the call has succeeded.
+    counts the new rows only once the call has succeeded.  Earlier
+    calls' rows are constants here, so a call whose output is on the tape
+    raises ``ContractError`` if ``past`` already holds token rows.
     """
     l = x.shape[-2]
     if l < 1:
@@ -390,13 +394,14 @@ def multi_head_attention(
     if causal and l > 1:
         mask = np.ones((l, n_past + l), dtype=bool)
         mask[:, n_past:] = np.tri(l, dtype=bool)
-    out = ag.attention_sublayer(x, p.ln_g, p.ln_b, p.wq, p.bq, p.wk, p.wv, p.bv, p.wo, p.bo,
-                                past.keys_t, past.values, n_past, past.segments, mask, return_weights)
+    result = ag.attention_sublayer(x, p.ln_g, p.ln_b, p.wq, p.bq, p.wk, p.wv, p.bv, p.wo, p.bo,
+                                   past.keys_t, past.values, n_past, past.segments, mask, return_weights)
+    out = result[0] if return_weights else result
+    if out.requires_grad and n_past > past.latent:
+        raise ContractError(f"a call on the tape must be the first through its key/value rows, but "
+                            f"{n_past - past.latent} token rows are cached already and would get no gradient")
     past.rows = n_past + l
-    if return_weights:
-        out, weights = out
-        return out, list(weights)
-    return out
+    return (out, list(result[1])) if return_weights else out
 
 
 def attention_average(hseq: Tensor, p: PoolingParams, n_heads: int, return_weights: bool = False,
@@ -440,7 +445,8 @@ class DecoderCache:
     bias (``final_norm``) once, and each step reads them from there.  A
     layer whose sublayer raises keeps its rows as they were; once a call
     has raised after a layer took its rows, the layers are out of step
-    and the cache refuses further calls.
+    and the cache refuses further calls.  Only the first call through a
+    cache may record a tape (see ``multi_head_attention``).
     """
 
     def __init__(self, params: ParameterSet, cfg: ModelConfig, latent=None, modes: tuple[str, ...] = (),

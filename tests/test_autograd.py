@@ -430,7 +430,6 @@ OP_CASES = {
     "attention_sublayer_latent_row_key_mask": lambda t, u: tf.multi_head_attention(
         ag.take_rows(t, [0, 1, 2, 3, 4]), _sublayer_params(t, u), 2, causal=False, key_mask=np.arange(6) != 3,
         past=tf.KVRows(2, 6, (ag.take_rows(u, [5]), ag.take_rows(t, [5])))),
-    "attention_sublayer_cached": lambda t, u: _two_cached_sublayer_calls(t, u),
     # Target 3 repeats, and two positions are masked out.
     "cross_entropy": lambda t, u: ag.cross_entropy(
         ag.add(t, u), np.array([0, 7, 3, 3, 5, 1]), np.array([True, False, True, True, True, False]))[0],
@@ -513,13 +512,6 @@ def _sublayer_params(t, u):
         ln_g=_row(u, 0), ln_b=_row(u, 1), wq=square(t, [0, 1, 2, 3, 4, 5, 0, 1]), bq=_row(u, 2),
         wk=square(u, [5, 4, 3, 2, 1, 0, 5, 4]), wv=square(t, [2, 3, 4, 5, 0, 1, 2, 3]), bv=_row(u, 3),
         wo=square(u, [1, 3, 5, 0, 2, 4, 1, 3]), bo=_row(t, 4))
-
-
-def _two_cached_sublayer_calls(t, u):
-    """Rows 0-2 of ``t`` go through the sublayer causally, then rows 3-5, which also attend over rows 0-2."""
-    p, kv = _sublayer_params(t, u), tf.KVRows(2, 6)
-    first = tf.multi_head_attention(ag.take_rows(t, [0, 1, 2]), p, 2, causal=True, past=kv)
-    return ag.add(first, tf.multi_head_attention(ag.take_rows(t, [3, 4, 5]), p, 2, causal=True, past=kv))
 
 
 def _two_cached_calls(t, u):

@@ -537,6 +537,26 @@ def test_numerics_through_the_cli(workspace, tmp_path, capsys, case):
         assert "numerical abort" in err and "Traceback" not in err
 
 
+def test_a_resumed_step_with_a_non_finite_gradient_norm_exits_3(workspace, tmp_path, capsys):
+    """A finite loss whose gradient is NaN (a saturated GELU's 0 * inf) aborts the step: no row and no checkpoint."""
+    checkpoint = tmp_path / "checkpoint"
+    shutil.copytree(workspace["checkpoint"], checkpoint)
+    tensors = dict(read_tensor_file(checkpoint / "params.bin"))
+    w1 = tensors["dec.0.mlp.w1"]
+    tensors["dec.0.mlp.w1"] = np.where(np.random.default_rng(0).standard_normal(w1.shape) > 0, 1e20, -1e20).astype(w1.dtype)
+    tensors["dec.0.mlp.w2"] = np.full_like(tensors["dec.0.mlp.w2"], 1e-22)
+    write_tensor_file(checkpoint / "params.bin", tensors.items())
+    out = tmp_path / "o"
+    code = cli.main(["train", "--corpus", workspace["corpus"], "--vocab", workspace["vocab"], "--resume",
+                     str(checkpoint), "--train.steps", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_NUMERIC, err
+    assert "numerical abort: non-finite gradient norm at step 12, parameter 'embed.word'" in err
+    assert "Traceback" not in err
+    assert (out / "metrics.csv").read_text(encoding="ascii") == METRICS_HEADER + "\n"
+    assert not (out / "checkpoint").exists()
+
+
 def test_eval_runs_one_forward_per_group_and_step(workspace, tmp_path, monkeypatch):
     """Generation decodes each prompt-length group in lockstep, and scoring runs one forward per length group."""
     shapes = []
@@ -657,7 +677,7 @@ def test_rejected_input_leaves_no_output_directory(workspace, tmp_path, capsys, 
     surrogate.write_text('{"prompt": "a\\ud800b", "story": "hello"}\n', encoding="ascii")
     args = {
         "vocab_size_too_small": ["vocab", "--corpus", workspace["corpus"], "--model.vocab-size", "100"],
-        # One token more than 256 bytes, the separator and a merge for every code point from U+0100 on.
+        # One token more than 256 bytes, a merge for every code point from U+0100 to U+10FFFE, and the separator.
         "vocab_size_past_the_last_code_point": ["vocab", "--corpus", workspace["corpus"],
                                                 "--model.vocab-size", str(cp.MIN_VOCAB_SIZE + cp.MAX_MERGES + 1)],
         "vocab_corpus_missing": ["vocab", "--corpus", str(tmp_path / "missing.jsonl")],

@@ -114,14 +114,11 @@ class TestEncodeDecode:
         for text in random_texts(rng, 200) + ["sep", "<|endoftext|>"]:
             assert vocab.separator_id not in vocab.encode(text)
 
-    def test_a_vocabulary_with_no_free_character_encodes_texts_one_at_a_time(self):
-        """With ``MAX_MERGES`` merges every character is some token's, so none can join two texts."""
+    def test_encode_texts_gives_each_text_its_own_ids(self):
+        """Texts encoded as one joined string get the ids each gets alone, the empty text and no text included."""
         vocab = cp.fit_vocabulary(toy_texts(), 300)
         texts = toy_texts()[:6] + ["", "ab"]
-        joined = vocab.encode_texts(texts)
-        assert joined == [vocab.encode(text) for text in texts] and vocab.encode_texts([]) == []
-        vocab.separator_id = cp.N_BYTE_TOKENS + cp.MAX_MERGES  # past the last character, as at MAX_MERGES merges
-        assert vocab.encode_texts(texts) == joined
+        assert vocab.encode_texts(texts) == [vocab.encode(text) for text in texts] and vocab.encode_texts([]) == []
 
     def test_decode_out_of_range_rejected(self):
         vocab = cp.fit_vocabulary(["abc"], 257)
@@ -155,8 +152,9 @@ class TestVocabularyFile:
         assert a.read_bytes() == b.read_bytes()
 
     def test_merges_past_the_last_code_point_rejected(self):
-        # Merge k is the character chr(256 + k); the last allowed merge is the last code point.
-        assert chr(cp.N_BYTE_TOKENS + cp.MAX_MERGES - 1) == "\U0010ffff"
+        # Merge k is the character chr(256 + k); the largest vocabulary's separator is the last code point.
+        assert chr(cp.N_BYTE_TOKENS + cp.MAX_MERGES) == "\U0010ffff"
+        assert cp.Vocabulary([(0, 0)] * cp.MAX_MERGES).separator_id == 0x10FFFF
         with pytest.raises(cp.CorpusError, match="exceed"):
             cp.Vocabulary([(0, 0)] * (cp.MAX_MERGES + 1))
 

@@ -530,41 +530,38 @@ class TestCachedDecoding:
         assert [kv.capacity for kv in built[1].layers] == [1 + self.LENGTH] * model.config.layers
         assert all(np.array_equal(a, b) for a, b in zip(full, wide, strict=True))
 
+    @pytest.mark.parametrize("prefill", ["untaped", "taped"])
     @pytest.mark.parametrize("modes", [("input",), ("psa",), tf.INJECTION_MODES], ids=lambda m: "+".join(m))
-    def test_gradients_across_cached_calls_match_full_prefix(self, modes):
-        """A prompt, then one token per call, through one cache: the summed loss's parameter gradients match one forward's.
+    def test_a_tape_spans_one_call(self, modes, prefill):
+        """A taped call after a prefill raises before any layer takes its rows; an untaped one then decodes.
 
-        Each call's key and value rows also get gradients from every later
-        call that attends over them, so an earlier call's products must
-        wait for those before they run backward.
+        The cache is built without a tape, so its latent rows are
+        constants, and only the prefill may record one.
         """
         model = self.model(modes, np.float64)
         rng = np.random.default_rng(46)
-        tokens = rng.integers(0, model.config.vocab_size, size=9)
-        targets = rng.integers(0, model.config.vocab_size, size=9)
+        tokens = rng.integers(0, model.config.vocab_size, size=7)
         latent = lt.LatentCode.external(rng.standard_normal(model.config.latent_dim))
+        full = model.decode_logits(tokens, latent).data
 
-        def gradients(calls):
+        def tape(on):
             for _, p in model.params.items():
-                p.requires_grad = True
-            model.params.zero_grads()
-            cache = model.decoder_cache(latent) if len(calls) > 1 else None
-            loss = None
-            for lo, hi in calls:
-                logits = model.decode_logits(tokens[lo:hi], latent, cache=cache)
-                term = ag.cross_entropy(logits, targets[lo:hi], np.ones(hi - lo, dtype=bool))[0]
-                loss = term if loss is None else ag.add(loss, term)
-            ag.backward(loss)
-            for _, p in model.params.items():
-                p.requires_grad = False
-            return {name: p.grad.copy() for name, p in model.params.items() if p.grad is not None}
+                p.requires_grad = on
 
-        full = gradients([(0, 9)])
-        cached = gradients([(0, 5)] + [(i, i + 1) for i in range(5, 9)])
-        assert cached.keys() == full.keys()
-        assert any(name.startswith("dec.0.attn.wk") for name in full)
-        for name, want in full.items():
-            assert np.abs(cached[name] - want).max() <= 1e-10 * np.abs(want).max(), name
+        cache = model.decoder_cache(latent)
+        try:
+            tape(prefill == "taped")
+            logits = model.decode_logits(tokens[:5], latent, cache=cache)
+            assert logits.requires_grad == (prefill == "taped")
+            tape(True)
+            with pytest.raises(ContractError, match="first through its key/value rows"):
+                model.decode_logits(tokens[5:6], latent, cache=cache)
+        finally:
+            tape(False)
+        assert cache.length == 5 and all(kv.rows == kv.latent + 5 for kv in cache.layers)
+        for i in (5, 6):
+            step = model.decode_logits(tokens[i:i + 1], latent, cache=cache).data
+            assert np.abs(step[-1] - full[i]).max() <= 1e-12 * np.abs(full).max()
 
     def test_latent_rows_are_the_first_cached_rows(self):
         model = self.model(tf.INJECTION_MODES, np.float64)
