@@ -6,16 +6,18 @@ import numpy as np
 from storyvae import autograd as ag
 from storyvae.autograd import ParameterSet, Tensor
 
-# Forward ops record a tape; backward replays it.  sum(x*x) is a (1, 3) row times a (3, 1) column.
+# Forward ops record a tape; backward replays it.  The objective node sums a per-coordinate
+# KL-like term: here x*x, the kind of tensor gaussian_kl hands it, so d/dx = 2x.
 x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
-loss = ag.sum_all(ag.linear(ag.reshape(x, (1, 3)), ag.reshape(x, (3, 1))))
+loss = ag.elbo_loss(None, ag.gaussian_kl(x, Tensor(np.zeros(3)), Tensor(np.zeros(3)), Tensor(np.zeros(3))), 2.0, 1)
 ag.backward(loss)
 print("d/dx sum(x*x) at [1,2,3]:", x.grad)  # [2, 4, 6]
 
-# A matrix product through `linear`, with the worked 2x2 example.
-a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-b = Tensor([[1.0], [1.0]])
-print("[[1,2],[3,4]] @ [[1],[1]] =", ag.linear(a, b).data.ravel())  # [3, 7]
+# Products live inside the ops that need them: a Gaussian head is two products and a clamp.
+a = Tensor([[1.0, 2.0]])
+mu, log_sigma = ag.gaussian_head(a, Tensor([[1.0], [1.0]]), Tensor([0.0]), Tensor([[1.0], [1.0]]), Tensor([0.0]),
+                                 -2.0, 2.0)
+print("[1,2] @ [[1],[1]] =", mu.data, "| clamped to [-2, 2]:", log_sigma.data)  # [3] | [2]
 
 # Softmax, as exp(-per_position) of a cross_entropy that targets each column
 # of the same logit row in turn, is shift invariant and sums to one.
@@ -30,18 +32,18 @@ try:
 except ag.NumericsError as e:
     print("numerics policy:", e)
 
-# Finite-difference verification of a composite function, float64: a product, then a transformer
-# block's MLP sublayer (layer norm, product, GELU, product and the residual add, as one tape node).
+# Finite-difference verification of a composite function, float64: a transformer block's MLP
+# sublayer (layer norm, product, GELU, product and the residual add, as one tape node), whose
+# rows are then scored by a cross-entropy.
 params = ParameterSet()
-params.add("w", Tensor(np.random.default_rng(0).standard_normal((4, 4)), dtype=np.float64))
-params.add("v", Tensor(np.random.default_rng(1).standard_normal((1, 4)), dtype=np.float64))
+params.add("v", Tensor(np.random.default_rng(1).standard_normal((3, 4)), dtype=np.float64))
 rng = np.random.default_rng(2)
 mlp = [Tensor(a, dtype=np.float64) for a in (np.ones(4), np.zeros(4), rng.standard_normal((4, 16)) * 0.5,
                                              np.zeros(16), rng.standard_normal((16, 4)) * 0.5, np.zeros(4))]
 
 def fn():
-    h = ag.mlp_sublayer(ag.linear(params["v"], params["w"]), *mlp)
-    return ag.sum_all(ag.linear(h, ag.reshape(h, (4, 1))))
+    h = ag.mlp_sublayer(params["v"], *mlp)
+    return ag.cross_entropy(h, np.array([0, 3, 1]), np.ones(3, dtype=bool))[0]
 
 report = ag.grad_check(fn, params, eps=1e-5)
 print(f"grad check: passed={report.passed}, max rel err={report.max_rel_error:.2e}")

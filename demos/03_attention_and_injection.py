@@ -31,20 +31,22 @@ out = model.decode_logits(tokens, zero, modes=("input", "psa", "softmax")).data
 print("zeroed injections are bit-identical to baseline:", np.array_equal(out, base))
 
 # Pseudo self-attention exposes its augmented key/value geometry: the latent
-# row's key and value are the first rows of the layer's KVRows, queries stay
-# token-only, and the causal mask never blocks the latent column.  The call is
-# the block's whole attention sublayer (layer norm, products, attention and the
-# residual add) as one tape node.
-p = tf.attention_params(StoryVAE.create(cfg, seed=8).params, "dec.0")
+# row's key and value are the first rows of each layer's KVRows, queries stay
+# token-only, and the causal mask never blocks the latent column.  A decoder
+# cache makes every layer's latent rows, the input row and the softmax bias
+# as one tape node; the attention call is the block's whole attention
+# sublayer (layer norm, products, attention and the residual add), one more.
+fresh = StoryVAE.create(cfg, seed=8)
+cache = fresh.decoder_cache(z, modes=("psa",))
 x = Tensor(np.random.default_rng(1).standard_normal((4, 32)).astype(np.float32))
-z_row = Tensor(np.random.default_rng(2).standard_normal((1, 32)).astype(np.float32))
-rows = tf.KVRows(4, 1 + x.shape[0], tf.latent_kv(z_row, p))
-out, weights = tf.multi_head_attention(x, p, n_heads=4, causal=True, past=rows, return_weights=True)
+out, weights = tf.multi_head_attention(x, cache.blocks[0].attn, n_heads=4, causal=True, past=cache.layers[0],
+                                       return_weights=True)
 print("PSA: output rows =", out.shape[0], "| weight matrices =", len(weights),
       "(one per head) | key columns =", weights[0].shape[1], "(1 + tokens)")
 print("latent column weights, head 0:", np.round(weights[0][:, 0], 3))
 
-# The pooling block squeezes any-length sequences into one vector.
+# The pooling block (the encoder's final layer norm, then attention by a learned
+# query) squeezes any-length sequences into one vector.
 pool = tf.pooling_params(model.params)
 for length in (1, 3, 9):
     h = Tensor(np.random.default_rng(3).standard_normal((length, 32)).astype(np.float32))

@@ -20,40 +20,26 @@ gate: no op silences numpy's warnings, so an overflow may warn before it
 raises, and one whose output is finite (the cube inside
 ``mlp_sublayer``'s GELU) is no error.
 
-Ops that work on rows (``add``, ``linear``, ``layer_norm``,
-``attention``, ``attention_sublayer``, ``mlp_sublayer``, ``take_rows``,
-``embedding``, ``tied_head``, ``cross_entropy``, ``gaussian_kl``,
-``gaussian_sample``) also take
-leading batch axes: a batch of equal-length sequences runs as one node
-per op, and each batch entry is computed exactly as it would be alone.
-A single vector goes through ``linear`` and ``attention`` as one (1, d)
-row.
-
-Per-op Python overhead, not arithmetic, bounds small models, so a
-transformer block is two nodes, and a stack has one more at each end.
-``attention_sublayer`` is the layer norm, the query, key and value
-products, the write of the new key and value rows into per-head stacks
-(plain arrays, so a tape through them spans one call), every head's
-scaled scores, masked softmax and weighted sum, and the output product
-with the residual; ``mlp_sublayer`` is the layer norm, two products
-with a GELU between them, and the residual.  ``embedding`` is the word
-rows plus the position rows plus an injection row, and
-``tied_head`` the final layer norm, the product with the transposed word
-table and an injection bias.  Each runs the arithmetic of the chain of
-ops it replaced in the chain's order, forward and backward, so it gives
-the chain's bits, and a ``NumericsError`` names the fused op and the step
-of the chain that went non-finite.  Elsewhere ``linear`` (a product plus
-bias, and optionally a residual added after them) and ``attention``
-(reading per-head key/value stacks without copying them; the pooling
-block's) do the same jobs.  For the same reason the per-op code calls
-ufunc reductions (``np.add.reduce`` and the like) rather than the array
-methods that wrap them: the same bits, without a Python-level wrapper.
-Each term of the objective is one node too: ``cross_entropy`` (log-softmax,
-target pick and masked sum) and ``gaussian_kl`` (the closed-form KL per
-coordinate), and so is the latent draw ``gaussian_sample`` (``mu +
-exp(log_sigma) * noise``).  Each job has one implementation: every
-product outside the sublayers and the head goes through ``linear``, and
-``attention`` and ``attention_sublayer`` share one masked softmax.
+Every op is a whole job of the model and one tape node, since per-op
+Python overhead, not arithmetic, bounds small models.  Ops on rows also
+take leading batch axes, and each batch entry is computed exactly as it
+would be alone.  A transformer block is ``attention_sublayer`` (layer
+norm; query, key and value products; the new rows written into per-head
+stacks, plain arrays, so a tape through them spans one call; masked
+attention; the output product with the residual) and ``mlp_sublayer``
+(layer norm, two products around a GELU, the residual).  ``embedding``
+(word, position and injection rows) and ``tied_head`` (final layer norm,
+the transposed word table, an injection bias) bound a stack.  The latent
+side is ``pool`` (the encoder's final layer norm and its attention by a
+learned query), ``gaussian_head`` (mean and clamped log-sigma, two
+outputs), ``gaussian_sample``, ``inject`` (all of a decoder's injection
+rows, several outputs), and the objective's ``cross_entropy``,
+``gaussian_kl`` and ``elbo_loss``.  Each runs the arithmetic of the
+chain of small ops it replaced in the chain's order, forward and
+backward, so it gives the chain's bits, and a ``NumericsError`` names
+the op and the step of the chain that went non-finite.  For the same
+reason the per-op code calls ufunc reductions (``np.add.reduce`` and the
+like) rather than the array methods that wrap them.
 """
 
 from __future__ import annotations
@@ -66,7 +52,7 @@ import numpy as np
 
 GELU_TANH_COEFF = math.sqrt(2.0 / math.pi)  # 0.7978845608028654
 GELU_CUBIC_COEFF = 0.044715
-LN_EPS = 1e-5  # added to each row's variance in ``layer_norm``
+LN_EPS = 1e-5  # added to each row's variance in every layer norm
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
@@ -157,9 +143,32 @@ def _check_finite(arr: np.ndarray, op: str, stages=()) -> None:
         raise NumericsError(f"{op} produced non-finite values")
 
 
-def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...], backward, stages=()) -> Tensor:
-    """An op's checked output, on the tape if a parent requires grad."""
-    _check_finite(data, op, stages)
+def _make(data, op: str, parents: tuple[Tensor, ...], backward, stages=()):
+    """An op's checked output, on the tape if a parent requires grad.
+
+    A tuple of arrays makes a node of several outputs, a tuple of tensors:
+    ``backward`` runs once, after theirs, on the list of their gradients
+    (None for an output that got none), which it then empties.
+    """
+    if type(data) is not tuple:
+        _check_finite(data, op, stages)
+        return _node(data, parents, backward)
+    if data:
+        _check_finite(np.concatenate([part.reshape(-1) for part in data]), op, stages)
+    grads = [None] * len(data)
+
+    def hub_backward(kept):
+        backward(kept)
+        kept[:] = [None] * len(kept)
+
+    hub = _node(None, parents, hub_backward)
+    if not hub.requires_grad:
+        return tuple(_node(part, (), None) for part in data)
+    hub.grad = grads
+    return tuple(_node(part, (hub,), lambda g, i=i: grads.__setitem__(i, g)) for i, part in enumerate(data))
+
+
+def _node(data, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -188,64 +197,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.sum(axis=kept, keepdims=True) if kept else g
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """``a + b``, where ``b`` may broadcast to ``a``'s shape (a row, or one row per batch entry)."""
-    lead = a.data.ndim - b.data.ndim
-    if a.shape != b.shape and (lead < 0 or not all(n in (1, m) for n, m in zip(b.shape, a.shape[lead:]))):
-        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
-    data = a.data + b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g)
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.shape))
-
-    return _make(data, "add", (a, b), backward)
-
-
-def mul_scalar(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * s)
-
-    return _make(a.data * s, "mul_scalar", (a,), backward)
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None, residual: Tensor | None = None) -> Tensor:
-    """``residual + (x @ w + b)`` as one node, through a (d, m) weight, optional (m,) bias and optional residual.
-
-    ``x`` is (n, d) rows, or rows under leading batch axes, (..., n, d):
-    each batch entry is its own (n, d) product, so a row gets the same
-    bits whichever batch it sits in.  A single vector is one (1, d) row.
-    A ``residual`` has the output's shape and is added last, as a
-    separate ``add`` of it would; backward hands it ``g`` first.
-    """
-    xd, wd = x.data, w.data
-    if wd.ndim != 2 or xd.ndim < 2 or xd.shape[-1] != wd.shape[0]:
-        raise ShapeError(f"linear: cannot apply a {wd.shape} weight to shape {xd.shape}")
-    if b is not None and b.data.shape != wd.shape[1:]:
-        raise ShapeError(f"linear: bias shape {b.shape} does not match weight {wd.shape}")
-    if residual is not None and residual.data.shape != xd.shape[:-1] + wd.shape[1:]:
-        raise ShapeError(f"linear: residual shape {residual.shape} does not match output {xd.shape[:-1] + wd.shape[1:]}")
-    data = xd @ wd if b is None else xd @ wd + b.data
-    parents = (x, w) if b is None else (x, w, b)
-    if residual is not None:
-        data = residual.data + data
-        parents += (residual,)
-
-    def backward(g):
-        if residual is not None and residual.requires_grad:
-            residual.accumulate_grad(g)
-        if x.requires_grad:
-            x.accumulate_grad(g @ wd.T)
-        _product_grads(g, xd, w, b)
-
-    return _make(data, "linear", parents, backward)
-
-
 def _product_grads(g: np.ndarray, xd: np.ndarray, w: Tensor, b: Tensor | None) -> None:
     """The weight's and then the bias's gradient of ``xd @ w + b``, given the output's gradient ``g``."""
     m, n = w.data.shape
@@ -255,33 +206,16 @@ def _product_grads(g: np.ndarray, xd: np.ndarray, w: Tensor, b: Tensor | None) -
         b.accumulate_grad(g.reshape(-1, n).sum(axis=0))
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g.reshape(a.shape))
-
-    return _make(np.ascontiguousarray(a.data.reshape(shape)), "reshape", (a,), backward)
-
-
-def take_rows(a: Tensor, indices: np.ndarray) -> Tensor:
-    """Rows of the matrix ``a``, or of each matrix of a (..., n, d) batch, at ``indices`` of any shape."""
-    indices = np.asarray(indices, dtype=np.int64)
-    if a.data.ndim < 2:
-        raise ShapeError(f"take_rows: expected a matrix, got shape {a.shape}")
-    if indices.size and (indices.min() < 0 or indices.max() >= a.shape[-2]):
-        raise IndexError(f"take_rows: index out of range for {a.shape[-2]} rows")
-    where = (Ellipsis, indices, slice(None))
-    data = a.data[where]
-
-    def backward(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            np.add.at(full, where, g)
-            a.accumulate_grad(full)
-
-    return _make(data, "take_rows", (a,), backward)
+def _products_grads(xd: np.ndarray, terms, want_x: bool):
+    """Backward of products ``xd @ w + b`` of one input: each ``(g, w, b)`` with a gradient ``g`` hands its weight
+    and bias theirs, and the input's, the sum of ``g @ w.T`` in the order of ``terms``, is returned if ``want_x``."""
+    g_x = None
+    for g, w, b in terms:
+        if g is not None:
+            if want_x:
+                g_x = g @ w.data.T if g_x is None else g_x + g @ w.data.T
+            _product_grads(g, xd, w, b)
+    return g_x
 
 
 def embedding(word: Tensor, pos: Tensor, tokens, start: int, row: Tensor | None = None) -> Tensor:
@@ -330,27 +264,6 @@ def embedding(word: Tensor, pos: Tensor, tokens, start: int, row: Tensor | None 
     return _make(data, "embedding", parents, backward, stages)
 
 
-def sum_all(a: Tensor) -> Tensor:
-    data = np.asarray(a.data.sum(), dtype=a.data.dtype)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.full_like(a.data, g))
-
-    return _make(data, "sum_all", (a,), backward)
-
-
-def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    data = np.clip(a.data, lo, hi)
-    inside = (a.data > lo) & (a.data < hi)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * inside)
-
-    return _make(data, "clamp", (a,), backward)
-
-
 def _scores(qd: np.ndarray, keys_t: np.ndarray, values: np.ndarray):
     """Per-head queries (..., H, Lq, d/H), their scaled scores against ``keys_t``, and the scale."""
     h, dh, n = keys_t.shape[-3:]
@@ -395,11 +308,8 @@ def _mix_grads(g: np.ndarray, qh: np.ndarray, keys_t: np.ndarray, values: np.nda
     return gh, gs, gq
 
 
-def _row_grads(gh: np.ndarray, gs: np.ndarray, qh: np.ndarray, probs: np.ndarray, segments):
-    """Hand each ``(lo, hi, k, v)`` segment's key and value tensors the gradients of their rows.
-
-    Returns the function of ``(lo, hi)`` that gives any rows' (..., hi - lo, d) key and value gradients.
-    """
+def _row_grads(gh: np.ndarray, gs: np.ndarray, qh: np.ndarray, probs: np.ndarray):
+    """The function of ``(lo, hi)`` that gives the (..., hi - lo, d) key and value gradients of rows ``lo:hi``."""
     batch, d = probs.shape[:-3], qh.shape[-3] * qh.shape[-1]
     gk_t = qh.swapaxes(-1, -2) @ gs
     gv = probs.swapaxes(-1, -2) @ gh
@@ -410,51 +320,12 @@ def _row_grads(gh: np.ndarray, gs: np.ndarray, qh: np.ndarray, probs: np.ndarray
         return (gk_t[..., lo:hi].transpose(rows_first).reshape(batch + (hi - lo, d)),
                 gv[..., lo:hi, :].swapaxes(-3, -2).reshape(batch + (hi - lo, d)))
 
-    for lo, hi, k, v in segments:
-        gk, gv_rows = rows(lo, hi)
-        if k.requires_grad:
-            k.accumulate_grad(_unbroadcast(gk, k.shape))
-        if v.requires_grad:
-            v.accumulate_grad(_unbroadcast(gv_rows, v.shape))
     return rows
 
 
-def attention(q: Tensor, keys_t: np.ndarray, values: np.ndarray, segments, mask=None, return_weights: bool = False):
-    """Multi-head scaled dot-product attention as one node.
-
-    The n key and value rows come as per-head stacks: ``keys_t`` is
-    (..., H, d/H, n), each head's keys already transposed, and ``values``
-    is (..., H, n, d/H), where the optional leading axes are a batch of
-    independent sequences.  They are typically views of a preallocated
-    cache, so no earlier row is copied or re-transposed.  ``q`` holds
-    (..., Lq, d) query rows, or (Lq, d) rows that every batch entry
-    shares.  Each ``(lo, hi, k, v)`` of ``segments`` names the
-    (..., hi - lo, d) key and value tensors whose rows sit at ``lo:hi``;
-    they are the op's tape parents besides ``q``, and backward splits the
-    key and value gradients across them.  Rows in no segment are
-    constants.  Scores are scaled by 1/sqrt(d/H); ``mask`` broadcasts to
-    the (Lq, n) scores of every batch entry and head, and its False
-    entries get exactly zero weight.  Head outputs come back side by side,
-    shaped (..., Lq, d).  With ``return_weights`` the (..., H, Lq, n)
-    probabilities follow the output.
-    """
-    qh, scores, scale = _scores(q.data, keys_t, values)
-    _check_finite(scores, "attention")
-    probs, data = _mix(scores, values, mask, q.shape[-1])
-
-    def backward(g):
-        gh, gs, gq = _mix_grads(g, qh, keys_t, values, probs, scale, q.requires_grad)
-        if q.requires_grad:
-            q.accumulate_grad(_unbroadcast(gq, q.shape))
-        _row_grads(gh, gs, qh, probs, segments)
-
-    parents = (q,) + tuple(t for seg in segments for t in seg[2:])
-    out = _make(data, "attention", parents, backward)
-    return (out, probs.copy()) if return_weights else out
-
-
 def _norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
-    """``layer_norm`` on arrays: the output, and the normalized rows and inverse deviations that backward reads."""
+    """Layer norm of the rows of ``x`` (``LN_EPS`` added to each variance): the output, and the normalized rows and
+    inverse deviations that backward reads."""
     d = x.shape[-1]
     mu = np.add.reduce(x, axis=-1, keepdims=True) / d
     centered = x - mu
@@ -465,7 +336,7 @@ def _norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
 
 
 def _norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, x: Tensor, gain: Tensor, bias: Tensor) -> None:
-    """``layer_norm``'s backward: the gain's gradient, then the bias's, then the input's."""
+    """``_norm``'s backward: the gain's gradient, then the bias's, then the input's."""
     d = xhat.shape[-1]
     if gain.requires_grad:
         gain.accumulate_grad((g * xhat).reshape(-1, d).sum(axis=0))
@@ -476,19 +347,6 @@ def _norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, x: Tensor, gai
         m1 = gx_hat.sum(axis=-1, keepdims=True) / d
         m2 = (gx_hat * xhat).sum(axis=-1, keepdims=True) / d
         x.accumulate_grad(inv * (gx_hat - m1 - xhat * m2))
-
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Zero-mean unit-variance normalization over the last axis (``LN_EPS`` added to the variance), then affine."""
-    d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(f"layer_norm: gain/bias must have shape ({d},)")
-    data, xhat, inv = _norm(x.data, gain.data, bias.data)
-
-    def backward(g):
-        _norm_grads(g, xhat, inv, x, gain, bias)
-
-    return _make(data, "layer_norm", (x, gain, bias), backward)
 
 
 def mlp_sublayer(x: Tensor, ln_g: Tensor, ln_b: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -540,24 +398,25 @@ def mlp_sublayer(x: Tensor, ln_g: Tensor, ln_b: Tensor, w1: Tensor, b1: Tensor, 
 
 def attention_sublayer(x: Tensor, ln_g: Tensor, ln_b: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor,
                        bv: Tensor, wo: Tensor, bo: Tensor, keys_t: np.ndarray, values: np.ndarray, filled: int,
-                       segments: list, mask=None, return_weights: bool = False):
+                       latent: tuple[Tensor, Tensor] | None, mask=None, return_weights: bool = False):
     """A block's attention with its residual, ``x + attention(layer_norm(x)) @ wo + bo``, as one node.
 
     With ``h = layer_norm(x)``, the queries are ``h @ wq + bq``, and the
     rows ``h @ wk`` and ``h @ wv + bv`` are written into the per-head
     stacks at rows ``filled`` onward: ``keys_t`` (..., H, d/H, capacity)
-    and ``values`` (..., H, capacity, d/H), laid out as ``attention``
-    reads them, with room for the (..., l, d) rows of ``x``.  The queries
-    then attend over the stacks' first ``filled + l`` rows, as
-    ``attention`` does under ``mask``.  ``segments`` lists the ``(lo, hi,
-    k, v)`` key and value tensors of earlier rows that are on the tape
-    (a latent row's), as ``attention`` takes them; the op reads it and
-    leaves it as it is.  Any other earlier row is a constant, so a tape
-    through these stacks spans one call: the rows' own key and value
-    gradients come from this op's backward, after the queries' and before
-    the layer norm's.  Forward and backward run the arithmetic of the
-    chain ``layer_norm``, three ``linear``, ``attention``, ``linear`` with
-    the residual, in the chain's order, so they give its bits.
+    and ``values`` (..., H, capacity, d/H), with room for the (..., l, d)
+    rows of ``x``.  Every head's queries then attend over the stacks'
+    first ``filled + l`` rows, with scores scaled by 1/sqrt(d/H) and a
+    softmax that gives exactly zero weight where ``mask``, broadcast to the
+    (l, filled + l) scores, is False.  ``latent`` holds the (..., 1, d) key
+    and value tensors of row 0, a latent row's, while they are on the
+    tape; backward hands them their gradients after the queries'.  Any
+    other earlier row is a constant, so a tape through these stacks spans
+    one call: the rows' own key and value gradients come from this op's
+    backward, after the latent row's and before the layer norm's.  Forward
+    and backward run the arithmetic of the chain layer norm, three
+    products, attention, and the output product with the residual, in the
+    chain's order, so they give its bits.
 
     A non-finite layer norm, query or key reaches the scores, and a
     non-finite value or attention output reaches the output; those two
@@ -597,32 +456,80 @@ def attention_sublayer(x: Tensor, ln_g: Tensor, ln_b: Tensor, wq: Tensor, bq: Te
     def backward(g):
         if x.requires_grad:
             x.accumulate_grad(g)
-        a_grad = q_grad or kv_grad or bool(segments)
+        a_grad = q_grad or kv_grad or latent is not None
         if a_grad:
             g_a = g @ wo.data.T
         _product_grads(g, a, wo, bo)
         if not a_grad:
             return
         gh, gs, gq = _mix_grads(g_a, qh, keys_t, values, probs, scale, q_grad)
-        if q_grad:
-            if h_grad:
-                g_h = gq @ wq.data.T
-            _product_grads(gq, h, wq, bq)
-        rows = _row_grads(gh, gs, qh, probs, segments)
-        if not kv_grad:
-            return
-        g_k, g_v = rows(filled, hi)
-        if h_grad:
-            g_h += g_k @ wk.data.T
-        _product_grads(g_k, h, wk, None)
-        if h_grad:
-            g_h += g_v @ wv.data.T
-        _product_grads(g_v, h, wv, bv)
+        rows = _row_grads(gh, gs, qh, probs)
+        for t, g_t in zip(latent or (), rows(0, 1) if latent else ()):
+            if t.requires_grad:
+                t.accumulate_grad(_unbroadcast(g_t, t.shape))
+        g_k, g_v = rows(filled, hi) if kv_grad else (None, None)
+        g_h = _products_grads(h, [(gq, wq, bq), (g_k, wk, None), (g_v, wv, bv)], h_grad)
         if h_grad:
             _norm_grads(g_h, xhat, inv, x, ln_g, ln_b)
 
-    parents = (wq, bq) + tuple(t for seg in segments for t in seg[2:]) + (ln_g, ln_b, wk, wv, bv, wo, bo, x)
+    parents = (wq, bq) + (latent or ()) + (ln_g, ln_b, wk, wv, bv, wo, bo, x)
     out = _make(data, "attention_sublayer", parents, backward, stages + (("attention", a), ("linear wo", data)))
+    return (out, probs.copy()) if return_weights else out
+
+
+def pool(x: Tensor, ln_g: Tensor, ln_b: Tensor, q: Tensor, wk: Tensor, wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor,
+         n_heads: int, mask=None, return_weights: bool = False):
+    """A sequence pooled to one row by a learned query, ``attention(q, layer_norm(x)) @ wo + bo``, as one node.
+
+    ``x`` is one (T, d) sequence, pooled to (1, d), or a (B, T, d) batch,
+    pooled to (B, 1, d).  The (d,) query ``q``, shared by every sequence,
+    attends in ``n_heads`` heads over the keys ``h @ wk`` and values ``h @
+    wv + bv`` of ``h = layer_norm(x)``, as ``attention_sublayer``'s
+    queries do, under a ``mask`` that broadcasts to the (1, T) scores.
+    Forward and backward run the arithmetic of the chain (layer norm, two
+    products, attention, output product) in the chain's order, so they
+    give its bits.  The scores and the output are checked, as in
+    ``attention_sublayer``.  With ``return_weights`` the (..., H, 1, T)
+    probabilities follow the output.
+    """
+    xd, d = x.data, x.data.shape[-1]
+    if xd.ndim < 2 or xd.shape[-2] < 1 or d % n_heads or any(t.data.shape != (d,) for t in (ln_g, ln_b, q, bv, bo)) \
+            or any(w.data.shape != (d, d) for w in (wk, wv, wo)):
+        raise ShapeError(f"pool: rows of shape {xd.shape} and the pooling tensors do not fit {n_heads} heads")
+    *batch, l, d = xd.shape
+    h, xhat, inv = _norm(xd, ln_g.data, ln_b.data)
+    k = h @ wk.data
+    v = h @ wv.data + bv.data
+    split, nb = (*batch, l, n_heads, d // n_heads), len(batch)
+    keys_t = np.ascontiguousarray(k.reshape(split).transpose(*range(nb), nb + 1, nb + 2, nb))
+    values = np.ascontiguousarray(v.reshape(split).swapaxes(-3, -2))
+    qh, scores, scale = _scores(q.data.reshape(1, d), keys_t, values)
+    stages = (("layer_norm", h), ("linear wk", k), ("linear wv", v))
+    _check_finite(scores, "pool", stages + (("attention", scores),))
+    probs, a = _mix(scores, values, mask, d)
+    data = a @ wo.data + bo.data
+
+    h_grad = x.requires_grad or ln_g.requires_grad or ln_b.requires_grad
+    kv_grad = h_grad or wk.requires_grad or wv.requires_grad or bv.requires_grad
+
+    def backward(g):
+        a_grad = q.requires_grad or kv_grad
+        if a_grad:
+            g_a = g @ wo.data.T
+        _product_grads(g, a, wo, bo)
+        if not a_grad:
+            return
+        gh, gs, gq = _mix_grads(g_a, qh, keys_t, values, probs, scale, q.requires_grad)
+        if q.requires_grad:
+            q.accumulate_grad(_unbroadcast(gq, (1, d)).reshape(d))
+        if kv_grad:
+            g_k, g_v = _row_grads(gh, gs, qh, probs)(0, l)
+            g_h = _products_grads(h, [(g_k, wk, None), (g_v, wv, bv)], h_grad)
+            if h_grad:
+                _norm_grads(g_h, xhat, inv, x, ln_g, ln_b)
+
+    out = _make(data, "pool", (x, ln_g, ln_b, q, wk, wv, bv, wo, bo), backward,
+                stages + (("attention", a), ("linear wo", data)))
     return (out, probs.copy()) if return_weights else out
 
 
@@ -763,6 +670,136 @@ def gaussian_sample(mu: Tensor, log_sigma: Tensor, noise: np.ndarray) -> Tensor:
     return _make(data, "gaussian_sample", (mu, log_sigma), backward)
 
 
+def gaussian_head(x: Tensor, mu_w: Tensor, mu_b: Tensor, ls_w: Tensor, ls_b: Tensor, lo: float, hi: float):
+    """A diagonal Gaussian's mean ``x @ mu_w + mu_b`` and log-sigma ``x @ ls_w + ls_b`` clamped to [lo, hi]: one node.
+
+    ``x`` is one pooled (1, d) row, which gives (d',) outputs, or (B, 1, d)
+    rows, which give (B, d') ones.  Forward and backward run the
+    arithmetic of the chain (two products, the clamp, two reshapes), so
+    they give its bits.  Both products are checked, since the clamp would
+    hide an infinite log-sigma.
+    """
+    xd = x.data
+    if xd.ndim not in (2, 3) or xd.shape[-2] != 1 or mu_w.data.shape[:1] != xd.shape[-1:] or mu_w.data.ndim != 2 \
+            or ls_w.data.shape != mu_w.data.shape or not mu_b.data.shape == ls_b.data.shape == mu_w.data.shape[1:]:
+        raise ShapeError(f"gaussian_head: weights {mu_w.shape} and {ls_w.shape} and their biases "
+                         f"do not fit pooled rows of shape {xd.shape}")
+    m = xd @ mu_w.data + mu_b.data
+    s = xd @ ls_w.data + ls_b.data
+    stages = (("linear mu", m), ("linear ls", s))
+    _check_finite(s, "gaussian_head", stages)
+    inside = (s > lo) & (s < hi)
+    shape = xd.shape[:-2] + mu_w.data.shape[1:]
+
+    def backward(grads):
+        g_mu, g_ls = grads
+        g_x = _products_grads(xd, [(None if g_mu is None else g_mu.reshape(m.shape), mu_w, mu_b),
+                                   (None if g_ls is None else g_ls.reshape(s.shape) * inside, ls_w, ls_b)],
+                              x.requires_grad)
+        if g_x is not None:
+            x.accumulate_grad(g_x)
+
+    return _make((m.reshape(shape), np.clip(s, lo, hi).reshape(shape)), "gaussian_head", (x, mu_w, mu_b, ls_w, ls_b),
+                 backward, stages)
+
+
+def inject(z: Tensor, input_w: Tensor | None, psa_w: Tensor | None, softmax_w: Tensor | None, psa_kv=()):
+    """A decoder's injection rows from its latent ``z``, (d') or (B, d'), as one node.
+
+    ``z`` goes through the products as (1, d') rows.  Returns the ``input``
+    row ``z @ input_w`` and the ``softmax`` bias ``z @ softmax_w`` (None
+    without their weights), and per (wk, bk, wv, bv) of ``psa_kv`` layer
+    i's latent key and value rows ``r @ wk + bk`` and ``r @ wv + bv``, where
+    ``r`` is the i-th (1, d) row of ``z @ psa_w``; an exactly-zero ``r``
+    injects nothing and gives None, and a batch must agree on that.
+    Forward and backward run the arithmetic of the chain (products,
+    reshapes, row picks) in its order, so they give its bits: ``z``'s
+    gradient sums the ``psa`` rows', the ``input`` row's, then the
+    ``softmax`` bias's.  Every product is checked.
+    """
+    zd = z.data
+    if zd.ndim not in (1, 2) or any(w is not None and (w.data.ndim != 2 or w.data.shape[0] != zd.shape[-1])
+                                    for w in (input_w, psa_w, softmax_w)):
+        raise ShapeError(f"inject: projections do not fit a latent of shape {zd.shape}")
+    zr = zd.reshape(zd.shape[:-1] + (1, zd.shape[-1]))
+    outs, stages = [], []
+    if input_w is not None:
+        outs.append(zr @ input_w.data)
+        stages.append(("linear input", outs[-1]))
+    if (psa_w is None) != (not psa_kv) or psa_w is not None and psa_w.data.shape[1] % len(psa_kv):
+        raise ShapeError(f"inject: the psa projection does not split into the rows of {len(psa_kv)} layers")
+    if psa_w is not None:
+        n = len(psa_kv)
+        p = zr @ psa_w.data
+        stages.append(("linear psa", p))
+        _check_finite(p, "inject", stages)
+        rows = p.reshape(zd.shape[:-1] + (n, psa_w.data.shape[1] // n))
+        nonzero = np.logical_or.reduce(rows != 0.0, axis=-1).reshape(-1, n)
+        some, every = np.logical_or.reduce(nonzero).tolist(), np.logical_and.reduce(nonzero).tolist()
+    if softmax_w is not None:
+        outs.append(zr @ softmax_w.data)
+        stages.append(("linear softmax", outs[-1]))
+    n_routes, layers = len(outs), []
+    for i, (wk, bk, wv, bv) in enumerate(psa_kv):
+        if not some[i]:
+            continue
+        if not every[i]:
+            raise ShapeError(f"inject: a batch of latent rows mixes exactly-zero and nonzero rows at layer {i}")
+        r = np.ascontiguousarray(rows[..., i:i + 1, :])
+        outs += [r @ wk.data + bk.data, r @ wv.data + bv.data]
+        stages += [(f"linear psa_wk {i}", outs[-2]), (f"linear psa_wv {i}", outs[-1])]
+        layers.append((i, r, wk, bk, wv, bv))
+    rows_grad = z.requires_grad or (psa_w is not None and psa_w.requires_grad)
+
+    def backward(grads):
+        g_rows = None
+        for j, (i, r, wk, bk, wv, bv) in enumerate(layers):
+            g_k, g_v = grads[n_routes + 2 * j:n_routes + 2 * j + 2]
+            g_r = _products_grads(r, [(g_k, wk, bk), (g_v, wv, bv)], rows_grad)
+            if g_r is not None:
+                g_rows = np.zeros_like(rows) if g_rows is None else g_rows
+                g_rows[..., i:i + 1, :] += g_r  # onto zeros, as the chain's row picks scatter it
+        routes = iter(grads[:n_routes])
+        g_input, g_softmax = (None if w is None else next(routes) for w in (input_w, softmax_w))
+        g_z = _products_grads(zr, [(None if g_rows is None else g_rows.reshape(p.shape), psa_w, None),
+                                   (g_input, input_w, None), (g_softmax, softmax_w, None)], z.requires_grad)
+        if g_z is not None:
+            z.accumulate_grad(g_z.reshape(zd.shape))
+
+    parents = (z,) + tuple(w for w in (input_w, psa_w, softmax_w) if w is not None) \
+        + tuple(t for i, r, *weights in layers for t in weights)
+    made = iter(_make(tuple(outs), "inject", parents, backward, stages))
+    input_row, softmax_bias = (None if w is None else next(made) for w in (input_w, softmax_w))
+    kv = [None] * len(psa_kv)
+    for i, *_ in layers:
+        kv[i] = (next(made), next(made))
+    return input_row, softmax_bias, kv
+
+
+def elbo_loss(recon: Tensor | None, kl: Tensor, beta: float, batch: int) -> Tensor:
+    """The objective of a batch, ``(recon + beta * sum(kl)) / batch``, as one node.
+
+    ``recon`` is the scalar reconstruction sum, or None for none, and ``kl``
+    the per-coordinate KL of any shape.  Forward and backward run the
+    arithmetic of the chain of a sum, a scaling by ``beta``, an add and a
+    scaling by ``1 / batch`` in the chain's order, so they give its bits.
+    """
+    if recon is not None and recon.data.ndim != 0:
+        raise ShapeError(f"elbo_loss: the reconstruction term must be a scalar, got shape {recon.shape}")
+    beta, scale = float(beta), 1.0 / batch
+    total = np.asarray(np.add.reduce(kl.data, axis=None), dtype=kl.data.dtype) * beta
+    data = (total if recon is None else recon.data + total) * scale
+
+    def backward(g):
+        g = g * scale
+        if recon is not None and recon.requires_grad:
+            recon.accumulate_grad(g)
+        if kl.requires_grad:
+            kl.accumulate_grad(np.full_like(kl.data, g * beta))
+
+    return _make(data, "elbo_loss", (kl,) if recon is None else (recon, kl), backward)
+
+
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every tensor that ``loss`` depends on."""
     if loss.data.ndim != 0 and loss.data.size != 1:
@@ -799,7 +836,8 @@ class ParameterSet:
     of (name, array) at once; ``add`` lays the set out afresh with one
     tensor more, which suits small hand-built sets.  ``add`` leaves
     ``requires_grad`` as the tensor has it; whoever calls ``backward``
-    marks the parameters it wants gradients for.
+    marks the parameters it wants gradients for.  ``memo`` keeps lookups
+    of the set's tensors until the set is laid out afresh.
 
     A set that trains gets, from ``track_gradients`` (the optimizer calls
     it), a ``grad_buffer`` at the same offsets, and from then on
@@ -848,7 +886,7 @@ class ParameterSet:
             tensor._grad_view = None
             params[name], spans[name] = tensor, (lo, lo + size)
             lo += size
-        self._params, self._spans = params, spans
+        self._params, self._spans, self._memo = params, spans, {}
         self.data_buffer = data
         self.grad_buffer = self.scratch = None
         self.run_elements = max([self.RUN_ELEMENTS, *sizes])
@@ -869,6 +907,13 @@ class ParameterSet:
             raise ValueError(f"duplicate parameter name: {name}")
         self._pack([(n, p, p.data) for n, p in self._params.items()] + [(name, tensor, tensor.data)])
         return tensor
+
+    def memo(self, key, build):
+        """What ``build()`` returns, built once per layout and kept under ``key``; a fresh layout forgets it."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build()
+        return value
 
     def span(self, name: str) -> tuple[int, int]:
         """The [lo, hi) offsets of a parameter in ``data_buffer`` and ``grad_buffer``."""

@@ -390,6 +390,9 @@ def main(argv: list[str] | None = None) -> int:
     except (cp.CorpusError, OSError, ContractError, KeyError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError:
+        print("data error: the input asks for more memory than there is", file=sys.stderr)
+        return EXIT_DATA
     except (TrainingAbort, ag.NumericsError) as e:
         print(f"numerical abort: {e}", file=sys.stderr)
         return EXIT_NUMERIC

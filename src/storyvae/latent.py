@@ -2,9 +2,10 @@
 
 The prior and posterior are isotropic Gaussians N(mu, sigma^2 I) whose
 mean and log-sigma come from separate linear heads over the shared
-pooled encoder vector.  KL between two diagonal Gaussians is analytic
-and stays on the tape, so it can be trained directly; so does a sample,
-mu + sigma * eps, as one ``ag.gaussian_sample`` node.  Gaussians and
+pooled encoder vector, as one ``ag.gaussian_head`` node of two outputs.
+KL between two diagonal Gaussians is analytic and stays on the tape, so
+it can be trained directly; so does a sample, mu + sigma * eps, as one
+``ag.gaussian_sample`` node.  Gaussians and
 latent codes hold one (d',) vector, or a (B, d') batch with one row per
 sequence of an equal-length batch.
 """
@@ -77,7 +78,7 @@ class LatentCode:
 
 
 def gaussian_head(pooled: Tensor, mu_w: Tensor, mu_b: Tensor, ls_w: Tensor, ls_b: Tensor) -> DiagonalGaussian:
-    """Project a pooled encoder row to a clamped diagonal Gaussian.
+    """Project a pooled encoder row to a clamped diagonal Gaussian, as one ``ag.gaussian_head`` node.
 
     ``pooled`` is the (1, d) row one sequence pools to, which gives a
     (d',) Gaussian, or the (B, 1, d) rows a batch pools to, which give a
@@ -85,10 +86,7 @@ def gaussian_head(pooled: Tensor, mu_w: Tensor, mu_b: Tensor, ls_w: Tensor, ls_b
     unlucky init or a large pooled activation cannot blow up the KL term
     early in training.
     """
-    shape = pooled.shape[:-2] + mu_w.shape[1:]
-    mu = ag.reshape(ag.linear(pooled, mu_w, mu_b), shape)
-    log_sigma = ag.reshape(ag.clamp(ag.linear(pooled, ls_w, ls_b), LOG_SIGMA_MIN, LOG_SIGMA_MAX), shape)
-    return DiagonalGaussian(mu, log_sigma)
+    return DiagonalGaussian(*ag.gaussian_head(pooled, mu_w, mu_b, ls_w, ls_b, LOG_SIGMA_MIN, LOG_SIGMA_MAX))
 
 
 def reparameterize(g: DiagonalGaussian, noise: np.ndarray, source: LatentSource) -> LatentCode:
@@ -101,7 +99,8 @@ def mean_code(g: DiagonalGaussian, source: LatentSource) -> LatentCode:
 
 
 def kl_divergence(q: DiagonalGaussian, p: DiagonalGaussian) -> Tensor:
-    """KL(q || p) in nats for diagonal Gaussians; scalar on the tape, the sum of ``ag.gaussian_kl``."""
+    """KL(q || p) in nats for diagonal Gaussians; scalar on the tape, ``ag.gaussian_kl`` summed by ``ag.elbo_loss``."""
     if q.width != p.width:
         raise ag.ShapeError(f"KL widths differ: {q.width} vs {p.width}")
-    return ag.sum_all(ag.gaussian_kl(q.mu, q.log_sigma, p.mu, p.log_sigma))
+    kl = ag.gaussian_kl(q.mu, q.log_sigma, p.mu, p.log_sigma)
+    return ag.elbo_loss(None, kl, 1.0, 1)

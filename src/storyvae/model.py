@@ -77,11 +77,13 @@ class StoryVAE:
 
     def _pooled(self, tokens, key_mask=None) -> Tensor:
         hidden = tf.stack_forward(tokens, self.params, self.config, role="encoder", key_mask=key_mask)
-        return tf.attention_average(hidden, tf.pooling_params(self.params), self.config.heads, key_mask=key_mask)
+        pool = self.params.memo("pool", lambda: tf.pooling_params(self.params))
+        return tf.attention_average(hidden, pool, self.config.heads, key_mask=key_mask)
 
     def _head(self, pooled: Tensor, role: str) -> lt.DiagonalGaussian:
         p = self.params
-        return lt.gaussian_head(pooled, p[f"{role}.mu.w"], p[f"{role}.mu.b"], p[f"{role}.ls.w"], p[f"{role}.ls.b"])
+        head = p.memo(role, lambda: [p[f"{role}.{name}"] for name in ("mu.w", "mu.b", "ls.w", "ls.b")])
+        return lt.gaussian_head(pooled, *head)
 
     def encode_prior(self, prompt_tokens) -> lt.DiagonalGaussian:
         """Learnable prior from the prompt alone; fixed N(0, I) in VAE mode.
@@ -190,7 +192,7 @@ class StoryVAE:
                                [np.ones(t.size, dtype=bool) for t in decoder_inputs])
 
     def _objective(self, posterior, prior, noise, beta, decoder_inputs, targets, masks):
-        """Decode posterior samples as one right-padded batch and score it: (masked NLL + beta * KL) / B.
+        """Decode posterior samples as one right-padded batch and score it: (masked NLL + beta * KL) / B, one node.
 
         The decoder needs no key mask, since it is causal and the padding
         is on the right, and pad positions are masked out of the NLL, so
@@ -201,11 +203,11 @@ class StoryVAE:
         logits = self.decode_logits(tf.pad_rows(decoder_inputs, PAD_ID)[0], z)
         mask = tf.pad_rows(masks, False)[0]
         recon, _ = ag.cross_entropy(logits, tf.pad_rows(targets, PAD_ID)[0], mask)
-        kl = lt.kl_divergence(posterior, prior)
-        loss = ag.mul_scalar(ag.add(recon, ag.mul_scalar(kl, beta)), 1.0 / b)
+        kl = ag.gaussian_kl(posterior.mu, posterior.log_sigma, prior.mu, prior.log_sigma)
+        loss = ag.elbo_loss(recon, kl, beta, b)
         breakdown = LossBreakdown(
             reconstruction_nats=float(recon.data) / b,
-            kl_nats=float(kl.data) / b,
+            kl_nats=float(np.add.reduce(kl.data, axis=None)) / b,
             beta=float(beta),
             token_count=int(mask.sum()),
         )
@@ -264,9 +266,17 @@ class StoryVAE:
         _drop_legacy_dropout(manifest)
         _check_manifest(manifest, directory)
         config = ModelConfig.from_dict(manifest["model"])
+        # Counted in closed form before any listing is built: a config of 10**30 layers is refused, not built.
+        tensors, elements = tf.parameter_count(config)
+        if tensors != len(manifest["tensors"]):
+            raise ContractError(f"{directory / MANIFEST_FILE}: its model config implies {tensors} tensors, "
+                                f"its tensor list names {len(manifest['tensors'])}")
         arrays = read_tensor_file(directory / manifest["payload"], manifest.get("dtype", "<f4"))
         if [n for n, _ in arrays] != manifest["tensors"]:
             raise ContractError("checkpoint payload does not match its manifest")
+        if sum(a.size for _, a in arrays) != elements:
+            raise ContractError(f"{directory / MANIFEST_FILE}: its model config implies {elements} parameter values, "
+                                f"its payload holds {sum(a.size for _, a in arrays)}")
         if {n: a.shape for n, a in arrays} != {n: shape for n, shape, _ in tf.parameter_specs(config)}:
             raise ContractError("checkpoint tensors do not have the names and shapes its model config implies")
         return cls(config, ParameterSet(arrays), mode=manifest["mode"]), manifest

@@ -32,64 +32,66 @@ from .model import StoryVAE
 from .transformer import ModelConfig
 
 
-def _causal_self_attention(t: Tensor) -> Tensor:
-    """One head of causal attention whose queries, keys and values are all the rows of ``t``."""
-    kv = tf.KVRows(1, t.shape[0])
-    kv.append(t, t)
-    return kv.attend(t, np.tri(t.shape[0], dtype=bool))
+def _attention_sublayer(x: Tensor, *tensors: Tensor) -> Tensor:
+    """One-head causal attention sublayer of the rows of ``x``, with its tensors in ``AttentionParams``' order."""
+    return tf.multi_head_attention(x, tf.AttentionParams(*tensors), 1, causal=True)
 
 
-def _row(t: Tensor, i: int) -> Tensor:
-    return ag.reshape(ag.take_rows(t, [i]), (t.shape[1],))
-
-
-def _mlp_sublayer(t: Tensor) -> Tensor:
-    """The MLP sublayer of the rows of ``t``, whose gains, weights and biases are rows of ``t`` too."""
-    w1 = ag.reshape(t, t.shape[::-1])
-    return ag.mlp_sublayer(t, _row(t, 0), _row(t, 1), w1, _row(w1, 0), t, _row(t, 2))
-
-
-def _attention_sublayer(t: Tensor) -> Tensor:
-    """One-head causal attention sublayer of the 5 rows of ``t``, whose tensors are rows of ``t`` too."""
-    square = lambda rows: ag.mul_scalar(ag.take_rows(t, rows), 0.5)
-    p = tf.AttentionParams(ln_g=_row(t, 0), ln_b=_row(t, 1), wq=square([0, 1, 2, 3, 4, 0, 1]), bq=_row(t, 2),
-                           wk=square([4, 3, 2, 1, 0, 4, 3]), wv=square([2, 3, 4, 0, 1, 2, 3]), bv=_row(t, 3),
-                           wo=square([1, 3, 0, 2, 4, 1, 3]), bo=_row(t, 4))
-    return tf.multi_head_attention(t, p, 1, causal=True)
+def _injection(z: Tensor, input_w: Tensor, psa_w: Tensor, softmax_w: Tensor, *psa_kv: Tensor) -> Tensor:
+    """Every output of a two-layer ``ag.inject``, folded into one tensor by ``gaussian_sample`` and ``gaussian_kl``."""
+    noise = np.random.default_rng(13).standard_normal((1, 7))
+    row, bias, ((k0, v0), (k1, v1)) = ag.inject(z, input_w, psa_w, softmax_w, [psa_kv[:4], psa_kv[4:]])
+    return ag.gaussian_kl(ag.gaussian_sample(row, bias, noise), k0, v0, ag.gaussian_sample(k1, v1, noise))
 
 
 def inner(a: Tensor, b: Tensor) -> Tensor:
-    """sum(a * b) over two tensors of one size, as ``linear`` of a (1, n) row of ``a`` and an (n, 1) column of ``b``."""
+    """sum(a * b) over two tensors of one size, as a (1, n) row times an (n, 1) column: the checks' scalar loss.
+
+    Backward hands ``a`` exactly ``b`` times the output's gradient, then ``b`` exactly ``a`` times it.
+    """
     n = a.data.size
-    return ag.sum_all(ag.linear(ag.reshape(a, (1, n)), ag.reshape(b, (n, 1))))
+    data = np.asarray(np.add.reduce(a.data.reshape(1, n) @ b.data.reshape(n, 1), axis=None), dtype=a.data.dtype)
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate_grad((g * b.data).reshape(a.shape))
+        if b.requires_grad:
+            b.accumulate_grad((g * a.data).reshape(b.shape))
+
+    return ag._make(data, "inner", (a, b), backward)
 
 
-def _check_unary_ops(report) -> bool:
+def _check_op_gradients(report) -> bool:
     rng = np.random.default_rng(11)
     noise = np.random.default_rng(12).standard_normal((2, 7))
-    builders = {
-        "mlp_sublayer": _mlp_sublayer,
-        "attention_sublayer": _attention_sublayer,
-        "gaussian_sample": lambda t: ag.gaussian_sample(
-            ag.take_rows(t, [0, 1]), ag.mul_scalar(ag.take_rows(t, [2, 3]), 0.5), noise),
-        "attention": _causal_self_attention,
-        "cross_entropy": lambda t: ag.cross_entropy(
-            t, np.array([0, 6, 3, 3, 1]), np.array([True, True, False, True, True]))[0],
-        "gaussian_kl": lambda t: ag.gaussian_kl(
-            ag.take_rows(t, [0, 1]), ag.mul_scalar(ag.take_rows(t, [2, 3]), 0.5),
-            ag.take_rows(t, [4, 0]), ag.mul_scalar(ag.take_rows(t, [1, 2]), 0.5)),
-        # Token 4 repeats, the positions start at row 1, and the injection row is a row of ``t`` too.
-        "embedding": lambda t: ag.embedding(t, ag.mul_scalar(t, 0.5), np.array([4, 0, 4, 2]), 1, ag.take_rows(t, [3])),
-        "tied_head": lambda t: ag.tied_head(
-            t, _row(t, 0), _row(t, 1), ag.mul_scalar(t, 0.5), ag.take_rows(ag.reshape(t, t.shape[::-1]), [2])),
+    square, row = (7, 7), (7,)
+    # Each op's input shapes, and the op; every input is a parameter of its own check.
+    cases = {
+        "mlp_sublayer": ([(5, 7), row, row, (7, 5), (5,), (5, 7), row], ag.mlp_sublayer),
+        "attention_sublayer": ([(5, 7), row, row, square, row, square, square, row, square, row], _attention_sublayer),
+        "pool": ([(5, 7), row, row, row, square, square, row, square, row],
+                 lambda *t: ag.pool(*t, n_heads=1, mask=np.array([True, True, False, True, True]))),
+        "gaussian_head": ([(2, 1, 7), square, row, square, row],
+                          lambda *t: ag.gaussian_sample(*ag.gaussian_head(*t, -0.5, 0.5), noise)),
+        "inject": ([row, square, (7, 14), square] + [square, row] * 4, _injection),
+        "gaussian_sample": ([(2, 7), (2, 7)], lambda mu, ls: ag.gaussian_sample(mu, ls, noise)),
+        "cross_entropy": ([(5, 7)], lambda t: ag.cross_entropy(
+            t, np.array([0, 6, 3, 3, 1]), np.array([True, True, False, True, True]))[0]),
+        "gaussian_kl": ([(2, 7)] * 4, ag.gaussian_kl),
+        "elbo_loss": ([(5, 7), (2, 7)], lambda t, kl: ag.elbo_loss(ag.cross_entropy(
+            t, np.array([0, 6, 3, 3, 1]), np.ones(5, dtype=bool))[0], kl, 0.7, 2)),
+        # Token 4 repeats, the positions start at row 1, and the injection row is a parameter too.
+        "embedding": ([(5, 7), (6, 7), (1, 7)], lambda w, p, r: ag.embedding(w, p, np.array([4, 0, 4, 2]), 1, r)),
+        "tied_head": ([(5, 7), row, row, (6, 7), (1, 6)], ag.tied_head),
     }
     ok = True
-    for name, build in builders.items():
-        params = ParameterSet()
-        params.add("x", Tensor(rng.standard_normal((5, 7)), dtype=np.float64))
+    for name, (shapes, op) in cases.items():
+        params = ParameterSet([(f"x{i}", rng.standard_normal(shape) * 0.5) for i, shape in enumerate(shapes)],
+                              dtype=np.float64)
+        inputs = [p for _, p in params.items()]
 
-        def loss(x=params["x"], b=build):
-            y = b(x)
+        def loss(inputs=inputs, op=op):
+            y = op(*inputs)
             return inner(y, y)
 
         result = ag.grad_check(loss, params)
@@ -219,16 +221,13 @@ def greedy_oracle(model: StoryVAE, prompt_tokens, separator_id: int, latent, max
     return story
 
 
-def _check_linear(report) -> bool:
-    a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    b = Tensor([[1.0], [1.0]])
-    got = ag.linear(a, b).data
-    ok = np.allclose(got, matmul_oracle(a.data, b.data)) and np.allclose(got, [[3.0], [7.0]])
-    bias, residual = Tensor([0.5]), Tensor([[-1.0], [2.0]])
-    fused = ag.linear(a, b, bias, residual=residual).data
-    ok &= np.allclose(fused, residual.data + matmul_oracle(a.data, b.data) + bias.data)
-    ok &= np.allclose(fused, [[2.5], [9.5]])
-    report(f"{'ok' if ok else 'FAIL'} linear, with bias and residual, against triple-loop oracle")
+def _check_products(report) -> bool:
+    rng = np.random.default_rng(14)
+    x, mu_w, mu_b, ls_w, ls_b = (Tensor(rng.standard_normal(shape)) for shape in [(1, 3), (3, 2), (2,), (3, 2), (2,)])
+    mu, log_sigma = ag.gaussian_head(x, mu_w, mu_b, ls_w, ls_b, -0.5, 0.5)
+    ok = np.allclose(mu.data, matmul_oracle(x.data, mu_w.data)[0] + mu_b.data)
+    ok &= np.allclose(log_sigma.data, np.clip(matmul_oracle(x.data, ls_w.data)[0] + ls_b.data, -0.5, 0.5))
+    report(f"{'ok' if ok else 'FAIL'} gaussian_head's products and clamp against the triple-loop oracle")
     return ok
 
 
@@ -417,8 +416,8 @@ def _check_model_gradients(report) -> bool:
 def run_all(report=print) -> int:
     """Run every check; returns the number of failures."""
     checks = [
-        _check_linear,
-        _check_unary_ops,
+        _check_products,
+        _check_op_gradients,
         _check_kl,
         _check_schedule,
         _check_adam,

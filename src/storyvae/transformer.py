@@ -21,13 +21,13 @@ MLP sublayer (``ag.mlp_sublayer``), each with its layer norm and
 residual.  A stack's input rows are one ``ag.embedding`` node, word plus
 position rows plus the ``input`` row, and the decoder's logits one
 ``ag.tied_head`` node: the final layer norm, the product with the
-transposed word table and the ``softmax`` bias.  The pooling block's
-attention is one ``ag.attention`` node, and the other projections are
-``ag.linear`` nodes.  Every attention reads its keys and values from a
-``KVRows``: per-head key and value stacks, preallocated, that each call
-appends its new rows to.
-``KVRows`` is the only way the latent row and the length limit reach an
-attention: the latent's key/value rows are its first rows, and its
+transposed word table and the ``softmax`` bias.  The encoder's final
+norm and its pooling are one ``ag.pool`` node, and a decoder's injection
+rows one ``ag.inject`` node.  Block tensors are looked up once per
+parameter layout.  Every decoder attention reads its keys and values
+from a ``KVRows``: per-head stacks, preallocated, that each call appends
+its new rows to, and the only way the latent row and the length limit
+reach an attention: the latent's rows are its first rows, and its
 capacity refuses rows beyond the configured length.
 The decoder forward runs over a ``DecoderCache``: the latent's injection
 rows, computed once, and each layer's ``KVRows`` so far.  A full-prefix
@@ -148,10 +148,6 @@ class AttentionParams:
     psa_wv: Tensor | None = None
     psa_bv: Tensor | None = None
 
-    @property
-    def has_psa(self) -> bool:
-        return self.psa_wk is not None
-
 
 @dataclass(frozen=True)
 class BlockParams:
@@ -163,6 +159,10 @@ class BlockParams:
 
 @dataclass
 class PoolingParams:
+    """The encoder's final layer norm, the learned query, and the key, value and output products that pool with it."""
+
+    ln_g: Tensor
+    ln_b: Tensor
     q: Tensor
     wk: Tensor
     wv: Tensor
@@ -220,6 +220,17 @@ def parameter_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], float 
     return specs
 
 
+def parameter_count(cfg: ModelConfig) -> tuple[int, int]:
+    """The number of tensors and of elements that ``parameter_specs(cfg)`` lists, in closed form, so any config is cheap."""
+    d, dp, psa, modes = cfg.d, cfg.latent_dim, "psa" in cfg.injection_modes, cfg.injection_modes
+    block = 12 * d * d + 12 * d  # two layer norms, four (d, d) and two (d, 4d) products, and their biases
+    tensors = 2 + cfg.layers * (15 + 4 * psa) + cfg.encoder_layers * 15 + 2 + 2 + 6 + 8 + len(modes)
+    elements = (cfg.vocab_size + cfg.max_seq_len) * d + cfg.layers * (block + psa * (2 * d * d + 2 * d)) \
+        + cfg.encoder_layers * block + 4 * d + (3 * d * d + 3 * d) + 4 * (d * dp + dp) \
+        + dp * (d * ("input" in modes) + cfg.layers * d * psa + cfg.vocab_size * ("softmax" in modes))
+    return tensors, elements
+
+
 def init_parameters(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32) -> ParameterSet:
     """Build all trainable tensors, laid out and drawn in ``parameter_specs`` order.
 
@@ -258,17 +269,19 @@ def attention_params(params: ParameterSet, prefix: str) -> AttentionParams:
 
 
 def _stack_blocks(params: ParameterSet, stack: str, n_layers: int) -> list[BlockParams]:
-    """The tensors of blocks ``<stack>.0`` to ``<stack>.<n_layers - 1>``, looked up once for a whole forward."""
+    """The tensors of blocks ``<stack>.0`` to ``<stack>.<n_layers - 1>``, looked up once per layout of ``params``."""
     mlp = ("ln2.g", "ln2.b", "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2")
-    blocks = []
-    for i in range(n_layers):
-        prefix = f"{stack}.{i}"
-        blocks.append(BlockParams(attention_params(params, prefix), tuple(params[f"{prefix}.{name}"] for name in mlp)))
-    return blocks
+
+    def lookup():
+        return [BlockParams(attention_params(params, f"{stack}.{i}"),
+                            tuple(params[f"{stack}.{i}.{name}"] for name in mlp)) for i in range(n_layers)]
+
+    return params.memo((stack, n_layers), lookup)
 
 
 def pooling_params(params: ParameterSet) -> PoolingParams:
     return PoolingParams(
+        ln_g=params["enc.final_norm.g"], ln_b=params["enc.final_norm.b"],
         q=params["pool.q"],
         wk=params["pool.wk"],
         wv=params["pool.wv"], bv=params["pool.bv"],
@@ -281,25 +294,29 @@ class KVRows:
 
     Keys sit transposed in ``keys_t`` (..., H, d/H, capacity) and values in
     ``values`` (..., H, capacity, d/H), where the leading axes, if any, are
-    the batch of sequences the first appended block brought; the first
-    ``rows`` are filled.  The first ``latent`` rows (0 or 1) are the
-    pseudo-self-attention latent row; the rest belong to positions of the
-    sequence.  ``append`` writes new rows after them, and so does
-    ``ag.attention_sublayer`` in the room ``reserve`` makes, so attending
-    over a view of the first ``rows`` never copies an earlier row.
-    ``segments`` lists each block of rows that ``append`` wrote from
-    tensors on the tape, for the backward of the attention ops that read
-    them; the rows ``ag.attention_sublayer`` writes are arrays only.
+    the batch of sequences the first rows brought; the first ``rows`` are
+    filled.  The first ``latent`` rows (0 or 1) are the pseudo-self-attention
+    latent row, from the (..., 1, d) key and value tensors ``latent``; the
+    rest belong to positions of the sequence, which
+    ``ag.attention_sublayer`` writes in the room ``reserve`` makes, so
+    attending over a view of the first ``rows`` never copies an earlier
+    row.  ``latent_rows`` keeps the latent row's tensors while they are on
+    the tape, for the backward of the attention that reads them.
     """
 
     def __init__(self, n_heads: int, capacity: int, latent: tuple[Tensor, Tensor] | None = None):
         self.n_heads, self.capacity = n_heads, capacity
-        self.keys_t = self.values = None
+        self.keys_t = self.values = self.latent_rows = None
         self.rows = self.latent = 0
-        self.segments: list[tuple[int, int, Tensor, Tensor]] = []
         if latent is not None:
-            self.append(*latent)
-            self.latent = 1
+            k, v = latent
+            self.reserve(k.shape, k.dtype)
+            *batch, l, d = k.shape
+            split, nb = (*batch, l, n_heads, d // n_heads), len(batch)
+            self.keys_t[..., :l] = k.data.reshape(split).transpose(*range(nb), nb + 1, nb + 2, nb)
+            self.values[..., :l, :] = v.data.reshape(split).swapaxes(-3, -2)
+            self.rows = self.latent = l
+            self.latent_rows = latent if k.requires_grad or v.requires_grad else None
 
     def reserve(self, shape: tuple[int, ...], dtype) -> int:
         """Make room for (..., l, d) rows of ``shape`` after the filled ones, and return the first free row.
@@ -316,44 +333,6 @@ class KVRows:
         elif self.keys_t.shape[:-3] != tuple(batch):
             raise ContractError(f"rows for a batch of {tuple(batch)} do not fit stacks for {self.keys_t.shape[:-3]}")
         return lo
-
-    def append(self, k: Tensor, v: Tensor) -> None:
-        """Write the (..., l, d) key and value rows ``k`` and ``v`` after the filled ones."""
-        lo = self.reserve(k.shape, k.dtype)
-        *batch, l, d = k.shape
-        h = self.n_heads
-        split, nb = (*batch, l, h, d // h), len(batch)
-        self.keys_t[..., lo:lo + l] = k.data.reshape(split).transpose(*range(nb), nb + 1, nb + 2, nb)
-        self.values[..., lo:lo + l, :] = v.data.reshape(split).swapaxes(-3, -2)
-        self.rows = lo + l
-        if k.requires_grad or v.requires_grad:
-            self.segments.append((lo, lo + l, k, v))
-
-    def attend(self, q: Tensor, mask=None, return_weights: bool = False):
-        """``ag.attention`` of ``q`` over the filled rows."""
-        n = self.rows
-        return ag.attention(q, self.keys_t[..., :n], self.values[..., :n, :], tuple(self.segments), mask, return_weights)
-
-
-def latent_kv(z: Tensor, p: AttentionParams) -> tuple[Tensor, Tensor] | None:
-    """The pseudo self-attention key and value rows of a (1, d) per-layer latent row, or (B, 1, d) for B latents.
-
-    They are the first rows of the layer's ``KVRows``.  An exactly-zero
-    row injects nothing and gives no rows; zeroed projections then leave
-    the latent-free path bit-identical.  A batch must be all zero or all
-    nonzero, since its rows share one cache.
-    """
-    d = p.wq.shape[0]
-    if z.shape[-2:] != (1, d) or z.data.ndim > 3:
-        raise ag.ShapeError(f"latent row shape {z.shape} does not match one row of model width {d}")
-    nonzero = np.any(z.data != 0.0, axis=(-2, -1))
-    if not nonzero.any():
-        return None
-    if not nonzero.all():
-        raise ContractError("a batch of latent rows mixes exactly-zero and nonzero rows")
-    if not p.has_psa:
-        raise ContractError("latent row given but this layer has no latent key/value projections")
-    return ag.linear(z, p.psa_wk, p.psa_bk), ag.linear(z, p.psa_wv, p.psa_bv)
 
 
 def multi_head_attention(
@@ -372,8 +351,8 @@ def multi_head_attention(
     the per-head scale is 1/sqrt(d/H).  Keys and values are ``past``'s
     rows followed by those of ``x``, which are appended to ``past``, so
     the next call attends over them too.  ``past`` is the one way in for
-    the pseudo-self-attention latent row, ``KVRows(H, capacity,
-    latent_kv(z, p))``, and its capacity is the length limit.  Queries
+    the pseudo-self-attention latent row (its key and value rows from
+    ``ag.inject``), and its capacity is the length limit.  Queries
     come from ``x`` only; the causal mask orders the rows of ``x`` among
     themselves and never blocks a ``past`` row, so a single new row needs
     no mask.  A non-causal attention over right-padded rows takes a
@@ -395,7 +374,7 @@ def multi_head_attention(
         mask = np.ones((l, n_past + l), dtype=bool)
         mask[:, n_past:] = np.tri(l, dtype=bool)
     result = ag.attention_sublayer(x, p.ln_g, p.ln_b, p.wq, p.bq, p.wk, p.wv, p.bv, p.wo, p.bo,
-                                   past.keys_t, past.values, n_past, past.segments, mask, return_weights)
+                                   past.keys_t, past.values, n_past, past.latent_rows, mask, return_weights)
     out = result[0] if return_weights else result
     if out.requires_grad and n_past > past.latent:
         raise ContractError(f"a call on the tape must be the first through its key/value rows, but "
@@ -406,35 +385,30 @@ def multi_head_attention(
 
 def attention_average(hseq: Tensor, p: PoolingParams, n_heads: int, return_weights: bool = False,
                       key_mask: np.ndarray | None = None):
-    """Pool a sequence into one row with a learnable query.
+    """The encoder's final layer norm, then a pooling of the sequence into one row with a learnable query: one node.
 
-    ``hseq`` is one (T, d) sequence, pooled to a (1, d) row, or a
-    (B, T, d) batch, pooled to (B, 1, d): one row per sequence, so each
-    goes through its own output product.  A batch of right-padded
-    sequences passes the (B, 1, 1, T) ``key_mask`` that is False at
-    padding, so each sequence pools over its own positions only.
+    ``hseq`` is one (T, d) sequence of the encoder's last block, pooled to
+    a (1, d) row, or a (B, T, d) batch, pooled to (B, 1, d): one row per
+    sequence, so each goes through its own output product.  A batch of
+    right-padded sequences passes the (B, 1, 1, T) ``key_mask`` that is
+    False at padding, so each sequence pools over its own positions only.
+    With ``return_weights`` the per-head weights follow the row.
     """
-    l, d = hseq.shape[-2:]
-    if l < 1:
+    if hseq.shape[-2] < 1:
         raise ContractError("cannot pool an empty sequence")
-    kv = KVRows(n_heads, l)
-    kv.append(ag.linear(hseq, p.wk), ag.linear(hseq, p.wv, p.bv))
-    q = ag.reshape(p.q, (1, d))
-    if return_weights:
-        out, weights = kv.attend(q, key_mask, return_weights=True)
-        return ag.linear(out, p.wo, p.bo), list(weights)
-    return ag.linear(kv.attend(q, key_mask), p.wo, p.bo)
+    result = ag.pool(hseq, p.ln_g, p.ln_b, p.q, p.wk, p.wv, p.bv, p.wo, p.bo, n_heads, key_mask, return_weights)
+    return (result[0], list(result[1])) if return_weights else result
 
 
 class DecoderCache:
     """A decoder forward's state for one latent or a batch of them: injection rows, and each layer's keys and values.
 
     The ``input`` row, the per-layer pseudo-self-attention key/value rows
-    and the ``softmax`` bias are computed from the latent here, once.  A
-    (B, d') latent batch serves B sequences of equal length: its rows go
-    through the injection products as (B, 1, d') rows, each on its own,
-    and a single latent as one (1, d') row.  ``modes`` must be among the
-    model's ``cfg.injection_modes``, the routes it has parameters for.
+    and the ``softmax`` bias are computed from the latent here, once, as
+    one ``ag.inject`` node.  A (B, d') latent batch serves B sequences of
+    equal length: its rows go through the injection products as (B, 1,
+    d') rows, each on its own, and a single latent as one (1, d') row.
+    ``modes`` must be among the model's ``cfg.injection_modes``.
     Each layer's ``KVRows`` is preallocated to the latent row plus
     ``positions`` token rows (``cfg.max_seq_len`` by default); the latent
     rows are its first rows.  ``stack_forward`` appends the rows of the tokens
@@ -459,26 +433,17 @@ class DecoderCache:
         self.params, self.latent, self.modes, self.length = params, latent, modes, 0
         self.batch = None if latent is None else latent.z.shape[:-1]
         self.input_row = self.softmax_bias = None
-        z_rows: list[Tensor | None] = [None] * cfg.layers
+        self.blocks, kv = _stack_blocks(params, "dec", cfg.layers), []
         if modes:
             if latent.width != cfg.latent_dim:
                 raise ContractError(f"latent width {latent.width} does not match configured {cfg.latent_dim}")
-            z = ag.reshape(latent.z, (*self.batch, 1, latent.width))
-            if "input" in modes:
-                self.input_row = ag.linear(z, params["inject.input.w"])
-            if "psa" in modes:
-                rows = ag.reshape(ag.linear(z, params["inject.psa.w"]), (*self.batch, cfg.layers, cfg.d))
-                z_rows = [ag.take_rows(rows, [i]) for i in range(cfg.layers)]
-            if "softmax" in modes:
-                self.softmax_bias = ag.linear(z, params["inject.softmax.w"])
+            psa = [(b.attn.psa_wk, b.attn.psa_bk, b.attn.psa_wv, b.attn.psa_bv) for b in self.blocks if "psa" in modes]
+            self.input_row, self.softmax_bias, kv = ag.inject(
+                latent.z, *(params[f"inject.{m}.w"] if m in modes else None for m in INJECTION_MODES), psa)
         self.word, self.pos = params["embed.word"], params["embed.pos"]
-        self.blocks = _stack_blocks(params, "dec", cfg.layers)
         self.final_norm = (params["dec.final_norm.g"], params["dec.final_norm.b"])
-        self.layers = [
-            KVRows(cfg.heads, 1 + (cfg.max_seq_len if positions is None else positions),
-                   None if z is None else latent_kv(z, block.attn))
-            for z, block in zip(z_rows, self.blocks)
-        ]
+        capacity = 1 + (cfg.max_seq_len if positions is None else positions)
+        self.layers = [KVRows(cfg.heads, capacity, rows) for rows in kv or [None] * cfg.layers]
 
 
 def _validate_tokens(tokens: np.ndarray, cfg: ModelConfig, start: int = 0) -> np.ndarray:
@@ -528,14 +493,15 @@ def stack_forward(
 ):
     """Run the encoder or decoder stack over (T,) tokens, or a (B, T) batch of sequences.
 
-    Returns the final hidden states for the encoder, and the logits for
+    Returns the last block's rows for the encoder, and the logits for
     the decoder, with a leading B axis for a batch.  Each stack is one
-    ``ag.embedding`` node and two nodes per block; the encoder ends in
-    its final ``ag.layer_norm`` and the decoder in one ``ag.tied_head``
-    node, and the decoder reads every tensor from its cache.  ``modes`` selects
-    which injection routes consume the latent; the decoder requires a
-    latent whenever any mode is active, and a batch takes a (B, d')
-    latent batch.  A decoder ``cache`` built for the same latent and
+    ``ag.embedding`` node and two nodes per block; the encoder's final
+    layer norm belongs to its pooling (``attention_average``), and the
+    decoder ends in one ``ag.tied_head`` node and reads every tensor
+    from its cache.  ``modes`` selects which injection routes consume
+    the latent; the decoder requires a latent whenever any mode is
+    active, and a batch takes a (B, d') latent batch.  A decoder
+    ``cache`` built for the same latent and
     modes makes ``tokens`` the continuation of the tokens it has
     consumed: they sit at positions ``cache.length`` onward, and the
     logits cover them alone.  Without one the tokens start at position
@@ -577,7 +543,7 @@ def stack_forward(
         for block in _stack_blocks(params, "enc", cfg.encoder_layers):
             x = multi_head_attention(x, block.attn, cfg.heads, False, key_mask=key_mask)
             x = ag.mlp_sublayer(x, *block.mlp)
-        return ag.layer_norm(x, params["enc.final_norm.g"], params["enc.final_norm.b"])
+        return x
 
     x = ag.embedding(cache.word, cache.pos, tokens, start, cache.input_row)
     for block, past in zip(cache.blocks, cache.layers):

@@ -11,7 +11,7 @@ import pytest
 from storyvae import autograd as ag
 from storyvae import transformer as tf
 from storyvae.autograd import ParameterSet, Tensor
-from storyvae.selfcheck import inner, matmul_oracle
+from storyvae.selfcheck import inner
 
 
 def finite_difference(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -29,104 +29,15 @@ def finite_difference(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     return grad
 
 
-class TestLinear:
-    def test_identity(self):
-        rng = np.random.default_rng(0)
-        a = Tensor(rng.standard_normal((3, 4)).astype(np.float32))
-        identity = Tensor(np.eye(4, dtype=np.float32))
-        assert np.allclose(ag.linear(a, identity).data, a.data)
-
-    def test_zero_absorbs(self):
-        zeros = Tensor(np.zeros((2, 3), dtype=np.float32))
-        b = Tensor(np.random.default_rng(1).standard_normal((3, 5)).astype(np.float32))
-        assert np.array_equal(ag.linear(zeros, b).data, np.zeros((2, 5), dtype=np.float32))
-
-    def test_worked_example(self):
-        a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        b = Tensor([[1.0], [1.0]])
-        got = ag.linear(a, b).data
-        assert np.array_equal(got, np.array([[3.0], [7.0]], dtype=np.float32))
-        assert np.allclose(got, matmul_oracle(a.data, b.data))
-
-    def test_random_against_oracle(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            m, k, n = rng.integers(1, 6, size=3)
-            a = rng.standard_normal((m, k))
-            b = rng.standard_normal((k, n))
-            assert np.allclose(ag.linear(Tensor(a), Tensor(b)).data, matmul_oracle(a, b), atol=1e-5)
-
-    def test_shape_error_names_both_shapes(self):
-        a = Tensor(np.zeros((2, 3)))
-        b = Tensor(np.zeros((4, 5)))
-        with pytest.raises(ag.ShapeError, match=r"\(4, 5\).*\(2, 3\)"):
-            ag.linear(a, b)
-
-    def test_associativity_float32(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            a = Tensor(rng.standard_normal((4, 5)).astype(np.float32))
-            b = Tensor(rng.standard_normal((5, 3)).astype(np.float32))
-            c = Tensor(rng.standard_normal((3, 6)).astype(np.float32))
-            left = ag.linear(ag.linear(a, b), c).data
-            right = ag.linear(a, ag.linear(b, c)).data
-            denom = np.maximum(np.abs(left), 1.0)
-            assert (np.abs(left - right) / denom).max() < 1e-4
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("lead", [(), (3,)], ids=["rank2", "rank3"])
-    @pytest.mark.parametrize("bias", [False, True], ids=["no_bias", "bias"])
-    def test_residual_matches_a_separate_add(self, dtype, lead, bias):
-        """``linear(x, w, b, residual=r)`` gives the bits of ``add(r, linear(x, w, b))``, forward and backward."""
-        rng = np.random.default_rng(11)
-
-        def run(fused: bool):
-            x, r = (Tensor(rng.standard_normal((*lead, 5, 4)), requires_grad=True, dtype=dtype) for _ in range(2))
-            w = Tensor(rng.standard_normal((4, 4)), requires_grad=True, dtype=dtype)
-            b = Tensor(rng.standard_normal(4), requires_grad=True, dtype=dtype) if bias else None
-            # ``r`` also feeds a second node, so its gradient is a sum whose order matters.
-            out = ag.linear(x, w, b, residual=r) if fused else ag.add(r, ag.linear(x, w, b))
-            ag.backward(inner(ag.add(out, r), out))
-            return [out.data] + [t.grad for t in (x, w, b, r) if t is not None]
-
-        rng_state = rng.bit_generator.state
-        fused = run(True)
-        rng.bit_generator.state = rng_state
-        assert all(np.array_equal(a, b) for a, b in zip(fused, run(False), strict=True))
-
-    def test_residual_of_another_shape_raises(self):
-        x, w = Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4)))
-        for shape in [(2, 3), (4,), (1, 4), (1, 2, 4)]:
-            with pytest.raises(ag.ShapeError, match="residual"):
-                ag.linear(x, w, residual=Tensor(np.zeros(shape)))
-
-    def test_vector_cases(self):
-        """A vector goes through as one (1, d) row; a bare (d,) vector is refused."""
-        rng = np.random.default_rng(4)
-        v = rng.standard_normal(3)
-        m = rng.standard_normal((3, 4))
-        assert np.allclose(ag.linear(Tensor(v[None]), Tensor(m)).data, (v @ m)[None], atol=1e-6)
-        with pytest.raises(ag.ShapeError):
-            ag.linear(Tensor(v), Tensor(m))
-
-
 def _attention_weights(scores, mask=None):
-    """The weights one head of ``ag.attention`` gives (Lq, n) ``scores``.
-
-    The n keys are the identity rows, so query row i scaled by sqrt(n)
-    scores key j at ``scores[i, j]`` once the op divides by sqrt(d/H).
-    """
+    """The weights that the masked softmax ``attention_sublayer`` and ``pool`` share gives one head's (Lq, n) scores."""
     scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
-    n = scores.shape[1]
-    kv = tf.KVRows(1, n)
-    identity = Tensor(np.eye(n))
-    kv.append(identity, identity)
-    _, weights = kv.attend(Tensor(scores * math.sqrt(n)), mask, return_weights=True)
-    return weights[0]
+    probs, _ = ag._mix(scores[None], np.zeros((1, scores.shape[1], 1)), mask, 1)
+    return probs[0]
 
 
 class TestAttention:
-    """The masked softmax inside ``ag.attention``, read through ``return_weights``."""
+    """The masked softmax inside the attention ops."""
 
     def test_uniform(self):
         assert np.allclose(_attention_weights([0.0, 0.0, 0.0]), [[1 / 3] * 3], atol=1e-7)
@@ -159,20 +70,12 @@ class TestAttention:
             _attention_weights(np.zeros((2, 3)), mask=mask)
 
     def test_mask_broadcasts_over_leading_axes(self):
-        """One (Lq, n) mask serves every head: each head matches a one-head run on its slice."""
-        rng = np.random.default_rng(8)
-        q, k, v = (Tensor(rng.standard_normal((3, 4))) for _ in range(3))
+        """One (Lq, n) mask serves every head: each head's weights match a one-head run on its scores."""
+        scores = np.random.default_rng(8).standard_normal((2, 3, 3))
         mask = np.tri(3, dtype=bool)
-        both = tf.KVRows(2, 3)
-        both.append(k, v)
-        out, weights = both.attend(q, mask, return_weights=True)
+        both, _ = ag._mix(scores, np.zeros((2, 3, 1)), mask, 2)
         for h in range(2):
-            cols = slice(2 * h, 2 * h + 2)
-            one = tf.KVRows(1, 3)
-            one.append(Tensor(k.data[:, cols]), Tensor(v.data[:, cols]))
-            head_out, head_weights = one.attend(Tensor(q.data[:, cols]), mask, return_weights=True)
-            assert np.allclose(weights[h], head_weights[0], rtol=0, atol=1e-15)
-            assert np.allclose(out.data[:, cols], head_out.data, rtol=0, atol=1e-15)
+            assert np.array_equal(both[h], _attention_weights(scores[h], mask))
 
     def test_mask_that_does_not_broadcast_raises(self):
         with pytest.raises(ag.ShapeError, match="does not broadcast"):
@@ -180,25 +83,22 @@ class TestAttention:
 
 
 class TestLayerNorm:
+    """The layer norm inside the sublayers, the head and the pooling."""
+
     def test_constant_row_returns_bias(self):
-        x = Tensor(np.full((2, 4), 3.5))
-        gain = Tensor(np.ones(4))
-        bias = Tensor(np.array([1.0, -2.0, 0.5, 0.0]))
-        out = ag.layer_norm(x, gain, bias).data
-        assert np.allclose(out, np.broadcast_to(bias.data, (2, 4)), atol=1e-6)
+        bias = np.array([1.0, -2.0, 0.5, 0.0])
+        out = ag._norm(np.full((2, 4), 3.5), np.ones(4), bias)[0]
+        assert np.allclose(out, np.broadcast_to(bias, (2, 4)), atol=1e-6)
 
     def test_two_point_row(self):
-        x = Tensor(np.array([[1.0, -1.0]]))
-        out = ag.layer_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2))).data
+        out = ag._norm(np.array([[1.0, -1.0]]), np.ones(2), np.zeros(2))[0]
         assert np.allclose(out, [[1.0, -1.0]], atol=1e-5)
 
     def test_gain_linearity(self):
         rng = np.random.default_rng(7)
-        x = Tensor(rng.standard_normal((3, 5)))
-        gain = Tensor(rng.standard_normal(5))
-        zero_bias = Tensor(np.zeros(5))
-        once = ag.layer_norm(x, gain, zero_bias).data
-        twice = ag.layer_norm(x, ag.mul_scalar(gain, 2.0), zero_bias).data
+        x, gain = rng.standard_normal((3, 5)), rng.standard_normal(5)
+        once = ag._norm(x, gain, np.zeros(5))[0]
+        twice = ag._norm(x, 2.0 * gain, np.zeros(5))[0]
         assert np.allclose(twice, 2 * once, atol=1e-6)
 
 
@@ -279,9 +179,10 @@ class TestGaussianSample:
 
 
 class TestBackward:
-    def test_sum_gives_ones(self):
+    def test_a_sum_gives_ones(self):
+        """The objective's KL sum hands every coordinate the output's gradient."""
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        ag.backward(ag.sum_all(x))
+        ag.backward(ag.elbo_loss(None, x, 1.0, 1))
         assert np.array_equal(x.grad, np.ones((2, 3)))
 
     def test_unused_parameter_gets_zero(self):
@@ -305,13 +206,24 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ag.GraphError):
-            ag.backward(ag.add(x, x))
+            ag.backward(ag.gaussian_sample(x, x, np.ones(3)))
 
     def test_grad_accumulates_across_reuse(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
-        y = ag.add(inner(x, x), inner(x, x))
-        ag.backward(ag.sum_all(y))
+        ag.backward(ag.elbo_loss(inner(x, x), inner(x, x), 1.0, 1))
         assert np.allclose(x.grad, [8.0])
+
+    def test_a_node_of_two_outputs_runs_its_backward_once_per_backward(self):
+        """Each backward hands the pooled row only the gradients that reached the outputs in that backward."""
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.standard_normal((1, 3)), requires_grad=True)
+        weights = [Tensor(rng.standard_normal(shape)) for shape in [(3, 2), (2,), (3, 2), (2,)]]
+        mu, log_sigma = ag.gaussian_head(x, *weights, -5.0, 5.0)
+        ag.backward(inner(mu, Tensor(np.ones(2))))
+        first = x.grad.copy()
+        assert np.allclose(first, weights[0].data.sum(axis=1))
+        ag.backward(inner(log_sigma, Tensor(np.ones(2))))
+        assert np.allclose(x.grad, first + weights[2].data.sum(axis=1))
 
 
 class TestNumericsPolicy:
@@ -321,26 +233,23 @@ class TestNumericsPolicy:
         with pytest.raises(ag.NumericsError, match="^gaussian_sample produced non-finite values$"):
             ag.gaussian_sample(Tensor(np.zeros(2)), Tensor(np.array([0.5, 1000.0])), np.full(2, noise))
 
-    def test_linear_overflow_raises(self):
-        big = Tensor(np.full((2, 3), 1e30, dtype=np.float32))
-        with pytest.raises(ag.NumericsError):
-            ag.linear(big, ag.reshape(big, (3, 2)))
-        # The bias alone overflows a finite product.
+    def test_a_product_overflow_raises(self):
+        """The bias alone overflows a finite product, and the error names the product it happened in."""
         huge = np.finfo(np.float32).max
-        with pytest.raises(ag.NumericsError):
-            ag.linear(Tensor(np.full((1, 3), huge / 2, dtype=np.float32)), Tensor(np.eye(3, 2, dtype=np.float32)),
-                      Tensor(np.full(2, huge, dtype=np.float32)))
-        # So does the residual, and the error names the op it happened in.
-        with pytest.raises(ag.NumericsError, match="^linear produced non-finite values$"):
-            ag.linear(Tensor(np.full((1, 3), huge / 2, dtype=np.float32)), Tensor(np.eye(3, 2, dtype=np.float32)),
-                      residual=Tensor(np.full((1, 2), huge, dtype=np.float32)))
+        x = Tensor(np.full((1, 3), huge / 2, dtype=np.float32))
+        w, b = Tensor(np.eye(3, 2, dtype=np.float32)), Tensor(np.full(2, huge, dtype=np.float32))
+        zero = Tensor(np.zeros(2, dtype=np.float32))
+        with pytest.raises(ag.NumericsError, match="^gaussian_head: linear mu produced non-finite values$"):
+            ag.gaussian_head(x, w, b, w, zero, -1.0, 1.0)
+        with pytest.raises(ag.NumericsError, match="^gaussian_head: linear ls produced non-finite values$"):
+            ag.gaussian_head(x, w, zero, w, b, -1.0, 1.0)
 
     def test_attention_overflow_raises(self):
-        kv = tf.KVRows(2, 3)
-        rows = Tensor(np.full((3, 4), 1e20, dtype=np.float32))
-        kv.append(rows, rows)
-        with pytest.raises(ag.NumericsError):  # each score is 2e40 / sqrt(2)
-            kv.attend(Tensor(np.full((2, 4), 1e20, dtype=np.float32)))
+        rows = Tensor(np.array([[1.0, -1.0, 2.0, -2.0], [0.5, 0.0, -0.5, 3.0], [2.0, 1.0, 0.0, -3.0]], dtype=np.float32))
+        eye, zero = Tensor(np.eye(4, dtype=np.float32)), Tensor(np.zeros(4, dtype=np.float32))
+        query = Tensor(np.full(4, 3e38, dtype=np.float32))
+        with pytest.raises(ag.NumericsError, match="^pool: attention produced non-finite values$"):
+            ag.pool(rows, Tensor(np.ones(4, dtype=np.float32)), zero, query, eye, eye, zero, eye, zero, n_heads=2)
 
 
 class TestGradCheck:
@@ -373,7 +282,7 @@ class TestGradCheck:
 
         def noisy():
             counter["n"] += 1
-            return ag.mul_scalar(ag.sum_all(params["x"]), 1.0 + counter["n"] * 1e-9)
+            return ag.elbo_loss(None, params["x"], 1.0 + counter["n"] * 1e-9, 1)
 
         report = ag.grad_check(noisy, params)
         assert not report.deterministic
@@ -383,177 +292,125 @@ class TestGradCheck:
         params = ParameterSet()
         params.add("x", Tensor(np.array([1.0]), dtype=np.float64))
         with pytest.raises(ValueError):
-            ag.grad_check(lambda: ag.sum_all(params["x"]), params, eps=1e-2)
+            ag.grad_check(lambda: inner(params["x"], params["x"]), params, eps=1e-2)
 
     def test_rejects_float32(self):
         params = ParameterSet()
         params.add("x", Tensor(np.array([1.0], dtype=np.float32)))
         with pytest.raises(ValueError, match="float64"):
-            ag.grad_check(lambda: ag.sum_all(params["x"]), params)
+            ag.grad_check(lambda: inner(params["x"], params["x"]), params)
 
 
 NOISE = np.random.default_rng(21).standard_normal((3, 8))
+TARGETS = np.array([0, 7, 3, 3, 5, 1])  # target 3 repeats
+VALID = np.array([True, False, True, True, True, False])  # and two positions are masked out
+ROW, SQUARE = (8,), (8, 8)
+ATTENTION = [ROW, ROW, SQUARE, ROW, SQUARE, SQUARE, ROW, SQUARE, ROW]  # the gains, products and biases
+POOL = [ROW, ROW, ROW, SQUARE, SQUARE, ROW, SQUARE, ROW]
 
+
+def _sublayer(x, *tensors, causal=True, key_mask=None, latent=None):
+    """Two heads of an attention sublayer over ``x``, after a latent row if ``latent`` holds its key and value."""
+    p = tf.AttentionParams(*tensors)
+    past = None if latent is None else tf.KVRows(2, 1 + x.shape[-2], latent)
+    return tf.multi_head_attention(x, p, 2, causal=causal, key_mask=key_mask, past=past)
+
+
+def _injection(z, input_w, psa_w, softmax_w, *psa_kv):
+    """Every output of a two-layer ``ag.inject`` at d=4, folded into one tensor by ``gaussian_sample`` and ``gaussian_kl``."""
+    row, bias, ((k0, v0), (k1, v1)) = ag.inject(z, input_w, psa_w, softmax_w, [psa_kv[:4], psa_kv[4:]])
+    noise = 0.3 * NOISE[:row.shape[0], :4].reshape(row.shape)
+    return ag.gaussian_kl(ag.gaussian_sample(row, v1, noise), bias, ag.gaussian_sample(k0, k1, noise), v0)
+
+
+# Each op's input shapes, and the op of those inputs; every input is a parameter of the check.
 OP_CASES = {
-    "add": lambda t, u: ag.add(t, u),
-    # ``t`` reaches the output through the residual, the layer norm and the second product's weight.
-    "mlp_sublayer": lambda t, u: ag.mlp_sublayer(t, _row(u, 0), _row(u, 1), _flip(u), _row(_flip(t), 0),
-                                                 u, _row(t, 2)),
-    "clamp": lambda t, u: ag.clamp(t, -0.9, 0.9),
-    "reshape": lambda t, u: ag.reshape(t, (t.data.size,)),
-    "layer_norm": lambda t, u: ag.layer_norm(
-        t,
-        ag.reshape(ag.take_rows(u, [0]), (t.shape[1],)),
-        ag.reshape(ag.take_rows(u, [1]), (t.shape[1],)),
-    ),
-    "linear": lambda t, u: ag.linear(t, _flip(u)),
-    "linear_bias": lambda t, u: ag.linear(t, _flip(u), _row(_flip(t), 0)),
-    # A single vector is one (1, d) row.
-    "linear_vector": lambda t, u: ag.linear(ag.take_rows(t, [1]), _flip(u)),
-    "linear_vector_bias": lambda t, u: ag.linear(ag.take_rows(t, [1]), _flip(u), _row(_flip(u), 2)),
-    # ``t`` reaches the output both through the product and through the residual.
-    "linear_residual": lambda t, u: ag.linear(t, _flip(u), residual=ag.take_rows(_flip(t), range(6))),
-    "linear_vector_bias_residual": lambda t, u: ag.linear(
-        ag.take_rows(t, [1]), _flip(u), _row(_flip(u), 2), residual=ag.take_rows(_flip(t), [3])),
+    # ``x`` reaches the output through the residual, the layer norm and the second product's weight.
+    "mlp_sublayer": ([(6, 8), ROW, ROW, (8, 6), (6,), ROW],
+                     lambda x, g, b, w1, b1, b2: ag.mlp_sublayer(x, g, b, w1, b1, x, b2)),
+    "mlp_sublayer_rank3": ([(2, 3, 8), ROW, ROW, (8, 6), (6,), (6, 8), ROW], ag.mlp_sublayer),
     # Word row 5 repeats, and the positions are rows 2 to 5.
-    "embedding": lambda t, u: ag.embedding(t, u, np.array([5, 0, 5, 2]), 2),
-    "embedding_row": lambda t, u: ag.embedding(t, u, np.array([5, 0, 5, 2]), 2, ag.take_rows(u, [0])),
-    # ``t`` reaches the logits through the layer norm and through the table.
-    "tied_head": lambda t, u: ag.tied_head(t, _row(u, 0), _row(u, 1), t),
-    "tied_head_bias": lambda t, u: ag.tied_head(t, _row(u, 0), _row(u, 1), u, ag.take_rows(_flip(t), [0])),
-    "attention_latent_row": lambda t, u: _attention(t, u, latent=True),
-    "attention_causal": lambda t, u: _attention(t, u, mask=np.tri(6, dtype=bool)),
-    "attention_valid": lambda t, u: _attention(
-        t, u, query=ag.take_rows(t, [0]), mask=np.array([True, False, True, True, False, True])),
-    "attention_cached": lambda t, u: _two_cached_calls(t, u),
-    "attention_sublayer_causal": lambda t, u: tf.multi_head_attention(t, _sublayer_params(t, u), 2, causal=True),
-    "attention_sublayer_latent_row_key_mask": lambda t, u: tf.multi_head_attention(
-        ag.take_rows(t, [0, 1, 2, 3, 4]), _sublayer_params(t, u), 2, causal=False, key_mask=np.arange(6) != 3,
-        past=tf.KVRows(2, 6, (ag.take_rows(u, [5]), ag.take_rows(t, [5])))),
-    # Target 3 repeats, and two positions are masked out.
-    "cross_entropy": lambda t, u: ag.cross_entropy(
-        ag.add(t, u), np.array([0, 7, 3, 3, 5, 1]), np.array([True, False, True, True, True, False]))[0],
-    "gaussian_kl": lambda t, u: ag.gaussian_kl(
-        _row(t, 0), ag.mul_scalar(_row(t, 1), 0.5), _row(u, 0), ag.mul_scalar(_row(u, 1), 0.5)),
-    # A (3, 8) batch whose prior, like the posterior, is trainable.
-    "gaussian_kl_batch": lambda t, u: ag.gaussian_kl(
-        ag.take_rows(t, [0, 1, 2]), ag.mul_scalar(ag.take_rows(t, [3, 4, 5]), 0.5),
-        ag.take_rows(u, [0, 1, 2]), ag.mul_scalar(ag.take_rows(u, [3, 4, 5]), 0.5)),
-    # A (d',) draw, and a (3, 8) batch whose mean and log-sigma rows overlap in ``t``.
-    "gaussian_sample": lambda t, u: ag.gaussian_sample(_row(t, 0), ag.mul_scalar(_row(u, 1), 0.5), NOISE[0]),
-    "gaussian_sample_batch": lambda t, u: ag.gaussian_sample(
-        ag.take_rows(t, [0, 1, 2]), ag.mul_scalar(ag.take_rows(t, [2, 3, 4]), 0.5), NOISE),
-    # Rank 3: the (6, 8) inputs as a batch of two (3, 8) matrices.
-    "add_rank3": lambda t, u: ag.add(ag.add(_rank3(t), ag.take_rows(u, [0, 1, 2])), ag.take_rows(_rank3(u), [1])),
-    "mlp_sublayer_rank3": lambda t, u: ag.mlp_sublayer(
-        _rank3(t), _row(u, 0), _row(u, 1), _flip(u), _row(_flip(t), 0), u, _row(t, 2)),
-    "clamp_rank3": lambda t, u: ag.clamp(_rank3(t), -0.9, 0.9),
-    "reshape_rank3": lambda t, u: ag.reshape(_rank3(t), (3, 2, 8)),
-    "layer_norm_rank3": lambda t, u: ag.layer_norm(_rank3(t), _row(u, 0), _row(u, 1)),
-    "linear_rank3": lambda t, u: ag.linear(_rank3(t), _flip(u)),
-    "linear_bias_rank3": lambda t, u: ag.linear(_rank3(t), _flip(u), _row(_flip(t), 0)),
-    "linear_bias_residual_rank3": lambda t, u: ag.linear(
-        _rank3(t), _flip(u), _row(_flip(t), 0),
-        residual=ag.reshape(ag.take_rows(_flip(u), range(6)), (2, 3, 6))),
+    "embedding": ([(6, 8), (6, 8)], lambda word, pos: ag.embedding(word, pos, np.array([5, 0, 5, 2]), 2)),
+    "embedding_row": ([(6, 8), (6, 8), (1, 8)], lambda word, pos, row: ag.embedding(
+        word, pos, np.array([5, 0, 5, 2]), 2, row)),
     # Each sequence has its own injection row; positions are rows 3 to 5.
-    "embedding_row_rank3": lambda t, u: ag.embedding(
-        t, u, np.array([[1, 4, 1], [0, 0, 3]]), 3, ag.take_rows(_rank3(u), [2])),
-    "tied_head_bias_rank3": lambda t, u: ag.tied_head(
-        _rank3(t), _row(u, 0), _row(u, 1), u, ag.reshape(ag.take_rows(_flip(u), [1, 4]), (2, 1, 6))),
-    "take_rows_rank3": lambda t, u: ag.add(ag.take_rows(_rank3(t), [2, 0]), ag.take_rows(u, [[0, 5], [3, 3]])),
-    "cross_entropy_rank3": lambda t, u: ag.cross_entropy(
-        _rank3(t), np.array([[0, 7, 3], [3, 3, 1]]), np.array([[True, True, False], [True, True, True]]))[0],
-    "attention_rank3": lambda t, u: _batched_attention(t, u),
-    "attention_shared_query_rank3": lambda t, u: _batched_attention(t, u, query=ag.take_rows(t, [5])),
+    "embedding_row_rank3": ([(6, 8), (6, 8), (2, 1, 8)], lambda word, pos, row: ag.embedding(
+        word, pos, np.array([[1, 4, 1], [0, 0, 3]]), 3, row)),
+    # ``x`` reaches the logits through the layer norm and through the table.
+    "tied_head": ([(6, 8), ROW, ROW], lambda x, g, b: ag.tied_head(x, g, b, x)),
+    "tied_head_bias": ([(6, 8), ROW, ROW, (6, 8), (1, 6)], ag.tied_head),
+    "tied_head_bias_rank3": ([(2, 3, 8), ROW, ROW, (6, 8), (2, 1, 6)], ag.tied_head),
+    "attention_sublayer_causal": ([(6, 8)] + ATTENTION, _sublayer),
+    "attention_sublayer_latent_row_key_mask": ([(5, 8)] + ATTENTION + [(1, 8), (1, 8)], lambda x, *t: _sublayer(
+        x, *t[:9], causal=False, key_mask=np.arange(6) != 3, latent=t[9:])),
     # The second sequence's last row is padding that no query attends.
-    "attention_sublayer_key_mask_rank3": lambda t, u: tf.multi_head_attention(
-        _rank3(t), _sublayer_params(t, u), 2, causal=False,
-        key_mask=np.array([[[[True, True, True]]], [[[True, True, False]]]])),
+    "attention_sublayer_key_mask_rank3": ([(2, 3, 8)] + ATTENTION, lambda x, *t: _sublayer(
+        x, *t, causal=False, key_mask=np.array([[[[True, True, True]]], [[[True, True, False]]]]))),
+    "attention_sublayer_latent_rows_rank3": ([(2, 3, 8)] + ATTENTION + [(2, 1, 8), (2, 1, 8)],
+                                             lambda x, *t: _sublayer(x, *t[:9], latent=t[9:])),
+    "pool": ([(6, 8)] + POOL, lambda x, *t: ag.pool(x, *t, n_heads=2)),
+    "pool_key_mask_rank3": ([(2, 3, 8)] + POOL, lambda x, *t: ag.pool(
+        x, *t, n_heads=2, mask=np.array([[[[True, True, True]]], [[[True, False, True]]]]))),
+    # Log-sigmas on both sides of the clamp, both outputs on to the draw.
+    "gaussian_head": ([(1, 8), (8, 6), (6,), (8, 6), (6,)],
+                      lambda *t: ag.gaussian_sample(*ag.gaussian_head(*t, -0.5, 0.5), NOISE[0, :6])),
+    "gaussian_head_rank3": ([(3, 1, 8), (8, 6), (6,), (8, 6), (6,)],
+                            lambda *t: ag.gaussian_sample(*ag.gaussian_head(*t, -0.5, 0.5), NOISE[:, :6])),
+    "inject": ([(2,), (2, 4), (2, 8), (2, 4)] + [(4, 4), (4,)] * 4, _injection),
+    "inject_rank3": ([(3, 2), (2, 4), (2, 8), (2, 4)] + [(4, 4), (4,)] * 4, _injection),
+    "cross_entropy": ([(6, 8)], lambda t: ag.cross_entropy(t, TARGETS, VALID)[0]),
+    "cross_entropy_rank3": ([(2, 3, 8)], lambda t: ag.cross_entropy(
+        t, TARGETS.reshape(2, 3), np.array([[True, True, False], [True, True, True]]))[0]),
+    "gaussian_kl": ([ROW] * 4, ag.gaussian_kl),
+    # A (3, 8) batch whose prior, like the posterior, is trainable.
+    "gaussian_kl_batch": ([(3, 8)] * 4, ag.gaussian_kl),
+    "gaussian_sample": ([ROW, ROW], lambda mu, ls: ag.gaussian_sample(mu, ls, NOISE[0])),
+    # One tensor is both the mean and the log-sigma, so its gradient is a sum.
+    "gaussian_sample_batch": ([(3, 8)], lambda t: ag.gaussian_sample(t, t, NOISE)),
+    "elbo_loss": ([(6, 8), (3, 8)], lambda t, kl: ag.elbo_loss(ag.cross_entropy(t, TARGETS, VALID)[0], kl, 0.7, 3)),
+    "elbo_loss_kl_only": ([(3, 8)], lambda kl: ag.elbo_loss(None, kl, 0.7, 3)),
 }
-
-
-def _row(a, i):
-    """Row ``i`` of a matrix as a vector."""
-    return ag.reshape(ag.take_rows(a, [i]), (a.shape[1],))
-
-
-def _flip(a):
-    """A (6, 8) input as an (8, 6) matrix: a reshape, which serves wherever a case needs the other shape."""
-    return ag.reshape(a, a.shape[::-1])
-
-
-def _rank3(a):
-    return ag.reshape(a, (2, 3, 8))
-
-
-def _batched_attention(t, u, query=None):
-    """Two sequences of three rows, each after its own latent row; causal unless one query row serves both."""
-    t3, u3 = _rank3(t), _rank3(u)
-    kv = tf.KVRows(2, 4, (ag.take_rows(u3, [0]), ag.take_rows(t3, [1])))
-    kv.append(u3, ag.add(t3, u3))
-    if query is not None:
-        return kv.attend(query)
-    return kv.attend(t3, np.hstack([np.ones((3, 1), dtype=bool), np.tri(3, dtype=bool)]))
-
-
-def _attention(t, u, query=None, latent=False, mask=None):
-    """Two heads over keys ``u`` and values ``t + u``, after an optional latent row from row 0 of each."""
-    kv = tf.KVRows(2, 7, (ag.take_rows(u, [0]), ag.take_rows(t, [0])) if latent else None)
-    kv.append(u, ag.add(t, u))
-    if mask is not None and latent:
-        mask = np.hstack([np.ones((mask.shape[0], 1), dtype=bool), mask])
-    return kv.attend(t if query is None else query, mask)
-
-
-def _sublayer_params(t, u):
-    """An attention sublayer's tensors, each built from rows of ``t`` and ``u`` at half scale."""
-    square = lambda a, rows: ag.mul_scalar(ag.take_rows(a, rows), 0.5)
-    return tf.AttentionParams(
-        ln_g=_row(u, 0), ln_b=_row(u, 1), wq=square(t, [0, 1, 2, 3, 4, 5, 0, 1]), bq=_row(u, 2),
-        wk=square(u, [5, 4, 3, 2, 1, 0, 5, 4]), wv=square(t, [2, 3, 4, 5, 0, 1, 2, 3]), bv=_row(u, 3),
-        wo=square(u, [1, 3, 5, 0, 2, 4, 1, 3]), bo=_row(t, 4))
-
-
-def _two_cached_calls(t, u):
-    """Rows 0-2 attend causally over themselves, then rows 3-5 over all six: the first call's keys and values feed both."""
-    kv = tf.KVRows(2, 6)
-    kv.append(ag.take_rows(u, [0, 1, 2]), ag.take_rows(t, [0, 1, 2]))
-    first = kv.attend(ag.take_rows(t, [3, 4, 5]), np.tri(3, dtype=bool))
-    kv.append(ag.take_rows(u, [3, 4, 5]), ag.add(ag.take_rows(t, [3, 4, 5]), ag.take_rows(u, [3, 4, 5])))
-    second = kv.attend(ag.take_rows(u, [0, 2, 4]), np.hstack([np.ones((3, 3), dtype=bool), np.tri(3, dtype=bool)]))
-    return ag.add(first, second)
 
 
 @pytest.mark.parametrize("name", sorted(OP_CASES))
 def test_every_op_matches_finite_differences(name):
-    """Each primitive's reverse-mode gradient agrees with central differences."""
+    """Each op's reverse-mode gradient agrees with central differences."""
     rng = np.random.default_rng(zlib.crc32(name.encode()))  # str hashes are salted per process
-    params = ParameterSet()
-    t = params.add("t", Tensor(rng.standard_normal((6, 8)) * 0.8, dtype=np.float64))
-    u = params.add("u", Tensor(rng.standard_normal((6, 8)) * 0.8, dtype=np.float64))
-    weight = Tensor(rng.standard_normal((OP_CASES[name](t, u).data.size,)), dtype=np.float64)
+    shapes, op = OP_CASES[name]
+    params = ParameterSet([(f"x{i}", rng.standard_normal(shape) * 0.8) for i, shape in enumerate(shapes)],
+                          dtype=np.float64)
+    inputs = [p for _, p in params.items()]
+    weight = Tensor(rng.standard_normal((op(*inputs).data.size,)), dtype=np.float64)
 
     def fn():
-        return inner(OP_CASES[name](params["t"], params["u"]), weight)
+        return inner(op(*inputs), weight)
 
     report = ag.grad_check(fn, params, eps=1e-5)
     assert report.passed, f"{name}: max rel err {report.max_rel_error:.2e} at {report.worst_parameter}"
     assert report.max_rel_error < 1e-4
 
 
-def test_take_rows_gradients():
-    """A repeated row index scatters both its gradients back to one table row."""
-    rng = np.random.default_rng(9)
-    params = ParameterSet()
-    params.add("table", Tensor(rng.standard_normal((7, 5)), dtype=np.float64))
-    idx = np.array([0, 3, 3, 6])
+def tape_ops() -> set[str]:
+    """The public autograd functions that record a node via ``_make``."""
+    tree = ast.parse(Path(ag.__file__).read_text(encoding="utf-8"))
+    return {top.name for top in tree.body if isinstance(top, ast.FunctionDef) and not top.name.startswith("_")
+            and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "_make"
+                    for n in ast.walk(top))}
 
-    def fn():
-        rows = ag.take_rows(params["table"], idx)
-        return inner(rows, rows)
 
-    report = ag.grad_check(fn, params, eps=1e-5)
-    assert report.passed, report.max_rel_error
+def test_the_cases_cover_every_tape_op(monkeypatch):
+    """Every op that records a node is among the op kinds that the cases above record."""
+    made, make = set(), ag._make
+
+    def recording(data, op, *rest):
+        made.add(op)
+        return make(data, op, *rest)
+
+    monkeypatch.setattr(ag, "_make", recording)
+    rng = np.random.default_rng(3)
+    for shapes, op in OP_CASES.values():
+        op(*[Tensor(rng.standard_normal(shape) * 0.5) for shape in shapes])
+    assert tape_ops() <= made
 
 
 def test_parameter_set_contracts():
@@ -630,10 +487,7 @@ def test_every_public_op_has_a_program_caller():
 
 def test_readme_counts_the_public_tape_ops():
     """README's count of public tape ops is the number of public autograd functions that record a node via ``_make``."""
-    tree = ast.parse(Path(ag.__file__).read_text(encoding="utf-8"))
-    ops = {top.name for top in tree.body if isinstance(top, ast.FunctionDef) and not top.name.startswith("_")
-           and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "_make"
-                   for n in ast.walk(top))}
+    ops = tape_ops()
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     counts = [int(n) for n in re.findall(r"The\s+package\s+has\s+(\d+)\s+public\s+tape\s+ops", readme)]
     assert counts == [len(ops)], sorted(ops)

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -750,3 +753,45 @@ def test_malformed_sampler_and_training_values_exit_2(workspace, tmp_path, capsy
     err = capsys.readouterr().err
     assert f"data error: {field} must be" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+# An address-space limit for the child process of the test below: room for Python and numpy, not for a runaway listing.
+CHILD_ADDRESS_SPACE = 1 << 30
+
+
+@pytest.mark.parametrize("command", ["generate", "resume"])
+@pytest.mark.parametrize("field", ["layers", "d"])
+def test_a_manifest_of_an_impossible_model_exits_2_before_building_it(workspace, tmp_path, command, field):
+    """A manifest whose model has 10**30 layers, or width, is refused with exit 2, naming the manifest.
+
+    The counts it implies are computed in closed form, so nothing the size
+    of the model is built.  The command runs in a child process under an
+    address-space limit and a timeout, so that a tree which builds the
+    model's parameter listing fails cleanly rather than exhausting memory.
+    """
+    checkpoint = tmp_path / "checkpoint"
+    shutil.copytree(workspace["checkpoint"], checkpoint)
+    manifest = json.loads((checkpoint / "manifest.json").read_text(encoding="utf-8"))
+    manifest["model"][field] = 10**30
+    (checkpoint / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    common = ["--corpus", workspace["corpus"], "--vocab", workspace["vocab"], "--out", str(tmp_path / "o")]
+    argv = (["generate", "--checkpoint", str(checkpoint)] + FAST_SAMPLER if command == "generate"
+            else ["train", "--resume", str(checkpoint), "--train.steps", "1"]) + common
+    script = ("import resource, sys\n"
+              f"resource.setrlimit(resource.RLIMIT_AS, ({CHILD_ADDRESS_SPACE}, {CHILD_ADDRESS_SPACE}))\n"
+              "from storyvae import cli\n"
+              f"sys.exit(cli.main({argv!r}))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == cli.EXIT_DATA, result.stderr
+    assert str(checkpoint / "manifest.json") in result.stderr and "Traceback" not in result.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_running_out_of_memory_is_a_data_error(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_selftest", exhausted)
+    assert cli.main(["selftest"]) == cli.EXIT_DATA
+    assert "more memory than there is" in capsys.readouterr().err

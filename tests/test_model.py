@@ -265,15 +265,23 @@ class TestTapeSize:
             return [self.ops(monkeypatch, lambda: trainer.train_step(trainer.draw_batch())) for _ in range(2)]
 
         counts = step_ops(4)
-        # One padded forward and backward, whatever the batch size, and one node per objective term.
-        assert counts[0] == counts[1] == step_ops(1)[0] == 43
+        # One padded forward and backward, whatever the batch size.  Per encoder pass: the embedding, two
+        # nodes per block, the pooling and the Gaussian head; then the draw, the injection rows, the decoder,
+        # and one node per objective term plus the objective itself.
+        assert counts[0] == counts[1] == step_ops(1)[0] == 21
         vae = step_ops(4, "vae")
-        assert vae[0] == vae[1] == step_ops(1, "vae")[0] == 29
+        assert vae[0] == vae[1] == step_ops(1, "vae")[0] == 16
 
     def test_latent_draw_at_the_cli_default_config(self, monkeypatch):
-        """A prior sample is the prior encoder's forward, the Gaussian head and one ``gaussian_sample`` node."""
+        """A prior sample is the prior encoder's forward, the pooling, the Gaussian head and one ``gaussian_sample``."""
         model = StoryVAE.create(ModelConfig(), seed=0)
-        assert self.ops(monkeypatch, lambda: sp.draw_latent(model, [1, 2, 3], sp.generation_rng(0, 0))) == 17
+        assert self.ops(monkeypatch, lambda: sp.draw_latent(model, [1, 2, 3], sp.generation_rng(0, 0))) == 8
+
+    def test_one_token_generation_at_the_cli_default_config(self, monkeypatch):
+        """The prior draw (8), one injection node, and the prompt's decoder forward (10)."""
+        model = StoryVAE.create(ModelConfig(), seed=0)
+        sampler = sp.SamplerConfig(max_new_tokens=1)
+        assert self.ops(monkeypatch, lambda: sp.generate_for_prompt(model, [1, 2, 3], 4, sampler)) == 19
 
 
 @pytest.mark.parametrize("modes", [m for r in range(4) for m in itertools.combinations(tf.INJECTION_MODES, r)],
@@ -283,6 +291,8 @@ def test_parameter_specs_list_what_init_parameters_draws(modes):
     cfg = toy_config(injection_modes=modes, layers=3, encoder_layers=2)
     drawn = tf.init_parameters(cfg, np.random.default_rng(0))
     assert [(n, shape) for n, shape, _ in tf.parameter_specs(cfg)] == [(n, p.shape) for n, p in drawn.items()]
+    # The closed-form counts a load checks first are the listing's.
+    assert tf.parameter_count(cfg) == (len(drawn.names()), drawn.data_buffer.size)
 
 
 class TestCheckpoint:

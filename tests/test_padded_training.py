@@ -17,6 +17,8 @@ from storyvae import model as md
 from storyvae.model import StoryVAE
 from storyvae.transformer import ModelConfig
 
+from chain_ops import add, mul_scalar
+
 PAIRS = cp.load_corpus(cp.toy_corpus_path())
 VOCAB = cp.fit_vocabulary([p.prompt_text for p in PAIRS] + [p.story_text for p in PAIRS], 300)
 EXAMPLES = cp.prepare_corpus(PAIRS, VOCAB, 64)
@@ -59,9 +61,9 @@ def one_by_one_loss(model, batch, noise, beta):
         posterior = model.encode_text_posterior(text)
         z = lt.reparameterize(posterior, noise[row], lt.LatentSource.POSTERIOR_SAMPLE)
         recon, _ = ag.cross_entropy(model.decode_logits(decoder_input, z), targets, mask)
-        loss = ag.add(recon, ag.mul_scalar(lt.kl_divergence(posterior, prior), beta))
-        total = loss if total is None else ag.add(total, loss)
-    return ag.mul_scalar(total, 1.0 / len(batch))
+        loss = add(recon, mul_scalar(lt.kl_divergence(posterior, prior), beta))
+        total = loss if total is None else add(total, loss)
+    return mul_scalar(total, 1.0 / len(batch))
 
 
 def loss_and_grads(model, loss_fn) -> tuple[float, dict]:

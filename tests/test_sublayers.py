@@ -4,8 +4,9 @@
 ``tf.multi_head_attention``), ``ag.embedding`` and ``ag.tied_head`` must
 give the chain's bits: the output, the attention weights and every
 gradient, and a ``NumericsError`` in every case where the chain raised,
-naming the step that raised.  The chains live here, and only here, as
-the oracle.
+naming the step that raised.  The chains live in ``chain_ops``, and
+only there, as the oracle.  ``TestStacksGiveTheChainsBits`` swaps every
+fused op of the model for its chain at once, the latent side's too.
 """
 
 import gc
@@ -23,117 +24,7 @@ from storyvae.selfcheck import inner
 from storyvae.training import Trainer, TrainingSchedule
 from storyvae.transformer import ModelConfig
 
-
-def gelu_node(a: Tensor) -> Tensor:
-    """The chain's GELU node (tanh approximation)."""
-    x = a.data
-    t = np.tanh(ag.GELU_TANH_COEFF * (x + ag.GELU_CUBIC_COEFF * (x * x * x)))
-
-    def backward(g):
-        if a.requires_grad:
-            dinner = ag.GELU_TANH_COEFF * (1.0 + 3.0 * ag.GELU_CUBIC_COEFF * x**2)
-            a.accumulate_grad(g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner))
-
-    return ag._make(0.5 * x * (1.0 + t), "gelu", (a,), backward)
-
-
-def transpose_node(a: Tensor) -> Tensor:
-    """The chain's transpose node: a view of the matrix transposed."""
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.ascontiguousarray(g.T))
-
-    return ag._make(a.data.T, "transpose", (a,), backward)
-
-
-def namer(stage):
-    """A function that records, in the list ``stage`` if there is one, the step a chain is about to take."""
-
-    def name(step):
-        if stage is not None:
-            stage[:] = [step]
-
-    return name
-
-
-def embedding_chain(word, pos, tokens, start, row=None, stage=None):
-    """Word rows, position rows, their sum and the injection row: three or four nodes."""
-    name = namer(stage)
-    name("take_rows word")
-    words = ag.take_rows(word, tokens)
-    name("take_rows pos")
-    positions = ag.take_rows(pos, np.arange(start, start + np.shape(tokens)[-1]))
-    name("add")
-    x = ag.add(words, positions)
-    if row is None:
-        return x
-    name("add row")
-    return ag.add(x, row)
-
-
-def head_chain(x, ln_g, ln_b, word, bias=None, stage=None):
-    """Layer norm, the table's transpose, the product and the injection bias: three or four nodes."""
-    name = namer(stage)
-    name("layer_norm")
-    h = ag.layer_norm(x, ln_g, ln_b)
-    name("transpose")
-    table = transpose_node(word)
-    name("linear")
-    logits = ag.linear(h, table)
-    if bias is None:
-        return logits
-    name("add")
-    return ag.add(logits, bias)
-
-
-def mlp_chain(x, ln_g, ln_b, w1, b1, w2, b2, stage=None):
-    """Layer norm, product, GELU, product with the residual: four nodes.  ``stage`` records the step that raises."""
-    steps = [("layer_norm", lambda: ag.layer_norm(x, ln_g, ln_b)), ("linear w1", lambda: ag.linear(h, w1, b1)),
-             ("gelu", lambda: gelu_node(h)), ("linear w2", lambda: ag.linear(h, w2, b2, residual=x))]
-    for name, step in steps:
-        if stage is not None:
-            stage[:] = [name]
-        h = step()
-    return h
-
-
-def attention_chain(x, p, n_heads, causal, return_weights=False, past=None, key_mask=None, stage=None):
-    """Layer norm, three products, the ``KVRows`` append, ``ag.attention`` and the output product with the residual."""
-
-    name = namer(stage)
-    name("layer_norm")
-    h = ag.layer_norm(x, p.ln_g, p.ln_b)
-    l = x.shape[-2]
-    if past is None:
-        past = tf.KVRows(n_heads, l)
-    n_past = past.rows
-    name("linear wq")
-    q = ag.linear(h, p.wq, p.bq)
-    name("linear wk")
-    k = ag.linear(h, p.wk)
-    name("linear wv")
-    past.append(k, ag.linear(h, p.wv, p.bv))
-    mask = key_mask
-    if causal and l > 1:
-        mask = np.ones((l, n_past + l), dtype=bool)
-        mask[:, n_past:] = np.tri(l, dtype=bool)
-    name("attention")
-    out = past.attend(q, mask, return_weights)
-    weights = None
-    if return_weights:
-        out, weights = out
-    name("linear wo")
-    out = ag.linear(out, p.wo, p.bo, x)
-    return (out, list(weights)) if return_weights else out
-
-
-def leaf(rng, shape, dtype, scale=1.0, grad=True):
-    return Tensor(rng.standard_normal(shape) * scale, requires_grad=grad, dtype=dtype)
-
-
-def same(a, b) -> bool:
-    return (a is None and b is None) or (a is not None and b is not None and np.array_equal(a, b))
+from chain_ops import attention_chain, linear, chains, embedding_chain, error_of, head_chain, leaf, mlp_chain, same
 
 
 MLP_NAMES = ("ln_g", "ln_b", "w1", "b1", "w2", "b2")
@@ -175,7 +66,8 @@ def attention_case(dtype, lead, latent, frozen=()):
     shapes = [(d,), (d,), (d, d), (d,), (d, d), (d, d), (d,), (d, d), (d,), (d, d), (d,), (d, d), (d,)]
     p = tf.AttentionParams(**{n: leaf(rng, s, dtype, 0.6, grad=n not in frozen) for n, s in zip(ATTENTION_NAMES, shapes)})
     z = leaf(rng, lead + (1, d), dtype, grad="z" not in frozen) if latent else None
-    past = tf.KVRows(2, 1 + 8 if latent else 8, None if z is None else tf.latent_kv(z, p))
+    rows = None if z is None else (linear(z, p.psa_wk, p.psa_bk), linear(z, p.psa_wv, p.psa_bv))
+    past = tf.KVRows(2, 1 + 8 if latent else 8, rows)
     xs = [leaf(rng, lead + (l, d), dtype, grad="x" not in frozen) for l in (3, 1, 2)]
     return p, z, past, xs, ATTENTION_NAMES
 
@@ -275,14 +167,6 @@ def test_tied_head_gives_the_chains_bits(dtype, lead, bias, frozen):
     assert sum(g is not None for g in fused[1:]) == 4 - len(frozen) + (bias is not None)
 
 
-def chains(patch) -> None:
-    """Make every fused op of the stacks its chain."""
-    patch.setattr(tf, "multi_head_attention", attention_chain)
-    patch.setattr(ag, "mlp_sublayer", mlp_chain)
-    patch.setattr(ag, "embedding", embedding_chain)
-    patch.setattr(ag, "tied_head", head_chain)
-
-
 class TestStacksGiveTheChainsBits:
     """Whole forwards and backwards through the stacks, with every fused op as it is or every one a chain."""
 
@@ -340,16 +224,6 @@ def test_a_train_step_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
-
-
-def error_of(tensors, op):
-    """The message of the ``NumericsError`` that ``op`` raises on these tensors, or None."""
-    try:
-        with np.errstate(all="ignore"):
-            op(*tensors)
-    except ag.NumericsError as e:
-        return str(e)
-    return None
 
 
 class TestMlpSublayerNumerics:
@@ -438,18 +312,18 @@ class TestAttentionSublayerNumerics:
             f"attention_sublayer: linear {row} produced non-finite values"
 
     def test_a_failed_call_leaves_its_stacks_as_they_were(self):
-        """The rows of a call that raised do not count, so the next call takes their place; no call adds a segment."""
+        """The rows of a call that raised do not count, so the next call takes their place."""
         p, z, past, xs, names = attention_case(np.float64, (), True, UNTAPED)
         tf.multi_head_attention(xs[0], p, 2, True, past=past)
-        rows, segments = past.rows, list(past.segments)
+        rows = past.rows
         keep = p.wo.data[0, 0]
         p.wo.data[0, 0] = np.inf
         with pytest.raises(ag.NumericsError, match="linear wo"), np.errstate(all="ignore"):
             tf.multi_head_attention(xs[1], p, 2, True, past=past)
-        assert (past.rows, past.segments) == (rows, segments)
+        assert (past.rows, past.latent) == (rows, 1)
         p.wo.data[0, 0] = keep
         tf.multi_head_attention(xs[1], p, 2, True, past=past)
-        assert (past.rows, past.segments) == (rows + 1, segments)
+        assert past.rows == rows + 1
 
     def test_raises_exactly_where_the_chain_raises(self):
         """Extreme entries anywhere, causal or under a key mask: the fused op raises whenever the chain does."""

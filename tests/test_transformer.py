@@ -4,7 +4,7 @@ import pytest
 from storyvae import autograd as ag
 from storyvae import latent as lt
 from storyvae import transformer as tf
-from storyvae.autograd import Tensor
+from storyvae.autograd import ParameterSet, Tensor
 from storyvae.model import StoryVAE
 from storyvae.transformer import ContractError, ModelConfig
 
@@ -103,23 +103,33 @@ class TestMultiHeadAttention:
 
 
 def psa_rows(p, z, n_heads, rows):
-    """A layer's ``KVRows`` for ``rows`` token positions after the latent row of the (1, d) latent ``z``."""
-    return tf.KVRows(n_heads, 1 + rows, tf.latent_kv(Tensor(z), p))
+    """A layer's ``KVRows`` for ``rows`` token positions after the latent rows that ``ag.inject`` makes of the (1, d) row ``z``.
+
+    The identity as the ``psa`` projection hands ``z`` to the layer's latent products as it is.
+    """
+    eye = Tensor(np.eye(z.shape[-1], dtype=z.dtype))
+    _, _, (kv,) = ag.inject(Tensor(z[0]), None, eye, None, [(p.psa_wk, p.psa_bk, p.psa_wv, p.psa_bv)])
+    return tf.KVRows(n_heads, 1 + rows, kv)
 
 
 class TestPseudoSelfAttention:
     """Decoder self-attention with the per-layer latent row prefixed to keys and values through ``KVRows``."""
 
     def test_requires_psa_projections(self):
-        p = identity_attention_params(4, with_psa=False)
-        with pytest.raises(ContractError):
-            tf.latent_kv(Tensor(np.ones((1, 4))), p)
+        """The ``psa`` projection and the layers' latent key/value projections come together or not at all."""
+        p = identity_attention_params(4, with_psa=True)
+        z, psa_w = Tensor(np.ones(4)), Tensor(np.eye(4))
+        with pytest.raises(ag.ShapeError, match="does not split into the rows of 0 layers"):
+            ag.inject(z, None, psa_w, None, ())
+        with pytest.raises(ag.ShapeError, match="psa projection"):
+            ag.inject(z, None, None, None, [(p.psa_wk, p.psa_bk, p.psa_wv, p.psa_bv)])
 
     def test_wrong_width_slice_rejected(self):
         p = identity_attention_params(4, with_psa=True)
-        for shape in ((4,), (1, 3), (2, 4)):
+        kv = [(p.psa_wk, p.psa_bk, p.psa_wv, p.psa_bv)]
+        for z, psa_w, layers in [((3,), (4, 4), 1), ((1, 1, 4), (4, 4), 1), ((4,), (4, 6), 4)]:
             with pytest.raises(ag.ShapeError):
-                tf.latent_kv(Tensor(np.ones(shape)), p)
+                ag.inject(Tensor(np.ones(z)), None, Tensor(np.ones(psa_w)), None, kv * layers)
 
     def test_augmented_row_counts(self):
         # key/value matrices gain exactly one latent row; output keeps l rows
@@ -221,8 +231,10 @@ def attention_oracle(x, p, n_heads, causal, z=None):
 
 
 def pool_oracle(hseq, p, n_heads):
-    k = hseq @ p.wk.data
-    v = hseq @ p.wv.data + p.bv.data
+    """The final layer norm, then the learned query's per-head attention and the output product."""
+    h = norm(hseq, p.ln_g.data, p.ln_b.data)
+    k = h @ p.wk.data
+    v = h @ p.wv.data + p.bv.data
     out, weights = heads_oracle(p.q.data[None, :], k, v, n_heads, None)
     return (out @ p.wo.data + p.bo.data).reshape(-1), weights
 
@@ -273,16 +285,17 @@ class TestAttentionAverage:
     def make_pool(self, d, dtype=np.float64):
         eye = Tensor(np.eye(d, dtype=dtype))
         zero = Tensor(np.zeros(d, dtype=dtype))
-        return tf.PoolingParams(q=Tensor(np.ones(d, dtype=dtype)), wk=eye,
-                                wv=Tensor(np.eye(d, dtype=dtype)), bv=zero,
+        return tf.PoolingParams(ln_g=Tensor(np.ones(d, dtype=dtype)), ln_b=zero, q=Tensor(np.ones(d, dtype=dtype)),
+                                wk=eye, wv=Tensor(np.eye(d, dtype=dtype)), bv=zero,
                                 wo=Tensor(np.eye(d, dtype=dtype)), bo=zero)
 
     def test_single_row(self):
+        """One row pools to its layer norm: the final norm comes first, and a single key gets all the weight."""
         d = 4
         pool = self.make_pool(d)
         row = np.array([0.1, 0.2, -0.3, 0.4])
         out = tf.attention_average(Tensor(row[None, :]), pool, n_heads=2).data
-        assert np.allclose(out, row, atol=1e-7)
+        assert np.allclose(out, norm(row), atol=1e-7)
 
     def test_identical_rows_collapse_to_single(self):
         d = 4
@@ -293,12 +306,12 @@ class TestAttentionAverage:
         assert np.allclose(many, single, atol=1e-7)
 
     def test_equal_keys_average_values(self):
-        d = 2
+        d = 3
         pool = self.make_pool(d)
         pool.wk = Tensor(np.zeros((d, d)))
-        rows = np.array([[2.0, 0.0], [0.0, 4.0]])
+        rows = np.array([[2.0, 0.0, 1.0], [0.0, 4.0, 1.0]])
         out = tf.attention_average(Tensor(rows), pool, n_heads=1).data
-        assert np.allclose(out, [1.0, 2.0], atol=1e-7)
+        assert np.allclose(out, norm(rows).mean(axis=0), atol=1e-7)
 
     def test_empty_sequence_rejected(self):
         pool = self.make_pool(2)
@@ -652,3 +665,50 @@ def test_stack_gradients_match_finite_differences():
 
     report = ag.grad_check(fn, params, eps=1e-5)
     assert report.passed, f"max rel {report.max_rel_error:.2e} at {report.worst_parameter}"
+
+
+class TestBlockLookups:
+    """Each stack's block tensors are looked up once per layout of the parameter set, and never served stale."""
+
+    def test_a_stack_looks_up_its_blocks_once_per_layout(self, monkeypatch):
+        cfg = small_config()
+        params = make_params(cfg)
+        calls, lookup = [], tf.attention_params
+        monkeypatch.setattr(tf, "attention_params", lambda params, prefix: calls.append(prefix) or lookup(params, prefix))
+        z = lt.LatentCode.external(np.ones(cfg.latent_dim, dtype=np.float32))
+        for _ in range(3):
+            tf.stack_forward([1, 2], params, cfg, role="encoder")
+            tf.DecoderCache(params, cfg, z, cfg.injection_modes)
+        assert calls == ["enc.0", "dec.0", "dec.1"]
+        params.add("extra", Tensor(np.zeros(3, dtype=np.float32)))
+        tf.stack_forward([1, 2], params, cfg, role="encoder")
+        assert calls[-1] == "enc.0" and len(calls) == 4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forwards_read_the_current_tensors_after_add_and_astype(self, dtype):
+        """After ``add`` and on an ``astype`` copy, forwards give the bits of a set built afresh from the same arrays."""
+        cfg = small_config(injection_modes=("input", "softmax"))
+        params = make_params(cfg, seed=3)
+        tokens = np.array([3, 1, 4, 1, 5])
+        z = lt.LatentCode.external(np.random.default_rng(4).standard_normal(cfg.latent_dim), dtype)
+
+        def forward(p):
+            hidden = tf.stack_forward(tokens, p, cfg, role="encoder").data
+            return hidden, tf.stack_forward(tokens, p, cfg, "decoder", z, cfg.injection_modes).data
+
+        def fresh(p):
+            return ParameterSet([(n, t.data.copy()) for n, t in p.items()], dtype=dtype)
+
+        copy = params.astype(dtype)
+        forward(params)
+        assert all(np.array_equal(a, b) for a, b in zip(forward(copy), forward(fresh(copy)), strict=True))
+        # A set laid out afresh with new tensors: the psa projections the model lacked until now.
+        wide = small_config(injection_modes=tf.INJECTION_MODES)
+        drawn = tf.init_parameters(wide, np.random.default_rng(5), dtype=dtype)
+        for name in [n for n in drawn.names() if ".psa." in n or n == "inject.psa.w"]:
+            copy.add(name, Tensor(drawn[name].data.copy()))
+        blocks = tf._stack_blocks(copy, "dec", cfg.layers)
+        assert blocks[1].attn.psa_wv is copy["dec.1.psa.wv"] and blocks[0].attn.wq is copy["dec.0.attn.wq"]
+        assert blocks[0].attn.wq.data.base is copy.data_buffer
+        cfg = wide
+        assert all(np.array_equal(a, b) for a, b in zip(forward(copy), forward(fresh(copy)), strict=True))

@@ -8,9 +8,10 @@ The cases, each a line ``<sha256>  <case>``:
   ``input`` route/all routes, and 10 steps (5 of them frozen) in float32
   cvae and float64 vae with all routes.  Each hashes the parameters, both
   Adam moments and update counts, and every step's metrics.
-- **A generation batch:** ``generate_for_prompts`` over 16 toy prompts at
-  the CLI default model config, in float32 and in float64 (stories and
-  latents).
+- **Generation batches:** ``generate_for_prompts`` over 16 toy prompts at
+  the CLI default model config (the ``psa`` route) and at that config with
+  all three routes (``input``, ``psa`` and ``softmax``), each in float32
+  and in float64 (stories and latents).
 - **The CLI chain** vocab -> train -> ``train --resume`` -> generate ->
   eval -> encode -> control, run in a fresh temporary directory under
   relative paths, so ``config.resolved`` and the checkpoint's vocabulary
@@ -77,9 +78,9 @@ def train_case(dtype, mode: str, modes: tuple[str, ...], steps: int, freeze_step
                   metrics)
 
 
-def generation_case(dtype) -> str:
+def generation_case(dtype, modes: tuple[str, ...]) -> str:
     pairs, vocab = toy_vocabulary()
-    cfg = tf.ModelConfig(vocab_size=vocab.size, **CLI_DEFAULT)
+    cfg = tf.ModelConfig(vocab_size=vocab.size, **{**CLI_DEFAULT, "injection_modes": modes})
     model = StoryVAE.create(cfg, seed=0, dtype=dtype)
     examples = cp.prepare_corpus(pairs, vocab, cfg.max_seq_len)[:16]
     stories, latent = sp.generate_for_prompts(model, [ex.prior_input for ex in examples], vocab.separator_id,
@@ -129,8 +130,10 @@ def main() -> None:
     for dtype, mode in ((np.float32, "cvae"), (np.float64, "vae")):
         name = f"train {np.dtype(dtype).name} {mode} {'+'.join(every)} 10 steps, 5 frozen"
         print(f"{train_case(dtype, mode, every, 10, freeze_steps=5)}  {name}", flush=True)
-    for dtype in (np.float32, np.float64):
-        print(f"{generation_case(dtype)}  generate_for_prompts {np.dtype(dtype).name} 16 prompts", flush=True)
+    for modes in (CLI_DEFAULT["injection_modes"], every):
+        for dtype in (np.float32, np.float64):
+            name = f"generate_for_prompts {np.dtype(dtype).name} {'+'.join(modes)} 16 prompts"
+            print(f"{generation_case(dtype, modes)}  {name}", flush=True)
     for path, sha in cli_chain():
         print(f"{sha}  cli {path}", flush=True)
 
