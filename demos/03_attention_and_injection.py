@@ -3,6 +3,7 @@
 
 import numpy as np
 
+from storyvae import autograd as ag
 from storyvae import latent as lt
 from storyvae import transformer as tf
 from storyvae.autograd import Tensor
@@ -31,16 +32,20 @@ out = model.decode_logits(tokens, zero, modes=("input", "psa", "softmax")).data
 print("zeroed injections are bit-identical to baseline:", np.array_equal(out, base))
 
 # Pseudo self-attention exposes its augmented key/value geometry: the latent
-# row's key and value are the first rows of each layer's KVRows, queries stay
-# token-only, and the causal mask never blocks the latent column.  A decoder
-# cache makes every layer's latent rows, the input row and the softmax bias
-# as one tape node; the attention call is the block's whole attention
-# sublayer (layer norm, products, attention and the residual add), one more.
+# row's key and value are row 0 of each layer's key/value stacks, queries
+# stay token-only, and the causal mask never blocks the latent column.  A
+# decoder cache makes every layer's latent rows, the input row and the
+# softmax bias as one tape node.  Decoding the tokens through it fills its
+# stacks; running layer 0's attention sublayer (layer norm, products,
+# attention and the residual add, one node) again over the same rows, after
+# the latent row, shows its weights.
 fresh = StoryVAE.create(cfg, seed=8)
 cache = fresh.decoder_cache(z, modes=("psa",))
-x = Tensor(np.random.default_rng(1).standard_normal((4, 32)).astype(np.float32))
-out, weights = tf.multi_head_attention(x, cache.blocks[0].attn, n_heads=4, causal=True, past=cache.layers[0],
-                                       return_weights=True)
+fresh.decode_logits(tokens, z, modes=("psa",), cache=cache)
+x = ag.embedding(cache.word, cache.pos, tokens, 0)
+p = cache.blocks[0].attn
+out, weights = ag.attention_sublayer(x, p.ln_g, p.ln_b, p.wq, p.bq, p.wk, p.wv, p.bv, p.wo, p.bo, *cache.stacks[0],
+                                     1, None, tf.causal_mask(4, 1), return_weights=True)
 print("PSA: output rows =", out.shape[0], "| weight matrices =", len(weights),
       "(one per head) | key columns =", weights[0].shape[1], "(1 + tokens)")
 print("latent column weights, head 0:", np.round(weights[0][:, 0], 3))
@@ -50,4 +55,5 @@ print("latent column weights, head 0:", np.round(weights[0][:, 0], 3))
 pool = tf.pooling_params(model.params)
 for length in (1, 3, 9):
     h = Tensor(np.random.default_rng(3).standard_normal((length, 32)).astype(np.float32))
-    print(f"attention_average over {length} rows ->", tf.attention_average(h, pool, 4).shape)
+    pooled = ag.pool(h, pool.ln_g, pool.ln_b, pool.q, pool.wk, pool.wv, pool.bv, pool.wo, pool.bo, n_heads=4)
+    print(f"pool over {length} rows ->", pooled.shape)

@@ -77,8 +77,8 @@ class StoryVAE:
 
     def _pooled(self, tokens, key_mask=None) -> Tensor:
         hidden = tf.stack_forward(tokens, self.params, self.config, role="encoder", key_mask=key_mask)
-        pool = self.params.memo("pool", lambda: tf.pooling_params(self.params))
-        return tf.attention_average(hidden, pool, self.config.heads, key_mask=key_mask)
+        p = self.params.memo("pool", lambda: tf.pooling_params(self.params))
+        return ag.pool(hidden, p.ln_g, p.ln_b, p.q, p.wk, p.wv, p.bv, p.wo, p.bo, self.config.heads, key_mask)
 
     def _head(self, pooled: Tensor, role: str) -> lt.DiagonalGaussian:
         p = self.params
@@ -125,7 +125,10 @@ class StoryVAE:
         """State for decoding one story, or a batch under a (B, d') latent, incrementally.
 
         Pass it to every ``decode_logits`` call of that story or batch.  It
-        holds ``positions`` tokens, ``max_seq_len`` by default.
+        holds ``positions`` tokens, ``max_seq_len`` by default; any other
+        count outside 1 to ``max_seq_len`` raises ``ContractError``.  A
+        call that raises leaves the cache's ``length`` as it was, so the
+        cache stays usable.
         """
         return tf.DecoderCache(self.params, self.config, latent, self._modes(latent, modes), positions)
 

@@ -33,8 +33,9 @@ from .transformer import ModelConfig
 
 
 def _attention_sublayer(x: Tensor, *tensors: Tensor) -> Tensor:
-    """One-head causal attention sublayer of the rows of ``x``, with its tensors in ``AttentionParams``' order."""
-    return tf.multi_head_attention(x, tf.AttentionParams(*tensors), 1, causal=True)
+    """One-head causal attention sublayer of the rows of ``x``, over stacks of those rows alone."""
+    l = x.shape[0]
+    return ag.attention_sublayer(x, *tensors, *tf.kv_stacks(x, 1, l), 0, None, tf.causal_mask(l, 0))
 
 
 def _injection(z: Tensor, input_w: Tensor, psa_w: Tensor, softmax_w: Tensor, *psa_kv: Tensor) -> Tensor:

@@ -219,6 +219,10 @@ class Trainer:
         self.optimizer = Adam(model.params, schedule.learning_rate)
         self.step_count = 0
         self.metrics: list[dict] = []
+        try:  # a batch's indices: a size numpy cannot hold is refused before the first step
+            np.empty(schedule.batch_size, dtype=np.int64)
+        except ValueError as e:
+            raise ContractError(f"a batch of {schedule.batch_size} examples cannot be drawn: {e}") from None
         self._batch_rng = np.random.default_rng([schedule.seed, 1])
         self._noise_rng = np.random.default_rng([schedule.seed, 2])
 

@@ -16,26 +16,25 @@ An exactly-all-zero per-layer latent row injects nothing, so zeroed
 injection projections leave the latent-free forward bit-identical.
 
 A block is two tape nodes, its attention sublayer
-(``ag.attention_sublayer``, through ``multi_head_attention``) and its
-MLP sublayer (``ag.mlp_sublayer``), each with its layer norm and
-residual.  A stack's input rows are one ``ag.embedding`` node, word plus
-position rows plus the ``input`` row, and the decoder's logits one
-``ag.tied_head`` node: the final layer norm, the product with the
-transposed word table and the ``softmax`` bias.  The encoder's final
-norm and its pooling are one ``ag.pool`` node, and a decoder's injection
-rows one ``ag.inject`` node.  Block tensors are looked up once per
-parameter layout.  Every decoder attention reads its keys and values
-from a ``KVRows``: per-head stacks, preallocated, that each call appends
-its new rows to, and the only way the latent row and the length limit
-reach an attention: the latent's rows are its first rows, and its
-capacity refuses rows beyond the configured length.
-The decoder forward runs over a ``DecoderCache``: the latent's injection
-rows, computed once, and each layer's ``KVRows`` so far.  A full-prefix
-call builds a fresh cache of its T rows and feeds every token;
-incremental decoding keeps one cache per story and feeds only the new
-tokens, which attend over views of the stacks without copying an
-earlier row.  A tape spans one call through a cache (a train step
-decodes its whole prefix in one call): cached rows are constants.
+(``ag.attention_sublayer``) and its MLP sublayer (``ag.mlp_sublayer``),
+each with its layer norm and residual.  A stack's input rows are one
+``ag.embedding`` node, word plus position rows plus the ``input`` row,
+and the decoder's logits one ``ag.tied_head`` node: the final layer
+norm, the product with the transposed word table and the ``softmax``
+bias.  The encoder's final norm and its pooling are one ``ag.pool``
+node, and a decoder's injection rows one ``ag.inject`` node.  Block
+tensors are looked up once per parameter layout.  Every attention
+writes its keys and values into per-head stacks (``kv_stacks``) and
+attends over them.  The decoder forward runs over a ``DecoderCache``:
+the latent's injection rows, computed once, each layer's stacks, and
+one ``length``, the token positions consumed so far.  A layer's latent
+key/value row is the first row of its stacks, and the cache's capacity
+is the length limit.  A full-prefix call builds a fresh cache of its T
+positions and feeds every token; incremental decoding keeps one cache
+per story and feeds only the new tokens, which attend over views of the
+stacks without copying an earlier row.  A tape spans one call through a
+cache (a train step decodes its whole prefix in one call): cached rows
+are constants.
 
 A leading batch axis runs through the same forward: (B, T) tokens, a
 (B, d') latent batch, and stacks with a leading B axis.  Inference
@@ -236,7 +235,14 @@ def init_parameters(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32
 
     Encoder blocks start as value copies of the first encoder_layers
     decoder blocks (copied, not shared, so they train apart afterwards).
+    A config whose parameter count cannot be allocated as one buffer
+    raises ``ContractError`` before any tensor is listed or drawn.
     """
+    elements = parameter_count(cfg)[1]
+    try:
+        ag.flat_buffer(elements, dtype)
+    except (OverflowError, OSError) as e:
+        raise ContractError(f"the model's {elements} parameter values cannot be allocated: {e}") from None
     arrays = []
     for name, shape, init in parameter_specs(cfg):
         if init == "ones":
@@ -289,138 +295,59 @@ def pooling_params(params: ParameterSet) -> PoolingParams:
     )
 
 
-class KVRows:
-    """One attention layer's key and value rows, in per-head stacks preallocated to ``capacity`` rows.
+def kv_stacks(x: Tensor, n_heads: int, rows: int, latent: tuple[Tensor, Tensor] | None = None):
+    """Per-head key and value stacks with room for ``rows`` rows, for the batch and width of the (..., l, d) ``x``.
 
-    Keys sit transposed in ``keys_t`` (..., H, d/H, capacity) and values in
-    ``values`` (..., H, capacity, d/H), where the leading axes, if any, are
-    the batch of sequences the first rows brought; the first ``rows`` are
-    filled.  The first ``latent`` rows (0 or 1) are the pseudo-self-attention
-    latent row, from the (..., 1, d) key and value tensors ``latent``; the
-    rest belong to positions of the sequence, which
-    ``ag.attention_sublayer`` writes in the room ``reserve`` makes, so
-    attending over a view of the first ``rows`` never copies an earlier
-    row.  ``latent_rows`` keeps the latent row's tensors while they are on
-    the tape, for the backward of the attention that reads them.
+    Keys sit transposed in ``keys_t`` (..., H, d/H, rows) and values in
+    ``values`` (..., H, rows, d/H), the layout ``ag.attention_sublayer``
+    writes its rows into and attends over.  The stacks take ``x``'s dtype,
+    or ``latent``'s: the (..., 1, d) key and value tensors of a
+    pseudo-self-attention latent row, which fill row 0.  Every other row
+    is left unset (``np.empty``) for the sublayers to write.
     """
-
-    def __init__(self, n_heads: int, capacity: int, latent: tuple[Tensor, Tensor] | None = None):
-        self.n_heads, self.capacity = n_heads, capacity
-        self.keys_t = self.values = self.latent_rows = None
-        self.rows = self.latent = 0
-        if latent is not None:
-            k, v = latent
-            self.reserve(k.shape, k.dtype)
-            *batch, l, d = k.shape
-            split, nb = (*batch, l, n_heads, d // n_heads), len(batch)
-            self.keys_t[..., :l] = k.data.reshape(split).transpose(*range(nb), nb + 1, nb + 2, nb)
-            self.values[..., :l, :] = v.data.reshape(split).swapaxes(-3, -2)
-            self.rows = self.latent = l
-            self.latent_rows = latent if k.requires_grad or v.requires_grad else None
-
-    def reserve(self, shape: tuple[int, ...], dtype) -> int:
-        """Make room for (..., l, d) rows of ``shape`` after the filled ones, and return the first free row.
-
-        The first call allocates the stacks for its batch and ``dtype``.
-        """
-        *batch, l, d = shape
-        lo, h = self.rows, self.n_heads
-        if lo + l > self.capacity:
-            raise ContractError(f"{lo + l} key/value rows exceed the preallocated {self.capacity}")
-        if self.keys_t is None:
-            self.keys_t = np.empty((*batch, h, d // h, self.capacity), dtype=dtype)
-            self.values = np.empty((*batch, h, self.capacity, d // h), dtype=dtype)
-        elif self.keys_t.shape[:-3] != tuple(batch):
-            raise ContractError(f"rows for a batch of {tuple(batch)} do not fit stacks for {self.keys_t.shape[:-3]}")
-        return lo
+    *batch, _, d = x.shape
+    dtype = x.dtype if latent is None else latent[0].dtype
+    keys_t = np.empty((*batch, n_heads, d // n_heads, rows), dtype=dtype)
+    values = np.empty((*batch, n_heads, rows, d // n_heads), dtype=dtype)
+    if latent is not None:
+        split, nb = (*batch, 1, n_heads, d // n_heads), len(batch)
+        keys_t[..., :1] = latent[0].data.reshape(split).transpose(*range(nb), nb + 1, nb + 2, nb)
+        values[..., :1, :] = latent[1].data.reshape(split).swapaxes(-3, -2)
+    return keys_t, values
 
 
-def multi_head_attention(
-    x: Tensor,
-    p: AttentionParams,
-    n_heads: int,
-    causal: bool,
-    return_weights: bool = False,
-    past: KVRows | None = None,
-    key_mask: np.ndarray | None = None,
-):
-    """A block's attention sublayer over the (T, d) rows of ``x``, or each sequence of a (B, T, d) batch, as one node.
+def causal_mask(l: int, filled: int) -> np.ndarray | None:
+    """The (l, filled + l) mask of ``l`` new rows after ``filled`` earlier ones, or None for a single new row.
 
-    This is ``x`` plus the output projection of the scaled dot-product
-    attention of ``layer_norm(x)``'s rows (``ag.attention_sublayer``);
-    the per-head scale is 1/sqrt(d/H).  Keys and values are ``past``'s
-    rows followed by those of ``x``, which are appended to ``past``, so
-    the next call attends over them too.  ``past`` is the one way in for
-    the pseudo-self-attention latent row (its key and value rows from
-    ``ag.inject``), and its capacity is the length limit.  Queries
-    come from ``x`` only; the causal mask orders the rows of ``x`` among
-    themselves and never blocks a ``past`` row, so a single new row needs
-    no mask.  A non-causal attention over right-padded rows takes a
-    ``key_mask``, (B, 1, 1, keys) for a batch, that is False at the keys
-    of padding, which no query attends.  With ``return_weights`` the
-    per-head (queries, keys) weight matrices follow the output.  ``past``
-    counts the new rows only once the call has succeeded.  Earlier
-    calls' rows are constants here, so a call whose output is on the tape
-    raises ``ContractError`` if ``past`` already holds token rows.
+    Each new row sees every earlier row, itself and the new rows before
+    it; a single new row sees every row, so it needs no mask.
     """
-    l = x.shape[-2]
-    if l < 1:
-        raise ContractError("attention needs at least one position")
-    if past is None:
-        past = KVRows(n_heads, l)
-    n_past = past.reserve(x.shape, x.dtype)
-    mask = key_mask
-    if causal and l > 1:
-        mask = np.ones((l, n_past + l), dtype=bool)
-        mask[:, n_past:] = np.tri(l, dtype=bool)
-    result = ag.attention_sublayer(x, p.ln_g, p.ln_b, p.wq, p.bq, p.wk, p.wv, p.bv, p.wo, p.bo,
-                                   past.keys_t, past.values, n_past, past.latent_rows, mask, return_weights)
-    out = result[0] if return_weights else result
-    if out.requires_grad and n_past > past.latent:
-        raise ContractError(f"a call on the tape must be the first through its key/value rows, but "
-                            f"{n_past - past.latent} token rows are cached already and would get no gradient")
-    past.rows = n_past + l
-    return (out, list(result[1])) if return_weights else out
-
-
-def attention_average(hseq: Tensor, p: PoolingParams, n_heads: int, return_weights: bool = False,
-                      key_mask: np.ndarray | None = None):
-    """The encoder's final layer norm, then a pooling of the sequence into one row with a learnable query: one node.
-
-    ``hseq`` is one (T, d) sequence of the encoder's last block, pooled to
-    a (1, d) row, or a (B, T, d) batch, pooled to (B, 1, d): one row per
-    sequence, so each goes through its own output product.  A batch of
-    right-padded sequences passes the (B, 1, 1, T) ``key_mask`` that is
-    False at padding, so each sequence pools over its own positions only.
-    With ``return_weights`` the per-head weights follow the row.
-    """
-    if hseq.shape[-2] < 1:
-        raise ContractError("cannot pool an empty sequence")
-    result = ag.pool(hseq, p.ln_g, p.ln_b, p.q, p.wk, p.wv, p.bv, p.wo, p.bo, n_heads, key_mask, return_weights)
-    return (result[0], list(result[1])) if return_weights else result
+    if l == 1:
+        return None
+    mask = np.ones((l, filled + l), dtype=bool)
+    mask[:, filled:] = np.tri(l, dtype=bool)
+    return mask
 
 
 class DecoderCache:
     """A decoder forward's state for one latent or a batch of them: injection rows, and each layer's keys and values.
 
     The ``input`` row, the per-layer pseudo-self-attention key/value rows
-    and the ``softmax`` bias are computed from the latent here, once, as
-    one ``ag.inject`` node.  A (B, d') latent batch serves B sequences of
-    equal length: its rows go through the injection products as (B, 1,
-    d') rows, each on its own, and a single latent as one (1, d') row.
-    ``modes`` must be among the model's ``cfg.injection_modes``.
-    Each layer's ``KVRows`` is preallocated to the latent row plus
-    ``positions`` token rows (``cfg.max_seq_len`` by default); the latent
-    rows are its first rows.  ``stack_forward`` appends the rows of the tokens
-    it is fed and advances ``length``, the number of token positions
-    consumed.  A cache is bound to the parameters it was built from: it
-    looks up the word and position tables (``word``, ``pos``), every
-    decoder block's tensors (``blocks``) and the final norm's gain and
-    bias (``final_norm``) once, and each step reads them from there.  A
-    layer whose sublayer raises keeps its rows as they were; once a call
-    has raised after a layer took its rows, the layers are out of step
-    and the cache refuses further calls.  Only the first call through a
-    cache may record a tape (see ``multi_head_attention``).
+    (``latent_rows``, None for a layer without one) and the ``softmax``
+    bias are computed from the latent here, once, as one ``ag.inject``
+    node.  A (B, d') latent batch serves B sequences of equal length: its
+    rows go through the injection products as (B, 1, d') rows, each on its
+    own, and a single latent as one (1, d') row.  ``modes`` must be among
+    the model's ``cfg.injection_modes``.  The cache holds ``positions``
+    tokens (``cfg.max_seq_len`` by default), and ``length`` counts those
+    consumed so far.  The first call allocates each layer's ``stacks``
+    (``kv_stacks``) for its batch, with room for a latent row and the
+    ``positions``; a layer's latent row, if it has one, is row 0, and token
+    position t's row follows it.  A cache is bound to the parameters it was
+    built from: it looks up the word and position tables (``word``,
+    ``pos``), every decoder block's tensors (``blocks``) and the final
+    norm's gain and bias (``final_norm``) once, and each step reads them
+    from there.
     """
 
     def __init__(self, params: ParameterSet, cfg: ModelConfig, latent=None, modes: tuple[str, ...] = (),
@@ -430,9 +357,12 @@ class DecoderCache:
             raise ContractError(f"injection modes {modes} are not all among the model's {cfg.injection_modes}")
         if modes and latent is None:
             raise ContractError("decoder with injection modes enabled needs a latent code")
-        self.params, self.latent, self.modes, self.length = params, latent, modes, 0
+        positions = cfg.max_seq_len if positions is None else positions
+        if not 1 <= positions <= cfg.max_seq_len:
+            raise ContractError(f"a decoder cache holds 1 to max_seq_len {cfg.max_seq_len} positions, got {positions}")
+        self.params, self.latent, self.modes, self.positions, self.length = params, latent, modes, positions, 0
         self.batch = None if latent is None else latent.z.shape[:-1]
-        self.input_row = self.softmax_bias = None
+        self.input_row = self.softmax_bias = self.stacks = None
         self.blocks, kv = _stack_blocks(params, "dec", cfg.layers), []
         if modes:
             if latent.width != cfg.latent_dim:
@@ -442,8 +372,7 @@ class DecoderCache:
                 latent.z, *(params[f"inject.{m}.w"] if m in modes else None for m in INJECTION_MODES), psa)
         self.word, self.pos = params["embed.word"], params["embed.pos"]
         self.final_norm = (params["dec.final_norm.g"], params["dec.final_norm.b"])
-        capacity = 1 + (cfg.max_seq_len if positions is None else positions)
-        self.layers = [KVRows(cfg.heads, capacity, rows) for rows in kv or [None] * cfg.layers]
+        self.latent_rows = kv or [None] * cfg.layers
 
 
 def _validate_tokens(tokens: np.ndarray, cfg: ModelConfig, start: int = 0) -> np.ndarray:
@@ -496,16 +425,27 @@ def stack_forward(
     Returns the last block's rows for the encoder, and the logits for
     the decoder, with a leading B axis for a batch.  Each stack is one
     ``ag.embedding`` node and two nodes per block; the encoder's final
-    layer norm belongs to its pooling (``attention_average``), and the
-    decoder ends in one ``ag.tied_head`` node and reads every tensor
-    from its cache.  ``modes`` selects which injection routes consume
-    the latent; the decoder requires a latent whenever any mode is
-    active, and a batch takes a (B, d') latent batch.  A decoder
-    ``cache`` built for the same latent and
-    modes makes ``tokens`` the continuation of the tokens it has
-    consumed: they sit at positions ``cache.length`` onward, and the
-    logits cover them alone.  Without one the tokens start at position
-    0.
+    layer norm belongs to its pooling (``ag.pool``), and the decoder ends
+    in one ``ag.tied_head`` node and reads every tensor from its cache.
+    ``modes`` selects which injection routes consume the latent; the
+    decoder requires a latent whenever any mode is active, and a batch
+    takes a (B, d') latent batch.  A decoder ``cache`` built for the same
+    latent and modes makes ``tokens`` the continuation of the tokens it
+    has consumed: they sit at positions ``cache.length`` onward, and the
+    logits cover them alone.  Without one the tokens start at position 0,
+    in a cache of their T positions built for the call.
+
+    Each attention sublayer writes its rows' keys and values into its
+    layer's stacks and attends over them: the encoder's are fresh stacks
+    of its T rows, the decoder's the cache's, from row ``offset +
+    cache.length`` on, where ``offset`` is the layer's 0 or 1 latent rows.
+    The causal mask orders the new rows among themselves and never blocks
+    an earlier row, so a single new row needs no mask.  The cache's
+    ``length`` advances only once the whole call has succeeded; a call
+    that raises leaves it as it was, and the next call writes the same
+    rows again.  Earlier calls' rows are constants here, so a call whose
+    logits are on the tape raises ``ContractError`` if the cache already
+    holds tokens: a tape spans one call through a cache.
 
     A batch is of equal-length sequences, or right-padded ones.  The
     encoder then takes the (B, 1, 1, T) ``key_mask`` that is False at
@@ -523,31 +463,42 @@ def stack_forward(
             raise ContractError("only the decoder stack takes a cache")
     elif key_mask is not None:
         raise ContractError("the decoder is causal: right padding needs no key mask")
-    elif cache is not None:
-        if cache.params is not params or cache.latent is not latent or cache.modes != modes:
-            raise ContractError("the decoder cache was built for other parameters, another latent or other modes")
-        if any(kv.rows != kv.latent + cache.length for kv in cache.layers):
-            raise ContractError("the decoder cache is out of step: an earlier call through it raised")
+    elif cache is not None and (cache.params is not params or cache.latent is not latent or cache.modes != modes):
+        raise ContractError("the decoder cache was built for other parameters, another latent or other modes")
     start = cache.length if cache is not None else 0
     tokens = _validate_tokens(tokens, cfg, start)
-    if is_decoder:
+    l = tokens.shape[-1]
+
+    if not is_decoder:
+        x = ag.embedding(params["embed.word"], params["embed.pos"], tokens, 0)
+        layers = [(block, None, None) for block in _stack_blocks(params, "enc", cfg.encoder_layers)]
+    else:
         if cache is None:  # a full-prefix forward holds exactly its tokens
-            cache = DecoderCache(params, cfg, latent, modes, tokens.shape[-1])
+            cache = DecoderCache(params, cfg, latent, modes, l)
+        if start + l > cache.positions:
+            raise ContractError(f"{start + l} positions exceed the {cache.positions} the decoder cache holds")
         if cache.batch is None:
             cache.batch = tokens.shape[:-1]
         elif cache.batch != tokens.shape[:-1]:
             raise ContractError(f"tokens of shape {tokens.shape} do not match a cache for a batch of {cache.batch}")
+        x = ag.embedding(cache.word, cache.pos, tokens, start, cache.input_row)
+        if cache.stacks is None:
+            cache.stacks = [kv_stacks(x, cfg.heads, 1 + cache.positions, rows) for rows in cache.latent_rows]
+        layers = zip(cache.blocks, cache.stacks, cache.latent_rows)
 
-    if not is_decoder:
-        x = ag.embedding(params["embed.word"], params["embed.pos"], tokens, start)
-        for block in _stack_blocks(params, "enc", cfg.encoder_layers):
-            x = multi_head_attention(x, block.attn, cfg.heads, False, key_mask=key_mask)
-            x = ag.mlp_sublayer(x, *block.mlp)
-        return x
-
-    x = ag.embedding(cache.word, cache.pos, tokens, start, cache.input_row)
-    for block, past in zip(cache.blocks, cache.layers):
-        x = multi_head_attention(x, block.attn, cfg.heads, True, past=past)
+    for block, stacks, rows in layers:
+        filled = start + (rows is not None)
+        mask = causal_mask(l, filled) if is_decoder else key_mask
+        keys_t, values = stacks or kv_stacks(x, cfg.heads, l)
+        taped = rows if rows is not None and (rows[0].requires_grad or rows[1].requires_grad) else None
+        p = block.attn
+        x = ag.attention_sublayer(x, p.ln_g, p.ln_b, p.wq, p.bq, p.wk, p.wv, p.bv, p.wo, p.bo, keys_t, values,
+                                  filled, taped, mask)
         x = ag.mlp_sublayer(x, *block.mlp)
-    cache.length = start + tokens.shape[-1]
+    if not is_decoder:
+        return x
+    if start and x.requires_grad:
+        raise ContractError(f"a call on the tape must be the first through its key/value rows, but "
+                            f"{start} token rows are cached already and would get no gradient")
+    cache.length = start + l
     return ag.tied_head(x, *cache.final_norm, cache.word, cache.softmax_bias)

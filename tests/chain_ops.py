@@ -172,16 +172,18 @@ def namer(stage):
     return name
 
 
-def append(past: tf.KVRows, k: Tensor, v: Tensor) -> list:
-    """Write the (..., l, d) rows ``k`` and ``v`` after ``past``'s filled rows; the segments the attention reads."""
-    lo = past.reserve(k.shape, k.dtype)
+def append(keys_t: np.ndarray, values: np.ndarray, filled: int, latent, k: Tensor, v: Tensor) -> list:
+    """Write the (..., l, d) rows ``k`` and ``v`` into the stacks from row ``filled``; the segments the attention reads.
+
+    ``latent``, if not None, holds the key and value tensors of row 0.
+    """
     *batch, l, d = k.shape
-    split, nb = (*batch, l, past.n_heads, d // past.n_heads), len(batch)
-    past.keys_t[..., lo:lo + l] = k.data.reshape(split).transpose(*range(nb), nb + 1, nb + 2, nb)
-    past.values[..., lo:lo + l, :] = v.data.reshape(split).swapaxes(-3, -2)
-    past.rows = lo + l
-    segments = [] if past.latent_rows is None else [(0, past.latent, *past.latent_rows)]
-    return segments + ([(lo, lo + l, k, v)] if k.requires_grad or v.requires_grad else [])
+    h = keys_t.shape[-3]
+    split, nb = (*batch, l, h, d // h), len(batch)
+    keys_t[..., filled:filled + l] = k.data.reshape(split).transpose(*range(nb), nb + 1, nb + 2, nb)
+    values[..., filled:filled + l, :] = v.data.reshape(split).swapaxes(-3, -2)
+    segments = [] if latent is None else [(0, 1, *latent)]
+    return segments + ([(filled, filled + l, k, v)] if k.requires_grad or v.requires_grad else [])
 
 
 def embedding_chain(word, pos, tokens, start, row=None, stage=None):
@@ -224,34 +226,27 @@ def mlp_chain(x, ln_g, ln_b, w1, b1, w2, b2, stage=None):
     return h
 
 
-def attention_chain(x, p, n_heads, causal, return_weights=False, past=None, key_mask=None, stage=None):
+def attention_chain(x, ln_g, ln_b, wq, bq, wk, wv, bv, wo, bo, keys_t, values, filled, latent, mask=None,
+                    return_weights=False, stage=None):
     """Layer norm, three products, the rows' write, ``attention`` and the output product with the residual."""
     name = namer(stage)
     name("layer_norm")
-    h = layer_norm(x, p.ln_g, p.ln_b)
-    l = x.shape[-2]
-    if past is None:
-        past = tf.KVRows(n_heads, l)
-    n_past = past.rows
+    h = layer_norm(x, ln_g, ln_b)
     name("linear wq")
-    q = linear(h, p.wq, p.bq)
+    q = linear(h, wq, bq)
     name("linear wk")
-    k = linear(h, p.wk)
+    k = linear(h, wk)
     name("linear wv")
-    segments = append(past, k, linear(h, p.wv, p.bv))
-    mask = key_mask
-    if causal and l > 1:
-        mask = np.ones((l, n_past + l), dtype=bool)
-        mask[:, n_past:] = np.tri(l, dtype=bool)
+    segments = append(keys_t, values, filled, latent, k, linear(h, wv, bv))
     name("attention")
-    n = past.rows
-    out = attention(q, past.keys_t[..., :n], past.values[..., :n, :], segments, mask, return_weights)
+    n = filled + x.shape[-2]
+    out = attention(q, keys_t[..., :n], values[..., :n, :], segments, mask, return_weights)
     weights = None
     if return_weights:
         out, weights = out
     name("linear wo")
-    out = linear(out, p.wo, p.bo, x)
-    return (out, list(weights)) if return_weights else out
+    out = linear(out, wo, bo, x)
+    return (out, weights) if return_weights else out
 
 
 def pool_chain(x, ln_g, ln_b, q, wk, wv, bv, wo, bo, n_heads, mask=None, return_weights=False, stage=None):
@@ -259,13 +254,13 @@ def pool_chain(x, ln_g, ln_b, q, wk, wv, bv, wo, bo, n_heads, mask=None, return_
     name = namer(stage)
     name("layer_norm")
     h = layer_norm(x, ln_g, ln_b)
-    past = tf.KVRows(n_heads, x.shape[-2])
     name("linear wk")
     k = linear(h, wk)
+    keys_t, values = tf.kv_stacks(k, n_heads, x.shape[-2])
     name("linear wv")
-    segments = append(past, k, linear(h, wv, bv))
+    segments = append(keys_t, values, 0, None, k, linear(h, wv, bv))
     name("attention")
-    out = attention(reshape(q, (1, q.shape[0])), past.keys_t, past.values, segments, mask, return_weights)
+    out = attention(reshape(q, (1, q.shape[0])), keys_t, values, segments, mask, return_weights)
     weights = None
     if return_weights:
         out, weights = out
@@ -324,7 +319,7 @@ def elbo_chain(recon, kl, beta, batch):
 
 def chains(patch) -> None:
     """Make every fused op of the model its chain."""
-    patch.setattr(tf, "multi_head_attention", attention_chain)
+    patch.setattr(ag, "attention_sublayer", attention_chain)
     patch.setattr(ag, "mlp_sublayer", mlp_chain)
     patch.setattr(ag, "embedding", embedding_chain)
     patch.setattr(ag, "tied_head", head_chain)

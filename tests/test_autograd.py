@@ -311,9 +311,9 @@ POOL = [ROW, ROW, ROW, SQUARE, SQUARE, ROW, SQUARE, ROW]
 
 def _sublayer(x, *tensors, causal=True, key_mask=None, latent=None):
     """Two heads of an attention sublayer over ``x``, after a latent row if ``latent`` holds its key and value."""
-    p = tf.AttentionParams(*tensors)
-    past = None if latent is None else tf.KVRows(2, 1 + x.shape[-2], latent)
-    return tf.multi_head_attention(x, p, 2, causal=causal, key_mask=key_mask, past=past)
+    filled, l = int(latent is not None), x.shape[-2]
+    mask = tf.causal_mask(l, filled) if causal else key_mask
+    return ag.attention_sublayer(x, *tensors, *tf.kv_stacks(x, 2, filled + l, latent), filled, latent, mask)
 
 
 def _injection(z, input_w, psa_w, softmax_w, *psa_kv):

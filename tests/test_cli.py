@@ -755,8 +755,20 @@ def test_malformed_sampler_and_training_values_exit_2(workspace, tmp_path, capsy
     assert not (tmp_path / "o").exists()
 
 
-# An address-space limit for the child process of the test below: room for Python and numpy, not for a runaway listing.
+# An address-space limit for the child processes of the tests below: room for Python and numpy, not for a runaway
+# listing.
 CHILD_ADDRESS_SPACE = 1 << 30
+
+
+def run_child(argv):
+    """``cli.main(argv)`` in a child process under ``CHILD_ADDRESS_SPACE`` and a timeout, so that a tree which builds
+    something the size of the input fails cleanly rather than exhausting memory."""
+    script = ("import resource, sys\n"
+              f"resource.setrlimit(resource.RLIMIT_AS, ({CHILD_ADDRESS_SPACE}, {CHILD_ADDRESS_SPACE}))\n"
+              "from storyvae import cli\n"
+              f"sys.exit(cli.main({argv!r}))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
 
 
 @pytest.mark.parametrize("command", ["generate", "resume"])
@@ -765,9 +777,7 @@ def test_a_manifest_of_an_impossible_model_exits_2_before_building_it(workspace,
     """A manifest whose model has 10**30 layers, or width, is refused with exit 2, naming the manifest.
 
     The counts it implies are computed in closed form, so nothing the size
-    of the model is built.  The command runs in a child process under an
-    address-space limit and a timeout, so that a tree which builds the
-    model's parameter listing fails cleanly rather than exhausting memory.
+    of the model is built.
     """
     checkpoint = tmp_path / "checkpoint"
     shutil.copytree(workspace["checkpoint"], checkpoint)
@@ -777,14 +787,32 @@ def test_a_manifest_of_an_impossible_model_exits_2_before_building_it(workspace,
     common = ["--corpus", workspace["corpus"], "--vocab", workspace["vocab"], "--out", str(tmp_path / "o")]
     argv = (["generate", "--checkpoint", str(checkpoint)] + FAST_SAMPLER if command == "generate"
             else ["train", "--resume", str(checkpoint), "--train.steps", "1"]) + common
-    script = ("import resource, sys\n"
-              f"resource.setrlimit(resource.RLIMIT_AS, ({CHILD_ADDRESS_SPACE}, {CHILD_ADDRESS_SPACE}))\n"
-              "from storyvae import cli\n"
-              f"sys.exit(cli.main({argv!r}))\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    result = run_child(argv)
     assert result.returncode == cli.EXIT_DATA, result.stderr
     assert str(checkpoint / "manifest.json") in result.stderr and "Traceback" not in result.stderr
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--model.d", str(10**16)], "parameter values cannot be allocated"),
+    (["--model.heads", str(10**21), "--model.d", str(10**21)], "parameter values cannot be allocated"),
+    (["--model.max-seq-len", str(10**19)], "parameter values cannot be allocated"),
+    (["--model.d", str(10**6)], "parameter values cannot be allocated"),
+    (["--model.layers", str(10**30)], "parameter values cannot be allocated"),
+    (["--train.batch-size", str(10**21)], "examples cannot be drawn"),
+    (["--train.batch-size", str(10**15)], "more memory than there is"),
+], ids=["width", "heads_and_width", "max_seq_len", "width_past_the_limit", "layers", "batch_size",
+        "batch_size_past_the_limit"])
+def test_a_train_config_too_large_to_allocate_exits_2_before_any_output(workspace, tmp_path, flags, message):
+    """A model or batch too large to allocate is refused with exit 2 and a data error, before the output exists.
+
+    The model is refused from its closed-form parameter count, before any
+    tensor is listed, so 10**30 layers take no time.
+    """
+    result = run_child(["train", "--corpus", workspace["corpus"], "--vocab", workspace["vocab"],
+                        "--out", str(tmp_path / "o"), "--model.vocab-size", "300", "--train.steps", "1"] + flags)
+    assert result.returncode == cli.EXIT_DATA, result.stderr
+    assert result.stderr.startswith("data error: ") and message in result.stderr and "Traceback" not in result.stderr
     assert not (tmp_path / "o").exists()
 
 

@@ -1,7 +1,7 @@
 """The fused ops of a stack against the chains of ops they replace.
 
-``ag.mlp_sublayer``, ``ag.attention_sublayer`` (through
-``tf.multi_head_attention``), ``ag.embedding`` and ``ag.tied_head`` must
+``ag.mlp_sublayer``, ``ag.attention_sublayer``, ``ag.embedding`` and
+``ag.tied_head`` must
 give the chain's bits: the output, the attention weights and every
 gradient, and a ``NumericsError`` in every case where the chain raised,
 naming the step that raised.  The chains live in ``chain_ops``, and
@@ -56,10 +56,18 @@ ATTENTION_NAMES = ("ln_g", "ln_b", "wq", "bq", "wk", "wv", "bv", "wo", "bo", "ps
 UNTAPED = ATTENTION_NAMES + ("x", "z")
 
 
-def attention_case(dtype, lead, latent, frozen=()):
-    """Random attention tensors (d=8, 2 heads), and a ``KVRows`` with room for 8 rows after an optional latent row.
+def sublayer_tensors(p):
+    """The tensors of ``p`` that ``ag.attention_sublayer`` takes, in its order."""
+    return [getattr(p, n) for n in ATTENTION_NAMES[:9]]
 
-    The tensors named in ``frozen`` (``x`` for the rows, ``z`` for the latent) need no gradient.
+
+def attention_case(dtype, lead, latent, frozen=()):
+    """Random attention tensors (d=8, 2 heads), stacks with room for 8 rows after an optional latent row, and rows.
+
+    The tensors named in ``frozen`` (``x`` for the rows, ``z`` for the
+    latent) need no gradient.  Returns the tensors, the latent, the latent
+    rows while they are on the tape (else None), the stacks and three
+    sets of rows.
     """
     rng = np.random.default_rng(2)
     d = 8
@@ -67,9 +75,10 @@ def attention_case(dtype, lead, latent, frozen=()):
     p = tf.AttentionParams(**{n: leaf(rng, s, dtype, 0.6, grad=n not in frozen) for n, s in zip(ATTENTION_NAMES, shapes)})
     z = leaf(rng, lead + (1, d), dtype, grad="z" not in frozen) if latent else None
     rows = None if z is None else (linear(z, p.psa_wk, p.psa_bk), linear(z, p.psa_wv, p.psa_bv))
-    past = tf.KVRows(2, 1 + 8 if latent else 8, rows)
     xs = [leaf(rng, lead + (l, d), dtype, grad="x" not in frozen) for l in (3, 1, 2)]
-    return p, z, past, xs, ATTENTION_NAMES
+    stacks = tf.kv_stacks(xs[0], 2, 1 + 8 if latent else 8, rows)
+    taped = rows if rows is not None and (rows[0].requires_grad or rows[1].requires_grad) else None
+    return p, z, taped, stacks, xs
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -78,31 +87,33 @@ def attention_case(dtype, lead, latent, frozen=()):
 @pytest.mark.parametrize("latent", [False, True], ids=["no_latent", "latent"])
 @pytest.mark.parametrize("calls", [1, 3])
 def test_attention_sublayer_gives_the_chains_bits(dtype, lead, mask, latent, calls):
-    """Output, weights and, over one call, every gradient; 3 calls through one ``KVRows`` run without a tape.
+    """Output, weights and, over one call, every gradient; 3 calls through one pair of stacks run without a tape.
 
     A tape spans one call, so later calls, which attend over earlier rows
     too, compare their outputs and weights only.
     """
 
     def run(op):
-        p, z, past, xs, names = attention_case(dtype, lead, latent, () if calls == 1 else UNTAPED)
+        p, z, rows, stacks, xs = attention_case(dtype, lead, latent, () if calls == 1 else UNTAPED)
         rng = np.random.default_rng(3)
-        seen = []
+        seen, filled = [], int(latent)
         for x in xs[:calls]:
-            key_mask = None
+            l = x.shape[-2]
+            key_mask = tf.causal_mask(l, filled) if mask == "causal" else None
             if mask == "key_mask":  # batch entry b hides its last 1 + b % 2 keys from every query
-                keys = past.rows + x.shape[-2]
+                keys = filled + l
                 hide = np.arange(keys) >= keys - 1 - np.arange(lead[0] if lead else 1)[:, None, None, None] % 2
                 key_mask = ~hide if lead else ~hide[0, 0, 0]
-            out, weights = op(x, p, 2, mask == "causal", return_weights=True, past=past, key_mask=key_mask)
+            out, weights = op(x, *sublayer_tensors(p), *stacks, filled, rows, key_mask, return_weights=True)
             seen += [out.data, *weights]
+            filled += l
         if calls > 1:
             assert not out.requires_grad
             return seen
         ag.backward(inner(out, Tensor(rng.standard_normal(out.data.size), dtype=dtype)))
-        return seen + [getattr(p, n).grad for n in names] + [xs[0].grad, None if z is None else z.grad]
+        return seen + [getattr(p, n).grad for n in ATTENTION_NAMES] + [xs[0].grad, None if z is None else z.grad]
 
-    fused, chain = run(tf.multi_head_attention), run(attention_chain)
+    fused, chain = run(ag.attention_sublayer), run(attention_chain)
     assert all(same(a, b) for a, b in zip(fused, chain, strict=True))
 
 
@@ -110,12 +121,12 @@ def test_attention_sublayer_gives_the_chains_bits(dtype, lead, mask, latent, cal
                                     ("wq", "bq", "wo", "bo")])
 def test_attention_sublayer_with_frozen_tensors_gives_the_chains_bits(frozen):
     def run(op):
-        p, z, past, xs, names = attention_case(np.float64, (), True, frozen)
-        out = op(xs[0], p, 2, True, past=past)
+        p, z, rows, stacks, xs = attention_case(np.float64, (), True, frozen)
+        out = op(xs[0], *sublayer_tensors(p), *stacks, 1, rows, tf.causal_mask(3, 1))
         ag.backward(inner(out, Tensor(np.linspace(-1.0, 1.0, out.data.size))))
-        return [getattr(p, n).grad for n in names] + [xs[0].grad, z.grad]
+        return [getattr(p, n).grad for n in ATTENTION_NAMES] + [xs[0].grad, z.grad]
 
-    fused, chain = run(tf.multi_head_attention), run(attention_chain)
+    fused, chain = run(ag.attention_sublayer), run(attention_chain)
     assert all(same(a, b) for a, b in zip(fused, chain, strict=True))
 
 
@@ -277,9 +288,12 @@ class TestAttentionSublayerNumerics:
     def run(op, x, p, latent, key_mask, stage=None):
         """The message of the ``NumericsError`` that ``op`` raises, causal unless there is a key mask, or None."""
         kwargs = {} if stage is None else {"stage": stage}
+        stacks = tf.kv_stacks(x, 2, 1 + x.shape[-2], latent)
+        mask = tf.causal_mask(x.shape[-2], 1) if key_mask is None else key_mask
+        taped = latent if latent[0].requires_grad or latent[1].requires_grad else None
         try:
             with np.errstate(all="ignore"):
-                op(x, p, 2, key_mask is None, past=tf.KVRows(2, 1 + x.shape[-2], latent), key_mask=key_mask, **kwargs)
+                op(x, *sublayer_tensors(p), *stacks, 1, taped, mask, **kwargs)
         except ag.NumericsError as e:
             return str(e)
         return None
@@ -308,22 +322,24 @@ class TestAttentionSublayerNumerics:
         key_mask[1, ..., 4] = False
         stage = []
         assert self.run(attention_chain, x, p, latent, key_mask, stage) is not None and stage == [f"linear {row}"]
-        assert self.run(tf.multi_head_attention, x, p, latent, key_mask) == \
+        assert self.run(ag.attention_sublayer, x, p, latent, key_mask) == \
             f"attention_sublayer: linear {row} produced non-finite values"
 
-    def test_a_failed_call_leaves_its_stacks_as_they_were(self):
-        """The rows of a call that raised do not count, so the next call takes their place."""
-        p, z, past, xs, names = attention_case(np.float64, (), True, UNTAPED)
-        tf.multi_head_attention(xs[0], p, 2, True, past=past)
-        rows = past.rows
-        keep = p.wo.data[0, 0]
-        p.wo.data[0, 0] = np.inf
-        with pytest.raises(ag.NumericsError, match="linear wo"), np.errstate(all="ignore"):
-            tf.multi_head_attention(xs[1], p, 2, True, past=past)
-        assert (past.rows, past.latent) == (rows, 1)
-        p.wo.data[0, 0] = keep
-        tf.multi_head_attention(xs[1], p, 2, True, past=past)
-        assert past.rows == rows + 1
+    def test_a_failed_call_leaves_its_rows_to_be_written_again(self):
+        """A call that raised wrote rows after the filled ones; the next call writes its own there, and gives the
+        bits of a call through stacks that never saw the failure."""
+        outs = []
+        for fail in (True, False):
+            p, z, rows, stacks, xs = attention_case(np.float64, (), True, UNTAPED)
+            ag.attention_sublayer(xs[0], *sublayer_tensors(p), *stacks, 1, rows, tf.causal_mask(3, 1))
+            if fail:
+                keep = p.wo.data[0, 0]
+                p.wo.data[0, 0] = np.inf
+                with pytest.raises(ag.NumericsError, match="linear wo"), np.errstate(all="ignore"):
+                    ag.attention_sublayer(xs[2], *sublayer_tensors(p), *stacks, 4, rows, tf.causal_mask(2, 4))
+                p.wo.data[0, 0] = keep
+            outs.append(ag.attention_sublayer(xs[1], *sublayer_tensors(p), *stacks, 4, rows, None).data)
+        assert np.array_equal(outs[0], outs[1])
 
     def test_raises_exactly_where_the_chain_raises(self):
         """Extreme entries anywhere, causal or under a key mask: the fused op raises whenever the chain does."""
@@ -341,7 +357,7 @@ class TestAttentionSublayerNumerics:
                 key_mask[1, ..., 3:] = False
             stage = []
             want = self.run(attention_chain, x, p, latent, key_mask, stage)
-            got = self.run(tf.multi_head_attention, x, p, latent, key_mask)
+            got = self.run(ag.attention_sublayer, x, p, latent, key_mask)
             assert (got is None) == (want is None), seed
             if want is not None:
                 assert got == f"attention_sublayer: {stage[0]} produced non-finite values", seed

@@ -39,13 +39,30 @@ def norm(x, gain=1.0, bias=0.0):
     return gain * (centered * inv) + bias
 
 
+def attend(x, p, n_heads, causal, latent=None, return_weights=False, rows=None):
+    """``ag.attention_sublayer`` of ``x`` over fresh stacks of ``rows`` rows, after ``latent``'s row if it is not None.
+
+    ``rows`` defaults to the latent row plus those of ``x``; ``latent``
+    holds a latent row's key and value tensors, constants here.
+    """
+    filled, l = int(latent is not None), x.shape[-2]
+    stacks = tf.kv_stacks(x, n_heads, filled + l if rows is None else rows, latent)
+    return ag.attention_sublayer(x, p.ln_g, p.ln_b, p.wq, p.bq, p.wk, p.wv, p.bv, p.wo, p.bo, *stacks, filled, None,
+                                 tf.causal_mask(l, filled) if causal else None, return_weights)
+
+
+def pool_tensors(pool):
+    """The pooling tensors in ``ag.pool``'s order."""
+    return pool.ln_g, pool.ln_b, pool.q, pool.wk, pool.wv, pool.bv, pool.wo, pool.bo
+
+
 def two_way_softmax(a, b):
     m = max(a, b)
     ea, eb = np.exp(a - m), np.exp(b - m)
     return ea / (ea + eb), eb / (ea + eb)
 
 
-class TestMultiHeadAttention:
+class TestAttentionSublayer:
     def test_config_validation(self):
         with pytest.raises(ContractError):
             small_config(d=10, heads=4)
@@ -59,10 +76,10 @@ class TestMultiHeadAttention:
         p = identity_attention_params(d)
         rng = np.random.default_rng(0)
         row = rng.standard_normal((1, d))
-        out1 = tf.multi_head_attention(Tensor(row), p, n_heads=2, causal=True).data
+        out1 = attend(Tensor(row), p, n_heads=2, causal=True).data
         # changing only the query projection cannot matter for one position
         p.wq = Tensor(rng.standard_normal((d, d)))
-        out2 = tf.multi_head_attention(Tensor(row), p, n_heads=2, causal=True).data
+        out2 = attend(Tensor(row), p, n_heads=2, causal=True).data
         assert np.allclose(out1, row + norm(row), atol=1e-6)  # the residual plus identity V then identity O
         assert np.allclose(out1, out2, atol=1e-6)
 
@@ -72,8 +89,8 @@ class TestMultiHeadAttention:
         p = tf.attention_params(params, "dec.0")
         rng = np.random.default_rng(2)
         x = rng.standard_normal((5, cfg.d)).astype(np.float32)
-        full = tf.multi_head_attention(Tensor(x), p, cfg.heads, causal=True).data
-        first = tf.multi_head_attention(Tensor(x[:1]), p, cfg.heads, causal=True).data
+        full = attend(Tensor(x), p, cfg.heads, causal=True).data
+        first = attend(Tensor(x[:1]), p, cfg.heads, causal=True).data
         assert np.allclose(full[0], first[0], atol=1e-6)
 
     def test_identical_rows_average_values(self):
@@ -81,7 +98,7 @@ class TestMultiHeadAttention:
         p = identity_attention_params(d)
         row = np.array([0.3, -0.7, 1.1, 0.2])
         x = Tensor(np.stack([row, row]))
-        out = tf.multi_head_attention(x, p, n_heads=1, causal=False).data
+        out = attend(x, p, n_heads=1, causal=False).data
         # equal keys -> 0.5/0.5 attention -> mean of the two (equal) value rows, after the residual
         assert np.allclose(out, np.stack([row, row]) + norm(row), atol=1e-6)
 
@@ -90,30 +107,35 @@ class TestMultiHeadAttention:
         p = identity_attention_params(d)
         p.wk = Tensor(np.zeros((d, d)))  # all keys project to zero -> equal scores
         v0, v1 = np.array([1.0, 0.0]), np.array([0.0, 2.0])
-        out = tf.multi_head_attention(Tensor(np.stack([v0, v1])), p, n_heads=1, causal=False).data
+        out = attend(Tensor(np.stack([v0, v1])), p, n_heads=1, causal=False).data
         mean = (norm(v0) + norm(v1)) / 2
         assert np.allclose(out[0], v0 + mean, atol=1e-7)
         assert np.allclose(out[1], v1 + mean, atol=1e-7)
 
     def test_sequence_length_cap(self):
-        """The length limit reaches an attention only as the capacity of its ``KVRows``."""
+        """The length limit reaches an attention as the room in its stacks, and the decoder as its cache's capacity."""
         p = identity_attention_params(4)
-        with pytest.raises(ContractError):
-            tf.multi_head_attention(Tensor(np.zeros((9, 4))), p, 2, causal=True, past=tf.KVRows(2, 8))
+        with pytest.raises(ag.ShapeError, match="do not fit after row 0"):
+            attend(Tensor(np.zeros((9, 4))), p, 2, causal=True, rows=8)
+        cfg = small_config()
+        params = make_params(cfg)
+        cache = tf.DecoderCache(params, cfg, positions=8)
+        with pytest.raises(ContractError, match="9 positions exceed the 8 the decoder cache holds"):
+            tf.stack_forward(np.zeros(9, dtype=int), params, cfg, "decoder", cache=cache)
 
 
-def psa_rows(p, z, n_heads, rows):
-    """A layer's ``KVRows`` for ``rows`` token positions after the latent rows that ``ag.inject`` makes of the (1, d) row ``z``.
+def psa_rows(p, z):
+    """A layer's latent key and value rows, as ``ag.inject`` makes them of the (1, d) row ``z`` (None if it is zero).
 
     The identity as the ``psa`` projection hands ``z`` to the layer's latent products as it is.
     """
     eye = Tensor(np.eye(z.shape[-1], dtype=z.dtype))
     _, _, (kv,) = ag.inject(Tensor(z[0]), None, eye, None, [(p.psa_wk, p.psa_bk, p.psa_wv, p.psa_bv)])
-    return tf.KVRows(n_heads, 1 + rows, kv)
+    return kv
 
 
 class TestPseudoSelfAttention:
-    """Decoder self-attention with the per-layer latent row prefixed to keys and values through ``KVRows``."""
+    """Decoder self-attention with the per-layer latent row prefixed to keys and values as row 0 of its stacks."""
 
     def test_requires_psa_projections(self):
         """The ``psa`` projection and the layers' latent key/value projections come together or not at all."""
@@ -135,8 +157,8 @@ class TestPseudoSelfAttention:
         # key/value matrices gain exactly one latent row; output keeps l rows
         p = identity_attention_params(4, with_psa=True)
         x = Tensor(np.random.default_rng(3).standard_normal((5, 4)))
-        out, weights = tf.multi_head_attention(
-            x, p, n_heads=2, causal=True, past=psa_rows(p, np.ones((1, 4)), 2, 5), return_weights=True
+        out, weights = attend(
+            x, p, n_heads=2, causal=True, latent=psa_rows(p, np.ones((1, 4))), return_weights=True
         )
         assert out.shape == (5, 4)
         for w in weights:
@@ -146,10 +168,10 @@ class TestPseudoSelfAttention:
         d = 2
         p = identity_attention_params(d, with_psa=True)
         row = np.array([0.4, -0.9])
-        out_plain = tf.multi_head_attention(Tensor(np.stack([row, row, row])), p, 1, causal=False).data
+        out_plain = attend(Tensor(np.stack([row, row, row])), p, 1, causal=False).data
         # latent projects to the same key and value row as every token's normalized row
-        out_psa = tf.multi_head_attention(
-            Tensor(np.stack([row, row, row])), p, 1, causal=False, past=psa_rows(p, norm(row)[None, :], 1, 3)
+        out_psa = attend(
+            Tensor(np.stack([row, row, row])), p, 1, causal=False, latent=psa_rows(p, norm(row)[None, :])
         ).data
         assert np.allclose(out_psa, out_plain, atol=1e-6)
 
@@ -159,7 +181,7 @@ class TestPseudoSelfAttention:
         p.wq = Tensor(np.zeros((d, d)))  # zero queries -> all scores equal
         token = np.array([1.0, -2.0])
         z = np.array([3.0, -1.0])
-        out = tf.multi_head_attention(Tensor(token[None, :]), p, 1, causal=True, past=psa_rows(p, z[None, :], 1, 1)).data
+        out = attend(Tensor(token[None, :]), p, 1, causal=True, latent=psa_rows(p, z[None, :])).data
         w_lat, w_tok = two_way_softmax(0.0, 0.0)
         assert np.allclose(out[0], token + w_lat * z + w_tok * norm(token), atol=1e-7)
 
@@ -168,9 +190,9 @@ class TestPseudoSelfAttention:
         params = make_params(cfg, seed=6)
         p = tf.attention_params(params, "dec.0")
         x = np.random.default_rng(7).standard_normal((3, cfg.d)).astype(np.float32)
-        _, weights = tf.multi_head_attention(
+        _, weights = attend(
             Tensor(x), p, cfg.heads, causal=True,
-            past=psa_rows(p, np.ones((1, cfg.d), dtype=np.float32), cfg.heads, 3), return_weights=True,
+            latent=psa_rows(p, np.ones((1, cfg.d), dtype=np.float32)), return_weights=True,
         )
         for w in weights:
             assert np.all(w[:, 0] > 0.0)
@@ -180,10 +202,10 @@ class TestPseudoSelfAttention:
         params = make_params(cfg, seed=8)
         p = tf.attention_params(params, "dec.0")
         x = np.random.default_rng(9).standard_normal((4, cfg.d)).astype(np.float32)
-        plain = tf.multi_head_attention(Tensor(x), p, cfg.heads, causal=True).data
-        gated = tf.multi_head_attention(
-            Tensor(x), p, cfg.heads, causal=True, past=psa_rows(p, np.zeros((1, cfg.d), dtype=np.float32), cfg.heads, 4)
-        ).data
+        plain = attend(Tensor(x), p, cfg.heads, causal=True).data
+        latent = psa_rows(p, np.zeros((1, cfg.d), dtype=np.float32))
+        assert latent is None
+        gated = attend(Tensor(x), p, cfg.heads, causal=True, latent=latent, rows=1 + 4).data
         assert np.array_equal(plain, gated)
 
 
@@ -245,7 +267,7 @@ class TestFusedHeadsMatchPerHeadLoop:
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
     @pytest.mark.parametrize("causal", [True, False])
     @pytest.mark.parametrize("latent", ["none", "row"])
-    def test_multi_head_attention(self, n_heads, causal, latent):
+    def test_attention_sublayer(self, n_heads, causal, latent):
         cfg = small_config(heads=n_heads)
         params = make_params(cfg, seed=30, dtype=np.float64)
         ag.rescale_for_grad_check(params, np.random.default_rng(31))
@@ -253,8 +275,8 @@ class TestFusedHeadsMatchPerHeadLoop:
         rng = np.random.default_rng(32)
         x = rng.standard_normal((5, cfg.d))
         z = None if latent == "none" else rng.standard_normal((1, cfg.d))
-        past = None if z is None else psa_rows(p, z, n_heads, 5)
-        out, weights = tf.multi_head_attention(Tensor(x), p, n_heads, causal, past=past, return_weights=True)
+        rows = None if z is None else psa_rows(p, z)
+        out, weights = attend(Tensor(x), p, n_heads, causal, latent=rows, return_weights=True)
         want, want_weights = attention_oracle(x, p, n_heads, causal, z)
         assert np.array_equal(out.data, want)
         assert len(weights) == n_heads
@@ -263,7 +285,7 @@ class TestFusedHeadsMatchPerHeadLoop:
 
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
     @pytest.mark.parametrize("batched", [False, True])
-    def test_attention_average(self, n_heads, batched):
+    def test_pool(self, n_heads, batched):
         """A (T, d) sequence, pooled to one (1, d) row, or each sequence of a (B, T, d) batch, pools to the oracle's bits."""
         cfg = small_config(heads=n_heads)
         params = make_params(cfg, seed=33, dtype=np.float64)
@@ -272,7 +294,7 @@ class TestFusedHeadsMatchPerHeadLoop:
         hseq = np.random.default_rng(35).standard_normal((3, 6, cfg.d))
         if not batched:
             hseq = hseq[0]
-        out, weights = tf.attention_average(Tensor(hseq), pool, n_heads, return_weights=True)
+        out, weights = ag.pool(Tensor(hseq), *pool_tensors(pool), n_heads, return_weights=True)
         for b, seq in enumerate(hseq if batched else [hseq]):
             want, want_weights = pool_oracle(seq, pool, n_heads)
             got, got_weights = (out.data[b, 0], weights[b]) if batched else (out.data[0], weights)
@@ -281,7 +303,7 @@ class TestFusedHeadsMatchPerHeadLoop:
                 assert np.array_equal(got_w, want_w)
 
 
-class TestAttentionAverage:
+class TestPool:
     def make_pool(self, d, dtype=np.float64):
         eye = Tensor(np.eye(d, dtype=dtype))
         zero = Tensor(np.zeros(d, dtype=dtype))
@@ -294,15 +316,15 @@ class TestAttentionAverage:
         d = 4
         pool = self.make_pool(d)
         row = np.array([0.1, 0.2, -0.3, 0.4])
-        out = tf.attention_average(Tensor(row[None, :]), pool, n_heads=2).data
+        out = ag.pool(Tensor(row[None, :]), *pool_tensors(pool), n_heads=2).data
         assert np.allclose(out, norm(row), atol=1e-7)
 
     def test_identical_rows_collapse_to_single(self):
         d = 4
         pool = self.make_pool(d)
         row = np.random.default_rng(10).standard_normal(d)
-        single = tf.attention_average(Tensor(row[None, :]), pool, n_heads=2).data
-        many = tf.attention_average(Tensor(np.tile(row, (6, 1))), pool, n_heads=2).data
+        single = ag.pool(Tensor(row[None, :]), *pool_tensors(pool), n_heads=2).data
+        many = ag.pool(Tensor(np.tile(row, (6, 1))), *pool_tensors(pool), n_heads=2).data
         assert np.allclose(many, single, atol=1e-7)
 
     def test_equal_keys_average_values(self):
@@ -310,13 +332,13 @@ class TestAttentionAverage:
         pool = self.make_pool(d)
         pool.wk = Tensor(np.zeros((d, d)))
         rows = np.array([[2.0, 0.0, 1.0], [0.0, 4.0, 1.0]])
-        out = tf.attention_average(Tensor(rows), pool, n_heads=1).data
+        out = ag.pool(Tensor(rows), *pool_tensors(pool), n_heads=1).data
         assert np.allclose(out, norm(rows).mean(axis=0), atol=1e-7)
 
     def test_empty_sequence_rejected(self):
         pool = self.make_pool(2)
         with pytest.raises((ContractError, ag.ShapeError, ValueError)):
-            tf.attention_average(Tensor(np.zeros((0, 2))), pool, n_heads=1)
+            ag.pool(Tensor(np.zeros((0, 2))), *pool_tensors(pool), n_heads=1)
 
 
 class TestStackForward:
@@ -390,11 +412,11 @@ class TestStackForward:
         pool = tf.pooling_params(params)
         rng = np.random.default_rng(16)
         tokens = rng.integers(0, cfg.vocab_size, size=6)
-        pooled = tf.attention_average(tf.stack_forward(tokens, params, cfg, role="encoder"), pool, cfg.heads).data
+        pooled = ag.pool(tf.stack_forward(tokens, params, cfg, role="encoder"), *pool_tensors(pool), cfg.heads).data
         for t in range(6):
             edited = tokens.copy()
             edited[t] = (edited[t] + 1) % cfg.vocab_size
-            pooled2 = tf.attention_average(tf.stack_forward(edited, params, cfg, role="encoder"), pool, cfg.heads).data
+            pooled2 = ag.pool(tf.stack_forward(edited, params, cfg, role="encoder"), *pool_tensors(pool), cfg.heads).data
             assert not np.allclose(pooled, pooled2)
 
     def test_zero_latent_zero_projections_is_identity(self):
@@ -538,15 +560,15 @@ class TestCachedDecoding:
             return [logits.data] + [None if p.grad is None else p.grad.copy() for _, p in model.params.items()]
 
         full = run(False)
-        assert [kv.capacity for kv in built[0].layers] == [1 + 37] * model.config.layers
+        assert [keys_t.shape[-1] for keys_t, _ in built[0].stacks] == [1 + 37] * model.config.layers
         wide = run(True)
-        assert [kv.capacity for kv in built[1].layers] == [1 + self.LENGTH] * model.config.layers
+        assert [keys_t.shape[-1] for keys_t, _ in built[1].stacks] == [1 + self.LENGTH] * model.config.layers
         assert all(np.array_equal(a, b) for a, b in zip(full, wide, strict=True))
 
     @pytest.mark.parametrize("prefill", ["untaped", "taped"])
     @pytest.mark.parametrize("modes", [("input",), ("psa",), tf.INJECTION_MODES], ids=lambda m: "+".join(m))
     def test_a_tape_spans_one_call(self, modes, prefill):
-        """A taped call after a prefill raises before any layer takes its rows; an untaped one then decodes.
+        """A taped call after a prefill raises, and leaves ``length`` as it was; an untaped one then decodes.
 
         The cache is built without a tape, so its latent rows are
         constants, and only the prefill may record one.
@@ -571,21 +593,30 @@ class TestCachedDecoding:
                 model.decode_logits(tokens[5:6], latent, cache=cache)
         finally:
             tape(False)
-        assert cache.length == 5 and all(kv.rows == kv.latent + 5 for kv in cache.layers)
+        assert cache.length == 5
         for i in (5, 6):
             step = model.decode_logits(tokens[i:i + 1], latent, cache=cache).data
             assert np.abs(step[-1] - full[i]).max() <= 1e-12 * np.abs(full).max()
 
     def test_latent_rows_are_the_first_cached_rows(self):
+        """Each layer's latent key and value are row 0 of its stacks, and token t's rows are row 1 + t."""
         model = self.model(tf.INJECTION_MODES, np.float64)
+        h = model.config.heads
         z = lt.LatentCode.external(np.ones(model.config.latent_dim))
         cache = model.decoder_cache(z)
-        assert [(kv.rows, kv.latent) for kv in cache.layers] == [(1, 1), (1, 1)]
+        assert cache.stacks is None and all(rows is not None for rows in cache.latent_rows)
         model.decode_logits([1, 2, 3], z, cache=cache)
         model.decode_logits([4], z, cache=cache)
         assert cache.length == 4
-        assert [kv.rows for kv in cache.layers] == [5, 5]
-        assert [kv.rows for kv in model.decoder_cache(None).layers] == [0, 0]
+        whole = model.decoder_cache(z)
+        model.decode_logits([1, 2, 3, 4], z, cache=whole)
+        for (keys_t, values), (k, v), (keys_all, values_all) in zip(cache.stacks, cache.latent_rows, whole.stacks,
+                                                                     strict=True):
+            assert np.array_equal(keys_t[..., 0], k.data.reshape(h, -1))
+            assert np.array_equal(values[..., 0, :], v.data.reshape(h, -1))
+            assert np.allclose(keys_t[..., :5], keys_all[..., :5], rtol=1e-12, atol=0.0)
+            assert np.allclose(values[..., :5, :], values_all[..., :5, :], rtol=1e-12, atol=0.0)
+        assert model.decoder_cache(None).latent_rows == [None, None]
 
     def test_contract(self):
         model = self.model(tf.INJECTION_MODES, np.float64)
@@ -633,19 +664,59 @@ class TestCachedDecoding:
                     tf.stack_forward(tokens, params, cfg, "decoder", latent, modes, cache=cache)
             assert cache.length == 10
 
-    def test_refuses_calls_after_a_failed_one(self):
-        model = self.model(tf.INJECTION_MODES, np.float64)
-        z = lt.LatentCode.external(np.ones(model.config.latent_dim))
-        cache = model.decoder_cache(z)
-        model.decode_logits([1, 2], z, cache=cache)
+    @pytest.mark.parametrize("batch", [(), (4,)], ids=["unbatched", "batched"])
+    @pytest.mark.parametrize("modes", [("input",), ("psa",), tf.INJECTION_MODES], ids=lambda m: "+".join(m))
+    def test_a_failed_call_leaves_the_cache_usable(self, modes, batch):
+        """A call that raises after layer 0 wrote its rows leaves ``length`` as it was.
+
+        The next calls write the same rows again, and give the logits of a
+        cache that never saw the failure.
+        """
+        model = self.model(modes, np.float64)
+        rng = np.random.default_rng(47)
+        tokens = rng.integers(0, model.config.vocab_size, size=batch + (6,))
+        z = lt.LatentCode.external(rng.standard_normal(batch + (model.config.latent_dim,)))
+        clean, failed = model.decoder_cache(z), model.decoder_cache(z)
+        for cache in (clean, failed):
+            model.decode_logits(tokens[..., :2], z, cache=cache)
         wq = model.params["dec.1.attn.wq"].data
         keep = wq[0, 0]
-        wq[0, 0] = np.nan  # layer 0 appends its rows, then layer 1 raises
-        with pytest.raises(ag.NumericsError):
-            model.decode_logits([3], z, cache=cache)
+        wq[0, 0] = np.nan  # layer 0 writes its rows, then layer 1 raises
+        with pytest.raises(ag.NumericsError, match="attention_sublayer"), np.errstate(all="ignore"):
+            model.decode_logits(tokens[..., 2:5], z, cache=failed)
         wq[0, 0] = keep
-        with pytest.raises(ContractError):
-            model.decode_logits([3], z, cache=cache)
+        assert failed.length == 2
+        for lo, hi in [(2, 3), (3, 6)]:
+            want = model.decode_logits(tokens[..., lo:hi], z, cache=clean).data
+            assert np.array_equal(model.decode_logits(tokens[..., lo:hi], z, cache=failed).data, want)
+        assert failed.length == clean.length == 6
+
+    def test_a_cache_refuses_a_call_past_its_positions(self):
+        """A cache of p positions refuses a call that would reach position p + 1, and its ``length`` does not move."""
+        model = self.model(tf.INJECTION_MODES, np.float64)
+        z = lt.LatentCode.external(np.ones(model.config.latent_dim))
+        cache = model.decoder_cache(z, positions=4)
+        with pytest.raises(ContractError, match="5 positions exceed the 4 the decoder cache holds"):
+            model.decode_logits([1, 2, 3, 4, 5], z, cache=cache)
+        assert cache.length == 0
+        model.decode_logits([1, 2, 3], z, cache=cache)
+        with pytest.raises(ContractError, match="5 positions exceed the 4"):
+            model.decode_logits([4, 5], z, cache=cache)
+        assert cache.length == 3
+        model.decode_logits([4], z, cache=cache)
+        with pytest.raises(ContractError, match="5 positions exceed the 4"):
+            model.decode_logits([5], z, cache=cache)
+        assert cache.length == 4
+
+    @pytest.mark.parametrize("positions", [-5, 0, LENGTH + 1, 10**30])
+    @pytest.mark.parametrize("modes", [(), ("psa",)], ids=["none", "psa"])
+    def test_positions_outside_the_length_limit_are_refused(self, modes, positions):
+        model = self.model(tf.INJECTION_MODES, np.float64)
+        z = lt.LatentCode.external(np.ones(model.config.latent_dim)) if modes else None
+        with pytest.raises(ContractError, match=f"holds 1 to max_seq_len {self.LENGTH} positions, got {positions}$"):
+            model.decoder_cache(z, modes, positions=positions)
+        for positions in (1, self.LENGTH):
+            assert model.decoder_cache(z, modes, positions=positions).positions == positions
 
 
 @pytest.mark.slow
