@@ -41,7 +41,7 @@ print("zeroed injections are bit-identical to baseline:", np.array_equal(out, ba
 # the latent row, shows its weights.
 fresh = StoryVAE.create(cfg, seed=8)
 cache = fresh.decoder_cache(z, modes=("psa",))
-fresh.decode_logits(tokens, z, modes=("psa",), cache=cache)
+tf.decode_stack(cache, tokens)
 x = ag.embedding(cache.word, cache.pos, tokens, 0)
 p = cache.blocks[0].attn
 out, weights = ag.attention_sublayer(x, p.ln_g, p.ln_b, p.wq, p.bq, p.wk, p.wv, p.bv, p.wo, p.bo, *cache.stacks[0],

@@ -360,7 +360,8 @@ def mlp_sublayer(x: Tensor, ln_g: Tensor, ln_b: Tensor, w1: Tensor, b1: Tensor, 
     at any step always reaches the output, so the output is the one
     finiteness check, and the error names the first step that held one.
     A cube that overflows inside a GELU whose output is finite is no
-    error.
+    error, and so is a ``pre**2`` that overflows in the backward of such
+    a saturated unit: its slope term is taken as exactly 0.
     """
     xd = x.data
     d, m = xd.shape[-1], w1.data.shape[-1]
@@ -385,7 +386,9 @@ def mlp_sublayer(x: Tensor, ln_g: Tensor, ln_b: Tensor, w1: Tensor, b1: Tensor, 
         if not act_grad:
             return
         dinner = GELU_TANH_COEFF * (1.0 + 3.0 * GELU_CUBIC_COEFF * pre**2)
-        g_pre = g_act * (0.5 * (1.0 + t) + 0.5 * pre * (1.0 - t**2) * dinner)
+        slope = 1.0 - t**2
+        dinner[slope == 0.0] = 0.0  # a saturated unit's term is 0, not 0 * inf where its pre**2 overflowed
+        g_pre = g_act * (0.5 * (1.0 + t) + 0.5 * pre * slope * dinner)
         if h_grad:
             g_h = g_pre @ w1.data.T
         _product_grads(g_pre, h, w1, b1)

@@ -76,7 +76,7 @@ class StoryVAE:
         return self.params["embed.word"].dtype
 
     def _pooled(self, tokens, key_mask=None) -> Tensor:
-        hidden = tf.stack_forward(tokens, self.params, self.config, role="encoder", key_mask=key_mask)
+        hidden = tf.encode_stack(tokens, self.params, self.config, key_mask)
         p = self.params.memo("pool", lambda: tf.pooling_params(self.params))
         return ag.pool(hidden, p.ln_g, p.ln_b, p.q, p.wk, p.wv, p.bv, p.wo, p.bo, self.config.heads, key_mask)
 
@@ -124,31 +124,24 @@ class StoryVAE:
                       positions: int | None = None) -> tf.DecoderCache:
         """State for decoding one story, or a batch under a (B, d') latent, incrementally.
 
-        Pass it to every ``decode_logits`` call of that story or batch.  It
-        holds ``positions`` tokens, ``max_seq_len`` by default; any other
-        count outside 1 to ``max_seq_len`` raises ``ContractError``.  A
-        call that raises leaves the cache's ``length`` as it was, so the
-        cache stays usable.
+        Feed every token of that story or batch through it with
+        ``tf.decode_stack(cache, tokens)``.  It holds ``positions`` tokens,
+        ``max_seq_len`` by default; any other count outside 1 to
+        ``max_seq_len`` raises ``ContractError``.  A call that raises leaves
+        the cache's ``length`` as it was, so the cache stays usable.
         """
         return tf.DecoderCache(self.params, self.config, latent, self._modes(latent, modes), positions)
 
-    def decode_logits(
-        self,
-        decoder_input,
-        latent: lt.LatentCode | None,
-        modes: tuple[str, ...] | None = None,
-        cache: tf.DecoderCache | None = None,
-    ) -> Tensor:
+    def decode_logits(self, decoder_input, latent: lt.LatentCode | None,
+                      modes: tuple[str, ...] | None = None) -> Tensor:
         """Logits for every position of ``decoder_input``: (T,) tokens, or a (B, T) batch under a (B, d') latent.
 
-        With a ``cache`` from ``decoder_cache(latent, modes)``,
-        ``decoder_input`` holds only the tokens that follow those already
-        fed through it, and the logits cover those tokens only.
+        The tokens start at position 0, in a cache of their T positions built for the call.
         """
-        return tf.stack_forward(
-            decoder_input, self.params, self.config, role="decoder",
-            latent=latent, modes=self._modes(latent, modes), cache=cache,
-        )
+        # Capped, so that an input past max_seq_len meets decode_stack's length check.
+        length = np.shape(decoder_input)[-1] if np.ndim(decoder_input) else 1
+        positions = min(max(length, 1), self.config.max_seq_len)
+        return tf.decode_stack(self.decoder_cache(latent, modes, positions), decoder_input)
 
     def _require_modes(self) -> None:
         if not self.config.injection_modes:

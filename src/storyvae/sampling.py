@@ -180,7 +180,7 @@ def generate_batch(
     for _ in range(config.max_new_tokens):
         if not running or cache.length + pending.shape[-1] >= max_len:
             break
-        logits = model.decode_logits(pending, latent, cache=cache).data[..., -1, :].reshape(n, -1)
+        logits = tf.decode_stack(cache, pending).data[..., -1, :].reshape(n, -1)
         if len(running) < n:  # a story has stopped: only the running rows are filtered and drawn
             logits = logits[running]
         tokens = sample_tokens(filter_logits(logits, config), [rngs[b] for b in running]).tolist()

@@ -359,7 +359,7 @@ def _check_cached_decoding(report) -> bool:
     cache = model.decoder_cache(latent)
     worst = 0.0
     for t in range(tokens.size):
-        step = model.decode_logits(tokens[t:t + 1], latent, cache=cache).data[-1]
+        step = tf.decode_stack(cache, tokens[t:t + 1]).data[-1]
         full = model.decode_logits(tokens[:t + 1], latent).data[-1]
         worst = max(worst, float(np.abs(step - full).max() / np.abs(full).max()))
     # Not bit-identical: BLAS sums one-row and many-row products in different orders.

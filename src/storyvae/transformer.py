@@ -1,7 +1,8 @@
 """Blocked self-attention stacks and the two special attention mechanisms.
 
-The same pre-layer-norm GPT-2 style block serves both stacks: the decoder
-runs all layers with a causal mask, the encoder runs the first few layers
+The same pre-layer-norm GPT-2 style block serves both stacks, each with
+its own forward: the decoder (``decode_stack``) runs all layers with a
+causal mask, the encoder (``encode_stack``) runs the first few layers
 unmasked (their values are copied from the decoder layers at init and
 trained separately).  Word and position embeddings are shared between the
 stacks and the word table is tied to the decoder's logit head.
@@ -25,16 +26,16 @@ bias.  The encoder's final norm and its pooling are one ``ag.pool``
 node, and a decoder's injection rows one ``ag.inject`` node.  Block
 tensors are looked up once per parameter layout.  Every attention
 writes its keys and values into per-head stacks (``kv_stacks``) and
-attends over them.  The decoder forward runs over a ``DecoderCache``:
-the latent's injection rows, computed once, each layer's stacks, and
-one ``length``, the token positions consumed so far.  A layer's latent
-key/value row is the first row of its stacks, and the cache's capacity
-is the length limit.  A full-prefix call builds a fresh cache of its T
-positions and feeds every token; incremental decoding keeps one cache
-per story and feeds only the new tokens, which attend over views of the
-stacks without copying an earlier row.  A tape spans one call through a
-cache (a train step decodes its whole prefix in one call): cached rows
-are constants.
+attends over them.  The decoder forward runs over a ``DecoderCache``,
+its only way in: the latent's injection rows, computed once, each
+layer's stacks, and one ``length``, the token positions consumed so far.
+A layer's latent key/value row is the first row of its stacks, and the
+cache's capacity is the length limit.  A full-prefix decode builds a
+fresh cache of its T positions and feeds every token; incremental
+decoding keeps one cache per story and feeds only the new tokens, which
+attend over views of the stacks without copying an earlier row.  A tape
+spans one call through a cache (a train step decodes its whole prefix in
+one call): cached rows are constants.
 
 A leading batch axis runs through the same forward: (B, T) tokens, a
 (B, d') latent batch, and stacks with a leading B axis.  Inference
@@ -343,11 +344,11 @@ class DecoderCache:
     consumed so far.  The first call allocates each layer's ``stacks``
     (``kv_stacks``) for its batch, with room for a latent row and the
     ``positions``; a layer's latent row, if it has one, is row 0, and token
-    position t's row follows it.  A cache is bound to the parameters it was
-    built from: it looks up the word and position tables (``word``,
-    ``pos``), every decoder block's tensors (``blocks``) and the final
-    norm's gain and bias (``final_norm``) once, and each step reads them
-    from there.
+    position t's row follows it.  A cache is bound to the parameters, the
+    latent and the modes it was built from: it keeps ``cfg``, looks up the
+    word and position tables (``word``, ``pos``), every decoder block's
+    tensors (``blocks``) and the final norm's gain and bias
+    (``final_norm``) once, and each step reads them from there.
     """
 
     def __init__(self, params: ParameterSet, cfg: ModelConfig, latent=None, modes: tuple[str, ...] = (),
@@ -360,7 +361,7 @@ class DecoderCache:
         positions = cfg.max_seq_len if positions is None else positions
         if not 1 <= positions <= cfg.max_seq_len:
             raise ContractError(f"a decoder cache holds 1 to max_seq_len {cfg.max_seq_len} positions, got {positions}")
-        self.params, self.latent, self.modes, self.positions, self.length = params, latent, modes, positions, 0
+        self.cfg, self.positions, self.length = cfg, positions, 0
         self.batch = None if latent is None else latent.z.shape[:-1]
         self.input_row = self.softmax_bias = self.stacks = None
         self.blocks, kv = _stack_blocks(params, "dec", cfg.layers), []
@@ -410,93 +411,65 @@ def length_groups(sequences) -> list[np.ndarray]:
     return [np.array(ids[k:k + GROUP_ROWS]) for ids in by_length.values() for k in range(0, len(ids), GROUP_ROWS)]
 
 
-def stack_forward(
-    tokens,
-    params: ParameterSet,
-    cfg: ModelConfig,
-    role: str,
-    latent=None,
-    modes: tuple[str, ...] = (),
-    cache: DecoderCache | None = None,
-    key_mask: np.ndarray | None = None,
-):
-    """Run the encoder or decoder stack over (T,) tokens, or a (B, T) batch of sequences.
+def _block(x: Tensor, block: BlockParams, keys_t, values, filled: int, latent, mask) -> Tensor:
+    """One block over the rows ``x``: its attention, writing their keys and values at row ``filled``, then its MLP."""
+    p = block.attn
+    x = ag.attention_sublayer(x, p.ln_g, p.ln_b, p.wq, p.bq, p.wk, p.wv, p.bv, p.wo, p.bo, keys_t, values,
+                              filled, latent, mask)
+    return ag.mlp_sublayer(x, *block.mlp)
 
-    Returns the last block's rows for the encoder, and the logits for
-    the decoder, with a leading B axis for a batch.  Each stack is one
-    ``ag.embedding`` node and two nodes per block; the encoder's final
-    layer norm belongs to its pooling (``ag.pool``), and the decoder ends
-    in one ``ag.tied_head`` node and reads every tensor from its cache.
-    ``modes`` selects which injection routes consume the latent; the
-    decoder requires a latent whenever any mode is active, and a batch
-    takes a (B, d') latent batch.  A decoder ``cache`` built for the same
-    latent and modes makes ``tokens`` the continuation of the tokens it
-    has consumed: they sit at positions ``cache.length`` onward, and the
-    logits cover them alone.  Without one the tokens start at position 0,
-    in a cache of their T positions built for the call.
 
-    Each attention sublayer writes its rows' keys and values into its
-    layer's stacks and attends over them: the encoder's are fresh stacks
-    of its T rows, the decoder's the cache's, from row ``offset +
-    cache.length`` on, where ``offset`` is the layer's 0 or 1 latent rows.
-    The causal mask orders the new rows among themselves and never blocks
-    an earlier row, so a single new row needs no mask.  The cache's
-    ``length`` advances only once the whole call has succeeded; a call
-    that raises leaves it as it was, and the next call writes the same
-    rows again.  Earlier calls' rows are constants here, so a call whose
-    logits are on the tape raises ``ContractError`` if the cache already
-    holds tokens: a tape spans one call through a cache.
+def encode_stack(tokens, params: ParameterSet, cfg: ModelConfig, key_mask: np.ndarray | None = None) -> Tensor:
+    """The encoder's last-block rows for (T,) tokens, or a (B, T) batch of sequences, with no causal mask.
 
-    A batch is of equal-length sequences, or right-padded ones.  The
-    encoder then takes the (B, 1, 1, T) ``key_mask`` that is False at
-    padding, so no position attends a pad key.  The decoder takes none:
-    it is causal, so no position before the padding sees it.  Pad
-    positions still compute values; a caller ignores them, and they get
-    exactly zero gradient from any loss that masks them out.
+    One ``ag.embedding`` node and two per block, each attention over fresh
+    stacks of the T rows; the final layer norm belongs to the pooling
+    (``ag.pool``).  A right-padded batch takes the (B, 1, 1, T)
+    ``key_mask`` that is False at padding, so no position attends a pad
+    key; pad positions still compute values, which get exactly zero
+    gradient from any loss that masks them out.
     """
-    if role not in ("encoder", "decoder"):
-        raise ContractError(f"unknown stack role: {role}")
-    modes = tuple(modes)
-    is_decoder = role == "decoder"
-    if not is_decoder:
-        if cache is not None:
-            raise ContractError("only the decoder stack takes a cache")
-    elif key_mask is not None:
-        raise ContractError("the decoder is causal: right padding needs no key mask")
-    elif cache is not None and (cache.params is not params or cache.latent is not latent or cache.modes != modes):
-        raise ContractError("the decoder cache was built for other parameters, another latent or other modes")
-    start = cache.length if cache is not None else 0
-    tokens = _validate_tokens(tokens, cfg, start)
+    tokens = _validate_tokens(tokens, cfg)
+    x = ag.embedding(params["embed.word"], params["embed.pos"], tokens, 0)
+    for block in _stack_blocks(params, "enc", cfg.encoder_layers):
+        x = _block(x, block, *kv_stacks(x, cfg.heads, tokens.shape[-1]), 0, None, key_mask)
+    return x
+
+
+def decode_stack(cache: DecoderCache, tokens) -> Tensor:
+    """The logits of (T,) tokens, or a (B, T) batch, that continue the tokens ``cache`` has consumed.
+
+    The tokens sit at positions ``cache.length`` onward, and the logits
+    cover them alone, with a leading B axis for a batch: one
+    ``ag.embedding`` node, two per block and one ``ag.tied_head`` node,
+    every tensor read from the cache.  Each attention writes its rows'
+    keys and values into its layer's stacks after the layer's 0 or 1
+    latent rows and the ``cache.length`` cached ones, and attends over
+    them.  The causal mask never blocks an earlier row, so a single new
+    row needs no mask, and right padding needs no key mask.
+
+    The cache's ``length`` advances only once the whole call has
+    succeeded; a call that raises leaves it as it was, and the next call
+    writes the same rows again.  Earlier calls' rows are constants here,
+    so a call whose logits are on the tape raises ``ContractError`` if the
+    cache already holds tokens: a tape spans one call through a cache.
+    """
+    start = cache.length
+    tokens = _validate_tokens(tokens, cache.cfg, start)
     l = tokens.shape[-1]
-
-    if not is_decoder:
-        x = ag.embedding(params["embed.word"], params["embed.pos"], tokens, 0)
-        layers = [(block, None, None) for block in _stack_blocks(params, "enc", cfg.encoder_layers)]
-    else:
-        if cache is None:  # a full-prefix forward holds exactly its tokens
-            cache = DecoderCache(params, cfg, latent, modes, l)
-        if start + l > cache.positions:
-            raise ContractError(f"{start + l} positions exceed the {cache.positions} the decoder cache holds")
-        if cache.batch is None:
-            cache.batch = tokens.shape[:-1]
-        elif cache.batch != tokens.shape[:-1]:
-            raise ContractError(f"tokens of shape {tokens.shape} do not match a cache for a batch of {cache.batch}")
-        x = ag.embedding(cache.word, cache.pos, tokens, start, cache.input_row)
-        if cache.stacks is None:
-            cache.stacks = [kv_stacks(x, cfg.heads, 1 + cache.positions, rows) for rows in cache.latent_rows]
-        layers = zip(cache.blocks, cache.stacks, cache.latent_rows)
-
-    for block, stacks, rows in layers:
+    if start + l > cache.positions:
+        raise ContractError(f"{start + l} positions exceed the {cache.positions} the decoder cache holds")
+    if cache.batch is None:
+        cache.batch = tokens.shape[:-1]
+    elif cache.batch != tokens.shape[:-1]:
+        raise ContractError(f"tokens of shape {tokens.shape} do not match a cache for a batch of {cache.batch}")
+    x = ag.embedding(cache.word, cache.pos, tokens, start, cache.input_row)
+    if cache.stacks is None:
+        cache.stacks = [kv_stacks(x, cache.cfg.heads, 1 + cache.positions, rows) for rows in cache.latent_rows]
+    for block, (keys_t, values), rows in zip(cache.blocks, cache.stacks, cache.latent_rows):
         filled = start + (rows is not None)
-        mask = causal_mask(l, filled) if is_decoder else key_mask
-        keys_t, values = stacks or kv_stacks(x, cfg.heads, l)
         taped = rows if rows is not None and (rows[0].requires_grad or rows[1].requires_grad) else None
-        p = block.attn
-        x = ag.attention_sublayer(x, p.ln_g, p.ln_b, p.wq, p.bq, p.wk, p.wv, p.bv, p.wo, p.bo, keys_t, values,
-                                  filled, taped, mask)
-        x = ag.mlp_sublayer(x, *block.mlp)
-    if not is_decoder:
-        return x
+        x = _block(x, block, keys_t, values, filled, taped, causal_mask(l, filled))
     if start and x.requires_grad:
         raise ContractError(f"a call on the tape must be the first through its key/value rows, but "
                             f"{start} token rows are cached already and would get no gradient")

@@ -147,7 +147,9 @@ def gelu(a: Tensor) -> Tensor:
     def backward(g):
         if a.requires_grad:
             dinner = ag.GELU_TANH_COEFF * (1.0 + 3.0 * ag.GELU_CUBIC_COEFF * x**2)
-            a.accumulate_grad(g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner))
+            slope = 1.0 - t**2
+            dinner[slope == 0.0] = 0.0  # a saturated unit's term is 0, not 0 * inf where its x**2 overflowed
+            a.accumulate_grad(g * (0.5 * (1.0 + t) + 0.5 * x * slope * dinner))
 
     return _make(0.5 * x * (1.0 + t), "gelu", (a,), backward)
 

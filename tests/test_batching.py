@@ -141,6 +141,6 @@ def test_a_batch_needs_a_latent_row_per_sequence():
     latent = sp.draw_latent(model, np.array([[1, 2], [3, 4]]), [sp.generation_rng(0, 0), sp.generation_rng(0, 1)])
     assert latent.z.shape == (2, 8)
     with pytest.raises(tf.ContractError):
-        model.decode_logits(np.array([[1, 2, SEP]] * 3), latent, cache=model.decoder_cache(latent))
+        tf.decode_stack(model.decoder_cache(latent), np.array([[1, 2, SEP]] * 3))
     with pytest.raises(tf.ContractError):
         sp.generate_batch(model, np.array([[1, 2]] * 2), SEP, SAMPLER, latent, [sp.generation_rng(0, 0)])

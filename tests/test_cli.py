@@ -541,12 +541,12 @@ def test_numerics_through_the_cli(workspace, tmp_path, capsys, case):
 
 
 def test_a_resumed_step_with_a_non_finite_gradient_norm_exits_3(workspace, tmp_path, capsys):
-    """A finite loss whose gradient is NaN (a saturated GELU's 0 * inf) aborts the step: no row and no checkpoint."""
+    """A finite loss whose gradient overflows (w1 of 1e37 times a GELU's slope) aborts the step: no row, no checkpoint."""
     checkpoint = tmp_path / "checkpoint"
     shutil.copytree(workspace["checkpoint"], checkpoint)
     tensors = dict(read_tensor_file(checkpoint / "params.bin"))
     w1 = tensors["dec.0.mlp.w1"]
-    tensors["dec.0.mlp.w1"] = np.where(np.random.default_rng(0).standard_normal(w1.shape) > 0, 1e20, -1e20).astype(w1.dtype)
+    tensors["dec.0.mlp.w1"] = np.where(np.random.default_rng(0).standard_normal(w1.shape) > 0, 1e37, -1e37).astype(w1.dtype)
     tensors["dec.0.mlp.w2"] = np.full_like(tensors["dec.0.mlp.w2"], 1e-22)
     write_tensor_file(checkpoint / "params.bin", tensors.items())
     out = tmp_path / "o"
@@ -554,7 +554,7 @@ def test_a_resumed_step_with_a_non_finite_gradient_norm_exits_3(workspace, tmp_p
                      str(checkpoint), "--train.steps", "1", "--out", str(out)])
     err = capsys.readouterr().err
     assert code == cli.EXIT_NUMERIC, err
-    assert "numerical abort: non-finite gradient norm at step 12, parameter 'embed.word'" in err
+    assert "numerical abort: non-finite gradient norm at step 12, parameter 'dec.0.mlp.w2': gradient norm inf" in err
     assert "Traceback" not in err
     assert (out / "metrics.csv").read_text(encoding="ascii") == METRICS_HEADER + "\n"
     assert not (out / "checkpoint").exists()
@@ -563,13 +563,18 @@ def test_a_resumed_step_with_a_non_finite_gradient_norm_exits_3(workspace, tmp_p
 def test_eval_runs_one_forward_per_group_and_step(workspace, tmp_path, monkeypatch):
     """Generation decodes each prompt-length group in lockstep, and scoring runs one forward per length group."""
     shapes = []
-    forward = tf.stack_forward
+    encode, decode = tf.encode_stack, tf.decode_stack
 
-    def spy(tokens, *args, **kwargs):
+    def encode_spy(tokens, *args):
         shapes.append(np.shape(tokens))
-        return forward(tokens, *args, **kwargs)
+        return encode(tokens, *args)
 
-    monkeypatch.setattr(tf, "stack_forward", spy)
+    def decode_spy(cache, tokens):
+        shapes.append(np.shape(tokens))
+        return decode(cache, tokens)
+
+    monkeypatch.setattr(tf, "encode_stack", encode_spy)
+    monkeypatch.setattr(tf, "decode_stack", decode_spy)
     assert cli.main(
         ["eval", "--corpus", workspace["corpus"], "--vocab", workspace["vocab"],
          "--checkpoint", workspace["checkpoint"], "--out", str(tmp_path / "ev")] + FAST_SAMPLER

@@ -125,7 +125,7 @@ def test_inject_gives_the_chains_bits(monkeypatch, dtype, lead, modes, zero_laye
         with monkeypatch.context() as patch:
             patch.setattr(ag, "inject", op)
             cache = tf.DecoderCache(params, cfg, lt.LatentCode(z, lt.LatentSource.EXTERNAL), modes)
-            logits = tf.stack_forward(tokens, params, cfg, "decoder", cache.latent, modes, cache=cache)
+            logits = tf.decode_stack(cache, tokens)
         ag.backward(ag.cross_entropy(logits, targets, np.ones(tokens.shape, dtype=bool))[0])
         latents = [int(rows is not None) for rows in cache.latent_rows]
         return latents, [logits.data, z.grad] + [p.grad for _, p in params.items()]

@@ -227,8 +227,8 @@ class TestTapeSize:
         model = StoryVAE.create(ModelConfig(), seed=0)
         latent = sp.draw_latent(model, [1, 2, 3], sp.generation_rng(0, 0))
         cache = model.decoder_cache(latent)
-        model.decode_logits([1, 2, 3, 4], latent, cache=cache)
-        counts = [self.ops(monkeypatch, lambda t=t: model.decode_logits([t], latent, cache=cache)) for t in (5, 6)]
+        tf.decode_stack(cache, [1, 2, 3, 4])
+        counts = [self.ops(monkeypatch, lambda t=t: tf.decode_stack(cache, [t])) for t in (5, 6)]
         # Per layer: the attention sublayer and the MLP sublayer; then the embedding and the tied head.
         assert counts[0] == counts[1] == 10
 
@@ -239,14 +239,14 @@ class TestTapeSize:
         def step_ops(b: int) -> int:
             latent = sp.draw_latent(model, np.tile([1, 2, 3], (b, 1)), [sp.generation_rng(0, i) for i in range(b)])
             cache = model.decoder_cache(latent)
-            model.decode_logits(np.tile([1, 2, 3, 4], (b, 1)), latent, cache=cache)
-            return self.ops(monkeypatch, lambda: model.decode_logits(np.full((b, 1), 5), latent, cache=cache))
+            tf.decode_stack(cache, np.tile([1, 2, 3, 4], (b, 1)))
+            return self.ops(monkeypatch, lambda: tf.decode_stack(cache, np.full((b, 1), 5)))
 
         single = StoryVAE.create(ModelConfig(), seed=0)
         latent = sp.draw_latent(single, [1, 2, 3], sp.generation_rng(0, 0))
         cache = single.decoder_cache(latent)
-        single.decode_logits([1, 2, 3, 4], latent, cache=cache)
-        alone = self.ops(monkeypatch, lambda: single.decode_logits([5], latent, cache=cache))
+        tf.decode_stack(cache, [1, 2, 3, 4])
+        alone = self.ops(monkeypatch, lambda: tf.decode_stack(cache, [5]))
         assert step_ops(8) == step_ops(1) == alone
 
     def test_train_step_at_the_acceptance_overfit_config(self, monkeypatch):

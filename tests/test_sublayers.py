@@ -240,10 +240,10 @@ def test_a_train_step_leaves_no_reference_cycle():
 class TestMlpSublayerNumerics:
     """The output check stands in for the chain's four: a non-finite step always reaches the output."""
 
-    def tensors(self, rng, dtype=np.float32):
+    def tensors(self, rng, dtype=np.float32, grad=False):
         d, m = 8, 32
-        return [leaf(rng, (5, d), dtype, grad=False)] + [
-            leaf(rng, shape, dtype, 0.5, grad=False) for shape in [(d,), (d,), (d, m), (m,), (m, d), (d,)]]
+        return [leaf(rng, (5, d), dtype, grad=grad)] + [
+            leaf(rng, shape, dtype, 0.5, grad=grad) for shape in [(d,), (d,), (d, m), (m,), (m, d), (d,)]]
 
     @pytest.mark.parametrize("where, value, step", [
         (1, np.inf, "layer_norm"), (2, np.nan, "layer_norm"), (3, np.inf, "linear w1"), (4, -np.inf, "linear w1"),
@@ -257,10 +257,23 @@ class TestMlpSublayerNumerics:
         assert error_of(tensors, ag.mlp_sublayer) == f"mlp_sublayer: {step} produced non-finite values"
 
     def test_a_cube_overflow_inside_a_finite_gelu_is_no_error(self):
+        """A saturated unit whose cube, or in backward whose ``pre**2``, overflows stays finite, with the chain's bits."""
         tensors = self.tensors(np.random.default_rng(8))
         tensors[4].data[...] = 1e13  # pre-activations of 1e13 cube past the float32 range; tanh saturates
         assert error_of(tensors, mlp_chain) is None
         assert error_of(tensors, ag.mlp_sublayer) is None
+
+        def run(op):
+            tensors = self.tensors(np.random.default_rng(8), grad=True)
+            tensors[4].data[...] = np.where(np.arange(32) % 2, 3e19, -3e19)  # past 1.9e19, pre**2 overflows too
+            with np.errstate(over="ignore"):  # the forward's cube and the backward's square; no NaN arises
+                out = op(*tensors)
+                ag.backward(inner(out, Tensor(np.random.default_rng(9).standard_normal(out.data.size), dtype=np.float32)))
+            return [out.data] + [t.grad for t in tensors]
+
+        fused, chain = run(ag.mlp_sublayer), run(mlp_chain)
+        assert all(np.isfinite(a).all() for a in fused)
+        assert all(same(a, b) for a, b in zip(fused, chain, strict=True))
 
     def test_raises_exactly_where_the_chain_raises(self):
         """Extreme entries anywhere: the fused op raises whenever the chain does, naming the chain's step."""
@@ -458,9 +471,9 @@ class TestEmbeddingAndHeadNumerics:
         cache = model.decoder_cache(latent)
         for tokens in ([1, 7], [-1]):
             with pytest.raises(IndexError, match="^token id out of range for vocabulary size 7$"):
-                tf.stack_forward(np.array(tokens), model.params, cfg, role="encoder")
+                tf.encode_stack(np.array(tokens), model.params, cfg)
             with pytest.raises(IndexError, match="^token id out of range for vocabulary size 7$"):
-                model.decode_logits(tokens, latent, cache=cache)
+                tf.decode_stack(cache, tokens)
         assert cache.length == 0
-        model.decode_logits([1, 2], latent, cache=cache)
+        tf.decode_stack(cache, [1, 2])
         assert cache.length == 2

@@ -20,6 +20,11 @@ def make_params(cfg, seed=0, dtype=np.float32):
     return tf.init_parameters(cfg, np.random.default_rng(seed), dtype=dtype)
 
 
+def decode(params, cfg, tokens, latent=None, modes=()):
+    """The decoder's logits of ``tokens`` from position 0, through a cache built for them."""
+    return tf.decode_stack(tf.DecoderCache(params, cfg, latent, modes), tokens)
+
+
 def identity_attention_params(d, with_psa=False, dtype=np.float64):
     """Q/K/V/O projections set to the identity and a plain layer norm, so attention over ``norm(x)`` is inspectable."""
     eye = lambda: Tensor(np.eye(d, dtype=dtype))
@@ -121,7 +126,7 @@ class TestAttentionSublayer:
         params = make_params(cfg)
         cache = tf.DecoderCache(params, cfg, positions=8)
         with pytest.raises(ContractError, match="9 positions exceed the 8 the decoder cache holds"):
-            tf.stack_forward(np.zeros(9, dtype=int), params, cfg, "decoder", cache=cache)
+            tf.decode_stack(cache, np.zeros(9, dtype=int))
 
 
 def psa_rows(p, z):
@@ -341,45 +346,52 @@ class TestPool:
             ag.pool(Tensor(np.zeros((0, 2))), *pool_tensors(pool), n_heads=1)
 
 
-class TestStackForward:
+class TestStacks:
     def test_encoder_output_shapes(self):
         cfg = small_config()
         params = make_params(cfg)
         for l in (1, 3, cfg.max_seq_len):
             tokens = np.arange(l) % cfg.vocab_size
-            hidden = tf.stack_forward(tokens, params, cfg, role="encoder")
+            hidden = tf.encode_stack(tokens, params, cfg)
             assert hidden.shape == (l, cfg.d)
 
     def test_decoder_returns_logits(self):
         cfg = small_config()
         params = make_params(cfg)
-        logits = tf.stack_forward(np.array([1, 2, 3]), params, cfg, role="decoder")
+        logits = decode(params, cfg, np.array([1, 2, 3]))
         assert logits.shape == (3, cfg.vocab_size)
 
     def test_token_range_checked(self):
         cfg = small_config()
         params = make_params(cfg)
         with pytest.raises(IndexError):
-            tf.stack_forward(np.array([cfg.vocab_size]), params, cfg, role="encoder")
+            tf.encode_stack(np.array([cfg.vocab_size]), params, cfg)
 
     def test_too_long_rejected(self):
+        """Both stacks give the token check's message; a full-prefix decode's cache is capped to reach it."""
         cfg = small_config()
         params = make_params(cfg)
-        with pytest.raises(ContractError):
-            tf.stack_forward(np.zeros(cfg.max_seq_len + 1, dtype=int), params, cfg, role="encoder")
+        too_long = np.zeros(cfg.max_seq_len + 1, dtype=int)
+        message = f"^sequence of {cfg.max_seq_len + 1} tokens exceeds max_seq_len {cfg.max_seq_len}$"
+        with pytest.raises(ContractError, match=message):
+            tf.encode_stack(too_long, params, cfg)
+        with pytest.raises(ContractError, match=message):
+            StoryVAE(cfg, params).decode_logits(too_long, None)
+        with pytest.raises(ContractError, match="^tokens must be a nonempty"):
+            StoryVAE(cfg, params).decode_logits([], None)
 
     def test_unknown_mode_rejected(self):
         cfg = small_config()
         params = make_params(cfg)
         z = lt.LatentCode.external(np.zeros(cfg.latent_dim))
         with pytest.raises(ContractError):
-            tf.stack_forward(np.array([1]), params, cfg, role="decoder", latent=z, modes=("teleport",))
+            decode(params, cfg, np.array([1]), z, ("teleport",))
 
     def test_modes_require_latent(self):
         cfg = small_config()
         params = make_params(cfg)
         with pytest.raises(ContractError):
-            tf.stack_forward(np.array([1]), params, cfg, role="decoder", latent=None, modes=("input",))
+            decode(params, cfg, np.array([1]), None, ("input",))
 
     @pytest.mark.parametrize("route", tf.INJECTION_MODES)
     def test_route_the_model_lacks_rejected(self, route):
@@ -399,11 +411,11 @@ class TestStackForward:
         params = make_params(cfg, seed=13)
         rng = np.random.default_rng(14)
         tokens = rng.integers(0, cfg.vocab_size, size=7)
-        logits = tf.stack_forward(tokens, params, cfg, role="decoder")
+        logits = decode(params, cfg, tokens)
         for t in (0, 3, 5):
             edited = tokens.copy()
             edited[t + 1:] = rng.integers(0, cfg.vocab_size, size=6 - t)
-            logits2 = tf.stack_forward(edited, params, cfg, role="decoder")
+            logits2 = decode(params, cfg, edited)
             assert np.array_equal(logits.data[: t + 1], logits2.data[: t + 1])
 
     def test_encoder_is_bidirectional(self):
@@ -412,11 +424,11 @@ class TestStackForward:
         pool = tf.pooling_params(params)
         rng = np.random.default_rng(16)
         tokens = rng.integers(0, cfg.vocab_size, size=6)
-        pooled = ag.pool(tf.stack_forward(tokens, params, cfg, role="encoder"), *pool_tensors(pool), cfg.heads).data
+        pooled = ag.pool(tf.encode_stack(tokens, params, cfg), *pool_tensors(pool), cfg.heads).data
         for t in range(6):
             edited = tokens.copy()
             edited[t] = (edited[t] + 1) % cfg.vocab_size
-            pooled2 = ag.pool(tf.stack_forward(edited, params, cfg, role="encoder"), *pool_tensors(pool), cfg.heads).data
+            pooled2 = ag.pool(tf.encode_stack(edited, params, cfg), *pool_tensors(pool), cfg.heads).data
             assert not np.allclose(pooled, pooled2)
 
     def test_zero_latent_zero_projections_is_identity(self):
@@ -426,34 +438,34 @@ class TestStackForward:
             if name.startswith("inject.") or ".psa." in name:
                 params[name].data[...] = 0.0
         tokens = np.array([1, 5, 9, 2])
-        base = tf.stack_forward(tokens, params, cfg, role="decoder")
+        base = decode(params, cfg, tokens)
         z = lt.LatentCode.external(np.zeros(cfg.latent_dim, dtype=np.float32))
         for mode in tf.INJECTION_MODES:
-            injected = tf.stack_forward(tokens, params, cfg, role="decoder", latent=z, modes=(mode,))
+            injected = decode(params, cfg, tokens, z, (mode,))
             assert np.array_equal(base.data, injected.data), mode
-        all_modes = tf.stack_forward(tokens, params, cfg, role="decoder", latent=z, modes=tf.INJECTION_MODES)
+        all_modes = decode(params, cfg, tokens, z, tf.INJECTION_MODES)
         assert np.array_equal(base.data, all_modes.data)
 
     def test_each_mode_changes_logits(self):
         cfg = small_config()
         params = make_params(cfg, seed=18)
         tokens = np.array([3, 1, 4])
-        base = tf.stack_forward(tokens, params, cfg, role="decoder")
+        base = decode(params, cfg, tokens)
         rng = np.random.default_rng(19)
         z = lt.LatentCode.external(rng.standard_normal(cfg.latent_dim).astype(np.float32))
         for mode in tf.INJECTION_MODES:
-            injected = tf.stack_forward(tokens, params, cfg, role="decoder", latent=z, modes=(mode,))
+            injected = decode(params, cfg, tokens, z, (mode,))
             assert np.abs(injected.data - base.data).max() > 1e-6, mode
 
     def test_embeddings_shared_between_stacks(self):
         cfg = small_config()
         params = make_params(cfg, seed=20)
         tokens = np.array([2, 3])
-        enc_before = tf.stack_forward(tokens, params, cfg, role="encoder").data.copy()
-        dec_before = tf.stack_forward(tokens, params, cfg, role="decoder")
+        enc_before = tf.encode_stack(tokens, params, cfg).data.copy()
+        dec_before = decode(params, cfg, tokens)
         params["embed.word"].data[2, 0] += 1.0  # one coordinate; a constant row shift is norm-invariant
-        enc_after = tf.stack_forward(tokens, params, cfg, role="encoder").data
-        dec_after = tf.stack_forward(tokens, params, cfg, role="decoder")
+        enc_after = tf.encode_stack(tokens, params, cfg).data
+        dec_after = decode(params, cfg, tokens)
         assert not np.allclose(enc_before, enc_after)
         assert not np.allclose(dec_before.data, dec_after.data)
 
@@ -502,9 +514,9 @@ class TestCachedDecoding:
         tokens = np.random.default_rng(42).integers(0, model.config.vocab_size, size=self.LENGTH)
         full = model.decode_logits(tokens, latent).data
         cache = model.decoder_cache(latent)
-        rows = [model.decode_logits(tokens[:self.PROMPT], latent, cache=cache).data]
+        rows = [tf.decode_stack(cache, tokens[:self.PROMPT]).data]
         for i in range(self.PROMPT, self.LENGTH, chunk):
-            step = model.decode_logits(tokens[i:i + chunk], latent, cache=cache).data
+            step = tf.decode_stack(cache, tokens[i:i + chunk]).data
             assert step.shape == (min(chunk, self.LENGTH - i), model.config.vocab_size)
             rows.append(step)
         assert cache.length == self.LENGTH
@@ -553,7 +565,10 @@ class TestCachedDecoding:
             for _, p in model.params.items():
                 p.requires_grad = True
             model.params.zero_grads()
-            logits = model.decode_logits(tokens, latent, cache=model.decoder_cache(latent) if wide else None)
+            if wide:
+                logits = tf.decode_stack(model.decoder_cache(latent), tokens)
+            else:
+                logits = model.decode_logits(tokens, latent)
             ag.backward(ag.cross_entropy(logits, targets, np.ones(tokens.shape, dtype=bool))[0])
             for _, p in model.params.items():
                 p.requires_grad = False
@@ -586,16 +601,16 @@ class TestCachedDecoding:
         cache = model.decoder_cache(latent)
         try:
             tape(prefill == "taped")
-            logits = model.decode_logits(tokens[:5], latent, cache=cache)
+            logits = tf.decode_stack(cache, tokens[:5])
             assert logits.requires_grad == (prefill == "taped")
             tape(True)
             with pytest.raises(ContractError, match="first through its key/value rows"):
-                model.decode_logits(tokens[5:6], latent, cache=cache)
+                tf.decode_stack(cache, tokens[5:6])
         finally:
             tape(False)
         assert cache.length == 5
         for i in (5, 6):
-            step = model.decode_logits(tokens[i:i + 1], latent, cache=cache).data
+            step = tf.decode_stack(cache, tokens[i:i + 1]).data
             assert np.abs(step[-1] - full[i]).max() <= 1e-12 * np.abs(full).max()
 
     def test_latent_rows_are_the_first_cached_rows(self):
@@ -605,11 +620,11 @@ class TestCachedDecoding:
         z = lt.LatentCode.external(np.ones(model.config.latent_dim))
         cache = model.decoder_cache(z)
         assert cache.stacks is None and all(rows is not None for rows in cache.latent_rows)
-        model.decode_logits([1, 2, 3], z, cache=cache)
-        model.decode_logits([4], z, cache=cache)
+        tf.decode_stack(cache, [1, 2, 3])
+        tf.decode_stack(cache, [4])
         assert cache.length == 4
         whole = model.decoder_cache(z)
-        model.decode_logits([1, 2, 3, 4], z, cache=whole)
+        tf.decode_stack(whole, [1, 2, 3, 4])
         for (keys_t, values), (k, v), (keys_all, values_all) in zip(cache.stacks, cache.latent_rows, whole.stacks,
                                                                      strict=True):
             assert np.array_equal(keys_t[..., 0], k.data.reshape(h, -1))
@@ -622,19 +637,10 @@ class TestCachedDecoding:
         model = self.model(tf.INJECTION_MODES, np.float64)
         z = lt.LatentCode.external(np.ones(model.config.latent_dim))
         cache = model.decoder_cache(z)
-        model.decode_logits(np.zeros(self.LENGTH - 1, dtype=int), z, cache=cache)
+        tf.decode_stack(cache, np.zeros(self.LENGTH - 1, dtype=int))
         with pytest.raises(ContractError):  # past max_seq_len
-            model.decode_logits([1, 2], z, cache=cache)
-        with pytest.raises(ContractError):  # another latent
-            model.decode_logits([1], lt.LatentCode.external(np.ones(model.config.latent_dim)), cache=cache)
-        with pytest.raises(ContractError):  # other modes
-            model.decode_logits([1], z, modes=("psa",), cache=cache)
-        with pytest.raises(ContractError):  # other parameters, though of equal values
-            tf.stack_forward([1], model.params.astype(np.float64), model.config, "decoder", z, model.config.injection_modes,
-                             cache=cache)
-        with pytest.raises(ContractError):
-            tf.stack_forward([1], model.params, model.config, role="encoder", cache=cache)
-        model.decode_logits([1], z, cache=cache)
+            tf.decode_stack(cache, [1, 2])
+        tf.decode_stack(cache, [1])
         assert cache.length == self.LENGTH
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -661,7 +667,7 @@ class TestCachedDecoding:
                 patch.setattr(ag.ParameterSet, "__getitem__", refuse)
                 for _ in range(10):
                     tokens = rng.integers(0, cfg.vocab_size, size=batch + (1,))
-                    tf.stack_forward(tokens, params, cfg, "decoder", latent, modes, cache=cache)
+                    tf.decode_stack(cache, tokens)
             assert cache.length == 10
 
     @pytest.mark.parametrize("batch", [(), (4,)], ids=["unbatched", "batched"])
@@ -678,17 +684,17 @@ class TestCachedDecoding:
         z = lt.LatentCode.external(rng.standard_normal(batch + (model.config.latent_dim,)))
         clean, failed = model.decoder_cache(z), model.decoder_cache(z)
         for cache in (clean, failed):
-            model.decode_logits(tokens[..., :2], z, cache=cache)
+            tf.decode_stack(cache, tokens[..., :2])
         wq = model.params["dec.1.attn.wq"].data
         keep = wq[0, 0]
         wq[0, 0] = np.nan  # layer 0 writes its rows, then layer 1 raises
         with pytest.raises(ag.NumericsError, match="attention_sublayer"), np.errstate(all="ignore"):
-            model.decode_logits(tokens[..., 2:5], z, cache=failed)
+            tf.decode_stack(failed, tokens[..., 2:5])
         wq[0, 0] = keep
         assert failed.length == 2
         for lo, hi in [(2, 3), (3, 6)]:
-            want = model.decode_logits(tokens[..., lo:hi], z, cache=clean).data
-            assert np.array_equal(model.decode_logits(tokens[..., lo:hi], z, cache=failed).data, want)
+            want = tf.decode_stack(clean, tokens[..., lo:hi]).data
+            assert np.array_equal(tf.decode_stack(failed, tokens[..., lo:hi]).data, want)
         assert failed.length == clean.length == 6
 
     def test_a_cache_refuses_a_call_past_its_positions(self):
@@ -697,15 +703,15 @@ class TestCachedDecoding:
         z = lt.LatentCode.external(np.ones(model.config.latent_dim))
         cache = model.decoder_cache(z, positions=4)
         with pytest.raises(ContractError, match="5 positions exceed the 4 the decoder cache holds"):
-            model.decode_logits([1, 2, 3, 4, 5], z, cache=cache)
+            tf.decode_stack(cache, [1, 2, 3, 4, 5])
         assert cache.length == 0
-        model.decode_logits([1, 2, 3], z, cache=cache)
+        tf.decode_stack(cache, [1, 2, 3])
         with pytest.raises(ContractError, match="5 positions exceed the 4"):
-            model.decode_logits([4, 5], z, cache=cache)
+            tf.decode_stack(cache, [4, 5])
         assert cache.length == 3
-        model.decode_logits([4], z, cache=cache)
+        tf.decode_stack(cache, [4])
         with pytest.raises(ContractError, match="5 positions exceed the 4"):
-            model.decode_logits([5], z, cache=cache)
+            tf.decode_stack(cache, [5])
         assert cache.length == 4
 
     @pytest.mark.parametrize("positions", [-5, 0, LENGTH + 1, 10**30])
@@ -729,8 +735,7 @@ def test_stack_gradients_match_finite_differences():
     z = lt.LatentCode.external(np.random.default_rng(24).standard_normal(cfg.latent_dim))
 
     def fn():
-        logits = tf.stack_forward(tokens, params, cfg, role="decoder", latent=z,
-                                     modes=tf.INJECTION_MODES)
+        logits = decode(params, cfg, tokens, z, tf.INJECTION_MODES)
         total, _ = ag.cross_entropy(logits, np.array([5, 2, 7]), np.array([True, True, True]))
         return total
 
@@ -748,11 +753,11 @@ class TestBlockLookups:
         monkeypatch.setattr(tf, "attention_params", lambda params, prefix: calls.append(prefix) or lookup(params, prefix))
         z = lt.LatentCode.external(np.ones(cfg.latent_dim, dtype=np.float32))
         for _ in range(3):
-            tf.stack_forward([1, 2], params, cfg, role="encoder")
+            tf.encode_stack([1, 2], params, cfg)
             tf.DecoderCache(params, cfg, z, cfg.injection_modes)
         assert calls == ["enc.0", "dec.0", "dec.1"]
         params.add("extra", Tensor(np.zeros(3, dtype=np.float32)))
-        tf.stack_forward([1, 2], params, cfg, role="encoder")
+        tf.encode_stack([1, 2], params, cfg)
         assert calls[-1] == "enc.0" and len(calls) == 4
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -764,8 +769,8 @@ class TestBlockLookups:
         z = lt.LatentCode.external(np.random.default_rng(4).standard_normal(cfg.latent_dim), dtype)
 
         def forward(p):
-            hidden = tf.stack_forward(tokens, p, cfg, role="encoder").data
-            return hidden, tf.stack_forward(tokens, p, cfg, "decoder", z, cfg.injection_modes).data
+            hidden = tf.encode_stack(tokens, p, cfg).data
+            return hidden, decode(p, cfg, tokens, z, cfg.injection_modes).data
 
         def fresh(p):
             return ParameterSet([(n, t.data.copy()) for n, t in p.items()], dtype=dtype)

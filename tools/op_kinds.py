@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import os
 import statistics
 import sys
 from collections import Counter, defaultdict
@@ -123,12 +124,12 @@ def generation_cases():
 
     def prefill():
         state["cache"] = model.decoder_cache(latent)
-        model.decode_logits(np.append(prompt, vocab.separator_id), latent, cache=state["cache"])
+        tf.decode_stack(state["cache"], np.append(prompt, vocab.separator_id))
 
     def step():
         if state["cache"].length + 1 >= model.config.max_seq_len:
             prefill()
-        model.decode_logits([vocab.separator_id], latent, cache=state["cache"])
+        tf.decode_stack(state["cache"], [vocab.separator_id])
 
     prefill()
     return {"one-token generation": lambda: sp.generate_for_prompt(model, prompt, vocab.separator_id, one_token),
@@ -172,4 +173,11 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early (``| head -1``): exit 1 without a traceback, and point stdout at
+        # /dev/null so the interpreter's last flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
