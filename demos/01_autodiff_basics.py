@@ -35,8 +35,7 @@ except ag.NumericsError as e:
 # Finite-difference verification of a composite function, float64: a transformer block's MLP
 # sublayer (layer norm, product, GELU, product and the residual add, as one tape node), whose
 # rows are then scored by a cross-entropy.
-params = ParameterSet()
-params.add("v", Tensor(np.random.default_rng(1).standard_normal((3, 4)), dtype=np.float64))
+params = ParameterSet([("v", np.random.default_rng(1).standard_normal((3, 4)))])
 rng = np.random.default_rng(2)
 mlp = [Tensor(a, dtype=np.float64) for a in (np.ones(4), np.zeros(4), rng.standard_normal((4, 16)) * 0.5,
                                              np.zeros(16), rng.standard_normal((16, 4)) * 0.5, np.zeros(4))]

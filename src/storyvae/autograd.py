@@ -7,7 +7,7 @@ topological order.  An operation whose inputs all lack ``requires_grad``
 records nothing, so ``requires_grad`` is the one switch for what trains:
 parameters start without it, and only a train step or a gradient check
 sets it, for its own backward only.  A ``ParameterSet`` lays its
-parameters out over one flat buffer; once an optimizer tracks its
+parameters out once over one flat buffer; once an optimizer tracks its
 gradients, ``backward`` writes each parameter's gradient into its view
 of a flat gradient buffer, which lets the optimizer work on whole
 slices.  Arrays are ``float32`` by default, and every op hands back a
@@ -831,88 +831,59 @@ def backward(loss: Tensor) -> None:
 
 
 class ParameterSet:
-    """Named trainable tensors of one float dtype, laid out in order over flat buffers.
+    """Named trainable tensors of one float dtype, laid out once, in order, over a flat buffer.
 
-    Every parameter's ``data`` is a view of ``data_buffer`` (a
-    ``flat_buffer``); ``span`` gives its offsets, so consecutive
-    parameters are one slice.  The constructor lays out a whole listing
-    of (name, array) at once; ``add`` lays the set out afresh with one
-    tensor more, which suits small hand-built sets.  ``add`` leaves
-    ``requires_grad`` as the tensor has it; whoever calls ``backward``
-    marks the parameters it wants gradients for.  ``memo`` keeps lookups
-    of the set's tensors until the set is laid out afresh.
+    The constructor lays out a whole listing of (name, array): every
+    parameter's ``data`` is a view of ``data_buffer`` (a ``flat_buffer``),
+    and ``span`` gives its offsets, so consecutive parameters are one
+    slice.  The layout never changes, so ``memo`` keeps lookups of the
+    set's tensors for the set's life.  Parameters start without
+    ``requires_grad``; whoever calls ``backward`` marks the ones it wants
+    gradients for.
 
     A set that trains gets, from ``track_gradients`` (the optimizer calls
     it), a ``grad_buffer`` at the same offsets, and from then on
     ``backward`` writes each parameter's first gradient of a step into
     its view of it; a set that only runs inference holds none.  A
     ``grad`` of None still means "no gradient this step", whatever the
-    buffer holds.  With the gradient buffer come two ``scratch`` rows of
-    ``run_elements``, for whoever works through ``live_runs`` one run at a
-    time: the optimizer's temporaries, or the gradient norm's float64
-    squares in the same bytes.
+    buffer holds.
     """
 
-    # A run of ``live_runs`` spans at most this many elements, or the largest tensor if that is longer.
-    RUN_ELEMENTS = 32768
-
     def __init__(self, named_arrays=(), dtype=None):
-        self._pack([(name, None, np.asarray(values)) for name, values in named_arrays], dtype)
-
-    def _pack(self, entries, dtype=None) -> None:
-        """Lay out ``(name, tensor or None, values)`` in order over a fresh data buffer; None makes a new tensor.
-
-        A ``dtype`` of None keeps the one dtype all the values share.
-        """
-        if dtype is None:
-            dtypes = {values.dtype for _, _, values in entries} or {np.dtype(np.float32)}
+        entries = [(name, np.asarray(values)) for name, values in named_arrays]
+        if dtype is None:  # keep the one dtype all the values share
+            dtypes = {values.dtype for _, values in entries} or {np.dtype(np.float32)}
             if len(dtypes) > 1:
                 raise ValueError(f"parameters must share one dtype, got {sorted(d.name for d in dtypes)}")
             (dtype,) = dtypes
         dtype = np.dtype(dtype)
         if dtype not in _FLOAT_DTYPES:
             raise ValueError(f"parameters must be float32 or float64, got {dtype}")
-        sizes = [values.size for _, _, values in entries]
-        data = flat_buffer(sum(sizes), dtype)
-        params: dict[str, Tensor] = {}
-        spans: dict[str, tuple[int, int]] = {}
+        self.data_buffer = flat_buffer(sum(values.size for _, values in entries), dtype)
+        self.grad_buffer = None
+        self._params: dict[str, Tensor] = {}
+        self._spans: dict[str, tuple[int, int]] = {}
+        self._memo = {}
         lo = 0
-        for (name, tensor, values), size in zip(entries, sizes):
-            if name in params:
+        for name, values in entries:
+            if name in self._params:
                 raise ValueError(f"duplicate parameter name: {name}")
-            view = data[lo:lo + size].reshape(values.shape)
+            view = self.data_buffer[lo:lo + values.size].reshape(values.shape)
             view[...] = values
-            if tensor is None:
-                tensor = Tensor(view)
-            else:
-                tensor.data = view
-            tensor._grad_view = None
-            params[name], spans[name] = tensor, (lo, lo + size)
-            lo += size
-        self._params, self._spans, self._memo = params, spans, {}
-        self.data_buffer = data
-        self.grad_buffer = self.scratch = None
-        self.run_elements = max([self.RUN_ELEMENTS, *sizes])
+            self._params[name], self._spans[name] = Tensor(view), (lo, lo + values.size)
+            lo += values.size
 
     def track_gradients(self) -> None:
-        """Give the set its gradient buffer and scratch rows, once; from then on backward writes into the buffer."""
+        """Give the set its gradient buffer, once; from then on backward writes into the buffer."""
         if self.grad_buffer is not None:
             return
         self.grad_buffer = flat_buffer(self.data_buffer.size, self.data_buffer.dtype)
-        self.scratch = flat_buffer(2 * self.run_elements, self.data_buffer.dtype).reshape(2, -1)
         for name, p in self._params.items():
             lo, hi = self._spans[name]
             p._grad_view = self.grad_buffer[lo:hi].reshape(p.shape)
 
-    def add(self, name: str, tensor: Tensor) -> Tensor:
-        """Append ``tensor`` under ``name``; its ``data`` becomes a view of the new buffer, as every other's does."""
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name: {name}")
-        self._pack([(n, p, p.data) for n, p in self._params.items()] + [(name, tensor, tensor.data)])
-        return tensor
-
     def memo(self, key, build):
-        """What ``build()`` returns, built once per layout and kept under ``key``; a fresh layout forgets it."""
+        """What ``build()`` returns, built once per set and kept under ``key``."""
         value = self._memo.get(key)
         if value is None:
             value = self._memo[key] = build()
@@ -921,35 +892,6 @@ class ParameterSet:
     def span(self, name: str) -> tuple[int, int]:
         """The [lo, hi) offsets of a parameter in ``data_buffer`` and ``grad_buffer``."""
         return self._spans[name]
-
-    def live_runs(self, key=None) -> list[list[tuple[str, int, int]]]:
-        """The parameters with a gradient, as runs of consecutive ``(name, lo, hi)`` in layout order.
-
-        A gradient that is not the parameter's view of ``grad_buffer`` (one
-        from before the set tracked gradients, or one assigned by hand) is
-        first copied in, in the parameter's dtype, and ``grad`` becomes the
-        view; so each run's gradients are one slice of the buffer.  A run ends at a parameter without a gradient, where
-        ``key(name)`` changes, and before it would outgrow ``run_elements``,
-        which bounds the scratch a caller needs per run.
-        """
-        self.track_gradients()
-        runs: list[list[tuple[str, int, int]]] = []
-        run, last = None, None
-        for name, p in self._params.items():
-            if p.grad is None:
-                run = None
-                continue
-            if p.grad is not p._grad_view:
-                p._grad_view[...] = p.grad
-                p.grad = p._grad_view
-            lo, hi = self._spans[name]
-            k = None if key is None else key(name)
-            if run is None or k != last or hi - run[0][1] > self.run_elements:
-                run = []
-                runs.append(run)
-            run.append((name, lo, hi))
-            last = k
-        return runs
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]

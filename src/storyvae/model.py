@@ -313,7 +313,10 @@ def _drop_legacy_dropout(manifest: dict) -> None:
 
 
 def _check_manifest(manifest: dict, directory: Path) -> None:
-    """Raise ``ContractError`` unless the fields besides ``model`` and ``dtype`` have their saved types."""
+    """Raise ``ContractError`` unless the fields besides ``dtype`` have their saved types.
+
+    ``model`` need only be an object here; ``ModelConfig.from_dict`` checks its fields.
+    """
 
     def check_payload(payload, what: str) -> None:
         if not (isinstance(payload, str) and payload and Path(payload).name == payload
@@ -321,6 +324,8 @@ def _check_manifest(manifest: dict, directory: Path) -> None:
             raise ContractError(f"{what} {payload!r} does not name a file in {directory}")
 
     check_payload(manifest.get("payload"), "manifest payload")
+    if not isinstance(manifest.get("model"), dict):
+        raise ContractError(f"manifest model must be an object of config fields, got {manifest.get('model')!r}")
     if manifest.get("mode") not in ("vae", "cvae"):
         raise ContractError(f"manifest mode must be 'vae' or 'cvae', got {manifest.get('mode')!r}")
     if not _is_count(manifest.get("step")):

@@ -265,19 +265,19 @@ def _check_schedule(report) -> bool:
 
 
 def _check_adam(report) -> bool:
-    params = ParameterSet()
-    x = params.add("x", Tensor([0.5], dtype=np.float64))
+    params = ParameterSet([("x", np.array([0.5]))])
+    x = params["x"]
     optimizer = tr.Adam(params, lr=0.05)
     grads = [0.3, -1.2, 0.7, 2.5, -0.1, 0.0, 1.0, -0.4]
     for g in grads:
         x.grad = np.array([g])
-        optimizer.step()
+        optimizer.step(0.0)
     want = reference_adam_scalar(grads, 0.05, tr.ADAM_BETA1, tr.ADAM_BETA2, tr.ADAM_EPS, x0=0.5)
     ok = abs(float(x.data[0]) - want) <= 1e-12
     # A step in which the parameter has no gradient leaves its value and its update count alone.
     before = x.data.copy()
     x.grad = None
-    optimizer.step()
+    optimizer.step(0.0)
     ok &= np.array_equal(x.data, before) and optimizer.t["x"] == len(grads)
     report(f"{'ok' if ok else 'FAIL'} Adam against the scalar oracle, and no update without a gradient")
     return ok

@@ -8,9 +8,10 @@ objective, with the latent noise drawn as one (B, d') block.  The
 schedule alone decides what trains: for its first ``freeze_steps`` steps
 the pretrained analogues (``is_pretrained_analogue``) get no gradient
 and no update.  Each train step sets ``requires_grad`` on exactly the
-parameters it updates and clears it again before it returns.  Clipping
-and Adam work on the parameter set's flat gradient buffer and the flat
-moment buffers, one run of consecutive parameters at a time.
+parameters it updates and clears it again before it returns.  Then
+``Adam.step`` clips and updates in one walk over the parameter set's
+flat gradient buffer and the flat moment buffers, one run of
+consecutive parameters at a time.
 Checkpoints keep the cycle length, freeze horizon and beta floor, so a
 resumed run continues the same schedule.  Given a seed, corpus and
 config, training is bit-reproducible on a single thread.
@@ -125,24 +126,34 @@ def is_pretrained_analogue(name: str) -> bool:
 
 
 class Adam:
-    """Adam over the parameter set's flat buffers, with per-parameter update counts so frozen spans stay unbiased.
+    """Gradient-clipped Adam over the parameter set's flat buffers, with per-parameter update counts.
 
     ``m`` and ``v`` are flat moment buffers laid out as the parameters
-    are, and ``moments`` gives one parameter's views of them.  A step
-    updates each run of consecutive parameters that have a gradient and
-    share an update count (``ParameterSet.live_runs``) with a dozen
-    whole-slice numpy calls into two scratch rows of at most
-    ``run_elements``; per element it is the same arithmetic, in the
-    same order, as updating each parameter on its own.
+    are, and ``moments`` gives one parameter's views of them.  The update
+    counts keep frozen spans unbiased.  ``step`` makes the one walk of a
+    train step over the gradient buffer: it takes the parameters that
+    have a gradient as runs of consecutive ones that share an update
+    count, adds the float64 per-tensor sums of squares in layout order,
+    scales the gradients to the clip bound, and updates each run with a
+    dozen whole-slice numpy calls into two ``scratch`` rows of
+    ``run_elements``.  Per element that is the same arithmetic, in the
+    same order, as clipping and then updating each parameter on its own.
     """
+
+    # A run spans at most this many elements, or the largest tensor if that is longer.
+    RUN_ELEMENTS = 32768
 
     def __init__(self, params: ParameterSet, lr: float):
         self.params = params
         self.lr = lr
         params.track_gradients()
-        self.m = ag.flat_buffer(params.data_buffer.size, params.data_buffer.dtype)
-        self.v = ag.flat_buffer(params.data_buffer.size, params.data_buffer.dtype)
+        size, dtype = params.data_buffer.size, params.data_buffer.dtype
+        self.m = ag.flat_buffer(size, dtype)
+        self.v = ag.flat_buffer(size, dtype)
         self.t = {n: 0 for n in params.names()}
+        self.run_elements = max([self.RUN_ELEMENTS, *(p.data.size for _, p in params.items())])
+        # The update's temporaries, or the norm's float64 squares in the same bytes.
+        self.scratch = ag.flat_buffer(2 * self.run_elements, dtype).reshape(2, -1)
 
     def moments(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """One parameter's first and second moments, as views of ``m`` and ``v``."""
@@ -150,15 +161,66 @@ class Adam:
         shape = self.params[name].shape
         return self.m[lo:hi].reshape(shape), self.v[lo:hi].reshape(shape)
 
-    def step(self) -> None:
+    def _runs(self) -> list[list[tuple[str, int, int]]]:
+        """The parameters with a gradient, as runs of consecutive ``(name, lo, hi)`` in layout order.
+
+        A gradient that is not the parameter's view of ``grad_buffer`` (one
+        assigned by hand) is first copied in, in the parameter's dtype, and
+        ``grad`` becomes the view; so each run's gradients are one slice of
+        the buffer.  A run ends at a parameter without a gradient, where the
+        update count changes, and before it would outgrow ``run_elements``.
+        """
         params, counts = self.params, self.t
-        for run in params.live_runs(key=counts.__getitem__):
+        runs: list[list[tuple[str, int, int]]] = []
+        run, last = None, None
+        for name, p in params.items():
+            if p.grad is None:
+                run = None
+                continue
+            if p.grad is not p._grad_view:
+                p._grad_view[...] = p.grad
+                p.grad = p._grad_view
+            lo, hi = params.span(name)
+            if run is None or counts[name] != last or hi - run[0][1] > self.run_elements:
+                run = []
+                runs.append(run)
+            run.append((name, lo, hi))
+            last = counts[name]
+        return runs
+
+    def step(self, max_norm: float) -> tuple[float, str | None]:
+        """Clip the gradients to ``max_norm`` (0 never scales) and update; returns the pre-clip norm and a culprit.
+
+        The culprit is None, or, when the norm is not finite, the parameter
+        at which the running sum of squares turned non-finite; then nothing
+        is scaled or updated.
+        """
+        params, counts, grads = self.params, self.t, self.params.grad_buffer
+        runs = self._runs()
+        squares = self.scratch.reshape(-1).view(np.float64)  # two rows of float32 hold one of float64
+        total, culprit = 0.0, None
+        for run in runs:
+            lo, hi = run[0][1], run[-1][2]
+            sq = squares[:hi - lo]
+            np.copyto(sq, grads[lo:hi])  # exact, so the square has the bits of g.astype(np.float64) ** 2
+            np.multiply(sq, sq, out=sq)
+            for name, a, b in run:
+                total += float(sq[a - lo:b - lo].sum())
+                if culprit is None and not math.isfinite(total):
+                    culprit = name
+        norm = math.sqrt(total)
+        if culprit is not None:
+            return norm, culprit
+        scale = max_norm / norm if 0 < max_norm < norm else None
+        for run in runs:
             for name, _, _ in run:
                 counts[name] += 1
             t = counts[run[0][0]]
             lo, hi = run[0][1], run[-1][2]
-            g, m, v = params.grad_buffer[lo:hi], self.m[lo:hi], self.v[lo:hi]
-            update, denom = params.scratch[0, :hi - lo], params.scratch[1, :hi - lo]
+            g, m, v = grads[lo:hi], self.m[lo:hi], self.v[lo:hi]
+            if scale is not None:
+                g *= scale
+            update, denom = self.scratch[0, :hi - lo], self.scratch[1, :hi - lo]
             m *= ADAM_BETA1
             m += np.multiply(g, 1.0 - ADAM_BETA1, out=update)
             v *= ADAM_BETA2
@@ -170,35 +232,7 @@ class Adam:
             np.sqrt(denom, out=denom)
             denom += ADAM_EPS
             params.data_buffer[lo:hi] -= np.divide(update, denom, out=update)
-
-
-def global_grad_norm(params: ParameterSet, runs=None) -> float:
-    """The norm of every gradient: float64 per-tensor sums of squares, added in layout order.
-
-    ``runs`` are ``params.live_runs()``, taken afresh when not given.
-    """
-    runs = params.live_runs() if runs is None else runs
-    squares = params.scratch.reshape(-1).view(np.float64)  # two rows of float32 hold one of float64
-    total = 0.0
-    for run in runs:
-        lo, hi = run[0][1], run[-1][2]
-        sq = squares[:hi - lo]
-        np.copyto(sq, params.grad_buffer[lo:hi])  # exact, so the square has the bits of g.astype(np.float64) ** 2
-        np.multiply(sq, sq, out=sq)
-        for _, a, b in run:
-            total += float(sq[a - lo:b - lo].sum())
-    return math.sqrt(total)
-
-
-def clip_gradients(params: ParameterSet, max_norm: float) -> float:
-    """Scale gradients to the given global norm; returns the pre-clip norm.  A non-finite norm scales nothing."""
-    runs = params.live_runs()
-    norm = global_grad_norm(params, runs)
-    if max_norm > 0 and max_norm < norm < math.inf:
-        scale = max_norm / norm
-        for run in runs:
-            params.grad_buffer[run[0][1]:run[-1][2]] *= scale
-    return norm
+        return norm, None
 
 
 class Trainer:
@@ -248,16 +282,6 @@ class Trainer:
                 return TrainingAbort(self.step_count, slot, int(idx), str(e))
         return TrainingAbort(self.step_count, None, None, str(error))
 
-    def _gradient_culprit(self, grad_norm: float) -> TrainingAbort:
-        """The abort naming the parameter at which the running sum of squared gradients turns non-finite."""
-        total = 0.0
-        for name, p in self.model.params.items():
-            if p.grad is not None:
-                total += float(np.square(p.grad, dtype=np.float64).sum())
-                if not math.isfinite(total):
-                    break
-        return TrainingAbort(self.step_count, None, None, f"gradient norm {grad_norm}", parameter=name)
-
     def train_step(self, batch_indices) -> dict:
         """One forward/backward/update over a batch of example indices.
 
@@ -266,7 +290,7 @@ class Trainer:
         sets are cleared before it returns or raises, so no tape outlives
         it; gradients stay.  A forward that raises ``NumericsError``
         aborts the step with the slot whose example raises alone, and a
-        non-finite gradient norm aborts it before Adam steps.
+        non-finite gradient norm aborts it, with nothing updated.
         """
         batch = np.asarray(batch_indices, dtype=np.int64)
         beta = beta_at(self.step_count, self.schedule)
@@ -287,10 +311,9 @@ class Trainer:
         if failure is not None:
             raise self._culprit(batch, noise, beta, failure) from failure
 
-        grad_norm = clip_gradients(params, self.schedule.grad_clip)
-        if not math.isfinite(grad_norm):
-            raise self._gradient_culprit(grad_norm)
-        self.optimizer.step()
+        grad_norm, culprit = self.optimizer.step(self.schedule.grad_clip)
+        if culprit is not None:
+            raise TrainingAbort(self.step_count, None, None, f"gradient norm {grad_norm}", parameter=culprit)
 
         record = {
             "step": self.step_count,

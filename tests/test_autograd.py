@@ -186,9 +186,8 @@ class TestBackward:
         assert np.array_equal(x.grad, np.ones((2, 3)))
 
     def test_unused_parameter_gets_zero(self):
-        params = ParameterSet()
-        x = params.add("x", Tensor([1.0, 2.0]))
-        w = params.add("w", Tensor([5.0]))
+        params = ParameterSet([("x", [1.0, 2.0]), ("w", [5.0])], dtype=np.float32)
+        x, w = params["x"], params["w"]
         x.requires_grad = True
         ag.backward(inner(x, x))
         assert np.array_equal(x.grad, np.array([2.0, 4.0], dtype=np.float32))
@@ -254,30 +253,26 @@ class TestNumericsPolicy:
 
 class TestGradCheck:
     def test_square_function(self):
-        params = ParameterSet()
-        params.add("x", Tensor(np.array([1.0]), dtype=np.float64))
+        params = ParameterSet([("x", np.array([1.0]))])
         report = ag.grad_check(lambda: inner(params["x"], params["x"]), params, eps=1e-5)
         assert report.passed
         assert report.max_rel_error < 1e-6
 
     def test_clears_requires_grad_and_keeps_gradients(self):
-        params = ParameterSet()
-        params.add("x", Tensor(np.array([1.0, -2.0]), dtype=np.float64))
+        params = ParameterSet([("x", np.array([1.0, -2.0]))])
         ag.grad_check(lambda: inner(params["x"], params["x"]), params)
         assert not params["x"].requires_grad
         assert np.allclose(params["x"].grad, [2.0, -4.0])
 
     def test_linear_is_nearly_exact(self):
-        params = ParameterSet()
-        params.add("x", Tensor(np.array([0.3, -1.2, 4.0]), dtype=np.float64))
+        params = ParameterSet([("x", np.array([0.3, -1.2, 4.0]))])
         w = Tensor(np.array([2.0, -1.0, 0.5]), dtype=np.float64)
         report = ag.grad_check(lambda: inner(params["x"], w), params)
         assert report.passed
         assert report.max_rel_error < 1e-9
 
     def test_detects_nondeterminism(self):
-        params = ParameterSet()
-        params.add("x", Tensor(np.array([1.0]), dtype=np.float64))
+        params = ParameterSet([("x", np.array([1.0]))])
         counter = {"n": 0}
 
         def noisy():
@@ -289,14 +284,12 @@ class TestGradCheck:
         assert not report.passed
 
     def test_eps_bounds_enforced(self):
-        params = ParameterSet()
-        params.add("x", Tensor(np.array([1.0]), dtype=np.float64))
+        params = ParameterSet([("x", np.array([1.0]))])
         with pytest.raises(ValueError):
             ag.grad_check(lambda: inner(params["x"], params["x"]), params, eps=1e-2)
 
     def test_rejects_float32(self):
-        params = ParameterSet()
-        params.add("x", Tensor(np.array([1.0], dtype=np.float32)))
+        params = ParameterSet([("x", np.array([1.0], dtype=np.float32))])
         with pytest.raises(ValueError, match="float64"):
             ag.grad_check(lambda: inner(params["x"], params["x"]), params)
 
@@ -414,15 +407,12 @@ def test_the_cases_cover_every_tape_op(monkeypatch):
 
 
 def test_parameter_set_contracts():
-    params = ParameterSet()
-    params.add("a", Tensor(np.zeros(3)))
     with pytest.raises(ValueError, match="duplicate"):
-        params.add("a", Tensor(np.zeros(2)))
-    with pytest.raises(ValueError, match="one dtype"):
-        params.add("b", Tensor(np.zeros(2, dtype=np.float32)))
-    assert params.names() == ["a"] and params.data_buffer.dtype == np.float64
+        ParameterSet([("a", np.zeros(3)), ("a", np.zeros(2))])
     with pytest.raises(ValueError, match="one dtype"):
         ParameterSet([("a", np.zeros(2)), ("b", np.zeros(2, dtype=np.float32))])
+    with pytest.raises(ValueError, match="float32 or float64"):
+        ParameterSet([("a", np.zeros(2, dtype=np.float16))])
 
 
 def test_flat_buffer_is_zero_filled_and_writable():
@@ -433,11 +423,11 @@ def test_flat_buffer_is_zero_filled_and_writable():
     assert ag.flat_buffer(0, np.float64).shape == (0,)
 
 
-def test_parameter_set_add_lays_every_tensor_out_afresh():
-    params = ParameterSet()
-    a = params.add("a", Tensor(np.array([1.0, 2.0])))
-    b = params.add("b", Tensor(np.arange(6.0).reshape(2, 3)))
+def test_parameter_set_lays_every_tensor_out_once():
+    params = ParameterSet([("a", np.array([1.0, 2.0])), ("b", np.arange(6.0).reshape(2, 3))])
+    a, b = params["a"], params["b"]
     assert a.data.base is b.data.base is params.data_buffer
+    assert not a.requires_grad and not b.requires_grad
     assert np.array_equal(params.data_buffer, [1.0, 2.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
     assert (params.span("a"), params.span("b")) == ((0, 2), (2, 8))
     assert params.grad_buffer is None  # until the set tracks gradients
@@ -445,17 +435,6 @@ def test_parameter_set_add_lays_every_tensor_out_afresh():
     b.requires_grad = True
     ag.backward(inner(b, b))
     assert b.grad.base is params.grad_buffer and np.array_equal(b.grad, 2.0 * b.data)
-
-
-def test_live_runs_group_consecutive_gradients_and_copy_hand_assigned_ones():
-    params = ParameterSet([(name, np.zeros(2)) for name in "abcde"])
-    for name, g in {"a": [1.0, 2.0], "b": [3.0, 4.0], "d": [5.0, 6.0], "e": [7.0, 8.0]}.items():
-        params[name].grad = np.array(g)
-    runs = params.live_runs(key=lambda name: name == "e")
-    assert runs == [[("a", 0, 2), ("b", 2, 4)], [("d", 6, 8)], [("e", 8, 10)]]
-    assert params["a"].grad.base is params.grad_buffer
-    assert np.array_equal(params.grad_buffer[[0, 1, 2, 3, 6, 7, 8, 9]], np.arange(1.0, 9.0))
-    assert params["c"].grad is None
 
 
 def test_every_public_op_has_a_program_caller():

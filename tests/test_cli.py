@@ -240,7 +240,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "corruption", ["params_truncated", "params_trailing_bytes", "manifest_truncated", "manifest_dtype_float16",
                        "manifest_not_object", "manifest_unknown_model_key", "manifest_mistyped_width",
-                       "manifest_latent_dim_changed", *MANIFEST_FIELD_CORRUPTIONS, *TENSOR_CORRUPTIONS,
+                       "manifest_latent_dim_changed", "manifest_model_missing", *MANIFEST_FIELD_CORRUPTIONS,
+                       *TENSOR_CORRUPTIONS,
                        *UPDATE_COUNT_CORRUPTIONS]
     )
     def test_data_error_on_corrupt_checkpoint(self, workspace, tmp_path, capsys, corruption):
@@ -274,6 +275,8 @@ class TestExitCodes:
             manifest.write_text(json.dumps(dict(fields, model=dict(fields["model"], d="16"))))
         elif corruption == "manifest_latent_dim_changed":
             manifest.write_text(json.dumps(dict(fields, model=dict(fields["model"], latent_dim=4))))
+        elif corruption == "manifest_model_missing":
+            manifest.write_text(json.dumps({k: v for k, v in fields.items() if k != "model"}))
         elif corruption in self.MANIFEST_FIELD_CORRUPTIONS:
             manifest.write_text(json.dumps(dict(fields, **self.MANIFEST_FIELD_CORRUPTIONS[corruption](fields))))
         else:
@@ -286,6 +289,8 @@ class TestExitCodes:
         assert "data error" in err
         if self.TENSOR_CORRUPTIONS.get(corruption, ("",))[0] == "optim.bin":
             assert str(checkpoint / "optim.bin") in err
+        if corruption == "manifest_model_missing":  # named, not a bare KeyError's "data error: 'model'"
+            assert "manifest model must be an object of config fields, got None" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(

@@ -6,10 +6,21 @@ malformed input to ``CorpusError``, ``ContractError`` or ``UsageError``
 are derandomized and no example database is written, so the suite stays
 deterministic.  Hypothesis still caches Unicode tables and constants in
 ``.hypothesis/``, which the checkout ignores.
+
+A trained checkpoint is fuzzed by structure as well: every node of its
+manifest deleted or replaced by an odd JSON value, and its tensor files
+truncated or hit by single-bit flips.  Each damaged checkpoint must load,
+model and optimizer state both, or raise ``ContractError``,
+``CorpusError`` or ``OSError``.
 """
 
+import copy
+import json
+import shutil
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 import pytest
 
@@ -19,8 +30,9 @@ from hypothesis import strategies as st
 
 from storyvae import cli
 from storyvae import corpus as cp
-from storyvae.model import read_tensor_file
+from storyvae.model import MANIFEST_FILE, OPTIM_FILE, PARAMS_FILE, StoryVAE, read_tensor_file
 from storyvae.selfcheck import bpe_fit_oracle, bpe_scan_oracle
+from storyvae.training import Trainer, TrainingSchedule
 from storyvae.transformer import ContractError
 
 LOADERS = {
@@ -142,3 +154,105 @@ def corpus_and_target(draw):
 def test_bpe_fit_matches_the_recount_oracle(case):
     texts, target = case
     assert cp.fit_vocabulary(texts, target).merges == bpe_fit_oracle(texts, target)
+
+
+CHECKPOINT_ERRORS = (ContractError, cp.CorpusError, OSError)
+# What each manifest node is replaced by, besides being deleted.
+ODD_JSON = [None, -1, 0, 1.5, "x", [], {}, True, 10**30, 1e308, float("nan")]
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A checkpoint of a few train steps at a small config, the vocabulary's examples, and its manifest."""
+    root = tmp_path_factory.mktemp("fuzz")
+    corpus = str(cp.toy_corpus_path())
+    model = ["--model.d", "16", "--model.layers", "1", "--model.encoder-layers", "1", "--model.heads", "2",
+             "--model.latent-dim", "8", "--model.vocab-size", "300", "--model.max-seq-len", "64"]
+    assert cli.main(["vocab", "--corpus", corpus, "--out", str(root / "v")] + model) == 0
+    vocab = cp.Vocabulary.load(root / "v" / "vocab.txt")
+    assert cli.main(["train", "--corpus", corpus, "--vocab", str(root / "v" / "vocab.txt"), "--out", str(root / "t"),
+                     "--train.steps", "4", "--train.batch-size", "2"] + model) == 0
+    checkpoint = root / "t" / "checkpoint"
+    examples = cp.prepare_corpus(cp.load_corpus(corpus), vocab, 64)
+    return checkpoint, examples, vocab.separator_id, json.loads((checkpoint / MANIFEST_FILE).read_text())
+
+
+def load_checkpoint(directory: Path, examples, separator_id: int) -> None:
+    """Load the model, then its optimizer state into a trainer, as ``train --resume`` does."""
+    model, manifest = StoryVAE.load(directory)
+    trainer = Trainer(model, examples, TrainingSchedule(total_steps=1), separator_id=separator_id)
+    trainer.load_optimizer_state(directory, manifest)
+
+
+def outcomes(directory: Path, cases, examples, separator_id: int) -> tuple[int, int, list[str]]:
+    """Run each ``(name, prepare)``: ``prepare()`` damages the files, then the load runs; returns the tallies.
+
+    The tallies are the loads, the documented refusals, and the names of
+    the cases that raised anything else, each with its exception.
+    """
+    loaded, refused, escaped = 0, 0, []
+    for name, prepare in cases:
+        prepare()
+        try:
+            load_checkpoint(directory, examples, separator_id)
+            loaded += 1
+        except CHECKPOINT_ERRORS:
+            refused += 1
+        except Exception as e:  # noqa: BLE001 - every other exception is what the test looks for
+            escaped.append(f"{name}: {type(e).__name__}: {e}")
+    return loaded, refused, escaped
+
+
+def manifest_paths(node, path=()):
+    """Every node under the manifest's root, as the path of keys and indices that reaches it, parents first."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from manifest_paths(child, path + (key,))
+
+
+def test_every_manifest_mutation_loads_or_raises_a_documented_error(trained, tmp_path):
+    checkpoint, examples, separator_id, manifest = trained
+    shutil.copytree(checkpoint, tmp_path, dirs_exist_ok=True)
+
+    def mutation(path, value, delete):
+        def prepare():
+            mutated = copy.deepcopy(manifest)
+            parent = mutated
+            for key in path[:-1]:
+                parent = parent[key]
+            if delete:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+            (tmp_path / MANIFEST_FILE).write_text(json.dumps(mutated))
+        return prepare
+
+    cases = []
+    for path in manifest_paths(manifest):
+        where = "/".join(map(str, path))
+        cases.append((f"delete {where}", mutation(path, None, True)))
+        cases += [(f"{where} = {value!r}", mutation(path, value, False)) for value in ODD_JSON]
+    loaded, refused, escaped = outcomes(tmp_path, cases, examples, separator_id)
+    assert not escaped, escaped
+    assert loaded and refused and loaded + refused == len(cases) > 1000
+
+
+@pytest.mark.parametrize("payload", [PARAMS_FILE, OPTIM_FILE])
+def test_truncated_or_bit_flipped_payloads_load_or_raise_a_documented_error(trained, tmp_path, payload):
+    checkpoint, examples, separator_id, _ = trained
+    shutil.copytree(checkpoint, tmp_path, dirs_exist_ok=True)
+    blob = (checkpoint / payload).read_bytes()
+
+    def damaged(data: bytes):
+        return lambda: (tmp_path / payload).write_bytes(data)
+
+    cases = [(f"truncated to {n}", damaged(blob[:n])) for n in (0, 1, 3, 4, 7, 100, len(blob) // 2, len(blob) - 4,
+                                                                   len(blob) - 1)]
+    for bit in np.random.default_rng(0).integers(0, 8 * len(blob), size=300).tolist():
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << bit % 8
+        cases.append((f"bit {bit} flipped", damaged(bytes(flipped))))
+    loaded, refused, escaped = outcomes(tmp_path, cases, examples, separator_id)
+    assert not escaped, escaped
+    assert loaded and refused

@@ -76,9 +76,7 @@ class TestReparameterize:
             assert np.allclose(z2 - g.mu.data, alpha * (z1 - g.mu.data), atol=1e-9)
 
     def test_gradient_flows_to_both_vectors(self):
-        params = ParameterSet()
-        params.add("mu", Tensor(np.array([0.4, -0.2]), dtype=np.float64))
-        params.add("ls", Tensor(np.array([0.1, 0.3]), dtype=np.float64))
+        params = ParameterSet([("mu", np.array([0.4, -0.2])), ("ls", np.array([0.1, 0.3]))])
         noise = np.array([0.7, -1.1])
 
         def fn():
@@ -135,9 +133,7 @@ class TestKLDivergence:
 
     def test_gradients_pass(self):
         rng = np.random.default_rng(5)
-        params = ParameterSet()
-        for name in ("mu_q", "ls_q", "mu_p", "ls_p"):
-            params.add(name, Tensor(rng.standard_normal(4) * 0.5, dtype=np.float64))
+        params = ParameterSet([(name, rng.standard_normal(4) * 0.5) for name in ("mu_q", "ls_q", "mu_p", "ls_p")])
 
         def fn():
             q = lt.DiagonalGaussian(params["mu_q"], params["ls_q"])

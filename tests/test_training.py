@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -106,8 +107,8 @@ class TestBetaSchedule:
 class TestAdam:
     def test_matches_scalar_reference(self):
         lr, steps = 0.05, 50
-        params = ag.ParameterSet()
-        p = params.add("x", ag.Tensor(np.array([0.0], dtype=np.float64)))
+        params = ag.ParameterSet([("x", np.array([0.0]))])
+        p = params["x"]
         opt = Adam(params, lr=lr)
         grads = []
         rng = np.random.default_rng(0)
@@ -116,25 +117,24 @@ class TestAdam:
             g = 2.0 * p.data[0] + float(rng.standard_normal()) * 0.1
             grads.append(g)
             p.grad = np.array([g])
-            opt.step()
+            opt.step(0.0)
             xs.append(float(p.data[0]))
         expected = reference_adam_scalar(grads, lr)
         assert abs(xs[-1] - expected) < 1e-7
 
     def test_frozen_parameters_skipped(self):
-        params = ag.ParameterSet()
-        a = params.add("a", ag.Tensor(np.array([1.0])))
-        b = params.add("b", ag.Tensor(np.array([1.0])))
+        params = ag.ParameterSet([("a", [1.0]), ("b", [1.0])], dtype=np.float32)
+        a, b = params["a"], params["b"]
         opt = Adam(params, lr=0.1)
         b.grad = np.array([1.0], dtype=np.float32)
-        opt.step()
+        opt.step(0.0)
         assert a.data[0] == 1.0
         assert b.data[0] != 1.0
         assert opt.t["a"] == 0 and opt.t["b"] == 1
 
 
 class ReferenceAdam:
-    """Adam one parameter at a time, with per-parameter moments: the oracle for the flat optimizer's bits."""
+    """Clipping, then Adam, one parameter at a time with per-parameter moments: the flat optimizer's oracle."""
 
     def __init__(self, params, lr):
         self.params = params
@@ -143,7 +143,8 @@ class ReferenceAdam:
         self.v = {n: np.zeros_like(p.data) for n, p in params.items()}
         self.t = {n: 0 for n in params.names()}
 
-    def step(self):
+    def step(self, max_norm):
+        norm = reference_clip_gradients(self.params, max_norm)
         for name, p in self.params.items():
             if p.grad is None:
                 continue
@@ -159,6 +160,7 @@ class ReferenceAdam:
             m_hat = m / (1.0 - ADAM_BETA1**t)
             v_hat = v / (1.0 - ADAM_BETA2**t)
             p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.data.dtype)
+        return norm, None
 
 
 def reference_clip_gradients(params, max_norm):
@@ -197,7 +199,7 @@ def assert_flat_layout(params, optimizer=None):
 
 
 class TestFlatOptimizer:
-    """The flat-buffer ``clip_gradients`` and ``Adam.step`` against per-parameter ones, bit for bit."""
+    """The flat-buffer ``Adam.step``, clipping included, against per-parameter clipping and Adam, bit for bit."""
 
     @pytest.mark.parametrize("grad_clip", [1.0, 0.0])
     @pytest.mark.parametrize("modes", [("input",), tf.INJECTION_MODES], ids=["input", "all-routes"])
@@ -208,13 +210,12 @@ class TestFlatOptimizer:
         flat = toy_setup(**setup)
         flat.train()
         with monkeypatch.context() as patch:
-            patch.setattr(ag.ParameterSet, "RUN_ELEMENTS", 16)  # runs of one or a few tensors each
+            patch.setattr(training.Adam, "RUN_ELEMENTS", 16)  # runs of one or a few tensors each
             short_runs = toy_setup(**setup)
             short_runs.train()
-        assert short_runs.model.params.run_elements < flat.model.params.data_buffer.size
+        assert short_runs.optimizer.run_elements < flat.model.params.data_buffer.size
         reference = toy_setup(**setup)
         reference.optimizer = ReferenceAdam(reference.model.params, reference.schedule.learning_rate)
-        monkeypatch.setattr(training, "clip_gradients", reference_clip_gradients)
         reference.train()
 
         counts = set(reference.optimizer.t.values())
@@ -230,24 +231,45 @@ class TestFlatOptimizer:
                 assert np.array_equal(m, reference.optimizer.m[name]), name
                 assert np.array_equal(v, reference.optimizer.v[name]), name
 
-    def test_one_clip_and_one_adam_step_per_train_step(self, monkeypatch):
-        """The benchmark spans the optimizer through these two module attributes; inlining either would hide it."""
-        calls = {"clip": 0, "adam": 0}
-        clip, step = training.clip_gradients, training.Adam.step
-
-        def counted_clip(*args):
-            calls["clip"] += 1
-            return clip(*args)
-
-        def counted_step(self):
-            calls["adam"] += 1
-            step(self)
-
-        monkeypatch.setattr(training, "clip_gradients", counted_clip)
-        monkeypatch.setattr(training.Adam, "step", counted_step)
-        trainer = toy_setup(steps=3)
+    def test_one_adam_step_per_train_step(self, monkeypatch):
+        """The benchmark spans the optimizer through ``training.Adam.step``; inlining it would hide it."""
+        calls, step = [], training.Adam.step
+        monkeypatch.setattr(training.Adam, "step", lambda self, clip: calls.append(clip) or step(self, clip))
+        trainer = toy_setup(steps=3, grad_clip=0.5)
         trainer.train()
-        assert calls == {"clip": 3, "adam": 3}
+        assert calls == [0.5] * 3
+
+    def test_runs_split_at_gaps_and_update_counts_and_take_hand_assigned_gradients_in(self):
+        params = ag.ParameterSet([(name, np.zeros(2)) for name in "abcde"])
+        opt = Adam(params, lr=0.1)
+        for name, g in {"a": [1.0, 2.0], "b": [3.0, 4.0], "d": [5.0, 6.0], "e": [7.0, 8.0]}.items():
+            params[name].grad = np.array(g)
+        opt.t["e"] = 4
+        assert opt._runs() == [[("a", 0, 2), ("b", 2, 4)], [("d", 6, 8)], [("e", 8, 10)]]
+        assert params["a"].grad.base is params.grad_buffer
+        assert np.array_equal(params.grad_buffer[[0, 1, 2, 3, 6, 7, 8, 9]], np.arange(1.0, 9.0))
+        assert params["c"].grad is None
+
+    def test_a_nan_after_an_inf_names_the_inf_and_updates_nothing(self, monkeypatch):
+        """The norm sums every tensor first, so it reads NaN; the culprit is where the running sum left the finite."""
+        trainer = toy_setup()
+        trainer.train_step([0, 1, 2])
+        params, opt = trainer.model.params, trainer.optimizer
+        backward = ag.backward
+
+        def poisoned(loss):
+            backward(loss)
+            live = [p for _, p in params.items() if p.grad is not None]
+            live[1].grad.flat[0], live[-1].grad.flat[-1] = np.inf, np.nan
+
+        monkeypatch.setattr(training.ag, "backward", poisoned)
+        culprit = [n for n, p in params.items() if p.grad is not None][1]
+        before = [params.data_buffer.copy(), opt.m.copy(), opt.v.copy(), dict(opt.t)]
+        message = f"non-finite gradient norm at step 1, parameter '{culprit}': gradient norm nan"
+        with pytest.raises(TrainingAbort, match=f"^{re.escape(message)}$"):
+            trainer.train_step([3, 4])
+        assert all(np.array_equal(a, b) for a, b in zip(before[:3], [params.data_buffer, opt.m, opt.v]))
+        assert opt.t == before[3] and trainer.step_count == 1
 
     def test_create_astype_and_load_lay_out_the_buffers(self, tmp_path):
         trainer = toy_setup(steps=2)

@@ -744,9 +744,9 @@ def test_stack_gradients_match_finite_differences():
 
 
 class TestBlockLookups:
-    """Each stack's block tensors are looked up once per layout of the parameter set, and never served stale."""
+    """Each stack's block tensors are looked up once per parameter set, and never served from another set."""
 
-    def test_a_stack_looks_up_its_blocks_once_per_layout(self, monkeypatch):
+    def test_a_stack_looks_up_its_blocks_once_per_set(self, monkeypatch):
         cfg = small_config()
         params = make_params(cfg)
         calls, lookup = [], tf.attention_params
@@ -756,13 +756,12 @@ class TestBlockLookups:
             tf.encode_stack([1, 2], params, cfg)
             tf.DecoderCache(params, cfg, z, cfg.injection_modes)
         assert calls == ["enc.0", "dec.0", "dec.1"]
-        params.add("extra", Tensor(np.zeros(3, dtype=np.float32)))
-        tf.encode_stack([1, 2], params, cfg)
+        tf.encode_stack([1, 2], params.astype(np.float32), cfg)  # a new set looks its blocks up afresh
         assert calls[-1] == "enc.0" and len(calls) == 4
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_forwards_read_the_current_tensors_after_add_and_astype(self, dtype):
-        """After ``add`` and on an ``astype`` copy, forwards give the bits of a set built afresh from the same arrays."""
+    def test_forwards_read_the_current_tensors_of_an_astype_copy_and_a_wider_set(self, dtype):
+        """On an ``astype`` copy and on a set with more tensors, forwards give the bits of a set built from its arrays."""
         cfg = small_config(injection_modes=("input", "softmax"))
         params = make_params(cfg, seed=3)
         tokens = np.array([3, 1, 4, 1, 5])
@@ -778,11 +777,11 @@ class TestBlockLookups:
         copy = params.astype(dtype)
         forward(params)
         assert all(np.array_equal(a, b) for a, b in zip(forward(copy), forward(fresh(copy)), strict=True))
-        # A set laid out afresh with new tensors: the psa projections the model lacked until now.
+        # A set with new tensors after the copy's: the psa projections the model lacked until now.
         wide = small_config(injection_modes=tf.INJECTION_MODES)
         drawn = tf.init_parameters(wide, np.random.default_rng(5), dtype=dtype)
-        for name in [n for n in drawn.names() if ".psa." in n or n == "inject.psa.w"]:
-            copy.add(name, Tensor(drawn[name].data.copy()))
+        added = [(n, drawn[n].data) for n in drawn.names() if ".psa." in n or n == "inject.psa.w"]
+        copy = ParameterSet([*((n, t.data) for n, t in copy.items()), *added])
         blocks = tf._stack_blocks(copy, "dec", cfg.layers)
         assert blocks[1].attn.psa_wv is copy["dec.1.psa.wv"] and blocks[0].attn.wq is copy["dec.0.attn.wq"]
         assert blocks[0].attn.wq.data.base is copy.data_buffer

@@ -6,8 +6,10 @@ The cases, each a line ``<sha256>  <case>``:
 - **Train steps** at the acceptance overfit config on the toy corpus:
   30 steps in each of the 8 cases float32/float64 x cvae/vae x the
   ``input`` route/all routes, and 10 steps (5 of them frozen) in float32
-  cvae and float64 vae with all routes.  Each hashes the parameters, both
-  Adam moments and update counts, and every step's metrics.
+  cvae and float64 vae with all routes, and 30 steps in float32 cvae
+  with the ``input`` route and clipping off (``grad_clip=0``: every other
+  case clips at every step).  Each hashes the parameters, both Adam
+  moments and update counts, and every step's metrics.
 - **Generation batches:** ``generate_for_prompts`` over 16 toy prompts at
   the CLI default model config (the ``psa`` route) and at that config with
   all three routes (``input``, ``psa`` and ``softmax``), each in float32
@@ -65,11 +67,12 @@ def toy_vocabulary():
     return pairs, cp.fit_vocabulary([p.prompt_text for p in pairs] + [p.story_text for p in pairs], 512)
 
 
-def train_case(dtype, mode: str, modes: tuple[str, ...], steps: int, freeze_steps: int = 0) -> str:
+def train_case(dtype, mode: str, modes: tuple[str, ...], steps: int, **schedule) -> str:
+    """``steps`` train steps; ``schedule`` sets ``TrainingSchedule`` fields beyond the shared ones."""
     pairs, vocab = toy_vocabulary()
     cfg = tf.ModelConfig(vocab_size=vocab.size, injection_modes=modes, **OVERFIT)
     model = StoryVAE.create(cfg, seed=0, mode=mode, dtype=dtype)
-    schedule = TrainingSchedule(total_steps=steps, cycle_length=8, freeze_steps=freeze_steps, batch_size=4, seed=0)
+    schedule = TrainingSchedule(total_steps=steps, cycle_length=8, batch_size=4, seed=0, **schedule)
     trainer = Trainer(model, cp.prepare_corpus(pairs, vocab, cfg.max_seq_len), schedule,
                       separator_id=vocab.separator_id)
     metrics = trainer.train()
@@ -130,6 +133,8 @@ def main() -> None:
     for dtype, mode in ((np.float32, "cvae"), (np.float64, "vae")):
         name = f"train {np.dtype(dtype).name} {mode} {'+'.join(every)} 10 steps, 5 frozen"
         print(f"{train_case(dtype, mode, every, 10, freeze_steps=5)}  {name}", flush=True)
+    name = "train float32 cvae input 30 steps, no clip"
+    print(f"{train_case(np.float32, 'cvae', ('input',), 30, grad_clip=0.0)}  {name}", flush=True)
     for modes in (CLI_DEFAULT["injection_modes"], every):
         for dtype in (np.float32, np.float64):
             name = f"generate_for_prompts {np.dtype(dtype).name} {'+'.join(modes)} 16 prompts"
