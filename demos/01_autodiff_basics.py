@@ -13,11 +13,15 @@ loss = ag.elbo_loss(None, ag.gaussian_kl(x, Tensor(np.zeros(3)), Tensor(np.zeros
 ag.backward(loss)
 print("d/dx sum(x*x) at [1,2,3]:", x.grad)  # [2, 4, 6]
 
-# Products live inside the ops that need them: a Gaussian head is two products and a clamp.
-a = Tensor([[1.0, 2.0]])
-mu, log_sigma = ag.gaussian_head(a, Tensor([[1.0], [1.0]]), Tensor([0.0]), Tensor([[1.0], [1.0]]), Tensor([0.0]),
-                                 -2.0, 2.0)
-print("[1,2] @ [[1],[1]] =", mu.data, "| clamped to [-2, 2]:", log_sigma.data)  # [3] | [2]
+# Products live inside the ops that need them: pool_gaussian is a layer norm, a learned query's
+# attention over the rows, and a Gaussian head's two products and log-sigma clamp, as one node.
+# Here each row layer-normalizes to about [-1, 1], and a zero query averages them.
+rows = Tensor([[1.0, 2.0], [3.0, 4.0]])
+eye, zero = Tensor(np.eye(2)), Tensor(np.zeros(2))
+head = (Tensor([[1.0], [3.0]]), Tensor([0.0]))
+mu, log_sigma = ag.pool_gaussian(rows, Tensor(np.ones(2)), zero, zero, eye, eye, zero, eye, zero, *head, *head,
+                                 n_heads=1, lo=-1.0, hi=1.0)
+print("[-1, 1] @ [[1], [3]] =", mu.data.round(3), "| clamped to [-1, 1]:", log_sigma.data)  # [2] | [1]
 
 # Softmax, as exp(-per_position) of a cross_entropy that targets each column
 # of the same logit row in turn, is shift invariant and sums to one.

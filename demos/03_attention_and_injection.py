@@ -51,9 +51,12 @@ print("PSA: output rows =", out.shape[0], "| weight matrices =", len(weights),
 print("latent column weights, head 0:", np.round(weights[0][:, 0], 3))
 
 # The pooling block (the encoder's final layer norm, then attention by a learned
-# query) squeezes any-length sequences into one vector.
-pool = tf.pooling_params(model.params)
+# query) squeezes any-length sequences into one vector, which the prior's heads
+# turn into a Gaussian of the latent's width, in the same tape node.
+pool = [model.params[name] for name in tf.POOL_NAMES]
+prior = [model.params[f"prior.{name}"] for name in ("mu.w", "mu.b", "ls.w", "ls.b")]
 for length in (1, 3, 9):
     h = Tensor(np.random.default_rng(3).standard_normal((length, 32)).astype(np.float32))
-    pooled = ag.pool(h, pool.ln_g, pool.ln_b, pool.q, pool.wk, pool.wv, pool.bv, pool.wo, pool.bo, n_heads=4)
-    print(f"pool over {length} rows ->", pooled.shape)
+    mu, log_sigma, weights = ag.pool_gaussian(h, *pool, *prior, n_heads=4, lo=lt.LOG_SIGMA_MIN, hi=lt.LOG_SIGMA_MAX,
+                                              return_weights=True)
+    print(f"pool over {length} rows -> mean {mu.shape} and log-sigma {log_sigma.shape} | weights {weights.shape}")

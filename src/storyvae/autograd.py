@@ -30,8 +30,8 @@ attention; the output product with the residual) and ``mlp_sublayer``
 (layer norm, two products around a GELU, the residual).  ``embedding``
 (word, position and injection rows) and ``tied_head`` (final layer norm,
 the transposed word table, an injection bias) bound a stack.  The latent
-side is ``pool`` (the encoder's final layer norm and its attention by a
-learned query), ``gaussian_head`` (mean and clamped log-sigma, two
+side is ``pool_gaussian`` (the encoder's final layer norm, its attention
+by a learned query, and a Gaussian's mean and clamped log-sigma, two
 outputs), ``gaussian_sample``, ``inject`` (all of a decoder's injection
 rows, several outputs), and the objective's ``cross_entropy``,
 ``gaussian_kl`` and ``elbo_loss``.  Each runs the arithmetic of the
@@ -480,25 +480,35 @@ def attention_sublayer(x: Tensor, ln_g: Tensor, ln_b: Tensor, wq: Tensor, bq: Te
     return (out, probs.copy()) if return_weights else out
 
 
-def pool(x: Tensor, ln_g: Tensor, ln_b: Tensor, q: Tensor, wk: Tensor, wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor,
-         n_heads: int, mask=None, return_weights: bool = False):
-    """A sequence pooled to one row by a learned query, ``attention(q, layer_norm(x)) @ wo + bo``, as one node.
+def pool_gaussian(x: Tensor, ln_g: Tensor, ln_b: Tensor, q: Tensor, wk: Tensor, wv: Tensor, bv: Tensor, wo: Tensor,
+                  bo: Tensor, mu_w: Tensor, mu_b: Tensor, ls_w: Tensor, ls_b: Tensor, n_heads: int, lo: float,
+                  hi: float, mask=None, return_weights: bool = False):
+    """Encoder rows to a diagonal Gaussian: pooled by a learned query, then two products and a clamp, as one node.
 
-    ``x`` is one (T, d) sequence, pooled to (1, d), or a (B, T, d) batch,
-    pooled to (B, 1, d).  The (d,) query ``q``, shared by every sequence,
-    attends in ``n_heads`` heads over the keys ``h @ wk`` and values ``h @
-    wv + bv`` of ``h = layer_norm(x)``, as ``attention_sublayer``'s
-    queries do, under a ``mask`` that broadcasts to the (1, T) scores.
-    Forward and backward run the arithmetic of the chain (layer norm, two
-    products, attention, output product) in the chain's order, so they
-    give its bits.  The scores and the output are checked, as in
-    ``attention_sublayer``.  With ``return_weights`` the (..., H, 1, T)
-    probabilities follow the output.
+    ``x`` is one (T, d) sequence, which gives a (d',) mean and log-sigma,
+    or a (B, T, d) batch, which gives (B, d') ones.  With ``h =
+    layer_norm(x)``, the (d,) query ``q``, shared by every sequence, attends
+    in ``n_heads`` heads over the keys ``h @ wk`` and values ``h @ wv +
+    bv``, as ``attention_sublayer``'s queries do, under a ``mask`` that
+    broadcasts to the (1, T) scores, and the pooled row is the attention's
+    output ``@ wo + bo``.  The mean is ``pooled @ mu_w + mu_b`` and the
+    log-sigma ``pooled @ ls_w + ls_b`` clamped to [lo, hi].  Forward and
+    backward run the arithmetic of the chain (layer norm, two products,
+    attention, the output product, the two head products, the clamp and
+    two reshapes) in the chain's order, so they give its bits.  The
+    scores, the pooled row and the log-sigma product are checked before
+    the outputs, the last since the clamp would hide an infinite
+    log-sigma, and the error names the first step that held a non-finite
+    value.  With ``return_weights`` the (..., H, 1, T) probabilities
+    follow the two outputs.
     """
-    xd, d = x.data, x.data.shape[-1]
-    if xd.ndim < 2 or xd.shape[-2] < 1 or d % n_heads or any(t.data.shape != (d,) for t in (ln_g, ln_b, q, bv, bo)) \
-            or any(w.data.shape != (d, d) for w in (wk, wv, wo)):
-        raise ShapeError(f"pool: rows of shape {xd.shape} and the pooling tensors do not fit {n_heads} heads")
+    xd, wd = x.data, mu_w.data
+    d = xd.shape[-1] if xd.ndim in (2, 3) else 0
+    if not d or xd.shape[-2] < 1 or d % n_heads or any(t.data.shape != (d,) for t in (ln_g, ln_b, q, bv, bo)) \
+            or any(w.data.shape != (d, d) for w in (wk, wv, wo)) or wd.ndim != 2 or wd.shape[0] != d \
+            or ls_w.data.shape != wd.shape or not mu_b.data.shape == ls_b.data.shape == wd.shape[1:]:
+        raise ShapeError(f"pool_gaussian: rows of shape {xd.shape}, the pooling tensors and heads {wd.shape} and "
+                         f"{ls_w.shape} do not fit {n_heads} heads")
     *batch, l, d = xd.shape
     h, xhat, inv = _norm(xd, ln_g.data, ln_b.data)
     k = h @ wk.data
@@ -508,15 +518,29 @@ def pool(x: Tensor, ln_g: Tensor, ln_b: Tensor, q: Tensor, wk: Tensor, wv: Tenso
     values = np.ascontiguousarray(v.reshape(split).swapaxes(-3, -2))
     qh, scores, scale = _scores(q.data.reshape(1, d), keys_t, values)
     stages = (("layer_norm", h), ("linear wk", k), ("linear wv", v))
-    _check_finite(scores, "pool", stages + (("attention", scores),))
+    _check_finite(scores, "pool_gaussian", stages + (("attention", scores),))
     probs, a = _mix(scores, values, mask, d)
-    data = a @ wo.data + bo.data
+    pooled = a @ wo.data + bo.data
+    _check_finite(pooled, "pool_gaussian", stages + (("attention", a), ("linear wo", pooled)))
+    m = pooled @ wd + mu_b.data
+    s = pooled @ ls_w.data + ls_b.data
+    head = (("linear mu", m), ("linear ls", s))
+    _check_finite(s, "pool_gaussian", head)
+    inside = (s > lo) & (s < hi)
+    shape = xd.shape[:-2] + wd.shape[1:]
 
     h_grad = x.requires_grad or ln_g.requires_grad or ln_b.requires_grad
     kv_grad = h_grad or wk.requires_grad or wv.requires_grad or bv.requires_grad
+    a_grad = q.requires_grad or kv_grad
+    pooled_grad = a_grad or wo.requires_grad or bo.requires_grad
 
-    def backward(g):
-        a_grad = q.requires_grad or kv_grad
+    def backward(grads):
+        g_mu, g_ls = grads
+        g = _products_grads(pooled, [(None if g_mu is None else g_mu.reshape(m.shape), mu_w, mu_b),
+                                     (None if g_ls is None else g_ls.reshape(s.shape) * inside, ls_w, ls_b)],
+                            pooled_grad)
+        if g is None:
+            return
         if a_grad:
             g_a = g @ wo.data.T
         _product_grads(g, a, wo, bo)
@@ -531,9 +555,9 @@ def pool(x: Tensor, ln_g: Tensor, ln_b: Tensor, q: Tensor, wk: Tensor, wv: Tenso
             if h_grad:
                 _norm_grads(g_h, xhat, inv, x, ln_g, ln_b)
 
-    out = _make(data, "pool", (x, ln_g, ln_b, q, wk, wv, bv, wo, bo), backward,
-                stages + (("attention", a), ("linear wo", data)))
-    return (out, probs.copy()) if return_weights else out
+    out = _make((m.reshape(shape), np.clip(s, lo, hi).reshape(shape)), "pool_gaussian",
+                (x, ln_g, ln_b, q, wk, wv, bv, wo, bo, mu_w, mu_b, ls_w, ls_b), backward, head)
+    return (*out, probs.copy()) if return_weights else out
 
 
 def tied_head(x: Tensor, ln_g: Tensor, ln_b: Tensor, word: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -671,39 +695,6 @@ def gaussian_sample(mu: Tensor, log_sigma: Tensor, noise: np.ndarray) -> Tensor:
             log_sigma.accumulate_grad(g * noise * e)
 
     return _make(data, "gaussian_sample", (mu, log_sigma), backward)
-
-
-def gaussian_head(x: Tensor, mu_w: Tensor, mu_b: Tensor, ls_w: Tensor, ls_b: Tensor, lo: float, hi: float):
-    """A diagonal Gaussian's mean ``x @ mu_w + mu_b`` and log-sigma ``x @ ls_w + ls_b`` clamped to [lo, hi]: one node.
-
-    ``x`` is one pooled (1, d) row, which gives (d',) outputs, or (B, 1, d)
-    rows, which give (B, d') ones.  Forward and backward run the
-    arithmetic of the chain (two products, the clamp, two reshapes), so
-    they give its bits.  Both products are checked, since the clamp would
-    hide an infinite log-sigma.
-    """
-    xd = x.data
-    if xd.ndim not in (2, 3) or xd.shape[-2] != 1 or mu_w.data.shape[:1] != xd.shape[-1:] or mu_w.data.ndim != 2 \
-            or ls_w.data.shape != mu_w.data.shape or not mu_b.data.shape == ls_b.data.shape == mu_w.data.shape[1:]:
-        raise ShapeError(f"gaussian_head: weights {mu_w.shape} and {ls_w.shape} and their biases "
-                         f"do not fit pooled rows of shape {xd.shape}")
-    m = xd @ mu_w.data + mu_b.data
-    s = xd @ ls_w.data + ls_b.data
-    stages = (("linear mu", m), ("linear ls", s))
-    _check_finite(s, "gaussian_head", stages)
-    inside = (s > lo) & (s < hi)
-    shape = xd.shape[:-2] + mu_w.data.shape[1:]
-
-    def backward(grads):
-        g_mu, g_ls = grads
-        g_x = _products_grads(xd, [(None if g_mu is None else g_mu.reshape(m.shape), mu_w, mu_b),
-                                   (None if g_ls is None else g_ls.reshape(s.shape) * inside, ls_w, ls_b)],
-                              x.requires_grad)
-        if g_x is not None:
-            x.accumulate_grad(g_x)
-
-    return _make((m.reshape(shape), np.clip(s, lo, hi).reshape(shape)), "gaussian_head", (x, mu_w, mu_b, ls_w, ls_b),
-                 backward, stages)
 
 
 def inject(z: Tensor, input_w: Tensor | None, psa_w: Tensor | None, softmax_w: Tensor | None, psa_kv=()):

@@ -222,7 +222,7 @@ def cmd_train(resolved: dict, resume: str | None, given: dict) -> int:
         model, manifest, vocab, examples, resolved = _load_run(resolved, given, resume)
         # A resumed run keeps the annealing cycle, freeze horizon and beta floor it was saved with, unless a
         # flag or the config file gives them; a cycle length of 0 asks for the saved cycle too.
-        saved = manifest["optimizer"] or {}
+        saved = manifest.get("optimizer") or {}
         for field in ("cycle_length", "freeze_steps", "beta_floor"):
             key = config_key("train", field)
             if saved.get(field) is not None and (key not in given or (field == "cycle_length" and not given[key])):
@@ -387,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (cp.CorpusError, OSError, ContractError, KeyError) as e:
+    except (cp.CorpusError, OSError, ContractError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except MemoryError:

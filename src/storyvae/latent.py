@@ -2,7 +2,10 @@
 
 The prior and posterior are isotropic Gaussians N(mu, sigma^2 I) whose
 mean and log-sigma come from separate linear heads over the shared
-pooled encoder vector, as one ``ag.gaussian_head`` node of two outputs.
+pooled encoder vector; ``ag.pool_gaussian`` pools the encoder's rows and
+applies a role's heads as one node of two outputs.  log-sigma is clamped
+to [LOG_SIGMA_MIN, LOG_SIGMA_MAX] after the head, so an unlucky init or
+a large pooled activation cannot blow up the KL term early in training.
 KL between two diagonal Gaussians is analytic and stays on the tape, so
 it can be trained directly; so does a sample, mu + sigma * eps, as one
 ``ag.gaussian_sample`` node.  Gaussians and
@@ -75,18 +78,6 @@ class LatentCode:
     @classmethod
     def external(cls, values, dtype=np.float32) -> "LatentCode":
         return cls(Tensor(np.asarray(values, dtype=dtype)), LatentSource.EXTERNAL)
-
-
-def gaussian_head(pooled: Tensor, mu_w: Tensor, mu_b: Tensor, ls_w: Tensor, ls_b: Tensor) -> DiagonalGaussian:
-    """Project a pooled encoder row to a clamped diagonal Gaussian, as one ``ag.gaussian_head`` node.
-
-    ``pooled`` is the (1, d) row one sequence pools to, which gives a
-    (d',) Gaussian, or the (B, 1, d) rows a batch pools to, which give a
-    (B, d') one.  log-sigma is clamped to [-20, 2] after the head so an
-    unlucky init or a large pooled activation cannot blow up the KL term
-    early in training.
-    """
-    return DiagonalGaussian(*ag.gaussian_head(pooled, mu_w, mu_b, ls_w, ls_b, LOG_SIGMA_MIN, LOG_SIGMA_MAX))
 
 
 def reparameterize(g: DiagonalGaussian, noise: np.ndarray, source: LatentSource) -> LatentCode:

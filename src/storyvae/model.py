@@ -2,7 +2,8 @@
 
 The conditional model encodes the prompt alone for the prior and the
 prompt ++ separator ++ story sequence for the posterior; both share the
-encoder trunk and pooling block and differ only in their linear heads.
+encoder trunk and pooling block and differ only in their linear heads,
+and each encode ends in one ``ag.pool_gaussian`` node.
 The unconditional variant keeps a fixed standard-normal prior and scores
 every text position.  The training objectives take a batch of examples
 of any lengths and run it as one right-padded forward; a single example
@@ -75,15 +76,14 @@ class StoryVAE:
     def dtype(self):
         return self.params["embed.word"].dtype
 
-    def _pooled(self, tokens, key_mask=None) -> Tensor:
-        hidden = tf.encode_stack(tokens, self.params, self.config, key_mask)
-        p = self.params.memo("pool", lambda: tf.pooling_params(self.params))
-        return ag.pool(hidden, p.ln_g, p.ln_b, p.q, p.wk, p.wv, p.bv, p.wo, p.bo, self.config.heads, key_mask)
-
-    def _head(self, pooled: Tensor, role: str) -> lt.DiagonalGaussian:
+    def _encode(self, tokens, role: str, key_mask=None) -> lt.DiagonalGaussian:
+        """The ``role`` Gaussian of (T,) tokens or a (B, T) batch: the encoder stack, then one ``ag.pool_gaussian``."""
         p = self.params
-        head = p.memo(role, lambda: [p[f"{role}.{name}"] for name in ("mu.w", "mu.b", "ls.w", "ls.b")])
-        return lt.gaussian_head(pooled, *head)
+        heads = ("mu.w", "mu.b", "ls.w", "ls.b")
+        tensors = p.memo(role, lambda: [p[name] for name in tf.POOL_NAMES + tuple(f"{role}.{n}" for n in heads)])
+        hidden = tf.encode_stack(tokens, p, self.config, key_mask)
+        return lt.DiagonalGaussian(*ag.pool_gaussian(hidden, *tensors, self.config.heads, lt.LOG_SIGMA_MIN,
+                                                     lt.LOG_SIGMA_MAX, key_mask))
 
     def encode_prior(self, prompt_tokens) -> lt.DiagonalGaussian:
         """Learnable prior from the prompt alone; fixed N(0, I) in VAE mode.
@@ -93,7 +93,7 @@ class StoryVAE:
         if self.mode == "vae":
             shape = np.shape(prompt_tokens)[:-1] + (self.config.latent_dim,)
             return lt.DiagonalGaussian.standard(shape, dtype=self.dtype)
-        return self._head(self._pooled(prompt_tokens), "prior")
+        return self._encode(prompt_tokens, "prior")
 
     def encode_posterior(self, prompt_tokens, story_tokens, separator_id: int) -> lt.DiagonalGaussian:
         prompt_tokens = np.asarray(prompt_tokens, dtype=np.int64)
@@ -108,12 +108,12 @@ class StoryVAE:
         The sequence is the bare text in VAE mode, and prompt ++ separator
         ++ story in CVAE mode, which is what ``encode_posterior`` builds.
         """
-        return self._head(self._pooled(text_tokens), "post")
+        return self._encode(text_tokens, "post")
 
     def _encode_padded(self, sequences, role: str) -> lt.DiagonalGaussian:
         """The (B, d') ``role`` Gaussian of B sequences of any lengths, encoded as one right-padded batch."""
         tokens, valid = tf.pad_rows(sequences, PAD_ID)
-        return self._head(self._pooled(tokens, valid[:, None, None, :]), role)
+        return self._encode(tokens, role, valid[:, None, None, :])
 
     def _modes(self, latent, modes):
         if modes is None:

@@ -8,13 +8,16 @@ Adam against plain-math scalar Adam, the annealing shape, and the
 tokenizer's fit, round-trips and ids.  The brute-force oracles
 (``brute_force_filter``, ``brute_force_rouge``, ``greedy_oracle``,
 ``matmul_oracle``, ``reference_adam_scalar``, ``kl_monte_carlo``,
-``bpe_scan_oracle``, ``bpe_fit_oracle``) and ``inner``, the gradient
-checks' scalar loss, live here once; the test suite imports them.
+``bpe_scan_oracle``, ``bpe_fit_oracle``), ``inner``, the gradient
+checks' scalar loss, and the table of per-op gradient checks
+(``GRADIENT_CASES``, run by ``gradient_case_report``) live here once;
+the test suite imports them.
 """
 
 from __future__ import annotations
 
 import math
+import zlib
 from collections import Counter
 from functools import lru_cache
 
@@ -38,9 +41,13 @@ def _attention_sublayer(x: Tensor, *tensors: Tensor) -> Tensor:
     return ag.attention_sublayer(x, *tensors, *tf.kv_stacks(x, 1, l), 0, None, tf.causal_mask(l, 0))
 
 
+_NOISE = np.random.default_rng(12).standard_normal((2, 7))
+
+
 def _injection(z: Tensor, input_w: Tensor, psa_w: Tensor, softmax_w: Tensor, *psa_kv: Tensor) -> Tensor:
-    """Every output of a two-layer ``ag.inject``, folded into one tensor by ``gaussian_sample`` and ``gaussian_kl``."""
-    noise = np.random.default_rng(13).standard_normal((1, 7))
+    """Every output of a two-layer ``ag.inject`` at d = 4, folded into one tensor by ``gaussian_sample`` and
+    ``gaussian_kl``."""
+    noise = _NOISE[:1, :4]
     row, bias, ((k0, v0), (k1, v1)) = ag.inject(z, input_w, psa_w, softmax_w, [psa_kv[:4], psa_kv[4:]])
     return ag.gaussian_kl(ag.gaussian_sample(row, bias, noise), k0, v0, ag.gaussian_sample(k1, v1, noise))
 
@@ -62,40 +69,47 @@ def inner(a: Tensor, b: Tensor) -> Tensor:
     return ag._make(data, "inner", (a, b), backward)
 
 
+_SQUARE, _ROW, _KEYS = (7, 7), (7,), np.array([True, True, False, True, True])
+# Each op's input shapes, and the op; every input is a parameter of its own check.
+GRADIENT_CASES = {
+    "mlp_sublayer": ([(5, 7), _ROW, _ROW, (7, 5), (5,), (5, 7), _ROW], ag.mlp_sublayer),
+    "attention_sublayer": ([(5, 7), _ROW, _ROW, _SQUARE, _ROW, _SQUARE, _SQUARE, _ROW, _SQUARE, _ROW],
+                           _attention_sublayer),
+    # Log-sigmas on both sides of the clamp, both outputs on to the draw.
+    "pool_gaussian": ([(2, 5, 7), _ROW, _ROW, _ROW, _SQUARE, _SQUARE, _ROW, _SQUARE, _ROW] + [_SQUARE, _ROW] * 2,
+                      lambda *t: ag.gaussian_sample(*ag.pool_gaussian(*t, 1, -0.5, 0.5, _KEYS), _NOISE)),
+    "inject": ([(2,), (2, 4), (2, 8), (2, 4)] + [(4, 4), (4,)] * 4, _injection),
+    "gaussian_sample": ([(2, 7), (2, 7)], lambda mu, ls: ag.gaussian_sample(mu, ls, _NOISE)),
+    "cross_entropy": ([(5, 7)], lambda t: ag.cross_entropy(t, np.array([0, 6, 3, 3, 1]), _KEYS)[0]),
+    "gaussian_kl": ([(2, 7)] * 4, ag.gaussian_kl),
+    "elbo_loss": ([(5, 7), (2, 7)], lambda t, kl: ag.elbo_loss(ag.cross_entropy(
+        t, np.array([0, 6, 3, 3, 1]), np.ones(5, dtype=bool))[0], kl, 0.7, 2)),
+    # Token 4 repeats, the positions start at row 1, and the injection row is a parameter too.
+    "embedding": ([(5, 7), (6, 7), (1, 7)], lambda w, p, r: ag.embedding(w, p, np.array([4, 0, 4, 2]), 1, r)),
+    "tied_head": ([(5, 7), _ROW, _ROW, (6, 7), (1, 6)], ag.tied_head),
+}
+
+
+def gradient_case_report(name: str, seed: int) -> ag.GradCheckReport:
+    """Finite differences against the tape for ``GRADIENT_CASES[name]``, on inputs and a readout drawn from ``seed``.
+
+    The inputs are standard normal draws times 0.5, and the loss is the
+    op's output read out linearly, ``inner(y, w)`` against a standard
+    normal ``w``.
+    """
+    shapes, op = GRADIENT_CASES[name]
+    rng = np.random.default_rng(seed)
+    params = ParameterSet([(f"x{i}", rng.standard_normal(shape) * 0.5) for i, shape in enumerate(shapes)],
+                          dtype=np.float64)
+    inputs = [p for _, p in params.items()]
+    readout = Tensor(rng.standard_normal(op(*inputs).data.size), dtype=np.float64)
+    return ag.grad_check(lambda: inner(op(*inputs), readout), params)
+
+
 def _check_op_gradients(report) -> bool:
-    rng = np.random.default_rng(11)
-    noise = np.random.default_rng(12).standard_normal((2, 7))
-    square, row = (7, 7), (7,)
-    # Each op's input shapes, and the op; every input is a parameter of its own check.
-    cases = {
-        "mlp_sublayer": ([(5, 7), row, row, (7, 5), (5,), (5, 7), row], ag.mlp_sublayer),
-        "attention_sublayer": ([(5, 7), row, row, square, row, square, square, row, square, row], _attention_sublayer),
-        "pool": ([(5, 7), row, row, row, square, square, row, square, row],
-                 lambda *t: ag.pool(*t, n_heads=1, mask=np.array([True, True, False, True, True]))),
-        "gaussian_head": ([(2, 1, 7), square, row, square, row],
-                          lambda *t: ag.gaussian_sample(*ag.gaussian_head(*t, -0.5, 0.5), noise)),
-        "inject": ([row, square, (7, 14), square] + [square, row] * 4, _injection),
-        "gaussian_sample": ([(2, 7), (2, 7)], lambda mu, ls: ag.gaussian_sample(mu, ls, noise)),
-        "cross_entropy": ([(5, 7)], lambda t: ag.cross_entropy(
-            t, np.array([0, 6, 3, 3, 1]), np.array([True, True, False, True, True]))[0]),
-        "gaussian_kl": ([(2, 7)] * 4, ag.gaussian_kl),
-        "elbo_loss": ([(5, 7), (2, 7)], lambda t, kl: ag.elbo_loss(ag.cross_entropy(
-            t, np.array([0, 6, 3, 3, 1]), np.ones(5, dtype=bool))[0], kl, 0.7, 2)),
-        # Token 4 repeats, the positions start at row 1, and the injection row is a parameter too.
-        "embedding": ([(5, 7), (6, 7), (1, 7)], lambda w, p, r: ag.embedding(w, p, np.array([4, 0, 4, 2]), 1, r)),
-        "tied_head": ([(5, 7), row, row, (6, 7), (1, 6)], ag.tied_head),
-    }
     ok = True
-    for name, (shapes, op) in cases.items():
-        params = ParameterSet([(f"x{i}", rng.standard_normal(shape) * 0.5) for i, shape in enumerate(shapes)],
-                              dtype=np.float64)
-        inputs = [p for _, p in params.items()]
-
-        def loss(inputs=inputs, op=op):
-            y = op(*inputs)
-            return inner(y, y)
-
-        result = ag.grad_check(loss, params)
+    for name in GRADIENT_CASES:
+        result = gradient_case_report(name, zlib.crc32(name.encode()))
         ok &= result.passed
         report(f"{'ok' if result.passed else 'FAIL'} gradient {name} (max rel err {result.max_rel_error:.2e})")
     return ok
@@ -224,11 +238,16 @@ def greedy_oracle(model: StoryVAE, prompt_tokens, separator_id: int, latent, max
 
 def _check_products(report) -> bool:
     rng = np.random.default_rng(14)
-    x, mu_w, mu_b, ls_w, ls_b = (Tensor(rng.standard_normal(shape)) for shape in [(1, 3), (3, 2), (2,), (3, 2), (2,)])
-    mu, log_sigma = ag.gaussian_head(x, mu_w, mu_b, ls_w, ls_b, -0.5, 0.5)
-    ok = np.allclose(mu.data, matmul_oracle(x.data, mu_w.data)[0] + mu_b.data)
-    ok &= np.allclose(log_sigma.data, np.clip(matmul_oracle(x.data, ls_w.data)[0] + ls_b.data, -0.5, 0.5))
-    report(f"{'ok' if ok else 'FAIL'} gaussian_head's products and clamp against the triple-loop oracle")
+    rows, *pool = (Tensor(rng.standard_normal(shape)) for shape in [(4, 3), (3,), (3,), (3,), (3, 3), (3, 3), (3,),
+                                                                     (3, 3), (3,)])
+    mu_w, mu_b, ls_w, ls_b = (Tensor(rng.standard_normal(shape)) for shape in [(3, 2), (2,), (3, 2), (2,)])
+    # Identity heads read out the pooled row itself.
+    eye, zero = Tensor(np.eye(3)), Tensor(np.zeros(3))
+    pooled = ag.pool_gaussian(rows, *pool, eye, zero, eye, zero, 1, -np.inf, np.inf)[0].data[None]
+    mu, log_sigma = ag.pool_gaussian(rows, *pool, mu_w, mu_b, ls_w, ls_b, 1, -0.5, 0.5)
+    ok = np.allclose(mu.data, matmul_oracle(pooled, mu_w.data)[0] + mu_b.data)
+    ok &= np.allclose(log_sigma.data, np.clip(matmul_oracle(pooled, ls_w.data)[0] + ls_b.data, -0.5, 0.5))
+    report(f"{'ok' if ok else 'FAIL'} pool_gaussian's head products and clamp against the triple-loop oracle")
     return ok
 
 

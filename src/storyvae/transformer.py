@@ -22,9 +22,10 @@ each with its layer norm and residual.  A stack's input rows are one
 ``ag.embedding`` node, word plus position rows plus the ``input`` row,
 and the decoder's logits one ``ag.tied_head`` node: the final layer
 norm, the product with the transposed word table and the ``softmax``
-bias.  The encoder's final norm and its pooling are one ``ag.pool``
-node, and a decoder's injection rows one ``ag.inject`` node.  Block
-tensors are looked up once per parameter layout.  Every attention
+bias.  The encoder's final norm, its pooling and a Gaussian head are
+one ``ag.pool_gaussian`` node, and a decoder's injection rows one
+``ag.inject`` node.  Block tensors are looked up once per parameter
+layout.  Every attention
 writes its keys and values into per-head stacks (``kv_stacks``) and
 attends over them.  The decoder forward runs over a ``DecoderCache``,
 its only way in: the latent's injection rows, computed once, each
@@ -63,6 +64,8 @@ INIT_STD = 0.02
 POS_INIT_STD = 0.01
 # The most sequences one batched forward carries; it bounds the (B, T, vocab) logits and the caches.
 GROUP_ROWS = 32
+# The encoder's final norm and the pooling tensors, in ``ag.pool_gaussian``'s order.
+POOL_NAMES = ("enc.final_norm.g", "enc.final_norm.b", "pool.q", "pool.wk", "pool.wv", "pool.bv", "pool.wo", "pool.bo")
 
 
 class ContractError(ValueError):
@@ -155,20 +158,6 @@ class BlockParams:
 
     attn: AttentionParams
     mlp: tuple[Tensor, ...]  # ln2 gain and bias, w1, b1, w2, b2
-
-
-@dataclass
-class PoolingParams:
-    """The encoder's final layer norm, the learned query, and the key, value and output products that pool with it."""
-
-    ln_g: Tensor
-    ln_b: Tensor
-    q: Tensor
-    wk: Tensor
-    wv: Tensor
-    bv: Tensor
-    wo: Tensor
-    bo: Tensor
 
 
 def _block_specs(prefix: str, d: int, with_psa: bool) -> list:
@@ -284,16 +273,6 @@ def _stack_blocks(params: ParameterSet, stack: str, n_layers: int) -> list[Block
                             tuple(params[f"{stack}.{i}.{name}"] for name in mlp)) for i in range(n_layers)]
 
     return params.memo((stack, n_layers), lookup)
-
-
-def pooling_params(params: ParameterSet) -> PoolingParams:
-    return PoolingParams(
-        ln_g=params["enc.final_norm.g"], ln_b=params["enc.final_norm.b"],
-        q=params["pool.q"],
-        wk=params["pool.wk"],
-        wv=params["pool.wv"], bv=params["pool.bv"],
-        wo=params["pool.wo"], bo=params["pool.bo"],
-    )
 
 
 def kv_stacks(x: Tensor, n_heads: int, rows: int, latent: tuple[Tensor, Tensor] | None = None):
@@ -424,7 +403,7 @@ def encode_stack(tokens, params: ParameterSet, cfg: ModelConfig, key_mask: np.nd
 
     One ``ag.embedding`` node and two per block, each attention over fresh
     stacks of the T rows; the final layer norm belongs to the pooling
-    (``ag.pool``).  A right-padded batch takes the (B, 1, 1, T)
+    (``ag.pool_gaussian``).  A right-padded batch takes the (B, 1, 1, T)
     ``key_mask`` that is False at padding, so no position attends a pad
     key; pad positions still compute values, which get exactly zero
     gradient from any loss that masks them out.

@@ -282,6 +282,16 @@ def gaussian_head_chain(x, mu_w, mu_b, ls_w, ls_b, lo, hi, stage=None):
     return reshape(mu, shape), reshape(clamp(log_sigma, lo, hi), shape)
 
 
+def pool_gaussian_chain(x, ln_g, ln_b, q, wk, wv, bv, wo, bo, mu_w, mu_b, ls_w, ls_b, n_heads, lo, hi, mask=None,
+                        return_weights=False, stage=None):
+    """``pool_chain``, then ``gaussian_head_chain`` of its pooled rows."""
+    pooled = pool_chain(x, ln_g, ln_b, q, wk, wv, bv, wo, bo, n_heads, mask, return_weights, stage)
+    if return_weights:
+        pooled, weights = pooled
+        return (*gaussian_head_chain(pooled, mu_w, mu_b, ls_w, ls_b, lo, hi, stage), weights)
+    return gaussian_head_chain(pooled, mu_w, mu_b, ls_w, ls_b, lo, hi, stage)
+
+
 def inject_chain(z, input_w, psa_w, softmax_w, psa_kv=(), stage=None):
     """The latent as a row, its products, the per-layer rows picked from the ``psa`` product and their products."""
     name = namer(stage)
@@ -325,8 +335,7 @@ def chains(patch) -> None:
     patch.setattr(ag, "mlp_sublayer", mlp_chain)
     patch.setattr(ag, "embedding", embedding_chain)
     patch.setattr(ag, "tied_head", head_chain)
-    patch.setattr(ag, "pool", pool_chain)
-    patch.setattr(ag, "gaussian_head", gaussian_head_chain)
+    patch.setattr(ag, "pool_gaussian", pool_gaussian_chain)
     patch.setattr(ag, "inject", inject_chain)
     patch.setattr(ag, "elbo_loss", elbo_chain)
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -292,6 +293,64 @@ class TestExitCodes:
         if corruption == "manifest_model_missing":  # named, not a bare KeyError's "data error: 'model'"
             assert "manifest model must be an object of config fields, got None" in err
         assert not (tmp_path / "o").exists()
+
+    def test_resume_without_an_optimizer_block_starts_fresh_optimizer_state(self, workspace, tmp_path):
+        """A manifest without ``optimizer`` resumes as one whose block is null does: exit 0, the same metrics."""
+        rows = {}
+        for case in ("deleted", "null"):
+            checkpoint = tmp_path / case / "checkpoint"
+            shutil.copytree(workspace["checkpoint"], checkpoint)
+            fields = json.loads((checkpoint / "manifest.json").read_text())
+            if case == "deleted":
+                del fields["optimizer"]
+            else:
+                fields["optimizer"] = None
+            (checkpoint / "manifest.json").write_text(json.dumps(fields))
+            assert cli.main(["train", "--resume", str(checkpoint), "--train.steps", "2", "--corpus",
+                             workspace["corpus"], "--vocab", workspace["vocab"], "--out", str(tmp_path / case / "o")]) \
+                == cli.EXIT_OK
+            rows[case] = (tmp_path / case / "o" / "metrics.csv").read_text()
+        assert rows["deleted"] == rows["null"] and rows["null"].count("\n") == 3
+
+    def test_every_deleted_manifest_node_runs_or_is_refused_by_name(self, workspace, tmp_path, capsys):
+        """Each top-level field of a trained manifest and each node of its optimizer block, deleted in turn.
+
+        ``train --resume`` and ``generate`` each exit 0, or exit 2 with a
+        message that says more than the quoted name of the missing key.
+        The model config's fields and the per-parameter update counts are
+        left to the corruption tests above.
+        """
+        fields = json.loads((Path(workspace["checkpoint"]) / "manifest.json").read_text())
+
+        def paths(node, path=()):
+            for key, child in node.items():
+                yield path + (key,)
+                if isinstance(child, dict) and key not in ("model", "update_counts"):
+                    yield from paths(child, path + (key,))
+
+        deleted = list(paths(fields))
+        assert len(deleted) == 28
+        checkpoint = tmp_path / "checkpoint"
+        for path in deleted:
+            shutil.rmtree(checkpoint, ignore_errors=True)
+            shutil.copytree(workspace["checkpoint"], checkpoint)
+            mutated = json.loads(json.dumps(fields))
+            parent = mutated
+            for key in path[:-1]:
+                parent = parent[key]
+            del parent[path[-1]]
+            (checkpoint / "manifest.json").write_text(json.dumps(mutated))
+            where = "/".join(path)
+            for command in (["train", "--resume", str(checkpoint), "--train.steps", "1"],
+                            ["generate", "--checkpoint", str(checkpoint)] + FAST_SAMPLER):
+                out = tmp_path / "o" / command[0] / where
+                code = cli.main(command + ["--corpus", workspace["corpus"], "--vocab", workspace["vocab"],
+                                           "--out", str(out)])
+                err = capsys.readouterr().err.strip()
+                assert code in (cli.EXIT_OK, cli.EXIT_DATA), (where, command[0], code, err)
+                if code == cli.EXIT_DATA:
+                    assert err.startswith("data error: ") and not re.fullmatch(r"data error: '[^']*'", err), \
+                        (where, command[0], err)
 
     @pytest.mark.parametrize(
         "case", ["vocab_header_not_int", "vocab_merge_one_id", "vocab_negative_ids", "vocab_not_ascii",

@@ -13,6 +13,14 @@ def make_gaussian(mu, log_sigma, dtype=np.float64):
     return lt.DiagonalGaussian(Tensor(np.asarray(mu, dtype=dtype)), Tensor(np.asarray(log_sigma, dtype=dtype)))
 
 
+def gaussian(rows, mu_w, mu_b, ls_w, ls_b) -> lt.DiagonalGaussian:
+    """``ag.pool_gaussian`` of (T, 6) rows or a (B, T, 6) batch, through a plain pooling block, at the model's clamp."""
+    eye, zero = Tensor(np.eye(6)), Tensor(np.zeros(6))
+    pool = (Tensor(np.ones(6)), zero, Tensor(np.ones(6)), eye, eye, zero, eye, zero)
+    return lt.DiagonalGaussian(*ag.pool_gaussian(Tensor(rows), *pool, mu_w, mu_b, ls_w, ls_b, 2, lt.LOG_SIGMA_MIN,
+                                                 lt.LOG_SIGMA_MAX))
+
+
 class TestGaussianHead:
     def setup_method(self):
         rng = np.random.default_rng(0)
@@ -22,26 +30,25 @@ class TestGaussianHead:
         self.ls_b = Tensor(np.zeros(4), requires_grad=True)
 
     def test_zero_input_zero_heads_is_standard_normal(self):
-        pooled = Tensor(np.zeros((1, 6)))
         zero = Tensor(np.zeros((6, 4)))
         zero_b = Tensor(np.zeros(4))
-        g = lt.gaussian_head(pooled, zero, zero_b, zero, zero_b)
+        g = gaussian(np.zeros((1, 6)), zero, zero_b, zero, zero_b)
         assert np.array_equal(g.mu.data, np.zeros(4))
         assert np.array_equal(g.log_sigma.data, np.zeros(4))
 
     def test_output_width(self):
-        """One pooled (1, d) row gives a (d',) Gaussian, and a (B, 1, d) batch a (B, d') one."""
-        g = lt.gaussian_head(Tensor(np.ones((1, 6))), self.mu_w, self.mu_b, self.ls_w, self.ls_b)
+        """One (T, d) sequence gives a (d',) Gaussian, and a (B, T, d) batch a (B, d') one."""
+        g = gaussian(np.ones((1, 6)), self.mu_w, self.mu_b, self.ls_w, self.ls_b)
         assert g.mu.shape == g.log_sigma.shape == (4,)
-        g = lt.gaussian_head(Tensor(np.ones((3, 1, 6))), self.mu_w, self.mu_b, self.ls_w, self.ls_b)
+        g = gaussian(np.ones((3, 5, 6)), self.mu_w, self.mu_b, self.ls_w, self.ls_b)
         assert g.mu.shape == g.log_sigma.shape == (3, 4)
 
     def test_log_sigma_clamped(self):
         big_b = Tensor(np.full(4, 10.0))
-        g = lt.gaussian_head(Tensor(np.zeros((1, 6))), self.mu_w, self.mu_b, Tensor(np.zeros((6, 4))), big_b)
+        g = gaussian(np.zeros((1, 6)), self.mu_w, self.mu_b, Tensor(np.zeros((6, 4))), big_b)
         assert np.array_equal(g.log_sigma.data, np.full(4, 2.0))
         low_b = Tensor(np.full(4, -50.0))
-        g = lt.gaussian_head(Tensor(np.zeros((1, 6))), self.mu_w, self.mu_b, Tensor(np.zeros((6, 4))), low_b)
+        g = gaussian(np.zeros((1, 6)), self.mu_w, self.mu_b, Tensor(np.zeros((6, 4))), low_b)
         assert np.array_equal(g.log_sigma.data, np.full(4, -20.0))
 
 

@@ -1,8 +1,9 @@
 """The fused ops of the latent side against the chains of ops they replace.
 
-``ag.pool``, ``ag.gaussian_head``, ``ag.inject`` (through a decoder
-forward) and ``ag.elbo_loss`` must give the chain's bits: the outputs, the attention weights and every
-gradient, and a ``NumericsError`` in every case where the chain raised,
+``ag.pool_gaussian`` (whose chain is the pooling chain followed by the
+Gaussian head's), ``ag.inject`` (through a decoder forward) and
+``ag.elbo_loss`` must give the chain's bits: the outputs, the attention
+weights and every gradient, and a ``NumericsError`` in every case where the chain raised,
 naming the step that raised.  The chains live in ``chain_ops``.
 """
 
@@ -16,26 +17,34 @@ from storyvae.autograd import Tensor
 from storyvae.selfcheck import inner
 from storyvae.transformer import ModelConfig
 
-from chain_ops import elbo_chain, error_of, gaussian_head_chain, inject_chain, leaf, pool_chain, same
+from chain_ops import elbo_chain, error_of, inject_chain, leaf, pool_gaussian_chain, same
 
 POOL_NAMES = ("ln_g", "ln_b", "q", "wk", "wv", "bv", "wo", "bo")
-POOL_SHAPES = [(8,), (8,), (8,), (8, 8), (8, 8), (8,), (8, 8), (8,)]
+HEAD_NAMES = ("mu_w", "mu_b", "ls_w", "ls_b")
+SHAPES = [(8,), (8,), (8,), (8, 8), (8, 8), (8,), (8, 8), (8,), (8, 6), (6,), (8, 6), (6,)]
+BOUND = 5.0  # the log-sigma clamp of these cases, [-BOUND, BOUND]
 
 
 def pool_case(rng, dtype, lead, frozen=(), scale=0.6):
-    """Rows (5 per sequence, d=8) and the pooling tensors; those named in ``frozen`` need no gradient."""
+    """Rows (5 per sequence, d=8), the pooling tensors and the heads (d'=6); those in ``frozen`` need no gradient."""
     x = leaf(rng, lead + (5, 8), dtype, grad="x" not in frozen)
-    return x, tf.PoolingParams(**{n: leaf(rng, s, dtype, scale, grad=n not in frozen)
-                                  for n, s in zip(POOL_NAMES, POOL_SHAPES)})
+    return x, {n: leaf(rng, s, dtype, scale, grad=n not in frozen) for n, s in zip(POOL_NAMES + HEAD_NAMES, SHAPES)}
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["unbatched", "batched"])
 @pytest.mark.parametrize("masked", [False, True], ids=["all_keys", "key_mask"])
-@pytest.mark.parametrize("frozen", [(), ("x", "ln_g", "ln_b"), ("q", "wo", "bo"), ("x", "ln_g", "ln_b", "wk", "wv", "bv")],
-                         ids=["all", "rows_frozen", "query_frozen", "only_query_and_output"])
-def test_pool_gives_the_chains_bits(dtype, lead, masked, frozen):
-    """Output, weights and every gradient; batch entry b hides its last b % 3 keys."""
+@pytest.mark.parametrize("frozen", [(), ("x", "ln_g", "ln_b"), ("q", "wo", "bo"),
+                                    ("x", "ln_g", "ln_b", "wk", "wv", "bv"), HEAD_NAMES, ("x",) + POOL_NAMES],
+                         ids=["all", "rows_frozen", "query_frozen", "only_query_output_heads", "heads_frozen",
+                              "only_heads"])
+@pytest.mark.parametrize("used", ["both", "mu", "log_sigma"])
+def test_pool_gaussian_gives_the_chains_bits(dtype, lead, masked, frozen, used):
+    """Both outputs, the weights and every gradient, with log-sigmas on both sides of each clamp bound.
+
+    Batch entry b hides its last b % 3 keys.  The loss reads the ``used``
+    outputs out linearly, each against its own random weights.
+    """
     mask = None
     if masked:
         n = lead[0] if lead else 1
@@ -44,51 +53,33 @@ def test_pool_gives_the_chains_bits(dtype, lead, masked, frozen):
     def run(op):
         rng = np.random.default_rng(21)
         x, p = pool_case(rng, dtype, lead, frozen)
-        out, weights = op(x, p.ln_g, p.ln_b, p.q, p.wk, p.wv, p.bv, p.wo, p.bo, 2, mask, True)
-        ag.backward(inner(out, Tensor(rng.standard_normal(out.data.size), dtype=dtype)))
-        return [out.data, weights, x.grad] + [getattr(p, n).grad for n in POOL_NAMES]
+        mu, log_sigma, weights = op(x, *p.values(), 2, -BOUND, BOUND, mask, True)
+        mu_w, ls_w = (Tensor(rng.standard_normal(out.data.size), dtype=dtype) for out in (mu, log_sigma))
+        readouts = {"both": lambda: ag.elbo_loss(inner(mu, mu_w), inner(log_sigma, ls_w), 1.0, 1),
+                    "mu": lambda: inner(mu, mu_w), "log_sigma": lambda: inner(log_sigma, ls_w)}
+        ag.backward(readouts[used]())
+        return [mu.data, log_sigma.data, weights, x.grad] + [t.grad for t in p.values()]
 
-    fused, chain = run(ag.pool), run(pool_chain)
-    assert fused[0].shape == lead + (1, 8)
-    assert all(same(a, b) for a, b in zip(fused, chain, strict=True))
-    assert sum(g is not None for g in fused[2:]) == 9 - len(frozen)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("lead", [(), (3,)], ids=["unbatched", "batched"])
-@pytest.mark.parametrize("used", ["both", "mu", "log_sigma"])
-def test_gaussian_head_gives_the_chains_bits(dtype, lead, used):
-    """Both outputs and every gradient, with log-sigmas on both sides of each clamp bound."""
-
-    def run(op):
-        rng = np.random.default_rng(22)
-        x = leaf(rng, lead + (1, 8), dtype)
-        weights = [leaf(rng, shape, dtype) for shape in [(8, 6), (6,), (8, 6), (6,)]]
-        mu, log_sigma = op(x, *weights, -0.8, 0.8)
-        outs = {"both": [mu, log_sigma], "mu": [mu], "log_sigma": [log_sigma]}[used]
-        for out in outs:
-            ag.backward(inner(out, Tensor(rng.standard_normal(out.data.size), dtype=dtype)))
-        return [mu.data, log_sigma.data, x.grad] + [w.grad for w in weights]
-
-    fused, chain = run(ag.gaussian_head), run(gaussian_head_chain)
+    fused, chain = run(ag.pool_gaussian), run(pool_gaussian_chain)
     assert fused[0].shape == fused[1].shape == lead + (6,)
-    assert 0 < (np.abs(fused[1]) == 0.8).sum() < fused[1].size
+    assert 0 < (np.abs(fused[1]) == BOUND).sum() < fused[1].size
     assert all(same(a, b) for a, b in zip(fused, chain, strict=True))
+    unused = {"both": (), "mu": ("ls_w", "ls_b"), "log_sigma": ("mu_w", "mu_b")}[used]
+    assert sum(g is not None for g in fused[3:]) == len({"x", *POOL_NAMES, *HEAD_NAMES} - {*frozen, *unused})
 
 
-def test_gaussian_head_runs_its_backward_once_for_both_outputs():
-    """One loss over both outputs: the pooled row's gradient is the sum of the two products', as in the chain."""
+def test_pool_gaussian_runs_its_backward_once_for_both_outputs():
+    """One loss over both outputs: the pooled rows' gradient is the sum of the two products', as in the chain."""
 
     def run(op):
         rng = np.random.default_rng(23)
-        x = leaf(rng, (3, 1, 8), np.float64)
-        weights = [leaf(rng, shape, np.float64) for shape in [(8, 6), (6,), (8, 6), (6,)]]
-        mu, log_sigma = op(x, *weights, -0.8, 0.8)
+        x, p = pool_case(rng, np.float64, (3,))
+        mu, log_sigma = op(x, *p.values(), 2, -BOUND, BOUND)
         zero = Tensor(np.zeros((3, 6)))
         ag.backward(ag.elbo_loss(None, ag.gaussian_kl(mu, log_sigma, zero, zero), 1.0, 1))
-        return [x.grad] + [w.grad for w in weights]
+        return [x.grad] + [t.grad for t in p.values()]
 
-    fused, chain = run(ag.gaussian_head), run(gaussian_head_chain)
+    fused, chain = run(ag.pool_gaussian), run(pool_gaussian_chain)
     assert all(same(a, b) for a, b in zip(fused, chain, strict=True))
 
 
@@ -164,15 +155,16 @@ def test_elbo_loss_gives_the_chains_bits(dtype, recon):
     assert all(same(a, b) for a, b in zip(fused, chain, strict=True))
 
 
-class TestPoolNumerics:
-    """Two checks stand in for the chain's five: the scores (every key, masked or not) and the output."""
+class TestPoolGaussianNumerics:
+    """Four checks stand in for the chain's seven: the scores (every key, masked or not), the pooled rows, the
+    log-sigma product before its clamp, and the outputs."""
 
     @staticmethod
     def run(op, x, p, key_mask, stage=None):
         kwargs = {} if stage is None else {"stage": stage}
         try:
             with np.errstate(all="ignore"):
-                op(x, p.ln_g, p.ln_b, p.q, p.wk, p.wv, p.bv, p.wo, p.bo, 2, key_mask, **kwargs)
+                op(x, *p.values(), 2, -20.0, 2.0, key_mask, **kwargs)
         except ag.NumericsError as e:
             return str(e)
         return None
@@ -181,28 +173,32 @@ class TestPoolNumerics:
         ("x", (0, 1, 2), np.nan, "layer_norm"), ("ln_b", (3,), np.inf, "layer_norm"),
         ("wk", (2, 5), np.inf, "linear wk"), ("wv", (1, 1), -np.inf, "linear wv"), ("bv", (4,), np.nan, "linear wv"),
         ("wo", (0, 0), np.inf, "linear wo"), ("bo", (7,), np.nan, "linear wo"),
+        ("mu_w", (0, 0), np.nan, "linear mu"), ("mu_w", (1, 0), np.inf, "linear mu"),
+        ("mu_b", (0,), np.nan, "linear mu"),
+        ("ls_w", (0, 0), np.inf, "linear ls"), ("ls_b", (0,), -np.inf, "linear ls"),
     ])
     def test_a_non_finite_tensor_names_the_step(self, name, index, value, step):
-        x, p = pool_case(np.random.default_rng(30), np.float32, (2,), frozen=("x",) + POOL_NAMES)
-        (x if name == "x" else getattr(p, name)).data[index] = value
+        """An infinite log-sigma product is an error though the clamp would make it finite."""
+        x, p = pool_case(np.random.default_rng(30), np.float32, (2,), frozen=("x",) + POOL_NAMES + HEAD_NAMES)
+        (x if name == "x" else p[name]).data[index] = value
         stage = []
-        assert self.run(pool_chain, x, p, None, stage) is not None and stage == [step]
-        assert self.run(ag.pool, x, p, None) == f"pool: {step} produced non-finite values"
+        assert self.run(pool_gaussian_chain, x, p, None, stage) is not None and stage == [step]
+        assert self.run(ag.pool_gaussian, x, p, None) == f"pool_gaussian: {step} produced non-finite values"
 
     def test_a_score_overflow_is_named_at_the_attention(self):
-        x, p = pool_case(np.random.default_rng(31), np.float32, (), frozen=("x",) + POOL_NAMES)
-        p.q.data[...] = 3e38
+        x, p = pool_case(np.random.default_rng(31), np.float32, (), frozen=("x",) + POOL_NAMES + HEAD_NAMES)
+        p["q"].data[...] = 3e38
         stage = []
-        assert self.run(pool_chain, x, p, None, stage) is not None and stage == ["attention"]
-        assert self.run(ag.pool, x, p, None) == "pool: attention produced non-finite values"
+        assert self.run(pool_gaussian_chain, x, p, None, stage) is not None and stage == ["attention"]
+        assert self.run(ag.pool_gaussian, x, p, None) == "pool_gaussian: attention produced non-finite values"
 
     def test_raises_exactly_where_the_chain_raises(self):
         """Extreme entries anywhere, with or without a key mask: the fused op raises whenever the chain does."""
         raised = set()
-        for seed in range(300):
+        for seed in range(400):
             rng = np.random.default_rng(seed)
-            x, p = pool_case(rng, np.float32, (2,), frozen=("x",) + POOL_NAMES, scale=0.5)
-            tensors = [x] + [getattr(p, n) for n in POOL_NAMES]
+            x, p = pool_case(rng, np.float32, (2,), frozen=("x",) + POOL_NAMES + HEAD_NAMES, scale=0.5)
+            tensors = [x, *p.values()]
             for _ in range(rng.integers(1, 3)):
                 t = tensors[rng.integers(len(tensors))].data
                 t.flat[rng.integers(t.size)] = rng.choice([1e38, -1e38, 1e20, -3e19, 1e4, np.inf, -np.inf, np.nan])
@@ -211,50 +207,13 @@ class TestPoolNumerics:
                 key_mask = np.ones((2, 1, 1, 5), dtype=bool)
                 key_mask[1, ..., 3:] = False
             stage = []
-            want = self.run(pool_chain, x, p, key_mask, stage)
-            got = self.run(ag.pool, x, p, key_mask)
+            want = self.run(pool_gaussian_chain, x, p, key_mask, stage)
+            got = self.run(ag.pool_gaussian, x, p, key_mask)
             assert (got is None) == (want is None), seed
             if want is not None:
-                assert got == f"pool: {stage[0]} produced non-finite values", seed
+                assert got == f"pool_gaussian: {stage[0]} produced non-finite values", seed
                 raised.add(stage[0])
-        assert raised >= {"layer_norm", "linear wk", "linear wv", "attention", "linear wo"}
-
-
-class TestGaussianHeadNumerics:
-    @staticmethod
-    def tensors(rng):
-        return [leaf(rng, shape, np.float32, grad=False) for shape in [(2, 1, 8), (8, 6), (6,), (8, 6), (6,)]]
-
-    @pytest.mark.parametrize("where, value, step", [
-        (0, np.nan, "linear mu"), (1, np.inf, "linear mu"), (2, np.nan, "linear mu"),
-        (3, np.inf, "linear ls"), (4, -np.inf, "linear ls"),
-    ])
-    def test_a_non_finite_tensor_names_the_step(self, where, value, step):
-        """An infinite log-sigma product is an error though the clamp would make it finite."""
-        tensors = self.tensors(np.random.default_rng(32))
-        tensors[where].data.flat[0] = value
-        stage = []
-        assert error_of(tensors, lambda *t: gaussian_head_chain(*t, -20.0, 2.0, stage=stage)) is not None
-        assert stage == [step]
-        assert error_of(tensors, lambda *t: ag.gaussian_head(*t, -20.0, 2.0)) == \
-            f"gaussian_head: {step} produced non-finite values"
-
-    def test_raises_exactly_where_the_chain_raises(self):
-        raised = set()
-        for seed in range(200):
-            rng = np.random.default_rng(seed)
-            tensors = self.tensors(rng)
-            for _ in range(rng.integers(1, 3)):
-                t = tensors[rng.integers(len(tensors))].data
-                t.flat[rng.integers(t.size)] = rng.choice([3e38, -3e38, 1e20, -3e19, np.inf, -np.inf, np.nan])
-            stage = []
-            want = error_of(tensors, lambda *t: gaussian_head_chain(*t, -20.0, 2.0, stage=stage))
-            got = error_of(tensors, lambda *t: ag.gaussian_head(*t, -20.0, 2.0))
-            assert (got is None) == (want is None), seed
-            if want is not None:
-                assert got == f"gaussian_head: {stage[0]} produced non-finite values", seed
-                raised.add(stage[0])
-        assert raised == {"linear mu", "linear ls"}
+        assert raised == {"layer_norm", "linear wk", "linear wv", "attention", "linear wo", "linear mu", "linear ls"}
 
 
 class TestInjectNumerics:

@@ -266,22 +266,22 @@ class TestTapeSize:
 
         counts = step_ops(4)
         # One padded forward and backward, whatever the batch size.  Per encoder pass: the embedding, two
-        # nodes per block, the pooling and the Gaussian head; then the draw, the injection rows, the decoder,
-        # and one node per objective term plus the objective itself.
-        assert counts[0] == counts[1] == step_ops(1)[0] == 21
+        # nodes per block, and the pooling with the Gaussian head; then the draw, the injection rows, the
+        # decoder, and one node per objective term plus the objective itself.
+        assert counts[0] == counts[1] == step_ops(1)[0] == 19
         vae = step_ops(4, "vae")
-        assert vae[0] == vae[1] == step_ops(1, "vae")[0] == 16
+        assert vae[0] == vae[1] == step_ops(1, "vae")[0] == 15
 
     def test_latent_draw_at_the_cli_default_config(self, monkeypatch):
-        """A prior sample is the prior encoder's forward, the pooling, the Gaussian head and one ``gaussian_sample``."""
+        """A prior sample is the prior encoder's forward, one ``pool_gaussian`` and one ``gaussian_sample``."""
         model = StoryVAE.create(ModelConfig(), seed=0)
-        assert self.ops(monkeypatch, lambda: sp.draw_latent(model, [1, 2, 3], sp.generation_rng(0, 0))) == 8
+        assert self.ops(monkeypatch, lambda: sp.draw_latent(model, [1, 2, 3], sp.generation_rng(0, 0))) == 7
 
     def test_one_token_generation_at_the_cli_default_config(self, monkeypatch):
-        """The prior draw (8), one injection node, and the prompt's decoder forward (10)."""
+        """The prior draw (7), one injection node, and the prompt's decoder forward (10)."""
         model = StoryVAE.create(ModelConfig(), seed=0)
         sampler = sp.SamplerConfig(max_new_tokens=1)
-        assert self.ops(monkeypatch, lambda: sp.generate_for_prompt(model, [1, 2, 3], 4, sampler)) == 19
+        assert self.ops(monkeypatch, lambda: sp.generate_for_prompt(model, [1, 2, 3], 4, sampler)) == 18
 
 
 @pytest.mark.parametrize("modes", [m for r in range(4) for m in itertools.combinations(tf.INJECTION_MODES, r)],

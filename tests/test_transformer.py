@@ -56,9 +56,20 @@ def attend(x, p, n_heads, causal, latent=None, return_weights=False, rows=None):
                                  tf.causal_mask(l, filled) if causal else None, return_weights)
 
 
-def pool_tensors(pool):
-    """The pooling tensors in ``ag.pool``'s order."""
-    return pool.ln_g, pool.ln_b, pool.q, pool.wk, pool.wv, pool.bv, pool.wo, pool.bo
+def pool_tensors(params):
+    """The encoder's final norm and pooling tensors of ``params``, in ``ag.pool_gaussian``'s order."""
+    return [params[name] for name in tf.POOL_NAMES]
+
+
+def pool(x, tensors, n_heads, return_weights=False):
+    """The pooled rows of ``x``, (d,) or (B, d), as the mean of ``ag.pool_gaussian`` through identity heads.
+
+    An identity product and a zero bias leave every bit of the pooled row as it is.
+    """
+    d, dtype = x.shape[-1], x.dtype
+    eye, zero = Tensor(np.eye(d, dtype=dtype)), Tensor(np.zeros(d, dtype=dtype))
+    out = ag.pool_gaussian(x, *tensors, eye, zero, eye, zero, n_heads, -np.inf, np.inf, return_weights=return_weights)
+    return (out[0], out[2]) if return_weights else out[0]
 
 
 def two_way_softmax(a, b):
@@ -257,13 +268,12 @@ def attention_oracle(x, p, n_heads, causal, z=None):
     return x + (out @ p.wo.data + p.bo.data), weights
 
 
-def pool_oracle(hseq, p, n_heads):
+def pool_oracle(hseq, tensors, n_heads):
     """The final layer norm, then the learned query's per-head attention and the output product."""
-    h = norm(hseq, p.ln_g.data, p.ln_b.data)
-    k = h @ p.wk.data
-    v = h @ p.wv.data + p.bv.data
-    out, weights = heads_oracle(p.q.data[None, :], k, v, n_heads, None)
-    return (out @ p.wo.data + p.bo.data).reshape(-1), weights
+    ln_g, ln_b, q, wk, wv, bv, wo, bo = (t.data for t in tensors)
+    h = norm(hseq, ln_g, ln_b)
+    out, weights = heads_oracle(q[None, :], h @ wk, h @ wv + bv, n_heads, None)
+    return (out @ wo + bo).reshape(-1), weights
 
 
 class TestFusedHeadsMatchPerHeadLoop:
@@ -295,55 +305,52 @@ class TestFusedHeadsMatchPerHeadLoop:
         cfg = small_config(heads=n_heads)
         params = make_params(cfg, seed=33, dtype=np.float64)
         ag.rescale_for_grad_check(params, np.random.default_rng(34))
-        pool = tf.pooling_params(params)
+        tensors = pool_tensors(params)
         hseq = np.random.default_rng(35).standard_normal((3, 6, cfg.d))
         if not batched:
             hseq = hseq[0]
-        out, weights = ag.pool(Tensor(hseq), *pool_tensors(pool), n_heads, return_weights=True)
+        out, weights = pool(Tensor(hseq), tensors, n_heads, return_weights=True)
         for b, seq in enumerate(hseq if batched else [hseq]):
-            want, want_weights = pool_oracle(seq, pool, n_heads)
-            got, got_weights = (out.data[b, 0], weights[b]) if batched else (out.data[0], weights)
+            want, want_weights = pool_oracle(seq, tensors, n_heads)
+            got, got_weights = (out.data[b], weights[b]) if batched else (out.data, weights)
             assert np.array_equal(got, want)
             for got_w, want_w in zip(got_weights, want_weights, strict=True):
                 assert np.array_equal(got_w, want_w)
 
 
 class TestPool:
-    def make_pool(self, d, dtype=np.float64):
-        eye = Tensor(np.eye(d, dtype=dtype))
-        zero = Tensor(np.zeros(d, dtype=dtype))
-        return tf.PoolingParams(ln_g=Tensor(np.ones(d, dtype=dtype)), ln_b=zero, q=Tensor(np.ones(d, dtype=dtype)),
-                                wk=eye, wv=Tensor(np.eye(d, dtype=dtype)), bv=zero,
-                                wo=Tensor(np.eye(d, dtype=dtype)), bo=zero)
+    @staticmethod
+    def make_pool(d, dtype=np.float64):
+        """A plain final norm, a query of ones, and identity products with zero biases."""
+        eye = lambda: Tensor(np.eye(d, dtype=dtype))
+        zero = lambda: Tensor(np.zeros(d, dtype=dtype))
+        return [Tensor(np.ones(d, dtype=dtype)), zero(), Tensor(np.ones(d, dtype=dtype)), eye(), eye(), zero(), eye(),
+                zero()]
 
     def test_single_row(self):
         """One row pools to its layer norm: the final norm comes first, and a single key gets all the weight."""
-        d = 4
-        pool = self.make_pool(d)
         row = np.array([0.1, 0.2, -0.3, 0.4])
-        out = ag.pool(Tensor(row[None, :]), *pool_tensors(pool), n_heads=2).data
+        out = pool(Tensor(row[None, :]), self.make_pool(4), n_heads=2).data
         assert np.allclose(out, norm(row), atol=1e-7)
 
     def test_identical_rows_collapse_to_single(self):
-        d = 4
-        pool = self.make_pool(d)
-        row = np.random.default_rng(10).standard_normal(d)
-        single = ag.pool(Tensor(row[None, :]), *pool_tensors(pool), n_heads=2).data
-        many = ag.pool(Tensor(np.tile(row, (6, 1))), *pool_tensors(pool), n_heads=2).data
+        tensors = self.make_pool(4)
+        row = np.random.default_rng(10).standard_normal(4)
+        single = pool(Tensor(row[None, :]), tensors, n_heads=2).data
+        many = pool(Tensor(np.tile(row, (6, 1))), tensors, n_heads=2).data
         assert np.allclose(many, single, atol=1e-7)
 
     def test_equal_keys_average_values(self):
         d = 3
-        pool = self.make_pool(d)
-        pool.wk = Tensor(np.zeros((d, d)))
+        tensors = self.make_pool(d)
+        tensors[3] = Tensor(np.zeros((d, d)))  # wk
         rows = np.array([[2.0, 0.0, 1.0], [0.0, 4.0, 1.0]])
-        out = ag.pool(Tensor(rows), *pool_tensors(pool), n_heads=1).data
+        out = pool(Tensor(rows), tensors, n_heads=1).data
         assert np.allclose(out, norm(rows).mean(axis=0), atol=1e-7)
 
     def test_empty_sequence_rejected(self):
-        pool = self.make_pool(2)
         with pytest.raises((ContractError, ag.ShapeError, ValueError)):
-            ag.pool(Tensor(np.zeros((0, 2))), *pool_tensors(pool), n_heads=1)
+            pool(Tensor(np.zeros((0, 2))), self.make_pool(2), n_heads=1)
 
 
 class TestStacks:
@@ -421,14 +428,14 @@ class TestStacks:
     def test_encoder_is_bidirectional(self):
         cfg = small_config()
         params = make_params(cfg, seed=15)
-        pool = tf.pooling_params(params)
+        tensors = pool_tensors(params)
         rng = np.random.default_rng(16)
         tokens = rng.integers(0, cfg.vocab_size, size=6)
-        pooled = ag.pool(tf.encode_stack(tokens, params, cfg), *pool_tensors(pool), cfg.heads).data
+        pooled = pool(tf.encode_stack(tokens, params, cfg), tensors, cfg.heads).data
         for t in range(6):
             edited = tokens.copy()
             edited[t] = (edited[t] + 1) % cfg.vocab_size
-            pooled2 = ag.pool(tf.encode_stack(edited, params, cfg), *pool_tensors(pool), cfg.heads).data
+            pooled2 = pool(tf.encode_stack(edited, params, cfg), tensors, cfg.heads).data
             assert not np.allclose(pooled, pooled2)
 
     def test_zero_latent_zero_projections_is_identity(self):

@@ -18,6 +18,14 @@ nodes per run and milliseconds per run.  ``wall`` is the median time of
 one run of the case with nothing wrapped, so the per-kind times, which
 carry the wrappers' overhead, can be read against it.  The package is
 imported from this checkout's ``src``.
+
+Next to the nodes, each case gives three counts that do not move with
+the machine's speed, from one more run each: the Python function calls
+and the C-level calls (``call`` and ``c_call`` events of
+``sys.setprofile``), and the peak of the bytes ``tracemalloc`` traces.
+numpy's operators, such as ``a @ b``, raise no ``c_call`` event, so
+their calls are not counted.  At this version the four cases record
+19, 15, 18 and 10 nodes.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ import inspect
 import os
 import statistics
 import sys
+import tracemalloc
 from collections import Counter, defaultdict
 from pathlib import Path
 from time import perf_counter
@@ -136,6 +145,27 @@ def generation_cases():
             "cached decode step": step}
 
 
+def probe(case) -> tuple[int, int, int]:
+    """One run's Python calls and C-level calls, counted by ``sys.setprofile``, then another run's peak traced bytes."""
+    events: Counter = Counter()
+
+    def count(frame, event, arg):
+        events[event] += 1
+
+    sys.setprofile(count)
+    try:
+        case()
+    finally:
+        sys.setprofile(None)
+    tracemalloc.start()
+    try:
+        case()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return events["call"], events["c_call"], peak
+
+
 def run(name: str, case, repeats: int) -> None:
     case()
     walls = []
@@ -143,6 +173,7 @@ def run(name: str, case, repeats: int) -> None:
         start = perf_counter()
         case()
         walls.append(perf_counter() - start)
+    calls, c_calls, peak = probe(case)
     recorder = Recorder()
     recorder.install()
     try:
@@ -151,7 +182,8 @@ def run(name: str, case, repeats: int) -> None:
     finally:
         recorder.uninstall()
     kinds = sorted(recorder.nodes, key=lambda k: (-recorder.nodes[k], k))
-    print(f"## {name}: {sum(recorder.nodes.values()) / repeats:g} nodes, wall {statistics.median(walls) * 1e3:.3f} ms")
+    print(f"## {name}: {sum(recorder.nodes.values()) / repeats:g} nodes, {calls} Python calls, {c_calls} C calls, "
+          f"{peak} peak traced bytes, wall {statistics.median(walls) * 1e3:.3f} ms")
     print()
     print("| op kind | nodes | forward ms | backward ms |")
     print("|---|---|---|---|")
@@ -168,6 +200,9 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=200, help="timed runs of each case (default 200)")
     args = parser.parse_args()
     cases = {"cvae train step": train_case("cvae"), "vae train step": train_case("vae"), **generation_cases()}
+    print("Calls are one run's sys.setprofile events: 'call' for Python, 'c_call' for C.  numpy operators such as")
+    print("a @ b raise no c_call event, so they are not counted.  Peak bytes are tracemalloc's over one run.")
+    print()
     for name, case in cases.items():
         run(name, case, args.repeats)
 
