@@ -3,7 +3,8 @@
 A tape is recorded dynamically: an operation on at least one tensor with
 ``requires_grad`` returns a new ``Tensor`` holding its inputs and a
 backward closure, and ``backward`` replays the tape in reverse
-topological order.  An operation whose inputs all lack ``requires_grad``
+topological order, dropping each interior node's gradient once its
+backward has run.  An operation whose inputs all lack ``requires_grad``
 records nothing, so ``requires_grad`` is the one switch for what trains:
 parameters start without it, and only a train step or a gradient check
 sets it, for its own backward only.  A ``ParameterSet`` lays its
@@ -795,7 +796,11 @@ def elbo_loss(recon: Tensor | None, kl: Tensor, beta: float, batch: int) -> Tens
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every tensor that ``loss`` depends on."""
+    """Populate ``grad`` on every leaf tensor that ``loss`` depends on.
+
+    An interior node's ``grad`` is dropped once its backward has run, so a second backward through a shared
+    node sends only its own gradient; a node of several outputs keeps the list that its backward empties.
+    """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise GraphError(f"backward: loss must be a scalar, got shape {loss.shape}")
     if not loss.requires_grad:
@@ -819,6 +824,8 @@ def backward(loss: Tensor) -> None:
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            if node.data is not None:
+                node.grad = None
 
 
 class ParameterSet:

@@ -12,6 +12,14 @@ tokenizer's fit, round-trips and ids.  The brute-force oracles
 checks' scalar loss, and the table of per-op gradient checks
 (``GRADIENT_CASES``, run by ``gradient_case_report``) live here once;
 the test suite imports them.
+
+``GRADIENT_CASES`` is the one table of per-op finite-difference cases:
+the self-test runs each at its own seed, and the test suite runs the
+same cases at ten seeds.  A case joins it only for a form of its op
+that no other case of that op checks: a different rank, or an optional
+input present or absent (key mask, latent row, injection row or bias).
+A case's name seeds its draws (the crc32 of the name), so renaming a
+case re-seeds it.
 """
 
 from __future__ import annotations
@@ -35,20 +43,22 @@ from .model import StoryVAE
 from .transformer import ModelConfig
 
 
-def _attention_sublayer(x: Tensor, *tensors: Tensor) -> Tensor:
-    """One-head causal attention sublayer of the rows of ``x``, over stacks of those rows alone."""
-    l = x.shape[0]
-    return ag.attention_sublayer(x, *tensors, *tf.kv_stacks(x, 1, l), 0, None, tf.causal_mask(l, 0))
+def _sublayer(x: Tensor, *tensors: Tensor, heads=1, causal=True, key_mask=None, latent=None) -> Tensor:
+    """An attention sublayer of the rows of ``x``, over stacks of those rows alone, after a latent row if ``latent``
+    holds its key and value; causal, or under ``key_mask``."""
+    filled, l = int(latent is not None), x.shape[-2]
+    mask = tf.causal_mask(l, filled) if causal else key_mask
+    return ag.attention_sublayer(x, *tensors, *tf.kv_stacks(x, heads, filled + l, latent), filled, latent, mask)
 
 
 _NOISE = np.random.default_rng(12).standard_normal((2, 7))
 
 
 def _injection(z: Tensor, input_w: Tensor, psa_w: Tensor, softmax_w: Tensor, *psa_kv: Tensor) -> Tensor:
-    """Every output of a two-layer ``ag.inject`` at d = 4, folded into one tensor by ``gaussian_sample`` and
-    ``gaussian_kl``."""
-    noise = _NOISE[:1, :4]
+    """Every output of a two-layer ``ag.inject`` at d = 4, for one latent or a batch, folded into one tensor by
+    ``gaussian_sample`` and ``gaussian_kl``."""
     row, bias, ((k0, v0), (k1, v1)) = ag.inject(z, input_w, psa_w, softmax_w, [psa_kv[:4], psa_kv[4:]])
+    noise = np.resize(_NOISE[:, :4], row.shape)
     return ag.gaussian_kl(ag.gaussian_sample(row, bias, noise), k0, v0, ag.gaussian_sample(k1, v1, noise))
 
 
@@ -70,23 +80,50 @@ def inner(a: Tensor, b: Tensor) -> Tensor:
 
 
 _SQUARE, _ROW, _KEYS = (7, 7), (7,), np.array([True, True, False, True, True])
+# The d = 8 cases' shapes: the attention sublayer's gains, products and biases, and the pooling's, with two heads.
+_ROW8, _SQUARE8, _NOISE8 = (8,), (8, 8), np.random.default_rng(21).standard_normal(8)
+_ATTENTION8 = [_ROW8, _ROW8, _SQUARE8, _ROW8, _SQUARE8, _SQUARE8, _ROW8, _SQUARE8, _ROW8]
+_POOL8 = [_ROW8, _ROW8, _ROW8, _SQUARE8, _SQUARE8, _ROW8, _SQUARE8, _ROW8, (8, 6), (6,), (8, 6), (6,)]
 # Each op's input shapes, and the op; every input is a parameter of its own check.
 GRADIENT_CASES = {
     "mlp_sublayer": ([(5, 7), _ROW, _ROW, (7, 5), (5,), (5, 7), _ROW], ag.mlp_sublayer),
-    "attention_sublayer": ([(5, 7), _ROW, _ROW, _SQUARE, _ROW, _SQUARE, _SQUARE, _ROW, _SQUARE, _ROW],
-                           _attention_sublayer),
+    "mlp_sublayer_rank3": ([(2, 3, 8), _ROW8, _ROW8, (8, 6), (6,), (6, 8), _ROW8], ag.mlp_sublayer),
+    "attention_sublayer": ([(5, 7), _ROW, _ROW, _SQUARE, _ROW, _SQUARE, _SQUARE, _ROW, _SQUARE, _ROW], _sublayer),
+    "attention_sublayer_latent_row_key_mask": ([(5, 8)] + _ATTENTION8 + [(1, 8), (1, 8)], lambda x, *t: _sublayer(
+        x, *t[:9], heads=2, causal=False, key_mask=np.arange(6) != 3, latent=t[9:])),
+    # The second sequence's last row is padding that no query attends.
+    "attention_sublayer_key_mask_rank3": ([(2, 3, 8)] + _ATTENTION8, lambda x, *t: _sublayer(
+        x, *t, heads=2, causal=False, key_mask=np.array([[[[True, True, True]]], [[[True, True, False]]]]))),
+    "attention_sublayer_latent_rows_rank3": ([(2, 3, 8)] + _ATTENTION8 + [(2, 1, 8), (2, 1, 8)],
+                                             lambda x, *t: _sublayer(x, *t[:9], heads=2, latent=t[9:])),
     # Log-sigmas on both sides of the clamp, both outputs on to the draw.
     "pool_gaussian": ([(2, 5, 7), _ROW, _ROW, _ROW, _SQUARE, _SQUARE, _ROW, _SQUARE, _ROW] + [_SQUARE, _ROW] * 2,
                       lambda *t: ag.gaussian_sample(*ag.pool_gaussian(*t, 1, -0.5, 0.5, _KEYS), _NOISE)),
+    "pool_gaussian_two_heads": ([(6, 8)] + _POOL8, lambda x, *t: ag.gaussian_sample(
+        *ag.pool_gaussian(x, *t, n_heads=2, lo=-0.5, hi=0.5), _NOISE8[:6])),
     "inject": ([(2,), (2, 4), (2, 8), (2, 4)] + [(4, 4), (4,)] * 4, _injection),
+    "inject_rank3": ([(3, 2), (2, 4), (2, 8), (2, 4)] + [(4, 4), (4,)] * 4, _injection),
     "gaussian_sample": ([(2, 7), (2, 7)], lambda mu, ls: ag.gaussian_sample(mu, ls, _NOISE)),
+    "gaussian_sample_vector": ([_ROW8, _ROW8], lambda mu, ls: ag.gaussian_sample(mu, ls, _NOISE8)),
     "cross_entropy": ([(5, 7)], lambda t: ag.cross_entropy(t, np.array([0, 6, 3, 3, 1]), _KEYS)[0]),
+    # Target 3 repeats, and the first sequence's last position is masked out.
+    "cross_entropy_rank3": ([(2, 3, 8)], lambda t: ag.cross_entropy(
+        t, np.array([[0, 7, 3], [3, 5, 1]]), np.array([[True, True, False], [True, True, True]]))[0]),
     "gaussian_kl": ([(2, 7)] * 4, ag.gaussian_kl),
+    "gaussian_kl_vector": ([_ROW8] * 4, ag.gaussian_kl),
     "elbo_loss": ([(5, 7), (2, 7)], lambda t, kl: ag.elbo_loss(ag.cross_entropy(
         t, np.array([0, 6, 3, 3, 1]), np.ones(5, dtype=bool))[0], kl, 0.7, 2)),
+    "elbo_loss_kl_only": ([(3, 8)], lambda kl: ag.elbo_loss(None, kl, 0.7, 3)),
     # Token 4 repeats, the positions start at row 1, and the injection row is a parameter too.
     "embedding": ([(5, 7), (6, 7), (1, 7)], lambda w, p, r: ag.embedding(w, p, np.array([4, 0, 4, 2]), 1, r)),
+    "embedding_no_row": ([(6, 8), (6, 8)], lambda word, pos: ag.embedding(word, pos, np.array([5, 0, 5, 2]), 2)),
+    # Each sequence has its own injection row; positions are rows 3 to 5.
+    "embedding_row_rank3": ([(6, 8), (6, 8), (2, 1, 8)], lambda word, pos, row: ag.embedding(
+        word, pos, np.array([[1, 4, 1], [0, 0, 3]]), 3, row)),
     "tied_head": ([(5, 7), _ROW, _ROW, (6, 7), (1, 6)], ag.tied_head),
+    # ``x`` reaches the logits through the layer norm and through the table.
+    "tied_head_no_bias": ([(6, 8), _ROW8, _ROW8], lambda x, g, b: ag.tied_head(x, g, b, x)),
+    "tied_head_bias_rank3": ([(2, 3, 8), _ROW8, _ROW8, (6, 8), (2, 1, 6)], ag.tied_head),
 }
 
 

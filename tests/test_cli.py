@@ -16,6 +16,7 @@ from storyvae import corpus as cp
 from storyvae import transformer as tf
 from storyvae.corpus import toy_corpus_path
 from storyvae.model import read_tensor_file, write_tensor_file
+from storyvae.selfcheck import GRADIENT_CASES
 from storyvae.training import METRICS_HEADER, Trainer, TrainingAbort, metrics_row
 
 FAST_MODEL = [
@@ -450,7 +451,7 @@ def test_selftest_passes(capsys):
     assert cli.main(["selftest"]) == 0
     lines = capsys.readouterr().out.splitlines()
     checked = {line.split()[2] for line in lines if line.startswith("ok gradient ")}
-    assert {"embedding", "attention_sublayer", "mlp_sublayer", "tied_head"} <= checked
+    assert checked == set(GRADIENT_CASES)
 
 
 class TestVaeMode:

@@ -175,34 +175,6 @@ class TestInjectionToggles:
         assert all(v > 1e-6 for v in diffs.values()), diffs
 
 
-@pytest.mark.slow
-def test_full_graph_gradient_check_small():
-    cfg = ModelConfig(d=4, layers=2, encoder_layers=1, heads=2, latent_dim=4,
-                      vocab_size=8, max_seq_len=8, injection_modes=("input", "psa", "softmax"))
-    model = StoryVAE.create(cfg, seed=7, dtype=np.float64)
-    ag.rescale_for_grad_check(model.params, np.random.default_rng(8))
-    # A padded batch: prompts and decoder inputs of unequal lengths, so the key mask is checked too.
-    examples = [
-        cp.EncodedExample(
-            prior_input=np.array([1, 2]),
-            decoder_input=np.array([1, 2, 7, 3]),
-            targets=np.array([2, 7, 3, 7]),
-            loss_mask=np.array([False, False, True, True]),
-            pair=None,
-        ),
-        cp.EncodedExample(
-            prior_input=np.array([5]),
-            decoder_input=np.array([5, 7, 4, 6, 1]),
-            targets=np.array([7, 4, 6, 1, 7]),
-            loss_mask=np.array([False, True, True, True, True]),
-            pair=None,
-        ),
-    ]
-    noise = np.random.default_rng(9).standard_normal((2, 4))
-    report = ag.grad_check(lambda: model.cvae_loss(examples, noise, beta=0.6)[0], model.params, eps=1e-4)
-    assert report.passed, f"max rel {report.max_rel_error:.2e} at {report.worst_parameter}"
-
-
 class TestTapeSize:
     """Forward ops per unit of work, counted at ``_make``.
 

@@ -732,24 +732,6 @@ class TestCachedDecoding:
             assert model.decoder_cache(z, modes, positions=positions).positions == positions
 
 
-@pytest.mark.slow
-def test_stack_gradients_match_finite_differences():
-    cfg = ModelConfig(d=4, layers=1, encoder_layers=1, heads=2, latent_dim=4,
-                      vocab_size=8, max_seq_len=6, injection_modes=("input", "psa", "softmax"))
-    params = tf.init_parameters(cfg, np.random.default_rng(22), dtype=np.float64)
-    ag.rescale_for_grad_check(params, np.random.default_rng(23))
-    tokens = np.array([1, 5, 2])
-    z = lt.LatentCode.external(np.random.default_rng(24).standard_normal(cfg.latent_dim))
-
-    def fn():
-        logits = decode(params, cfg, tokens, z, tf.INJECTION_MODES)
-        total, _ = ag.cross_entropy(logits, np.array([5, 2, 7]), np.array([True, True, True]))
-        return total
-
-    report = ag.grad_check(fn, params, eps=1e-5)
-    assert report.passed, f"max rel {report.max_rel_error:.2e} at {report.worst_parameter}"
-
-
 class TestBlockLookups:
     """Each stack's block tensors are looked up once per parameter set, and never served from another set."""
 
