@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from storyvae import autograd as ag
+from storyvae import selfcheck
 from storyvae.autograd import ParameterSet, Tensor
 from storyvae.selfcheck import GRADIENT_CASES, gradient_case_report, inner
 
@@ -301,6 +302,48 @@ def test_every_self_test_gradient_case_passes_at_ten_seeds(name):
         seed = zlib.crc32((f"{name} {k}" if k else name).encode())
         report = gradient_case_report(name, seed)
         assert report.passed, f"{name} at {seed}: max rel err {report.max_rel_error:.2e} at {report.worst_parameter}"
+
+
+@pytest.mark.parametrize("name", list(GRADIENT_CASES))
+def test_a_case_fails_when_the_backward_of_its_op_is_off(name, monkeypatch):
+    """A case checks the op that its name starts with: scaling the gradients that op's backward receives by 1.001
+    fails the case at its own seed."""
+    op = max((op for op in tape_ops() if name == op or name.startswith(op + "_")), key=len)
+    make = ag._make
+
+    def scaled(backward):
+        return lambda g: backward([None if x is None else x * 1.001 for x in g] if isinstance(g, list) else g * 1.001)
+
+    def off(data, kind, parents, backward, *rest):
+        return make(data, kind, parents, scaled(backward) if kind == op else backward, *rest)
+
+    monkeypatch.setattr(ag, "_make", off)
+    report = gradient_case_report(name, zlib.crc32(name.encode()))
+    assert not report.passed and report.max_rel_error > 5e-4, (op, report.max_rel_error)
+
+
+def test_the_self_test_runs_each_case_once_at_the_crc32_of_its_name(monkeypatch):
+    seen, lines = [], []
+
+    def recording(name, seed):
+        seen.append((name, seed))
+        return ag.GradCheckReport(0.0, name, True, 1e-4)
+
+    monkeypatch.setattr(selfcheck, "gradient_case_report", recording)
+    assert selfcheck._check_op_gradients(lines.append)
+    assert seen == [(name, zlib.crc32(name.encode())) for name in GRADIENT_CASES]
+    assert lines == [f"ok gradient {name} (max rel err 0.00e+00)" for name in GRADIENT_CASES]
+
+
+def test_the_injection_fold_of_one_latent_draws_the_first_noise_row():
+    """Resizing the noise to a batch leaves one latent's draw as the first row of the first four columns."""
+    rng = np.random.default_rng(8)
+    shapes, _ = GRADIENT_CASES["inject"]
+    z, input_w, psa_w, softmax_w, *psa_kv = [Tensor(rng.standard_normal(shape) * 0.5) for shape in shapes]
+    row, bias, ((k0, v0), (k1, v1)) = ag.inject(z, input_w, psa_w, softmax_w, [psa_kv[:4], psa_kv[4:]])
+    noise = selfcheck._NOISE[:1, :4]
+    want = ag.gaussian_kl(ag.gaussian_sample(row, bias, noise), k0, v0, ag.gaussian_sample(k1, v1, noise))
+    assert np.array_equal(selfcheck._injection(z, input_w, psa_w, softmax_w, *psa_kv).data, want.data)
 
 
 def tape_ops() -> set[str]:
