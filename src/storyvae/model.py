@@ -9,9 +9,11 @@ every text position.  The training objectives take a batch of examples
 of any lengths and run it as one right-padded forward; a single example
 is a batch of one.  Checkpoints are a directory holding a JSON manifest
 plus a raw little-endian float32 or float64 tensor payload, as the
-manifest's ``dtype`` records; save/load round-trips bit-exactly.
-Checkpoints from before dropout was retired record a dropout rate and a
-dropout RNG state; they load with both ignored if the rate is 0.
+manifest's ``dtype`` records; save/load round-trips bit-exactly, and a
+load reads each payload against the listing its save writes in order
+(``tf.parameter_specs``, ``Adam.records``).  Checkpoints from before
+dropout was retired record a dropout rate and a dropout RNG state; they
+load with both ignored if the rate is 0.
 """
 
 from __future__ import annotations
@@ -219,7 +221,7 @@ class StoryVAE:
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        names = self.params.names()
+        names = [name for name, _, _ in tf.parameter_specs(self.config)]
         dtype = self.dtype.newbyteorder("<").str
         manifest = {
             "dtype": dtype,
@@ -262,19 +264,17 @@ class StoryVAE:
         _drop_legacy_dropout(manifest)
         _check_manifest(manifest, directory)
         config = ModelConfig.from_dict(manifest["model"])
+        payload, names = directory / manifest["payload"], manifest["tensors"]
         # Counted in closed form before any listing is built: a config of 10**30 layers is refused, not built.
         tensors, elements = tf.parameter_count(config)
-        if tensors != len(manifest["tensors"]):
-            raise ContractError(f"{directory / MANIFEST_FILE}: its model config implies {tensors} tensors, "
-                                f"its tensor list names {len(manifest['tensors'])}")
-        arrays = read_tensor_file(directory / manifest["payload"], manifest.get("dtype", "<f4"))
-        if [n for n, _ in arrays] != manifest["tensors"]:
-            raise ContractError("checkpoint payload does not match its manifest")
-        if sum(a.size for _, a in arrays) != elements:
-            raise ContractError(f"{directory / MANIFEST_FILE}: its model config implies {elements} parameter values, "
-                                f"its payload holds {sum(a.size for _, a in arrays)}")
-        if {n: a.shape for n, a in arrays} != {n: shape for n, shape, _ in tf.parameter_specs(config)}:
-            raise ContractError("checkpoint tensors do not have the names and shapes its model config implies")
+        if tensors != len(names) or 4 * elements > payload.stat().st_size:
+            raise ContractError(f"{directory / MANIFEST_FILE}: its model config implies {tensors} tensors of {elements} "
+                                f"values; its list names {len(names)}, {payload} holds {payload.stat().st_size} bytes")
+        listing = [(name, shape) for name, shape, _ in tf.parameter_specs(config)]
+        for i, (name, (want, _)) in enumerate(zip(names, listing)):
+            if name != want:
+                raise ContractError(f"{directory / MANIFEST_FILE}: tensor {i} of its list is {name!r}, the config's {want!r}")
+        arrays = read_tensor_file(payload, manifest.get("dtype", "<f4"), listing)
         return cls(config, ParameterSet(arrays), mode=manifest["mode"]), manifest
 
 
@@ -372,13 +372,15 @@ def write_tensor_file(path, named_arrays, dtype: str = "<f4") -> None:
             fh.write(data.tobytes(order="C"))
 
 
-def read_tensor_file(path, dtype: str = "<f4") -> list[tuple[str, np.ndarray]]:
+def read_tensor_file(path, dtype: str = "<f4", listing=None) -> list[tuple[str, np.ndarray]]:
     """Parse the records ``write_tensor_file`` writes with the same ``dtype``.
 
     On little-endian machines the arrays are read-only views of the file's
     bytes.  A ``dtype`` other than ``<f4`` or ``<f8``, a blob that ends
     inside a record, including stray trailing bytes, a name that is not
-    UTF-8, or a NaN or Inf value raises ``ContractError``.
+    UTF-8, or a NaN or Inf value raises ``ContractError``; so does, given
+    a ``listing`` of ``(name, shape)`` tuples, any record but the listed
+    ones in their order: a stray, a duplicate or a missing one.
     """
     if dtype not in ("<f4", "<f8"):
         raise ContractError(f"{path}: tensor dtype must be '<f4' or '<f8', got {dtype!r}")
@@ -402,8 +404,13 @@ def read_tensor_file(path, dtype: str = "<f4") -> list[tuple[str, np.ndarray]]:
             raise ContractError(f"{path}: tensor name before byte {offset} is not UTF-8") from e
         (rank,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
+        if listing is not None and (len(out) == len(listing) or listing[len(out)] != (name, shape)):
+            want = "no more records" if len(out) == len(listing) else "{!r} of shape {}".format(*listing[len(out)])
+            raise ContractError(f"{path}: record {len(out)} is tensor {name!r} of shape {shape}, expected {want}")
         arr = np.frombuffer(take(dtype.itemsize * math.prod(shape)), dtype=dtype).reshape(shape)
         if not np.isfinite(arr).all():
             raise ContractError(f"{path}: tensor {name!r} holds non-finite values")
         out.append((name, arr.astype(dtype.type, copy=False)))
+    if listing is not None and len(out) < len(listing):
+        raise ContractError(f"{path}: tensor {listing[len(out)][0]!r} is missing, after {len(out)} records")
     return out

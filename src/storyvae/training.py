@@ -161,6 +161,11 @@ class Adam:
         shape = self.params[name].shape
         return self.m[lo:hi].reshape(shape), self.v[lo:hi].reshape(shape)
 
+    def records(self) -> list[tuple[str, np.ndarray]]:
+        """``optim.bin``'s records in order: per parameter, ``adam.m.<name>`` and then ``adam.v.<name>``, as views."""
+        return [(f"adam.{k}.{name}", moment) for name in self.params.names()
+                for k, moment in zip("mv", self.moments(name))]
+
     def _runs(self) -> list[list[tuple[str, int, int]]]:
         """The parameters with a gradient, as runs of consecutive ``(name, lo, hi)`` in layout order.
 
@@ -349,12 +354,8 @@ class Trainer:
 
     def save_checkpoint(self, directory, vocabulary_ref: str | None = None) -> None:
         opt = self.optimizer
-        tensors = []
-        for name in self.model.params.names():
-            m, v = opt.moments(name)
-            tensors += [(f"adam.m.{name}", m), (f"adam.v.{name}", v)]
         payload = {
-            "tensors": tensors,
+            "tensors": opt.records(),
             "update_counts": {n: opt.t[n] for n in sorted(opt.t)},
             "rng_states": {name: rng.bit_generator.state for name, rng in zip(RNG_STREAMS, self._rngs())},
             "cycle_length": self.schedule.cycle_length,
@@ -374,22 +375,12 @@ class Trainer:
             raise ContractError(f"{Path(directory) / MANIFEST_FILE}: the optimizer's update counts must name exactly "
                                 f"the model's parameters; {len(odd)} differ, first {odd[0]!r}")
         path = Path(directory) / info["payload"]
-        arrays = dict(read_tensor_file(path, manifest.get("dtype", "<f4")))
-        moments = []
-        for name, param in self.model.params.items():
-            for key, view in zip((f"adam.m.{name}", f"adam.v.{name}"), self.optimizer.moments(name)):
-                saved = arrays.pop(key, None)
-                if saved is None:
-                    raise ContractError(f"{path}: tensor {key!r} is missing")
-                if saved.shape != param.shape:
-                    raise ContractError(f"{path}: tensor {key!r} has shape {saved.shape}, its parameter {param.shape}")
-                if key.startswith("adam.v.") and (saved < 0).any():
-                    raise ContractError(f"{path}: tensor {key!r} holds a negative second moment")
-                moments.append((view, saved))
-        if arrays:
-            raise ContractError(f"{path}: every tensor must be a moment of a model parameter; "
-                                f"{len(arrays)} are not, first {next(iter(arrays))!r}")
-        for view, saved in moments:
+        records = self.optimizer.records()
+        arrays = read_tensor_file(path, manifest.get("dtype", "<f4"), [(key, view.shape) for key, view in records])
+        negative = next((key for key, saved in arrays if key.startswith("adam.v.") and (saved < 0).any()), None)
+        if negative is not None:
+            raise ContractError(f"{path}: tensor {negative!r} holds a negative second moment")
+        for (_, view), (_, saved) in zip(records, arrays):
             view[...] = saved
         self.optimizer.t = {n: int(counts[n]) for n in names}
         states = info.get("rng_states")

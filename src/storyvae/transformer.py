@@ -180,8 +180,8 @@ def parameter_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], float 
 
     ``init`` is ``"ones"``, ``"zeros"``, or the standard deviation of a
     normal draw.  Injection projections exist only for the configured
-    modes.  A checkpoint's tensors are checked against this listing, so
-    loading one draws nothing.
+    modes.  A checkpoint's ``params.bin`` holds these records in this
+    order, and is read against them, so loading one draws nothing.
     """
     d, dp = cfg.d, cfg.latent_dim
     psa = "psa" in cfg.injection_modes
@@ -452,5 +452,6 @@ def decode_stack(cache: DecoderCache, tokens) -> Tensor:
     if start and x.requires_grad:
         raise ContractError(f"a call on the tape must be the first through its key/value rows, but "
                             f"{start} token rows are cached already and would get no gradient")
+    logits = ag.tied_head(x, *cache.final_norm, cache.word, cache.softmax_bias)
     cache.length = start + l
-    return ag.tied_head(x, *cache.final_norm, cache.word, cache.softmax_bias)
+    return logits

@@ -239,11 +239,22 @@ class TestExitCodes:
         "optim_moment_of_no_parameter": ("optim.bin", "adam.m.embed.extra", lambda a: np.zeros(3, np.float32)),
     }
 
+    # Tensor files with whole records duplicated or reordered: (file, the file and the tensor the refusal names,
+    # records as a function of the saved list).  Where the manifest is named, its tensor list is reordered to match.
+    RECORD_CORRUPTIONS = {
+        "params_record_duplicated": ("params.bin", "params.bin", "embed.word", lambda r: r[:1] + r),
+        "params_records_swapped": ("params.bin", "params.bin", "embed.pos", lambda r: [r[1], r[0], *r[2:]]),
+        "params_reordered_with_the_manifest": ("params.bin", "manifest.json", "embed.pos",
+                                               lambda r: [r[1], r[0], *r[2:]]),
+        "optim_record_duplicated": ("optim.bin", "optim.bin", "adam.m.embed.word", lambda r: r[:1] + r),
+        "optim_records_swapped": ("optim.bin", "optim.bin", "adam.v.embed.word", lambda r: [r[1], r[0], *r[2:]]),
+    }
+
     @pytest.mark.parametrize(
         "corruption", ["params_truncated", "params_trailing_bytes", "manifest_truncated", "manifest_dtype_float16",
                        "manifest_not_object", "manifest_unknown_model_key", "manifest_mistyped_width",
                        "manifest_latent_dim_changed", "manifest_model_missing", *MANIFEST_FIELD_CORRUPTIONS,
-                       *TENSOR_CORRUPTIONS,
+                       *TENSOR_CORRUPTIONS, *RECORD_CORRUPTIONS,
                        *UPDATE_COUNT_CORRUPTIONS]
     )
     def test_data_error_on_corrupt_checkpoint(self, workspace, tmp_path, capsys, corruption):
@@ -252,17 +263,25 @@ class TestExitCodes:
         params, manifest = checkpoint / "params.bin", checkpoint / "manifest.json"
         fields = json.loads(manifest.read_text())
         command = ["eval", "--checkpoint", str(checkpoint)] + FAST_SAMPLER
+        resume = ["train", "--resume", str(checkpoint), "--train.steps", "1"]
+        named = None  # the file and the tensor the refusal must name
         if corruption in self.TENSOR_CORRUPTIONS:
             name, tensor, replace = self.TENSOR_CORRUPTIONS[corruption]
+            named = (name, tensor)
             tensors = dict(read_tensor_file(checkpoint / name))
             tensors[tensor] = replace(tensors.get(tensor))
             write_tensor_file(checkpoint / name, [(n, a) for n, a in tensors.items() if a is not None])
-            if name == "optim.bin":  # read only on resume, which must refuse it before any step runs
-                command = ["train", "--resume", str(checkpoint), "--train.steps", "1"]
+        elif corruption in self.RECORD_CORRUPTIONS:
+            name, named_file, tensor, reorder = self.RECORD_CORRUPTIONS[corruption]
+            named = (named_file, tensor)
+            records = reorder(read_tensor_file(checkpoint / name))
+            write_tensor_file(checkpoint / name, records)
+            if named_file == "manifest.json":
+                manifest.write_text(json.dumps(dict(fields, tensors=[n for n, _ in records])))
         elif corruption in self.UPDATE_COUNT_CORRUPTIONS:
             counts = self.UPDATE_COUNT_CORRUPTIONS[corruption](fields["optimizer"]["update_counts"])
             manifest.write_text(json.dumps(dict(fields, optimizer=dict(fields["optimizer"], update_counts=counts))))
-            command = ["train", "--resume", str(checkpoint), "--train.steps", "1"]
+            command = resume
         elif corruption == "params_truncated":
             params.write_bytes(params.read_bytes()[:-10])
         elif corruption == "params_trailing_bytes":
@@ -283,14 +302,16 @@ class TestExitCodes:
             manifest.write_text(json.dumps(dict(fields, **self.MANIFEST_FIELD_CORRUPTIONS[corruption](fields))))
         else:
             manifest.write_bytes(manifest.read_bytes()[:-20])
+        if named and name == "optim.bin":  # read only on resume, which must refuse it before any step runs
+            command = resume
         code = cli.main(
             command + ["--corpus", workspace["corpus"], "--vocab", workspace["vocab"], "--out", str(tmp_path / "o")]
         )
         assert code == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert "data error" in err
-        if self.TENSOR_CORRUPTIONS.get(corruption, ("",))[0] == "optim.bin":
-            assert str(checkpoint / "optim.bin") in err
+        if named:
+            assert str(checkpoint / named[0]) in err and repr(named[1]) in err, err
         if corruption == "manifest_model_missing":  # named, not a bare KeyError's "data error: 'model'"
             assert "manifest model must be an object of config fields, got None" in err
         assert not (tmp_path / "o").exists()

@@ -11,7 +11,9 @@ A trained checkpoint is fuzzed by structure as well: every node of its
 manifest deleted or replaced by an odd JSON value, and its tensor files
 truncated or hit by single-bit flips.  Each damaged checkpoint must load,
 model and optimizer state both, or raise ``ContractError``,
-``CorpusError`` or ``OSError``.
+``CorpusError`` or ``OSError``.  Damage to whole records, each one
+duplicated or swapped with the next, must be refused, naming the file
+and the tensor.
 """
 
 import copy
@@ -30,7 +32,7 @@ from hypothesis import strategies as st
 
 from storyvae import cli
 from storyvae import corpus as cp
-from storyvae.model import MANIFEST_FILE, OPTIM_FILE, PARAMS_FILE, StoryVAE, read_tensor_file
+from storyvae.model import MANIFEST_FILE, OPTIM_FILE, PARAMS_FILE, StoryVAE, read_tensor_file, write_tensor_file
 from storyvae.selfcheck import bpe_fit_oracle, bpe_scan_oracle
 from storyvae.training import Trainer, TrainingSchedule
 from storyvae.transformer import ContractError
@@ -256,3 +258,38 @@ def test_truncated_or_bit_flipped_payloads_load_or_raise_a_documented_error(trai
     loaded, refused, escaped = outcomes(tmp_path, cases, examples, separator_id)
     assert not escaped, escaped
     assert loaded and refused
+
+
+@pytest.mark.parametrize("payload", [PARAMS_FILE, OPTIM_FILE])
+def test_whole_record_damage_is_refused_naming_the_file_and_the_tensor(trained, tmp_path, payload):
+    """Each record duplicated, or swapped with the next; in ``params.bin`` each swap also with the manifest's list to match.
+
+    A payload must hold its listing's records in order, so every case is
+    refused with ``ContractError``, naming the tensor and the file: the
+    manifest where its list was reordered, else the payload.
+    """
+    checkpoint, examples, separator_id, manifest = trained
+    shutil.copytree(checkpoint, tmp_path, dirs_exist_ok=True)
+    records = read_tensor_file(checkpoint / payload)
+    cases = []  # (damaged records, the tensor named, whether the manifest lists them)
+    for i, (tensor, _) in enumerate(records):
+        cases.append((records[:i + 1] + records[i:], tensor, False))
+        if i + 1 < len(records):
+            swapped = records[:i] + [records[i + 1], records[i]] + records[i + 2:]
+            cases.append((swapped, tensor, False))
+            if payload == PARAMS_FILE:
+                cases.append((swapped, tensor, True))
+    not_refused = []
+    for damaged, tensor, listed in cases:
+        write_tensor_file(tmp_path / payload, damaged)
+        (tmp_path / MANIFEST_FILE).write_text(json.dumps(dict(manifest, tensors=[n for n, _ in damaged])
+                                                         if listed else manifest))
+        named = tmp_path / (MANIFEST_FILE if listed else payload)
+        try:
+            load_checkpoint(tmp_path, examples, separator_id)
+            not_refused.append(f"{tensor} ({len(damaged)} records): loaded")
+        except ContractError as e:
+            if not (str(named) in str(e) and repr(tensor) in str(e)):
+                not_refused.append(f"{tensor} ({len(damaged)} records): {e}")
+    assert not not_refused, not_refused
+    assert len(cases) > 100

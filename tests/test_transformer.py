@@ -677,10 +677,12 @@ class TestCachedDecoding:
                     tf.decode_stack(cache, tokens)
             assert cache.length == 10
 
+    @pytest.mark.parametrize("poisoned, raiser", [("dec.1.attn.wq", "attention_sublayer"),
+                                                  ("dec.final_norm.g", "tied_head")], ids=["layer_1", "head"])
     @pytest.mark.parametrize("batch", [(), (4,)], ids=["unbatched", "batched"])
     @pytest.mark.parametrize("modes", [("input",), ("psa",), tf.INJECTION_MODES], ids=lambda m: "+".join(m))
-    def test_a_failed_call_leaves_the_cache_usable(self, modes, batch):
-        """A call that raises after layer 0 wrote its rows leaves ``length`` as it was.
+    def test_a_failed_call_leaves_the_cache_usable(self, modes, batch, poisoned, raiser):
+        """A call that raises in layer 1 or in the head, after layer 0 wrote its rows, leaves ``length`` as it was.
 
         The next calls write the same rows again, and give the logits of a
         cache that never saw the failure.
@@ -692,12 +694,12 @@ class TestCachedDecoding:
         clean, failed = model.decoder_cache(z), model.decoder_cache(z)
         for cache in (clean, failed):
             tf.decode_stack(cache, tokens[..., :2])
-        wq = model.params["dec.1.attn.wq"].data
-        keep = wq[0, 0]
-        wq[0, 0] = np.nan  # layer 0 writes its rows, then layer 1 raises
-        with pytest.raises(ag.NumericsError, match="attention_sublayer"), np.errstate(all="ignore"):
+        weight = model.params[poisoned].data
+        keep = weight.flat[0]
+        weight.flat[0] = np.nan
+        with pytest.raises(ag.NumericsError, match=raiser), np.errstate(all="ignore"):
             tf.decode_stack(failed, tokens[..., 2:5])
-        wq[0, 0] = keep
+        weight.flat[0] = keep
         assert failed.length == 2
         for lo, hi in [(2, 3), (3, 6)]:
             want = tf.decode_stack(clean, tokens[..., lo:hi]).data
