@@ -19,7 +19,10 @@ forward operation verifies its output is finite and raises
 silently.  That check, in ``_make``, is the one numerics
 gate: no op silences numpy's warnings, so an overflow may warn before it
 raises, and one whose output is finite (the cube inside
-``mlp_sublayer``'s GELU) is no error.
+``mlp_sublayer``'s GELU) is no error.  A sink pass (``sink_pass``), such
+as a decoder call, skips that check and checks only the places every
+non-finite value of the pass reaches; when one fails, the pass runs
+again with every op's check on, which raises the same error.
 
 Every op is a whole job of the model and one tape node, since per-op
 Python overhead, not arithmetic, bounds small models.  Ops on rows also
@@ -45,6 +48,7 @@ like) rather than the array methods that wrap them.
 
 from __future__ import annotations
 
+import functools
 import math
 import mmap
 from dataclasses import dataclass
@@ -56,6 +60,8 @@ GELU_CUBIC_COEFF = 0.044715
 LN_EPS = 1e-5  # added to each row's variance in every layer norm
 
 _FLOAT_DTYPES = (np.float32, np.float64)
+# The additive attention mask's bias where a key is seen, and where it is masked, per dtype of the scores.
+_MASK_BIAS = {np.dtype(t): (t(0.0), t(-np.inf)) for t in _FLOAT_DTYPES}
 
 
 def flat_buffer(size: int, dtype) -> np.ndarray:
@@ -130,12 +136,20 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
 
+# While True, ``_make`` checks every op's output; a sink pass (``sink_pass``) turns it off while it runs.
+_node_checks = True
+
+
 def _check_finite(arr: np.ndarray, op: str, stages=()) -> None:
     """Raise ``NumericsError`` if ``arr`` holds NaN or Inf.
 
     A fused op passes its ``stages``, the (sub-op, array) pairs of the chain
     it replaces in the chain's order, where a non-finite value always
     reaches ``arr``; the error then names the first stage that holds one.
+    ``_make`` calls it on an op's output only while the per-node checks
+    are on.  The checks that ops make inside themselves (the attention
+    scores, ``pool_gaussian``'s, ``inject``'s) run inside a sink pass too:
+    there they are sinks, and a failure makes the pass run again.
     """
     if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         for sub, part in stages:
@@ -144,17 +158,64 @@ def _check_finite(arr: np.ndarray, op: str, stages=()) -> None:
         raise NumericsError(f"{op} produced non-finite values")
 
 
-def _make(data, op: str, parents: tuple[Tensor, ...], backward, stages=()):
-    """An op's checked output, on the tape if a parent requires grad.
+def sink_pass(fn):
+    """``fn`` as a sink pass: run without the check of each op's output, and checked at its sinks.
 
-    A tuple of arrays makes a node of several outputs, a tuple of tensors:
+    The sinks of a pass are the checks every non-finite value it makes
+    reaches: the checks ops make inside themselves, which stay on (every
+    attention's scores, ``pool_gaussian``'s), and the arrays ``fn``
+    checks with ``check_sink`` (a decoder call's logits, a train step's
+    loss).  The scores stay a sink because a finite query and key whose
+    product overflows to -inf get zero weight and leave no other trace.
+    If a sink fails, or ``fn`` raises anything else, ``fn`` runs again
+    with the per-node checks on, so what it raises is what they raise:
+    the first non-finite node's error, as if no pass had run.  ``fn``
+    must leave nothing behind that would change its second run.  A pass
+    called inside another runs as part of it, and a failure in it runs
+    the outermost pass again.  ``__wrapped__`` is ``fn`` itself.
+    """
+
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        global _node_checks
+        if not _node_checks:
+            return fn(*args, **kwargs)
+        _node_checks = False
+        try:
+            return fn(*args, **kwargs)
+        except Exception:  # whatever failed, the run with the per-node checks decides what is raised
+            pass
+        finally:
+            _node_checks = True
+        return fn(*args, **kwargs)
+
+    return run
+
+
+def check_sink(arr: np.ndarray) -> None:
+    """Inside a sink pass, raise ``NumericsError`` if ``arr``, one of its sinks, holds NaN or Inf.
+
+    The pass then runs again with the per-node checks on, which name the
+    node.  Outside a pass, and in that second run, the per-node checks
+    cover every sink, so this checks nothing.
+    """
+    if not _node_checks and not np.logical_and.reduce(np.isfinite(arr), axis=None):
+        raise NumericsError("a sink of the pass holds non-finite values")
+
+
+def _make(data, op: str, parents: tuple[Tensor, ...], backward, stages=()):
+    """An op's output, checked while the per-node checks are on, and on the tape if a parent requires grad.
+
+    Inside a sink pass the check is left to the pass's sinks.  A tuple of
+    arrays makes a node of several outputs, a tuple of tensors:
     ``backward`` runs once, after theirs, on the list of their gradients
     (None for an output that got none), which it then empties.
     """
     if type(data) is not tuple:
-        _check_finite(data, op, stages)
+        if _node_checks:
+            _check_finite(data, op, stages)
         return _node(data, parents, backward)
-    if data:
+    if data and _node_checks:
         _check_finite(np.concatenate([part.reshape(-1) for part in data]), op, stages)
     grads = [None] * len(data)
 
@@ -280,20 +341,26 @@ def _scores(qd: np.ndarray, keys_t: np.ndarray, values: np.ndarray):
 
 
 def _mix(scores: np.ndarray, values: np.ndarray, mask, d: int):
-    """The masked softmax of the scores, and its weighted sum of the values with the heads side by side, (..., Lq, d)."""
+    """The masked softmax of the scores, and its weighted sum of the values with the heads side by side, (..., Lq, d).
+
+    The mask adds a bias of 0 where it is True and -inf where it is False,
+    in the scores' dtype, and the softmax runs unmasked: a score plus 0 is
+    the score, and exp(-inf) is exactly 0.  So a masked key gets exactly
+    zero weight, and a NaN or +inf score there makes the row NaN.
+    """
     lq, n = scores.shape[-2:]
-    if mask is None:
-        e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
-    else:
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
         try:
-            mask = np.broadcast_to(np.asarray(mask, dtype=bool), scores.shape)
+            biased = scores + np.where(mask, *_MASK_BIAS[scores.dtype])
+            if biased.shape != scores.shape:  # the mask broadcast the scores
+                raise ValueError
         except ValueError:
-            raise ShapeError(f"attention: mask shape {np.shape(mask)} does not broadcast to {(lq, n)}") from None
-        if not mask.any(axis=-1).all():
+            raise ShapeError(f"attention: mask shape {mask.shape} does not broadcast to {(lq, n)}") from None
+        if not np.logical_and.reduce(np.logical_or.reduce(mask, axis=-1) if mask.ndim else mask, axis=None):
             raise ShapeError("attention: a query has no unmasked key")
-        shifted = np.where(mask, scores, -np.inf)
-        shifted = shifted - shifted.max(axis=-1, keepdims=True)
-        e = np.where(mask, np.exp(shifted), 0.0)
+        scores = biased
+    e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
     probs = e / np.add.reduce(e, axis=-1, keepdims=True)
     return probs, (probs @ values).swapaxes(-3, -2).reshape(probs.shape[:-3] + (lq, d))
 
@@ -425,9 +492,12 @@ def attention_sublayer(x: Tensor, ln_g: Tensor, ln_b: Tensor, wq: Tensor, bq: Te
     A non-finite layer norm, query or key reaches the scores, and a
     non-finite value or attention output reaches the output; those two
     are checked, and the error names the first step that held one.  A
-    key row overflows every score against it, masked or not.  With
-    ``return_weights`` the (..., H, l, filled + l) probabilities follow
-    the output.
+    key row overflows every score against it, masked or not.  The scores
+    are checked inside a sink pass too, where they are a sink: a score
+    that overflows to -inf gets zero weight, and would leave no other
+    trace.  The output is checked only while the per-node checks are on
+    (``_make``).  With ``return_weights`` the (..., H, l, filled + l)
+    probabilities follow the output.
     """
     xd = x.data
     if xd.ndim < 2 or keys_t.shape[:-3] != xd.shape[:-2] or keys_t.shape[-3] * keys_t.shape[-2] != xd.shape[-1] \
@@ -526,7 +596,8 @@ def pool_gaussian(x: Tensor, ln_g: Tensor, ln_b: Tensor, q: Tensor, wk: Tensor, 
     m = pooled @ wd + mu_b.data
     s = pooled @ ls_w.data + ls_b.data
     head = (("linear mu", m), ("linear ls", s))
-    _check_finite(s, "pool_gaussian", head)
+    for part in (m, s):  # before the clamp, which would hide an infinite log-sigma
+        _check_finite(part, "pool_gaussian", head)
     inside = (s > lo) & (s < hi)
     shape = xd.shape[:-2] + wd.shape[1:]
 

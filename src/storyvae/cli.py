@@ -28,7 +28,10 @@ step ends, so a run that crashes keeps the rows of the steps it made.
 Exit codes: 0 success, 1 usage error, 2 data error (a path that cannot
 be read or written as asked, but for ``--config``), 3 numerical abort
 or failed self-check.  Commands run with numpy's overflow and invalid
-warnings off: every op's own finiteness check raises instead.
+warnings off: the finiteness checks raise instead.  A decoder call, an
+encoder pass and a train step's forward check only their sinks
+(``autograd.sink_pass``); when one fails, the pass runs again with every
+op's own check on, and that check's error is the one reported.
 """
 
 from __future__ import annotations
@@ -263,21 +266,24 @@ def _write_stories(path: Path, records: list[dict]) -> None:
 
 
 def _sampled_stories(resolved: dict, given: dict):
-    """The checkpoint's model and examples, the output directory, and one sampled story record per example."""
+    """The checkpoint's model and examples, the output directory, one sampled story record per example, and the
+    examples' (N, d') prior means, which the generation encoded."""
     model, vocab, examples, resolved = _open_checkpoint(resolved, given)
     sampler = configured("sampler", resolved)
     out = _prepare_out(resolved)
-    stories, latent = sp.generate_for_prompts(model, [ex.prior_input for ex in examples], vocab.separator_id, sampler)
+    means = np.empty((len(examples), model.config.latent_dim), dtype=model.dtype)
+    stories, latent = sp.generate_for_prompts(model, [ex.prior_input for ex in examples], vocab.separator_id, sampler,
+                                              prior_means=means)
     records = [
         {"prompt": ex.pair.prompt_text, "story": vocab.decode(story),
          "latent_source": latent.source.value, "seed": sampler.seed}
         for ex, story in zip(examples, stories)
     ]
-    return model, examples, out, records
+    return model, examples, out, records, means
 
 
 def cmd_generate(resolved: dict, given: dict) -> int:
-    _, _, out, records = _sampled_stories(resolved, given)
+    _, _, out, records, _ = _sampled_stories(resolved, given)
     _write_stories(out / "stories.jsonl", records)
     print(f"{len(records)} stories written to {out / 'stories.jsonl'}")
     return EXIT_OK
@@ -318,8 +324,8 @@ def cmd_encode(resolved: dict, given: dict) -> int:
 
 
 def cmd_eval(resolved: dict, given: dict) -> int:
-    model, examples, out, records = _sampled_stories(resolved, given)
-    report = ev.evaluate(model, examples, [r["story"] for r in records])
+    model, examples, out, records, means = _sampled_stories(resolved, given)
+    report = ev.evaluate(model, examples, [r["story"] for r in records], prior_means=means)
     _write_stories(out / "stories.jsonl", records)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     print(

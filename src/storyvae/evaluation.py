@@ -133,20 +133,24 @@ def _grouped_means(encode, sequences, width: int, dtype) -> np.ndarray:
     return means
 
 
-def corpus_nll(model: StoryVAE, examples) -> tuple[float, int, int]:
+def corpus_nll(model: StoryVAE, examples, prior_means: np.ndarray | None = None) -> tuple[float, int, int]:
     """Total masked NLL plus the subword and word normalizer counts.
 
     Each example is teacher-forced with its prior-mean latent; the
-    per-example NLLs are summed in corpus order.
+    per-example NLLs are summed in corpus order.  ``prior_means`` holds
+    those (N, d') means when the caller has them, as
+    ``sampling.generate_for_prompts`` gives them: it encodes the same
+    prompts in the same length groups, so they have the same bits.
     """
     if not examples:
         raise ContractError("perplexity needs a nonempty corpus")
-    means = _grouped_means(model.encode_prior, [ex.prior_input for ex in examples],
-                           model.config.latent_dim, model.dtype)
+    if prior_means is None:
+        prior_means = _grouped_means(model.encode_prior, [ex.prior_input for ex in examples],
+                                     model.config.latent_dim, model.dtype)
     nlls = np.empty(len(examples))
     for group in tf.length_groups([ex.decoder_input for ex in examples]):
         batch = [examples[i] for i in group]
-        latent = lt.LatentCode(Tensor(means[group]), lt.LatentSource.PRIOR_MEAN)
+        latent = lt.LatentCode(Tensor(prior_means[group]), lt.LatentSource.PRIOR_MEAN)
         logits = model.decode_logits(np.stack([ex.decoder_input for ex in batch]), latent)
         mask = np.stack([ex.loss_mask for ex in batch])
         _, per_position = ag.cross_entropy(logits, np.stack([ex.targets for ex in batch]), mask)
@@ -200,11 +204,15 @@ def export_latents(model: StoryVAE, examples, which: str, path) -> int:
     return len(lines)
 
 
-def evaluate(model: StoryVAE, examples, generated_stories: list[str]) -> EvalReport:
-    """Corpus report: PPL at both granularities plus mean ROUGE of the generations."""
+def evaluate(model: StoryVAE, examples, generated_stories: list[str],
+             prior_means: np.ndarray | None = None) -> EvalReport:
+    """Corpus report: PPL at both granularities plus mean ROUGE of the generations.
+
+    ``prior_means`` goes to ``corpus_nll``.
+    """
     if len(generated_stories) != len(examples):
         raise ContractError("need exactly one generated story per example")
-    total, subwords, words = corpus_nll(model, examples)
+    total, subwords, words = corpus_nll(model, examples, prior_means)
 
     sums = {v: np.zeros(3) for v in (1, 2, "L")}
     for ex, story in zip(examples, generated_stories):

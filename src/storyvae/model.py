@@ -78,8 +78,14 @@ class StoryVAE:
     def dtype(self):
         return self.params["embed.word"].dtype
 
+    @ag.sink_pass
     def _encode(self, tokens, role: str, key_mask=None) -> lt.DiagonalGaussian:
-        """The ``role`` Gaussian of (T,) tokens or a (B, T) batch: the encoder stack, then one ``ag.pool_gaussian``."""
+        """The ``role`` Gaussian of (T,) tokens or a (B, T) batch: the encoder stack, then one ``ag.pool_gaussian``.
+
+        The two run as one sink pass (``ag.sink_pass``): only each
+        attention's scores and ``ag.pool_gaussian``'s own checks are made,
+        and every non-finite value of the pass reaches one of them.
+        """
         p = self.params
         heads = ("mu.w", "mu.b", "ls.w", "ls.b")
         tensors = p.memo(role, lambda: [p[name] for name in tf.POOL_NAMES + tuple(f"{role}.{n}" for n in heads)])

@@ -126,16 +126,18 @@ def draw_latent(
     prompt_tokens,
     rng,
     use_mean: bool = False,
+    prior: lt.DiagonalGaussian | None = None,
 ) -> lt.LatentCode:
     """Latent for generation: a prior sample by default, the prior mean on request.
 
     ``prompt_tokens`` is one (P,) prompt with ``rng`` its generator, or a
     (B, P) batch of equal-length prompts with ``rng`` a sequence of B
     generators, each drawing its own row's noise; a batch gives a (B, d')
-    latent.
+    latent.  ``prior`` is the prompts' prior when the caller has encoded
+    it already.
     """
     prompt_tokens = np.asarray(prompt_tokens, dtype=np.int64)
-    gaussian = model.encode_prior(prompt_tokens)
+    gaussian = model.encode_prior(prompt_tokens) if prior is None else prior
     if use_mean:
         return lt.mean_code(gaussian, lt.LatentSource.PRIOR_MEAN)
     d = model.config.latent_dim
@@ -228,12 +230,15 @@ def generate_for_prompts(
     prompts,
     separator_id: int,
     config: SamplerConfig,
+    prior_means: np.ndarray | None = None,
 ) -> tuple[list[list[int]], lt.LatentCode]:
     """One story per prompt, the prompts grouped by length and each group decoded in lockstep.
 
     Prompt i uses the stream ``generation_rng(config.seed, i)``, so story
     i is the one ``generate_for_prompt`` gives with ``example_index=i``.
     Returns the stories and the (N, d') latents, both in prompt order.
+    Given an (N, d') ``prior_means`` array, row i receives prompt i's prior
+    mean, the mean ``evaluation.corpus_nll`` scores under.
     """
     prompts = [np.asarray(t, dtype=np.int64) for t in prompts]
     if not prompts:
@@ -243,7 +248,10 @@ def generate_for_prompts(
     for group in tf.length_groups(prompts):
         batch = np.stack([prompts[i] for i in group])
         rngs = [generation_rng(config.seed, int(i)) for i in group]
-        latent = draw_latent(model, batch, rngs, use_mean=config.latent_mean)
+        prior = model.encode_prior(batch)
+        latent = draw_latent(model, batch, rngs, use_mean=config.latent_mean, prior=prior)
+        if prior_means is not None:
+            prior_means[group] = prior.mu.data
         for i, story in zip(group, generate_batch(model, batch, separator_id, config, latent, rngs)):
             stories[i] = story
         z[group] = latent.z.data

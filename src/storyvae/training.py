@@ -278,6 +278,13 @@ class Trainer:
         stories = [ex.pair.story_tokens for ex in examples]
         return self.model.vae_loss(stories, self.separator_id, noise, beta)
 
+    @ag.sink_pass
+    def _forward(self, batch: np.ndarray, noise: np.ndarray, beta: float):
+        """``_loss`` as a sink pass (``ag.sink_pass``), whose own sink is the loss."""
+        loss, breakdown = self._loss(batch, noise, beta)
+        ag.check_sink(loss.data)
+        return loss, breakdown
+
     def _culprit(self, batch: np.ndarray, noise: np.ndarray, beta: float, error: ag.NumericsError) -> TrainingAbort:
         """The abort naming the first slot whose example, scored alone and without a tape, raises too."""
         for slot, idx in enumerate(batch):
@@ -306,7 +313,7 @@ class Trainer:
         failure = None
         try:
             params.zero_grads()
-            loss, breakdown = self._loss(batch, noise, beta)
+            loss, breakdown = self._forward(batch, noise, beta)
             ag.backward(loss)
         except ag.NumericsError as e:
             failure = e

@@ -26,8 +26,9 @@ bias.  The encoder's final norm, its pooling and a Gaussian head are
 one ``ag.pool_gaussian`` node, and a decoder's injection rows one
 ``ag.inject`` node.  Block tensors are looked up once per parameter
 layout.  Every attention
-writes its keys and values into per-head stacks (``kv_stacks``) and
-attends over them.  The decoder forward runs over a ``DecoderCache``,
+writes its keys and values into per-head stacks, views of one block of
+keys and one of values per forward (``kv_blocks``), and attends over
+them.  The decoder forward runs over a ``DecoderCache``,
 its only way in: the latent's injection rows, computed once, each
 layer's stacks, and one ``length``, the token positions consumed so far.
 A layer's latent key/value row is the first row of its stacks, and the
@@ -275,25 +276,35 @@ def _stack_blocks(params: ParameterSet, stack: str, n_layers: int) -> list[Block
     return params.memo((stack, n_layers), lookup)
 
 
-def kv_stacks(x: Tensor, n_heads: int, rows: int, latent: tuple[Tensor, Tensor] | None = None):
-    """Per-head key and value stacks with room for ``rows`` rows, for the batch and width of the (..., l, d) ``x``.
+def kv_blocks(x: Tensor, n_heads: int, rows: int, latents):
+    """Per-head key and value stacks of every layer, with room for ``rows`` rows, as one block of each.
 
-    Keys sit transposed in ``keys_t`` (..., H, d/H, rows) and values in
-    ``values`` (..., H, rows, d/H), the layout ``ag.attention_sublayer``
-    writes its rows into and attends over.  The stacks take ``x``'s dtype,
-    or ``latent``'s: the (..., 1, d) key and value tensors of a
-    pseudo-self-attention latent row, which fill row 0.  Every other row
-    is left unset (``np.empty``) for the sublayers to write.
+    ``latents`` holds, per layer, None or the (..., 1, d) key and value
+    tensors of its pseudo-self-attention latent row, which fill its row 0.
+    Layer i's keys sit transposed in ``keys[i]`` (..., H, d/H, rows) and
+    its values in ``values[i]`` (..., H, rows, d/H), for the batch and
+    width of the (..., l, d) ``x``: the layout ``ag.attention_sublayer``
+    writes its rows into and attends over.  The blocks take ``x``'s dtype,
+    or the latent rows' when a layer has one.  Every other row is left
+    unset (``np.empty``) for the sublayers to write.
     """
     *batch, _, d = x.shape
-    dtype = x.dtype if latent is None else latent[0].dtype
-    keys_t = np.empty((*batch, n_heads, d // n_heads, rows), dtype=dtype)
-    values = np.empty((*batch, n_heads, rows, d // n_heads), dtype=dtype)
-    if latent is not None:
-        split, nb = (*batch, 1, n_heads, d // n_heads), len(batch)
-        keys_t[..., :1] = latent[0].data.reshape(split).transpose(*range(nb), nb + 1, nb + 2, nb)
-        values[..., :1, :] = latent[1].data.reshape(split).swapaxes(-3, -2)
-    return keys_t, values
+    present = [kv for kv in latents if kv is not None]
+    dtype = present[0][0].dtype if present else x.dtype
+    keys = np.empty((len(latents), *batch, n_heads, d // n_heads, rows), dtype=dtype)
+    values = np.empty((len(latents), *batch, n_heads, rows, d // n_heads), dtype=dtype)
+    split, nb = (*batch, 1, n_heads, d // n_heads), len(batch)
+    for keys_t, stack, kv in zip(keys, values, latents):
+        if kv is not None:
+            keys_t[..., :1] = kv[0].data.reshape(split).transpose(*range(nb), nb + 1, nb + 2, nb)
+            stack[..., :1, :] = kv[1].data.reshape(split).swapaxes(-3, -2)
+    return keys, values
+
+
+def kv_stacks(x: Tensor, n_heads: int, rows: int, latent: tuple[Tensor, Tensor] | None = None):
+    """One layer's ``kv_blocks``: its ``keys_t`` and ``values`` stacks, after ``latent``'s row if it is not None."""
+    keys, values = kv_blocks(x, n_heads, rows, [latent])
+    return keys[0], values[0]
 
 
 def causal_mask(l: int, filled: int) -> np.ndarray | None:
@@ -320,14 +331,15 @@ class DecoderCache:
     own, and a single latent as one (1, d') row.  ``modes`` must be among
     the model's ``cfg.injection_modes``.  The cache holds ``positions``
     tokens (``cfg.max_seq_len`` by default), and ``length`` counts those
-    consumed so far.  The first call allocates each layer's ``stacks``
-    (``kv_stacks``) for its batch, with room for a latent row and the
-    ``positions``; a layer's latent row, if it has one, is row 0, and token
-    position t's row follows it.  A cache is bound to the parameters, the
-    latent and the modes it was built from: it keeps ``cfg``, looks up the
-    word and position tables (``word``, ``pos``), every decoder block's
-    tensors (``blocks``) and the final norm's gain and bias
-    (``final_norm``) once, and each step reads them from there.
+    consumed so far.  The first call allocates every layer's stacks for
+    its batch as one block of keys and one of values (``kv_blocks``), with
+    room for a latent row and the ``positions``; ``stacks`` holds each
+    layer's (keys_t, values) views.  A layer's latent row, if it has one,
+    is row 0, and token position t's row follows it.  A cache is bound to
+    the parameters, the latent and the modes it was built from: it keeps
+    ``cfg``, looks up the word and position tables (``word``, ``pos``),
+    every decoder block's tensors (``blocks``) and the final norm's gain
+    and bias (``final_norm``) once, and each step reads them from there.
     """
 
     def __init__(self, params: ParameterSet, cfg: ModelConfig, latent=None, modes: tuple[str, ...] = (),
@@ -402,7 +414,8 @@ def encode_stack(tokens, params: ParameterSet, cfg: ModelConfig, key_mask: np.nd
     """The encoder's last-block rows for (T,) tokens, or a (B, T) batch of sequences, with no causal mask.
 
     One ``ag.embedding`` node and two per block, each attention over fresh
-    stacks of the T rows; the final layer norm belongs to the pooling
+    stacks of the T rows, all of them one block of keys and one of values
+    (``kv_blocks``); the final layer norm belongs to the pooling
     (``ag.pool_gaussian``).  A right-padded batch takes the (B, 1, 1, T)
     ``key_mask`` that is False at padding, so no position attends a pad
     key; pad positions still compute values, which get exactly zero
@@ -410,8 +423,9 @@ def encode_stack(tokens, params: ParameterSet, cfg: ModelConfig, key_mask: np.nd
     """
     tokens = _validate_tokens(tokens, cfg)
     x = ag.embedding(params["embed.word"], params["embed.pos"], tokens, 0)
-    for block in _stack_blocks(params, "enc", cfg.encoder_layers):
-        x = _block(x, block, *kv_stacks(x, cfg.heads, tokens.shape[-1]), 0, None, key_mask)
+    keys, values = kv_blocks(x, cfg.heads, tokens.shape[-1], [None] * cfg.encoder_layers)
+    for block, keys_t, stack in zip(_stack_blocks(params, "enc", cfg.encoder_layers), keys, values):
+        x = _block(x, block, keys_t, stack, 0, None, key_mask)
     return x
 
 
@@ -425,13 +439,21 @@ def decode_stack(cache: DecoderCache, tokens) -> Tensor:
     keys and values into its layer's stacks after the layer's 0 or 1
     latent rows and the ``cache.length`` cached ones, and attends over
     them.  The causal mask never blocks an earlier row, so a single new
-    row needs no mask, and right padding needs no key mask.
+    row needs no mask, and right padding needs no key mask; the call
+    builds one mask, and every layer reads it.
 
-    The cache's ``length`` advances only once the whole call has
-    succeeded; a call that raises leaves it as it was, and the next call
-    writes the same rows again.  Earlier calls' rows are constants here,
-    so a call whose logits are on the tape raises ``ContractError`` if the
-    cache already holds tokens: a tape spans one call through a cache.
+    The call is a sink pass (``ag.sink_pass``): only its logits and each
+    attention's scores are checked for NaN and Inf.  Every non-finite
+    value of the call reaches one of them, a key or value row the call
+    writes included: its scores meet every key row, masked or not, and a
+    value row reaches every output row, since 0 * inf is NaN.  A failure
+    runs the call again with every node's own check on, which raises that
+    node's ``NumericsError``.  The cache's ``length`` advances only once
+    the whole call has succeeded; a call that raises leaves it as it was,
+    and the next call writes the same rows again.  Earlier calls' rows
+    are constants here, so a call whose logits are on the tape raises
+    ``ContractError`` if the cache already holds tokens: a tape spans one
+    call through a cache.
     """
     start = cache.length
     tokens = _validate_tokens(tokens, cache.cfg, start)
@@ -442,16 +464,27 @@ def decode_stack(cache: DecoderCache, tokens) -> Tensor:
         cache.batch = tokens.shape[:-1]
     elif cache.batch != tokens.shape[:-1]:
         raise ContractError(f"tokens of shape {tokens.shape} do not match a cache for a batch of {cache.batch}")
+    logits = _decode(cache, tokens, start)
+    cache.length = start + l
+    return logits
+
+
+@ag.sink_pass
+def _decode(cache: DecoderCache, tokens: np.ndarray, start: int) -> Tensor:
+    """``decode_stack``'s pass: the blocks over ``tokens`` at position ``start``, then the head, its sink."""
+    l = tokens.shape[-1]
     x = ag.embedding(cache.word, cache.pos, tokens, start, cache.input_row)
     if cache.stacks is None:
-        cache.stacks = [kv_stacks(x, cache.cfg.heads, 1 + cache.positions, rows) for rows in cache.latent_rows]
+        cache.stacks = list(zip(*kv_blocks(x, cache.cfg.heads, 1 + cache.positions, cache.latent_rows)))
+    # The mask of a layer with a latent row; one without sees one row fewer, so it reads the mask from column 1.
+    mask = causal_mask(l, start + 1)
     for block, (keys_t, values), rows in zip(cache.blocks, cache.stacks, cache.latent_rows):
         filled = start + (rows is not None)
         taped = rows if rows is not None and (rows[0].requires_grad or rows[1].requires_grad) else None
-        x = _block(x, block, keys_t, values, filled, taped, causal_mask(l, filled))
+        x = _block(x, block, keys_t, values, filled, taped, None if mask is None else mask[:, start + 1 - filled:])
     if start and x.requires_grad:
         raise ContractError(f"a call on the tape must be the first through its key/value rows, but "
                             f"{start} token rows are cached already and would get no gradient")
     logits = ag.tied_head(x, *cache.final_norm, cache.word, cache.softmax_bias)
-    cache.length = start + l
+    ag.check_sink(logits.data)
     return logits

@@ -77,6 +77,15 @@ class TestBatchedMatchesOneByOne:
         assert total == one_by_one_nll(model, EXAMPLES)
         assert subwords == sum(int(ex.loss_mask.sum()) for ex in EXAMPLES)
 
+    def test_scoring_under_the_prior_means_of_generation(self, modes, dtype, mode):
+        """Generation hands back the prior means scoring would encode, bit for bit, so eval encodes each prior once."""
+        model = talkative_model(MODES[modes], dtype, mode)
+        prompts = [ex.prior_input for ex in EXAMPLES]
+        means = np.full((len(EXAMPLES), model.config.latent_dim), np.nan, dtype=dtype)
+        sp.generate_for_prompts(model, prompts, SEP, SAMPLER, prior_means=means)
+        assert np.array_equal(means, np.stack([model.encode_prior(p).mu.data for p in prompts]))
+        assert ev.corpus_nll(model, EXAMPLES, means) == ev.corpus_nll(model, EXAMPLES)
+
     @pytest.mark.parametrize("which", ["prior-mean", "posterior-mean"])
     def test_latent_export(self, modes, dtype, mode, which, tmp_path):
         model = talkative_model(MODES[modes], dtype, mode)

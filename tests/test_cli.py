@@ -15,7 +15,7 @@ from storyvae import cli
 from storyvae import corpus as cp
 from storyvae import transformer as tf
 from storyvae.corpus import toy_corpus_path
-from storyvae.model import read_tensor_file, write_tensor_file
+from storyvae.model import StoryVAE, read_tensor_file, write_tensor_file
 from storyvae.selfcheck import GRADIENT_CASES
 from storyvae.training import METRICS_HEADER, Trainer, TrainingAbort, metrics_row
 
@@ -672,6 +672,26 @@ def test_eval_runs_one_forward_per_group_and_step(workspace, tmp_path, monkeypat
     budget = int(FAST_SAMPLER[1])
     assert prompt_groups > 1
     assert len(shapes) <= prompt_groups * (budget + 1) + prompt_groups + decoder_groups
+
+
+def test_eval_encodes_each_prompt_groups_prior_once(workspace, tmp_path, monkeypatch):
+    """Scoring reuses the prior means that generation encoded: one ``encode_prior`` call per prompt-length group."""
+    calls, encode_prior = [], StoryVAE.encode_prior
+
+    def spy(self, prompt_tokens):
+        calls.append(np.shape(prompt_tokens))
+        return encode_prior(self, prompt_tokens)
+
+    monkeypatch.setattr(StoryVAE, "encode_prior", spy)
+    assert cli.main(
+        ["eval", "--corpus", workspace["corpus"], "--vocab", workspace["vocab"],
+         "--checkpoint", workspace["checkpoint"], "--out", str(tmp_path / "ev")] + FAST_SAMPLER
+    ) == 0
+    vocab = cp.Vocabulary.load(workspace["vocab"])
+    prompts = [ex.prior_input for ex in cp.prepare_corpus(cp.load_corpus(workspace["corpus"]), vocab, 64)]
+    groups = tf.length_groups(prompts)
+    assert len(groups) > 1
+    assert calls == [(len(group), len(prompts[group[0]])) for group in groups]
 
 
 def test_generate_latent_mean_flag(workspace, tmp_path):

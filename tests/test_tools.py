@@ -3,7 +3,7 @@
 ``op_kinds.py`` prints its four cases at the node counts that
 ``TestTapeSize`` pins, with call counts that repeat exactly and peak
 traced bytes that repeat within 1%, and ``bit_hashes.py`` one sha256 digest for each of
-its 36 cases, each under its own name.  Both drive the decoder cache, so a
+its 37 cases, each under its own name.  Both drive the decoder cache, so a
 tool that breaks with it shows here.  A tool whose reader closes early, as
 ``| head -1`` does, exits 1 without a traceback.
 """
@@ -49,10 +49,10 @@ def test_op_kinds_prints_the_pinned_node_counts_and_repeatable_probes(tmp_path):
 
 def test_bit_hashes_prints_one_digest_per_case(tmp_path):
     lines = run(tmp_path, "bit_hashes.py").splitlines()
-    assert len(lines) == 36
+    assert len(lines) == 37
     digests, names = zip(*(line.split("  ", 1) for line in lines))
     assert all(re.fullmatch(r"[0-9a-f]{64}", digest) for digest in digests)
-    assert len(set(names)) == 36 and all(names)
+    assert len(set(names)) == 37 and all(names)
 
 
 @pytest.mark.parametrize("script, args", [("op_kinds.py", ["--repeats", "1"]), ("bit_hashes.py", [])])

@@ -13,7 +13,9 @@ The cases, each a line ``<sha256>  <case>``:
 - **Generation batches:** ``generate_for_prompts`` over 16 toy prompts at
   the CLI default model config (the ``psa`` route) and at that config with
   all three routes (``input``, ``psa`` and ``softmax``), each in float32
-  and in float64 (stories and latents).
+  and in float64 (stories and latents); and in float32 at the CLI default
+  config with a vocabulary of 300, where prompts span several tokens, so
+  each prefill runs a causal mask of more than two rows through 4 layers.
 - **The CLI chain** vocab -> train -> ``train --resume`` -> generate ->
   eval -> encode -> control, run in a fresh temporary directory under
   relative paths, so ``config.resolved`` and the checkpoint's vocabulary
@@ -62,9 +64,9 @@ def digest(*parts) -> str:
     return h.hexdigest()
 
 
-def toy_vocabulary():
+def toy_vocabulary(size: int = 512):
     pairs = cp.load_corpus(cp.toy_corpus_path())
-    return pairs, cp.fit_vocabulary([p.prompt_text for p in pairs] + [p.story_text for p in pairs], 512)
+    return pairs, cp.fit_vocabulary([p.prompt_text for p in pairs] + [p.story_text for p in pairs], size)
 
 
 def train_case(dtype, mode: str, modes: tuple[str, ...], steps: int, **schedule) -> str:
@@ -81,8 +83,8 @@ def train_case(dtype, mode: str, modes: tuple[str, ...], steps: int, **schedule)
                   metrics)
 
 
-def generation_case(dtype, modes: tuple[str, ...]) -> str:
-    pairs, vocab = toy_vocabulary()
+def generation_case(dtype, modes: tuple[str, ...], vocab_size: int = 512) -> str:
+    pairs, vocab = toy_vocabulary(vocab_size)
     cfg = tf.ModelConfig(vocab_size=vocab.size, **{**CLI_DEFAULT, "injection_modes": modes})
     model = StoryVAE.create(cfg, seed=0, dtype=dtype)
     examples = cp.prepare_corpus(pairs, vocab, cfg.max_seq_len)[:16]
@@ -139,6 +141,8 @@ def main() -> None:
         for dtype in (np.float32, np.float64):
             name = f"generate_for_prompts {np.dtype(dtype).name} {'+'.join(modes)} 16 prompts"
             print(f"{generation_case(dtype, modes)}  {name}", flush=True)
+    name = "generate_for_prompts float32 psa 16 prompts, vocabulary 300"
+    print(f"{generation_case(np.float32, ('psa',), vocab_size=300)}  {name}", flush=True)
     for path, sha in cli_chain():
         print(f"{sha}  cli {path}", flush=True)
 
