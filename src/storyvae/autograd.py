@@ -22,7 +22,13 @@ raises, and one whose output is finite (the cube inside
 ``mlp_sublayer``'s GELU) is no error.  A sink pass (``sink_pass``), such
 as a decoder call, skips that check and checks only the places every
 non-finite value of the pass reaches; when one fails, the pass runs
-again with every op's check on, which raises the same error.
+again with every op's check on, which raises the same error.  Inside a
+pass, an op none of whose inputs requires grad (``embedding``, the two
+sublayers, ``pool_gaussian``, ``tied_head``) skips its tape bookkeeping
+too: it returns through ``_make(data, op, (), None)``, with no backward
+closure, no parent tuple and no stage tuples, so the op's name still
+reaches ``_make`` once per call.  The checks an op makes inside itself
+build their stage tuples only when they fail.
 
 Every op is a whole job of the model and one tape node, since per-op
 Python overhead, not arithmetic, bounds small models.  Ops on rows also
@@ -44,13 +50,31 @@ backward, so it gives the chain's bits, and a ``NumericsError`` names
 the op and the step of the chain that went non-finite.  For the same
 reason the per-op code calls ufunc reductions (``np.add.reduce`` and the
 like) rather than the array methods that wrap them.
+
+Scalar operands follow one rule: an op's arithmetic takes each of its
+scalars (a layer norm's width, epsilon and one, the GELU coefficients,
+an attention scale) as a 0-d array of the dtype of the array it meets,
+from ``SCALARS``; the sampler's filter and the optimizer take theirs from
+there too.  Under NumPy 2's promotion rules a Python float or int meets
+an array as a value of the array's dtype, so ``x * 0.5`` and ``x *
+SCALARS[x.dtype][0.5]`` give the same bytes, but the Python scalar is
+converted on every call: on a (1, 64) float32 row each such call took
+about 0.3-0.6 us longer, 35-45% of the op (NumPy 2.4, a 2-core Xeon VM),
+and a cached decode step at the CLI default config makes over fifty of
+them.  A 0-d array of another dtype would promote, not convert, so the
+entry's dtype is the met array's: an attention scale takes the scores'
+dtype, which is float64 when a float64 latent fills the key/value blocks
+of float32 parameters.  A lookup is two dict subscripts and no Python
+call.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import mmap
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +86,24 @@ LN_EPS = 1e-5  # added to each row's variance in every layer norm
 _FLOAT_DTYPES = (np.float32, np.float64)
 # The additive attention mask's bias where a key is seen, and where it is masked, per dtype of the scores.
 _MASK_BIAS = {np.dtype(t): (t(0.0), t(-np.inf)) for t in _FLOAT_DTYPES}
+
+
+class _Scalars(dict):
+    """One float dtype's scalar operands: read-only 0-d arrays keyed by the number each holds, made on first use."""
+
+    def __init__(self, dtype):
+        super().__init__()
+        self.dtype = np.dtype(dtype)
+
+    def __missing__(self, value):
+        arr = self[value] = np.array(value, self.dtype)
+        arr.flags.writeable = False
+        return arr
+
+
+# The scalar operands of the ops' arithmetic (and the sampler's and the optimizer's), per dtype of the array each
+# meets: ``SCALARS[x.dtype][0.5]`` is ``x.dtype.type(0.5)`` as a 0-d array.
+SCALARS = {np.dtype(t): _Scalars(t) for t in _FLOAT_DTYPES}
 
 
 def flat_buffer(size: int, dtype) -> np.ndarray:
@@ -78,6 +120,30 @@ def flat_buffer(size: int, dtype) -> np.ndarray:
     if size == 0:
         return np.zeros(0, dtype)
     return np.frombuffer(mmap.mmap(-1, size * dtype.itemsize), dtype)
+
+
+def _fix_heap_thresholds() -> None:
+    """Fix glibc's heap trim threshold at 8 MiB and its mmap threshold at 4 MiB, once; a no-op off glibc.
+
+    With glibc's dynamic thresholds, freeing the temporaries of one op can
+    hand the top of the heap back to the system, and the next op faults the
+    pages in again: a warm train step at the acceptance overfit config took
+    62-83 minor page faults, nearly all in ``cross_entropy`` and
+    ``tied_head``, against 0.13 with trimming held off.  Both thresholds are
+    set, since setting either one turns the dynamic thresholds off, and
+    trimming alone doubled an eval's faults.
+    """
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or a C library that does not know the name
+        glibc = None
+    if glibc:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
+        mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+
+
+_fix_heap_thresholds()
 
 
 class ShapeError(ValueError):
@@ -149,7 +215,9 @@ def _check_finite(arr: np.ndarray, op: str, stages=()) -> None:
     ``_make`` calls it on an op's output only while the per-node checks
     are on.  The checks that ops make inside themselves (the attention
     scores, ``pool_gaussian``'s, ``inject``'s) run inside a sink pass too:
-    there they are sinks, and a failure makes the pass run again.
+    there they are sinks, and a failure makes the pass run again.  The
+    sublayers and ``pool_gaussian`` test their arrays first and call this
+    only on a failure, so they build their stages only then.
     """
     if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         for sub, part in stages:
@@ -206,8 +274,9 @@ def check_sink(arr: np.ndarray) -> None:
 def _make(data, op: str, parents: tuple[Tensor, ...], backward, stages=()):
     """An op's output, checked while the per-node checks are on, and on the tape if a parent requires grad.
 
-    Inside a sink pass the check is left to the pass's sinks.  A tuple of
-    arrays makes a node of several outputs, a tuple of tensors:
+    Inside a sink pass the check is left to the pass's sinks, and an op
+    with no input on the tape passes no parents, backward or stages.  A
+    tuple of arrays makes a node of several outputs, a tuple of tensors:
     ``backward`` runs once, after theirs, on the list of their gradients
     (None for an output that got none), which it then empties.
     """
@@ -217,16 +286,16 @@ def _make(data, op: str, parents: tuple[Tensor, ...], backward, stages=()):
         return _node(data, parents, backward)
     if data and _node_checks:
         _check_finite(np.concatenate([part.reshape(-1) for part in data]), op, stages)
-    grads = [None] * len(data)
+    hub = _node(None, parents, None)
+    if not hub.requires_grad:
+        return tuple(_node(part, (), None) for part in data)
+    grads = hub.grad = [None] * len(data)
 
     def hub_backward(kept):
         backward(kept)
         kept[:] = [None] * len(kept)
 
-    hub = _node(None, parents, hub_backward)
-    if not hub.requires_grad:
-        return tuple(_node(part, (), None) for part in data)
-    hub.grad = grads
+    hub._backward = hub_backward
     return tuple(_node(part, (hub,), lambda g, i=i: grads.__setitem__(i, g)) for i, part in enumerate(data))
 
 
@@ -300,7 +369,8 @@ def embedding(word: Tensor, pos: Tensor, tokens, start: int, row: Tensor | None 
     t, d = tokens.shape[-1], wd.shape[1]
     if row is not None and row.data.shape not in ((1, d), tokens.shape[:-1] + (1, d)):
         raise ShapeError(f"embedding: row shape {row.shape} does not fit tokens of shape {tokens.shape}")
-    if tokens.size and (tokens.min() < 0 or tokens.max() >= wd.shape[0]):
+    if tokens.size and (np.minimum.reduce(tokens, axis=None) < 0
+                        or np.maximum.reduce(tokens, axis=None) >= wd.shape[0]):
         raise IndexError(f"embedding: token id out of range for {wd.shape[0]} rows")
     if start < 0 or start + t > pd.shape[0]:
         raise IndexError(f"embedding: positions {start} to {start + t - 1} out of range for {pd.shape[0]} rows")
@@ -308,6 +378,8 @@ def embedding(word: Tensor, pos: Tensor, tokens, start: int, row: Tensor | None 
     positions = pd[start:start + t]
     x = words + positions
     data = x if row is None else x + row.data
+    if not (_node_checks or word.requires_grad or pos.requires_grad or row is not None and row.requires_grad):
+        return _make(data, "embedding", (), None)
 
     def backward(g):
         if row is not None and row.requires_grad:
@@ -327,16 +399,17 @@ def embedding(word: Tensor, pos: Tensor, tokens, start: int, row: Tensor | None 
 
 
 def _scores(qd: np.ndarray, keys_t: np.ndarray, values: np.ndarray):
-    """Per-head queries (..., H, Lq, d/H), their scaled scores against ``keys_t``, and the scale."""
+    """Per-head queries (..., H, Lq, d/H), their scaled scores against ``keys_t``, and the scale, 0-d in their dtype."""
     h, dh, n = keys_t.shape[-3:]
     if qd.ndim < 2 or h * dh != qd.shape[-1] or values.shape[-3:] != (h, n, dh):
         raise ShapeError(f"attention: queries {qd.shape} do not fit keys {keys_t.shape} and values {values.shape}")
     qh = qd.reshape(qd.shape[:-1] + (h, dh)).swapaxes(-3, -2)
-    scale = 1.0 / math.sqrt(dh)
     try:
-        scores = (qh @ keys_t) * scale
+        scores = qh @ keys_t
     except ValueError:
         raise ShapeError(f"attention: query batch {qd.shape} does not broadcast to keys {keys_t.shape}") from None
+    scale = SCALARS[scores.dtype][1.0 / math.sqrt(dh)]
+    scores *= scale
     return qh, scores, scale
 
 
@@ -365,8 +438,8 @@ def _mix(scores: np.ndarray, values: np.ndarray, mask, d: int):
     return probs, (probs @ values).swapaxes(-3, -2).reshape(probs.shape[:-3] + (lq, d))
 
 
-def _mix_grads(g: np.ndarray, qh: np.ndarray, keys_t: np.ndarray, values: np.ndarray, probs: np.ndarray, scale: float,
-               want_q: bool):
+def _mix_grads(g: np.ndarray, qh: np.ndarray, keys_t: np.ndarray, values: np.ndarray, probs: np.ndarray,
+               scale: np.ndarray, want_q: bool):
     """Backward of the scores and the mix: per-head output gradients, score gradients, and the queries' if ``want_q``."""
     batch, (h, lq, dh) = probs.shape[:-3], qh.shape[-3:]
     gh = g.reshape(batch + (lq, h, dh)).swapaxes(-3, -2)
@@ -394,11 +467,12 @@ def _row_grads(gh: np.ndarray, gs: np.ndarray, qh: np.ndarray, probs: np.ndarray
 def _norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     """Layer norm of the rows of ``x`` (``LN_EPS`` added to each variance): the output, and the normalized rows and
     inverse deviations that backward reads."""
-    d = x.shape[-1]
+    c = SCALARS[x.dtype]
+    d = c[x.shape[-1]]
     mu = np.add.reduce(x, axis=-1, keepdims=True) / d
     centered = x - mu
     var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + LN_EPS)
+    inv = c[1.0] / np.sqrt(var + c[LN_EPS])
     xhat = centered * inv
     return gain * xhat + bias, xhat, inv
 
@@ -412,8 +486,9 @@ def _norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, x: Tensor, gai
         bias.accumulate_grad(g.reshape(-1, d).sum(axis=0))
     if x.requires_grad:
         gx_hat = g * gain.data
-        m1 = gx_hat.sum(axis=-1, keepdims=True) / d
-        m2 = (gx_hat * xhat).sum(axis=-1, keepdims=True) / d
+        width = SCALARS[gx_hat.dtype][d]  # exact in any float dtype, and no wider than either sum
+        m1 = gx_hat.sum(axis=-1, keepdims=True) / width
+        m2 = (gx_hat * xhat).sum(axis=-1, keepdims=True) / width
         x.accumulate_grad(inv * (gx_hat - m1 - xhat * m2))
 
 
@@ -439,24 +514,27 @@ def mlp_sublayer(x: Tensor, ln_g: Tensor, ln_b: Tensor, w1: Tensor, b1: Tensor, 
                          f"do not fit rows of shape {xd.shape}")
     h, xhat, inv = _norm(xd, ln_g.data, ln_b.data)
     pre = h @ w1.data + b1.data
-    t = np.tanh(GELU_TANH_COEFF * (pre + GELU_CUBIC_COEFF * (pre * pre * pre)))
-    act = 0.5 * pre * (1.0 + t)
+    c = SCALARS[pre.dtype]
+    t = np.tanh(c[GELU_TANH_COEFF] * (pre + c[GELU_CUBIC_COEFF] * (pre * pre * pre)))
+    act = c[0.5] * pre * (c[1.0] + t)
     data = xd + (act @ w2.data + b2.data)
+    h_grad = x.requires_grad or ln_g.requires_grad or ln_b.requires_grad
+    act_grad = h_grad or w1.requires_grad or b1.requires_grad
+    if not (_node_checks or act_grad or w2.requires_grad or b2.requires_grad):
+        return _make(data, "mlp_sublayer", (), None)
 
     def backward(g):
         if x.requires_grad:
             x.accumulate_grad(g)
-        h_grad = x.requires_grad or ln_g.requires_grad or ln_b.requires_grad
-        act_grad = h_grad or w1.requires_grad or b1.requires_grad
         if act_grad:
             g_act = g @ w2.data.T
         _product_grads(g, act, w2, b2)
         if not act_grad:
             return
-        dinner = GELU_TANH_COEFF * (1.0 + 3.0 * GELU_CUBIC_COEFF * pre**2)
-        slope = 1.0 - t**2
-        dinner[slope == 0.0] = 0.0  # a saturated unit's term is 0, not 0 * inf where its pre**2 overflowed
-        g_pre = g_act * (0.5 * (1.0 + t) + 0.5 * pre * slope * dinner)
+        dinner = c[GELU_TANH_COEFF] * (c[1.0] + c[3.0 * GELU_CUBIC_COEFF] * (pre * pre))
+        slope = c[1.0] - t * t
+        dinner[slope == c[0.0]] = 0.0  # a saturated unit's term is 0, not 0 * inf where its pre**2 overflowed
+        g_pre = g_act * (c[0.5] * (c[1.0] + t) + c[0.5] * pre * slope * dinner)
         if h_grad:
             g_h = g_pre @ w1.data.T
         _product_grads(g_pre, h, w1, b1)
@@ -518,14 +596,19 @@ def attention_sublayer(x: Tensor, ln_g: Tensor, ln_b: Tensor, wq: Tensor, bq: Te
     values[..., filled:hi, :] = v.reshape(split).swapaxes(-3, -2)
     keys_t, values = keys_t[..., :hi], values[..., :hi, :]
     qh, scores, scale = _scores(q, keys_t, values)
-    stages = (("layer_norm", h), ("linear wq", q), ("linear wk", k), ("linear wv", v))
-    _check_finite(scores, "attention_sublayer", stages + (("attention", scores),))
+    if not np.logical_and.reduce(np.isfinite(scores), axis=None):
+        _check_finite(scores, "attention_sublayer", (("layer_norm", h), ("linear wq", q), ("linear wk", k),
+                                                     ("linear wv", v), ("attention", scores)))
     probs, a = _mix(scores, values, mask, d)
     data = xd + (a @ wo.data + bo.data)
 
     h_grad = x.requires_grad or ln_g.requires_grad or ln_b.requires_grad
     q_grad = h_grad or wq.requires_grad or bq.requires_grad
     kv_grad = h_grad or wk.requires_grad or wv.requires_grad or bv.requires_grad
+    if not (_node_checks or q_grad or kv_grad or wo.requires_grad or bo.requires_grad
+            or latent is not None and (latent[0].requires_grad or latent[1].requires_grad)):
+        out = _make(data, "attention_sublayer", (), None)
+        return (out, probs.copy()) if return_weights else out
 
     def backward(g):
         if x.requires_grad:
@@ -547,7 +630,9 @@ def attention_sublayer(x: Tensor, ln_g: Tensor, ln_b: Tensor, wq: Tensor, bq: Te
             _norm_grads(g_h, xhat, inv, x, ln_g, ln_b)
 
     parents = (wq, bq) + (latent or ()) + (ln_g, ln_b, wk, wv, bv, wo, bo, x)
-    out = _make(data, "attention_sublayer", parents, backward, stages + (("attention", a), ("linear wo", data)))
+    stages = (("layer_norm", h), ("linear wq", q), ("linear wk", k), ("linear wv", v), ("attention", a),
+              ("linear wo", data))
+    out = _make(data, "attention_sublayer", parents, backward, stages)
     return (out, probs.copy()) if return_weights else out
 
 
@@ -588,23 +673,32 @@ def pool_gaussian(x: Tensor, ln_g: Tensor, ln_b: Tensor, q: Tensor, wk: Tensor, 
     keys_t = np.ascontiguousarray(k.reshape(split).transpose(*range(nb), nb + 1, nb + 2, nb))
     values = np.ascontiguousarray(v.reshape(split).swapaxes(-3, -2))
     qh, scores, scale = _scores(q.data.reshape(1, d), keys_t, values)
-    stages = (("layer_norm", h), ("linear wk", k), ("linear wv", v))
-    _check_finite(scores, "pool_gaussian", stages + (("attention", scores),))
+    finite = np.logical_and.reduce
+    if not finite(np.isfinite(scores), axis=None):
+        _check_finite(scores, "pool_gaussian", (("layer_norm", h), ("linear wk", k), ("linear wv", v),
+                                                ("attention", scores)))
     probs, a = _mix(scores, values, mask, d)
     pooled = a @ wo.data + bo.data
-    _check_finite(pooled, "pool_gaussian", stages + (("attention", a), ("linear wo", pooled)))
+    if not finite(np.isfinite(pooled), axis=None):
+        _check_finite(pooled, "pool_gaussian", (("layer_norm", h), ("linear wk", k), ("linear wv", v),
+                                                ("attention", a), ("linear wo", pooled)))
     m = pooled @ wd + mu_b.data
     s = pooled @ ls_w.data + ls_b.data
-    head = (("linear mu", m), ("linear ls", s))
-    for part in (m, s):  # before the clamp, which would hide an infinite log-sigma
-        _check_finite(part, "pool_gaussian", head)
-    inside = (s > lo) & (s < hi)
+    if not (finite(np.isfinite(m), axis=None) and finite(np.isfinite(s), axis=None)):
+        for part in (m, s):  # before the clamp, which would hide an infinite log-sigma
+            _check_finite(part, "pool_gaussian", (("linear mu", m), ("linear ls", s)))
     shape = xd.shape[:-2] + wd.shape[1:]
+    out = (m.reshape(shape), np.clip(s, lo, hi).reshape(shape))
 
     h_grad = x.requires_grad or ln_g.requires_grad or ln_b.requires_grad
     kv_grad = h_grad or wk.requires_grad or wv.requires_grad or bv.requires_grad
     a_grad = q.requires_grad or kv_grad
     pooled_grad = a_grad or wo.requires_grad or bo.requires_grad
+    if not (_node_checks or pooled_grad or mu_w.requires_grad or mu_b.requires_grad or ls_w.requires_grad
+            or ls_b.requires_grad):
+        out = _make(out, "pool_gaussian", (), None)
+        return (*out, probs.copy()) if return_weights else out
+    inside = (s > lo) & (s < hi)
 
     def backward(grads):
         g_mu, g_ls = grads
@@ -627,8 +721,8 @@ def pool_gaussian(x: Tensor, ln_g: Tensor, ln_b: Tensor, q: Tensor, wk: Tensor, 
             if h_grad:
                 _norm_grads(g_h, xhat, inv, x, ln_g, ln_b)
 
-    out = _make((m.reshape(shape), np.clip(s, lo, hi).reshape(shape)), "pool_gaussian",
-                (x, ln_g, ln_b, q, wk, wv, bv, wo, bo, mu_w, mu_b, ls_w, ls_b), backward, head)
+    out = _make(out, "pool_gaussian", (x, ln_g, ln_b, q, wk, wv, bv, wo, bo, mu_w, mu_b, ls_w, ls_b), backward,
+                (("linear mu", m), ("linear ls", s)))
     return (*out, probs.copy()) if return_weights else out
 
 
@@ -657,6 +751,8 @@ def tied_head(x: Tensor, ln_g: Tensor, ln_b: Tensor, word: Tensor, bias: Tensor 
     logits = h @ wd.T
     data = logits if bias is None else logits + bias.data
     h_grad = x.requires_grad or ln_g.requires_grad or ln_b.requires_grad
+    if not (_node_checks or h_grad or word.requires_grad or bias is not None and bias.requires_grad):
+        return _make(data, "tied_head", (), None)
 
     def backward(g):
         if bias is not None and bias.requires_grad:

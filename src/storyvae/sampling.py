@@ -34,9 +34,13 @@ import numpy as np
 
 from . import latent as lt
 from . import transformer as tf
-from .autograd import Tensor
+from .autograd import SCALARS, Tensor
 from .model import StoryVAE
 from .transformer import ContractError
+
+
+# The filter's scalar operands, as 0-d float64 arrays (``autograd.SCALARS``).
+_F64 = SCALARS[np.dtype(np.float64)]
 
 
 @dataclass(frozen=True)
@@ -74,11 +78,11 @@ def filter_logits(logits: np.ndarray, config: SamplerConfig) -> np.ndarray:
     if logits.ndim not in (1, 2) or logits.shape[-1] < 1:
         raise ContractError(f"filter_logits expects a logit vector or a (B, V) block, got shape {logits.shape}")
     v = logits.shape[-1]
-    scaled = np.divide(logits.reshape(-1, v), config.temperature, dtype=np.float64)
-    if not np.isfinite(scaled).all():
+    scaled = np.divide(logits.reshape(-1, v), _F64[config.temperature], dtype=np.float64)
+    if not np.logical_and.reduce(np.isfinite(scaled), axis=None):
         raise ContractError("filter_logits expects finite logits, and finite after the temperature")
-    # Ufunc reductions rather than .max/.sum/cumsum: the same bits without
-    # the Python wrappers, whose call cost dominates a one-row step.
+    # Ufunc reductions rather than .all/.max/.sum/cumsum/.any: the same bits
+    # without the Python wrappers, whose call cost dominates a one-row step.
     scaled -= np.maximum.reduce(scaled, axis=-1, keepdims=True)
     probs = np.exp(scaled)
     probs /= np.add.reduce(probs, axis=-1, keepdims=True)
@@ -88,17 +92,17 @@ def filter_logits(logits: np.ndarray, config: SamplerConfig) -> np.ndarray:
     # values add up the same whichever id comes first.
     k = min(config.top_k, v)
     top = np.sort(np.partition(probs, v - k, axis=-1)[:, v - k:], axis=-1)[:, ::-1]
-    cut = np.add.reduce(np.add.accumulate(top[:, :-1], axis=-1) < config.top_p, axis=-1)
+    cut = np.add.reduce(np.add.accumulate(top[:, :-1], axis=-1) < _F64[config.top_p], axis=-1)
     last = top[np.arange(top.shape[0]), cut][:, None]
     kept = probs >= last
     # Ties at the last kept probability can overflow the prefix; then the
     # lower ids stay.  Model logits almost never tie, so the id-order scan
     # that trims them runs only when some row overflows.
     excess = np.add.reduce(kept, axis=-1, keepdims=True) - 1 - cut[:, None]
-    if excess.any():
+    if np.logical_or.reduce(excess, axis=None):
         tied = probs == last
         kept &= ~tied | (np.add.accumulate(tied, axis=-1) <= np.add.reduce(tied, axis=-1, keepdims=True) - excess)
-    out = np.where(kept, probs, 0.0)
+    out = np.where(kept, probs, _F64[0.0])
     out /= np.add.reduce(out, axis=-1, keepdims=True)
     return out.reshape(logits.shape)
 

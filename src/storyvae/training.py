@@ -216,7 +216,8 @@ class Adam:
         norm = math.sqrt(total)
         if culprit is not None:
             return norm, culprit
-        scale = max_norm / norm if 0 < max_norm < norm else None
+        c = ag.SCALARS[grads.dtype]
+        scale = np.array(max_norm / norm, grads.dtype) if 0 < max_norm < norm else None
         for run in runs:
             for name, _, _ in run:
                 counts[name] += 1
@@ -226,16 +227,16 @@ class Adam:
             if scale is not None:
                 g *= scale
             update, denom = self.scratch[0, :hi - lo], self.scratch[1, :hi - lo]
-            m *= ADAM_BETA1
-            m += np.multiply(g, 1.0 - ADAM_BETA1, out=update)
-            v *= ADAM_BETA2
-            np.multiply(g, 1.0 - ADAM_BETA2, out=update)
+            m *= c[ADAM_BETA1]
+            m += np.multiply(g, c[1.0 - ADAM_BETA1], out=update)
+            v *= c[ADAM_BETA2]
+            np.multiply(g, c[1.0 - ADAM_BETA2], out=update)
             v += np.multiply(update, g, out=update)
-            np.divide(m, 1.0 - ADAM_BETA1**t, out=update)  # m_hat
-            update *= self.lr
-            np.divide(v, 1.0 - ADAM_BETA2**t, out=denom)  # v_hat
+            np.divide(m, np.array(1.0 - ADAM_BETA1**t, grads.dtype), out=update)  # m_hat
+            update *= c[self.lr]
+            np.divide(v, np.array(1.0 - ADAM_BETA2**t, grads.dtype), out=denom)  # v_hat
             np.sqrt(denom, out=denom)
-            denom += ADAM_EPS
+            denom += c[ADAM_EPS]
             params.data_buffer[lo:hi] -= np.divide(update, denom, out=update)
         return norm, None
 

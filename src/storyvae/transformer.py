@@ -368,14 +368,24 @@ class DecoderCache:
 
 
 def _validate_tokens(tokens: np.ndarray, cfg: ModelConfig, start: int = 0) -> np.ndarray:
+    """``tokens`` as int64, checked for shape and length; ids are checked by the stack's ``ag.embedding``."""
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim not in (1, 2) or tokens.shape[-1] < 1 or tokens.size < 1:
         raise ContractError(f"tokens must be a nonempty (T,) sequence or (B, T) batch, got shape {tokens.shape}")
     if start + tokens.shape[-1] > cfg.max_seq_len:
         raise ContractError(f"sequence of {start + tokens.shape[-1]} tokens exceeds max_seq_len {cfg.max_seq_len}")
-    if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
-        raise IndexError(f"token id out of range for vocabulary size {cfg.vocab_size}")
     return tokens
+
+
+def _vocabulary_error(tokens: np.ndarray, cfg: ModelConfig) -> None:
+    """After ``ag.embedding`` raised ``IndexError``: raise the stack's own one if a token id is out of the vocabulary.
+
+    The embedding's check of the ids against the word table, whose rows are
+    the vocabulary, is a stack's one token-range check; only its failure
+    looks again, for the stack's message.
+    """
+    if np.minimum.reduce(tokens, axis=None) < 0 or np.maximum.reduce(tokens, axis=None) >= cfg.vocab_size:
+        raise IndexError(f"token id out of range for vocabulary size {cfg.vocab_size}") from None
 
 
 def pad_rows(sequences, fill) -> tuple[np.ndarray, np.ndarray]:
@@ -422,7 +432,11 @@ def encode_stack(tokens, params: ParameterSet, cfg: ModelConfig, key_mask: np.nd
     gradient from any loss that masks them out.
     """
     tokens = _validate_tokens(tokens, cfg)
-    x = ag.embedding(params["embed.word"], params["embed.pos"], tokens, 0)
+    try:
+        x = ag.embedding(params["embed.word"], params["embed.pos"], tokens, 0)
+    except IndexError:
+        _vocabulary_error(tokens, cfg)
+        raise
     keys, values = kv_blocks(x, cfg.heads, tokens.shape[-1], [None] * cfg.encoder_layers)
     for block, keys_t, stack in zip(_stack_blocks(params, "enc", cfg.encoder_layers), keys, values):
         x = _block(x, block, keys_t, stack, 0, None, key_mask)
@@ -473,7 +487,11 @@ def decode_stack(cache: DecoderCache, tokens) -> Tensor:
 def _decode(cache: DecoderCache, tokens: np.ndarray, start: int) -> Tensor:
     """``decode_stack``'s pass: the blocks over ``tokens`` at position ``start``, then the head, its sink."""
     l = tokens.shape[-1]
-    x = ag.embedding(cache.word, cache.pos, tokens, start, cache.input_row)
+    try:
+        x = ag.embedding(cache.word, cache.pos, tokens, start, cache.input_row)
+    except IndexError:
+        _vocabulary_error(tokens, cache.cfg)
+        raise
     if cache.stacks is None:
         cache.stacks = list(zip(*kv_blocks(x, cache.cfg.heads, 1 + cache.positions, cache.latent_rows)))
     # The mask of a layer with a latent row; one without sees one row fewer, so it reads the mask from column 1.

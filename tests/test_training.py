@@ -1,5 +1,7 @@
 import math
+import os
 import re
+import resource
 
 import numpy as np
 import pytest
@@ -479,3 +481,33 @@ def test_schedule_validation():
         TrainingSchedule(total_steps=10, freeze_steps=-1)
     with pytest.raises(ContractError):
         TrainingSchedule(total_steps=10, beta_floor=1.0)
+
+
+def on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not on_glibc(), reason="the heap thresholds that autograd fixes are glibc's")
+def test_warm_train_steps_take_almost_no_page_faults():
+    """With glibc's heap thresholds fixed, a warm step at the acceptance overfit config reuses the heap it freed.
+
+    Under the dynamic thresholds the freed top of the heap went back to the
+    system between ops, and each step faulted it in again: 5 to 83 minor
+    faults per step, by the process's history.  Fixed, it takes about 0.1.
+    """
+    pairs = cp.load_corpus(cp.toy_corpus_path())
+    vocab = cp.fit_vocabulary([p.prompt_text for p in pairs] + [p.story_text for p in pairs], 512)
+    examples = cp.prepare_corpus(pairs, vocab, 64)
+    cfg = ModelConfig(d=64, layers=2, encoder_layers=1, heads=2, latent_dim=16, vocab_size=vocab.size, max_seq_len=64,
+                      injection_modes=("input",), injection_gain=8.0, latent_head_gain=50.0)
+    schedule = TrainingSchedule(total_steps=1000, cycle_length=8, learning_rate=1e-3, batch_size=4, seed=0)
+    trainer = Trainer(StoryVAE.create(cfg, seed=0), examples, schedule, separator_id=vocab.separator_id)
+    for _ in range(30):
+        trainer.train_step(trainer.draw_batch())
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(50):
+        trainer.train_step(trainer.draw_batch())
+    assert (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50 < 1

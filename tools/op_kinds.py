@@ -24,8 +24,12 @@ the machine's speed, from one more run each: the Python function calls
 and the C-level calls (``call`` and ``c_call`` events of
 ``sys.setprofile``), and the peak of the bytes ``tracemalloc`` traces.
 numpy's operators, such as ``a @ b``, raise no ``c_call`` event, so
-their calls are not counted.  At this version the four cases record
-19, 15, 18 and 10 nodes.
+their calls are not counted.  Beside them are the minor page faults of
+the run whose calls are counted (the ``ru_minflt`` delta of
+``getrusage``), which follow how the C library hands freed memory back
+to the system; they are near 0 for a warm case once that memory is
+kept, and, unlike the counts, may differ between two runs.  At this
+version the four cases record 19, 15, 18 and 10 nodes.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import os
+import resource
 import statistics
 import sys
 import tracemalloc
@@ -145,25 +150,28 @@ def generation_cases():
             "cached decode step": step}
 
 
-def probe(case) -> tuple[int, int, int]:
-    """One run's Python calls and C-level calls, counted by ``sys.setprofile``, then another run's peak traced bytes."""
+def probe(case) -> tuple[int, int, int, int]:
+    """One run's Python calls and C-level calls, counted by ``sys.setprofile``, and its minor page faults; then
+    another run's peak traced bytes."""
     events: Counter = Counter()
 
     def count(frame, event, arg):
         events[event] += 1
 
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     sys.setprofile(count)
     try:
         case()
     finally:
         sys.setprofile(None)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     tracemalloc.start()
     try:
         case()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return events["call"], events["c_call"], peak
+    return events["call"], events["c_call"], faults, peak
 
 
 def run(name: str, case, repeats: int) -> None:
@@ -173,7 +181,7 @@ def run(name: str, case, repeats: int) -> None:
         start = perf_counter()
         case()
         walls.append(perf_counter() - start)
-    calls, c_calls, peak = probe(case)
+    calls, c_calls, faults, peak = probe(case)
     recorder = Recorder()
     recorder.install()
     try:
@@ -183,7 +191,7 @@ def run(name: str, case, repeats: int) -> None:
         recorder.uninstall()
     kinds = sorted(recorder.nodes, key=lambda k: (-recorder.nodes[k], k))
     print(f"## {name}: {sum(recorder.nodes.values()) / repeats:g} nodes, {calls} Python calls, {c_calls} C calls, "
-          f"{peak} peak traced bytes, wall {statistics.median(walls) * 1e3:.3f} ms")
+          f"{faults} minor faults, {peak} peak traced bytes, wall {statistics.median(walls) * 1e3:.3f} ms")
     print()
     print("| op kind | nodes | forward ms | backward ms |")
     print("|---|---|---|---|")
@@ -201,7 +209,8 @@ def main() -> None:
     args = parser.parse_args()
     cases = {"cvae train step": train_case("cvae"), "vae train step": train_case("vae"), **generation_cases()}
     print("Calls are one run's sys.setprofile events: 'call' for Python, 'c_call' for C.  numpy operators such as")
-    print("a @ b raise no c_call event, so they are not counted.  Peak bytes are tracemalloc's over one run.")
+    print("a @ b raise no c_call event, so they are not counted.  Minor faults are getrusage's ru_minflt over that")
+    print("run.  Peak bytes are tracemalloc's over one run.")
     print()
     for name, case in cases.items():
         run(name, case, args.repeats)
