@@ -27,7 +27,7 @@ F32, F64 = np.dtype(np.float32), np.dtype(np.float64)
 DTYPES = [(F32, F32), (F64, F64), (F64, F32)]
 
 
-def parent_norm(x, gain, bias):
+def earlier_norm(x, gain, bias):
     d = x.shape[-1]
     mu = np.add.reduce(x, axis=-1, keepdims=True) / d
     centered = x - mu
@@ -45,10 +45,10 @@ def accumulate(grads: dict, name: str, g, dtype) -> None:
         grads[name] = np.array(g, dtype=dtype, copy=True)
 
 
-def parent_mlp(xd, ln_g, ln_b, w1, b1, w2, b2, g):
+def earlier_mlp(xd, ln_g, ln_b, w1, b1, w2, b2, g):
     """The MLP sublayer's output, and every input's gradient given the output's ``g``, by the earlier formulas."""
     d, m = xd.shape[-1], w1.shape[-1]
-    h, xhat, inv = parent_norm(xd, ln_g, ln_b)
+    h, xhat, inv = earlier_norm(xd, ln_g, ln_b)
     pre = h @ w1 + b1
     t = np.tanh(GELU_TANH_COEFF * (pre + GELU_CUBIC_COEFF * (pre * pre * pre)))
     act = 0.5 * pre * (1.0 + t)
@@ -74,13 +74,13 @@ def parent_mlp(xd, ln_g, ln_b, w1, b1, w2, b2, g):
     return data, grads
 
 
-def parent_scores(qd, keys_t):
+def earlier_scores(qd, keys_t):
     h, dh = keys_t.shape[-3:-1]
     qh = qd.reshape(qd.shape[:-1] + (h, dh)).swapaxes(-3, -2)
     return (qh @ keys_t) * (1.0 / math.sqrt(dh))
 
 
-def parent_filter_logits(logits, config):
+def earlier_filter_logits(logits, config):
     logits = np.asarray(logits)
     v = logits.shape[-1]
     scaled = np.divide(logits.reshape(-1, v), config.temperature, dtype=np.float64)
@@ -102,7 +102,7 @@ def parent_filter_logits(logits, config):
     return out.reshape(logits.shape)
 
 
-def parent_adam_step(opt: Adam, max_norm: float):
+def earlier_adam_step(opt: Adam, max_norm: float):
     """``Adam.step`` with Python-scalar operands, as it was."""
     params, counts, grads = opt.params, opt.t, opt.params.grad_buffer
     runs = opt._runs()
@@ -185,7 +185,7 @@ def test_layer_norm(xt, pt):
     rng = np.random.default_rng(1)
     for shape in ((1, 64), (5, 7), (2, 3, 8)):
         x, gain, bias = rows(rng, shape, xt, 3.0), rows(rng, shape[-1], pt), rows(rng, shape[-1], pt)
-        for got, want in zip(ag._norm(x, gain, bias), parent_norm(x, gain, bias), strict=True):
+        for got, want in zip(ag._norm(x, gain, bias), earlier_norm(x, gain, bias), strict=True):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), shape
 
 
@@ -199,7 +199,7 @@ def test_mlp_sublayer_forward_and_backward(xt, pt):
         weights = {"ln_g": rows(rng, d, pt), "ln_b": rows(rng, d, pt), "w1": rows(rng, (d, m), pt, 30.0),
                    "b1": rows(rng, m, pt), "w2": rows(rng, (m, d), pt), "b2": rows(rng, d, pt)}
         g = rows(rng, shape, np.result_type(xt, pt))
-        want, want_grads = parent_mlp(xd, *weights.values(), g)
+        want, want_grads = earlier_mlp(xd, *weights.values(), g)
         tensors = {"x": Tensor(xd, requires_grad=True)}
         tensors.update({name: Tensor(w, requires_grad=True) for name, w in weights.items()})
         with np.errstate(over="ignore"):
@@ -220,7 +220,7 @@ def test_attention_scores(xt, pt):
         q = rows(rng, batch + (lq, 64), pt)
         keys_t, values = rows(rng, batch + (heads, dh, n), xt), rows(rng, batch + (heads, n, dh), xt)
         qh, scores, scale = ag._scores(q, keys_t, values)
-        want = parent_scores(q, keys_t)
+        want = earlier_scores(q, keys_t)
         assert scores.dtype == want.dtype == xt and scores.tobytes() == want.tobytes(), (heads, batch)
         assert scale.dtype == xt and scale == xt.type(1.0 / math.sqrt(dh))
 
@@ -234,7 +234,7 @@ def test_filter_logits(dtype):
     tied[:, :6] = 4.0  # six tied best tokens overflow every prefix
     for config in configs:
         for logits in (rows(rng, 512, dtype, 3.0), rows(rng, (4, 50), dtype, 2.0), tied):
-            got, want = sp.filter_logits(logits, config), parent_filter_logits(logits, config)
+            got, want = sp.filter_logits(logits, config), earlier_filter_logits(logits, config)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (config, logits.shape)
 
 
@@ -254,7 +254,7 @@ def test_adam_step(dtype, max_norm):
                 if not (step == 1 and name == "b"):
                     params[name].grad = g.copy()
         norm = optimizers[0].step(max_norm)[0]
-        assert norm == parent_adam_step(optimizers[1], max_norm)
+        assert norm == earlier_adam_step(optimizers[1], max_norm)
         for buffer in ("m", "v"):
             assert getattr(optimizers[0], buffer).tobytes() == getattr(optimizers[1], buffer).tobytes(), step
         assert sets[0].data_buffer.tobytes() == sets[1].data_buffer.tobytes(), step
