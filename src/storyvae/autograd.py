@@ -123,15 +123,30 @@ def flat_buffer(size: int, dtype) -> np.ndarray:
 
 
 def _fix_heap_thresholds() -> None:
-    """Fix glibc's heap trim threshold at 8 MiB and its mmap threshold at 4 MiB, once; a no-op off glibc.
+    """Fix glibc's mmap threshold at its dynamic ceiling and turn heap trimming off, once; a no-op off glibc.
 
-    With glibc's dynamic thresholds, freeing the temporaries of one op can
-    hand the top of the heap back to the system, and the next op faults the
-    pages in again: a warm train step at the acceptance overfit config took
-    62-83 minor page faults, nearly all in ``cross_entropy`` and
-    ``tied_head``, against 0.13 with trimming held off.  Both thresholds are
-    set, since setting either one turns the dynamic thresholds off, and
-    trimming alone doubled an eval's faults.
+    Under glibc's dynamic thresholds a train step hands the heap its tape
+    frees back to the system, and the next step faults it in again: in a
+    fresh process on a 2-core Xeon VM, a warm step at the CLI's default
+    train config (batch 8, 256 positions, vocabulary 512) took 11500-14700
+    minor faults in float32 and 12100-12900 in float64, and one at the
+    acceptance overfit config 460 in float64.  Fixed, they took 100-130,
+    80 and 0.1.
+
+    The mmap threshold is the ceiling the dynamic one rises to (4 MiB times
+    the size of a C long: 32 MiB on 64-bit), so no allocation is mapped
+    that the dynamic rule would keep on the heap.  At the default train
+    config the largest temporary, a layer's (8, 4, 256, 256) attention
+    weights, is 8 MiB in float32 and 16 MiB in float64; a config whose
+    temporaries pass the ceiling has them mapped and unmapped on each use,
+    as under the dynamic rule.  Trimming is off because a step frees far
+    more at once than a fixed trim threshold below its peak holds: at the
+    dynamic rule's own ceiling (64 MiB) the default config still took 8000
+    faults a step.  The process keeps its heap at its peak until it exits;
+    the peak itself did not rise (maxrss 189-192 against 193 MB in float32,
+    343 against 348 MB in float64).  Both hold for the whole process that
+    imports storyvae.  Setting either threshold turns the dynamic ones off,
+    so trimming goes off only once the mmap threshold has taken.
     """
     try:
         glibc = os.confstr("CS_GNU_LIBC_VERSION")
@@ -139,8 +154,8 @@ def _fix_heap_thresholds() -> None:
         glibc = None
     if glibc:
         mallopt = ctypes.CDLL(None).mallopt
-        mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
-        mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+        if mallopt(-3, 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long)):  # M_MMAP_THRESHOLD
+            mallopt(-1, -1)  # M_TRIM_THRESHOLD: never trim
 
 
 _fix_heap_thresholds()

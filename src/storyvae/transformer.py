@@ -334,8 +334,11 @@ class DecoderCache:
     consumed so far.  The first call allocates every layer's stacks for
     its batch as one block of keys and one of values (``kv_blocks``), with
     room for a latent row and the ``positions``; ``stacks`` holds each
-    layer's (keys_t, values) views.  A layer's latent row, if it has one,
-    is row 0, and token position t's row follows it.  A cache is bound to
+    layer's (keys_t, values) views.  ``batch``, the leading shape every
+    call's tokens must have, is the latent's, or else is fixed when the
+    stacks are allocated, so a call that fails before then fixes none.  A
+    layer's latent row, if it has one, is row 0, and token position t's
+    row follows it.  A cache is bound to
     the parameters, the latent and the modes it was built from: it keeps
     ``cfg``, looks up the word and position tables (``word``, ``pos``),
     every decoder block's tensors (``blocks``) and the final norm's gain
@@ -377,15 +380,18 @@ def _validate_tokens(tokens: np.ndarray, cfg: ModelConfig, start: int = 0) -> np
     return tokens
 
 
-def _vocabulary_error(tokens: np.ndarray, cfg: ModelConfig) -> None:
-    """After ``ag.embedding`` raised ``IndexError``: raise the stack's own one if a token id is out of the vocabulary.
+def _embed(word: Tensor, pos: Tensor, tokens: np.ndarray, start: int, row: Tensor | None, cfg: ModelConfig) -> Tensor:
+    """A stack's ``ag.embedding`` node; its check of the ids against the word table is the stack's one range check.
 
-    The embedding's check of the ids against the word table, whose rows are
-    the vocabulary, is a stack's one token-range check; only its failure
-    looks again, for the stack's message.
+    The word table's rows are the vocabulary, so only when that check
+    fails are the ids read again, for the stack's own ``IndexError``.
     """
-    if np.minimum.reduce(tokens, axis=None) < 0 or np.maximum.reduce(tokens, axis=None) >= cfg.vocab_size:
-        raise IndexError(f"token id out of range for vocabulary size {cfg.vocab_size}") from None
+    try:
+        return ag.embedding(word, pos, tokens, start, row)
+    except IndexError:
+        if np.minimum.reduce(tokens, axis=None) < 0 or np.maximum.reduce(tokens, axis=None) >= cfg.vocab_size:
+            raise IndexError(f"token id out of range for vocabulary size {cfg.vocab_size}") from None
+        raise
 
 
 def pad_rows(sequences, fill) -> tuple[np.ndarray, np.ndarray]:
@@ -432,11 +438,7 @@ def encode_stack(tokens, params: ParameterSet, cfg: ModelConfig, key_mask: np.nd
     gradient from any loss that masks them out.
     """
     tokens = _validate_tokens(tokens, cfg)
-    try:
-        x = ag.embedding(params["embed.word"], params["embed.pos"], tokens, 0)
-    except IndexError:
-        _vocabulary_error(tokens, cfg)
-        raise
+    x = _embed(params["embed.word"], params["embed.pos"], tokens, 0, None, cfg)
     keys, values = kv_blocks(x, cfg.heads, tokens.shape[-1], [None] * cfg.encoder_layers)
     for block, keys_t, stack in zip(_stack_blocks(params, "enc", cfg.encoder_layers), keys, values):
         x = _block(x, block, keys_t, stack, 0, None, key_mask)
@@ -474,9 +476,7 @@ def decode_stack(cache: DecoderCache, tokens) -> Tensor:
     l = tokens.shape[-1]
     if start + l > cache.positions:
         raise ContractError(f"{start + l} positions exceed the {cache.positions} the decoder cache holds")
-    if cache.batch is None:
-        cache.batch = tokens.shape[:-1]
-    elif cache.batch != tokens.shape[:-1]:
+    if cache.batch is not None and cache.batch != tokens.shape[:-1]:
         raise ContractError(f"tokens of shape {tokens.shape} do not match a cache for a batch of {cache.batch}")
     logits = _decode(cache, tokens, start)
     cache.length = start + l
@@ -487,12 +487,9 @@ def decode_stack(cache: DecoderCache, tokens) -> Tensor:
 def _decode(cache: DecoderCache, tokens: np.ndarray, start: int) -> Tensor:
     """``decode_stack``'s pass: the blocks over ``tokens`` at position ``start``, then the head, its sink."""
     l = tokens.shape[-1]
-    try:
-        x = ag.embedding(cache.word, cache.pos, tokens, start, cache.input_row)
-    except IndexError:
-        _vocabulary_error(tokens, cache.cfg)
-        raise
+    x = _embed(cache.word, cache.pos, tokens, start, cache.input_row, cache.cfg)
     if cache.stacks is None:
+        cache.batch = tokens.shape[:-1]
         cache.stacks = list(zip(*kv_blocks(x, cache.cfg.heads, 1 + cache.positions, cache.latent_rows)))
     # The mask of a layer with a latent row; one without sees one row fewer, so it reads the mask from column 1.
     mask = causal_mask(l, start + 1)

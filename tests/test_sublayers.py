@@ -22,7 +22,7 @@ from storyvae.autograd import Tensor
 from storyvae.model import StoryVAE
 from storyvae.selfcheck import inner
 from storyvae.training import Trainer, TrainingSchedule
-from storyvae.transformer import ModelConfig
+from storyvae.transformer import ContractError, ModelConfig
 
 from chain_ops import attention_chain, linear, chains, embedding_chain, error_of, head_chain, leaf, mlp_chain, same
 
@@ -477,3 +477,17 @@ class TestEmbeddingAndHeadNumerics:
         assert cache.length == 0
         tf.decode_stack(cache, [1, 2])
         assert cache.length == 2
+
+    def test_a_call_that_fails_on_a_token_id_leaves_the_cache_for_any_batch(self):
+        """The id check runs inside the pass, yet a failed first call fixes neither the batch nor any stacks."""
+        cfg = ModelConfig(d=8, layers=1, encoder_layers=1, heads=2, latent_dim=4, vocab_size=7, max_seq_len=12,
+                          injection_modes=("input",))
+        model = StoryVAE.create(cfg, seed=7)
+        cache = tf.DecoderCache(model.params, cfg)
+        with pytest.raises(IndexError, match="^token id out of range for vocabulary size 7$"):
+            tf.decode_stack(cache, [[1, 2], [3, 7]])
+        assert (cache.batch, cache.stacks, cache.length) == (None, None, 0)
+        logits = tf.decode_stack(cache, [1, 2, 3])
+        assert logits.shape == (3, 7) and cache.batch == () and cache.length == 3
+        with pytest.raises(ContractError, match=r"do not match a cache for a batch of \(\)"):
+            tf.decode_stack(cache, [[4], [5]])

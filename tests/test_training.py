@@ -1,7 +1,9 @@
 import math
 import os
 import re
-import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -490,24 +492,55 @@ def on_glibc() -> bool:
         return False
 
 
-@pytest.mark.skipif(not on_glibc(), reason="the heap thresholds that autograd fixes are glibc's")
-def test_warm_train_steps_take_almost_no_page_faults():
-    """With glibc's heap thresholds fixed, a warm step at the acceptance overfit config reuses the heap it freed.
+# Warm train steps in a fresh process, so that only their own history counts; prints the minor faults per step.
+FAULTS_CHILD = """
+import resource, sys, types
+import numpy as np
+from storyvae import corpus as cp
+from storyvae.model import StoryVAE
+from storyvae.training import Trainer, TrainingSchedule
+from storyvae.transformer import ModelConfig
 
-    Under the dynamic thresholds the freed top of the heap went back to the
-    system between ops, and each step faulted it in again: 5 to 83 minor
-    faults per step, by the process's history.  Fixed, it takes about 0.1.
-    """
+if sys.argv[1] == "overfit":
     pairs = cp.load_corpus(cp.toy_corpus_path())
     vocab = cp.fit_vocabulary([p.prompt_text for p in pairs] + [p.story_text for p in pairs], 512)
     examples = cp.prepare_corpus(pairs, vocab, 64)
-    cfg = ModelConfig(d=64, layers=2, encoder_layers=1, heads=2, latent_dim=16, vocab_size=vocab.size, max_seq_len=64,
-                      injection_modes=("input",), injection_gain=8.0, latent_head_gain=50.0)
-    schedule = TrainingSchedule(total_steps=1000, cycle_length=8, learning_rate=1e-3, batch_size=4, seed=0)
-    trainer = Trainer(StoryVAE.create(cfg, seed=0), examples, schedule, separator_id=vocab.separator_id)
-    for _ in range(30):
-        trainer.train_step(trainer.draw_batch())
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(50):
-        trainer.train_step(trainer.draw_batch())
-    assert (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50 < 1
+    cfg = ModelConfig(d=64, layers=2, encoder_layers=1, heads=2, latent_dim=16, vocab_size=vocab.size,
+                      max_seq_len=64, injection_modes=("input",), injection_gain=8.0, latent_head_gain=50.0)
+    dtype, batch, warm, steps = np.float64, 4, 30, 50
+else:
+    rng = np.random.default_rng(0)
+    vocab = types.SimpleNamespace(separator_id=1)
+    examples = [cp.build_example(cp.PromptStoryPair("", "", "", [2, 3, 4], rng.integers(2, 4096, 124).tolist()),
+                                 vocab, 128) for _ in range(4)]
+    cfg = ModelConfig(d=16, layers=1, encoder_layers=1, heads=1, latent_dim=4, vocab_size=4096, max_seq_len=128)
+    dtype, batch, warm, steps = np.float32, 4, 3, 10
+schedule = TrainingSchedule(total_steps=1000, batch_size=batch, seed=0)
+trainer = Trainer(StoryVAE.create(cfg, seed=0, dtype=dtype), examples, schedule, separator_id=vocab.separator_id)
+for _ in range(warm):
+    trainer.train_step(trainer.draw_batch())
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(steps):
+    trainer.train_step(trainer.draw_batch())
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / steps)
+"""
+
+
+@pytest.mark.skipif(not on_glibc(), reason="the heap thresholds that autograd fixes are glibc's")
+@pytest.mark.parametrize("case", ["overfit", "large_vocabulary"])
+def test_warm_train_steps_take_almost_no_page_faults(case):
+    """With glibc's heap thresholds fixed, a warm train step reuses the heap the step before it freed.
+
+    ``overfit`` is the acceptance overfit config in float64; under glibc's
+    dynamic thresholds each of its warm steps handed the heap back and
+    faulted it in again, about 470 minor faults a step.  ``large_vocabulary``
+    makes 8 MiB (B, T, V) logits, above a fixed 4 MiB mmap threshold and
+    below the dynamic one's 32 MiB ceiling: about 2500 faults a step under
+    the dynamic thresholds, 3600 with the mmap threshold at 4 MiB.  Fixed,
+    either takes under 1.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(ag.__file__).parents[1]), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    result = subprocess.run([sys.executable, "-c", FAULTS_CHILD, case], env=env, capture_output=True, text=True,
+                            timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert float(result.stdout) < 5
